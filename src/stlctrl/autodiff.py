@@ -23,15 +23,6 @@ POW_CONST = 11
 MAX2 = 12
 MIN2 = 13
 
-OP_NAMES = {
-    "const": CONST, "add": ADD, "sub": SUB, "mul": MUL, "div": DIV,
-    "neg": NEG, "tanh": TANH, "exp": EXP, "ln": LN, "sin": SIN,
-    "cos": COS, "pow_const": POW_CONST, "max2": MAX2, "min2": MIN2,
-}
-
-_UNARY = (NEG, TANH, EXP, LN, SIN, COS, POW_CONST)
-_BINARY = (ADD, SUB, MUL, DIV, MAX2, MIN2)
-
 
 class EvalError(ValueError):
     """Domain violation (log of non-positive, division by zero, ...) at a node."""
@@ -140,39 +131,6 @@ class Tape:
 
     def const(self, value):
         return Var(self, self._push(CONST, -1, -1, float(value)))
-
-    def record(self, op, inputs, aux=0.0):
-        """Record one operation by name. Returns the resulting Var.
-
-        `inputs` is a list of Vars on this tape (empty for "const", where
-        `aux` carries the value; `aux` is the exponent for "pow_const").
-        """
-        code = OP_NAMES.get(op)
-        if code is None:
-            raise ValueError(f"unknown opcode {op!r}")
-        for x in inputs:
-            if x.tape is not self:
-                raise ValueError("input recorded on a different tape")
-        if code == CONST:
-            return self.const(aux)
-        if code in _UNARY:
-            (x,) = inputs
-            if code == NEG:
-                return -x
-            return {TANH: tanh, EXP: exp, LN: ln, SIN: sin, COS: cos,
-                    POW_CONST: lambda v: powc(v, aux)}[code](x)
-        (x, y) = inputs
-        if code == ADD:
-            return x + y
-        if code == SUB:
-            return x - y
-        if code == MUL:
-            return x * y
-        if code == DIV:
-            return x / y
-        if code == MAX2:
-            return vmax(x, y)
-        return vmin(x, y)
 
     def backward(self, output, seeds):
         """Reverse accumulation of d(output)/d(seed) for each seed Var.
@@ -317,3 +275,24 @@ def vmin(x, y):
 
 def value_of(x):
     return x.value if isinstance(x, Var) else float(x)
+
+
+# -- source for generated straight-line sums ---------------------------------
+
+# Operands per `+` chain.  CPython's compiler recurses once per operand of
+# a chain and overflows near 3000, so longer sums continue as `v = v + ...`.
+_CHAIN = 200
+
+
+def sum_source(target, first, terms):
+    """(statements, expr): after the statements run, expr is
+    first + terms[0] + terms[1] + ... summed left to right; longer sums
+    keep their partial value in the variable target."""
+    stmts = []
+    expr = first
+    for c in range(0, len(terms), _CHAIN):
+        if c:
+            stmts.append(f"{target} = {expr}")
+            expr = target
+        expr = " + ".join([expr] + terms[c:c + _CHAIN])
+    return stmts, expr

@@ -51,10 +51,10 @@ class Scenario:
         except Exception as e:
             raise ScenarioError("plant", str(e))
         if "dt" in doc:
-            dt = _req(doc, "dt", (int, float))
+            dt = _req(doc, "dt", float)
             if dt <= 0:
                 raise ScenarioError("dt", "must be positive")
-            self.plant = self.plant.with_dt(float(dt))
+            self.plant = self.plant.with_dt(dt)
         self.K = _req(doc, "K", int)
         if self.K < 1:
             raise ScenarioError("K", "must be >= 1")
@@ -154,7 +154,7 @@ class Scenario:
                   "guard_smooth": bool}
         for key, typ in fields.items():
             if key in td:
-                kw[key] = typ(td[key])
+                kw[key] = _typed(f"train.{key}", td[key], typ)
         if td.get("noise_training"):
             kw["noise"] = (0.0, 0.0)  # replaced by the scenario noise pair
         try:
@@ -204,13 +204,16 @@ class Scenario:
 def _req(doc, key, typ):
     if key not in doc:
         raise ScenarioError(key, "missing required field")
-    v = doc[key]
-    if typ is int and isinstance(v, bool):
-        raise ScenarioError(key, "expected an integer")
-    if not isinstance(v, typ):
-        raise ScenarioError(key, f"expected {getattr(typ, '__name__', typ)}, "
-                                 f"got {type(v).__name__}")
-    return v
+    return _typed(key, doc[key], typ)
+
+
+def _typed(field, v, typ):
+    """v as typ; a float field also takes an int, and a bool is no number."""
+    ok = isinstance(v, (int, float) if typ is float else typ)
+    if not ok or (isinstance(v, bool) and typ is not bool):
+        raise ScenarioError(field, f"expected {typ.__name__}, "
+                                   f"got {type(v).__name__}")
+    return typ(v)
 
 
 def bundled_dir():

@@ -38,9 +38,16 @@ class Plant:
         return self._squash_fn(a_raw)
 
     def step(self, s, a_raw, k):
-        if len(s) != self.state_dim or len(a_raw) != self.action_dim:
-            raise ValueError(f"bad dims for plant {self.name}")
+        """Next state; callers check dimensions (rollout does at entry)."""
         return self._step_fn(s, self._squash_fn(a_raw), self.dt)
+
+    def check_dims(self, s0, policy):
+        """ValueError unless s0 and the policy's actions fit this plant."""
+        if len(s0) != self.state_dim:
+            raise ValueError(f"s0 dim {len(s0)} != plant dim {self.state_dim}")
+        if policy.action_dim != self.action_dim:
+            raise ValueError(f"policy action dim {policy.action_dim} != "
+                             f"plant {self.name} action dim {self.action_dim}")
 
     def with_dt(self, dt):
         return Plant(self.name, self.state_dim, self.action_dim, dt,
@@ -82,11 +89,10 @@ def corners_and_center(low, high):
 
 
 class Rollout:
-    def __init__(self, states, raw_actions, theta_tag=None, tape=None,
-                 theta_vars=None, noise_offsets=None):
+    def __init__(self, states, raw_actions, tape=None, theta_vars=None,
+                 noise_offsets=None):
         self.states = states
         self.raw_actions = raw_actions
-        self.theta_tag = theta_tag
         self.tape = tape
         self.theta_vars = theta_vars
         self.noise_offsets = noise_offsets  # per-step additive terms, or None
@@ -248,8 +254,7 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None):
     gains c1*v_k, with eta, v_k i.i.d. standard normal per dimension.
     Noise draws happen in a fixed order so traces are seed-reproducible.
     """
-    if len(s0) != plant.state_dim:
-        raise ValueError(f"s0 dim {len(s0)} != plant dim {plant.state_dim}")
+    plant.check_dims(s0, policy)
     s0 = tuple(float(x) for x in s0)
     c1 = c2 = 0.0
     rng = None
@@ -271,17 +276,23 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None):
     offsets = [] if c1 != 0.0 else None
     s = s0
     for k in range(K):
-        a = tuple(policy.forward(s, k, theta=theta))
+        a = tuple(policy.forward(s, k, theta))
         s = plant.step(s, a, k)
         if c1 != 0.0:
             off = tuple(c1 * rng.gauss(0.0, 1.0) for _ in s)
             s = tuple(x + o for x, o in zip(s, off))
             offsets.append(off)
-        _check_finite(s, k + 1)
+        if tape is None:
+            for x in s:
+                # also true for nan
+                if not abs(x) <= DIVERGE_LIMIT:
+                    raise DivergedRollout(k + 1, x)
+        else:
+            _check_finite(s, k + 1)
         states.append(s)
         raw_actions.append(a)
-    return Rollout(states, raw_actions, theta_tag=id(policy.theta),
-                   tape=tape, theta_vars=theta_vars, noise_offsets=offsets)
+    return Rollout(states, raw_actions, tape=tape, theta_vars=theta_vars,
+                   noise_offsets=offsets)
 
 
 def write_trace_csv(path, states, raw_actions):

@@ -6,7 +6,7 @@ actions everywhere else, so gradient cost scales with the number of
 sampled steps instead of the horizon.
 """
 
-from .autodiff import Tape, Var, value_of
+from .autodiff import Tape, Var
 from .smooth import smooth_robustness
 from .stl import Trace
 
@@ -61,6 +61,7 @@ def build_sampled(ref, times, policy, plant):
         raise ValueError("sample times must be strictly increasing")
     if times[-1] > ref.K:
         raise ValueError(f"sample time {times[-1]} past reference horizon {ref.K}")
+    plant.check_dims(ref.states[0], policy)
     tape = Tape()
     theta_vars = [tape.const(w) for w in policy.theta]
     live = set(times)
@@ -111,7 +112,3 @@ def grad_smooth(ref, partition, f, cfg, policy, plant):
                 total[i] += gi
     return total
 
-
-def sampled_smooth_value(ref, f, cfg):
-    """Smooth robustness of the reference trace itself (plain floats)."""
-    return value_of(smooth_robustness(f, Trace(ref.states), cfg))

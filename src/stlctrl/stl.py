@@ -8,7 +8,7 @@ And/Or, and the bounded temporal operators F/G/U/R.
 import math
 from dataclasses import dataclass, field
 
-from .autodiff import Var
+from .autodiff import Var, sum_source
 
 INF = math.inf
 
@@ -21,17 +21,23 @@ class HorizonError(ValueError):
 
 @dataclass(frozen=True)
 class Affine:
-    """h(s) = sum_i c[i]*s[i] + d over state coordinates."""
+    """h(s) = sum_i c[i]*s[i] + d over state coordinates.
+
+    eval runs straight-line code over the nonzero coefficients, compiled
+    on first use and summed left to right from d, so it is bit-identical
+    to a loop over the coordinates and records the same tape nodes.
+    """
 
     c: tuple
     d: float
+    _ev = None  # compiled evaluator; a class attribute, not a field
 
     def eval(self, state):
-        v = self.d
-        for i, ci in enumerate(self.c):
-            if ci != 0.0:
-                v = v + ci * state[i]
-        return v
+        ev = self._ev
+        if ev is None:
+            ev = _compile_affine(self.c, self.d)
+            object.__setattr__(self, "_ev", ev)
+        return ev(state)
 
     def negated(self):
         return Affine(tuple(-ci for ci in self.c), -self.d)
@@ -43,6 +49,23 @@ class Affine:
                 terms.append(f"{ci:+g}*x{i}")
         lhs = " ".join(terms) if terms else "0"
         return f"{lhs} {self.d:+g}"
+
+
+_AFFINE = {}  # nonzero count n -> make(d, c0, i0, ..., c{n-1}, i{n-1})
+
+
+def _compile_affine(c, d):
+    nz = [(ci, i) for i, ci in enumerate(c) if ci != 0.0]
+    n = len(nz)
+    make = _AFFINE.get(n)
+    if make is None:
+        stmts, expr = sum_source("v", "d", [f"c{j}*s[i{j}]" for j in range(n)])
+        params = "".join(f", c{j}, i{j}" for j in range(n))
+        body = "".join(f"        {st}\n" for st in stmts + [f"return {expr}"])
+        ns = {}
+        exec(f"def make(d{params}):\n    def ev(s):\n{body}    return ev\n", ns)
+        make = _AFFINE[n] = ns["make"]
+    return make(d, *[x for pair in nz for x in pair])
 
 
 @dataclass(frozen=True)

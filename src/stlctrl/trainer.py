@@ -142,14 +142,16 @@ def _exact_rho(plant, policy, theta, s0, K, f):
 
 
 def _min_rho(plant, policy, theta, init_set, K, f):
+    """(min rho over the training samples, its sample, {sample: rho})."""
     best = None
     worst_s0 = None
+    rhos = {}
     for s0 in init_set.samples:
-        rho = _exact_rho(plant, policy, theta, s0, K, f)
+        rho = rhos[s0] = _exact_rho(plant, policy, theta, s0, K, f)
         if best is None or rho < best:
             best = rho
             worst_s0 = s0
-    return best, worst_s0
+    return best, worst_s0, rhos
 
 
 def _pick_s0(cfg, rng, init_set, worst_s0):
@@ -176,7 +178,7 @@ def train_dropout(plant, policy, f, init_set, wp, cfg, rng):
     t_start = time.time()
     j = 0
     while j < cfg.max_iters:
-        min_rho, worst_s0 = _min_rho(plant, policy, theta, init_set, K, f)
+        min_rho, worst_s0, rhos = _min_rho(plant, policy, theta, init_set, K, f)
         if min_rho > best_rho:
             best_rho, best_theta = min_rho, theta
         if min_rho > cfg.rho_bar:
@@ -185,21 +187,19 @@ def train_dropout(plant, policy, f, init_set, wp, cfg, rng):
         t_iter = time.time()
         s0 = _pick_s0(cfg, rng, init_set, worst_s0)
         try:
-            theta_new, branch, lr = _dropout_iteration(
-                plant, policy, f, wp, cfg, scfg, rng, theta, s0, K,
+            theta, branch, lr, rho_after = _dropout_iteration(
+                plant, policy, f, wp, cfg, scfg, rng, theta, s0, rhos[s0], K,
                 adam1, adam2, adam3)
         except DivergedRollout:
             retries += 1
             if retries > cfg.max_retries:
                 raise
             continue
-        theta = theta_new
-        rho_after = _exact_rho(plant, policy, theta, s0, K, f)
         log.append(iter=j, rho=rho_after, branch=branch, lr=lr,
                    seconds=time.time() - t_iter)
         j += 1
         iters = j
-    final_rho, _ = _min_rho(plant, policy, theta, init_set, K, f)
+    final_rho = _min_rho(plant, policy, theta, init_set, K, f)[0]
     if final_rho > best_rho:
         best_rho, best_theta = final_rho, theta
     info = {
@@ -213,10 +213,12 @@ def train_dropout(plant, policy, f, init_set, wp, cfg, rng):
     return policy.with_theta(best_theta if dnf else theta), log, info
 
 
-def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, K,
-                       adam1, adam2, adam3):
-    rho_j = _exact_rho(plant, policy, theta, s0, K, f)
-    use_smooth = False
+def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
+                       K, adam1, adam2, adam3):
+    """One iteration from theta, whose exact rho from s0 is rho_j.
+
+    Returns (committed theta, branch, lr, exact rho of the committed theta).
+    """
     theta1 = list(theta)
     theta2 = list(theta)
     for _ in range(cfg.N1):
@@ -244,41 +246,37 @@ def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, K,
             except DivergedRollout:
                 pass
 
-    branch = None
-    committed = theta
-    lr = 1.0
-    if wp is not None and _exact_rho(plant, policy, theta2, s0, K, f) >= rho_j:
-        committed, branch = theta2, "waypoint"
-    elif _exact_rho(plant, policy, theta1, s0, K, f) >= rho_j:
-        committed, branch = theta1, "critical"
-    else:
-        ell = 1.0
-        while not use_smooth:
-            ell = ell / 2.0
-            hat = [tj + ell * (t1 - tj) for tj, t1 in zip(theta, theta1)]
-            if _exact_rho(plant, policy, hat, s0, K, f) >= rho_j:
-                committed, branch, lr = hat, "critical", ell
-                break
-            if ell < cfg.eps:
-                use_smooth = True
+    if wp is not None:
+        rho2 = _exact_rho(plant, policy, theta2, s0, K, f)
+        if rho2 >= rho_j:
+            return theta2, "waypoint", 1.0, rho2
+    rho1 = _exact_rho(plant, policy, theta1, s0, K, f)
+    if rho1 >= rho_j:
+        return theta1, "critical", 1.0, rho1
+    ell = 1.0
+    while True:
+        ell = ell / 2.0
+        hat = [tj + ell * (t1 - tj) for tj, t1 in zip(theta, theta1)]
+        rho_hat = _exact_rho(plant, policy, hat, s0, K, f)
+        if rho_hat >= rho_j:
+            return hat, "critical", ell, rho_hat
+        if ell < cfg.eps:
+            break
 
-    if use_smooth:
-        theta3 = list(theta)
-        for _ in range(cfg.N2):
-            try:
-                ref3 = rollout(plant, policy.with_theta(theta3), s0, K)
-                partition = partition_times(K, cfg.M, rng)
-                d3 = grad_smooth(ref3, partition, f, scfg,
-                                 policy.with_theta(theta3), plant)
-                theta3 = adam_update(adam3, theta3, [g / cfg.N2 for g in d3])
-            except DivergedRollout:
-                break
-        branch, lr = "smooth", 1.0
-        if cfg.guard_smooth and _exact_rho(plant, policy, theta3, s0, K, f) < rho_j:
-            committed = theta  # keep the incumbent rather than regress
-        else:
-            committed = theta3
-    return committed, branch, lr
+    theta3 = list(theta)
+    for _ in range(cfg.N2):
+        try:
+            ref3 = rollout(plant, policy.with_theta(theta3), s0, K)
+            partition = partition_times(K, cfg.M, rng)
+            d3 = grad_smooth(ref3, partition, f, scfg,
+                             policy.with_theta(theta3), plant)
+            theta3 = adam_update(adam3, theta3, [g / cfg.N2 for g in d3])
+        except DivergedRollout:
+            break
+    rho3 = _exact_rho(plant, policy, theta3, s0, K, f)
+    if cfg.guard_smooth and rho3 < rho_j:
+        return theta, "smooth", 1.0, rho_j  # keep the incumbent rather than regress
+    return theta3, "smooth", 1.0, rho3
 
 
 def train_vanilla(plant, policy, f, init_set, cfg, rng):
@@ -296,10 +294,10 @@ def train_vanilla(plant, policy, f, init_set, cfg, rng):
     t_start = time.time()
     j = 0
     while j < cfg.max_iters:
-        min_rho, worst_s0 = _min_rho(plant, policy, theta, init_set, K, f)
+        min_rho, worst_s0, _ = _min_rho(plant, policy, theta, init_set, K, f)
         if min_rho > best_rho:
             best_rho, best_theta = min_rho, theta
-        if min_rho >= cfg.rho_bar:
+        if min_rho > cfg.rho_bar:
             dnf = False
             break
         t_iter = time.time()
@@ -326,7 +324,7 @@ def train_vanilla(plant, policy, f, init_set, cfg, rng):
                    seconds=time.time() - t_iter)
         j += 1
         iters = j
-    final_rho, _ = _min_rho(plant, policy, theta, init_set, K, f)
+    final_rho = _min_rho(plant, policy, theta, init_set, K, f)[0]
     if final_rho > best_rho:
         best_rho, best_theta = final_rho, theta
     info = {
@@ -345,15 +343,18 @@ class _OpenLoop:
 
     def __init__(self, actions):
         self.theta = [a for step in actions for a in step]
-        self.m = len(actions[0])
+        self.action_dim = len(actions[0])
 
     def with_theta(self, theta):
-        m = self.m
+        m = self.action_dim
         return _OpenLoop([theta[i:i + m] for i in range(0, len(theta), m)])
 
     def forward(self, s, k, theta=None):
         th = self.theta if theta is None else theta
-        return list(th[k * self.m:(k + 1) * self.m])
+        m = self.action_dim
+        if (k + 1) * m > len(th):
+            raise ValueError(f"open-loop actions end before step {k}")
+        return list(th[k * m:(k + 1) * m])
 
 
 def train_openloop(plant, actions, f, s0, cfg, rng):
@@ -380,7 +381,7 @@ def train_openloop(plant, actions, f, s0, cfg, rng):
         rho_clean = _exact_rho(plant, ol, theta, s0, K, f)
         if rho_clean > best_rho:
             best_rho, best_theta = rho_clean, theta
-        if rho_clean >= cfg.rho_bar:
+        if rho_clean > cfg.rho_bar:
             dnf = False
             break
         t_iter = time.time()
@@ -406,7 +407,7 @@ def train_openloop(plant, actions, f, s0, cfg, rng):
     if rho_clean > best_rho:
         best_rho, best_theta = rho_clean, theta
     final = best_theta if dnf else theta
-    m = ol.m
+    m = ol.action_dim
     out_actions = [final[i:i + m] for i in range(0, len(final), m)]
     info = {
         "dnf": dnf,

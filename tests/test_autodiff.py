@@ -19,15 +19,6 @@ def grads(build, point, h=1e-6):
     return out
 
 
-def test_record_primals():
-    t = Tape()
-    x = t.const(2.0)
-    y = t.const(3.0)
-    assert t.record("add", [x, y]).value == 5.0
-    assert t.record("tanh", [t.const(0.0)]).value == 0.0
-    assert t.record("mul", [t.const(1.5), t.const(-2.0)]).value == -3.0
-
-
 def test_product_rule():
     t = Tape()
     x = t.const(2.0)
@@ -126,8 +117,6 @@ def test_domain_errors():
         x / t.const(0.0)
     with pytest.raises(EvalError):
         ad.powc(x, 0.5)
-    with pytest.raises(ValueError):
-        t.record("frobnicate", [x])
 
 
 def test_cross_tape_rejected():
@@ -136,8 +125,6 @@ def test_cross_tape_rejected():
     y = t2.const(1.0)
     with pytest.raises(ValueError):
         _ = x + y
-    with pytest.raises(ValueError):
-        t1.record("add", [x, y])
     with pytest.raises(ValueError):
         t1.backward(y, [x])
 

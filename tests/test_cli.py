@@ -76,6 +76,31 @@ def test_validation_errors_name_the_field(tmp_path):
     assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("time_sampling", "false"),  # bool("false") would be True
+    ("M", 2.7),                  # int(2.7) would be 2
+    ("max_iters", True),
+    ("alpha", "0.1"),
+    ("init_rule", 1),
+])
+def test_train_fields_of_wrong_type_are_rejected(tmp_path, key, value):
+    doc = scenario_doc()
+    doc["train"][key] = value
+    with pytest.raises(ScenarioError) as e:
+        Scenario(doc)
+    assert e.value.field == f"train.{key}"
+    path = write_scenario(tmp_path, doc)
+    assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 2
+
+
+def test_train_float_fields_take_integers():
+    doc = scenario_doc()
+    doc["train"].update(alpha=1, rho_bar=0, b=10)
+    cfg = Scenario(doc).train_cfg
+    assert (cfg.alpha, cfg.rho_bar, cfg.b) == (1.0, 0.0, 10.0)
+    assert isinstance(cfg.alpha, float)
+
+
 def test_unseeded_scenario_is_rejected(tmp_path, capsys):
     doc = scenario_doc()
     del doc["seed"]

@@ -5,8 +5,8 @@ import pytest
 
 from stlctrl import plants
 from stlctrl.plants import (
-    DivergedRollout, InitialSet, builtin, corners_and_center, read_trace_csv,
-    rollout, write_trace_csv,
+    DivergedRollout, InitialSet, Plant, builtin, corners_and_center,
+    read_trace_csv, rollout, write_trace_csv,
 )
 from stlctrl.policy import Policy, init
 
@@ -205,3 +205,24 @@ def test_trace_csv_roundtrip(tmp_path):
     assert header == "k,s_0,s_1,a_0,a_1"
     states = read_trace_csv(path)
     assert states == r.states
+
+
+@pytest.mark.parametrize("grow", [lambda x: x * 1e4, lambda x: x + math.nan,
+                                  lambda x: x - math.inf])
+def test_diverged_rollout_same_on_plain_and_tape_paths(grow):
+    p = Plant("blowup", 1, 1, 1.0, lambda s, u, dt: (grow(s[0]),), lambda a: a)
+    pol = Policy([2, 1])
+    errs = []
+    for mode in ("plain", "differentiable"):
+        with pytest.raises(DivergedRollout) as e:
+            rollout(p, pol, (1.0,), 10, mode=mode)
+        errs.append((e.value.step, str(e.value)))
+    assert errs[0] == errs[1]
+
+
+def test_rollout_checks_dims_at_entry():
+    p = builtin("dubins")
+    with pytest.raises(ValueError):
+        rollout(p, init([3, 4, 1], scheme="zero"), (0.0, 0.0), 5)
+    with pytest.raises(ValueError):
+        rollout(p, init([3, 4, 2], scheme="zero"), (0.0,), 5)

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from stlctrl.autodiff import Tape
+from stlctrl.autodiff import Tape, tanh
 from stlctrl import policy as pol
+from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
 from stlctrl.policy import AdamState, Policy, adam_update, init, param_count
 
 
@@ -140,3 +141,101 @@ def test_policy_validation():
     p = Policy([3, 2])
     with pytest.raises(ValueError):
         p.forward((1.0,), 0)
+
+
+def loop_forward(p, s, k, theta=None):
+    """The interpreted forward pass the generated kernels replace (oracle)."""
+    th = p.theta if theta is None else theta
+    x = list(s)
+    if p.include_time:
+        x.append(float(k) * p.time_scale)
+    off = 0
+    last = len(p.widths) - 2
+    for li in range(len(p.widths) - 1):
+        nin = p.widths[li]
+        nout = p.widths[li + 1]
+        bias_off = off + nout * nin
+        out = []
+        for j in range(nout):
+            row = off + j * nin
+            acc = th[bias_off + j]
+            for i in range(nin):
+                acc = acc + th[row + i] * x[i]
+            out.append(acc if li == last else tanh(acc))
+        x = out
+        off = bias_off + nout
+    return x
+
+
+def _tape_run(fn, p, s, k):
+    tape = Tape()
+    tv = [tape.const(w) for w in p.theta]
+    out = fn(p, s, k, theta=tv)
+    return [v.value for v in out], (tape.ops, tape.lhs, tape.rhs, tape.vals,
+                                    tape.aux)
+
+
+def _assert_kernel_matches_loop(p, rng, trials=3):
+    n = p.state_dim
+    for _ in range(trials):
+        s = tuple(rng.uniform(-3, 3) for _ in range(n))
+        k = rng.randrange(1000)
+        assert p.forward(s, k) == loop_forward(p, s, k)
+        got, got_tape = _tape_run(Policy.forward, p, s, k)
+        want, want_tape = _tape_run(loop_forward, p, s, k)
+        assert got == want
+        assert got_tape == want_tape
+
+
+def _policy_configs():
+    out = set()
+    for name in bundled_names():
+        cfg = load_scenario(resolve_scenario(name)).policy_cfg
+        out.add((tuple(cfg["widths"]), cfg["include_time"], cfg["time_scale"]))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("widths,include_time,time_scale", _policy_configs())
+def test_kernel_matches_loop_on_bundled_widths(widths, include_time,
+                                               time_scale):
+    rng = random.Random(11)
+    p = init(list(widths), rng=rng, include_time=include_time,
+             time_scale=time_scale)
+    _assert_kernel_matches_loop(p, rng)
+
+
+def test_kernel_matches_loop_on_random_widths():
+    rng = random.Random(12)
+    for _ in range(25):
+        widths = [rng.randint(1, 12) for _ in range(rng.randint(2, 5))]
+        include_time = rng.random() < 0.5
+        if include_time and widths[0] == 1:
+            widths[0] = 2
+        p = init(widths, rng=rng, include_time=include_time,
+                 time_scale=rng.uniform(0.001, 1.0))
+        _assert_kernel_matches_loop(p, rng, trials=2)
+
+
+def test_kernel_matches_loop_with_time_input_only():
+    rng = random.Random(13)
+    p = init([1, 3, 2], rng=rng)
+    assert p.state_dim == 0
+    _assert_kernel_matches_loop(p, rng)
+
+
+def test_kernel_compiles_fan_in_4000():
+    # one `+` chain of ~3000 operands overflows CPython's compiler
+    rng = random.Random(14)
+    p = init([4000, 2, 1], rng=rng, include_time=False)
+    _assert_kernel_matches_loop(p, rng, trials=1)
+
+
+def test_kernel_takes_var_inputs_with_float_weights():
+    p = init([3, 4, 2], rng=random.Random(15))
+    runs = []
+    for fn in (Policy.forward, loop_forward):
+        tape = Tape()
+        out = fn(p, (tape.const(0.3), tape.const(-0.2)), 4)
+        runs.append(([v.value for v in out], tape.ops, tape.lhs, tape.rhs,
+                     tape.vals))
+    assert runs[0] == runs[1]

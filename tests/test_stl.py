@@ -311,3 +311,39 @@ def test_aggregation_shape():
     assert d == 2 and w == 10
     d, w = stl.aggregation_shape(parse("U[0,4](x0 > 0, x1 > 0)"))
     assert d == 2 and w == 5
+
+
+def loop_affine(h, state):
+    """The coordinate loop Affine.eval's compiled code replaces (oracle)."""
+    v = h.d
+    for i, ci in enumerate(h.c):
+        if ci != 0.0:
+            v = v + ci * state[i]
+    return v
+
+
+def test_affine_eval_matches_loop_on_floats_and_tape():
+    from stlctrl.autodiff import Tape
+    rng = random.Random(21)
+    for dim in (1, 2, 7, 20, 4000):
+        for _ in range(3):
+            c = tuple(rng.choice((0.0, -0.0, rng.uniform(-5, 5)))
+                      for _ in range(dim))
+            h = Affine(c, rng.uniform(-5, 5))
+            s = tuple(rng.uniform(-9, 9) for _ in range(dim))
+            assert h.eval(s) == loop_affine(h, s)
+            runs = []
+            for fn in (Affine.eval, loop_affine):
+                tape = Tape()
+                out = fn(h, tuple(tape.const(x) for x in s))
+                runs.append((getattr(out, "value", out), tape.ops, tape.lhs,
+                             tape.rhs, tape.vals))
+            assert runs[0] == runs[1]
+
+
+def test_affine_compiled_evaluator_is_not_a_field():
+    h = Affine((1.0, 0.0), 2.0)
+    g = Affine((1.0, 0.0), 2.0)
+    assert h.eval((3.0, 4.0)) == 5.0
+    assert h == g and hash(h) == hash(g)
+    assert repr(h) == repr(g)

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
+from stlctrl.cli import load_scenario, resolve_scenario
 from stlctrl.plants import InitialSet, builtin, rollout
 from stlctrl.policy import Policy, init
 from stlctrl.sampler import build_sampled
-from stlctrl.stl import Trace, parse, robustness
+from stlctrl.stl import Trace, horizon, parse, robustness
 from stlctrl.trainer import (
     TrainConfig, TrainLog, WaypointPath, train_dropout, train_openloop,
     train_vanilla, waypoint_objective,
@@ -203,3 +205,69 @@ def test_log_csv_format(tmp_path):
     assert lines[0] == "iter,rho,branch,lr,seconds"
     assert lines[1].startswith("0,-1.5,critical,")
     assert log.branch_counts() == {"critical": 1, "smooth": 1}
+
+
+@pytest.mark.parametrize("guard_smooth", [True, False])
+def test_dropout_passes_exact_rho_of_incumbent_and_commit(monkeypatch,
+                                                          guard_smooth):
+    # rho_j and the logged rho are reused from the min-rho check and the
+    # commit test; each must equal a fresh rollout of its theta
+    from stlctrl import trainer
+    sc = load_scenario(resolve_scenario("dubins_k100"))
+    rng = random.Random(1)
+    pol = sc.build_policy(rng)
+    cfg = dataclasses.replace(sc.train_cfg, max_iters=5,
+                              guard_smooth=guard_smooth)
+    calls = []
+    orig = trainer._dropout_iteration
+
+    def spy(*args):
+        out = orig(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(trainer, "_dropout_iteration", spy)
+    _, log, info = train_dropout(sc.plant, pol, sc.formula, sc.init_set,
+                                 sc.waypoints, cfg, rng)
+    assert "smooth" in info["branch_counts"]
+    K = horizon(sc.formula)
+    for args, (theta, branch, lr, rho) in calls:
+        theta_in, s0, rho_j = args[7], args[8], args[9]
+        assert rho_j == trainer._exact_rho(sc.plant, pol, theta_in, s0, K,
+                                           sc.formula)
+        assert rho == trainer._exact_rho(sc.plant, pol, theta, s0, K,
+                                         sc.formula)
+    assert [r.rho for r in log.records] == [out[3] for _, out in calls]
+
+
+@pytest.mark.parametrize("algorithm", ["dropout", "vanilla", "openloop"])
+def test_rho_equal_to_rho_bar_is_not_solved(algorithm):
+    # x0 = 0 at time 0 caps rho at 0, and zero actions reach it exactly;
+    # a strict predicate is violated there, so no trainer may stop
+    plant = builtin("integrator2d")
+    f = parse("G[0,3](x0 > 0)")
+    cfg = TrainConfig(max_iters=2, N1=2, N2=1, rho_bar=0.0)
+    rng = random.Random(0)
+    if algorithm == "openloop":
+        _, log, info = train_openloop(plant, [[0.0, 0.0]] * 3, f, (0.0, 0.0),
+                                      cfg, rng)
+    else:
+        pol = init([3, 4, 2], scheme="zero")
+        if algorithm == "dropout":
+            _, log, info = train_dropout(plant, pol, f, _point_set((0.0, 0.0)),
+                                         None, cfg, rng)
+        else:
+            _, log, info = train_vanilla(plant, pol, f, _point_set((0.0, 0.0)),
+                                         cfg, rng)
+    assert info["dnf"]
+    assert info["final_rho"] == 0.0
+    assert info["iters"] == 2
+
+
+def test_openloop_rollout_past_its_actions_is_an_error():
+    from stlctrl.trainer import _OpenLoop
+    plant = builtin("integrator2d")
+    ol = _OpenLoop([[0.5, 0.0]] * 3)
+    assert len(rollout(plant, ol, (0.0, 0.0), 3).states) == 4
+    with pytest.raises(ValueError):
+        rollout(plant, ol, (0.0, 0.0), 4)
