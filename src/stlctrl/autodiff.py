@@ -24,8 +24,11 @@ MAX2 = 12
 MIN2 = 13
 
 
-class EvalError(ValueError):
-    """Domain violation (log of non-positive, division by zero, ...) at a node."""
+class EvalError(ArithmeticError):
+    """Domain violation (log of non-positive, division by zero, ...) at a node.
+
+    A runtime failure, not invalid input: the CLI exits 4 on it.
+    """
 
     def __init__(self, node_id, message):
         super().__init__(f"node {node_id}: {message}")

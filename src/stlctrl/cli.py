@@ -156,6 +156,9 @@ class Scenario:
             if key in td:
                 kw[key] = _typed(f"train.{key}", td[key], typ)
         if td.get("noise_training"):
+            if algorithm == "dropout":
+                raise ScenarioError("train.noise_training",
+                                    "the dropout trainer has no noisy training")
             kw["noise"] = (0.0, 0.0)  # replaced by the scenario noise pair
         try:
             return TrainConfig(**kw), algorithm

@@ -195,7 +195,7 @@ def adam_update(st, theta, g):
         raise ValueError("parameter/gradient length mismatch")
     for gi in g:
         if not math.isfinite(gi):
-            raise ValueError(f"non-finite gradient component {gi}")
+            raise FloatingPointError(f"non-finite gradient component {gi}")
     st.t += 1
     b1t = 1.0 - st.beta1 ** st.t
     b2t = 1.0 - st.beta2 ** st.t

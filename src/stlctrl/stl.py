@@ -6,7 +6,8 @@ And/Or, and the bounded temporal operators F/G/U/R.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate, islice
 
 from .autodiff import Var, sum_source
 
@@ -33,11 +34,12 @@ class Affine:
     _ev = None  # compiled evaluator; a class attribute, not a field
 
     def eval(self, state):
-        ev = self._ev
-        if ev is None:
-            ev = _compile_affine(self.c, self.d)
-            object.__setattr__(self, "_ev", ev)
-        return ev(state)
+        return (self._ev or self._compile())(state)
+
+    def _compile(self):
+        ev = _compile_affine(self.c, self.d)
+        object.__setattr__(self, "_ev", ev)
+        return ev
 
     def negated(self):
         return Affine(tuple(-ci for ci in self.c), -self.d)
@@ -95,69 +97,63 @@ class UnsupportedNegation(ValueError):
 
 # -- formula nodes -----------------------------------------------------------
 
+class _Node:
+    _prog = None  # compiled program of a root (see _program); not a field
+
+
 @dataclass(frozen=True)
-class Pred:
+class Pred(_Node):
     h: object          # Affine or Named
     strict: bool = True  # h(s) > 0 vs h(s) >= 0; robustness is h(s) either way
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     children: tuple
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     children: tuple
 
 
-def _check_bounds(a, b):
-    if not (isinstance(a, int) and isinstance(b, int)):
-        raise ValueError("temporal bounds must be integers")
-    if a < 0 or a > b:
-        raise ValueError(f"invalid interval [{a},{b}]")
+class _Temporal(_Node):
+    def __post_init__(self):
+        a, b = self.a, self.b
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise ValueError("temporal bounds must be integers")
+        if a < 0 or a > b:
+            raise ValueError(f"invalid interval [{a},{b}]")
 
 
 @dataclass(frozen=True)
-class Eventually:
+class Eventually(_Temporal):
     a: int
     b: int
     child: object
 
-    def __post_init__(self):
-        _check_bounds(self.a, self.b)
-
 
 @dataclass(frozen=True)
-class Always:
+class Always(_Temporal):
     a: int
     b: int
     child: object
 
-    def __post_init__(self):
-        _check_bounds(self.a, self.b)
-
 
 @dataclass(frozen=True)
-class Until:
+class Until(_Temporal):
     a: int
     b: int
     left: object
     right: object
 
-    def __post_init__(self):
-        _check_bounds(self.a, self.b)
-
 
 @dataclass(frozen=True)
-class Release:
+class Release(_Temporal):
     a: int
     b: int
     left: object
     right: object
-
-    def __post_init__(self):
-        _check_bounds(self.a, self.b)
 
 
 # -- traces ------------------------------------------------------------------
@@ -219,59 +215,95 @@ def aggregation_shape(f):
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _check_fits(f, tr, k):
-    if k + horizon(f) > tr.K:
-        raise HorizonError(
-            f"formula horizon {horizon(f)} at time {k} exceeds trace length K={tr.K}")
+# -- quantitative semantics: one compiled program per formula -------------------
+
+def _program(f, tr, k):
+    """f's program steps, compiled on first use and cached on the root with
+    its horizon (like Affine._ev); HorizonError unless f fits tr at k."""
+    prog = getattr(f, "_prog", None)
+    if prog is None:
+        prog = (horizon(f), _compile(f))
+        object.__setattr__(f, "_prog", prog)
+    if k + prog[0] > tr.K:
+        raise HorizonError(f"formula horizon {prog[0]} at time {k} "
+                           f"exceeds trace length K={tr.K}")
+    return prog[1]
 
 
-# -- quantitative semantics ---------------------------------------------------
+def _compile(f):
+    """Post-order steps (node, lo, hi, kids, fn): the node's signal holds
+    its values at times k+lo..k+hi, the times its parents read (an empty
+    span for a U/R left operand when b == 0); kids index earlier steps; fn
+    is a predicate's function or the node's min/max (for U/R the inner one).
+    """
+    steps = []
+
+    def visit(g, lo, hi):
+        kids = ()
+        if isinstance(g, Pred):
+            h = g.h
+            fn = h._ev or h._compile() if isinstance(h, Affine) else h.eval
+        elif isinstance(g, (And, Or)):
+            fn = min if isinstance(g, And) else max
+            kids = [visit(c, lo, hi) for c in g.children]
+        elif isinstance(g, (Eventually, Always)):
+            fn = min if isinstance(g, Always) else max
+            kids = [visit(g.child, lo + g.a, hi + g.b)]
+        elif isinstance(g, (Until, Release)):
+            fn = min if isinstance(g, Until) else max
+            kids = [visit(g.left, lo, hi + g.b - 1),
+                    visit(g.right, lo + g.a, hi + g.b)]
+        else:
+            raise TypeError(f"not a formula node: {g!r}")
+        steps.append((g, lo, hi, kids, fn))
+        return len(steps) - 1
+
+    visit(f, 0, 0)
+    return steps
+
+
+def _signals(steps, states, k):
+    """Every step's signal, bottom-up; the last is the root's, at k alone.
+
+    Builtin min/max keep the first of equal items, so each value is bit for
+    bit the one of the min/max recursion over (node, time).
+    """
+    sig = []
+    for g, lo, hi, kids, fn in steps:
+        n = hi - lo + 1
+        if isinstance(g, Pred):
+            v = [fn(s) for s in states[k + lo:k + hi + 1]]
+        elif isinstance(g, (And, Or)):
+            v = list(map(fn, zip(*[sig[c] for c in kids])))
+        elif isinstance(g, (Eventually, Always)):
+            c, w = sig[kids[0]], g.b - g.a + 1
+            v = [fn(c[j:j + w]) for j in range(n)]
+        else:
+            left, right = sig[kids[0]], sig[kids[1]]
+            out, seed = (max, -INF) if fn is min else (min, INF)
+            v = [out(seed, *_inner(left, right, j, g.a, g.b, fn))
+                 for j in range(n)]
+        sig.append(v)
+    return sig
+
+
+def _inner(left, right, j, a, b, agg):
+    """agg(right@k', agg(left@t..k'-1)) for k' = t+a..t+b, where left[j] is
+    left@t: a running extremum, O(b) per output, folded right first as the
+    recursion did."""
+    run = accumulate(left[j:j + b], agg, initial=INF if agg is min else -INF)
+    return map(agg, right[j:j + b - a + 1], islice(run, a, None))
+
 
 def robustness(f, tr, k=0):
-    """Exact robustness of f over tr at time k (min/max recursion)."""
-    _check_fits(f, tr, k)
-    return _rho(f, tr, k, {})
-
-
-def _rho(f, tr, k, memo):
-    key = (id(f), k)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if isinstance(f, Pred):
-        v = f.h.eval(tr.states[k])
-    elif isinstance(f, And):
-        v = min(_rho(c, tr, k, memo) for c in f.children)
-    elif isinstance(f, Or):
-        v = max(_rho(c, tr, k, memo) for c in f.children)
-    elif isinstance(f, Always):
-        v = min(_rho(f.child, tr, kk, memo) for kk in range(k + f.a, k + f.b + 1))
-    elif isinstance(f, Eventually):
-        v = max(_rho(f.child, tr, kk, memo) for kk in range(k + f.a, k + f.b + 1))
-    elif isinstance(f, Until):
-        v = -INF
-        for kp in range(k + f.a, k + f.b + 1):
-            inner = _rho(f.right, tr, kp, memo)
-            for kpp in range(k, kp):
-                inner = min(inner, _rho(f.left, tr, kpp, memo))
-            v = max(v, inner)
-    elif isinstance(f, Release):
-        v = INF
-        for kp in range(k + f.a, k + f.b + 1):
-            inner = _rho(f.right, tr, kp, memo)
-            for kpp in range(k, kp):
-                inner = max(inner, _rho(f.left, tr, kpp, memo))
-            v = min(v, inner)
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-    memo[key] = v
-    return v
+    """Exact robustness of f over tr at time k."""
+    return _signals(_program(f, tr, k), tr.states, k)[-1][0]
 
 
 # -- Boolean semantics ---------------------------------------------------------
 
 def satisfies(f, tr, k=0):
-    _check_fits(f, tr, k)
+    _program(f, tr, k)
     return _sat(f, tr, k, {})
 
 
@@ -292,19 +324,13 @@ def _sat(f, tr, k, memo):
     elif isinstance(f, Eventually):
         out = any(_sat(f.child, tr, kk, memo) for kk in range(k + f.a, k + f.b + 1))
     elif isinstance(f, Until):
-        out = False
-        for kp in range(k + f.a, k + f.b + 1):
-            if _sat(f.right, tr, kp, memo) and all(
-                    _sat(f.left, tr, kpp, memo) for kpp in range(k, kp)):
-                out = True
-                break
+        out = any(_sat(f.right, tr, kp, memo)
+                  and all(_sat(f.left, tr, kpp, memo) for kpp in range(k, kp))
+                  for kp in range(k + f.a, k + f.b + 1))
     elif isinstance(f, Release):
-        out = True
-        for kp in range(k + f.a, k + f.b + 1):
-            if not (_sat(f.right, tr, kp, memo) or any(
-                    _sat(f.left, tr, kpp, memo) for kpp in range(k, kp))):
-                out = False
-                break
+        out = all(_sat(f.right, tr, kp, memo)
+                  or any(_sat(f.left, tr, kpp, memo) for kpp in range(k, kp))
+                  for kp in range(k + f.a, k + f.b + 1))
     else:
         raise TypeError(f"not a formula node: {f!r}")
     memo[key] = out
@@ -316,56 +342,30 @@ def _sat(f, tr, k, memo):
 def critical(f, tr, k=0):
     """Predicate instance (k*, h*) whose value equals robustness(f, tr, k).
 
-    Ties in the min/max recursion break toward the smaller time-step,
-    then the left operand, so witnesses are deterministic.
+    Backtracks the robustness program from the root, taking at each node
+    the first candidate equal to its value: earlier time first, then the
+    left operand (U/R: left@k..k'-1, then right@k'), so ties are
+    deterministic.
     """
-    _check_fits(f, tr, k)
-    value, kstar, pred = _crit(f, tr, k, {})
-    return CriticalWitness(time=kstar, predicate=pred, value=value)
-
-
-def _crit(f, tr, k, memo):
-    key = (id(f), k)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if isinstance(f, Pred):
-        out = (f.h.eval(tr.states[k]), k, f)
-    elif isinstance(f, (And, Or)):
-        take_min = isinstance(f, And)
-        out = None
-        for c in f.children:
-            cand = _crit(c, tr, k, memo)
-            out = cand if out is None else _pick(out, cand, take_min)
-    elif isinstance(f, (Always, Eventually)):
-        take_min = isinstance(f, Always)
-        out = None
-        for kk in range(k + f.a, k + f.b + 1):
-            cand = _crit(f.child, tr, kk, memo)
-            out = cand if out is None else _pick(out, cand, take_min)
-    elif isinstance(f, (Until, Release)):
-        is_until = isinstance(f, Until)
-        out = None
-        for kp in range(k + f.a, k + f.b + 1):
-            # inner candidates in time order: left at k..kp-1, then right at kp
-            inner = None
-            for kpp in range(k, kp):
-                cand = _crit(f.left, tr, kpp, memo)
-                inner = cand if inner is None else _pick(inner, cand, is_until)
-            cand = _crit(f.right, tr, kp, memo)
-            inner = cand if inner is None else _pick(inner, cand, is_until)
-            out = inner if out is None else _pick(out, inner, not is_until)
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-    memo[key] = out
-    return out
-
-
-def _pick(best, cand, take_min):
-    # keep the incumbent on ties: candidates arrive in (time, left-first) order
-    if take_min:
-        return cand if cand[0] < best[0] else best
-    return cand if cand[0] > best[0] else best
+    steps = _program(f, tr, k)
+    sig = _signals(steps, tr.states, k)
+    i, t = len(steps) - 1, k
+    while True:
+        g, lo, _, kids, fn = steps[i]
+        v = sig[i][t - k - lo]
+        if isinstance(g, Pred):
+            return CriticalWitness(time=t, predicate=g, value=v)
+        if isinstance(g, (And, Or)):
+            cands = [(c, t) for c in kids]
+        elif isinstance(g, (Eventually, Always)):
+            cands = [(kids[0], tt) for tt in range(t + g.a, t + g.b + 1)]
+        else:
+            inner = _inner(*[sig[c] for c in kids], t - k - lo, g.a, g.b, fn)
+            kp = t + g.a + next((p for p, x in enumerate(inner) if x == v), 0)
+            cands = [(kids[0], tt) for tt in range(t, kp)] + [(kids[1], kp)]
+        # no candidate equals v only where NaN values are involved
+        i, t = next((c for c in cands
+                     if sig[c[0]][c[1] - k - steps[c[0]][1]] == v), cands[0])
 
 
 # -- parser ---------------------------------------------------------------------

@@ -133,25 +133,32 @@ class TrainLog:
                             repr(r.seconds)])
 
 
-def _exact_rho(plant, policy, theta, s0, K, f):
+def _rollout_rho(plant, policy, theta, s0, K, f):
+    """(exact rho, plain rollout) of theta from s0; (-inf, None) if it diverged."""
     try:
         r = rollout(plant, policy.with_theta(theta), s0, K)
     except DivergedRollout:
-        return -math.inf
-    return robustness(f, Trace(r.states))
+        return -math.inf, None
+    return robustness(f, Trace(r.states)), r
+
+
+def _exact_rho(plant, policy, theta, s0, K, f):
+    return _rollout_rho(plant, policy, theta, s0, K, f)[0]
 
 
 def _min_rho(plant, policy, theta, init_set, K, f):
-    """(min rho over the training samples, its sample, {sample: rho})."""
+    """(min rho over the training samples, its sample,
+    {sample: (rho, rollout or None)})."""
     best = None
     worst_s0 = None
-    rhos = {}
+    runs = {}
     for s0 in init_set.samples:
-        rho = rhos[s0] = _exact_rho(plant, policy, theta, s0, K, f)
+        runs[s0] = _rollout_rho(plant, policy, theta, s0, K, f)
+        rho = runs[s0][0]
         if best is None or rho < best:
             best = rho
             worst_s0 = s0
-    return best, worst_s0, rhos
+    return best, worst_s0, runs
 
 
 def _pick_s0(cfg, rng, init_set, worst_s0):
@@ -178,7 +185,7 @@ def train_dropout(plant, policy, f, init_set, wp, cfg, rng):
     t_start = time.time()
     j = 0
     while j < cfg.max_iters:
-        min_rho, worst_s0, rhos = _min_rho(plant, policy, theta, init_set, K, f)
+        min_rho, worst_s0, runs = _min_rho(plant, policy, theta, init_set, K, f)
         if min_rho > best_rho:
             best_rho, best_theta = min_rho, theta
         if min_rho > cfg.rho_bar:
@@ -188,7 +195,7 @@ def train_dropout(plant, policy, f, init_set, wp, cfg, rng):
         s0 = _pick_s0(cfg, rng, init_set, worst_s0)
         try:
             theta, branch, lr, rho_after = _dropout_iteration(
-                plant, policy, f, wp, cfg, scfg, rng, theta, s0, rhos[s0], K,
+                plant, policy, f, wp, cfg, scfg, rng, theta, s0, *runs[s0], K,
                 adam1, adam2, adam3)
         except DivergedRollout:
             retries += 1
@@ -214,25 +221,30 @@ def train_dropout(plant, policy, f, init_set, wp, cfg, rng):
 
 
 def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
-                       K, adam1, adam2, adam3):
-    """One iteration from theta, whose exact rho from s0 is rho_j.
+                       ref_j, K, adam1, adam2, adam3):
+    """One iteration from theta, whose exact rho and plain rollout from s0
+    are rho_j and ref_j (None if it diverged).
 
     Returns (committed theta, branch, lr, exact rho of the committed theta).
     """
     theta1 = list(theta)
     theta2 = list(theta)
+    ref1 = ref2 = ref_j  # theta1 = theta2 = theta3 = theta on a first pass
     for _ in range(cfg.N1):
         try:
-            ref1 = rollout(plant, policy.with_theta(theta1), s0, K)
+            if ref1 is None:
+                ref1 = rollout(plant, policy.with_theta(theta1), s0, K)
             w = critical(f, Trace(ref1.states))
             d1 = grad_critical(ref1, w.time, w.predicate, cfg.N,
                                policy.with_theta(theta1), plant, rng)
             theta1 = adam_update(adam1, theta1, [g / cfg.N1 for g in d1])
         except DivergedRollout:
             pass  # keep theta1; the commit test below filters bad candidates
+        ref1 = None
         if wp is not None:
             try:
-                ref2 = rollout(plant, policy.with_theta(theta2), s0, K)
+                if ref2 is None:
+                    ref2 = rollout(plant, policy.with_theta(theta2), s0, K)
                 times = [0] + sorted(rng.sample(range(1, K + 1),
                                                 min(cfg.N, K)))
                 smpl = build_sampled(ref2, times, policy.with_theta(theta2),
@@ -245,6 +257,7 @@ def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
                 theta2 = adam_update(adam2, theta2, [g / cfg.N1 for g in d2])
             except DivergedRollout:
                 pass
+            ref2 = None
 
     if wp is not None:
         rho2 = _exact_rho(plant, policy, theta2, s0, K, f)
@@ -264,15 +277,18 @@ def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
             break
 
     theta3 = list(theta)
+    ref3 = ref_j
     for _ in range(cfg.N2):
         try:
-            ref3 = rollout(plant, policy.with_theta(theta3), s0, K)
+            if ref3 is None:
+                ref3 = rollout(plant, policy.with_theta(theta3), s0, K)
             partition = partition_times(K, cfg.M, rng)
             d3 = grad_smooth(ref3, partition, f, scfg,
                              policy.with_theta(theta3), plant)
             theta3 = adam_update(adam3, theta3, [g / cfg.N2 for g in d3])
         except DivergedRollout:
             break
+        ref3 = None
     rho3 = _exact_rho(plant, policy, theta3, s0, K, f)
     if cfg.guard_smooth and rho3 < rho_j:
         return theta, "smooth", 1.0, rho_j  # keep the incumbent rather than regress

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -7,6 +8,7 @@ from stlctrl.cli import (
     Scenario, ScenarioError, bundled_names, load_scenario, main,
     resolve_scenario,
 )
+from stlctrl.autodiff import Tape, ln
 from stlctrl.plants import write_trace_csv
 
 
@@ -91,6 +93,43 @@ def test_train_fields_of_wrong_type_are_rejected(tmp_path, key, value):
     assert e.value.field == f"train.{key}"
     path = write_scenario(tmp_path, doc)
     assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 2
+
+
+def test_noise_training_is_rejected_for_dropout(tmp_path, capsys):
+    # train_dropout has no noisy training; the field must not be ignored
+    doc = scenario_doc()
+    doc["train"].update(algorithm="dropout", noise_training=True)
+    with pytest.raises(ScenarioError) as e:
+        Scenario(doc)
+    assert e.value.field == "train.noise_training"
+    path = write_scenario(tmp_path, doc)
+    assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 2
+    assert "noise_training" in capsys.readouterr().err
+    doc["train"]["algorithm"] = "vanilla"
+    assert Scenario(doc).train_cfg.noise == (0.0, 0.0)
+
+
+def nan_gradient(ref, kstar, hstar, N, policy, plant, rng):
+    return [math.nan] * len(policy.theta)
+
+
+def log_of_zero(ref, kstar, hstar, N, policy, plant, rng):
+    return ln(Tape().const(0.0))
+
+
+@pytest.mark.parametrize("grad,message", [
+    (nan_gradient, "non-finite gradient component nan"),
+    (log_of_zero, "log of non-positive value 0.0"),
+])
+def test_numerical_failure_in_training_exits_4(tmp_path, capsys, monkeypatch,
+                                               grad, message):
+    # exit 2 is for invalid input; a failure of the numerics is exit 4
+    from stlctrl import trainer
+    monkeypatch.setattr(trainer, "grad_critical", grad)
+    rc = main(["train", "--scenario", "dubins_k100", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith("runtime failure:") and message in err
 
 
 def test_train_float_fields_take_integers():

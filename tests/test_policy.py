@@ -124,10 +124,11 @@ def test_adam_ascends():
 
 
 def test_adam_rejects_nonfinite():
+    # a numerical failure at run time, not invalid input (CLI exit 4, not 2)
     st = AdamState(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(FloatingPointError, match="non-finite gradient"):
         adam_update(st, [0.0, 0.0], [1.0, math.nan])
-    with pytest.raises(ValueError):
+    with pytest.raises(FloatingPointError, match="non-finite gradient"):
         adam_update(st, [0.0, 0.0], [math.inf, 0.0])
     with pytest.raises(ValueError):
         adam_update(st, [0.0], [1.0, 1.0])

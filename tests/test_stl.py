@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 
@@ -347,3 +348,220 @@ def test_affine_compiled_evaluator_is_not_a_field():
     assert h.eval((3.0, 4.0)) == 5.0
     assert h == g and hash(h) == hash(g)
     assert repr(h) == repr(g)
+
+
+# -- the min/max recursions the compiled program replaced (oracles) -----------
+
+def rho_rec(f, states, k, memo):
+    key = (id(f), k)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    if isinstance(f, Pred):
+        v = f.h.eval(states[k])
+    elif isinstance(f, And):
+        v = min(rho_rec(c, states, k, memo) for c in f.children)
+    elif isinstance(f, Or):
+        v = max(rho_rec(c, states, k, memo) for c in f.children)
+    elif isinstance(f, Always):
+        v = min(rho_rec(f.child, states, kk, memo)
+                for kk in range(k + f.a, k + f.b + 1))
+    elif isinstance(f, Eventually):
+        v = max(rho_rec(f.child, states, kk, memo)
+                for kk in range(k + f.a, k + f.b + 1))
+    elif isinstance(f, Until):
+        v = -math.inf
+        for kp in range(k + f.a, k + f.b + 1):
+            inner = rho_rec(f.right, states, kp, memo)
+            for kpp in range(k, kp):
+                inner = min(inner, rho_rec(f.left, states, kpp, memo))
+            v = max(v, inner)
+    elif isinstance(f, Release):
+        v = math.inf
+        for kp in range(k + f.a, k + f.b + 1):
+            inner = rho_rec(f.right, states, kp, memo)
+            for kpp in range(k, kp):
+                inner = max(inner, rho_rec(f.left, states, kpp, memo))
+            v = min(v, inner)
+    else:
+        raise TypeError
+    memo[key] = v
+    return v
+
+
+def crit_rec(f, states, k, memo):
+    """(value, time, predicate), ties to the earlier time, then the left."""
+    key = (id(f), k)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    if isinstance(f, Pred):
+        out = (f.h.eval(states[k]), k, f)
+    elif isinstance(f, (And, Or)):
+        take_min = isinstance(f, And)
+        out = None
+        for c in f.children:
+            cand = crit_rec(c, states, k, memo)
+            out = cand if out is None else pick(out, cand, take_min)
+    elif isinstance(f, (Always, Eventually)):
+        take_min = isinstance(f, Always)
+        out = None
+        for kk in range(k + f.a, k + f.b + 1):
+            cand = crit_rec(f.child, states, kk, memo)
+            out = cand if out is None else pick(out, cand, take_min)
+    elif isinstance(f, (Until, Release)):
+        is_until = isinstance(f, Until)
+        out = None
+        for kp in range(k + f.a, k + f.b + 1):
+            inner = None
+            for kpp in range(k, kp):
+                cand = crit_rec(f.left, states, kpp, memo)
+                inner = cand if inner is None else pick(inner, cand, is_until)
+            cand = crit_rec(f.right, states, kp, memo)
+            inner = cand if inner is None else pick(inner, cand, is_until)
+            out = inner if out is None else pick(out, inner, not is_until)
+    else:
+        raise TypeError
+    memo[key] = out
+    return out
+
+
+def pick(best, cand, take_min):
+    if take_min:
+        return cand if cand[0] < best[0] else best
+    return cand if cand[0] > best[0] else best
+
+
+def bits(x):
+    return struct.pack("d", x)
+
+
+def assert_matches_recursions(f, states):
+    """Robustness and witness at every valid k equal the recursions'.
+
+    With NaN values only robustness is compared: the witness recursion
+    and the robustness recursion disagree there themselves."""
+    tr = Trace(states)
+    has_nan = any(x != x for s in states for x in s)
+    for k in range(len(states) - horizon(f)):
+        want = rho_rec(f, states, k, {})
+        assert bits(robustness(f, tr, k)) == bits(want), (f, k)
+        w = critical(f, tr, k)
+        if has_nan:
+            continue
+        value, time, pred = crit_rec(f, states, k, {})
+        assert (w.time, w.predicate) == (time, pred), (f, k)
+        assert bits(w.value) == bits(value), (f, k)
+
+
+def test_program_matches_recursions_on_corpus():
+    for f, states in CORPUS:
+        assert_matches_recursions(f, states)
+
+
+def crafted_traces(rng, dim, K, pool):
+    """Traces drawn from a few values, so that ties reach every operator."""
+    return [tuple(rng.choice(pool) for _ in range(dim)) for _ in range(K + 1)]
+
+
+@pytest.mark.parametrize("pool", [
+    (0.0, -0.0, 1.0, -1.0, 2.0, math.inf, -math.inf),
+    (0.0, -0.0, 1.0, math.nan, math.inf, -math.inf),
+])
+def test_program_matches_recursions_on_ties_zeros_and_infinities(pool):
+    rng = random.Random(7)
+    checked = 0
+    while checked < 400:
+        dim = rng.randint(1, 3)
+        f = random_formula(rng, dim, rng.randint(1, 3))
+        h = horizon(f)
+        if h > 12:
+            continue
+        # predicates read +-s_i directly, so signed zeros, infinities and
+        # NaN reach the operators as drawn (Affine adds d, losing -0.0)
+        f = zero_offsets(f)
+        states = crafted_traces(rng, dim, h + rng.randint(0, 3), pool)
+        assert_matches_recursions(f, states)
+        checked += 1
+
+
+def zero_offsets(f):
+    """f with every predicate h(s) = +-s_i, copying signed zeros and infs."""
+    if isinstance(f, Pred):
+        i = next((i for i, ci in enumerate(f.h.c) if ci != 0.0), 0)
+        sign = -1.0 if f.h.c[i] < 0 else 1.0
+        return Pred(Named(f"{sign:+g}x{i}",
+                          (lambda s, i=i: s[i]) if sign > 0
+                          else (lambda s, i=i: -s[i])), f.strict)
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(zero_offsets(c) for c in f.children))
+    if isinstance(f, (Eventually, Always)):
+        return type(f)(f.a, f.b, zero_offsets(f.child))
+    return type(f)(f.a, f.b, zero_offsets(f.left), zero_offsets(f.right))
+
+
+def test_signed_zero_ties_follow_the_recursions():
+    # right@0 is 0.0 and left@0 is -0.0: robustness keeps the right operand's
+    # zero, the witness the left one, exactly as the two recursions did
+    x = Pred(Named("x", lambda s: s[0]))
+    y = Pred(Named("y", lambda s: s[1]))
+    for f in (Until(1, 1, x, y), Release(1, 1, x, y), And((x, y)),
+              Or((x, y)), Eventually(0, 1, x), Always(0, 1, x)):
+        for states in ([(-0.0, 5.0), (0.0, 0.0)], [(0.0, 5.0), (-0.0, -0.0)],
+                       [(-0.0, 0.0), (0.0, -0.0)]):
+            assert_matches_recursions(f, states)
+
+
+class Compared(float):
+    """A float that counts the < and > comparisons made on it."""
+
+    n = 0
+
+    def __lt__(self, other):
+        Compared.n += 1
+        return float.__lt__(self, other)
+
+    def __gt__(self, other):
+        Compared.n += 1
+        return float.__gt__(self, other)
+
+
+def test_linear_in_the_window():
+    # each predicate is evaluated at most once per time step, and a running
+    # extremum keeps U/R at O(b) comparisons per output (the recursion made
+    # about b*b/2 = 125000 here)
+    K = 1000
+    tr = Trace([(math.sin(0.01 * k),) for k in range(K + 1)])
+    for make in (lambda p, q: Until(0, 500, p, q),
+                 lambda p, q: Release(0, 500, p, q),
+                 lambda p, q: Eventually(0, 500, And((p, q))),
+                 lambda p, q: Always(0, 500, Or((p, q)))):
+        calls = []
+        p, q = (Pred(Named(name, lambda s, name=name:
+                           calls.append(name) or Compared(s[0])))
+                for name in "pq")
+        f = make(p, q)
+        for run in (robustness, critical):
+            calls.clear()
+            Compared.n = 0
+            run(f, tr)
+            assert calls.count("p") <= K + 1 and calls.count("q") <= K + 1
+            assert Compared.n <= 5 * 501, (f, run)
+
+
+def test_program_compiled_once_and_not_a_field(monkeypatch):
+    import dataclasses
+    made = []
+    orig = stl._compile
+    monkeypatch.setattr(stl, "_compile", lambda f: made.append(f) or orig(f))
+    f = parse("U[0,3](x0 > 0, G[0,2](x0 < 1))")
+    g = parse("U[0,3](x0 > 0, G[0,2](x0 < 1))")
+    tr = tr1([0.5, 0.2, -1.0, 3.0, 0.0, 0.1])
+    for k in range(tr.K - horizon(f) + 1):
+        robustness(f, tr, k)
+        critical(f, tr, k)
+        satisfies(f, tr, k)
+    assert made == [f]
+    assert "_prog" not in {fl.name for fl in dataclasses.fields(f)}
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert g._prog is None and f._prog is not None

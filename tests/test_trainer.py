@@ -6,8 +6,9 @@ import pytest
 
 from stlctrl.cli import load_scenario, resolve_scenario
 from stlctrl.plants import InitialSet, builtin, rollout
-from stlctrl.policy import Policy, init
+from stlctrl.policy import AdamState, Policy, init
 from stlctrl.sampler import build_sampled
+from stlctrl.smooth import SmoothConfig
 from stlctrl.stl import Trace, horizon, parse, robustness
 from stlctrl.trainer import (
     TrainConfig, TrainLog, WaypointPath, train_dropout, train_openloop,
@@ -238,6 +239,75 @@ def test_dropout_passes_exact_rho_of_incumbent_and_commit(monkeypatch,
         assert rho == trainer._exact_rho(sc.plant, pol, theta, s0, K,
                                          sc.formula)
     assert [r.rho for r in log.records] == [out[3] for _, out in calls]
+
+
+def test_dropout_reuses_the_incumbent_rollout(monkeypatch):
+    # the first N1 pass starts at theta1 = theta2 = theta from s0, whose
+    # plain rollout the min-rho check has just made; it is not made again
+    from stlctrl import trainer
+    sc = load_scenario(resolve_scenario("dubins_k100"))
+    rng = random.Random(1)
+    pol = sc.build_policy(rng)
+    cfg = dataclasses.replace(sc.train_cfg, max_iters=5)
+    assert sc.waypoints is not None
+    rolled = []
+    orig_rollout = trainer.rollout
+    orig_iteration = trainer._dropout_iteration
+
+    def spy_rollout(plant, policy, s0, K, **kw):
+        rolled.append((tuple(policy.theta), tuple(s0)))
+        return orig_rollout(plant, policy, s0, K, **kw)
+
+    def spy_iteration(*args):
+        rolled.clear()
+        out = orig_iteration(*args)
+        theta, s0, _, ref_j = args[7:11]
+        assert ref_j.states == orig_rollout(sc.plant, pol.with_theta(theta),
+                                            s0, args[11]).states
+        assert (tuple(theta), tuple(s0)) not in rolled
+        return out
+
+    monkeypatch.setattr(trainer, "rollout", spy_rollout)
+    monkeypatch.setattr(trainer, "_dropout_iteration", spy_iteration)
+    _, log, _ = train_dropout(sc.plant, pol, sc.formula, sc.init_set,
+                              sc.waypoints, cfg, rng)
+    assert len(log.records) == 5
+
+
+def _iteration(sc, pol, theta, s0, ref, N1):
+    from stlctrl import trainer
+    K = horizon(sc.formula)
+    cfg = dataclasses.replace(sc.train_cfg, N1=N1)
+    rho_j = trainer._exact_rho(sc.plant, pol, theta, s0, K, sc.formula)
+    adams = [AdamState(len(theta), alpha=cfg.alpha) for _ in range(3)]
+    return trainer._dropout_iteration(
+        sc.plant, pol, sc.formula, sc.waypoints, cfg, SmoothConfig(cfg.b),
+        random.Random(5), theta, s0, rho_j, ref, K, *adams)
+
+
+def test_dropout_iteration_same_with_or_without_the_reused_rollout():
+    sc = load_scenario(resolve_scenario("dubins_k100"))
+    pol = sc.build_policy(random.Random(1))
+    s0 = sc.init_set.samples[0]
+    ref = rollout(sc.plant, pol, s0, horizon(sc.formula))
+    assert (_iteration(sc, pol, list(pol.theta), s0, ref, 3)
+            == _iteration(sc, pol, list(pol.theta), s0, None, 3))
+
+
+def test_dropout_incumbent_that_diverged_is_rolled_out_again(monkeypatch):
+    # no rollout to reuse: each pass rolls theta out, takes the except
+    # DivergedRollout branch and keeps theta1, as before the reuse
+    from stlctrl import trainer
+    sc = load_scenario(resolve_scenario("scalar_power"))
+    sc.waypoints = None
+    pol = Policy([2, 1], theta=[0.0, 0.0, -100.0])
+    calls = []
+    orig = trainer.rollout
+    monkeypatch.setattr(trainer, "rollout",
+                        lambda *a, **kw: calls.append(1) or orig(*a, **kw))
+    out = _iteration(sc, pol, list(pol.theta), (80.0,), None, 2)
+    assert out == ([0.0, 0.0, -100.0], "critical", 1.0, -math.inf)
+    assert len(calls) == 1 + 2 + 1  # rho_j, two passes, the commit test
 
 
 @pytest.mark.parametrize("algorithm", ["dropout", "vanilla", "openloop"])
