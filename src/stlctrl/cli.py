@@ -316,6 +316,8 @@ def cmd_train(args, argv):
         f"final_rho   {info['final_rho']:.6g}",
         f"seconds     {info['seconds']:.1f}",
         f"status      {'dnf' if info['dnf'] else 'solved'}",
+        f"retries     {info['retries']}",
+        f"diverged    {info.get('diverged', 0)}",
     ] + [f"branch[{b}]  {counts[b]}" for b in sorted(counts)]
     with open(os.path.join(args.out, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -8,14 +8,16 @@ The forward pass runs as straight-line code generated once per
 (widths, include_time): one statement per neuron,
 ``h = tanh(th[b] + th[r]*x0 + th[r+1]*x1 + ...)``, summed left to right
 like a loop over the inputs, so its results are bit-identical to the
-loop's and, on a tape, it records the same nodes in the same order.
+loop's.  On a tape a generated recorder computes the values with float
+arithmetic and writes the node records straight into the tape's lists:
+the same records in the same order as the loop's Var operators push.
 """
 
 import json
 import math
+from functools import partial
 
-from . import autodiff
-from .autodiff import Var, sum_source
+from .autodiff import ADD, CONST, MUL, TANH, Var, sum_source
 
 _KERNELS = {}  # (widths, include_time) -> (plain forward, tape forward)
 _TERMS = 1000  # weight terms per compiled function, see _forward_sources
@@ -53,8 +55,8 @@ class Policy:
     def forward(self, s, k, theta=None):
         """Raw action vector; generic over floats and tape Vars.
 
-        theta holds floats only or Vars only; the kernel that records on a
-        tape runs when it holds Vars or an input is a Var.
+        theta holds floats only or Vars on one tape only (else ValueError);
+        the tape forward runs when it holds Vars or an input is a Var.
         """
         th = self.theta if theta is None else theta
         if len(s) + self.include_time != self.widths[0]:
@@ -101,18 +103,38 @@ def _kernels(widths, include_time):
     key = (tuple(widths), include_time)
     got = _KERNELS.get(key)
     if got is None:
-        codes = [compile(src, f"<forward {list(widths)}>", "exec")
-                 for src in _forward_sources(widths, include_time)]
-        got = []
-        for tanh in (math.tanh, autodiff.tanh):
-            fns = []
-            for code in codes:
-                ns = {"tanh": tanh}
-                exec(code, ns)
-                fns.append(ns["forward"])
-            got.append(fns[0] if len(fns) == 1 else _chain(fns))
-        got = _KERNELS[key] = tuple(got)
+        plain = _compile(key, False, (False,) * (widths[0] - include_time))
+        got = _KERNELS[key] = (plain, partial(_record, key, {}))
     return got
+
+
+def _record(key, recorders, th, s, t):
+    """Tape forward: checks every operand before the recorder for
+    (theta is Var, which inputs are Vars) writes, so a rejected call
+    leaves the tape untouched."""
+    var_theta = isinstance(th[0], Var)
+    var_in = tuple(isinstance(x, Var) for x in s)
+    tape = (th[0] if var_theta else s[var_in.index(True)]).tape
+    ids = [w.i for w in th if type(w) is Var and w.tape is tape]
+    if len(ids) != len(th) if var_theta else Var in map(type, th):
+        raise ValueError("theta must be all Vars on one tape or all floats")
+    if any(x.tape is not tape for x, v in zip(s, var_in) if v):
+        raise ValueError("operands recorded on different tapes")
+    fn = recorders.get((var_theta, var_in))
+    if fn is None:
+        fn = recorders[var_theta, var_in] = _compile(key, var_theta, var_in)
+    vals = tape.vals
+    th = [vals[i] for i in ids] if var_theta else list(map(float, th))
+    return fn((th, ids, tape), s, t)
+
+
+def _compile(key, var_theta, var_in):
+    fns = []
+    for src in _forward_sources(*key, var_theta, var_in):
+        ns = {"tanh": math.tanh, "Var": Var}
+        exec(compile(src, f"<forward {list(key[0])}>", "exec"), ns)
+        fns.append(ns["forward"])
+    return fns[0] if len(fns) == 1 else _chain(fns)
 
 
 def _chain(fns):
@@ -123,43 +145,88 @@ def _chain(fns):
     return forward
 
 
-def _forward_sources(widths, include_time):
-    """Sources of forward(th, s, t), one per run of consecutive layers.
+def _forward_sources(widths, include_time, var_theta, var_in):
+    """Sources of forward(th, s, t), one per run of consecutive layers;
+    when an operand is a Var, of the recorder, whose th is (theta's
+    values, their node ids, the tape).
 
     s is the input of the run's first layer and t the time input.  A run
     ends before a layer that would take it past _TERMS weight terms:
     compiling takes memory in proportion to the source, and one function
     for a wide net would raise the peak memory of the process.
+
+    The recorder replays the reference loop over operands (value, node id)
+    by Var's rules: a float operand (id None) of a node op is pushed as a
+    CONST just before it, the node is lhs even on the right (float * Var
+    runs Var.__rmul__), and float-only subexpressions stay floats.
     """
-    xs = [f"x{i}" for i in range(widths[0] - include_time)]
-    srcs, lines, terms = [], [], 0
-    off = 0
-    last = len(widths) - 2
+    runs = [[]]
     for li in range(len(widths) - 1):
-        nin, nout = widths[li], widths[li + 1]
-        if lines and terms + nin * nout > _TERMS:
-            srcs.append("\n".join(lines + [f"    return [{', '.join(xs)}]\n"]))
-            lines = []
-        if not lines:
-            lines = ["def forward(th, s, t):", f"    [{', '.join(xs)}] = s"]
-            terms = 0
-            if li == 0 and include_time:
-                xs = xs + ["t"]
-        terms += nin * nout
-        bias_off = off + nout * nin
-        hs = []
-        for j in range(nout):
-            row = off + j * nin
-            h = f"h{li}_{j}"
-            stmts, acc = sum_source(
-                h, f"th[{bias_off + j}]",
-                [f"th[{row + i}]*{x}" for i, x in enumerate(xs)])
-            lines += [f"    {st}" for st in stmts]
-            lines.append(f"    {h} = {acc if li == last else f'tanh({acc})'}")
-            hs.append(h)
-        xs = hs
-        off = bias_off + nout
-    return srcs + ["\n".join(lines + [f"    return [{', '.join(xs)}]\n"])]
+        if runs[-1] and sum(widths[i] * widths[i + 1]
+                            for i in runs[-1] + [li]) > _TERMS:
+            runs.append([])
+        runs[-1].append(li)
+    rec, last, off, out = var_theta or any(var_in), len(widths) - 2, 0, []
+    for run in runs:
+        xs = [(f"x{i}", f"i{i}" if v else None) for i, v in enumerate(var_in)]
+        xs += [("t", None)] if run[0] == 0 and include_time else []
+        lines, recs = [], []
+
+        def push(op, a, b, val):
+            lines.append(f"    v{len(recs)} = {val}")
+            recs.append((str(op), a, b))
+            return f"v{len(recs) - 1}", f"n + {len(recs) - 1}"
+
+        def node(op, sym, a, b):
+            if a[1] is None and b[1] is None:
+                return f"{a[0]}{sym}{b[0]}", None
+            if a[1] is None:
+                a, b = b, a
+            if b[1] is None:
+                b = push(CONST, "-1", "-1", b[0])
+            return push(op, a[1], b[1], f"{a[0]}{sym}{b[0]}")
+
+        for li in run:
+            nin, nout = widths[li], widths[li + 1]
+            hs, bias = [], off + nout * nin
+            for j in range(nout):
+                h, row = f"h{li}_{j}", off + j * nin
+                th = [(f"th[{r}]", f"ids[{r}]" if var_theta else None)
+                      for r in [bias + j, *range(row, row + nin)]]
+                # the terms before the first node sum as floats
+                k = 0 if var_theta else next(
+                    (i for i, x in enumerate(xs) if x[1]), nin)
+                stmts, acc = sum_source(h, th[0][0], [
+                    f"{w[0]}*{x[0]}" for w, x in zip(th[1:k + 1], xs)])
+                lines += [f"    {st}" for st in stmts]
+                acc = (acc, th[0][1])
+                for w, x in zip(th[k + 1:], xs[k:]):
+                    acc = node(ADD, " + ", acc, node(MUL, "*", w, x))
+                if li != last:
+                    acc = (push(TANH, acc[1], "-1", f"tanh({acc[0]})")
+                           if acc[1] else (f"tanh({acc[0]})", None))
+                if acc[1] is None:
+                    lines.append(f"    {h} = {acc[0]}")
+                    acc = (h, None)
+                hs.append(acc)
+            xs, off = hs, bias + nout
+        head = ["def forward(th, s, t):",
+                f"    [{', '.join(f'x{i}' for i in range(len(var_in)))}] = s"]
+        if rec:
+            ops, lhs, rhs = zip(*recs)
+            head += ["    th, ids, tape = th", "    vals = tape.vals",
+                     "    n = len(vals)"] + [
+                f"    i{i} = x{i}.i\n    x{i} = vals[i{i}]" if v
+                else f"    x{i} = float(x{i})" for i, v in enumerate(var_in)]
+            lines += [f"    tape.ops += ({', '.join(ops)},)",
+                      f"    tape.lhs += [{', '.join(lhs)}]",
+                      f"    tape.rhs += [{', '.join(rhs)}]",
+                      f"    vals += [{', '.join(f'v{d}' for d in range(len(recs)))}]",
+                      f"    tape.aux += (0.0,) * {len(recs)}"]
+        rets = ", ".join(x if i is None else f"Var(tape, {i})" for x, i in xs)
+        out.append("\n".join(head + lines + [f"    return [{rets}]\n"]))
+        var_in = [i is not None for _, i in xs]
+    return out
 
 
 def init(widths, scheme="xavier", rng=None, include_time=True, time_scale=1.0):

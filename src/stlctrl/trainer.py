@@ -178,6 +178,7 @@ def train_dropout(plant, policy, f, init_set, wp, cfg, rng):
     theta = list(policy.theta)
     log = TrainLog()
     retries = 0
+    diverged = 0
     iters = 0
     dnf = True
     best_theta = theta
@@ -194,7 +195,7 @@ def train_dropout(plant, policy, f, init_set, wp, cfg, rng):
         t_iter = time.time()
         s0 = _pick_s0(cfg, rng, init_set, worst_s0)
         try:
-            theta, branch, lr, rho_after = _dropout_iteration(
+            theta, branch, lr, rho_after, div = _dropout_iteration(
                 plant, policy, f, wp, cfg, scfg, rng, theta, s0, *runs[s0], K,
                 adam1, adam2, adam3)
         except DivergedRollout:
@@ -202,6 +203,7 @@ def train_dropout(plant, policy, f, init_set, wp, cfg, rng):
             if retries > cfg.max_retries:
                 raise
             continue
+        diverged += div
         log.append(iter=j, rho=rho_after, branch=branch, lr=lr,
                    seconds=time.time() - t_iter)
         j += 1
@@ -215,6 +217,7 @@ def train_dropout(plant, policy, f, init_set, wp, cfg, rng):
         "branch_counts": log.branch_counts(),
         "final_rho": best_rho,
         "retries": retries,
+        "diverged": diverged,
         "seconds": time.time() - t_start,
     }
     return policy.with_theta(best_theta if dnf else theta), log, info
@@ -225,8 +228,10 @@ def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
     """One iteration from theta, whose exact rho and plain rollout from s0
     are rho_j and ref_j (None if it diverged).
 
-    Returns (committed theta, branch, lr, exact rho of the committed theta).
+    Returns (committed theta, branch, lr, exact rho of the committed theta,
+    number of candidate updates skipped because their rollout diverged).
     """
+    diverged = 0
     theta1 = list(theta)
     theta2 = list(theta)
     ref1 = ref2 = ref_j  # theta1 = theta2 = theta3 = theta on a first pass
@@ -239,7 +244,7 @@ def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
                                policy.with_theta(theta1), plant, rng)
             theta1 = adam_update(adam1, theta1, [g / cfg.N1 for g in d1])
         except DivergedRollout:
-            pass  # keep theta1; the commit test below filters bad candidates
+            diverged += 1  # keep theta1; the commit test filters bad candidates
         ref1 = None
         if wp is not None:
             try:
@@ -256,23 +261,23 @@ def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
                     d2 = [0.0] * len(theta2)
                 theta2 = adam_update(adam2, theta2, [g / cfg.N1 for g in d2])
             except DivergedRollout:
-                pass
+                diverged += 1
             ref2 = None
 
     if wp is not None:
         rho2 = _exact_rho(plant, policy, theta2, s0, K, f)
         if rho2 >= rho_j:
-            return theta2, "waypoint", 1.0, rho2
+            return theta2, "waypoint", 1.0, rho2, diverged
     rho1 = _exact_rho(plant, policy, theta1, s0, K, f)
     if rho1 >= rho_j:
-        return theta1, "critical", 1.0, rho1
+        return theta1, "critical", 1.0, rho1, diverged
     ell = 1.0
     while True:
         ell = ell / 2.0
         hat = [tj + ell * (t1 - tj) for tj, t1 in zip(theta, theta1)]
         rho_hat = _exact_rho(plant, policy, hat, s0, K, f)
         if rho_hat >= rho_j:
-            return hat, "critical", ell, rho_hat
+            return hat, "critical", ell, rho_hat, diverged
         if ell < cfg.eps:
             break
 
@@ -287,12 +292,14 @@ def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
                              policy.with_theta(theta3), plant)
             theta3 = adam_update(adam3, theta3, [g / cfg.N2 for g in d3])
         except DivergedRollout:
+            diverged += 1
             break
         ref3 = None
     rho3 = _exact_rho(plant, policy, theta3, s0, K, f)
     if cfg.guard_smooth and rho3 < rho_j:
-        return theta, "smooth", 1.0, rho_j  # keep the incumbent rather than regress
-    return theta3, "smooth", 1.0, rho3
+        # keep the incumbent rather than regress
+        return theta, "smooth", 1.0, rho_j, diverged
+    return theta3, "smooth", 1.0, rho3, diverged
 
 
 def train_vanilla(plant, policy, f, init_set, cfg, rng):

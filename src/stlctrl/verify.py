@@ -37,6 +37,7 @@ class VerificationReport:
     mean: float
     variance: float
     verdict: bool
+    diverged: int  # rollouts that diverged, counted as R = +inf
 
     def lines(self):
         return [
@@ -48,11 +49,13 @@ class VerificationReport:
             f"mean        {self.mean:.6g}",
             f"variance    {self.variance:.6g}",
             f"verdict     {'pass' if self.verdict else 'fail'}",
+            f"diverged    {self.diverged}",
         ]
 
 
 def calibrate(plant, policy, f, init_set, m, rng, noise=None):
-    """Negative robustness of m rollouts from uniform initial states."""
+    """Negative robustness of m rollouts from uniform initial states; a
+    rollout that diverges counts as R = +inf (see VerificationReport.diverged)."""
     if m < 1:
         raise ValueError("m must be at least 1")
     K = horizon(f)
@@ -163,7 +166,8 @@ def report(calib, coverage, delta1=None):
     return VerificationReport(
         m=calib.m, ell=ell, R_ell=r_ell, delta1=delta1,
         confidence=beta_bound(calib.m, ell, delta1),
-        mean=mean, variance=var, verdict=r_ell < 0.0)
+        mean=mean, variance=var, verdict=r_ell < 0.0,
+        diverged=calib.values.count(math.inf))
 
 
 def success_rate(plant, controller, f, s0, noise, trials, rng):

@@ -158,6 +158,8 @@ def test_train_writes_artifacts_and_solves(tmp_path, capsys):
     assert "status      solved" in text
     for f in ["checkpoint.json", "log.csv", "summary.txt", "manifest.json"]:
         assert (out / f).exists()
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "retries     0" in summary and "diverged    0" in summary
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 7
     assert manifest["scenario"] == "tiny"
@@ -229,6 +231,7 @@ def test_verify_and_simulate_round_trip(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "ell         90" in text
     assert "verdict     pass" in text
+    assert "diverged    0" in text
     assert (vout / "report.txt").exists()
 
     sout = tmp_path / "sim"

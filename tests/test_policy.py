@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 
@@ -240,3 +241,128 @@ def test_kernel_takes_var_inputs_with_float_weights():
         runs.append(([v.value for v in out], tape.ops, tape.lhs, tape.rhs,
                      tape.vals))
     assert runs[0] == runs[1]
+
+
+def _bits(x):
+    return struct.pack("d", x)
+
+
+def _assert_recorder_matches_loop(p, setup, k=7):
+    """setup(tape) -> (theta, inputs of each forward); Policy.forward and
+    loop_forward must leave the same records and outputs on fresh tapes.
+    Returns (tape, theta, outputs) of each."""
+    runs = []
+    for fn in (Policy.forward, loop_forward):
+        tape = Tape()
+        theta, inputs = setup(tape)
+        outs = [fn(p, s, k, theta=theta) for s in inputs]
+        runs.append((tape, theta, outs))
+    (ta, _, oa), (tb, _, ob) = runs
+    assert (ta.ops, ta.lhs, ta.rhs, ta.aux) == (tb.ops, tb.lhs, tb.rhs, tb.aux)
+    assert list(map(_bits, ta.vals)) == list(map(_bits, tb.vals))
+    assert ([[(v.i, _bits(v.value)) for v in o] for o in oa]
+            == [[(v.i, _bits(v.value)) for v in o] for o in ob])
+    return runs
+
+
+@pytest.mark.parametrize("var_theta", [True, False])
+def test_recorder_matches_loop_with_mixed_inputs(var_theta):
+    # one Var and one float input, and random patterns on wider nets;
+    # [5,300,4,1] is compiled as a chain of functions
+    rng = random.Random(16)
+    cases = [([3, 5, 2], [True, False]), ([3, 5, 2], [False, True])]
+    for widths in ([4, 6, 3, 2], [5, 300, 4, 1]):
+        pattern = [rng.random() < 0.5 for _ in range(widths[0] - 1)]
+        pattern[rng.randrange(len(pattern))] = True
+        cases.append((widths, pattern))
+    for widths, pattern in cases:
+        p = init(widths, rng=rng)
+        xs = [rng.uniform(-2, 2) for _ in pattern]
+
+        def setup(tape):
+            theta = [tape.const(w) for w in p.theta] if var_theta else p.theta
+            s = [tape.const(x) if v else x for x, v in zip(xs, pattern)]
+            return theta, [s, s[::-1]]
+
+        _assert_recorder_matches_loop(p, setup)
+
+
+def test_recorder_compiles_a_long_float_prefix():
+    # float weights and float inputs before the only Var input sum as one
+    # float expression, which must be split like the plain kernel's sums
+    p = init([4000, 2, 1], rng=random.Random(21), include_time=False)
+    xs = [0.001 * i for i in range(4000)]
+    _assert_recorder_matches_loop(
+        p, lambda tape: (p.theta, [xs[:-1] + [tape.const(xs[-1])]]))
+
+
+def test_recorder_matches_loop_with_theta_anywhere_on_the_tape():
+    p = init([3, 7, 2], rng=random.Random(17))
+
+    def after_other_nodes(tape):
+        for _ in range(5):
+            tape.const(1.5)
+        return [tape.const(w) for w in p.theta], [(tape.const(0.25), -0.5)]
+
+    def pushed_in_reverse(tape):
+        theta = [tape.const(w) for w in reversed(p.theta)][::-1]
+        return theta, [(0.3, tape.const(-1.1))]
+
+    for setup in (after_other_nodes, pushed_in_reverse):
+        _assert_recorder_matches_loop(p, setup)
+
+
+def test_recorder_several_forwards_on_one_tape():
+    # as in a sampled trajectory: each forward's inputs depend on the last
+    p = init([3, 8, 2], rng=random.Random(18))
+
+    def setup(tape):
+        theta = [tape.const(w) for w in p.theta]
+        s, inputs = (0.4, -0.7), []
+        for k in range(4):
+            inputs.append(s)
+            s = [x * 0.5 + 0.1 for x in loop_forward(p, s, k, theta=theta)]
+        return theta, inputs
+
+    (tape, _, _), _ = _assert_recorder_matches_loop(p, setup)
+    assert tape.ops.count(6) == 8 * (4 + 4)  # TANH: setup's and the test's
+
+
+def test_recorder_rejects_before_writing():
+    p = init([3, 4, 2], rng=random.Random(19))
+    t1, t2 = Tape(), Tape()
+    theta = [t1.const(w) for w in p.theta]
+    x1, x2 = t1.const(0.1), t2.const(0.5)
+    calls = [
+        (theta, (0.1, x2), "different tapes"),
+        (p.theta, (x1, x2), "different tapes"),
+        (theta[:5] + [p.theta[5]] + theta[6:], (0.1, 0.2), "theta"),
+        (theta[:5] + [t2.const(0.0)] + theta[6:], (0.1, 0.2), "theta"),
+        (p.theta[:-1] + [t1.const(0.0)], (x1, 0.2), "theta"),
+    ]
+    sizes = (len(t1), len(t2))
+    for th, s, msg in calls:
+        with pytest.raises(ValueError, match=msg):
+            p.forward(s, 3, theta=th)
+    assert (len(t1), len(t2)) == sizes
+    for t in (t1, t2):
+        assert len(t.lhs) == len(t.rhs) == len(t.vals) == len(t.aux) == len(t)
+
+
+def test_recorder_gradients_bit_identical_to_the_loop():
+    rng = random.Random(20)
+    for widths in ([3, 20, 2], [4, 9, 9, 3]):
+        p = init(widths, rng=rng)
+        xs = [rng.uniform(-1, 1) for _ in range(p.state_dim)]
+
+        def setup(tape):
+            theta = [tape.const(w) for w in p.theta]
+            return theta, [[tape.const(x) for x in xs[1:]] + [xs[0]]]
+
+        grads = []
+        for tape, theta, [out] in _assert_recorder_matches_loop(p, setup):
+            y = out[0]
+            for v in out[1:]:
+                y = y * v
+            grads.append([_bits(g) for g in tape.backward(y, theta)])
+        assert grads[0] == grads[1]

@@ -232,7 +232,7 @@ def test_dropout_passes_exact_rho_of_incumbent_and_commit(monkeypatch,
                                  sc.waypoints, cfg, rng)
     assert "smooth" in info["branch_counts"]
     K = horizon(sc.formula)
-    for args, (theta, branch, lr, rho) in calls:
+    for args, (theta, branch, lr, rho, _) in calls:
         theta_in, s0, rho_j = args[7], args[8], args[9]
         assert rho_j == trainer._exact_rho(sc.plant, pol, theta_in, s0, K,
                                            sc.formula)
@@ -306,8 +306,42 @@ def test_dropout_incumbent_that_diverged_is_rolled_out_again(monkeypatch):
     monkeypatch.setattr(trainer, "rollout",
                         lambda *a, **kw: calls.append(1) or orig(*a, **kw))
     out = _iteration(sc, pol, list(pol.theta), (80.0,), None, 2)
-    assert out == ([0.0, 0.0, -100.0], "critical", 1.0, -math.inf)
+    assert out == ([0.0, 0.0, -100.0], "critical", 1.0, -math.inf, 2)
     assert len(calls) == 1 + 2 + 1  # rho_j, two passes, the commit test
+
+
+def test_dropout_counts_diverged_candidates():
+    # every N1 pass diverges, so each iteration skips N1 candidates; the
+    # count reaches info, and the log rows stay those of an iteration
+    # that commits the unchanged theta
+    sc = load_scenario(resolve_scenario("scalar_power"))
+    pol = Policy([2, 1], theta=[0.0, 0.0, -100.0])
+    cfg = dataclasses.replace(sc.train_cfg, N1=3, max_iters=2)
+    _, log, info = train_dropout(sc.plant, pol, sc.formula,
+                                 _point_set((80.0,)), None, cfg,
+                                 random.Random(0))
+    assert info["diverged"] == 2 * 3
+    assert info["retries"] == 0
+    assert [(r.rho, r.branch, r.lr) for r in log.records] == \
+        [(-math.inf, "critical", 1.0)] * 2
+
+
+def test_dropout_counts_a_diverged_smooth_pass(monkeypatch):
+    # a smooth pass that diverges ends the N2 loop and is counted once
+    from stlctrl import trainer
+    from stlctrl.plants import DivergedRollout
+
+    def diverge(*args):
+        raise DivergedRollout(1, math.inf)
+
+    sc = load_scenario(resolve_scenario("dubins_k100"))
+    rng = random.Random(1)
+    pol = sc.build_policy(rng)
+    cfg = dataclasses.replace(sc.train_cfg, max_iters=5)
+    monkeypatch.setattr(trainer, "grad_smooth", diverge)
+    _, _, info = train_dropout(sc.plant, pol, sc.formula, sc.init_set,
+                               sc.waypoints, cfg, rng)
+    assert info["diverged"] == info["branch_counts"]["smooth"] >= 1
 
 
 @pytest.mark.parametrize("algorithm", ["dropout", "vanilla", "openloop"])

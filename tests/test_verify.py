@@ -4,7 +4,7 @@ import random
 import pytest
 
 from stlctrl.plants import InitialSet, builtin
-from stlctrl.policy import init
+from stlctrl.policy import Policy, init
 from stlctrl.stl import parse
 from stlctrl.verify import (
     CalibrationSet, beta_bound, beta_moments, calibrate, choose_ell,
@@ -122,6 +122,23 @@ def test_report_verdict():
     assert any("verdict     pass" in ln for ln in rep.lines())
     bad = CalibrationSet([float(i + 1) for i in range(99)])
     assert not report(bad, coverage=0.9).verdict
+
+
+def test_report_counts_diverged_rollouts():
+    # with zero input x -> 0.8 x^1.2 - 1 runs away from starts above ~7
+    plant = builtin("scalar_power")
+    pol = Policy([1, 1], theta=[0.0, 0.0], include_time=False)
+    iset = InitialSet((1.0,), (20.0,), [(1.0,)])
+    calib = calibrate(plant, pol, parse("G[0,40](x0 < 100)"), iset, 40,
+                      random.Random(3))
+    n_inf = sum(v == math.inf for v in calib.values)
+    assert 0 < n_inf < calib.m
+    rep = report(calib, coverage=0.5)
+    assert rep.diverged == n_inf
+    assert f"diverged    {n_inf}" in rep.lines()
+    assert (rep.m, rep.ell, rep.R_ell, rep.verdict) == (
+        40, 21, calib.values[20], calib.values[20] < 0.0)
+    assert report(CalibrationSet([-1.0, 2.0]), coverage=0.5).diverged == 0
 
 
 def test_success_rate_noiseless():
