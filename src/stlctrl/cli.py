@@ -44,6 +44,9 @@ class Scenario:
     def __init__(self, doc, path=None):
         self.doc = doc
         self.path = path
+        _known_keys(None, doc, ("name", "plant", "dt", "K", "seed", "formula",
+                                "policy", "initial", "train", "waypoints",
+                                "verify", "noise"))
         self.name = _req(doc, "name", str)
         plant_name = _req(doc, "plant", str)
         try:
@@ -80,11 +83,14 @@ class Scenario:
     def _policy(self, pd):
         if not isinstance(pd, dict):
             raise ScenarioError("policy", "missing or not an object")
+        _known_keys("policy", pd, ("widths", "include_time", "time_scale",
+                                   "init", "theta"))
         widths = pd.get("widths")
         if (not isinstance(widths, list) or len(widths) < 2
                 or any(not isinstance(w, int) or w < 1 for w in widths)):
             raise ScenarioError("policy.widths", f"bad layer widths {widths!r}")
-        include_time = bool(pd.get("include_time", True))
+        include_time = _typed("policy.include_time",
+                              pd.get("include_time", True), bool)
         want = self.plant.state_dim + (1 if include_time else 0)
         if widths[0] != want:
             raise ScenarioError(
@@ -108,12 +114,14 @@ class Scenario:
                     "policy.theta",
                     f"needs {param_count(widths)} values for widths {widths}")
         return {"widths": widths, "include_time": include_time,
-                "time_scale": float(pd.get("time_scale", 1.0)),
+                "time_scale": _typed("policy.time_scale",
+                                     pd.get("time_scale", 1.0), float),
                 "scheme": scheme, "theta": theta}
 
     def _initial(self, idoc):
         if not isinstance(idoc, dict):
             raise ScenarioError("initial", "missing or not an object")
+        _known_keys("initial", idoc, ("low", "high", "samples"))
         low = idoc.get("low")
         high = idoc.get("high")
         n = self.plant.state_dim
@@ -147,15 +155,17 @@ class Scenario:
         if algorithm not in ("dropout", "vanilla", "openloop"):
             raise ScenarioError("train.algorithm",
                                 f"unknown algorithm {algorithm!r}")
-        kw = {}
         fields = {"rho_bar": float, "eps": float, "M": int, "N": int,
                   "N1": int, "N2": int, "b": float, "max_iters": int,
                   "init_rule": str, "alpha": float, "time_sampling": bool,
                   "guard_smooth": bool}
+        _known_keys("train", td, ("algorithm", "noise_training", *fields))
+        kw = {}
         for key, typ in fields.items():
             if key in td:
                 kw[key] = _typed(f"train.{key}", td[key], typ)
-        if td.get("noise_training"):
+        if _typed("train.noise_training", td.get("noise_training", False),
+                  bool):
             if algorithm == "dropout":
                 raise ScenarioError("train.noise_training",
                                     "the dropout trainer has no noisy training")
@@ -170,16 +180,18 @@ class Scenario:
             return None
         if not isinstance(wd, dict) or not isinstance(wd.get("knots"), list):
             raise ScenarioError("waypoints.knots", "missing or not a list")
+        _known_keys("waypoints", wd, ("knots", "interpolate"))
+        interpolate = _typed("waypoints.interpolate",
+                             wd.get("interpolate", True), bool)
         try:
-            return WaypointPath(wd["knots"],
-                                interpolate=bool(wd.get("interpolate", True)))
+            return WaypointPath(wd["knots"], interpolate=interpolate)
         except (ValueError, TypeError) as e:
             raise ScenarioError("waypoints.knots", str(e))
 
     def _verify(self, vd):
-        vd = vd or {}
-        m = int(vd.get("m", 2000))
-        coverage = float(vd.get("coverage", 0.995))
+        vd = _optional_section("verify", vd, ("m", "coverage"))
+        m = _typed("verify.m", vd.get("m", 2000), int)
+        coverage = _typed("verify.coverage", vd.get("coverage", 0.995), float)
         if m < 1:
             raise ScenarioError("verify.m", "must be >= 1")
         if not 0.0 < coverage < 1.0:
@@ -187,9 +199,9 @@ class Scenario:
         return {"m": m, "coverage": coverage}
 
     def _noise(self, nd):
-        nd = nd or {}
-        c1 = float(nd.get("c1", 0.0))
-        c2 = float(nd.get("c2", 0.0))
+        nd = _optional_section("noise", nd, ("c1", "c2"))
+        c1 = _typed("noise.c1", nd.get("c1", 0.0), float)
+        c2 = _typed("noise.c2", nd.get("c2", 0.0), float)
         if c1 < 0 or c2 < 0:
             raise ScenarioError("noise", "c1 and c2 must be non-negative")
         return (c1, c2)
@@ -208,6 +220,24 @@ def _req(doc, key, typ):
     if key not in doc:
         raise ScenarioError(key, "missing required field")
     return _typed(key, doc[key], typ)
+
+
+def _known_keys(section, d, keys):
+    """Reject a key of d that the parser does not read, naming it."""
+    for key in d:
+        if key not in keys:
+            raise ScenarioError(key if section is None else f"{section}.{key}",
+                                "unknown field")
+
+
+def _optional_section(section, d, keys):
+    """The optional object d, {} when absent."""
+    if d is None:
+        return {}
+    if not isinstance(d, dict):
+        raise ScenarioError(section, "not an object")
+    _known_keys(section, d, keys)
+    return d
 
 
 def _typed(field, v, typ):
@@ -317,7 +347,7 @@ def cmd_train(args, argv):
         f"seconds     {info['seconds']:.1f}",
         f"status      {'dnf' if info['dnf'] else 'solved'}",
         f"retries     {info['retries']}",
-        f"diverged    {info.get('diverged', 0)}",
+        f"diverged    {info['diverged']}",
     ] + [f"branch[{b}]  {counts[b]}" for b in sorted(counts)]
     with open(os.path.join(args.out, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

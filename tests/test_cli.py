@@ -78,21 +78,67 @@ def test_validation_errors_name_the_field(tmp_path):
     assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("key,value", [
-    ("time_sampling", "false"),  # bool("false") would be True
-    ("M", 2.7),                  # int(2.7) would be 2
-    ("max_iters", True),
-    ("alpha", "0.1"),
-    ("init_rule", 1),
-])
-def test_train_fields_of_wrong_type_are_rejected(tmp_path, key, value):
+KNOTS = [[5, [0.2, 0.0], [1, 0]]]  # a valid waypoint path for scenario_doc
+WRONG_TYPES = [
+    ("train.time_sampling", "false"),  # bool("false") would be True
+    ("train.M", 2.7),                  # int(2.7) would be 2
+    ("train.max_iters", True),
+    ("train.alpha", "0.1"),
+    ("train.init_rule", 1),
+    ("train.noise_training", "false"),
+    ("policy.include_time", "false"),
+    ("policy.time_scale", "0.2"),
+    ("waypoints.interpolate", 0),
+    ("verify.m", 2.7),
+    ("verify.m", True),                # int(True) would be 1
+    ("verify.coverage", "0.9"),
+    ("noise.c1", "0.1"),
+    ("noise.c2", None),
+]
+
+
+def set_field(doc, path, value):
+    section, key = path.split(".")
+    doc.setdefault(section, {"knots": KNOTS})[key] = value
+
+
+@pytest.mark.parametrize("path,value", WRONG_TYPES, ids=[
+    f"{path.split('.')[1]}-{value}" for path, value in WRONG_TYPES])
+def test_train_fields_of_wrong_type_are_rejected(tmp_path, path, value):
     doc = scenario_doc()
-    doc["train"][key] = value
+    set_field(doc, path, value)
     with pytest.raises(ScenarioError) as e:
         Scenario(doc)
-    assert e.value.field == f"train.{key}"
+    assert e.value.field == path
     path = write_scenario(tmp_path, doc)
     assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("path", [
+    "sede", "policy.include_tme", "initial.sample", "train.guard_smoth",
+    "waypoints.interpolat", "verify.coverag", "noise.c3"])
+def test_unknown_fields_are_rejected(tmp_path, capsys, path):
+    doc = scenario_doc()
+    if "." in path:
+        set_field(doc, path, False)
+    else:
+        doc[path] = 1
+    with pytest.raises(ScenarioError) as e:
+        Scenario(doc)
+    assert e.value.field == path
+    out = write_scenario(tmp_path, doc)
+    assert main(["train", "--scenario", out, "--out", str(tmp_path)]) == 2
+    assert f"{path}: unknown field" in capsys.readouterr().err
+
+
+def test_optional_sections_that_are_not_objects_are_rejected():
+    for section in ("verify", "noise"):
+        with pytest.raises(ScenarioError) as e:
+            Scenario(scenario_doc(**{section: [0.9]}))
+        assert e.value.field == section
+    sc = Scenario(scenario_doc(verify=None, noise=None))
+    assert sc.verify_cfg == {"m": 2000, "coverage": 0.995}
+    assert sc.noise == (0.0, 0.0)
 
 
 def test_noise_training_is_rejected_for_dropout(tmp_path, capsys):
@@ -164,6 +210,19 @@ def test_train_writes_artifacts_and_solves(tmp_path, capsys):
     assert manifest["seed"] == 7
     assert manifest["scenario"] == "tiny"
     assert len(manifest["scenario_sha256"]) == 64
+
+
+def test_openloop_train_writes_summary(tmp_path, capsys):
+    doc = scenario_doc()
+    doc["train"].update(algorithm="openloop", max_iters=2)
+    doc["formula"] = "F[3,5](x0 > 1e9)"
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main(["train", "--scenario", path, "--out", str(out)]) == 3
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "algorithm   openloop" in summary
+    assert "iterations  2" in summary
+    assert "retries     0" in summary and "diverged    0" in summary
 
 
 def test_train_same_seed_gives_identical_logs(tmp_path):

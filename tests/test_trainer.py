@@ -344,28 +344,62 @@ def test_dropout_counts_a_diverged_smooth_pass(monkeypatch):
     assert info["diverged"] == info["branch_counts"]["smooth"] >= 1
 
 
-@pytest.mark.parametrize("algorithm", ["dropout", "vanilla", "openloop"])
-def test_rho_equal_to_rho_bar_is_not_solved(algorithm):
+def _train_unsolvable(algorithm, cfg):
     # x0 = 0 at time 0 caps rho at 0, and zero actions reach it exactly;
     # a strict predicate is violated there, so no trainer may stop
     plant = builtin("integrator2d")
     f = parse("G[0,3](x0 > 0)")
-    cfg = TrainConfig(max_iters=2, N1=2, N2=1, rho_bar=0.0)
     rng = random.Random(0)
     if algorithm == "openloop":
-        _, log, info = train_openloop(plant, [[0.0, 0.0]] * 3, f, (0.0, 0.0),
-                                      cfg, rng)
-    else:
-        pol = init([3, 4, 2], scheme="zero")
-        if algorithm == "dropout":
-            _, log, info = train_dropout(plant, pol, f, _point_set((0.0, 0.0)),
-                                         None, cfg, rng)
-        else:
-            _, log, info = train_vanilla(plant, pol, f, _point_set((0.0, 0.0)),
-                                         cfg, rng)
+        return train_openloop(plant, [[0.0, 0.0]] * 3, f, (0.0, 0.0), cfg,
+                              rng)
+    pol = init([3, 4, 2], scheme="zero")
+    if algorithm == "dropout":
+        return train_dropout(plant, pol, f, _point_set((0.0, 0.0)), None, cfg,
+                             rng)
+    return train_vanilla(plant, pol, f, _point_set((0.0, 0.0)), cfg, rng)
+
+
+@pytest.mark.parametrize("algorithm", ["dropout", "vanilla", "openloop"])
+def test_rho_equal_to_rho_bar_is_not_solved(algorithm):
+    cfg = TrainConfig(max_iters=2, N1=2, N2=1, rho_bar=0.0)
+    _, log, info = _train_unsolvable(algorithm, cfg)
     assert info["dnf"]
     assert info["final_rho"] == 0.0
     assert info["iters"] == 2
+    # one loop reports for every trainer
+    assert set(info) == {"dnf", "iters", "branch_counts", "final_rho",
+                         "retries", "diverged", "seconds"}
+
+
+@pytest.mark.parametrize("algorithm,inner", [
+    ("dropout", "_dropout_iteration"),
+    ("vanilla", "grad_smooth"),
+    ("openloop", "smooth_robustness"),
+])
+def test_a_diverged_step_is_retried(monkeypatch, algorithm, inner):
+    # a step that raises DivergedRollout is taken again without a log row,
+    # at most max_retries times per run
+    from stlctrl import trainer
+    from stlctrl.plants import DivergedRollout
+    orig = getattr(trainer, inner)
+    calls = []
+
+    def flaky(*args, **kw):
+        calls.append(1)
+        if len(calls) in (2, 3):
+            raise DivergedRollout(1, math.inf)
+        return orig(*args, **kw)
+
+    monkeypatch.setattr(trainer, inner, flaky)
+    cfg = TrainConfig(max_iters=2, N1=2, N2=1, max_retries=2)
+    _, log, info = _train_unsolvable(algorithm, cfg)
+    assert info["retries"] == 2
+    assert info["iters"] == 2
+    assert [r.iter for r in log.records] == [0, 1]
+    calls.clear()
+    with pytest.raises(DivergedRollout):
+        _train_unsolvable(algorithm, dataclasses.replace(cfg, max_retries=1))
 
 
 def test_openloop_rollout_past_its_actions_is_an_error():
