@@ -135,6 +135,17 @@ class Tape:
     def const(self, value):
         return Var(self, self._push(CONST, -1, -1, float(value)))
 
+    def consts(self, values):
+        """[const(v) for v in values], with one extend per list."""
+        vals = [float(v) for v in values]
+        n, m = len(self.ops), len(vals)
+        self.ops += [CONST] * m
+        self.lhs += [-1] * m
+        self.rhs += [-1] * m
+        self.vals += vals
+        self.aux += [0.0] * m
+        return [Var(self, i) for i in range(n, n + m)]
+
     def backward(self, output, seeds):
         """Reverse accumulation of d(output)/d(seed) for each seed Var.
 

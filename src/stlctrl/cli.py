@@ -113,6 +113,7 @@ class Scenario:
                 raise ScenarioError(
                     "policy.theta",
                     f"needs {param_count(widths)} values for widths {widths}")
+            theta = [_typed("policy.theta", w, float) for w in theta]
         return {"widths": widths, "include_time": include_time,
                 "time_scale": _typed("policy.time_scale",
                                      pd.get("time_scale", 1.0), float),
@@ -129,16 +130,19 @@ class Scenario:
             if not isinstance(v, list) or len(v) != n:
                 raise ScenarioError(f"initial.{key}",
                                     f"needs {n} coordinates")
+        low, high = ([_typed(f"initial.{key}", x, float) for x in v]
+                     for key, v in (("low", low), ("high", high)))
         if any(a > b for a, b in zip(low, high)):
             raise ScenarioError("initial", "low exceeds high")
         samples = idoc.get("samples")
         if samples == "corners_center":
             samples = corners_and_center(low, high)
         elif isinstance(samples, list) and samples:
-            samples = [tuple(float(x) for x in s) for s in samples]
-            if any(len(s) != n for s in samples):
+            if any(not isinstance(s, list) or len(s) != n for s in samples):
                 raise ScenarioError("initial.samples",
                                     f"each sample needs {n} coordinates")
+            samples = [[_typed("initial.samples", x, float) for x in s]
+                       for s in samples]
         else:
             raise ScenarioError(
                 "initial.samples",
@@ -183,6 +187,9 @@ class Scenario:
         _known_keys("waypoints", wd, ("knots", "interpolate"))
         interpolate = _typed("waypoints.interpolate",
                              wd.get("interpolate", True), bool)
+        for knot in wd["knots"]:
+            if isinstance(knot, list) and knot:
+                _typed("waypoints.knots", knot[0], int)  # its time
         try:
             return WaypointPath(wd["knots"], interpolate=interpolate)
         except (ValueError, TypeError) as e:

@@ -1,15 +1,23 @@
 """Discrete-time plant models and closed-loop rollouts.
 
 All continuous plants are integrated with forward Euler at their stated
-sampling time.  step() is generic over plain floats and tape Vars, so
-plain and differentiable rollouts run the exact same arithmetic and
-produce bit-identical primal trajectories.
+sampling time.  Plant.step() over tape Vars is traced once per (step_fn,
+squash_fn, dt); its records generate a plain rollout loop per (widths,
+include_time, noise), inlining the controller forward, and a tape recorder
+per (which inputs are Vars, noise).  Both compute in the Var operators'
+order, so plain and differentiable rollouts give bit-identical states.
+So step_fn and squash_fn must be straight-line code over arithmetic and
+the autodiff helpers: nothing may depend on their arguments' values.
 """
 
 import csv
 import math
 
-from .autodiff import Tape, Var, cos, exp, powc, sin, tanh, value_of, vmax
+from .autodiff import (
+    ADD, CONST, COS, DIV, EXP, LN, MAX2, MIN2, MUL, NEG, POW_CONST, SIN, SUB,
+    TANH, EvalError, Tape, Var, cos, exp, powc, sin, tanh, value_of, vmax,
+)
+from .policy import Policy, _forward_sources, param_count
 
 G = 9.81
 
@@ -42,12 +50,15 @@ class Plant:
         return self._step_fn(s, self._squash_fn(a_raw), self.dt)
 
     def check_dims(self, s0, policy):
-        """ValueError unless s0 and the policy's actions fit this plant."""
+        """ValueError unless s0 and the policy's inputs and actions fit."""
         if len(s0) != self.state_dim:
             raise ValueError(f"s0 dim {len(s0)} != plant dim {self.state_dim}")
         if policy.action_dim != self.action_dim:
             raise ValueError(f"policy action dim {policy.action_dim} != "
                              f"plant {self.name} action dim {self.action_dim}")
+        if getattr(policy, "state_dim", self.state_dim) != self.state_dim:
+            raise ValueError(f"policy state dim {policy.state_dim} != "
+                             f"plant {self.name} state dim {self.state_dim}")
 
     def with_dt(self, dt):
         return Plant(self.name, self.state_dim, self.action_dim, dt,
@@ -240,10 +251,11 @@ def builtin(name):
 
 # -- closed-loop rollout --------------------------------------------------------
 
-def _check_finite(s, k):
+def _check(k, s):
+    """DivergedRollout at step k at the first entry of s past the limit."""
     for x in s:
         v = value_of(x)
-        if not math.isfinite(v) or abs(v) > DIVERGE_LIMIT:
+        if not abs(v) <= DIVERGE_LIMIT:  # also true for nan
             raise DivergedRollout(k, v)
 
 
@@ -256,43 +268,197 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None):
     """
     plant.check_dims(s0, policy)
     s0 = tuple(float(x) for x in s0)
-    c1 = c2 = 0.0
-    rng = None
-    if noise is not None:
-        c1, c2, rng = noise
-        if c2 != 0.0:
-            s0 = tuple(x + c2 * rng.gauss(0.0, 1.0) for x in s0)
-    tape = None
-    theta_vars = None
-    theta = None
-    if mode == "differentiable":
-        tape = Tape()
-        theta_vars = [tape.const(w) for w in policy.theta]
-        theta = theta_vars
-    elif mode != "plain":
+    c1, c2, rng = noise or (0.0, 0.0, None)
+    if c2 != 0.0:
+        s0 = tuple(x + c2 * rng.gauss(0.0, 1.0) for x in s0)
+    gauss = rng.gauss if c1 != 0.0 else None
+    if mode == "plain":
+        states, raw_actions, offsets = _closed_loop(plant, policy, bool(gauss))(
+            policy.theta, policy.forward, s0, K,
+            getattr(policy, "time_scale", None), c1, gauss)
+        return Rollout(states, raw_actions, noise_offsets=offsets)
+    if mode != "differentiable":
         raise ValueError(f"unknown rollout mode {mode!r}")
-    states = [s0]
-    raw_actions = []
-    offsets = [] if c1 != 0.0 else None
-    s = s0
+    tape = Tape()
+    theta_vars = tape.consts(policy.theta)
+    record = step_recorder(plant)
+    states, raw_actions, offsets = [s0], [], []
     for k in range(K):
-        a = tuple(policy.forward(s, k, theta))
-        s = plant.step(s, a, k)
-        if c1 != 0.0:
-            off = tuple(c1 * rng.gauss(0.0, 1.0) for _ in s)
-            s = tuple(x + o for x, o in zip(s, off))
-            offsets.append(off)
-        if tape is None:
-            for x in s:
-                # also true for nan
-                if not abs(x) <= DIVERGE_LIMIT:
-                    raise DivergedRollout(k + 1, x)
-        else:
-            _check_finite(s, k + 1)
-        states.append(s)
+        a = tuple(policy.forward(states[-1], k, theta_vars))
+        off = gauss and tuple(c1 * gauss(0.0, 1.0) for _ in s0)
+        states.append(record(tape, states[-1], a, off))
         raw_actions.append(a)
+        offsets.append(off)
+        _check(k + 1, states[-1])
     return Rollout(states, raw_actions, tape=tape, theta_vars=theta_vars,
-                   noise_offsets=offsets)
+                   noise_offsets=offsets if gauss else None)
+
+
+# -- generated kernels: Plant.step traced once ------------------------------------
+
+_TRACES = {}  # (functions, dt, dims) -> (trace, loops, recorders)
+_LISTS = ("tape.ops", "tape.lhs", "tape.rhs", "vals", "tape.aux")
+_FORMS = {ADD: "{} + {}", SUB: "{} - {}", MUL: "{} * {}", DIV: "{} / {}",
+          MAX2: "max({}, {})", MIN2: "min({}, {})", TANH: "tanh({})",
+          EXP: "exp({})", SIN: "sin({})", COS: "cos({})", NEG: "-{}",
+          LN: "log({})", POW_CONST: "{} ** {}"}
+
+
+def _traced(plant):
+    """(trace, loops, recorders): the tape and outputs of one Plant.step
+    over Vars of nan, on which no domain guard fires, and the kernels
+    generated from them."""
+    key = (plant._step_fn, plant._squash_fn, repr(plant.dt),
+           plant.state_dim, plant.action_dim)
+    if key not in _TRACES:
+        tape, n = Tape(), plant.state_dim
+        xs = tape.consts([math.nan] * (n + plant.action_dim))
+        out = tuple(plant.step(tuple(xs[:n]), tuple(xs[n:]), 0))
+        if len(out) != n:
+            raise ValueError(f"plant {plant.name} steps to {len(out)} "
+                             f"entries, not state_dim={n}")
+        _TRACES[key] = ((tape, out), {}, {})
+    return _TRACES[key]
+
+
+def _step_source(trace, names, var, noise=None):
+    """The traced step as (lines, next state as (value, node id or None)
+    pairs, records, constants) for input j (states, then raw actions) of
+    value names[j] and, if var[j], node id i{j}.  A node with a Var operand
+    records what the Var operators would (a float operand pushed as a CONST
+    just before it, the Var as lhs of ADD, MUL, MAX2, MIN2; a domain guard
+    raises EvalError with the node id) but writes nothing.  Float nodes run
+    as the helpers' float branches.  noise binds offsets e{j}, added last."""
+    tape, out = trace
+    ref = {j: (x, f"i{j}" if v else None)
+           for j, (x, v) in enumerate(zip(names, var))}
+    consts, lines, recs = {}, [], []
+
+    def push(op, a, b, val, p="0.0"):
+        v = f"v{len(recs)}"
+        lines.append(f"{v} = {val}")
+        recs.append((op, a, b, v, p))
+        return v, f"n + {len(recs) - 1}"
+
+    for r in range(len(names), len(tape.ops)):
+        op, a, b = tape.ops[r], ref.get(tape.lhs[r]), ref.get(tape.rhs[r])
+        if op in (CONST, POW_CONST):
+            consts[f"c{r}"] = tape.vals[r] if op == CONST else tape.aux[r]
+        if op == CONST:
+            ref[r] = (f"c{r}", None)
+            continue
+        rec = a[1] or b and b[1]
+        if rec and b:
+            if a[1] is None and op in (ADD, MUL, MAX2, MIN2):
+                a, b = b, a
+            a, b = (x if x[1] else push(CONST, "-1", "-1", x[0]) for x in (a, b))
+        err = f"EvalError(n + {len(recs)}, " if rec else "ValueError("
+        if op == DIV and rec:
+            lines.append(f"if {b[0]} == 0.0: raise {err}'division by zero')")
+        elif op == LN:
+            lines.append(f"if {a[0]} <= 0.0: raise {err}"
+                         f"f'log of non-positive value {{{a[0]}}}')")
+        elif op == POW_CONST and not tape.aux[r].is_integer():
+            lines.append(f"if {a[0]} < 0.0: raise {err}f'negative base "
+                         f"{{{a[0]}}} with non-integer exponent {{c{r}}}')")
+        val = _FORMS[op].format(a[0], b[0] if b else f"c{r}")
+        if rec:
+            ref[r] = push(op, a[1], b[1] if b else "-1", val,
+                          f"c{r}" if op == POW_CONST else "0.0")
+        else:
+            lines.append(f"f{r} = {val}")
+            ref[r] = (f"f{r}", None)
+    consts.update((f"y{j}", o) for j, o in enumerate(out) if type(o) is not Var)
+    outs = [ref[o.i] if type(o) is Var else (f"y{j}", None)
+            for j, o in enumerate(out)]
+    lines += noise or []
+    for j, (x, i) in enumerate(outs if noise is not None else ()):
+        if i:
+            outs[j] = push(ADD, i, push(CONST, "-1", "-1", f"e{j}")[1],
+                           f"{x} + e{j}")
+        else:
+            lines.append(f"g{j} = {x} + e{j}")
+            outs[j] = (f"g{j}", None)
+    return lines, outs, recs, consts
+
+
+def _compile(head, body, consts):
+    ns = {"tanh": math.tanh, "exp": math.exp, "sin": math.sin,
+          "cos": math.cos, "log": math.log, "Var": Var, "EvalError": EvalError,
+          "LIMIT": DIVERGE_LIMIT, "check": _check, **consts}
+    src = "\n    ".join([f"def kernel({head}):"] + "\n".join(body).split("\n"))
+    exec(compile(src, "<plant kernel>", "exec"), ns)
+    return ns["kernel"]
+
+
+def step_recorder(plant):
+    """record(tape, s, a, off=None): the next state as Plant.step computes
+    it from states and raw actions that are Vars or floats, plus the noise
+    offsets off, written to the tape by a recorder generated per (which
+    inputs are Vars, noise); the records are the Var operators' own."""
+    trace, _, recorders = _traced(plant)
+    es = f"[{', '.join(map('e{}'.format, range(plant.state_dim)))}] = off"
+
+    def record(tape, s, a, off=None):
+        xs = (*s, *a)
+        key = (*map(type, xs), off is None)
+        if key not in recorders:
+            var = [t is Var for t in key[:-1]]
+            names = list(map("x{}".format, range(len(xs))))
+            lines, outs, recs, consts = _step_source(
+                trace, names, var, None if off is None else [es])
+            body = [f"[{', '.join(names)}] = xs", "vals = tape.vals",
+                    "n = len(vals)"] + [f"i{j} = x{j}.i\nx{j} = vals[i{j}]"
+                                        for j, v in enumerate(var) if v]
+            body += lines + [f"{list_} += ({', '.join(map(str, col))},)"
+                             for list_, col in zip(_LISTS, zip(*recs))]
+            ret = (x if i is None else f"Var(tape, {i})" for x, i in outs)
+            body.append(f"return ({', '.join(ret)},)")
+            recorders[key] = _compile("tape, xs, off", body, consts)
+        return recorders[key](tape, xs, off)
+
+    return record
+
+
+def _closed_loop(plant, policy, noisy):
+    """kernel(th, forward, s0, K, time_scale, c1, gauss) -> (states, raw
+    actions, noise offsets or None): it inlines a Policy's forward with
+    theta in locals, and calls forward(s, k) of a chained net or other."""
+    trace, loops, _ = _traced(plant)
+    key = ((tuple(policy.widths), policy.include_time, noisy)
+           if isinstance(policy, Policy) else (None, False, noisy))
+    if key in loops:
+        return loops[key]
+    n, m = plant.state_dim, plant.action_dim
+    xs = list(map("x{}".format, range(n)))
+    state, es = f"({', '.join(xs)},)", ", ".join(map("e{}".format, range(n)))
+    srcs = key[0] and _forward_sources(*key[:2], False, [False] * n, "w{}")
+    head = ["states, acts, offs = [s], [], [] if gauss else None"]
+    if srcs and len(srcs) == 1:
+        # the lines of forward(th, s, t) but its def, unpacking and return
+        *fwd, ret, _ = srcs[0].split("\n")[2:]
+        acts = ret.strip()[len("return ["):-1].split(", ")
+        ws = map("w{}".format, range(param_count(key[0])))
+        head.append(f"[{', '.join(ws)}] = th")
+        fwd = (["t = float(k) * ts"] if key[1] else []) + [
+            line.strip() for line in fwd]
+    else:
+        acts = list(map("a{}".format, range(m)))
+        fwd = [f"[{', '.join(acts)}] = forward({state}, k)"]
+    lines, outs, _, consts = _step_source(
+        trace, xs + acts, [False] * (n + m),
+        [f"e{j} = sigma * gauss(0.0, 1.0)" for j in range(n)]
+        + [f"offs.append(({es},))"] if noisy else None)
+    step = fwd + lines + [
+        f"{', '.join(xs)}, = {', '.join(x for x, _ in outs)},",
+        f"if not ({' and '.join(f'abs({x}) <= LIMIT' for x in xs)}):",
+        f"    check(k + 1, {state})", f"states.append({state})",
+        f"acts.append(({', '.join(acts)},))"]
+    loops[key] = _compile("th, forward, s, K, ts, sigma, gauss", head + [
+        f"[{', '.join(xs)}] = s", "for k in range(K):"]
+        + ["    " + line for line in step] + ["return states, acts, offs"],
+        consts)
+    return loops[key]
 
 
 def write_trace_csv(path, states, raw_actions):

@@ -19,7 +19,7 @@ from functools import partial
 
 from .autodiff import ADD, CONST, MUL, TANH, Var, sum_source
 
-_KERNELS = {}  # (widths, include_time) -> (plain forward, tape forward)
+_KERNELS = {}  # (widths, include_time) -> (plain, tape forward, _run)
 _TERMS = 1000  # weight terms per compiled function, see _forward_sources
 
 
@@ -71,6 +71,16 @@ class Policy:
             return kernels[1](th, s, t)
         return kernels[0](th, s, t)
 
+    def recorder(self, theta_vars):
+        """forward(s, k, theta_vars) for theta_vars on one tape, read once
+        here: a call checks only its inputs, and not their dimension."""
+        tape = theta_vars[0].tape
+        ids = [w.i for w in theta_vars]
+        th = ([tape.vals[i] for i in ids], ids, tape)
+        run, ts = _kernels(self.widths, self.include_time)[2], self.time_scale
+        return lambda s, k: run(th, s, float(k) * ts if self.include_time
+                                else None)
+
     def with_theta(self, theta):
         return Policy(self.widths, theta, self.include_time, self.time_scale)
 
@@ -104,7 +114,9 @@ def _kernels(widths, include_time):
     got = _KERNELS.get(key)
     if got is None:
         plain = _compile(key, False, (False,) * (widths[0] - include_time))
-        got = _KERNELS[key] = (plain, partial(_record, key, {}))
+        recorders = {}
+        got = _KERNELS[key] = (plain, partial(_record, key, recorders),
+                               partial(_run, key, recorders))
     return got
 
 
@@ -113,19 +125,25 @@ def _record(key, recorders, th, s, t):
     (theta is Var, which inputs are Vars) writes, so a rejected call
     leaves the tape untouched."""
     var_theta = isinstance(th[0], Var)
-    var_in = tuple(isinstance(x, Var) for x in s)
-    tape = (th[0] if var_theta else s[var_in.index(True)]).tape
+    tape = (th[0] if var_theta else next(x for x in s if type(x) is Var)).tape
     ids = [w.i for w in th if type(w) is Var and w.tape is tape]
     if len(ids) != len(th) if var_theta else Var in map(type, th):
         raise ValueError("theta must be all Vars on one tape or all floats")
-    if any(x.tape is not tape for x, v in zip(s, var_in) if v):
+    th = ([tape.vals[i] for i in ids], ids) if var_theta else (
+        list(map(float, th)), None)
+    return _run(key, recorders, (*th, tape), s, t)
+
+
+def _run(key, recorders, th, s, t):
+    """The recorder for th = (theta's values, their node ids or None for
+    float theta, tape); checks only the inputs."""
+    var_in = tuple(isinstance(x, Var) for x in s)
+    if any(x.tape is not th[2] for x, v in zip(s, var_in) if v):
         raise ValueError("operands recorded on different tapes")
-    fn = recorders.get((var_theta, var_in))
-    if fn is None:
-        fn = recorders[var_theta, var_in] = _compile(key, var_theta, var_in)
-    vals = tape.vals
-    th = [vals[i] for i in ids] if var_theta else list(map(float, th))
-    return fn((th, ids, tape), s, t)
+    pattern = (th[1] is not None, var_in)
+    if pattern not in recorders:
+        recorders[pattern] = _compile(key, *pattern)
+    return recorders[pattern](th, s, t)
 
 
 def _compile(key, var_theta, var_in):
@@ -145,10 +163,10 @@ def _chain(fns):
     return forward
 
 
-def _forward_sources(widths, include_time, var_theta, var_in):
+def _forward_sources(widths, include_time, var_theta, var_in, th="th[{}]"):
     """Sources of forward(th, s, t), one per run of consecutive layers;
     when an operand is a Var, of the recorder, whose th is (theta's
-    values, their node ids, the tape).
+    values, their node ids, the tape).  Weight r reads th.format(r).
 
     s is the input of the run's first layer and t the time input.  A run
     ends before a layer that would take it past _TERMS weight terms:
@@ -191,16 +209,16 @@ def _forward_sources(widths, include_time, var_theta, var_in):
             hs, bias = [], off + nout * nin
             for j in range(nout):
                 h, row = f"h{li}_{j}", off + j * nin
-                th = [(f"th[{r}]", f"ids[{r}]" if var_theta else None)
+                ws = [(th.format(r), f"ids[{r}]" if var_theta else None)
                       for r in [bias + j, *range(row, row + nin)]]
                 # the terms before the first node sum as floats
                 k = 0 if var_theta else next(
                     (i for i, x in enumerate(xs) if x[1]), nin)
-                stmts, acc = sum_source(h, th[0][0], [
-                    f"{w[0]}*{x[0]}" for w, x in zip(th[1:k + 1], xs)])
+                stmts, acc = sum_source(h, ws[0][0], [
+                    f"{w[0]}*{x[0]}" for w, x in zip(ws[1:k + 1], xs)])
                 lines += [f"    {st}" for st in stmts]
-                acc = (acc, th[0][1])
-                for w, x in zip(th[k + 1:], xs[k:]):
+                acc = (acc, ws[0][1])
+                for w, x in zip(ws[k + 1:], xs[k:]):
                     acc = node(ADD, " + ", acc, node(MUL, "*", w, x))
                 if li != last:
                     acc = (push(TANH, acc[1], "-1", f"tanh({acc[0]})")

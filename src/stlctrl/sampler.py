@@ -7,6 +7,7 @@ sampled steps instead of the horizon.
 """
 
 from .autodiff import Tape, Var
+from .plants import step_recorder
 from .smooth import smooth_robustness
 from .stl import Trace
 
@@ -63,19 +64,16 @@ def build_sampled(ref, times, policy, plant):
         raise ValueError(f"sample time {times[-1]} past reference horizon {ref.K}")
     plant.check_dims(ref.states[0], policy)
     tape = Tape()
-    theta_vars = [tape.const(w) for w in policy.theta]
+    theta_vars = tape.consts(policy.theta)
+    forward = policy.recorder(theta_vars)
+    record = step_recorder(plant)
     live = set(times)
     offs = getattr(ref, "noise_offsets", None)
     cur = ref.states[0]
     anchors = [cur]
     for k in range(times[-1]):
-        if k in live:
-            a = tuple(policy.forward(cur, k, theta=theta_vars))
-        else:
-            a = ref.raw_actions[k]
-        cur = plant.step(cur, a, k)
-        if offs is not None:
-            cur = tuple(x + o for x, o in zip(cur, offs[k]))
+        a = forward(cur, k) if k in live else ref.raw_actions[k]
+        cur = record(tape, cur, a, None if offs is None else offs[k])
         if k + 1 in live:
             anchors.append(cur)
     return SampledTrajectory(list(times), anchors, tape, theta_vars, ref)

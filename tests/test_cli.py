@@ -334,3 +334,46 @@ def test_scenarios_list_and_bad_args(capsys):
     assert main(["nonsense"]) == 2
     assert main(["train", "--scenario", "does_not_exist",
                  "--out", "/tmp/x"]) == 2
+
+
+UNTYPED_NUMBERS = [
+    ("initial.low", ["-1", 0.0]),      # exited 4 on comparing str to float
+    ("initial.high", [-1.0, True]),    # loaded as 1.0
+    ("initial.samples", [[True, 0.0]]),
+    ("initial.samples", [["-1", 0.0]]),
+    ("initial.samples", [-1.0, 0.0]),  # a state, not a list of states
+    ("policy.theta", ["0.5"] * 26),
+    ("policy.theta", [True] + [0.0] * 25),
+    ("policy.theta", [None] * 26),
+    ("waypoints.knots", [[2.7, [0.2, 0.0], [1, 0]]]),  # was truncated to 2
+    ("waypoints.knots", [["3", [0.2, 0.0], [1, 0]]]),
+    ("waypoints.knots", [[True, [0.2, 0.0], [1, 0]]]),
+]
+
+
+@pytest.mark.parametrize("path,value", UNTYPED_NUMBERS, ids=[
+    f"{path}-{i}" for i, (path, _) in enumerate(UNTYPED_NUMBERS)])
+def test_numbers_of_the_scenario_are_typed(tmp_path, capsys, path, value):
+    doc = scenario_doc()
+    if path == "policy.theta":
+        doc["policy"]["init"] = "given"
+    set_field(doc, path, value)
+    with pytest.raises(ScenarioError) as e:
+        Scenario(doc)
+    assert e.value.field == path
+    out = write_scenario(tmp_path, doc)
+    assert main(["train", "--scenario", out, "--out", str(tmp_path)]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_typed_numbers_still_load():
+    doc = scenario_doc()
+    doc["initial"] = {"low": [-1, 0], "high": [-1, 0.5],
+                      "samples": [[-1, 0], [-1.0, 0.25]]}
+    doc["policy"].update(init="given", theta=[1] * 13 + [0.5] * 13)
+    doc["waypoints"] = {"knots": [[0, [0.2, 0.0], [1, 0]],
+                                  [5, [0.3, 0.0], [1, 0]]]}
+    sc = Scenario(doc)
+    assert sc.init_set.samples == [(-1.0, 0.0), (-1.0, 0.25)]
+    assert sc.build_policy(None).theta == [1.0] * 13 + [0.5] * 13
+    assert [k[0] for k in sc.waypoints.knots] == [0, 5]

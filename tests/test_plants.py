@@ -1,12 +1,14 @@
 import math
 import random
+import struct
 
 import pytest
 
-from stlctrl import plants
+from stlctrl import autodiff, plants
+from stlctrl.autodiff import EvalError, Tape, Var, exp, ln, powc, vmax, vmin
 from stlctrl.plants import (
     DivergedRollout, InitialSet, Plant, builtin, corners_and_center,
-    read_trace_csv, rollout, write_trace_csv,
+    read_trace_csv, rollout, step_recorder, write_trace_csv,
 )
 from stlctrl.policy import Policy, init
 
@@ -226,3 +228,232 @@ def test_rollout_checks_dims_at_entry():
         rollout(p, init([3, 4, 1], scheme="zero"), (0.0, 0.0), 5)
     with pytest.raises(ValueError):
         rollout(p, init([3, 4, 2], scheme="zero"), (0.0,), 5)
+
+
+# -- generated kernels against the generic Plant.step loop --------------------
+
+def _bits(x):
+    """x with every float replaced by its IEEE bytes, so nan and -0.0 compare."""
+    if isinstance(x, float):
+        return struct.pack("<d", x)
+    if isinstance(x, (list, tuple)):
+        return [_bits(y) for y in x]
+    return x
+
+
+def _generic_rollout(plant, policy, s0, K, noise=None):
+    """The plain rollout as one Plant.step per step: (states, raw actions,
+    noise offsets), or DivergedRollout."""
+    s = tuple(float(x) for x in s0)
+    c1, c2, rng = noise or (0.0, 0.0, None)
+    if c2 != 0.0:
+        s = tuple(x + c2 * rng.gauss(0.0, 1.0) for x in s)
+    states, raw_actions, offsets = [s], [], [] if c1 != 0.0 else None
+    for k in range(K):
+        a = tuple(policy.forward(s, k))
+        s = plant.step(s, a, k)
+        if c1 != 0.0:
+            off = tuple(c1 * rng.gauss(0.0, 1.0) for _ in s)
+            s = tuple(x + o for x, o in zip(s, off))
+            offsets.append(off)
+        for x in s:
+            if not abs(x) <= plants.DIVERGE_LIMIT:
+                raise DivergedRollout(k + 1, x)
+        states.append(s)
+        raw_actions.append(a)
+    return states, raw_actions, offsets
+
+
+def _outcome(run, rng):
+    """What a rollout left behind, diverged or not, with the rng's state."""
+    try:
+        got = run()
+    except DivergedRollout as e:
+        got = ("diverged", e.step, str(e))
+    else:
+        if isinstance(got, plants.Rollout):
+            got = (got.states, got.raw_actions, got.noise_offsets)
+    return _bits(got), rng.getstate() if rng else None
+
+
+# (plant, widths, s0, scale of theta); multi_dubins_10's net is compiled as a
+# chain, which the loop calls instead of inlining, and the larger scales
+# make some rollouts diverge
+_PLANT_CASES = [
+    ("dubins", [3, 20, 2], (0.0, 0.0), 1.0),
+    ("multi_dubins_10", [21, 40, 20], tuple(0.1 * i for i in range(20)), 1.0),
+    ("quad6_platform", [8, 20, 20, 10, 4],
+     (-40.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0), 1.0),
+    ("quad12", [13, 8, 4], (0.05,) * 3 + (0.0,) * 9, 0.5),
+    ("quad12", [13, 8, 4], (0.05,) * 3 + (0.0,) * 9, 3.0),
+    ("integrator2d", [3, 6, 2], (-1.0, -1.0), 1.0),
+    ("scalar_power", [2, 3, 1], (1.15,), 1.0),
+    ("scalar_power", [2, 3, 1], (60.0,), 1.0),
+]
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("name,widths,s0,scale", _PLANT_CASES)
+def test_fused_loop_matches_generic_loop(name, widths, s0, scale, noisy):
+    plant = builtin(name)
+    for seed in range(2):
+        pol = init(widths, rng=random.Random(seed))
+        pol = pol.with_theta([w * scale for w in pol.theta])
+        runs = []
+        for fn in (rollout, _generic_rollout):
+            rng = random.Random(seed + 7)
+            noise = (0.03, 0.002, rng) if noisy else None
+            runs.append(_outcome(lambda: fn(plant, pol, s0, 40, noise=noise),
+                                 rng))
+        assert runs[0] == runs[1]
+
+
+def test_fused_loop_calls_an_open_loop_policy():
+    from stlctrl.trainer import _OpenLoop
+    plant = builtin("quad6_platform")
+    rng = random.Random(3)
+    ol = _OpenLoop([[rng.uniform(-3, 3) for _ in range(4)] for _ in range(15)])
+    s0 = (-40.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0)
+    for c1 in (0.0, 0.03):
+        want = _generic_rollout(plant, ol, s0, 15,
+                                noise=(c1, 0.0, random.Random(1)))
+        got = rollout(plant, ol, s0, 15, noise=(c1, 0.0, random.Random(1)))
+        assert _bits(want) == _bits((got.states, got.raw_actions,
+                                     got.noise_offsets))
+    with pytest.raises(ValueError, match="actions end"):
+        rollout(plant, ol, s0, 16)
+
+
+def test_kernels_are_generated_per_dt():
+    pol = init([3, 4, 2], rng=random.Random(1))
+    slow = builtin("dubins")
+    fast = slow.with_dt(0.26)
+    got = [rollout(p, pol, (0.0, 0.0), 6).states for p in (slow, fast, slow)]
+    assert got[0] == got[2] != got[1]
+    assert _bits(got[1]) == _bits(_generic_rollout(fast, pol, (0.0, 0.0), 6)[0])
+
+
+def test_rollout_rejects_a_policy_for_other_states():
+    p = builtin("quad6_platform")
+    s0 = (0.0,) * 7
+    for widths in ([7, 4], [9, 4]):
+        with pytest.raises(ValueError, match="state dim"):
+            rollout(p, init(widths, scheme="zero"), s0, 3)
+
+
+def _tape_lists(tape):
+    return _bits([tape.ops, tape.lhs, tape.rhs, tape.vals, tape.aux])
+
+
+def _recorded(step, s, a, off, var_s, var_a, prefix=3):
+    """(records, next state as (node id or value) per entry) of one step on
+    a tape that already holds a few nodes; inputs marked var are Vars."""
+    tape = Tape()
+    for i in range(prefix):
+        tape.const(0.5 * i)
+    s = tuple(tape.const(x) if v else x for x, v in zip(s, var_s))
+    a = tuple(tape.const(x) if v else x for x, v in zip(a, var_a))
+    nxt = step(tape, s, a, off)
+    return _tape_lists(tape), _bits([x.i if isinstance(x, Var) else x
+                                     for x in nxt])
+
+
+def _var_step(plant):
+    """The Var operators' records: Plant.step plus the noise as rollout added it."""
+    def step(tape, s, a, off):
+        nxt = plant.step(s, a, 0)
+        return nxt if off is None else tuple(x + o for x, o in zip(nxt, off))
+    return step
+
+
+def _assert_recorder_matches_var_operators(plant, s, a, patterns):
+    record = step_recorder(plant)
+    off = tuple(0.01 * (i + 1) for i in range(plant.state_dim))
+    for var_s, var_a in patterns:
+        for o in (None, off):
+            want = _recorded(_var_step(plant), s, a, o, var_s, var_a)
+            got = _recorded(record, s, a, o, var_s, var_a)
+            assert got == want, (var_s, var_a, o)
+
+
+@pytest.mark.parametrize("name,widths,s0,scale", _PLANT_CASES[:-1])
+def test_step_recorder_matches_var_operators(name, widths, s0, scale):
+    plant = builtin(name)
+    n, m = plant.state_dim, plant.action_dim
+    rng = random.Random(5)
+    a = tuple(rng.uniform(-2, 2) for _ in range(m))
+    mixed = tuple(rng.random() < 0.5 for _ in range(n))
+    _assert_recorder_matches_var_operators(plant, s0, a, [
+        ((False,) * n, (True,) * m),  # the first, live step
+        ((True,) * n, (True,) * m),   # a live step
+        ((True,) * n, (False,) * m),  # a frozen step
+        (mixed, (False,) * m), (mixed, (True,) * m), ((False,) * n, (False,) * m),
+    ])
+
+
+def test_step_recorder_scalar_power_max_tie_and_power():
+    # x == 1e-3 ties vmax(x, 1e-3): backward splits on the MAX2 record's
+    # operand order, so lhs/rhs must be the Var path's
+    plant = builtin("scalar_power")
+    for x in (1e-3, -2.0, 1.15, 0.0):
+        _assert_recorder_matches_var_operators(
+            plant, (x,), (0.7,), [((True,), (False,)), ((True,), (True,)),
+                                  ((False,), (True,))])
+    tape = Tape()
+    x = tape.const(1e-3)
+    (y,) = step_recorder(plant)(tape, (x,), (tape.const(0.2),))
+    assert tape.ops.count(autodiff.MAX2) == tape.ops.count(autodiff.POW_CONST) == 1
+    g = tape.backward(y, [x])[0]
+    assert g == pytest.approx(0.5 * 0.8 * 1.2 * 1e-3 ** 0.2)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda s, u, dt: (s[0] + math.nan,), lambda s, u, dt: (s[0] - math.inf,),
+    lambda s, u, dt: (math.inf * u[0] + s[0],),
+    lambda s, u, dt: (-s[0], u[0] - s[0]),
+    lambda s, u, dt: (s[1], 2.0),
+    # float on the left of a Var: the Var becomes lhs when u is frozen
+    lambda s, u, dt: (vmax(u[0], s[0]) + u[0] * s[1], vmin(u[0], s[1])),
+    lambda s, u, dt: (u[0] - s[0], u[0] / s[1] + exp(u[0] + s[0])),
+])
+def test_step_recorder_constants_and_operand_order(fn):
+    n = len(fn((1.0, 1.0), (1.0,), 1.0))
+    plant = Plant("consts", n, 1, 1.0, fn, lambda a: a)
+    s = (0.5, -0.25)[:n]
+    _assert_recorder_matches_var_operators(
+        plant, s, (0.75,), [((True,) * n, (True,)), ((True,) * n, (False,)),
+                            ((False,) * n, (True,)), ((False,) * n, (False,))])
+    pol = Policy([n + 1, 1], theta=[0.5] * (n + 1) + [0.1])
+    runs = [_outcome(lambda: f(plant, pol, s, 4), None)
+            for f in (rollout, _generic_rollout)]
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("fn,s,a", [
+    (lambda s, u, dt: (s[0] + u[0] / s[0],), 0.0, 1.0),
+    (lambda s, u, dt: (s[0] * u[0] + 1.0 / (s[0] - 0.5),), 0.5, 1.0),
+    (lambda s, u, dt: (u[0] + ln(s[0] * 2.0),), -1.0, 1.0),
+    (lambda s, u, dt: (u[0] * powc(s[0] + 0.0, 0.5),), -3.0, 1.0),
+])
+def test_step_recorder_guards_write_nothing(fn, s, a):
+    plant = Plant("guarded", 1, 1, 1.0, fn, lambda a: a)
+    errs = []
+    for var_a in (True, False):
+        for step in (_var_step(plant), step_recorder(plant)):
+            tape = Tape()
+            tape.const(9.0)
+            ins = ((tape.const(s),), (tape.const(a) if var_a else a,))
+            size = len(tape)
+            with pytest.raises(EvalError) as e:
+                step(tape, *ins, None)
+            errs.append((e.value.node_id, str(e.value)))
+        assert len(tape) == size  # the recorder's tape
+        assert errs[-1] == errs[-2]
+    # the plain loop fails before it draws the step's noise
+    rngs = []
+    for run in (rollout, _generic_rollout):
+        rngs.append(random.Random(2))
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            run(plant, Policy([2, 1], theta=[0.0, 0.0, a]), (s,), 1,
+                noise=(0.1, 0.0, rngs[-1]))
+    assert rngs[0].getstate() == rngs[1].getstate() == random.Random(2).getstate()

@@ -1,8 +1,9 @@
 import random
+import struct
 
 import pytest
 
-from stlctrl.autodiff import Tape, value_of
+from stlctrl.autodiff import Tape, Var, value_of
 from stlctrl.plants import Plant, builtin, rollout
 from stlctrl.policy import Policy, init
 from stlctrl.sampler import (
@@ -240,3 +241,82 @@ def test_chain_rule_decomposition_identity():
                     total[i] += p * sens[i]
     for a, b in zip(total, full):
         assert a == pytest.approx(b, abs=1e-8)
+
+
+def _generic_build_sampled(ref, times, policy, plant):
+    """build_sampled as one Var-operator Plant.step and Policy.forward per
+    step, with one Tape.const per weight: (tape, anchors)."""
+    tape = Tape()
+    theta_vars = [tape.const(w) for w in policy.theta]
+    live = set(times)
+    offs = ref.noise_offsets
+    cur = ref.states[0]
+    anchors = [cur]
+    for k in range(times[-1]):
+        if k in live:
+            a = tuple(policy.forward(cur, k, theta=theta_vars))
+        else:
+            a = ref.raw_actions[k]
+        cur = plant.step(cur, a, k)
+        if offs is not None:
+            cur = tuple(x + o for x, o in zip(cur, offs[k]))
+        if k + 1 in live:
+            anchors.append(cur)
+    return tape, anchors
+
+
+def _bits(x):
+    if isinstance(x, float):
+        return struct.pack("<d", x)
+    if isinstance(x, (list, tuple)):
+        return [_bits(y) for y in x]
+    return x
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("name,widths,s0", [
+    ("dubins", [3, 20, 2], (0.0, 0.0)),
+    ("multi_dubins_10", [21, 40, 20], tuple(0.1 * i for i in range(20))),
+    ("quad6_platform", [8, 20, 20, 10, 4],
+     (-40.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0)),
+    ("quad12", [13, 8, 4], (0.05,) * 3 + (0.0,) * 9),
+    ("integrator2d", [3, 6, 2], (-1.0, -1.0)),
+    ("scalar_power", [2, 3, 1], (1.15,)),
+])
+def test_build_sampled_records_what_var_operators_record(name, widths, s0,
+                                                         noisy):
+    plant = builtin(name)
+    pol = init(widths, rng=random.Random(9))
+    pol = pol.with_theta([0.5 * w for w in pol.theta])
+    K = 12
+    ref = rollout(plant, pol, s0, K,
+                  noise=(0.02, 0.0, random.Random(4)) if noisy else None)
+    for times in ([0, 1, 2, 5, 6, 11], [0, 4, 12], list(range(K + 1))):
+        st = build_sampled(ref, times, pol, plant)
+        tape, anchors = _generic_build_sampled(ref, times, pol, plant)
+        assert (_bits([st.tape.ops, st.tape.lhs, st.tape.rhs, st.tape.vals,
+                       st.tape.aux])
+                == _bits([tape.ops, tape.lhs, tape.rhs, tape.vals, tape.aux]))
+        assert ([[x.i if isinstance(x, Var) else _bits(x) for x in a]
+                 for a in st.anchors]
+                == [[x.i if isinstance(x, Var) else _bits(x) for x in a]
+                    for a in anchors])
+        assert [w.i for w in st.theta_vars] == list(range(len(pol.theta)))
+
+
+def test_policy_recorder_matches_forward():
+    p = init([3, 7, 2], rng=random.Random(3))
+    runs = []
+    for taped in (True, False):
+        tape = Tape()
+        tape.const(2.0)
+        theta = tape.consts(p.theta)
+        fwd = (p.recorder(theta) if taped else
+               lambda s, k: p.forward(s, k, theta=theta))
+        outs = [fwd(s, k) for s, k in [((0.3, -0.2), 0),
+                                       ((tape.const(0.1), 0.4), 5)]]
+        runs.append(_bits([tape.ops, tape.lhs, tape.rhs, tape.vals, tape.aux,
+                           [[v.i for v in o] for o in outs]]))
+    assert runs[0] == runs[1]
+    with pytest.raises(ValueError, match="different tapes"):
+        p.recorder(theta)((Tape().const(0.1), 0.4), 1)
