@@ -25,7 +25,7 @@ from .plants import (
 from .policy import Policy, init, param_count
 from .smooth import SmoothConfig, smooth_robustness
 from .stl import HorizonError, ParseError, Trace, critical, horizon, parse, \
-    robustness, satisfies
+    robustness, satisfies, width
 from .trainer import (
     TrainConfig, WaypointPath, train_dropout, train_openloop, train_vanilla,
 )
@@ -67,6 +67,11 @@ class Scenario:
             self.formula = parse(text)
         except ParseError as e:
             raise ScenarioError("formula", str(e))
+        n = width(self.formula)
+        if n > self.plant.state_dim:
+            raise ScenarioError(
+                "formula", f"names x{n - 1} but plant {self.plant.name} has "
+                           f"{self.plant.state_dim} state coordinates")
         h = horizon(self.formula)
         if h > self.K:
             raise ScenarioError(
@@ -364,6 +369,7 @@ def cmd_train(args, argv):
 
 
 def cmd_monitor(args, argv):
+    scfg = None if args.smooth is None else SmoothConfig(args.smooth)
     try:
         f = parse(args.formula)
     except ParseError as e:
@@ -371,6 +377,11 @@ def cmd_monitor(args, argv):
         return 2
     states = read_trace_csv(args.trace)
     tr = Trace(states)
+    n = width(f)
+    if n > tr.dim:
+        print(f"error: formula names x{n - 1} but the trace has {tr.dim} "
+              f"state columns", file=sys.stderr)
+        return 2
     try:
         rho = robustness(f, tr)
         w = critical(f, tr)
@@ -381,8 +392,8 @@ def cmd_monitor(args, argv):
     print(f"satisfied  {'yes' if satisfies(f, tr) else 'no'}")
     print(f"k_star     {w.time}")
     print(f"h_star     {w.predicate.h.describe()}")
-    if args.smooth is not None:
-        sval = smooth_robustness(f, tr, SmoothConfig(args.smooth))
+    if scfg is not None:
+        sval = smooth_robustness(f, tr, scfg)
         print(f"rho_smooth {sval:.6g}")
     return 0
 

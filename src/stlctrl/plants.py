@@ -486,5 +486,10 @@ def read_trace_csv(path):
         sidx = [i for i, h in enumerate(header) if h.strip().startswith("s_")]
         if not sidx:
             raise ValueError(f"{path}: no state columns in header {header}")
-        states = [tuple(float(row[i]) for i in sidx) for row in rd if row]
+        states = []
+        for row in filter(None, rd):  # blank lines hold no state
+            if len(row) != len(header):
+                raise ValueError(f"{path}: row {rd.line_num} has {len(row)} "
+                                 f"fields but the header has {len(header)}")
+            states.append(tuple(float(row[i]) for i in sidx))
     return states

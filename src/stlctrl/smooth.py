@@ -8,12 +8,11 @@ before exponentiation; the shift is mathematically exact for both
 aggregations, it only prevents overflow.
 """
 
+import math
 from dataclasses import dataclass
 
 from .autodiff import exp, ln, value_of
-from .stl import (
-    Always, And, Eventually, Or, Pred, Release, Until, horizon, HorizonError,
-)
+from .stl import _program, _signals
 
 
 @dataclass(frozen=True)
@@ -21,8 +20,8 @@ class SmoothConfig:
     b: float = 15.0
 
     def __post_init__(self):
-        if not self.b > 0.0:
-            raise ValueError("smoothing sharpness b must be positive")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError("smoothing sharpness b must be finite and > 0")
 
 
 def softmin(xs, b):
@@ -55,44 +54,6 @@ def smooth_robustness(f, tr, cfg=SmoothConfig()):
     tr is an stl.Trace whose states may hold tape Vars, plain floats, or
     a mix (frozen positions stay constant, gradients flow through Vars).
     """
-    if horizon(f) > tr.K:
-        raise HorizonError(
-            f"formula horizon {horizon(f)} exceeds trace length K={tr.K}")
-    return _srho(f, tr, 0, cfg.b, {})
-
-
-def _srho(f, tr, k, b, memo):
-    key = (id(f), k)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if isinstance(f, Pred):
-        v = f.h.eval(tr.states[k])
-    elif isinstance(f, And):
-        v = softmin([_srho(c, tr, k, b, memo) for c in f.children], b)
-    elif isinstance(f, Or):
-        v = softmax_lb([_srho(c, tr, k, b, memo) for c in f.children], b)
-    elif isinstance(f, Always):
-        v = softmin([_srho(f.child, tr, kk, b, memo)
-                     for kk in range(k + f.a, k + f.b + 1)], b)
-    elif isinstance(f, Eventually):
-        v = softmax_lb([_srho(f.child, tr, kk, b, memo)
-                        for kk in range(k + f.a, k + f.b + 1)], b)
-    elif isinstance(f, Until):
-        outer = []
-        for kp in range(k + f.a, k + f.b + 1):
-            inner = [_srho(f.left, tr, kpp, b, memo) for kpp in range(k, kp)]
-            inner.append(_srho(f.right, tr, kp, b, memo))
-            outer.append(softmin(inner, b))
-        v = softmax_lb(outer, b)
-    elif isinstance(f, Release):
-        outer = []
-        for kp in range(k + f.a, k + f.b + 1):
-            inner = [_srho(f.left, tr, kpp, b, memo) for kpp in range(k, kp)]
-            inner.append(_srho(f.right, tr, kp, b, memo))
-            outer.append(softmax_lb(inner, b))
-        v = softmin(outer, b)
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-    memo[key] = v
-    return v
+    b = cfg.b
+    soft = {min: lambda xs: softmin(xs, b), max: lambda xs: softmax_lb(xs, b)}
+    return _signals(_program(f, tr, 0), tr.states, 0, soft=soft)[-1][0]

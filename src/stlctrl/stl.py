@@ -1,4 +1,4 @@
-"""Discrete-time STL: abstract syntax, parser, horizon, robustness, witnesses.
+"""Discrete-time STL: syntax, parser, horizon, semantics, critical witnesses.
 
 Formulas are kept in positive normal form: the parser pushes every
 negation down to the predicates, so the tree only contains predicates,
@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
-from .autodiff import Var, sum_source
+from .autodiff import sum_source
 
 INF = math.inf
 
@@ -196,6 +196,17 @@ def horizon(f):
     raise TypeError(f"not a formula node: {f!r}")
 
 
+def width(f):
+    """Least state dimension f's affine predicates can read: x0..x{n-1}."""
+    if isinstance(f, Pred):
+        return len(f.h.c) if isinstance(f.h, Affine) else 0
+    if isinstance(f, (And, Or)):
+        return max(width(c) for c in f.children)
+    if isinstance(f, (Eventually, Always)):
+        return width(f.child)
+    return max(width(f.left), width(f.right))
+
+
 def aggregation_shape(f):
     """(max nesting depth, max fan-in) of min/max aggregations in the
     expanded Table-style evaluation of f; predicates have depth 0."""
@@ -215,7 +226,7 @@ def aggregation_shape(f):
     raise TypeError(f"not a formula node: {f!r}")
 
 
-# -- quantitative semantics: one compiled program per formula -------------------
+# -- semantics: one compiled program per formula -------------------------------
 
 def _program(f, tr, k):
     """f's program steps, compiled on first use and cached on the root with
@@ -231,58 +242,68 @@ def _program(f, tr, k):
 
 
 def _compile(f):
-    """Post-order steps (node, lo, hi, kids, fn): the node's signal holds
-    its values at times k+lo..k+hi, the times its parents read (an empty
-    span for a U/R left operand when b == 0); kids index earlier steps; fn
-    is a predicate's function or the node's min/max (for U/R the inner one).
-    """
+    """Post-order steps (node, lo, n, kids, fn): the node's signal holds its
+    values at the n times k+lo..k+lo+n-1 its parents read (none below a U/R
+    left operand when b == 0); kids index earlier steps; fn is a predicate's
+    function or the node's min/max (for U/R the inner one)."""
     steps = []
 
-    def visit(g, lo, hi):
+    def visit(g, lo, n):
         kids = ()
         if isinstance(g, Pred):
             h = g.h
             fn = h._ev or h._compile() if isinstance(h, Affine) else h.eval
         elif isinstance(g, (And, Or)):
             fn = min if isinstance(g, And) else max
-            kids = [visit(c, lo, hi) for c in g.children]
+            kids = [visit(c, lo, n) for c in g.children]
         elif isinstance(g, (Eventually, Always)):
             fn = min if isinstance(g, Always) else max
-            kids = [visit(g.child, lo + g.a, hi + g.b)]
+            kids = [visit(g.child, lo + g.a, n and n + g.b - g.a)]
         elif isinstance(g, (Until, Release)):
             fn = min if isinstance(g, Until) else max
-            kids = [visit(g.left, lo, hi + g.b - 1),
-                    visit(g.right, lo + g.a, hi + g.b)]
+            kids = [visit(g.left, lo, n and g.b and n + g.b - 1),
+                    visit(g.right, lo + g.a, n and n + g.b - g.a)]
         else:
             raise TypeError(f"not a formula node: {g!r}")
-        steps.append((g, lo, hi, kids, fn))
+        steps.append((g, lo, n, kids, fn))
         return len(steps) - 1
 
-    visit(f, 0, 0)
+    visit(f, 0, 1)
     return steps
 
 
-def _signals(steps, states, k):
+def _signals(steps, states, k, boolean=False, soft=None):
     """Every step's signal, bottom-up; the last is the root's, at k alone.
 
-    Builtin min/max keep the first of equal items, so each value is bit for
-    bit the one of the min/max recursion over (node, time).
-    """
+    Exact by default: builtin min/max keep the first of equal items, so each
+    value is bit for bit the one of the min/max recursion over (node, time).
+    boolean tests each predicate value (> 0 if strict, else >= 0) before the
+    same min/max, which are all/any over bools. soft maps min and max to list
+    aggregations (the smooth semantics); U/R then aggregate explicit operand
+    lists, left@t..k'-1 before right@k'."""
     sig = []
-    for g, lo, hi, kids, fn in steps:
-        n = hi - lo + 1
+    for g, lo, n, kids, fn in steps:
         if isinstance(g, Pred):
-            v = [fn(s) for s in states[k + lo:k + hi + 1]]
-        elif isinstance(g, (And, Or)):
-            v = list(map(fn, zip(*[sig[c] for c in kids])))
-        elif isinstance(g, (Eventually, Always)):
-            c, w = sig[kids[0]], g.b - g.a + 1
-            v = [fn(c[j:j + w]) for j in range(n)]
-        else:
+            v = [fn(s) for s in states[k + lo:k + lo + n]]
+            if boolean:
+                v = [x > 0.0 for x in v] if g.strict else [x >= 0.0 for x in v]
+        elif isinstance(g, (Until, Release)):
             left, right = sig[kids[0]], sig[kids[1]]
             out, seed = (max, -INF) if fn is min else (min, INF)
-            v = [out(seed, *_inner(left, right, j, g.a, g.b, fn))
-                 for j in range(n)]
+            if soft:
+                fn, out, a = soft[fn], soft[out], g.a
+                v = [out([fn(left[j:j + a + p] + right[j + p:j + p + 1])
+                          for p in range(g.b - a + 1)]) for j in range(n)]
+            else:
+                v = [out(seed, *_inner(left, right, j, g.a, g.b, fn))
+                     for j in range(n)]
+        else:
+            fn = soft[fn] if soft else fn
+            if isinstance(g, (And, Or)):
+                v = list(map(fn, zip(*[sig[c] for c in kids])))
+            else:
+                c, w = sig[kids[0]], g.b - g.a + 1
+                v = [fn(c[j:j + w]) for j in range(n)]
         sig.append(v)
     return sig
 
@@ -300,41 +321,9 @@ def robustness(f, tr, k=0):
     return _signals(_program(f, tr, k), tr.states, k)[-1][0]
 
 
-# -- Boolean semantics ---------------------------------------------------------
-
 def satisfies(f, tr, k=0):
-    _program(f, tr, k)
-    return _sat(f, tr, k, {})
-
-
-def _sat(f, tr, k, memo):
-    key = (id(f), k)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if isinstance(f, Pred):
-        v = f.h.eval(tr.states[k])
-        out = v > 0.0 if f.strict else v >= 0.0
-    elif isinstance(f, And):
-        out = all(_sat(c, tr, k, memo) for c in f.children)
-    elif isinstance(f, Or):
-        out = any(_sat(c, tr, k, memo) for c in f.children)
-    elif isinstance(f, Always):
-        out = all(_sat(f.child, tr, kk, memo) for kk in range(k + f.a, k + f.b + 1))
-    elif isinstance(f, Eventually):
-        out = any(_sat(f.child, tr, kk, memo) for kk in range(k + f.a, k + f.b + 1))
-    elif isinstance(f, Until):
-        out = any(_sat(f.right, tr, kp, memo)
-                  and all(_sat(f.left, tr, kpp, memo) for kpp in range(k, kp))
-                  for kp in range(k + f.a, k + f.b + 1))
-    elif isinstance(f, Release):
-        out = all(_sat(f.right, tr, kp, memo)
-                  or any(_sat(f.left, tr, kpp, memo) for kpp in range(k, kp))
-                  for kp in range(k + f.a, k + f.b + 1))
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-    memo[key] = out
-    return out
+    """Boolean satisfaction of f over tr at time k."""
+    return _signals(_program(f, tr, k), tr.states, k, boolean=True)[-1][0]
 
 
 # -- critical witness -----------------------------------------------------------

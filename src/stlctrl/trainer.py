@@ -52,6 +52,7 @@ class TrainConfig:
             raise ValueError("max_iters must be >= 1")
         if self.init_rule not in ("worst", "random"):
             raise ValueError(f"unknown init rule {self.init_rule!r}")
+        SmoothConfig(self.b)  # the same check of the smoothing sharpness
 
 
 class WaypointPath:

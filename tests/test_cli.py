@@ -276,6 +276,50 @@ def test_monitor_short_trace_is_horizon_error(tmp_path, capsys):
     assert main(["monitor", "F[0,(x0", str(trace)]) == 2
 
 
+def test_formula_naming_a_coordinate_past_the_state_is_invalid(tmp_path,
+                                                               capsys):
+    doc = scenario_doc(formula="F[3,5](x7 > 0.2)")  # integrator2d: x0, x1
+    with pytest.raises(ScenarioError) as e:
+        Scenario(doc)
+    assert e.value.field == "formula" and "x7" in str(e.value)
+    Scenario(scenario_doc(formula="F[3,5](x1 > 0.2)"))
+    path = write_scenario(tmp_path, doc)
+    assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 2
+    assert "formula" in capsys.readouterr().err
+
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(str(trace), [(1.0, 0.0), (2.0, 0.0)], [(0.0,)])
+    assert main(["monitor", "x0 > 0 && x2 > 0", str(trace)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "x2" in err
+
+
+def test_monitor_rejects_a_row_shorter_than_the_header(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("k,s_0,s_1,a_0\n0,1.0,2.0,0.0\n1,1.0\n")
+    assert main(["monitor", "x0 > 0", str(trace)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "row 3" in err
+
+
+@pytest.mark.parametrize("b", ["inf", "nan", "0", "-1"])
+def test_monitor_rejects_bad_sharpness_before_printing(tmp_path, capsys, b):
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(str(trace), [(1.0,), (2.0,)], [(0.0,)])
+    assert main(["monitor", "x0 > 0", str(trace), "--smooth", b]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "sharpness" in err
+
+
+@pytest.mark.parametrize("b", [0.0, math.inf, math.nan])
+def test_bad_training_sharpness_is_rejected_at_load(b):
+    doc = scenario_doc()
+    doc["train"]["b"] = b
+    with pytest.raises(ScenarioError) as e:
+        Scenario(doc)
+    assert e.value.field == "train" and "sharpness" in str(e.value)
+
+
 def test_verify_and_simulate_round_trip(tmp_path, capsys):
     path = write_scenario(tmp_path, scenario_doc())
     run = tmp_path / "run"

@@ -437,15 +437,17 @@ def bits(x):
 
 
 def assert_matches_recursions(f, states):
-    """Robustness and witness at every valid k equal the recursions'.
+    """Robustness, satisfaction and witness at every valid k equal the
+    recursions'.
 
-    With NaN values only robustness is compared: the witness recursion
+    With NaN values the witness is not compared: the witness recursion
     and the robustness recursion disagree there themselves."""
     tr = Trace(states)
     has_nan = any(x != x for s in states for x in s)
     for k in range(len(states) - horizon(f)):
         want = rho_rec(f, states, k, {})
         assert bits(robustness(f, tr, k)) == bits(want), (f, k)
+        assert satisfies(f, tr, k) is brute_sat(f, states, k), (f, k)
         w = critical(f, tr, k)
         if has_nan:
             continue
@@ -529,7 +531,9 @@ class Compared(float):
 def test_linear_in_the_window():
     # each predicate is evaluated at most once per time step, and a running
     # extremum keeps U/R at O(b) comparisons per output (the recursion made
-    # about b*b/2 = 125000 here)
+    # about b*b/2 = 125000 here); the smooth semantics aggregates plain
+    # floats, so only its predicate calls are counted
+    from stlctrl.smooth import SmoothConfig, smooth_robustness
     K = 1000
     tr = Trace([(math.sin(0.01 * k),) for k in range(K + 1)])
     for make in (lambda p, q: Until(0, 500, p, q),
@@ -541,12 +545,30 @@ def test_linear_in_the_window():
                            calls.append(name) or Compared(s[0])))
                 for name in "pq")
         f = make(p, q)
-        for run in (robustness, critical):
+        for run in (robustness, critical, satisfies,
+                    lambda f, tr: smooth_robustness(f, tr, SmoothConfig(5.0))):
             calls.clear()
             Compared.n = 0
             run(f, tr)
             assert calls.count("p") <= K + 1 and calls.count("q") <= K + 1
             assert Compared.n <= 5 * 501, (f, run)
+
+
+def test_operands_no_output_reads_are_not_evaluated():
+    # U[0,0] reads its left operand at no time, nor does anything below it,
+    # so p is never evaluated; q is read at times 0..4
+    from stlctrl.smooth import smooth_robustness
+    calls = []
+    p, q = (Pred(Named(name, lambda s, name=name:
+                       calls.append(name) or s[0] - 0.5))
+            for name in "pq")
+    tr = tr1([1.0, 0.0, 2.0, 3.0, 0.7, -1.0, 0.6, 0.4])
+    for f in (Always(0, 4, Until(0, 0, p, q)),
+              Eventually(0, 4, Release(0, 0, Always(0, 3, p), q))):
+        for run in (robustness, critical, satisfies, smooth_robustness):
+            calls.clear()
+            run(f, tr)
+            assert calls == ["q"] * 5, (f, run)
 
 
 def test_program_compiled_once_and_not_a_field(monkeypatch):
