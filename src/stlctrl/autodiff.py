@@ -3,9 +3,15 @@
 Rollouts, smooth robustness and training objectives are all recorded as
 scalar operations on a Tape; gradients with respect to controller
 parameters come out of a single reverse sweep.  Everything is 64-bit.
+
+replay_source is the one kernel generator: from a function traced once
+on Vars (a plant step, controller layers, an affine predicate) it writes
+straight-line float code that also writes the records the Var operators
+would for the inputs that are Vars.
 """
 
 import math
+from collections import Counter
 
 # opcodes
 CONST = 0
@@ -291,22 +297,102 @@ def value_of(x):
     return x.value if isinstance(x, Var) else float(x)
 
 
-# -- source for generated straight-line sums ---------------------------------
-
-# Operands per `+` chain.  CPython's compiler recurses once per operand of
-# a chain and overflows near 3000, so longer sums continue as `v = v + ...`.
+# Nodes per generated expression.  CPython's compiler recurses once per
+# operand of a `+` chain and overflows near 3000.
 _CHAIN = 200
 
 
-def sum_source(target, first, terms):
-    """(statements, expr): after the statements run, expr is
-    first + terms[0] + terms[1] + ... summed left to right; longer sums
-    keep their partial value in the variable target."""
-    stmts = []
-    expr = first
-    for c in range(0, len(terms), _CHAIN):
-        if c:
-            stmts.append(f"{target} = {expr}")
-            expr = target
-        expr = " + ".join([expr] + terms[c:c + _CHAIN])
-    return stmts, expr
+# -- kernels generated from a traced function --------------------------------
+
+_LISTS = ("tape.ops", "tape.lhs", "tape.rhs", "vals", "tape.aux")
+# op: (form, precedence, least precedence of a left and a right operand
+# without parentheses; a name has 5): needless ones cost compile memory
+_FORMS = {ADD: ("{} + {}", 1, 1, 2), SUB: ("{} - {}", 1, 1, 2),
+          MUL: ("{} * {}", 2, 2, 3), DIV: ("{} / {}", 2, 2, 3),
+          NEG: ("-{}", 3, 3, 0), POW_CONST: ("{} ** {}", 4, 5, 0),
+          MAX2: ("max({}, {})", 5, 0, 0), MIN2: ("min({}, {})", 5, 0, 0),
+          TANH: ("tanh({})", 5, 0, 0), EXP: ("exp({})", 5, 0, 0),
+          SIN: ("sin({})", 5, 0, 0), COS: ("cos({})", 5, 0, 0),
+          LN: ("log({})", 5, 0, 0)}
+
+
+def replay_source(trace, inputs, prefix="f"):
+    """(lines, outputs, constants): straight-line code for trace = (tape,
+    outputs) of a function run once on Vars, its inputs the first nodes,
+    input j read as inputs[j] = (value, node id or None for a float).
+
+    A node with a Var operand records what the Var operators would (a
+    float operand pushed as a CONST just before it, the Var as lhs of ADD,
+    MUL, MAX2, MIN2; a domain guard raises EvalError with the node id);
+    the last lines append the records to the tape, of length n before.
+    A float node read once is folded into its reader; read twice, by a
+    guard or as an output, or past _CHAIN nodes, it is a statement
+    {prefix}{node}.  Outputs are (value, node id or None)."""
+    tape, out = trace
+    uses = Counter(tape.lhs) + Counter(tape.rhs)
+    ref = {j: (x, i, 1, 5) for j, (x, i) in enumerate(inputs)}
+    consts, lines, recs = {}, [], []
+
+    def push(op, a, b, val, p="0.0"):
+        v = f"v{len(recs)}"
+        lines.append(f"{v} = {val}")
+        recs.append((op, a, b, v, p))
+        return v, f"n + {len(recs) - 1}", 1, 5
+
+    def name(r):
+        if ref[r][2] > 1:
+            lines.append(f"{prefix}{r} = {ref[r][0]}")
+            ref[r] = (f"{prefix}{r}", None, 1, 5)
+        return ref[r]
+
+    for r in range(len(inputs), len(tape.ops)):
+        op, a, b = tape.ops[r], ref.get(tape.lhs[r]), ref.get(tape.rhs[r])
+        if op in (CONST, POW_CONST):
+            consts[f"c{r}"] = tape.vals[r] if op == CONST else tape.aux[r]
+        if op == CONST:
+            ref[r] = (f"c{r}", None, 1, 5)
+            continue
+        if a[2] + (b[2] if b else 0) >= _CHAIN:
+            a, b = name(tape.lhs[r]), b and name(tape.rhs[r])
+        rec = a[1] or b and b[1]
+        if rec and b:
+            if a[1] is None and op in (ADD, MUL, MAX2, MIN2):
+                a, b = b, a
+            a, b = (x if x[1] else push(CONST, "-1", "-1", x[0]) for x in (a, b))
+        err = f"EvalError(n + {len(recs)}, " if rec else "ValueError("
+        if op == DIV and rec:
+            lines.append(f"if {b[0]} == 0.0: raise {err}'division by zero')")
+        elif op == LN:
+            a = name(tape.lhs[r])
+            lines.append(f"if {a[0]} <= 0.0: raise {err}"
+                         f"f'log of non-positive value {{{a[0]}}}')")
+        elif op == POW_CONST and not tape.aux[r].is_integer():
+            a = name(tape.lhs[r])
+            lines.append(f"if {a[0]} < 0.0: raise {err}f'negative base "
+                         f"{{{a[0]}}} with non-integer exponent {{c{r}}}')")
+        form, prec, least_a, least_b = _FORMS[op]
+        val = form.format(a[0] if a[3] >= least_a else f"({a[0]})",
+                          f"c{r}" if not b else b[0] if b[3] >= least_b
+                          else f"({b[0]})")
+        if rec:
+            ref[r] = push(op, a[1], b[1] if b else "-1", val,
+                          f"c{r}" if op == POW_CONST else "0.0")
+        else:
+            ref[r] = (val, None, 1 + a[2] + (b[2] if b else 1), prec)
+            if uses[r] > 1:
+                name(r)
+    consts.update((f"y{j}", o) for j, o in enumerate(out) if type(o) is not Var)
+    outs = [name(o.i)[:2] if type(o) is Var else (f"y{j}", None)
+            for j, o in enumerate(out)]
+    lines += [f"{list_} += ({', '.join(map(str, col))},)"
+              for list_, col in zip(_LISTS, zip(*recs))]
+    return lines, outs, consts
+
+
+def compile_kernel(params, body, names):
+    """def kernel(params) with the body's lines, over names, Var, EvalError
+    and the math module's functions."""
+    ns = {**vars(math), "Var": Var, "EvalError": EvalError, **names}
+    src = "\n    ".join([f"def kernel({params}):"] + "\n".join(body).split("\n"))
+    exec(compile(src, "<generated kernel>", "exec"), ns)
+    return ns["kernel"]

@@ -314,9 +314,20 @@ def _load_checkpoint(path):
     """Controller from a checkpoint file: a Policy or an action sequence."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ScenarioError("checkpoint", "top level must be an object")
     if doc.get("kind") == "openloop":
         from .trainer import _OpenLoop
-        return _OpenLoop(doc["actions"]), "openloop"
+        rows = doc.get("actions")
+        if (not isinstance(rows, list) or not rows or any(
+                not isinstance(r, list) or not r or len(r) != len(rows[0])
+                for r in rows)):
+            raise ScenarioError("checkpoint.actions",
+                                "expected a non-empty list of equal-length rows")
+        return _OpenLoop([[_typed("checkpoint.actions", x, float) for x in r]
+                          for r in rows]), "openloop"
+    _req(doc, "widths", list)
+    _req(doc, "theta", list)
     return Policy.load(path), "policy"
 
 

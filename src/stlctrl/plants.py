@@ -2,22 +2,23 @@
 
 All continuous plants are integrated with forward Euler at their stated
 sampling time.  Plant.step() over tape Vars is traced once per (step_fn,
-squash_fn, dt); its records generate a plain rollout loop per (widths,
-include_time, noise), inlining the controller forward, and a tape recorder
-per (which inputs are Vars, noise).  Both compute in the Var operators'
-order, so plain and differentiable rollouts give bit-identical states.
-So step_fn and squash_fn must be straight-line code over arithmetic and
-the autodiff helpers: nothing may depend on their arguments' values.
+squash_fn, dt, noise), and autodiff.replay_source generates from it a
+plain rollout loop per (widths, include_time, noise), inlining the
+controller forward traced the same way, and a tape recorder per (which
+inputs are Vars, noise).  Both compute in the Var operators' order, so
+plain and differentiable rollouts give bit-identical states.  So step_fn
+and squash_fn must be straight-line code over arithmetic and the autodiff
+helpers: nothing may depend on their arguments' values.
 """
 
 import csv
 import math
 
 from .autodiff import (
-    ADD, CONST, COS, DIV, EXP, LN, MAX2, MIN2, MUL, NEG, POW_CONST, SIN, SUB,
-    TANH, EvalError, Tape, Var, cos, exp, powc, sin, tanh, value_of, vmax,
+    Tape, Var, compile_kernel, cos, exp, powc, replay_source, sin, tanh,
+    value_of, vmax,
 )
-from .policy import Policy, _forward_sources, param_count
+from .policy import Policy, forward_source, param_count
 
 G = 9.81
 
@@ -281,10 +282,10 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None):
         raise ValueError(f"unknown rollout mode {mode!r}")
     tape = Tape()
     theta_vars = tape.consts(policy.theta)
-    record = step_recorder(plant)
+    forward, record = policy.recorder(theta_vars), step_recorder(plant)
     states, raw_actions, offsets = [s0], [], []
     for k in range(K):
-        a = tuple(policy.forward(states[-1], k, theta_vars))
+        a = tuple(forward(states[-1], k))
         off = gauss and tuple(c1 * gauss(0.0, 1.0) for _ in s0)
         states.append(record(tape, states[-1], a, off))
         raw_actions.append(a)
@@ -296,99 +297,26 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None):
 
 # -- generated kernels: Plant.step traced once ------------------------------------
 
-_TRACES = {}  # (functions, dt, dims) -> (trace, loops, recorders)
-_LISTS = ("tape.ops", "tape.lhs", "tape.rhs", "vals", "tape.aux")
-_FORMS = {ADD: "{} + {}", SUB: "{} - {}", MUL: "{} * {}", DIV: "{} / {}",
-          MAX2: "max({}, {})", MIN2: "min({}, {})", TANH: "tanh({})",
-          EXP: "exp({})", SIN: "sin({})", COS: "cos({})", NEG: "-{}",
-          LN: "log({})", POW_CONST: "{} ** {}"}
+_TRACES = {}  # (functions, dt, dims, noise) -> (trace, kernels)
 
 
-def _traced(plant):
-    """(trace, loops, recorders): the tape and outputs of one Plant.step
-    over Vars of nan, on which no domain guard fires, and the kernels
-    generated from them."""
+def _traced(plant, noisy=False):
+    """(trace, kernels): the tape and outputs of one Plant.step over Vars
+    of nan, on which no domain guard fires, plus noise offsets (Vars after
+    the states and raw actions) if noisy, and the kernels generated."""
     key = (plant._step_fn, plant._squash_fn, repr(plant.dt),
-           plant.state_dim, plant.action_dim)
+           plant.state_dim, plant.action_dim, noisy)
     if key not in _TRACES:
-        tape, n = Tape(), plant.state_dim
-        xs = tape.consts([math.nan] * (n + plant.action_dim))
-        out = tuple(plant.step(tuple(xs[:n]), tuple(xs[n:]), 0))
+        tape, n, m = Tape(), plant.state_dim, plant.action_dim
+        xs = tape.consts([math.nan] * (n + m + n * noisy))
+        out = tuple(plant.step(tuple(xs[:n]), tuple(xs[n:n + m]), 0))
         if len(out) != n:
             raise ValueError(f"plant {plant.name} steps to {len(out)} "
                              f"entries, not state_dim={n}")
-        _TRACES[key] = ((tape, out), {}, {})
+        if noisy:
+            out = tuple(x + e for x, e in zip(out, xs[n + m:]))
+        _TRACES[key] = ((tape, out), {})
     return _TRACES[key]
-
-
-def _step_source(trace, names, var, noise=None):
-    """The traced step as (lines, next state as (value, node id or None)
-    pairs, records, constants) for input j (states, then raw actions) of
-    value names[j] and, if var[j], node id i{j}.  A node with a Var operand
-    records what the Var operators would (a float operand pushed as a CONST
-    just before it, the Var as lhs of ADD, MUL, MAX2, MIN2; a domain guard
-    raises EvalError with the node id) but writes nothing.  Float nodes run
-    as the helpers' float branches.  noise binds offsets e{j}, added last."""
-    tape, out = trace
-    ref = {j: (x, f"i{j}" if v else None)
-           for j, (x, v) in enumerate(zip(names, var))}
-    consts, lines, recs = {}, [], []
-
-    def push(op, a, b, val, p="0.0"):
-        v = f"v{len(recs)}"
-        lines.append(f"{v} = {val}")
-        recs.append((op, a, b, v, p))
-        return v, f"n + {len(recs) - 1}"
-
-    for r in range(len(names), len(tape.ops)):
-        op, a, b = tape.ops[r], ref.get(tape.lhs[r]), ref.get(tape.rhs[r])
-        if op in (CONST, POW_CONST):
-            consts[f"c{r}"] = tape.vals[r] if op == CONST else tape.aux[r]
-        if op == CONST:
-            ref[r] = (f"c{r}", None)
-            continue
-        rec = a[1] or b and b[1]
-        if rec and b:
-            if a[1] is None and op in (ADD, MUL, MAX2, MIN2):
-                a, b = b, a
-            a, b = (x if x[1] else push(CONST, "-1", "-1", x[0]) for x in (a, b))
-        err = f"EvalError(n + {len(recs)}, " if rec else "ValueError("
-        if op == DIV and rec:
-            lines.append(f"if {b[0]} == 0.0: raise {err}'division by zero')")
-        elif op == LN:
-            lines.append(f"if {a[0]} <= 0.0: raise {err}"
-                         f"f'log of non-positive value {{{a[0]}}}')")
-        elif op == POW_CONST and not tape.aux[r].is_integer():
-            lines.append(f"if {a[0]} < 0.0: raise {err}f'negative base "
-                         f"{{{a[0]}}} with non-integer exponent {{c{r}}}')")
-        val = _FORMS[op].format(a[0], b[0] if b else f"c{r}")
-        if rec:
-            ref[r] = push(op, a[1], b[1] if b else "-1", val,
-                          f"c{r}" if op == POW_CONST else "0.0")
-        else:
-            lines.append(f"f{r} = {val}")
-            ref[r] = (f"f{r}", None)
-    consts.update((f"y{j}", o) for j, o in enumerate(out) if type(o) is not Var)
-    outs = [ref[o.i] if type(o) is Var else (f"y{j}", None)
-            for j, o in enumerate(out)]
-    lines += noise or []
-    for j, (x, i) in enumerate(outs if noise is not None else ()):
-        if i:
-            outs[j] = push(ADD, i, push(CONST, "-1", "-1", f"e{j}")[1],
-                           f"{x} + e{j}")
-        else:
-            lines.append(f"g{j} = {x} + e{j}")
-            outs[j] = (f"g{j}", None)
-    return lines, outs, recs, consts
-
-
-def _compile(head, body, consts):
-    ns = {"tanh": math.tanh, "exp": math.exp, "sin": math.sin,
-          "cos": math.cos, "log": math.log, "Var": Var, "EvalError": EvalError,
-          "LIMIT": DIVERGE_LIMIT, "check": _check, **consts}
-    src = "\n    ".join([f"def kernel({head}):"] + "\n".join(body).split("\n"))
-    exec(compile(src, "<plant kernel>", "exec"), ns)
-    return ns["kernel"]
 
 
 def step_recorder(plant):
@@ -396,26 +324,23 @@ def step_recorder(plant):
     it from states and raw actions that are Vars or floats, plus the noise
     offsets off, written to the tape by a recorder generated per (which
     inputs are Vars, noise); the records are the Var operators' own."""
-    trace, _, recorders = _traced(plant)
-    es = f"[{', '.join(map('e{}'.format, range(plant.state_dim)))}] = off"
+    recorders = _traced(plant)[1]
 
     def record(tape, s, a, off=None):
-        xs = (*s, *a)
-        key = (*map(type, xs), off is None)
+        xs = (*s, *a, *(off or ()))
+        key = tuple(map(type, xs))
         if key not in recorders:
-            var = [t is Var for t in key[:-1]]
-            names = list(map("x{}".format, range(len(xs))))
-            lines, outs, recs, consts = _step_source(
-                trace, names, var, None if off is None else [es])
-            body = [f"[{', '.join(names)}] = xs", "vals = tape.vals",
-                    "n = len(vals)"] + [f"i{j} = x{j}.i\nx{j} = vals[i{j}]"
-                                        for j, v in enumerate(var) if v]
-            body += lines + [f"{list_} += ({', '.join(map(str, col))},)"
-                             for list_, col in zip(_LISTS, zip(*recs))]
+            ins = [(f"x{j}", f"i{j}" if t is Var else None)
+                   for j, t in enumerate(key)]
+            lines, outs, consts = replay_source(
+                _traced(plant, off is not None)[0], ins)
+            body = [f"[{', '.join(x for x, _ in ins)}] = xs", "vals = tape.vals",
+                    "n = len(vals)"] + [f"{i} = {x}.i\n{x} = vals[{i}]"
+                                        for x, i in ins if i]
             ret = (x if i is None else f"Var(tape, {i})" for x, i in outs)
-            body.append(f"return ({', '.join(ret)},)")
-            recorders[key] = _compile("tape, xs, off", body, consts)
-        return recorders[key](tape, xs, off)
+            body += lines + [f"return ({', '.join(ret)},)"]
+            recorders[key] = compile_kernel("tape, xs", body, consts)
+        return recorders[key](tape, xs)
 
     return record
 
@@ -424,7 +349,7 @@ def _closed_loop(plant, policy, noisy):
     """kernel(th, forward, s0, K, time_scale, c1, gauss) -> (states, raw
     actions, noise offsets or None): it inlines a Policy's forward with
     theta in locals, and calls forward(s, k) of a chained net or other."""
-    trace, loops, _ = _traced(plant)
+    trace, loops = _traced(plant)
     key = ((tuple(policy.widths), policy.include_time, noisy)
            if isinstance(policy, Policy) else (None, False, noisy))
     if key in loops:
@@ -432,32 +357,32 @@ def _closed_loop(plant, policy, noisy):
     n, m = plant.state_dim, plant.action_dim
     xs = list(map("x{}".format, range(n)))
     state, es = f"({', '.join(xs)},)", ", ".join(map("e{}".format, range(n)))
-    srcs = key[0] and _forward_sources(*key[:2], False, [False] * n, "w{}")
+    ws = [(f"w{r}", None) for r in range(param_count(key[0] or [1]))]
+    runs = key[0] and forward_source(*key[:2], ws, [(x, None) for x in xs])
     head = ["states, acts, offs = [s], [], [] if gauss else None"]
-    if srcs and len(srcs) == 1:
-        # the lines of forward(th, s, t) but its def, unpacking and return
-        *fwd, ret, _ = srcs[0].split("\n")[2:]
-        acts = ret.strip()[len("return ["):-1].split(", ")
-        ws = map("w{}".format, range(param_count(key[0])))
-        head.append(f"[{', '.join(ws)}] = th")
-        fwd = (["t = float(k) * ts"] if key[1] else []) + [
-            line.strip() for line in fwd]
+    if runs and len(runs) == 1:
+        # the forward inline, theta in locals
+        head.append(f"[{', '.join(w for w, _ in ws)}] = th")
+        _, fwd, acts = runs[0]
+        fwd, acts = ["t = float(k) * ts"] * key[1] + fwd, [a for a, _ in acts]
     else:
         acts = list(map("a{}".format, range(m)))
         fwd = [f"[{', '.join(acts)}] = forward({state}, k)"]
-    lines, outs, _, consts = _step_source(
-        trace, xs + acts, [False] * (n + m),
-        [f"e{j} = sigma * gauss(0.0, 1.0)" for j in range(n)]
-        + [f"offs.append(({es},))"] if noisy else None)
+    lines, outs, consts = replay_source(trace, [(x, None) for x in xs + acts])
+    nxt = [x for x, _ in outs]
+    if noisy:  # drawn after the step, as the Plant.step loop draws them
+        lines += [f"e{j} = sigma * gauss(0.0, 1.0)" for j in range(n)]
+        lines.append(f"offs.append(({es},))")
+        nxt = [f"{x} + e{j}" for j, x in enumerate(nxt)]
     step = fwd + lines + [
-        f"{', '.join(xs)}, = {', '.join(x for x, _ in outs)},",
+        f"{', '.join(xs)}, = {', '.join(nxt)},",
         f"if not ({' and '.join(f'abs({x}) <= LIMIT' for x in xs)}):",
         f"    check(k + 1, {state})", f"states.append({state})",
         f"acts.append(({', '.join(acts)},))"]
-    loops[key] = _compile("th, forward, s, K, ts, sigma, gauss", head + [
+    loops[key] = compile_kernel("th, forward, s, K, ts, sigma, gauss", head + [
         f"[{', '.join(xs)}] = s", "for k in range(K):"]
         + ["    " + line for line in step] + ["return states, acts, offs"],
-        consts)
+        {**consts, "LIMIT": DIVERGE_LIMIT, "check": _check})
     return loops[key]
 
 

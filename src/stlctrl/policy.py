@@ -4,23 +4,21 @@ Parameters are a flat list theta; layer i occupies weights (row-major,
 out x in) followed by biases.  The time-step k is appended to the state
 as an extra input coordinate unless include_time is off.
 
-The forward pass runs as straight-line code generated once per
-(widths, include_time): one statement per neuron,
-``h = tanh(th[b] + th[r]*x0 + th[r+1]*x1 + ...)``, summed left to right
-like a loop over the inputs, so its results are bit-identical to the
-loop's.  On a tape a generated recorder computes the values with float
-arithmetic and writes the node records straight into the tape's lists:
-the same records in the same order as the loop's Var operators push.
+The forward pass runs as code that autodiff.replay_source generates from
+the reference loop in forward_source, traced on Vars like a plant step:
+one statement per neuron, ``h = tanh(th[b] + th[r] * x0 + ...)``, summed
+left to right like the loop, and per pattern of Var operands a recorder
+that writes the loop's own tape records, so both are bit-identical to it.
 """
 
 import json
 import math
 from functools import partial
 
-from .autodiff import ADD, CONST, MUL, TANH, Var, sum_source
+from .autodiff import Tape, Var, compile_kernel, replay_source, tanh
 
-_KERNELS = {}  # (widths, include_time) -> (plain, tape forward, _run)
-_TERMS = 1000  # weight terms per compiled function, see _forward_sources
+_KERNELS = {}  # (widths, include_time) -> (plain forward, _run)
+_TERMS = 1000  # weights of a net compiled as one function, see forward_source
 
 
 def param_count(widths):
@@ -67,9 +65,16 @@ class Policy:
         if kernels is None:
             kernels = self._kernels = _kernels(self.widths, self.include_time)
         t = float(k) * self.time_scale if self.include_time else None
-        if isinstance(th[0], Var) or Var in map(type, s):
-            return kernels[1](th, s, t)
-        return kernels[0](th, s, t)
+        var_theta = isinstance(th[0], Var)
+        if not (var_theta or Var in map(type, s)):
+            return kernels[0](th, s, t)
+        # every operand is checked before the recorder writes
+        tape = (th[0] if var_theta else next(x for x in s if type(x) is Var)).tape
+        ids = [w.i for w in th if type(w) is Var and w.tape is tape]
+        if len(ids) != len(th) if var_theta else Var in map(type, th):
+            raise ValueError("theta must be all Vars on one tape or all floats")
+        return kernels[1](([tape.vals[i] for i in ids], ids, tape) if var_theta
+                          else (list(map(float, th)), None, tape), s, t)
 
     def recorder(self, theta_vars):
         """forward(s, k, theta_vars) for theta_vars on one tape, read once
@@ -77,7 +82,7 @@ class Policy:
         tape = theta_vars[0].tape
         ids = [w.i for w in theta_vars]
         th = ([tape.vals[i] for i in ids], ids, tape)
-        run, ts = _kernels(self.widths, self.include_time)[2], self.time_scale
+        run, ts = _kernels(self.widths, self.include_time)[1], self.time_scale
         return lambda s, k: run(th, s, float(k) * ts if self.include_time
                                 else None)
 
@@ -111,27 +116,10 @@ class Policy:
 
 def _kernels(widths, include_time):
     key = (tuple(widths), include_time)
-    got = _KERNELS.get(key)
-    if got is None:
-        plain = _compile(key, False, (False,) * (widths[0] - include_time))
-        recorders = {}
-        got = _KERNELS[key] = (plain, partial(_record, key, recorders),
-                               partial(_run, key, recorders))
-    return got
-
-
-def _record(key, recorders, th, s, t):
-    """Tape forward: checks every operand before the recorder for
-    (theta is Var, which inputs are Vars) writes, so a rejected call
-    leaves the tape untouched."""
-    var_theta = isinstance(th[0], Var)
-    tape = (th[0] if var_theta else next(x for x in s if type(x) is Var)).tape
-    ids = [w.i for w in th if type(w) is Var and w.tape is tape]
-    if len(ids) != len(th) if var_theta else Var in map(type, th):
-        raise ValueError("theta must be all Vars on one tape or all floats")
-    th = ([tape.vals[i] for i in ids], ids) if var_theta else (
-        list(map(float, th)), None)
-    return _run(key, recorders, (*th, tape), s, t)
+    if key not in _KERNELS:
+        plain = _kernel(key, False, (False,) * (widths[0] - include_time))
+        _KERNELS[key] = (plain, partial(_run, key, {}))
+    return _KERNELS[key]
 
 
 def _run(key, recorders, th, s, t):
@@ -142,108 +130,57 @@ def _run(key, recorders, th, s, t):
         raise ValueError("operands recorded on different tapes")
     pattern = (th[1] is not None, var_in)
     if pattern not in recorders:
-        recorders[pattern] = _compile(key, *pattern)
+        recorders[pattern] = _kernel(key, *pattern)
     return recorders[pattern](th, s, t)
 
 
-def _compile(key, var_theta, var_in):
-    fns = []
-    for src in _forward_sources(*key, var_theta, var_in):
-        ns = {"tanh": math.tanh, "Var": Var}
-        exec(compile(src, f"<forward {list(key[0])}>", "exec"), ns)
-        fns.append(ns["forward"])
-    return fns[0] if len(fns) == 1 else _chain(fns)
-
-
-def _chain(fns):
-    def forward(th, s, t):
-        for fn in fns:
-            s = fn(th, s, t)
-        return s
-    return forward
-
-
-def _forward_sources(widths, include_time, var_theta, var_in, th="th[{}]"):
-    """Sources of forward(th, s, t), one per run of consecutive layers;
-    when an operand is a Var, of the recorder, whose th is (theta's
-    values, their node ids, the tape).  Weight r reads th.format(r).
-
-    s is the input of the run's first layer and t the time input.  A run
-    ends before a layer that would take it past _TERMS weight terms:
-    compiling takes memory in proportion to the source, and one function
-    for a wide net would raise the peak memory of the process.
-
-    The recorder replays the reference loop over operands (value, node id)
-    by Var's rules: a float operand (id None) of a node op is pushed as a
-    CONST just before it, the node is lhs even on the right (float * Var
-    runs Var.__rmul__), and float-only subexpressions stay floats.
-    """
-    runs = [[]]
-    for li in range(len(widths) - 1):
-        if runs[-1] and sum(widths[i] * widths[i + 1]
-                            for i in runs[-1] + [li]) > _TERMS:
-            runs.append([])
-        runs[-1].append(li)
-    rec, last, off, out = var_theta or any(var_in), len(widths) - 2, 0, []
-    for run in runs:
-        xs = [(f"x{i}", f"i{i}" if v else None) for i, v in enumerate(var_in)]
-        xs += [("t", None)] if run[0] == 0 and include_time else []
-        lines, recs = [], []
-
-        def push(op, a, b, val):
-            lines.append(f"    v{len(recs)} = {val}")
-            recs.append((str(op), a, b))
-            return f"v{len(recs) - 1}", f"n + {len(recs) - 1}"
-
-        def node(op, sym, a, b):
-            if a[1] is None and b[1] is None:
-                return f"{a[0]}{sym}{b[0]}", None
-            if a[1] is None:
-                a, b = b, a
-            if b[1] is None:
-                b = push(CONST, "-1", "-1", b[0])
-            return push(op, a[1], b[1], f"{a[0]}{sym}{b[0]}")
-
-        for li in run:
-            nin, nout = widths[li], widths[li + 1]
-            hs, bias = [], off + nout * nin
-            for j in range(nout):
-                h, row = f"h{li}_{j}", off + j * nin
-                ws = [(th.format(r), f"ids[{r}]" if var_theta else None)
-                      for r in [bias + j, *range(row, row + nin)]]
-                # the terms before the first node sum as floats
-                k = 0 if var_theta else next(
-                    (i for i, x in enumerate(xs) if x[1]), nin)
-                stmts, acc = sum_source(h, ws[0][0], [
-                    f"{w[0]}*{x[0]}" for w, x in zip(ws[1:k + 1], xs)])
-                lines += [f"    {st}" for st in stmts]
-                acc = (acc, ws[0][1])
-                for w, x in zip(ws[k + 1:], xs[k:]):
-                    acc = node(ADD, " + ", acc, node(MUL, "*", w, x))
-                if li != last:
-                    acc = (push(TANH, acc[1], "-1", f"tanh({acc[0]})")
-                           if acc[1] else (f"tanh({acc[0]})", None))
-                if acc[1] is None:
-                    lines.append(f"    {h} = {acc[0]}")
-                    acc = (h, None)
-                hs.append(acc)
-            xs, off = hs, bias + nout
-        head = ["def forward(th, s, t):",
-                f"    [{', '.join(f'x{i}' for i in range(len(var_in)))}] = s"]
+def _kernel(key, var_theta, var_in):
+    """forward(th, s, t), one function per run of layers, each calling the
+    next; if theta or an input is a Var, a recorder, whose th is (theta's
+    values, their node ids or None, the tape)."""
+    rec, fn = var_theta or any(var_in), None
+    theta = [(f"th[{r}]", f"ids[{r}]" if var_theta else None)
+             for r in range(param_count(key[0]))]
+    xs = [(f"x{i}", f"i{i}" if v else None) for i, v in enumerate(var_in)]
+    for xs, lines, outs in reversed(forward_source(*key, theta, xs)):
+        body = [f"[{', '.join(x for x, _ in xs)}] = s"]
         if rec:
-            ops, lhs, rhs = zip(*recs)
-            head += ["    th, ids, tape = th", "    vals = tape.vals",
-                     "    n = len(vals)"] + [
-                f"    i{i} = x{i}.i\n    x{i} = vals[i{i}]" if v
-                else f"    x{i} = float(x{i})" for i, v in enumerate(var_in)]
-            lines += [f"    tape.ops += ({', '.join(ops)},)",
-                      f"    tape.lhs += [{', '.join(lhs)}]",
-                      f"    tape.rhs += [{', '.join(rhs)}]",
-                      f"    vals += [{', '.join(f'v{d}' for d in range(len(recs)))}]",
-                      f"    tape.aux += (0.0,) * {len(recs)}"]
-        rets = ", ".join(x if i is None else f"Var(tape, {i})" for x, i in xs)
-        out.append("\n".join(head + lines + [f"    return [{rets}]\n"]))
-        var_in = [i is not None for _, i in xs]
+            body += ["th, ids, tape = arg = th", "vals = tape.vals",
+                     "n = len(vals)"]
+            body += [f"{x} = float({x})" if i is None
+                     else f"{i} = {x}.i\n{x} = vals[{i}]" for x, i in xs]
+        ret = ", ".join(x if i is None else f"Var(tape, {i})" for x, i in outs)
+        fn = compile_kernel("th, s, t", body + lines + [
+            f"return [{ret}]" if fn is None
+            else f"return nxt({'arg' if rec else 'th'}, [{ret}], t)"], {"nxt": fn})
+    return fn
+
+
+def forward_source(widths, include_time, theta, xs):
+    """[(inputs, lines, outputs)] of replay_source per run of layers traced
+    on Vars: weight r reads theta[r], the first run's input i xs[i] and the
+    time t, a later run's x{i} (a Var's id i{i}).  A net of over _TERMS
+    weights runs a layer per function: compiling takes memory in proportion
+    to the source, so one function would raise the process's peak memory."""
+    every, out = list(range(len(widths) - 1)), []
+    runs = [[li] for li in every] if param_count(widths) > _TERMS else [every]
+    for layers in runs:
+        ins = xs + [("t", None)] * (include_time and not layers[0])
+        tape = Tape()
+        th = tape.consts([math.nan] * (len(theta) + len(ins)))
+        x, off = th[len(theta):], param_count(widths[:layers[0] + 1])
+        for li in layers:  # the reference loop, traced
+            nin, nout = widths[li], widths[li + 1]
+            bias, h = off + nout * nin, []
+            for j in range(nout):
+                acc = th[bias + j]
+                for i in range(nin):
+                    acc = acc + th[off + j * nin + i] * x[i]
+                h.append(acc if li == len(widths) - 2 else tanh(acc))
+            x, off = h, bias + nout
+        lines, outs, _ = replay_source((tape, x), theta + ins, prefix="h")
+        out.append((xs, lines, outs))
+        xs = [(f"x{j}", i and f"i{j}") for j, (_, i) in enumerate(outs)]
     return out
 
 

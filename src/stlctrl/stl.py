@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
-from .autodiff import sum_source
+from .autodiff import Tape, compile_kernel, replay_source
 
 INF = math.inf
 
@@ -61,12 +61,18 @@ def _compile_affine(c, d):
     n = len(nz)
     make = _AFFINE.get(n)
     if make is None:
-        stmts, expr = sum_source("v", "d", [f"c{j}*s[i{j}]" for j in range(n)])
-        params = "".join(f", c{j}, i{j}" for j in range(n))
-        body = "".join(f"        {st}\n" for st in stmts + [f"return {expr}"])
-        ns = {}
-        exec(f"def make(d{params}):\n    def ev(s):\n{body}    return ev\n", ns)
-        make = _AFFINE[n] = ns["make"]
+        # d + c0*s[i0] + c1*s[i1] + ... traced, over floats or Vars alike
+        tape = Tape()
+        acc, *xs = tape.consts([math.nan] * (2 * n + 1))
+        for cj, sj in zip(xs[:n], xs[n:]):
+            acc = acc + cj * sj
+        names = ["d"] + [f"c{j}" for j in range(n)] + [f"s[i{j}]" for j in range(n)]
+        lines, [(out, _)], _ = replay_source((tape, [acc]),
+                                             [(x, None) for x in names])
+        make = _AFFINE[n] = compile_kernel(
+            "d" + "".join(f", c{j}, i{j}" for j in range(n)),
+            ["def ev(s):"] + [f"    {ln}" for ln in lines]
+            + [f"    return {out}", "return ev"], {})
     return make(d, *[x for pair in nz for x in pair])
 
 

@@ -368,6 +368,9 @@ class _OpenLoop:
             raise ValueError(f"open-loop actions end before step {k}")
         return list(th[k * m:(k + 1) * m])
 
+    def recorder(self, theta_vars):
+        return lambda s, k: self.forward(s, k, theta_vars)
+
 
 def train_openloop(plant, actions, f, s0, cfg, rng):
     """Optimize the raw action sequence itself; returns (actions, log, info).

@@ -347,6 +347,30 @@ def test_verify_and_simulate_round_trip(tmp_path, capsys):
         "trial_0002.csv"]
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("doc,field", [
+    ([1, 2], "checkpoint"),
+    ({"kind": "openloop", "actions": []}, "checkpoint.actions"),
+    ({"kind": "openloop", "actions": "0.5"}, "checkpoint.actions"),
+    ({"kind": "openloop", "actions": [[0.5, 0.0], [0.5]]}, "checkpoint.actions"),
+    ({"kind": "openloop", "actions": [[]]}, "checkpoint.actions"),
+    ({"kind": "openloop", "actions": [["0.5", 0.0]]}, "checkpoint.actions"),
+    ({"theta": [1]}, "widths"),
+    ({"widths": [3, 4, 2]}, "theta"),
+    ({"widths": 3, "theta": [1]}, "widths"),
+])
+def test_malformed_checkpoint_is_invalid_input(tmp_path, capsys, command, doc,
+                                               field):
+    path = write_scenario(tmp_path, scenario_doc())
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(doc))
+    extra = ["--m", "5"] if command == "verify" else ["--trials", "1"]
+    rc = main([command, "--scenario", path, "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "o")] + extra)
+    assert rc == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+
+
 def test_verify_untrained_policy_fails_verdict(tmp_path, capsys):
     doc = scenario_doc()
     doc["formula"] = "G[0,5](x0 > 0)"  # start is at x0 = -1

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import struct
@@ -285,6 +286,36 @@ def test_recorder_matches_loop_with_mixed_inputs(var_theta):
             return theta, [s, s[::-1]]
 
         _assert_recorder_matches_loop(p, setup)
+
+
+@pytest.mark.parametrize("var_theta", [True, False])
+def test_recorder_matches_loop_on_every_pattern(var_theta):
+    # theta and each input a Var or a float; all floats is the plain forward
+    p = init([4, 6, 3, 2], rng=random.Random(22))
+    xs = (0.3, -1.2, 0.7)
+    for pattern in itertools.product((False, True), repeat=len(xs)):
+        if not (var_theta or any(pattern)):
+            continue
+
+        def setup(tape):
+            theta = tape.consts(p.theta) if var_theta else p.theta
+            s = [tape.const(x) if v else x for x, v in zip(xs, pattern)]
+            return theta, [s, s[::-1]]
+
+        _assert_recorder_matches_loop(p, setup)
+
+
+@pytest.mark.parametrize("widths,include_time,time_scale", _policy_configs())
+def test_plain_forward_is_one_statement_per_neuron(widths, include_time,
+                                                   time_scale):
+    # per-operation statements made the forward 1.4-3x slower; a neuron
+    # that only one neuron reads is folded into that neuron's statement
+    fn, names = pol._kernels(list(widths), include_time)[0], []
+    while fn:  # a wide net runs as a chain of functions
+        names += [v for v in fn.__code__.co_varnames if v[0] == "h"]
+        fn = fn.__globals__["nxt"]
+    folded = sum(w for w, nxt in zip(widths[1:-1], widths[2:]) if nxt == 1)
+    assert len(names) == sum(widths[1:]) - folded
 
 
 def test_recorder_compiles_a_long_float_prefix():
