@@ -4,8 +4,9 @@ All continuous plants are integrated with forward Euler at their stated
 sampling time.  Plant.step() over tape Vars is traced once per (step_fn,
 squash_fn, dt, noise), and autodiff.replay_source generates from it a
 plain rollout loop per (widths, include_time, noise), inlining the
-controller forward traced the same way, and a tape recorder per (which
-inputs are Vars, noise).  Both compute in the Var operators' order, so
+controller forward traced the same way, a tape recorder per (which
+inputs are Vars, noise) and a recorder of a run of steps with frozen
+actions per (which states are Vars, noise).  All compute in the Var operators' order, so
 plain and differentiable rollouts give bit-identical states.  So step_fn
 and squash_fn must be straight-line code over arithmetic and the autodiff
 helpers: nothing may depend on their arguments' values.
@@ -18,7 +19,7 @@ from .autodiff import (
     Tape, Var, compile_kernel, cos, exp, powc, replay_source, sin, tanh,
     value_of, vmax,
 )
-from .policy import Policy, forward_source, param_count
+from .policy import Policy, chained, forward_source, param_count
 
 G = 9.81
 
@@ -330,19 +331,57 @@ def step_recorder(plant):
         xs = (*s, *a, *(off or ()))
         key = tuple(map(type, xs))
         if key not in recorders:
-            ins = [(f"x{j}", f"i{j}" if t is Var else None)
-                   for j, t in enumerate(key)]
-            lines, outs, consts = replay_source(
-                _traced(plant, off is not None)[0], ins)
-            body = [f"[{', '.join(x for x, _ in ins)}] = xs", "vals = tape.vals",
-                    "n = len(vals)"] + [f"{i} = {x}.i\n{x} = vals[{i}]"
-                                        for x, i in ins if i]
-            ret = (x if i is None else f"Var(tape, {i})" for x, i in outs)
-            body += lines + [f"return ({', '.join(ret)},)"]
-            recorders[key] = compile_kernel("tape, xs", body, consts)
+            recorders[key] = _recorder(plant, key, off is not None)
         return recorders[key](tape, xs)
 
     return record
+
+
+def run_recorder(plant):
+    """run(tape, s, acts, offs=None): the state after one step per raw
+    action in acts (floats), from states s that are Vars or floats, plus
+    the noise offsets offs[j] at step j, with the records step_recorder
+    writes step by step.  A loop generated per (which states are Vars,
+    noise) records them as one block, and only the final state's Vars are
+    made; a step replay_source cannot loop (it passes a state through,
+    gives two states one node or changes which states are Vars) goes step
+    by step."""
+    kernels, record = _traced(plant)[1], step_recorder(plant)
+
+    def run(tape, s, acts, offs=None):
+        key = ("run", tuple(map(type, s)), offs is not None)
+        if key not in kernels:
+            kernels[key] = _recorder(plant, key[1] + (float,) * (
+                plant.action_dim + plant.state_dim * key[2]), key[2], True)
+        if kernels[key] is None:
+            for j, a in enumerate(acts):
+                s = record(tape, s, a, offs and offs[j])
+            return s
+        return kernels[key](tape, s, acts, offs) if acts else s
+
+    return run
+
+
+def _recorder(plant, types, noisy, run=False):
+    """The generated step recorder for inputs (states, raw actions, noise
+    offsets) of these types, or with run its loop over float actions and
+    offsets (None if replay_source cannot loop it)."""
+    ins = [(f"x{j}", f"i{j}" if t is Var else None) for j, t in enumerate(types)]
+    names = [x for x, _ in ins]
+    n, m = plant.state_dim, plant.action_dim
+    a, e = (f"[{', '.join(x)}]" for x in (names[n:n + m], names[n + m:]))
+    loop = run and (f"for {a}, {e} in zip(acts, offs):" if noisy
+                    else f"for {a} in acts:")
+    src = replay_source(_traced(plant, noisy)[0], ins, loop=loop)
+    if src is None:
+        return None
+    lines, outs, consts = src
+    body = [f"[{', '.join(names[:n] if run else names)}] = {'s' if run else 'xs'}",
+            "vals = tape.vals", "n = len(vals)"]
+    body += [f"{i} = {x}.i\n{x} = vals[{i}]" for x, i in ins if i]
+    ret = (x if i is None else f"Var(tape, {i})" for x, i in outs)
+    return compile_kernel("tape, s, acts, offs" if run else "tape, xs",
+                          body + lines + [f"return ({', '.join(ret)},)"], consts)
 
 
 def _closed_loop(plant, policy, noisy):
@@ -357,13 +396,13 @@ def _closed_loop(plant, policy, noisy):
     n, m = plant.state_dim, plant.action_dim
     xs = list(map("x{}".format, range(n)))
     state, es = f"({', '.join(xs)},)", ", ".join(map("e{}".format, range(n)))
-    ws = [(f"w{r}", None) for r in range(param_count(key[0] or [1]))]
-    runs = key[0] and forward_source(*key[:2], ws, [(x, None) for x in xs])
     head = ["states, acts, offs = [s], [], [] if gauss else None"]
-    if runs and len(runs) == 1:
+    if key[0] and not chained(key[0]):
         # the forward inline, theta in locals
+        ws = [(f"w{r}", None) for r in range(param_count(key[0]))]
+        [(_, fwd, acts, _)] = forward_source(*key[:2], ws,
+                                             [(x, None) for x in xs])
         head.append(f"[{', '.join(w for w, _ in ws)}] = th")
-        _, fwd, acts = runs[0]
         fwd, acts = ["t = float(k) * ts"] * key[1] + fwd, [a for a, _ in acts]
     else:
         acts = list(map("a{}".format, range(m)))

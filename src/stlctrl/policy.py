@@ -8,7 +8,8 @@ The forward pass runs as code that autodiff.replay_source generates from
 the reference loop in forward_source, traced on Vars like a plant step:
 one statement per neuron, ``h = tanh(th[b] + th[r] * x0 + ...)``, summed
 left to right like the loop, and per pattern of Var operands a recorder
-that writes the loop's own tape records, so both are bit-identical to it.
+that writes the loop's own tape records, so both are bit-identical to it,
+and registers them as a block with a generated adjoint.
 """
 
 import json
@@ -18,7 +19,7 @@ from functools import partial
 from .autodiff import Tape, Var, compile_kernel, replay_source, tanh
 
 _KERNELS = {}  # (widths, include_time) -> (plain forward, _run)
-_TERMS = 1000  # weights of a net compiled as one function, see forward_source
+_TERMS = 1000  # weights of a net compiled as one function, see chained
 
 
 def param_count(widths):
@@ -142,7 +143,7 @@ def _kernel(key, var_theta, var_in):
     theta = [(f"th[{r}]", f"ids[{r}]" if var_theta else None)
              for r in range(param_count(key[0]))]
     xs = [(f"x{i}", f"i{i}" if v else None) for i, v in enumerate(var_in)]
-    for xs, lines, outs in reversed(forward_source(*key, theta, xs)):
+    for xs, lines, outs, consts in reversed(forward_source(*key, theta, xs)):
         body = [f"[{', '.join(x for x, _ in xs)}] = s"]
         if rec:
             body += ["th, ids, tape = arg = th", "vals = tape.vals",
@@ -152,19 +153,25 @@ def _kernel(key, var_theta, var_in):
         ret = ", ".join(x if i is None else f"Var(tape, {i})" for x, i in outs)
         fn = compile_kernel("th, s, t", body + lines + [
             f"return [{ret}]" if fn is None
-            else f"return nxt({'arg' if rec else 'th'}, [{ret}], t)"], {"nxt": fn})
+            else f"return nxt({'arg' if rec else 'th'}, [{ret}], t)"],
+            {**consts, "nxt": fn})
     return fn
 
 
+def chained(widths):
+    """Whether a net runs a layer per function: compiling takes memory in
+    proportion to the source, so one function of over _TERMS weights would
+    raise the process's peak memory."""
+    return param_count(widths) > _TERMS
+
+
 def forward_source(widths, include_time, theta, xs):
-    """[(inputs, lines, outputs)] of replay_source per run of layers traced
-    on Vars: weight r reads theta[r], the first run's input i xs[i] and the
-    time t, a later run's x{i} (a Var's id i{i}).  A net of over _TERMS
-    weights runs a layer per function: compiling takes memory in proportion
-    to the source, so one function would raise the process's peak memory."""
+    """[(inputs, lines, outputs, constants)] of replay_source per run of
+    layers traced on Vars (one per layer if chained): weight r reads
+    theta[r], the first run's input i xs[i] and the time t, a later run's
+    x{i} (a Var's id i{i})."""
     every, out = list(range(len(widths) - 1)), []
-    runs = [[li] for li in every] if param_count(widths) > _TERMS else [every]
-    for layers in runs:
+    for layers in [[li] for li in every] if chained(widths) else [every]:
         ins = xs + [("t", None)] * (include_time and not layers[0])
         tape = Tape()
         th = tape.consts([math.nan] * (len(theta) + len(ins)))
@@ -178,8 +185,8 @@ def forward_source(widths, include_time, theta, xs):
                     acc = acc + th[off + j * nin + i] * x[i]
                 h.append(acc if li == len(widths) - 2 else tanh(acc))
             x, off = h, bias + nout
-        lines, outs, _ = replay_source((tape, x), theta + ins, prefix="h")
-        out.append((xs, lines, outs))
+        lines, outs, consts = replay_source((tape, x), theta + ins, prefix="h")
+        out.append((xs, lines, outs, consts))
         xs = [(f"x{j}", i and f"i{j}") for j, (_, i) in enumerate(outs)]
     return out
 

@@ -3,11 +3,14 @@
 A sampled trajectory keeps the controller live (differentiable in theta)
 only at chosen time-steps and freezes it to the reference rollout's raw
 actions everywhere else, so gradient cost scales with the number of
-sampled steps instead of the horizon.
+sampled steps instead of the horizon.  Each run of frozen steps between
+two live ones is recorded by one generated loop (plants.run_recorder) as
+one block on the tape, whose adjoint carries the state's adjoint from
+step to step in locals.
 """
 
 from .autodiff import Tape, Var
-from .plants import step_recorder
+from .plants import run_recorder, step_recorder
 from .smooth import smooth_robustness
 from .stl import Trace
 
@@ -54,7 +57,10 @@ def build_sampled(ref, times, policy, plant):
 
     The reference rollout supplies the frozen raw actions and the start
     state.  Anchor primal values match the reference states exactly
-    because live and frozen steps run the same scalar arithmetic.
+    because live and frozen steps run the same scalar arithmetic.  Each
+    sample time but the last gets a live step, then one run of frozen
+    steps up to the next sample time; the tape holds the records a step
+    recorder call per step would write.
     """
     if not times or times[0] != 0:
         raise ValueError("sample times must start at 0")
@@ -66,16 +72,14 @@ def build_sampled(ref, times, policy, plant):
     tape = Tape()
     theta_vars = tape.consts(policy.theta)
     forward = policy.recorder(theta_vars)
-    record = step_recorder(plant)
-    live = set(times)
-    offs = getattr(ref, "noise_offsets", None)
+    record, run = step_recorder(plant), run_recorder(plant)
+    acts, offs = ref.raw_actions, getattr(ref, "noise_offsets", None)
     cur = ref.states[0]
     anchors = [cur]
-    for k in range(times[-1]):
-        a = forward(cur, k) if k in live else ref.raw_actions[k]
-        cur = record(tape, cur, a, None if offs is None else offs[k])
-        if k + 1 in live:
-            anchors.append(cur)
+    for k, k1 in zip(times, times[1:]):
+        cur = record(tape, cur, forward(cur, k), offs and offs[k])
+        cur = run(tape, cur, acts[k + 1:k1], offs and offs[k + 1:k1])
+        anchors.append(cur)
     return SampledTrajectory(list(times), anchors, tape, theta_vars, ref)
 
 

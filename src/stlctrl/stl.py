@@ -190,7 +190,8 @@ class CriticalWitness:
 # -- structural queries -------------------------------------------------------
 
 def horizon(f):
-    """Last time-step needed to evaluate f at time 0."""
+    """Last time-step needed to evaluate f at time 0; the left operand of
+    a U/R with b == 0 is read at no time (see _compile)."""
     if isinstance(f, Pred):
         return 0
     if isinstance(f, (And, Or)):
@@ -198,7 +199,7 @@ def horizon(f):
     if isinstance(f, (Eventually, Always)):
         return f.b + horizon(f.child)
     if isinstance(f, (Until, Release)):
-        return f.b + max(horizon(f.left), horizon(f.right))
+        return f.b + max(horizon(f.left) if f.b else 0, horizon(f.right))
     raise TypeError(f"not a formula node: {f!r}")
 
 

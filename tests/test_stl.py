@@ -571,6 +571,22 @@ def test_operands_no_output_reads_are_not_evaluated():
             assert calls == ["q"] * 5, (f, run)
 
 
+def test_horizon_skips_operands_no_output_reads():
+    # R[0,0] reads G[0,3](p) at no time, so the formula needs times 0..4
+    p, q = (Pred(Named(name, lambda s: s[0] - 0.5)) for name in "pq")
+    f = Eventually(0, 4, Release(0, 0, Always(0, 3, p), q))
+    assert horizon(f) == 4
+    assert horizon(Until(0, 0, Always(0, 3, p), q)) == 0
+    assert horizon(Until(0, 1, Always(0, 3, p), q)) == 4
+    from stlctrl.smooth import smooth_robustness
+    tr = tr1([1.0, 0.0, 2.0, 3.0, 0.7])
+    assert robustness(f, tr) == critical(f, tr).value == 2.5
+    assert satisfies(f, tr)
+    smooth_robustness(f, tr)
+    with pytest.raises(HorizonError):
+        robustness(f, tr1([1.0, 0.0, 2.0, 3.0]))
+
+
 def test_program_compiled_once_and_not_a_field(monkeypatch):
     import dataclasses
     made = []
