@@ -339,7 +339,7 @@ _FORMS = {ADD: ("{} + {}", 1, 1, 2), SUB: ("{} - {}", 1, 1, 2),
           LN: ("log({})", 5, 0, 0)}
 
 
-def replay_source(trace, inputs, prefix="f", loop=None):
+def replay_source(trace, inputs, prefix="f", loop=None, inline=False):
     """(lines, outputs, constants): straight-line code for trace = (tape,
     outputs) of a function run once on Vars, its inputs the first nodes,
     input j read as inputs[j] = (value, node id or None for a float).
@@ -351,7 +351,8 @@ def replay_source(trace, inputs, prefix="f", loop=None):
     and register them as one block whose adjoint _adjoint generates.
     A float node read once is folded into its reader; read twice, by a
     guard or as an output, or past _CHAIN nodes, it is a statement
-    {prefix}{node}.  Outputs are (value, node id or None).
+    {prefix}{node}.  Outputs are (value, node id or None); with inline, a
+    float output is its expression rather than a statement.
 
     With loop, a for-header that binds the other inputs, the lines run
     the function once per iteration, output j carried into input j (both
@@ -413,8 +414,8 @@ def replay_source(trace, inputs, prefix="f", loop=None):
             if uses[r] > 1:
                 name(r)
     consts.update((f"y{j}", o) for j, o in enumerate(out) if type(o) is not Var)
-    outs = [name(o.i)[:2] if type(o) is Var else (f"y{j}", None)
-            for j, o in enumerate(out)]
+    outs = [(ref[o.i] if inline else name(o.i))[:2] if type(o) is Var
+            else (f"y{j}", None) for j, o in enumerate(out)]
     if not recs:
         return None if loop else (lines, outs, consts)
     size = len(recs)

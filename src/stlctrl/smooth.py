@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .autodiff import exp, ln, value_of
-from .stl import _program, _signals
+from .stl import _kernel
 
 
 @dataclass(frozen=True)
@@ -55,5 +55,5 @@ def smooth_robustness(f, tr, cfg=SmoothConfig()):
     a mix (frozen positions stay constant, gradients flow through Vars).
     """
     b = cfg.b
-    soft = {min: lambda xs: softmin(xs, b), max: lambda xs: softmax_lb(xs, b)}
-    return _signals(_program(f, tr, 0), tr.states, 0, soft=soft)[-1][0]
+    return _kernel(f, tr, 0, "smooth")(tr.states, 0, lambda xs: softmin(xs, b),
+                                       lambda xs: softmax_lb(xs, b))

@@ -3,13 +3,17 @@
 Formulas are kept in positive normal form: the parser pushes every
 negation down to the predicates, so the tree only contains predicates,
 And/Or, and the bounded temporal operators F/G/U/R.
+
+A formula compiles on first evaluation into one program, a post-order
+list of steps (a node and the window of times its parents read), and
+each semantics (exact, Boolean, smooth) into one straight-line kernel
+that stl_kernels generates from that program, both cached on the root.
+critical backtracks from the exact kernel's signals.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import accumulate, islice
-
-from .autodiff import Tape, compile_kernel, replay_source
 
 INF = math.inf
 
@@ -24,22 +28,23 @@ class HorizonError(ValueError):
 class Affine:
     """h(s) = sum_i c[i]*s[i] + d over state coordinates.
 
-    eval runs straight-line code over the nonzero coefficients, compiled
-    on first use and summed left to right from d, so it is bit-identical
-    to a loop over the coordinates and records the same tape nodes.
+    eval sums the nonzero terms left to right from d, over floats or tape
+    Vars alike; the kernels inline the same sum (see stl_kernels), so
+    they are bit-identical to it and record the same tape nodes.
     """
 
     c: tuple
     d: float
-    _ev = None  # compiled evaluator; a class attribute, not a field
+    _nz = None  # (c[i], i) of the nonzero c[i]; a class attribute, not a field
 
     def eval(self, state):
-        return (self._ev or self._compile())(state)
-
-    def _compile(self):
-        ev = _compile_affine(self.c, self.d)
-        object.__setattr__(self, "_ev", ev)
-        return ev
+        if self._nz is None:
+            object.__setattr__(self, "_nz", tuple(
+                (ci, i) for i, ci in enumerate(self.c) if ci != 0.0))
+        acc = self.d
+        for ci, i in self._nz:
+            acc = acc + ci * state[i]
+        return acc
 
     def negated(self):
         return Affine(tuple(-ci for ci in self.c), -self.d)
@@ -51,29 +56,6 @@ class Affine:
                 terms.append(f"{ci:+g}*x{i}")
         lhs = " ".join(terms) if terms else "0"
         return f"{lhs} {self.d:+g}"
-
-
-_AFFINE = {}  # nonzero count n -> make(d, c0, i0, ..., c{n-1}, i{n-1})
-
-
-def _compile_affine(c, d):
-    nz = [(ci, i) for i, ci in enumerate(c) if ci != 0.0]
-    n = len(nz)
-    make = _AFFINE.get(n)
-    if make is None:
-        # d + c0*s[i0] + c1*s[i1] + ... traced, over floats or Vars alike
-        tape = Tape()
-        acc, *xs = tape.consts([math.nan] * (2 * n + 1))
-        for cj, sj in zip(xs[:n], xs[n:]):
-            acc = acc + cj * sj
-        names = ["d"] + [f"c{j}" for j in range(n)] + [f"s[i{j}]" for j in range(n)]
-        lines, [(out, _)], _ = replay_source((tape, [acc]),
-                                             [(x, None) for x in names])
-        make = _AFFINE[n] = compile_kernel(
-            "d" + "".join(f", c{j}, i{j}" for j in range(n)),
-            ["def ev(s):"] + [f"    {ln}" for ln in lines]
-            + [f"    return {out}", "return ev"], {})
-    return make(d, *[x for pair in nz for x in pair])
 
 
 @dataclass(frozen=True)
@@ -233,86 +215,67 @@ def aggregation_shape(f):
     raise TypeError(f"not a formula node: {f!r}")
 
 
-# -- semantics: one compiled program per formula -------------------------------
+# -- semantics: one compiled program per formula, one kernel per semantics -----
 
 def _program(f, tr, k):
-    """f's program steps, compiled on first use and cached on the root with
-    its horizon (like Affine._ev); HorizonError unless f fits tr at k."""
+    """f's (horizon, program steps, kernels), compiled on first use and
+    cached on the root (like Affine._nz); HorizonError unless f fits tr
+    at k."""
     prog = getattr(f, "_prog", None)
     if prog is None:
-        prog = (horizon(f), _compile(f))
+        prog = (horizon(f), _compile(f), {})
         object.__setattr__(f, "_prog", prog)
     if k + prog[0] > tr.K:
         raise HorizonError(f"formula horizon {prog[0]} at time {k} "
                            f"exceeds trace length K={tr.K}")
-    return prog[1]
+    return prog
+
+
+def _kernel(f, tr, k, sem):
+    """f's kernel for sem ("exact", "boolean" or "smooth"), generated on
+    first use by stl_kernels, which is imported then."""
+    _, steps, kernels = _program(f, tr, k)
+    if sem not in kernels:
+        from .stl_kernels import generate
+        kernels[sem] = generate(steps, sem)
+    return kernels[sem]
 
 
 def _compile(f):
-    """Post-order steps (node, lo, n, kids, fn): the node's signal holds its
-    values at the n times k+lo..k+lo+n-1 its parents read (none below a U/R
-    left operand when b == 0); kids index earlier steps; fn is a predicate's
-    function or the node's min/max (for U/R the inner one)."""
-    steps = []
+    """Post-order steps (node, lo, n, kids, fn, op): the node's signal holds
+    its values at the n times k+lo..k+lo+n-1 its parents read (none below
+    a U/R left operand when b == 0); kids index earlier steps; fn is a
+    predicate's h.eval or the node's min/max (for U/R the inner one); op
+    is "affine", "named", "andor", "window" (F/G) or "until" (U/R), all
+    stl_kernels reads of the node's type.  A node object reached twice
+    with the same window is one step."""
+    steps, seen = [], {}
 
     def visit(g, lo, n):
+        if (id(g), lo, n) in seen:
+            return seen[id(g), lo, n]
         kids = ()
         if isinstance(g, Pred):
-            h = g.h
-            fn = h._ev or h._compile() if isinstance(h, Affine) else h.eval
+            fn = g.h.eval
+            op = "affine" if isinstance(g.h, Affine) else "named"
         elif isinstance(g, (And, Or)):
-            fn = min if isinstance(g, And) else max
+            fn, op = min if isinstance(g, And) else max, "andor"
             kids = [visit(c, lo, n) for c in g.children]
         elif isinstance(g, (Eventually, Always)):
-            fn = min if isinstance(g, Always) else max
+            fn, op = min if isinstance(g, Always) else max, "window"
             kids = [visit(g.child, lo + g.a, n and n + g.b - g.a)]
         elif isinstance(g, (Until, Release)):
-            fn = min if isinstance(g, Until) else max
+            fn, op = min if isinstance(g, Until) else max, "until"
             kids = [visit(g.left, lo, n and g.b and n + g.b - 1),
                     visit(g.right, lo + g.a, n and n + g.b - g.a)]
         else:
             raise TypeError(f"not a formula node: {g!r}")
-        steps.append((g, lo, n, kids, fn))
+        steps.append((g, lo, n, kids, fn, op))
+        seen[id(g), lo, n] = len(steps) - 1
         return len(steps) - 1
 
     visit(f, 0, 1)
     return steps
-
-
-def _signals(steps, states, k, boolean=False, soft=None):
-    """Every step's signal, bottom-up; the last is the root's, at k alone.
-
-    Exact by default: builtin min/max keep the first of equal items, so each
-    value is bit for bit the one of the min/max recursion over (node, time).
-    boolean tests each predicate value (> 0 if strict, else >= 0) before the
-    same min/max, which are all/any over bools. soft maps min and max to list
-    aggregations (the smooth semantics); U/R then aggregate explicit operand
-    lists, left@t..k'-1 before right@k'."""
-    sig = []
-    for g, lo, n, kids, fn in steps:
-        if isinstance(g, Pred):
-            v = [fn(s) for s in states[k + lo:k + lo + n]]
-            if boolean:
-                v = [x > 0.0 for x in v] if g.strict else [x >= 0.0 for x in v]
-        elif isinstance(g, (Until, Release)):
-            left, right = sig[kids[0]], sig[kids[1]]
-            out, seed = (max, -INF) if fn is min else (min, INF)
-            if soft:
-                fn, out, a = soft[fn], soft[out], g.a
-                v = [out([fn(left[j:j + a + p] + right[j + p:j + p + 1])
-                          for p in range(g.b - a + 1)]) for j in range(n)]
-            else:
-                v = [out(seed, *_inner(left, right, j, g.a, g.b, fn))
-                     for j in range(n)]
-        else:
-            fn = soft[fn] if soft else fn
-            if isinstance(g, (And, Or)):
-                v = list(map(fn, zip(*[sig[c] for c in kids])))
-            else:
-                c, w = sig[kids[0]], g.b - g.a + 1
-                v = [fn(c[j:j + w]) for j in range(n)]
-        sig.append(v)
-    return sig
 
 
 def _inner(left, right, j, a, b, agg):
@@ -323,32 +286,48 @@ def _inner(left, right, j, a, b, agg):
     return map(agg, right[j:j + b - a + 1], islice(run, a, None))
 
 
+def signals(f, tr, k=0):
+    """Every step's exact signal of f over tr at time k (the last one is
+    the root's, at k alone): robustness is its value, and critical can
+    backtrack from it."""
+    return _kernel(f, tr, k, "exact")(tr.states, k)
+
+
 def robustness(f, tr, k=0):
     """Exact robustness of f over tr at time k."""
-    return _signals(_program(f, tr, k), tr.states, k)[-1][0]
+    return signals(f, tr, k)[-1][0]
 
 
 def satisfies(f, tr, k=0):
     """Boolean satisfaction of f over tr at time k."""
-    return _signals(_program(f, tr, k), tr.states, k, boolean=True)[-1][0]
+    return _kernel(f, tr, k, "boolean")(tr.states, k)
 
 
 # -- critical witness -----------------------------------------------------------
 
-def critical(f, tr, k=0):
+def critical(f, tr, k=0, sig=None):
     """Predicate instance (k*, h*) whose value equals robustness(f, tr, k).
 
     Backtracks the robustness program from the root, taking at each node
     the first candidate equal to its value: earlier time first, then the
     left operand (U/R: left@k..k'-1, then right@k'), so ties are
-    deterministic.
+    deterministic.  sig is signals(f, tr, k) if already evaluated; a
+    predicate without a signal of its own (see stl_kernels) is evaluated at
+    the candidate times only.
     """
-    steps = _program(f, tr, k)
-    sig = _signals(steps, tr.states, k)
+    steps = _program(f, tr, k)[1]
+    if sig is None:
+        sig = signals(f, tr, k)
+    states = tr.states
+
+    def value(i, t):
+        s = sig[i]
+        return steps[i][4](states[t]) if s is None else s[t - k - steps[i][1]]
+
     i, t = len(steps) - 1, k
+    v = sig[i][0]
     while True:
-        g, lo, _, kids, fn = steps[i]
-        v = sig[i][t - k - lo]
+        g, lo, _, kids, fn, _ = steps[i]
         if isinstance(g, Pred):
             return CriticalWitness(time=t, predicate=g, value=v)
         if isinstance(g, (And, Or)):
@@ -360,8 +339,8 @@ def critical(f, tr, k=0):
             kp = t + g.a + next((p for p, x in enumerate(inner) if x == v), 0)
             cands = [(kids[0], tt) for tt in range(t, kp)] + [(kids[1], kp)]
         # no candidate equals v only where NaN values are involved
-        i, t = next((c for c in cands
-                     if sig[c[0]][c[1] - k - steps[c[0]][1]] == v), cands[0])
+        (i, t), v = next((cv for cv in ((c, value(*c)) for c in cands)
+                          if cv[1] == v), None) or (cands[0], value(*cands[0]))
 
 
 # -- parser ---------------------------------------------------------------------

@@ -4,8 +4,8 @@ All three trainers run one outer loop, _train: each iteration checks the
 parameters on every training sample, stops once the minimum robustness
 exceeds rho_bar, and otherwise takes one step of its trainer, retrying a
 step whose rollout diverged.  A step maps (theta, min rho, worst sample,
-{sample: (rho, rollout)}) to (theta, branch, lr, logged rho, diverged
-candidates).
+{sample: (rho, rollout, exact signals)}) to (theta, branch, lr, logged
+rho, diverged candidates).
 
 train_dropout's step is the gradient-sampling iteration: it ascends the
 critical predicate value (and optionally a waypoint surrogate) through
@@ -25,7 +25,7 @@ from .plants import DivergedRollout, InitialSet, rollout
 from .policy import AdamState, adam_update
 from .sampler import build_sampled, grad_critical, grad_smooth, partition_times
 from .smooth import SmoothConfig, smooth_robustness
-from .stl import Trace, critical, horizon, robustness
+from .stl import Trace, critical, horizon, robustness, signals
 
 
 @dataclass
@@ -141,31 +141,30 @@ class TrainLog:
                             repr(r.seconds)])
 
 
-def _rollout_rho(plant, policy, theta, s0, K, f):
-    """(exact rho, plain rollout) of theta from s0; (-inf, None) if it diverged."""
+def _exact_rho(plant, policy, theta, s0, K, f):
+    """Exact rho of theta from s0; -inf if its rollout diverged."""
     try:
         r = rollout(plant, policy.with_theta(theta), s0, K)
     except DivergedRollout:
-        return -math.inf, None
-    return robustness(f, Trace(r.states)), r
-
-
-def _exact_rho(plant, policy, theta, s0, K, f):
-    return _rollout_rho(plant, policy, theta, s0, K, f)[0]
+        return -math.inf
+    return robustness(f, Trace(r.states))
 
 
 def _min_rho(plant, policy, theta, init_set, K, f):
-    """(min rho over the training samples, its sample,
-    {sample: (rho, rollout or None)})."""
-    best = None
-    worst_s0 = None
+    """(min rho over the training samples, its sample, {sample: (rho,
+    rollout, its exact signals) or (-inf, None, None) if it diverged})."""
+    best = worst_s0 = None
     runs = {}
     for s0 in init_set.samples:
-        runs[s0] = _rollout_rho(plant, policy, theta, s0, K, f)
-        rho = runs[s0][0]
-        if best is None or rho < best:
-            best = rho
-            worst_s0 = s0
+        try:
+            r = rollout(plant, policy.with_theta(theta), s0, K)
+        except DivergedRollout:
+            runs[s0] = (-math.inf, None, None)
+        else:
+            sig = signals(f, Trace(r.states))
+            runs[s0] = (sig[-1][0], r, sig)
+        if best is None or runs[s0][0] < best:
+            best, worst_s0 = runs[s0][0], s0
     return best, worst_s0, runs
 
 
@@ -181,8 +180,8 @@ def _train(plant, policy, f, init_set, cfg, step):
     Each iteration checks theta on every training sample and stops once
     the minimum rho exceeds cfg.rho_bar.  Otherwise it takes
     step(theta, min_rho, worst_s0, runs) -> (theta, branch, lr, rho,
-    diverged), where runs is _min_rho's {sample: (rho, rollout)}, and logs
-    rho.  A step that raises DivergedRollout is retried, at most
+    diverged), where runs is _min_rho's {sample: (rho, rollout, signals)},
+    and logs rho.  A step that raises DivergedRollout is retried, at most
     cfg.max_retries times per run.  The returned theta is the one that
     solved the task, or the best one checked if none did.
     """
@@ -236,17 +235,19 @@ def train_dropout(plant, policy, f, init_set, wp, cfg, rng):
 
     def step(theta, min_rho, worst_s0, runs):
         s0 = _pick_s0(cfg, rng, init_set, worst_s0)
+        rho_j, ref_j, sig_j = runs[s0]
         return _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta,
-                                  s0, *runs[s0], K, *adams)
+                                  s0, rho_j, ref_j, K, *adams, sig_j)
 
     theta, log, info = _train(plant, policy, f, init_set, cfg, step)
     return policy.with_theta(theta), log, info
 
 
 def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
-                       ref_j, K, adam1, adam2, adam3):
-    """One iteration from theta, whose exact rho and plain rollout from s0
-    are rho_j and ref_j (None if it diverged).
+                       ref_j, K, adam1, adam2, adam3, sig_j=None):
+    """One iteration from theta, whose exact rho, plain rollout from s0 and
+    its exact signals are rho_j, ref_j and sig_j (None if it diverged or
+    not kept).
 
     Returns (committed theta, branch, lr, exact rho of the committed theta,
     number of candidate updates skipped because their rollout diverged).
@@ -255,17 +256,18 @@ def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
     theta1 = list(theta)
     theta2 = list(theta)
     ref1 = ref2 = ref_j  # theta1 = theta2 = theta3 = theta on a first pass
+    sig1 = sig_j
     for _ in range(cfg.N1):
         try:
             if ref1 is None:
                 ref1 = rollout(plant, policy.with_theta(theta1), s0, K)
-            w = critical(f, Trace(ref1.states))
+            w = critical(f, Trace(ref1.states), sig=sig1)
             d1 = grad_critical(ref1, w.time, w.predicate, cfg.N,
                                policy.with_theta(theta1), plant, rng)
             theta1 = adam_update(adam1, theta1, [g / cfg.N1 for g in d1])
         except DivergedRollout:
             diverged += 1  # keep theta1; the commit test filters bad candidates
-        ref1 = None
+        ref1 = sig1 = None
         if wp is not None:
             try:
                 if ref2 is None:

@@ -589,9 +589,13 @@ def test_horizon_skips_operands_no_output_reads():
 
 def test_program_compiled_once_and_not_a_field(monkeypatch):
     import dataclasses
-    made = []
-    orig = stl._compile
+    from stlctrl.smooth import smooth_robustness
+    from stlctrl import stl_kernels
+    made, kernels = [], []
+    orig, gen = stl._compile, stl_kernels.generate
     monkeypatch.setattr(stl, "_compile", lambda f: made.append(f) or orig(f))
+    monkeypatch.setattr(stl_kernels, "generate",
+                        lambda steps, sem: kernels.append(sem) or gen(steps, sem))
     f = parse("U[0,3](x0 > 0, G[0,2](x0 < 1))")
     g = parse("U[0,3](x0 > 0, G[0,2](x0 < 1))")
     tr = tr1([0.5, 0.2, -1.0, 3.0, 0.0, 0.1])
@@ -599,7 +603,107 @@ def test_program_compiled_once_and_not_a_field(monkeypatch):
         robustness(f, tr, k)
         critical(f, tr, k)
         satisfies(f, tr, k)
+        smooth_robustness(f, Trace(tr.states[k:]))
     assert made == [f]
+    assert kernels == ["exact", "boolean", "smooth"]
     assert "_prog" not in {fl.name for fl in dataclasses.fields(f)}
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
     assert g._prog is None and f._prog is not None
+
+
+def counted(name, calls):
+    return Pred(Named(name, lambda s: calls.append(name) or s[0] - 0.5))
+
+
+def test_shared_node_is_evaluated_once_per_time():
+    # one predicate object under two operators with the same window is one
+    # program step: 4 calls over 4 states, not 8, and as many smooth tape
+    # nodes as the id-memoised recursion records
+    from stlctrl.smooth import SmoothConfig, smooth_robustness
+    from tests.test_smooth import srho_rec, taped
+    calls = []
+    p, q, r = (counted(name, calls) for name in "pqr")
+    states = [(1.0,), (0.0,), (2.0,), (0.7,)]
+    tr = Trace(states)
+    for f in (And((Always(0, 3, p), Eventually(0, 3, p))),
+              Always(0, 3, And((Or((p, q)), Or((p, r)))))):
+        for run in (robustness, satisfies, critical,
+                    lambda f, tr: smooth_robustness(f, tr, SmoothConfig(5.0))):
+            calls.clear()
+            run(f, tr)
+            # critical evaluates a fused And/Or's children at k* again
+            assert 4 <= calls.count("p") <= 4 + (run is critical), (f, run)
+        assert_matches_recursions(f, states)
+        for b in (5.0, 15.0):
+            n, value, _ = taped(lambda f, st, b: smooth_robustness(
+                f, Trace(st), SmoothConfig(b)), f, states, b)
+            n_rec, value_rec, _ = taped(
+                lambda f, st, b: srho_rec(f, st, 0, b, {}), f, states, b)
+            assert (n, bits(value)) == (n_rec, bits(value_rec)), (f, b)
+
+
+def test_critical_from_kept_signals_only_backtracks():
+    # given the signals robustness evaluated, critical evaluates no
+    # predicate except the children of a fused And/Or at the chosen time
+    calls = []
+    p, q = (counted(name, calls) for name in "pq")
+    tr = tr1([1.0, 0.0, 2.0, 3.0, 0.7, -1.0])
+    for f in (Eventually(0, 3, Until(1, 2, p, q)), Always(0, 5, And((p, q)))):
+        sig = stl.signals(f, tr)
+        assert bits(sig[-1][0]) == bits(robustness(f, tr))
+        calls.clear()
+        w = critical(f, tr, sig=sig)
+        assert len(calls) <= 2, (f, calls)
+        assert w == critical(f, tr)
+
+
+def test_bundled_scenarios_match_recursions():
+    # one seeded rollout of each bundled scenario's initial policy: the
+    # large fused formulas (multi_dubins_10's 55 conjuncts, quad6_platform
+    # at K=1500) against the recursions bit for bit
+    from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
+    from stlctrl.plants import rollout
+    from stlctrl.smooth import SmoothConfig, smooth_robustness
+    from tests.test_smooth import srho_rec
+    for name in bundled_names():
+        sc = load_scenario(resolve_scenario(name))
+        policy = sc.build_policy(random.Random(sc.seed))
+        s0 = sc.init_set.sample_uniform(random.Random(1))
+        states = rollout(sc.plant, policy, s0, horizon(sc.formula)).states
+        assert_matches_recursions(sc.formula, states)
+        b = sc.train_cfg.b
+        assert bits(smooth_robustness(sc.formula, Trace(states),
+                                      SmoothConfig(b))) == \
+            bits(srho_rec(sc.formula, states, 0, b, {})), name
+
+
+def test_load_scenario_compiles_no_kernel(monkeypatch):
+    # set-up only parses and checks: programs and kernels compile on the
+    # first evaluation
+    from stlctrl import stl_kernels
+    from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
+    made = []
+    monkeypatch.setattr(stl, "_compile", lambda f: made.append(f))
+    monkeypatch.setattr(stl_kernels, "generate", lambda *a: made.append(a))
+    for name in bundled_names():
+        sc = load_scenario(resolve_scenario(name))
+        assert sc.formula._prog is None, name
+    assert made == []
+
+
+def test_formula_from_an_earlier_import_gets_a_kernel(monkeypatch):
+    # the benchmark imports stlctrl again between runs, which also drops the
+    # kernel generator imported on first use: a formula parsed by the
+    # earlier import gets its kernels from the new generator
+    import importlib
+    import sys
+    text = "G[0,2](x0 > 0 && x0 < 3) && U[0,1](x0 > 1, x0 > 0)"
+    tr = tr1([1.0, 2.0, 1.5, 0.5])
+    want = robustness(parse(text), tr), satisfies(parse(text), tr)
+    for name in [n for n in sys.modules if n.startswith("stlctrl")]:
+        monkeypatch.delitem(sys.modules, name)
+    new = importlib.import_module("stlctrl.stl")
+    new.robustness(new.parse(text), new.Trace(tr.states))
+    f = parse(text)
+    assert (robustness(f, tr), satisfies(f, tr)) == want
+    assert critical(f, tr).value == want[0]

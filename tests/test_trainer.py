@@ -274,6 +274,28 @@ def test_dropout_reuses_the_incumbent_rollout(monkeypatch):
     assert len(log.records) == 5
 
 
+def test_dropout_first_pass_backtracks_the_incumbent_signals(monkeypatch):
+    # the first N1 pass takes the critical predicate of theta's rollout
+    # from the signals the min-rho check evaluated on it, once per iteration
+    from stlctrl import stl, trainer
+    sc = load_scenario(resolve_scenario("dubins_k100"))
+    rng = random.Random(1)
+    pol = sc.build_policy(rng)
+    cfg = dataclasses.replace(sc.train_cfg, max_iters=5)
+    kept = []
+
+    def spy(f, tr, k=0, sig=None):
+        if sig is not None:
+            assert sig == stl.signals(f, tr, k)
+            kept.append(tr.states)
+        return stl.critical(f, tr, k, sig)
+
+    monkeypatch.setattr(trainer, "critical", spy)
+    _, log, _ = train_dropout(sc.plant, pol, sc.formula, sc.init_set,
+                              sc.waypoints, cfg, rng)
+    assert len(kept) == len(log.records) == 5
+
+
 def _iteration(sc, pol, theta, s0, ref, N1):
     from stlctrl import trainer
     K = horizon(sc.formula)
