@@ -6,14 +6,13 @@ parameters come out of a single reverse sweep.  Everything is 64-bit.
 
 replay_source is the one kernel generator: from a function traced once
 on Vars (a plant step, controller layers, an affine predicate) it writes
-straight-line float code that also writes the records the Var operators
-would for the inputs that are Vars, or a loop of such steps.  The records
-one generated call writes form a block on the tape, and the generator
-also writes the block's adjoint: the interpreter's reverse sweep over
-those records as straight-line code, the adjoints of nodes inside the
-block kept in locals (reverse mode by source transformation, Griewank &
-Walther, "Evaluating Derivatives", 2008).  The reverse sweep runs the
-adjoints of the blocks and interprets only the nodes between them.
+straight-line float code in the Var operators' order, or a loop of such
+steps.  Given Var inputs, the code pushes its Var outputs only, as one
+block keeping the Var inputs' ids and the locals its generated adjoint
+reads (reverse mode by source transformation, storing only what the
+sweep reads: Griewank & Walther, "Evaluating Derivatives", 2008, ch. 4
+and 6).  Tape.backward runs the blocks' adjoints and interprets the
+nodes between them.
 """
 
 import math
@@ -123,9 +122,10 @@ class Tape:
     list order is already a topological order for the reverse sweep.
     A tape is single-owner while recording; use one tape per rollout.
 
-    blocks holds (start, end, adjoint, args) per run of nodes start..end-1
-    that a generated recorder wrote: adjoint(adj, vals, start, end, args)
-    applies their reverse sweep as the interpreter would.
+    blocks holds (start, end, adjoint, args) per generated call: nodes
+    start..end-1 are its Var outputs, pushed as CONSTs, args its Var
+    inputs' ids and the locals its adjoint reads, and adjoint(adj, start,
+    args) applies the interpreter's sweep over the Var operators' records.
     """
 
     __slots__ = ("ops", "lhs", "rhs", "vals", "aux", "blocks")
@@ -154,39 +154,41 @@ class Tape:
         return Var(self, self._push(CONST, -1, -1, float(value)))
 
     def consts(self, values):
-        """[const(v) for v in values], with one extend per list."""
-        vals = [float(v) for v in values]
+        """The ids, a range, of one const per value, one extend per list."""
+        vals = list(map(float, values))
         n, m = len(self.ops), len(vals)
         self.ops += [CONST] * m
         self.lhs += [-1] * m
         self.rhs += [-1] * m
         self.vals += vals
         self.aux += [0.0] * m
-        return [Var(self, i) for i in range(n, n + m)]
+        return range(n, n + m)
 
     def backward(self, output, seeds):
-        """Reverse accumulation of d(output)/d(seed) for each seed Var.
+        """Reverse accumulation of d(output)/d(seed) for each seed, a Var
+        or, if seeds is a range, a node id.
 
         max2/min2 send the full adjoint to the strict argmax/argmin input
-        and split it 50/50 on exact ties.  A block that ends at or before
-        the output runs its generated adjoint; all other nodes, a block
-        that reaches past the output included, are interpreted.
+        and split it 50/50 on exact ties.  Blocks up to the one holding
+        the output run their adjoints; nodes between them are interpreted.
         """
         if output.tape is not self:
             raise ValueError("output not on this tape")
-        for s in seeds:
-            if s.tape is not self:
+        if type(seeds) is not range:
+            if any(s.tape is not self for s in seeds):
                 raise ValueError("seed not on this tape")
+            seeds = [s.i for s in seeds]
         n = output.i + 1
-        adj = [0.0] * n
-        adj[output.i] = 1.0
-        ops, lhs, rhs, vals, aux = self.ops, self.lhs, self.rhs, self.vals, self.aux
         spans, hi = [], n  # (nodes lo..hi-1 to interpret, then a block)
         for start, end, adjoint, args in reversed(self.blocks):
-            if end <= hi:
+            if start < hi:
+                n = max(n, end)
                 spans.append((end, hi, adjoint, start, args))
                 hi = start
         spans.append((0, hi, None, 0, None))
+        adj = [0.0] * n
+        adj[output.i] = 1.0
+        ops, lhs, rhs, vals, aux = self.ops, self.lhs, self.rhs, self.vals, self.aux
         for lo, hi, adjoint, start, args in spans:
             for i in range(hi - 1, lo - 1, -1):
                 g = adj[i]
@@ -236,8 +238,8 @@ class Tape:
                 else:  # pragma: no cover
                     raise AssertionError(f"unhandled opcode {op}")
             if adjoint is not None:
-                adjoint(adj, vals, start, lo, args)
-        return [adj[s.i] if s.i < n else 0.0 for s in seeds]
+                adjoint(adj, start, args)
+        return [adj[i] if i < n else 0.0 for i in seeds]
 
 
 # -- math helpers generic over Var and float --------------------------------
@@ -327,7 +329,6 @@ _CHAIN = 200
 
 # -- kernels generated from a traced function --------------------------------
 
-_LISTS = ("tape.ops", "tape.lhs", "tape.rhs", "vals", "tape.aux")
 # op: (form, precedence, least precedence of a left and a right operand
 # without parentheses; a name has 5): needless ones cost compile memory
 _FORMS = {ADD: ("{} + {}", 1, 1, 2), SUB: ("{} - {}", 1, 1, 2),
@@ -344,153 +345,163 @@ def replay_source(trace, inputs, prefix="f", loop=None, inline=False):
     outputs) of a function run once on Vars, its inputs the first nodes,
     input j read as inputs[j] = (value, node id or None for a float).
 
-    A node with a Var operand records what the Var operators would (a
-    float operand pushed as a CONST just before it, the Var as lhs of ADD,
-    MUL, MAX2, MIN2; a domain guard raises EvalError with the node id);
-    the last lines append the records to the tape, of length n before,
-    and register them as one block whose adjoint _adjoint generates.
-    A float node read once is folded into its reader; read twice, by a
-    guard or as an output, or past _CHAIN nodes, it is a statement
-    {prefix}{node}.  Outputs are (value, node id or None); with inline, a
-    float output is its expression rather than a statement.
+    A node with a Var operand, a Var node, is computed as the Var operators
+    do (a Var operand of ADD, MUL, MAX2, MIN2 first) and guarded as they
+    are, by EvalError with node id n, the tape's length.  A node read once
+    is folded into its reader; read twice, by a guard, by the adjoint or
+    as an output, or past _CHAIN nodes, it is a statement {prefix}{node}.
+    The last lines push the Var outputs as one block (see Tape).  Outputs
+    are (value, node id or None); with inline, a float output is its
+    expression rather than a statement.
 
     With loop, a for-header that binds the other inputs, the lines run
-    the function once per iteration, output j carried into input j (both
-    names), and register the records of all iterations as one block; the
-    outputs are the inputs' names.  None unless there are records, the
-    Var inputs are the carried ones and each Var output is a record of its
-    own."""
+    the function once per iteration, output j carried into input j, and
+    keep a tuple of locals per step if the adjoint reads any.  None unless
+    a Var output exists, the Var inputs are the carried ones and each Var
+    output is a Var node of its own."""
     tape, out = trace
-    uses = Counter(tape.lhs) + Counter(tape.rhs)
-    ref = {j: (x, i, 1, 5) for j, (x, i) in enumerate(inputs)}
-    consts, lines, recs, index = {}, [], [], {}
-
-    def push(op, a, b, val, p="0.0"):
-        k = len(recs)
-        lines.append(f"v{k} = {val}")
-        recs.append((op, a, b, p))
-        index[f"n + {k}"] = k
-        return f"v{k}", f"n + {k}", 1, 5
+    ops, lhs, rhs, nin = tape.ops, tape.lhs, tape.rhs, len(inputs)
+    uses = Counter(lhs) + Counter(rhs)
+    var = {j for j, (_, i) in enumerate(inputs) if i}
+    keep = set() if inline else {o.i for o in out if type(o) is Var}
+    for r in range(nin, len(ops)):  # the Var nodes, and what adjoints read
+        op, a, b = ops[r], lhs[r], rhs[r]
+        if a in var or b in var:
+            var.add(r)
+            keep.update(x for x, on in (
+                (r, op in (TANH, EXP) or op == DIV and b in var),
+                (a, op in (LN, SIN, COS, POW_CONST, MAX2, MIN2)
+                 or op == MUL and b in var),
+                (b, op in (DIV, MAX2, MIN2) or op == MUL and a in var)) if on)
+    ref = {j: (x, 1, 5) for j, (x, _) in enumerate(inputs)}
+    consts, lines, named, nodes = {}, [], set(), {}
 
     def name(r):
-        if ref[r][2] > 1:
+        if ref[r][1] > 1:
             lines.append(f"{prefix}{r} = {ref[r][0]}")
-            ref[r] = (f"{prefix}{r}", None, 1, 5)
+            ref[r] = (f"{prefix}{r}", 1, 5)
+            named.add(ref[r][0])
         return ref[r]
 
-    for r in range(len(inputs), len(tape.ops)):
-        op, a, b = tape.ops[r], ref.get(tape.lhs[r]), ref.get(tape.rhs[r])
+    def operand(x):  # a Var node, or an input's or a float's (value, id)
+        return x if x in nodes else (ref[x][0],
+                                     x < nin and inputs[x][1] or None)
+
+    for r in range(nin, len(ops)):
+        op, la, lb = ops[r], lhs[r], rhs[r]
         if op in (CONST, POW_CONST):
             consts[f"c{r}"] = tape.vals[r] if op == CONST else tape.aux[r]
         if op == CONST:
-            ref[r] = (f"c{r}", None, 1, 5)
+            ref[r] = (f"c{r}", 1, 5)
             continue
-        if a[2] + (b[2] if b else 0) >= _CHAIN:
-            a, b = name(tape.lhs[r]), b and name(tape.rhs[r])
-        rec = a[1] or b and b[1]
-        if rec and b:
-            if a[1] is None and op in (ADD, MUL, MAX2, MIN2):
-                a, b = b, a
-            a, b = (x if x[1] else push(CONST, None, None, x[0]) for x in (a, b))
-        err = f"EvalError(n + {len(recs)}, " if rec else "ValueError("
-        if op == DIV and rec:
+        a, b = ref[la], ref.get(lb)
+        if a[1] + (b[1] if b else 0) >= _CHAIN:
+            a, b = name(la), b and name(lb)
+        if r in var and b and la not in var and op in (ADD, MUL, MAX2, MIN2):
+            la, lb, a, b = lb, la, b, a
+        err = "EvalError(n, " if r in var else "ValueError("
+        if op == DIV and r in var:
+            b = name(lb)
             lines.append(f"if {b[0]} == 0.0: raise {err}'division by zero')")
         elif op == LN:
-            a = name(tape.lhs[r])
+            a = name(la)
             lines.append(f"if {a[0]} <= 0.0: raise {err}"
                          f"f'log of non-positive value {{{a[0]}}}')")
         elif op == POW_CONST and not tape.aux[r].is_integer():
-            a = name(tape.lhs[r])
+            a = name(la)
             lines.append(f"if {a[0]} < 0.0: raise {err}f'negative base "
                          f"{{{a[0]}}} with non-integer exponent {{c{r}}}')")
         form, prec, least_a, least_b = _FORMS[op]
-        val = form.format(a[0] if a[3] >= least_a else f"({a[0]})",
-                          f"c{r}" if not b else b[0] if b[3] >= least_b
-                          else f"({b[0]})")
-        if rec:
-            ref[r] = push(op, a, b, val, f"c{r}" if op == POW_CONST else "0.0")
-        else:
-            ref[r] = (val, None, 1 + a[2] + (b[2] if b else 1), prec)
-            if uses[r] > 1:
-                name(r)
+        ref[r] = (form.format(a[0] if a[2] >= least_a else f"({a[0]})",
+                              f"c{r}" if not b else b[0] if b[2] >= least_b
+                              else f"({b[0]})"),
+                  1 + a[1] + (b[1] if b else 1), prec)
+        if uses[r] > 1 or r in keep:
+            name(r)
+        if r in var:
+            nodes[r] = (op, operand(la), b and operand(lb), f"c{r}", ref[r][0])
     consts.update((f"y{j}", o) for j, o in enumerate(out) if type(o) is not Var)
-    outs = [(ref[o.i] if inline else name(o.i))[:2] if type(o) is Var
-            else (f"y{j}", None) for j, o in enumerate(out)]
-    if not recs:
+    slots = list(dict.fromkeys(o.i for o in out if getattr(o, "i", -1) in nodes))
+    outs = [((ref[o.i] if inline else name(o.i))[0], f"n + {slots.index(o.i)}"
+             if o.i in nodes else o.i < nin and inputs[o.i][1] or None)
+            if type(o) is Var else (f"y{j}", None) for j, o in enumerate(out)]
+    if not slots:
         return None if loop else (lines, outs, consts)
-    size = len(recs)
-    writes = [f"{list_} += ({', '.join(map(str, col))},)" for list_, col in
-              zip(_LISTS, zip(*[(op, a[1] if a else -1, b[1] if b else -1,
-                                 f"v{k}", p)
-                                for k, (op, a, b, p) in enumerate(recs)]))]
-    # operands for the adjoint: a record's index or an external (value, id)
-    recs = [(op, *(x and index.get(x[1], x[:2]) for x in (a, b)), p)
-            for op, a, b, p in recs]
-    ext = _names(f"{x} {i}" for x, i in inputs if i)
+    local = _names(x for x, _ in inputs) | named
+    ids = _names(i for _, i in inputs if i)
     if not loop:
-        seeds = {index[i]: f"g{index[i]}" for _, i in outs if i in index}
-        rev, _ = _adjoint(recs, seeds)
-        args, loads = _reads(rev, ext, "n")
-        consts["adjoint"] = compile_kernel("adj, vals, n, end, args", [
-            *(f"g{k} = adj[n + {k}]" for k in seeds), _zero(seeds),
-            f"[{args}] = args", *loads, *rev], consts)
-        lines += writes + [
-            f"tape.blocks.append((n, n + {size}, adjoint, ({args})))"]
-        return lines, outs, consts
-    # a run: state j is carried from record o; gi{j} sums its adjoint
-    carry = {j: index.get(i) for j, (_, i) in enumerate(outs) if i}
-    if (list(carry) != [j for j, (_, i) in enumerate(inputs) if i]
-            or None in carry.values() or len(set(carry.values())) < len(carry)):
+        seeds = {r: f"g{r}" for r in slots}
+        rev, _ = _adjoint(nodes, seeds)
+        args = _reads(rev, local | ids)
+        consts["adjoint"] = compile_kernel("adj, n, args", [
+            *(f"g{r} = adj[n + {k}]" for k, r in enumerate(slots)),
+            _zero(seeds), f"[{args}] = args", *rev], consts)
+        return lines + _push([ref[r][0] for r in slots], args), outs, consts
+    # a run: state j is carried from node o, in slots' order; gi{j} sums
+    # its adjoint
+    carry = {j: o.i for j, o in enumerate(out) if getattr(o, "i", -1) in var}
+    if (list(carry) != [j for j, (_, i) in enumerate(inputs) if i] or min(
+            carry.values()) < nin or len(set(carry.values())) < len(carry)):
         return None
     seeds = {o: f"go{j}" for j, o in carry.items()}
-    inner, sums = _adjoint(recs, seeds, {inputs[j][1]: f"gi{j}" for j in carry})
+    inner, sums = _adjoint(nodes, seeds, {inputs[j][1]: f"gi{j}" for j in carry})
     step = [sums.get(inputs[j][1], "0.0") for j in carry]
-    rev = []
-    if inner or step != list(seeds.values()):
+    first, _ = _adjoint(nodes, seeds)
+    per = _reads(inner + first, local)
+    back = bool(inner or per) or step != list(seeds.values())
+    kept = ("saved" if per else "steps") if back else ""
+    args = _reads(first, ids) + kept
+    body = [*(f"go{j} = adj[n + {k}]" for k, j in enumerate(carry)),
+            f"[{args}] = args"]
+    if back:
         # interior steps: their inputs are the step before's outputs
-        got, loads = _names(inner), _reads(inner, ext, "n")[1]
-        rev = [f"for n in range(end - {size}, start, -{size}):"] + [
+        body += [f"for [{per}] in saved[:0:-1]:" if per
+                 else "for _ in range(steps - 1):"] + [
             "    " + line for line in [
-                _zero(seeds), *loads,
-                *(f"{inputs[j][0]} = vals[n - {size - o}]"
-                  for j, o in carry.items() if inputs[j][0] in got),
-                *inner, f"{', '.join(seeds.values())}, = {', '.join(step)},"]]
-    first, _ = _adjoint(recs, seeds)
-    args, loads = _reads(first, ext, "n")
-    consts["adjoint"] = compile_kernel("adj, vals, start, end, args", [
-        *(f"go{j} = adj[end - {size - o}]" for j, o in carry.items()), *rev,
-        _zero(seeds), f"[{args}] = args", "n = start", *loads, *first], consts)
-    names = [f"{x}, {i}" if i else x for x, i in inputs[:len(outs)]]
-    nxt = [f"{x}, {i}" if i else x for x, i in outs]
-    lines = [f"args = ({args})", "start = n", loop] + [
-        "    " + line for line in lines + writes + [
-            f"{', '.join(names)}, = {', '.join(nxt)},", f"n += {size}"]]
-    lines.append("if n > start: tape.blocks.append((start, n, adjoint, args))")
-    return lines, list(inputs[:len(outs)]), consts
+                _zero(seeds), *inner,
+                f"{', '.join(seeds.values())}, = {', '.join(step)},"]]
+        body += [f"[{per}] = saved[0]"] * bool(per)
+    consts["adjoint"] = compile_kernel("adj, n, args",
+                                       body + [_zero(seeds), *first], consts)
+    xs = [x for x, _ in inputs[:len(out)]]
+    save = [f"saved.append(({per}))" if per else "steps += 1"] * back
+    lines = [f"{kept} = {'[]' if per else 0}"] * back + [loop] + [
+        "    " + line for line in lines + save + [
+            f"{', '.join(xs)}, = {', '.join(x for x, _ in outs)},"]]
+    return (lines + _push([xs[j] for j in carry], args),
+            [(x, i) for x, (_, i) in zip(xs, outs)], consts)
 
 
-def _adjoint(recs, seeds, local=None):
-    """(lines, sums): the interpreter's reverse sweep over recs = [(op, a,
-    b, aux)], an operand a record's index, an external Var's (value, id)
-    or None, as straight-line code over the records' values v{k}.
+def _push(values, args):
+    m = len(values)
+    return [f"vals += ({', '.join(values)},)", f"tape.ops += {(CONST,) * m}",
+            f"tape.lhs += {(-1,) * m}", f"tape.rhs += {(-1,) * m}",
+            f"tape.aux += {(0.0,) * m}",
+            f"tape.blocks.append((n, n + {m}, adjoint, ({args})))"]
 
-    Record k's adjoint is kept in a local, starting from the name
-    seeds[k] if given; a CONST's is never formed.  An external operand
-    gets each contribution as its own `adj[id] += ...`, as the interpreter
-    applies it, or with local = {id: name} sums it in that name (sums:
-    id -> the expression holding the sum).  A zero adjoint is not skipped
-    (its terms are 0.0), except before powc's, which can raise."""
+
+def _adjoint(nodes, seeds, local=None):
+    """(lines, sums): the interpreter's reverse sweep over the records of
+    nodes = {r: (op, a, b, aux, value)} as straight-line code, an operand a
+    Var node, a Var input's (value, id) or a float's (value, None).
+
+    Node r's adjoint is kept in a local, starting from the name seeds[r]
+    if given.  A Var input gets each contribution as its own `adj[id] +=
+    ...`, as the interpreter applies it, or with local = {id: name} sums it
+    in that name (sums: id -> the expression holding the sum).  A zero
+    adjoint is not skipped (its terms are 0.0), except before powc's,
+    which can raise."""
     grad, sums, lines = dict(seeds), {}, []
 
     def val(x):
-        return f"v{x}" if type(x) is int else x[0]
+        return nodes[x][4] if type(x) is int else x[0]
 
     def slot(x):
         """(sums, key, name) of an adjoint kept in a local; None for a
-        CONST, False for an adj write."""
+        float, False for an adj write."""
         if type(x) is int:
-            return None if recs[x][0] == CONST else (grad, x, f"g{x}")
-        return False if local is None else (sums, x[1], local[x[1]])
+            return grad, x, f"g{x}"
+        return x[1] and (False if local is None else (sums, x[1], local[x[1]]))
 
     def prepare(x):
         # a sum added to in a branch needs a name of its own
@@ -524,8 +535,8 @@ def _adjoint(recs, seeds, local=None):
         if len(lines) == size:
             lines.append("    pass")
 
-    for k in reversed(range(len(recs))):
-        op, a, b, p = recs[k]
+    for k in reversed(nodes):
+        op, a, b, p, v = nodes[k]
         g = grad.get(k)
         if g is None:
             continue
@@ -536,9 +547,9 @@ def _adjoint(recs, seeds, local=None):
             add(a, "+", f"{g} * {val(b)}")
             add(b, "+", f"{g} * {val(a)}")
         elif op == TANH:
-            add(a, "+", f"{g} * (1.0 - v{k} * v{k})")
+            add(a, "+", f"{g} * (1.0 - {v} * {v})")
         elif op == EXP:
-            add(a, "+", f"{g} * v{k}")
+            add(a, "+", f"{g} * {v}")
         elif op == MAX2 or op == MIN2:
             va, vb = val(a), val(b)
             prepare(a)
@@ -549,7 +560,7 @@ def _adjoint(recs, seeds, local=None):
             branch("else:", (small, g))
         elif op == DIV:
             add(a, "+", f"{g} / {val(b)}")
-            add(b, "-", f"{g} * v{k} / {val(b)}")
+            add(b, "-", f"{g} * {v} / {val(b)}")
         elif op == NEG:
             add(a, "-", g)
         elif op == LN:
@@ -570,18 +581,13 @@ def _names(exprs):
     return set(re.findall(r"[A-Za-z_]\w*", " ".join(exprs)))
 
 
-def _reads(lines, ext, base):
-    """(the names of ext that lines read, as a tuple's items; statements
-    loading each record value v{k} they read from vals[base + k])."""
-    names = _names(lines)
-    return ("".join(f"{x}, " for x in sorted(ext & names)),
-            [f"v{k} = vals[{base} + {k}]" for k in
-             sorted({int(x[1:]) for x in names if re.fullmatch(r"v\d+", x)})])
+def _reads(lines, names):
+    """The names of `names` that lines read, as a tuple's items."""
+    return "".join(f"{x}, " for x in sorted(_names(lines) & names))
 
 
 def _zero(seeds):
-    """Return when every adjoint the block reads is 0.0: its terms would
-    all be 0.0, and the interpreter skips such nodes."""
+    """Return if the block's adjoints are all 0.0: the interpreter skips them."""
     return f"if not ({' or '.join(seeds.values()) or 0}): return"
 
 

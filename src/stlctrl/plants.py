@@ -6,9 +6,11 @@ squash_fn, dt, noise), and autodiff.replay_source generates from it a
 plain rollout loop per (widths, include_time, noise), inlining the
 controller forward traced the same way, a tape recorder per (which
 inputs are Vars, noise) and a recorder of a run of steps with frozen
-actions per (which states are Vars, noise).  All compute in the Var operators' order, so
-plain and differentiable rollouts give bit-identical states.  So step_fn
-and squash_fn must be straight-line code over arithmetic and the autodiff
+actions per (which states are Vars, noise).  A recorder pushes only the
+next state's Vars and saves the locals its generated adjoint reads.  All
+compute in the Var operators' order, so plain and differentiable
+rollouts give bit-identical states and gradients.  So step_fn and
+squash_fn must be straight-line code over arithmetic and the autodiff
 helpers: nothing may depend on their arguments' values.
 """
 
@@ -107,7 +109,7 @@ class Rollout:
         self.states = states
         self.raw_actions = raw_actions
         self.tape = tape
-        self.theta_vars = theta_vars
+        self.theta_vars = theta_vars  # theta's node ids, backward's seeds
         self.noise_offsets = noise_offsets  # per-step additive terms, or None
 
     @property
@@ -282,8 +284,8 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None):
     if mode != "differentiable":
         raise ValueError(f"unknown rollout mode {mode!r}")
     tape = Tape()
-    theta_vars = tape.consts(policy.theta)
-    forward, record = policy.recorder(theta_vars), step_recorder(plant)
+    theta = tape.consts(policy.theta)
+    forward, record = policy.recorder(tape, theta), step_recorder(plant)
     states, raw_actions, offsets = [s0], [], []
     for k in range(K):
         a = tuple(forward(states[-1], k))
@@ -292,7 +294,7 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None):
         raw_actions.append(a)
         offsets.append(off)
         _check(k + 1, states[-1])
-    return Rollout(states, raw_actions, tape=tape, theta_vars=theta_vars,
+    return Rollout(states, raw_actions, tape=tape, theta_vars=theta,
                    noise_offsets=offsets if gauss else None)
 
 
@@ -309,7 +311,7 @@ def _traced(plant, noisy=False):
            plant.state_dim, plant.action_dim, noisy)
     if key not in _TRACES:
         tape, n, m = Tape(), plant.state_dim, plant.action_dim
-        xs = tape.consts([math.nan] * (n + m + n * noisy))
+        xs = [tape.const(math.nan) for _ in range(n + m + n * noisy)]
         out = tuple(plant.step(tuple(xs[:n]), tuple(xs[n:n + m]), 0))
         if len(out) != n:
             raise ValueError(f"plant {plant.name} steps to {len(out)} "
@@ -323,8 +325,8 @@ def _traced(plant, noisy=False):
 def step_recorder(plant):
     """record(tape, s, a, off=None): the next state as Plant.step computes
     it from states and raw actions that are Vars or floats, plus the noise
-    offsets off, written to the tape by a recorder generated per (which
-    inputs are Vars, noise); the records are the Var operators' own."""
+    offsets off, on the tape by a recorder generated per (which inputs are
+    Vars, noise): one block, with the Var operators' gradients."""
     recorders = _traced(plant)[1]
 
     def record(tape, s, a, off=None):
@@ -340,12 +342,11 @@ def step_recorder(plant):
 def run_recorder(plant):
     """run(tape, s, acts, offs=None): the state after one step per raw
     action in acts (floats), from states s that are Vars or floats, plus
-    the noise offsets offs[j] at step j, with the records step_recorder
-    writes step by step.  A loop generated per (which states are Vars,
-    noise) records them as one block, and only the final state's Vars are
-    made; a step replay_source cannot loop (it passes a state through,
-    gives two states one node or changes which states are Vars) goes step
-    by step."""
+    the noise offsets offs[j] at step j, with the values and gradients of
+    step_recorder step by step.  A loop generated per (which states are
+    Vars, noise) makes them one block that pushes only the final state; a
+    step replay_source cannot loop (it passes a state through, gives two
+    states one node or changes which states are Vars) goes step by step."""
     kernels, record = _traced(plant)[1], step_recorder(plant)
 
     def run(tape, s, acts, offs=None):

@@ -5,11 +5,11 @@ out x in) followed by biases.  The time-step k is appended to the state
 as an extra input coordinate unless include_time is off.
 
 The forward pass runs as code that autodiff.replay_source generates from
-the reference loop in forward_source, traced on Vars like a plant step:
-one statement per neuron, ``h = tanh(th[b] + th[r] * x0 + ...)``, summed
-left to right like the loop, and per pattern of Var operands a recorder
-that writes the loop's own tape records, so both are bit-identical to it,
-and registers them as a block with a generated adjoint.
+reference_forward, traced on Vars like a plant step: one statement per
+neuron, ``h = tanh(th[b] + th[r] * x0 + ...)``, summed left to right like
+the loop, so it is bit-identical to it.  Per pattern of Var operands, a
+recorder computes the same floats, keeps the ones its generated adjoint
+reads (the inputs and each neuron's tanh) and pushes only the outputs.
 """
 
 import json
@@ -77,12 +77,11 @@ class Policy:
         return kernels[1](([tape.vals[i] for i in ids], ids, tape) if var_theta
                           else (list(map(float, th)), None, tape), s, t)
 
-    def recorder(self, theta_vars):
-        """forward(s, k, theta_vars) for theta_vars on one tape, read once
-        here: a call checks only its inputs, and not their dimension."""
-        tape = theta_vars[0].tape
-        ids = [w.i for w in theta_vars]
-        th = ([tape.vals[i] for i in ids], ids, tape)
+    def recorder(self, tape, theta):
+        """forward(s, k) on the tape for the weights with node ids theta, a
+        range from Tape.consts: a call checks only its inputs, and not
+        their dimension."""
+        th = (tape.vals[theta.start:theta.stop], list(theta), tape)
         run, ts = _kernels(self.widths, self.include_time)[1], self.time_scale
         return lambda s, k: run(th, s, float(k) * ts if self.include_time
                                 else None)
@@ -165,6 +164,23 @@ def chained(widths):
     return param_count(widths) > _TERMS
 
 
+def reference_forward(widths, theta, x, layers=None):
+    """The outputs of layers (all if None) of the net on inputs x, weight
+    r theta[r], as a loop over floats or Vars: forward_source traces it."""
+    layers = range(len(widths) - 1) if layers is None else layers
+    off = param_count(widths[:layers[0] + 1])
+    for li in layers:
+        nin, nout = widths[li], widths[li + 1]
+        bias, h = off + nout * nin, []
+        for j in range(nout):
+            acc = theta[bias + j]
+            for i in range(nin):
+                acc = acc + theta[off + j * nin + i] * x[i]
+            h.append(acc if li == len(widths) - 2 else tanh(acc))
+        x, off = h, bias + nout
+    return x
+
+
 def forward_source(widths, include_time, theta, xs):
     """[(inputs, lines, outputs, constants)] of replay_source per run of
     layers traced on Vars (one per layer if chained): weight r reads
@@ -174,17 +190,8 @@ def forward_source(widths, include_time, theta, xs):
     for layers in [[li] for li in every] if chained(widths) else [every]:
         ins = xs + [("t", None)] * (include_time and not layers[0])
         tape = Tape()
-        th = tape.consts([math.nan] * (len(theta) + len(ins)))
-        x, off = th[len(theta):], param_count(widths[:layers[0] + 1])
-        for li in layers:  # the reference loop, traced
-            nin, nout = widths[li], widths[li + 1]
-            bias, h = off + nout * nin, []
-            for j in range(nout):
-                acc = th[bias + j]
-                for i in range(nin):
-                    acc = acc + th[off + j * nin + i] * x[i]
-                h.append(acc if li == len(widths) - 2 else tanh(acc))
-            x, off = h, bias + nout
+        th = [tape.const(math.nan) for _ in range(len(theta) + len(ins))]
+        x = reference_forward(widths, th, th[len(theta):], layers)
         lines, outs, consts = replay_source((tape, x), theta + ins, prefix="h")
         out.append((xs, lines, outs, consts))
         xs = [(f"x{j}", i and f"i{j}") for j, (_, i) in enumerate(outs)]

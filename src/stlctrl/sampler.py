@@ -3,10 +3,12 @@
 A sampled trajectory keeps the controller live (differentiable in theta)
 only at chosen time-steps and freezes it to the reference rollout's raw
 actions everywhere else, so gradient cost scales with the number of
-sampled steps instead of the horizon.  Each run of frozen steps between
-two live ones is recorded by one generated loop (plants.run_recorder) as
-one block on the tape, whose adjoint carries the state's adjoint from
-step to step in locals.
+sampled steps instead of the horizon.  On the tape, theta is one range of
+node ids, a live step is two blocks (the controller forward and the plant
+step) and each run of frozen steps between two live ones is one generated
+loop (plants.run_recorder) that pushes only its final state; its adjoint
+carries the state's adjoint from step to step in locals, over one tuple
+of saved locals per step if it reads any.
 """
 
 from .autodiff import Tape, Var
@@ -42,7 +44,8 @@ def partition_times(K, M, rng):
 
 
 class SampledTrajectory:
-    """Anchor states at the sampled times, on their own tape."""
+    """Anchor states at the sampled times, on their own tape; theta_vars is
+    the range of theta's node ids, the seeds of backward."""
 
     def __init__(self, times, anchors, tape, theta_vars, ref):
         self.times = times
@@ -59,8 +62,8 @@ def build_sampled(ref, times, policy, plant):
     state.  Anchor primal values match the reference states exactly
     because live and frozen steps run the same scalar arithmetic.  Each
     sample time but the last gets a live step, then one run of frozen
-    steps up to the next sample time; the tape holds the records a step
-    recorder call per step would write.
+    steps up to the next sample time; anchors and gradients are those of
+    the Var operators step by step.
     """
     if not times or times[0] != 0:
         raise ValueError("sample times must start at 0")
@@ -70,8 +73,8 @@ def build_sampled(ref, times, policy, plant):
         raise ValueError(f"sample time {times[-1]} past reference horizon {ref.K}")
     plant.check_dims(ref.states[0], policy)
     tape = Tape()
-    theta_vars = tape.consts(policy.theta)
-    forward = policy.recorder(theta_vars)
+    theta = tape.consts(policy.theta)
+    forward = policy.recorder(tape, theta)
     record, run = step_recorder(plant), run_recorder(plant)
     acts, offs = ref.raw_actions, getattr(ref, "noise_offsets", None)
     cur = ref.states[0]
@@ -80,7 +83,7 @@ def build_sampled(ref, times, policy, plant):
         cur = record(tape, cur, forward(cur, k), offs and offs[k])
         cur = run(tape, cur, acts[k + 1:k1], offs and offs[k + 1:k1])
         anchors.append(cur)
-    return SampledTrajectory(list(times), anchors, tape, theta_vars, ref)
+    return SampledTrajectory(list(times), anchors, tape, theta, ref)
 
 
 def grad_critical(ref, kstar, hstar, N, policy, plant, rng):

@@ -30,7 +30,7 @@ def _affine_source(n, names, prefix):
     trace = _AFFINE.get(n)
     if trace is None:
         tape = Tape()
-        acc, *xs = tape.consts([math.nan] * (2 * n + 1))
+        acc, *xs = [tape.const(math.nan) for _ in range(2 * n + 1)]
         for cj, sj in zip(xs[:n], xs[n:]):
             acc = acc + cj * sj
         trace = _AFFINE[n] = (tape, [acc])

@@ -5,7 +5,7 @@ parameters on every training sample, stops once the minimum robustness
 exceeds rho_bar, and otherwise takes one step of its trainer, retrying a
 step whose rollout diverged.  A step maps (theta, min rho, worst sample,
 {sample: (rho, rollout, exact signals)}) to (theta, branch, lr, logged
-rho, diverged candidates).
+rho, diverged candidates, such runs of its theta for the next check).
 
 train_dropout's step is the gradient-sampling iteration: it ascends the
 critical predicate value (and optionally a waypoint surrogate) through
@@ -21,11 +21,13 @@ import math
 import time
 from dataclasses import dataclass, field
 
+from .autodiff import Var
 from .plants import DivergedRollout, InitialSet, rollout
 from .policy import AdamState, adam_update
 from .sampler import build_sampled, grad_critical, grad_smooth, partition_times
 from .smooth import SmoothConfig, smooth_robustness
-from .stl import Trace, critical, horizon, robustness, signals
+# robustness is unused, but the benchmark's tracer expects it here by name
+from .stl import Trace, critical, horizon, robustness, signals  # noqa: F401
 
 
 @dataclass
@@ -142,27 +144,23 @@ class TrainLog:
 
 
 def _exact_rho(plant, policy, theta, s0, K, f):
-    """Exact rho of theta from s0; -inf if its rollout diverged."""
+    """(exact rho of theta from s0, its rollout, its exact signals), or
+    (-inf, None, None) if the rollout diverged."""
     try:
         r = rollout(plant, policy.with_theta(theta), s0, K)
     except DivergedRollout:
-        return -math.inf
-    return robustness(f, Trace(r.states))
+        return -math.inf, None, None
+    sig = signals(f, Trace(r.states))
+    return sig[-1][0], r, sig
 
 
-def _min_rho(plant, policy, theta, init_set, K, f):
-    """(min rho over the training samples, its sample, {sample: (rho,
-    rollout, its exact signals) or (-inf, None, None) if it diverged})."""
+def _min_rho(plant, policy, theta, init_set, K, f, kept):
+    """(min rho over the training samples, its sample, {sample: _exact_rho
+    of theta}), taking the runs of theta in kept as they are."""
     best = worst_s0 = None
     runs = {}
     for s0 in init_set.samples:
-        try:
-            r = rollout(plant, policy.with_theta(theta), s0, K)
-        except DivergedRollout:
-            runs[s0] = (-math.inf, None, None)
-        else:
-            sig = signals(f, Trace(r.states))
-            runs[s0] = (sig[-1][0], r, sig)
+        runs[s0] = kept.get(s0) or _exact_rho(plant, policy, theta, s0, K, f)
         if best is None or runs[s0][0] < best:
             best, worst_s0 = runs[s0][0], s0
     return best, worst_s0, runs
@@ -180,20 +178,20 @@ def _train(plant, policy, f, init_set, cfg, step):
     Each iteration checks theta on every training sample and stops once
     the minimum rho exceeds cfg.rho_bar.  Otherwise it takes
     step(theta, min_rho, worst_s0, runs) -> (theta, branch, lr, rho,
-    diverged), where runs is _min_rho's {sample: (rho, rollout, signals)},
-    and logs rho.  A step that raises DivergedRollout is retried, at most
-    cfg.max_retries times per run.  The returned theta is the one that
+    diverged, kept), runs being _min_rho's and kept its runs of the new
+    theta, and logs rho.  A step that raises DivergedRollout is retried, at
+    most cfg.max_retries times per run.  The returned theta is the one that
     solved the task, or the best one checked if none did.
     """
     K = horizon(f)
     theta = list(policy.theta)
     log = TrainLog()
     retries = diverged = iters = 0
-    dnf = True
-    best_theta, best_rho = theta, -math.inf
+    dnf, best_theta, best_rho, kept = True, theta, -math.inf, {}
     t_start = time.time()
     while iters < cfg.max_iters:
-        min_rho, worst_s0, runs = _min_rho(plant, policy, theta, init_set, K, f)
+        min_rho, worst_s0, runs = _min_rho(plant, policy, theta, init_set, K,
+                                           f, kept)
         if min_rho > best_rho:
             best_rho, best_theta = min_rho, theta
         if min_rho > cfg.rho_bar:
@@ -201,7 +199,8 @@ def _train(plant, policy, f, init_set, cfg, step):
             break
         t_iter = time.time()
         try:
-            theta, branch, lr, rho, div = step(theta, min_rho, worst_s0, runs)
+            theta, branch, lr, rho, div, kept = step(theta, min_rho,
+                                                     worst_s0, runs)
         except DivergedRollout:
             retries += 1
             if retries > cfg.max_retries:
@@ -212,7 +211,7 @@ def _train(plant, policy, f, init_set, cfg, step):
                    seconds=time.time() - t_iter)
         iters += 1
     # repeats a solved check; the benchmark's spans count its .samples read
-    final_rho = _min_rho(plant, policy, theta, init_set, K, f)[0]
+    final_rho = _min_rho(plant, policy, theta, init_set, K, f, kept)[0]
     if final_rho > best_rho:
         best_rho, best_theta = final_rho, theta
     info = {
@@ -236,8 +235,10 @@ def train_dropout(plant, policy, f, init_set, wp, cfg, rng):
     def step(theta, min_rho, worst_s0, runs):
         s0 = _pick_s0(cfg, rng, init_set, worst_s0)
         rho_j, ref_j, sig_j = runs[s0]
-        return _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta,
-                                  s0, rho_j, ref_j, K, *adams, sig_j)
+        *out, run = _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng,
+                                       theta, s0, rho_j, ref_j, K, *adams,
+                                       sig_j)
+        return (*out, runs if run is None else {s0: run})
 
     theta, log, info = _train(plant, policy, f, init_set, cfg, step)
     return policy.with_theta(theta), log, info
@@ -250,7 +251,8 @@ def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
     not kept).
 
     Returns (committed theta, branch, lr, exact rho of the committed theta,
-    number of candidate updates skipped because their rollout diverged).
+    number of candidate updates skipped because their rollout diverged,
+    _exact_rho of the committed theta from s0 or None if it is theta).
     """
     diverged = 0
     theta1 = list(theta)
@@ -287,19 +289,19 @@ def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
             ref2 = None
 
     if wp is not None:
-        rho2 = _exact_rho(plant, policy, theta2, s0, K, f)
-        if rho2 >= rho_j:
-            return theta2, "waypoint", 1.0, rho2, diverged
-    rho1 = _exact_rho(plant, policy, theta1, s0, K, f)
-    if rho1 >= rho_j:
-        return theta1, "critical", 1.0, rho1, diverged
+        run = _exact_rho(plant, policy, theta2, s0, K, f)
+        if run[0] >= rho_j:
+            return theta2, "waypoint", 1.0, run[0], diverged, run
+    run = _exact_rho(plant, policy, theta1, s0, K, f)
+    if run[0] >= rho_j:
+        return theta1, "critical", 1.0, run[0], diverged, run
     ell = 1.0
     while True:
         ell = ell / 2.0
         hat = [tj + ell * (t1 - tj) for tj, t1 in zip(theta, theta1)]
-        rho_hat = _exact_rho(plant, policy, hat, s0, K, f)
-        if rho_hat >= rho_j:
-            return hat, "critical", ell, rho_hat, diverged
+        run = _exact_rho(plant, policy, hat, s0, K, f)
+        if run[0] >= rho_j:
+            return hat, "critical", ell, run[0], diverged, run
         if ell < cfg.eps:
             break
 
@@ -317,11 +319,11 @@ def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
             diverged += 1
             break
         ref3 = None
-    rho3 = _exact_rho(plant, policy, theta3, s0, K, f)
-    if cfg.guard_smooth and rho3 < rho_j:
+    run = _exact_rho(plant, policy, theta3, s0, K, f)
+    if cfg.guard_smooth and run[0] < rho_j:
         # keep the incumbent rather than regress
-        return theta, "smooth", 1.0, rho_j, diverged
-    return theta3, "smooth", 1.0, rho3, diverged
+        return theta, "smooth", 1.0, rho_j, diverged, None
+    return theta3, "smooth", 1.0, run[0], diverged, run
 
 
 def _noise(cfg, rng):
@@ -338,15 +340,13 @@ def train_vanilla(plant, policy, f, init_set, cfg, rng):
         s0 = _pick_s0(cfg, rng, init_set, worst_s0)
         ref = rollout(plant, policy.with_theta(theta), s0, K,
                       noise=_noise(cfg, rng))
-        if cfg.time_sampling and cfg.M > 1:
-            partition = partition_times(K, cfg.M, rng)
-        else:
-            partition = [list(range(K + 1))]
+        partition = (partition_times(K, cfg.M, rng) if cfg.time_sampling
+                     and cfg.M > 1 else [list(range(K + 1))])
         d = grad_smooth(ref, partition, f, scfg,
                         policy.with_theta(theta), plant)
         theta = adam_update(adam, theta, d)
-        rho = _exact_rho(plant, policy, theta, s0, K, f)
-        return theta, "smooth", 1.0, rho, 0
+        run = _exact_rho(plant, policy, theta, s0, K, f)
+        return theta, "smooth", 1.0, run[0], 0, {s0: run}
 
     theta, log, info = _train(plant, policy, f, init_set, cfg, step)
     return policy.with_theta(theta), log, info
@@ -370,8 +370,8 @@ class _OpenLoop:
             raise ValueError(f"open-loop actions end before step {k}")
         return list(th[k * m:(k + 1) * m])
 
-    def recorder(self, theta_vars):
-        return lambda s, k: self.forward(s, k, theta_vars)
+    def recorder(self, tape, theta):
+        return lambda s, k: [Var(tape, i) for i in self.forward(s, k, theta)]
 
 
 def train_openloop(plant, actions, f, s0, cfg, rng):
@@ -392,7 +392,7 @@ def train_openloop(plant, actions, f, s0, cfg, rng):
                       mode="differentiable", noise=_noise(cfg, rng))
         out = smooth_robustness(f, Trace(ref.states), scfg)
         d = ref.tape.backward(out, ref.theta_vars)
-        return adam_update(adam, theta, d), "smooth", 1.0, min_rho, 0
+        return adam_update(adam, theta, d), "smooth", 1.0, min_rho, 0, {}
 
     theta, log, info = _train(plant, ol, f, InitialSet(s0, s0, [s0]), cfg,
                               step)

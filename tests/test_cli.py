@@ -9,7 +9,7 @@ from stlctrl.cli import (
     resolve_scenario,
 )
 from stlctrl.autodiff import Tape, ln
-from stlctrl.plants import write_trace_csv
+from stlctrl.plants import Plant, step_recorder, write_trace_csv
 
 
 def scenario_doc(**over):
@@ -163,9 +163,17 @@ def log_of_zero(ref, kstar, hstar, N, policy, plant, rng):
     return ln(Tape().const(0.0))
 
 
+def recorder_guard(ref, kstar, hstar, N, policy, plant, rng):
+    # a generated step recorder's guard, raised before it pushes anything
+    tape, odd = Tape(), Plant("odd", 1, 1, 1.0,
+                              lambda s, u, dt: (u[0] / s[0],), lambda a: a)
+    return step_recorder(odd)(tape, (tape.const(0.0),), (1.0,))
+
+
 @pytest.mark.parametrize("grad,message", [
     (nan_gradient, "non-finite gradient component nan"),
     (log_of_zero, "log of non-positive value 0.0"),
+    (recorder_guard, "node 1: division by zero"),
 ])
 def test_numerical_failure_in_training_exits_4(tmp_path, capsys, monkeypatch,
                                                grad, message):

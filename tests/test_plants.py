@@ -341,25 +341,24 @@ def test_rollout_rejects_a_policy_for_other_states():
             rollout(p, init(widths, scheme="zero"), s0, 3)
 
 
-def _tape_lists(tape):
-    return _bits([tape.ops, tape.lhs, tape.rhs, tape.vals, tape.aux])
-
-
 def _recorded(step, s, a, off, var_s, var_a, prefix=3):
-    """(records, next state as (node id or value) per entry) of one step on
-    a tape that already holds a few nodes; inputs marked var are Vars."""
+    """The next state of one step on a tape that already holds a few nodes,
+    inputs marked var Vars: per entry its value, and for a Var its
+    gradient over the Var inputs, as bytes."""
     tape = Tape()
     for i in range(prefix):
         tape.const(0.5 * i)
     s = tuple(tape.const(x) if v else x for x, v in zip(s, var_s))
     a = tuple(tape.const(x) if v else x for x, v in zip(a, var_a))
     nxt = step(tape, s, a, off)
-    return _tape_lists(tape), _bits([x.i if isinstance(x, Var) else x
-                                     for x in nxt])
+    seeds = [x for x in (*s, *a) if isinstance(x, Var)]
+    return [_bits((x.value, tape.backward(x, seeds)) if isinstance(x, Var)
+                  else x) for x in nxt]
 
 
 def _var_step(plant):
-    """The Var operators' records: Plant.step plus the noise as rollout added it."""
+    """The Var operators, interpreted: Plant.step plus the noise as rollout
+    adds it."""
     def step(tape, s, a, off):
         nxt = plant.step(s, a, 0)
         return nxt if off is None else tuple(x + o for x, o in zip(nxt, off))
@@ -402,7 +401,8 @@ def test_step_recorder_scalar_power_max_tie_and_power():
     tape = Tape()
     x = tape.const(1e-3)
     (y,) = step_recorder(plant)(tape, (x,), (tape.const(0.2),))
-    assert tape.ops.count(autodiff.MAX2) == tape.ops.count(autodiff.POW_CONST) == 1
+    # one block, its output the only node it pushes
+    assert len(tape.blocks) == 1 and tape.ops == [autodiff.CONST] * 3
     g = tape.backward(y, [x])[0]
     assert g == pytest.approx(0.5 * 0.8 * 1.2 * 1e-3 ** 0.2)
 
@@ -429,6 +429,19 @@ def test_step_recorder_constants_and_operand_order(fn):
     assert runs[0] == runs[1]
 
 
+def test_step_recorder_keeps_the_var_operand_first():
+    # max(0.0, -0.0) is 0.0 and max(-0.0, 0.0) is -0.0: with a frozen u,
+    # vmax(u, s) computes max(s, u), as the Var operators put the Var first
+    plant = Plant("zeros", 2, 1, 1.0, lambda s, u, dt: (
+        vmax(u[0], s[0]), vmin(u[0], s[1])), lambda a: a)
+    _assert_recorder_matches_var_operators(
+        plant, (-0.0, 0.0), (0.0,), [((True, True), (False,))])
+    tape = Tape()
+    nxt = step_recorder(plant)(tape, (tape.const(-0.0), tape.const(0.0)),
+                               (-0.0,))
+    assert _bits([x.value for x in nxt]) == _bits([-0.0, 0.0])
+
+
 @pytest.mark.parametrize("fn,s,a", [
     (lambda s, u, dt: (s[0] + u[0] / s[0],), 0.0, 1.0),
     (lambda s, u, dt: (s[0] * u[0] + 1.0 / (s[0] - 0.5),), 0.5, 1.0),
@@ -446,8 +459,9 @@ def test_step_recorder_guards_write_nothing(fn, s, a):
             size = len(tape)
             with pytest.raises(EvalError) as e:
                 step(tape, *ins, None)
-            errs.append((e.value.node_id, str(e.value)))
+            errs.append(str(e.value).split(": ", 1)[1])
         assert len(tape) == size  # the recorder's tape
+        assert e.value.node_id == size  # the id its first output would get
         assert errs[-1] == errs[-2]
     # the plain loop fails before it draws the step's noise
     rngs = []

@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from stlctrl.autodiff import Tape, tanh
+from stlctrl.autodiff import Tape, Var, tanh
 from stlctrl import policy as pol
 from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
 from stlctrl.policy import AdamState, Policy, adam_update, init, param_count
@@ -170,12 +170,16 @@ def loop_forward(p, s, k, theta=None):
     return x
 
 
+def _grads(tape, outs, seeds):
+    """Each output's value and gradient over the seeds, as bytes."""
+    return [list(map(_bits, [v.value, *tape.backward(v, seeds)]))
+            for v in outs]
+
+
 def _tape_run(fn, p, s, k):
     tape = Tape()
     tv = [tape.const(w) for w in p.theta]
-    out = fn(p, s, k, theta=tv)
-    return [v.value for v in out], (tape.ops, tape.lhs, tape.rhs, tape.vals,
-                                    tape.aux)
+    return _grads(tape, fn(p, s, k, theta=tv), tv)
 
 
 def _assert_kernel_matches_loop(p, rng, trials=3):
@@ -184,10 +188,8 @@ def _assert_kernel_matches_loop(p, rng, trials=3):
         s = tuple(rng.uniform(-3, 3) for _ in range(n))
         k = rng.randrange(1000)
         assert p.forward(s, k) == loop_forward(p, s, k)
-        got, got_tape = _tape_run(Policy.forward, p, s, k)
-        want, want_tape = _tape_run(loop_forward, p, s, k)
-        assert got == want
-        assert got_tape == want_tape
+        assert (_tape_run(Policy.forward, p, s, k)
+                == _tape_run(loop_forward, p, s, k))
 
 
 def _policy_configs():
@@ -238,9 +240,8 @@ def test_kernel_takes_var_inputs_with_float_weights():
     runs = []
     for fn in (Policy.forward, loop_forward):
         tape = Tape()
-        out = fn(p, (tape.const(0.3), tape.const(-0.2)), 4)
-        runs.append(([v.value for v in out], tape.ops, tape.lhs, tape.rhs,
-                     tape.vals))
+        xs = (tape.const(0.3), tape.const(-0.2))
+        runs.append(_grads(tape, fn(p, xs, 4), xs))
     assert runs[0] == runs[1]
 
 
@@ -250,19 +251,19 @@ def _bits(x):
 
 def _assert_recorder_matches_loop(p, setup, k=7):
     """setup(tape) -> (theta, inputs of each forward); Policy.forward and
-    loop_forward must leave the same records and outputs on fresh tapes.
+    loop_forward must give the same outputs on fresh tapes, values and
+    gradients over the Vars among theta and the inputs, bit for bit.
     Returns (tape, theta, outputs) of each."""
-    runs = []
+    runs, grads = [], []
     for fn in (Policy.forward, loop_forward):
         tape = Tape()
         theta, inputs = setup(tape)
         outs = [fn(p, s, k, theta=theta) for s in inputs]
+        seeds = [x for x in (*theta, *(x for s in inputs for x in s))
+                 if isinstance(x, Var)]
+        grads.append(_grads(tape, [v for o in outs for v in o], seeds))
         runs.append((tape, theta, outs))
-    (ta, _, oa), (tb, _, ob) = runs
-    assert (ta.ops, ta.lhs, ta.rhs, ta.aux) == (tb.ops, tb.lhs, tb.rhs, tb.aux)
-    assert list(map(_bits, ta.vals)) == list(map(_bits, tb.vals))
-    assert ([[(v.i, _bits(v.value)) for v in o] for o in oa]
-            == [[(v.i, _bits(v.value)) for v in o] for o in ob])
+    assert grads[0] == grads[1]
     return runs
 
 
@@ -298,7 +299,8 @@ def test_recorder_matches_loop_on_every_pattern(var_theta):
             continue
 
         def setup(tape):
-            theta = tape.consts(p.theta) if var_theta else p.theta
+            theta = ([Var(tape, i) for i in tape.consts(p.theta)]
+                     if var_theta else p.theta)
             s = [tape.const(x) if v else x for x, v in zip(xs, pattern)]
             return theta, [s, s[::-1]]
 
@@ -356,7 +358,7 @@ def test_recorder_several_forwards_on_one_tape():
         return theta, inputs
 
     (tape, _, _), _ = _assert_recorder_matches_loop(p, setup)
-    assert tape.ops.count(6) == 8 * (4 + 4)  # TANH: setup's and the test's
+    assert tape.ops.count(6) == 8 * 4  # TANH: setup's; the recorder's push none
 
 
 def test_recorder_rejects_before_writing():

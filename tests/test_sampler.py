@@ -265,6 +265,12 @@ def _generic_build_sampled(ref, times, policy, plant):
     return tape, anchors
 
 
+def _anchor_bits(tape, anchors, theta):
+    """Each anchor entry's value, and a Var's gradient over theta, as bytes."""
+    return _bits([[(x.value, tape.backward(x, theta)) if isinstance(x, Var)
+                   else x for x in a] for a in anchors])
+
+
 def _bits(x):
     if isinstance(x, float):
         return struct.pack("<d", x)
@@ -294,14 +300,9 @@ def test_build_sampled_records_what_var_operators_record(name, widths, s0,
     for times in ([0, 1, 2, 5, 6, 11], [0, 4, 12], list(range(K + 1))):
         st = build_sampled(ref, times, pol, plant)
         tape, anchors = _generic_build_sampled(ref, times, pol, plant)
-        assert (_bits([st.tape.ops, st.tape.lhs, st.tape.rhs, st.tape.vals,
-                       st.tape.aux])
-                == _bits([tape.ops, tape.lhs, tape.rhs, tape.vals, tape.aux]))
-        assert ([[x.i if isinstance(x, Var) else _bits(x) for x in a]
-                 for a in st.anchors]
-                == [[x.i if isinstance(x, Var) else _bits(x) for x in a]
-                    for a in anchors])
-        assert [w.i for w in st.theta_vars] == list(range(len(pol.theta)))
+        assert (_anchor_bits(st.tape, st.anchors, st.theta_vars)
+                == _anchor_bits(tape, anchors, range(len(pol.theta))))
+        assert st.theta_vars == range(len(pol.theta))
 
 
 def test_policy_recorder_matches_forward():
@@ -311,12 +312,13 @@ def test_policy_recorder_matches_forward():
         tape = Tape()
         tape.const(2.0)
         theta = tape.consts(p.theta)
-        fwd = (p.recorder(theta) if taped else
-               lambda s, k: p.forward(s, k, theta=theta))
-        outs = [fwd(s, k) for s, k in [((0.3, -0.2), 0),
-                                       ((tape.const(0.1), 0.4), 5)]]
-        runs.append(_bits([tape.ops, tape.lhs, tape.rhs, tape.vals, tape.aux,
-                           [[v.i for v in o] for o in outs]]))
+        x = tape.const(0.1)
+        fwd = (p.recorder(tape, theta) if taped else lambda s, k: p.forward(
+            s, k, theta=[Var(tape, i) for i in theta]))
+        outs = [fwd(s, k) for s, k in [((0.3, -0.2), 0), ((x, 0.4), 5)]]
+        seeds = [*(Var(tape, i) for i in theta), x]
+        runs.append(_bits([[v.value, tape.backward(v, seeds)]
+                           for o in outs for v in o]))
     assert runs[0] == runs[1]
     with pytest.raises(ValueError, match="different tapes"):
-        p.recorder(theta)((Tape().const(0.1), 0.4), 1)
+        p.recorder(tape, theta)((Tape().const(0.1), 0.4), 1)

@@ -232,13 +232,49 @@ def test_dropout_passes_exact_rho_of_incumbent_and_commit(monkeypatch,
                                  sc.waypoints, cfg, rng)
     assert "smooth" in info["branch_counts"]
     K = horizon(sc.formula)
-    for args, (theta, branch, lr, rho, _) in calls:
+    for args, (theta, branch, lr, rho, _, run) in calls:
         theta_in, s0, rho_j = args[7], args[8], args[9]
         assert rho_j == trainer._exact_rho(sc.plant, pol, theta_in, s0, K,
-                                           sc.formula)
-        assert rho == trainer._exact_rho(sc.plant, pol, theta, s0, K,
-                                         sc.formula)
+                                           sc.formula)[0]
+        fresh = trainer._exact_rho(sc.plant, pol, theta, s0, K, sc.formula)
+        assert rho == fresh[0]
+        # the run handed to the next check, None if theta is the incumbent
+        assert (theta is theta_in if run is None else
+                (run[0], run[1].states, run[2])
+                == (fresh[0], fresh[1].states, fresh[2]))
     assert [r.rho for r in log.records] == [out[3] for _, out in calls]
+
+
+def test_next_check_reuses_the_committed_run(monkeypatch):
+    # the commit test rolled the committed theta out from s0: the next
+    # min-rho check takes that run, and all the incumbent's runs if the
+    # smooth guard kept it
+    from stlctrl import trainer
+    sc = load_scenario(resolve_scenario("dubins_k100"))
+    rng = random.Random(1)
+    pol = sc.build_policy(rng)
+    cfg = dataclasses.replace(sc.train_cfg, max_iters=8)
+    rolled, commits = [], []
+    orig_rollout, orig_iteration = trainer.rollout, trainer._dropout_iteration
+
+    def spy_rollout(plant, policy, s0, K, **kw):
+        rolled.append((tuple(policy.theta), tuple(s0)))
+        return orig_rollout(plant, policy, s0, K, **kw)
+
+    def spy_iteration(*args):
+        out = orig_iteration(*args)
+        commits.append((out[0], args[8], out[5]))
+        return out
+
+    monkeypatch.setattr(trainer, "rollout", spy_rollout)
+    monkeypatch.setattr(trainer, "_dropout_iteration", spy_iteration)
+    _, log, info = train_dropout(sc.plant, pol, sc.formula, sc.init_set,
+                                 sc.waypoints, cfg, rng)
+    # seven iterations, one of them a smooth step the guard rejected
+    assert len(commits) == len(log.records) == 7 and not info["dnf"]
+    assert [run is None for _, _, run in commits].count(True) == 1
+    for theta, s0, _ in commits:  # by the commit test or the first check
+        assert rolled.count((tuple(theta), tuple(s0))) == 1
 
 
 def test_dropout_reuses_the_incumbent_rollout(monkeypatch):
@@ -300,11 +336,13 @@ def _iteration(sc, pol, theta, s0, ref, N1):
     from stlctrl import trainer
     K = horizon(sc.formula)
     cfg = dataclasses.replace(sc.train_cfg, N1=N1)
-    rho_j = trainer._exact_rho(sc.plant, pol, theta, s0, K, sc.formula)
+    rho_j = trainer._exact_rho(sc.plant, pol, theta, s0, K, sc.formula)[0]
     adams = [AdamState(len(theta), alpha=cfg.alpha) for _ in range(3)]
-    return trainer._dropout_iteration(
+    *out, run = trainer._dropout_iteration(
         sc.plant, pol, sc.formula, sc.waypoints, cfg, SmoothConfig(cfg.b),
         random.Random(5), theta, s0, rho_j, ref, K, *adams)
+    # the committed run, compared by its states
+    return (*out, run and (run[0], run[1] and run[1].states, run[2]))
 
 
 def test_dropout_iteration_same_with_or_without_the_reused_rollout():
@@ -328,7 +366,8 @@ def test_dropout_incumbent_that_diverged_is_rolled_out_again(monkeypatch):
     monkeypatch.setattr(trainer, "rollout",
                         lambda *a, **kw: calls.append(1) or orig(*a, **kw))
     out = _iteration(sc, pol, list(pol.theta), (80.0,), None, 2)
-    assert out == ([0.0, 0.0, -100.0], "critical", 1.0, -math.inf, 2)
+    assert out == ([0.0, 0.0, -100.0], "critical", 1.0, -math.inf, 2,
+                   (-math.inf, None, None))
     assert len(calls) == 1 + 2 + 1  # rho_j, two passes, the commit test
 
 
