@@ -79,6 +79,9 @@ class Scenario:
         self.policy_cfg = self._policy(doc.get("policy"))
         self.init_set = self._initial(doc.get("initial"))
         self.train_cfg, self.algorithm = self._train(doc.get("train"))
+        if self.train_cfg.M > max(1, h):
+            raise ScenarioError("train.M", f"M={self.train_cfg.M} partition "
+                                f"sets exceed the formula horizon {h}")
         self.waypoints = self._waypoints(doc.get("waypoints"))
         self.verify_cfg = self._verify(doc.get("verify"))
         self.noise = self._noise(doc.get("noise"))

@@ -8,10 +8,11 @@ controller forward traced the same way, a tape recorder per (which
 inputs are Vars, noise) and a recorder of a run of steps with frozen
 actions per (which states are Vars, noise).  A recorder pushes only the
 next state's Vars and saves the locals its generated adjoint reads.  All
-compute in the Var operators' order, so plain and differentiable
-rollouts give bit-identical states and gradients.  So step_fn and
-squash_fn must be straight-line code over arithmetic and the autodiff
-helpers: nothing may depend on their arguments' values.
+compute in the Var operators' order, so a differentiable rollout (the
+plain one recorded by sampler.build_sampled at every step) has its bits
+and those gradients.  So step_fn and squash_fn must be straight-line
+code over arithmetic and the autodiff helpers: nothing may depend on
+their arguments' values.
 """
 
 import csv
@@ -104,11 +105,13 @@ def corners_and_center(low, high):
 
 
 class Rollout:
+    """A closed-loop run: K + 1 states and K raw actions (floats)."""
+
     def __init__(self, states, raw_actions, tape=None, theta_vars=None,
                  noise_offsets=None):
         self.states = states
         self.raw_actions = raw_actions
-        self.tape = tape
+        self.tape = tape  # differentiable: the states are anchors on it
         self.theta_vars = theta_vars  # theta's node ids, backward's seeds
         self.noise_offsets = noise_offsets  # per-step additive terms, or None
 
@@ -258,9 +261,8 @@ def builtin(name):
 def _check(k, s):
     """DivergedRollout at step k at the first entry of s past the limit."""
     for x in s:
-        v = value_of(x)
-        if not abs(v) <= DIVERGE_LIMIT:  # also true for nan
-            raise DivergedRollout(k, v)
+        if not abs(x) <= DIVERGE_LIMIT:  # also true for nan
+            raise DivergedRollout(k, x)
 
 
 def rollout(plant, policy, s0, K, mode="plain", noise=None):
@@ -269,33 +271,25 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None):
     noise is (c1, c2, rng): s0 is perturbed once by c2*eta and every step
     gains c1*v_k, with eta, v_k i.i.d. standard normal per dimension.
     Noise draws happen in a fixed order so traces are seed-reproducible.
+    mode="differentiable" records the trace by build_sampled at every step.
     """
+    if mode not in ("plain", "differentiable"):
+        raise ValueError(f"unknown rollout mode {mode!r}")
     plant.check_dims(s0, policy)
     s0 = tuple(float(x) for x in s0)
     c1, c2, rng = noise or (0.0, 0.0, None)
     if c2 != 0.0:
         s0 = tuple(x + c2 * rng.gauss(0.0, 1.0) for x in s0)
     gauss = rng.gauss if c1 != 0.0 else None
+    states, raw_actions, offsets = _closed_loop(plant, policy, bool(gauss))(
+        policy.theta, policy.forward, s0, K,
+        getattr(policy, "time_scale", None), c1, gauss)
+    run = Rollout(states, raw_actions, noise_offsets=offsets)
     if mode == "plain":
-        states, raw_actions, offsets = _closed_loop(plant, policy, bool(gauss))(
-            policy.theta, policy.forward, s0, K,
-            getattr(policy, "time_scale", None), c1, gauss)
-        return Rollout(states, raw_actions, noise_offsets=offsets)
-    if mode != "differentiable":
-        raise ValueError(f"unknown rollout mode {mode!r}")
-    tape = Tape()
-    theta = tape.consts(policy.theta)
-    forward, record = policy.recorder(tape, theta), step_recorder(plant)
-    states, raw_actions, offsets = [s0], [], []
-    for k in range(K):
-        a = tuple(forward(states[-1], k))
-        off = gauss and tuple(c1 * gauss(0.0, 1.0) for _ in s0)
-        states.append(record(tape, states[-1], a, off))
-        raw_actions.append(a)
-        offsets.append(off)
-        _check(k + 1, states[-1])
-    return Rollout(states, raw_actions, tape=tape, theta_vars=theta,
-                   noise_offsets=offsets if gauss else None)
+        return run
+    from .sampler import build_sampled  # sampler imports this module
+    st = build_sampled(run, range(K + 1), policy, plant)
+    return Rollout(st.anchors, raw_actions, st.tape, st.theta_vars, offsets)
 
 
 # -- generated kernels: Plant.step traced once ------------------------------------

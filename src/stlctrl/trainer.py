@@ -12,8 +12,8 @@ critical predicate value (and optionally a waypoint surrogate) through
 sampled trajectories, halves the learning rate when the critical-predicate
 direction stalls, and falls back to the smooth robustness over a time
 partition when even a tiny step fails to improve.  train_vanilla's step is
-plain smooth-robustness ascent, and train_openloop's ascends the smooth
-robustness of a raw action sequence instead of network weights.
+plain smooth-robustness ascent, and train_openloop's is that ascent over
+the whole horizon on a raw action sequence instead of network weights.
 """
 
 import csv
@@ -25,7 +25,7 @@ from .autodiff import Var
 from .plants import DivergedRollout, InitialSet, rollout
 from .policy import AdamState, adam_update
 from .sampler import build_sampled, grad_critical, grad_smooth, partition_times
-from .smooth import SmoothConfig, smooth_robustness
+from .smooth import SmoothConfig
 # robustness is unused, but the benchmark's tracer expects it here by name
 from .stl import Trace, critical, horizon, robustness, signals  # noqa: F401
 
@@ -381,6 +381,8 @@ def train_openloop(plant, actions, f, s0, cfg, rng):
     step logs the exact rho from before it.
     """
     K = horizon(f)
+    if K < 1:
+        raise ValueError(f"open-loop training needs horizon >= 1, got {K}")
     if len(actions) != K:
         raise ValueError(f"need {K} action rows, got {len(actions)}")
     ol = _OpenLoop(actions)
@@ -388,10 +390,9 @@ def train_openloop(plant, actions, f, s0, cfg, rng):
     adam = AdamState(len(ol.theta), alpha=cfg.alpha)
 
     def step(theta, min_rho, worst_s0, runs):
-        ref = rollout(plant, ol.with_theta(theta), s0, K,
-                      mode="differentiable", noise=_noise(cfg, rng))
-        out = smooth_robustness(f, Trace(ref.states), scfg)
-        d = ref.tape.backward(out, ref.theta_vars)
+        pol = ol.with_theta(theta)
+        ref = rollout(plant, pol, s0, K, noise=_noise(cfg, rng))
+        d = grad_smooth(ref, [range(K + 1)], f, scfg, pol, plant)
         return adam_update(adam, theta, d), "smooth", 1.0, min_rho, 0, {}
 
     theta, log, info = _train(plant, ol, f, InitialSet(s0, s0, [s0]), cfg,

@@ -3,7 +3,8 @@
 The oracle is Plant.step and policy.reference_forward run on Vars: the
 Var operators' records, which Tape.backward interprets node by node, with
 no generated code.  A generated block keeps no records, so values and
-gradients are compared, as IEEE bytes.
+gradients are compared, as IEEE bytes: of sampled trajectories,
+differentiable rollouts and the gradients built on them.
 """
 
 import random
@@ -83,10 +84,10 @@ def _policy(widths, include_time, seed=9):
     return pol.with_theta([0.5 * w for w in pol.theta])
 
 
-def _reference(name, widths, include_time, s0, noisy, K=14):
+def _reference(name, widths, include_time, s0, noisy, K=14, mode="plain"):
     plant, pol = builtin(name), _policy(widths, include_time)
     noise = (0.02, 0.0, random.Random(4)) if noisy else None
-    return plant, pol, rollout(plant, pol, s0, K, noise=noise)
+    return plant, pol, rollout(plant, pol, s0, K, mode=mode, noise=noise)
 
 
 def _assert_sampled_matches_oracle(ref, times, pol, plant):
@@ -105,6 +106,15 @@ def test_sampled_gradients_match_interpreter(name, widths, include_time, s0,
     # runs of frozen steps of length 0, 1, 3 and 6, and none at all
     for times in ([0, 2, 3, 7, 14], list(range(15))):
         _assert_sampled_matches_oracle(ref, times, pol, plant)
+    # a differentiable rollout: its every state, each coordinate's gradient
+    diff = _reference(name, widths, include_time, s0, noisy,
+                      mode="differentiable")[2]
+    assert diff.raw_actions == ref.raw_actions
+    assert diff.noise_offsets == ref.noise_offsets
+    _, theta, anchors, _ = _oracle_sampled(ref, range(15), pol, plant)
+    assert len(diff.states) == len(anchors) == 15
+    for got, want in zip(diff.states, anchors):
+        _assert_same(got, want, diff.theta_vars, theta)
 
 
 @pytest.mark.parametrize("name,widths,include_time,s0", CASES)

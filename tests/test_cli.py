@@ -78,6 +78,37 @@ def test_validation_errors_name_the_field(tmp_path):
     assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("algorithm,formula,M", [
+    ("dropout", None, 6),   # scenario_doc's formula has horizon 5
+    ("vanilla", None, 20),
+    ("dropout", "x0 > 1", 2),
+])
+def test_more_partition_sets_than_the_horizon_is_rejected_at_load(
+        tmp_path, capsys, algorithm, formula, M):
+    # partition_times would raise only at the first smooth step, unnamed
+    doc = scenario_doc()
+    doc["formula"] = formula or doc["formula"]
+    doc["train"].update(algorithm=algorithm, time_sampling=True, M=M)
+    with pytest.raises(ScenarioError) as e:
+        Scenario(doc)
+    assert e.value.field == "train.M"
+    path = write_scenario(tmp_path, doc)
+    assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 2
+    assert "train.M: " in capsys.readouterr().err
+    # M = 1 fits every horizon, and M may equal the horizon
+    doc["train"]["M"] = 1 if formula else 5
+    assert Scenario(doc).train_cfg.M == doc["train"]["M"]
+
+
+def test_openloop_training_on_a_horizon_0_formula_is_invalid_input(
+        tmp_path, capsys):
+    doc = scenario_doc(formula="x0 > 1")
+    doc["train"]["algorithm"] = "openloop"
+    path = write_scenario(tmp_path, doc)
+    assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 2
+    assert "horizon >= 1, got 0" in capsys.readouterr().err
+
+
 KNOTS = [[5, [0.2, 0.0], [1, 0]]]  # a valid waypoint path for scenario_doc
 WRONG_TYPES = [
     ("train.time_sampling", "false"),  # bool("false") would be True

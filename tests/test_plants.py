@@ -143,11 +143,13 @@ def test_noisy_rollout_seeded():
 def test_noisy_differentiable_matches_plain():
     p = builtin("integrator2d")
     pol = init([3, 4, 2], rng=random.Random(1))
-    r1 = rollout(p, pol, (-1.0, -1.0), 15,
-                 noise=(0.0314, 0.0005, random.Random(7)))
+    rng1, rng2 = random.Random(7), random.Random(7)
+    r1 = rollout(p, pol, (-1.0, -1.0), 15, noise=(0.0314, 0.0005, rng1))
     r2 = rollout(p, pol, (-1.0, -1.0), 15, mode="differentiable",
-                 noise=(0.0314, 0.0005, random.Random(7)))
+                 noise=(0.0314, 0.0005, rng2))
     assert r2.plain_states() == r1.states
+    # the same draws, so a trainer's later draws are the same too
+    assert rng2.getstate() == rng1.getstate()
 
 
 def test_rollout_gradient_finite_differences():

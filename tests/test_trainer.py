@@ -196,6 +196,15 @@ def test_openloop_zero_budget_keeps_actions():
     assert len(actions) == 1 and len(actions[0]) == 2
 
 
+def test_openloop_needs_a_formula_horizon_of_at_least_1():
+    # a horizon-0 formula leaves no action to optimise; it used to fail
+    # with an IndexError on the empty action list
+    plant = builtin("integrator2d")
+    with pytest.raises(ValueError, match="horizon >= 1, got 0"):
+        train_openloop(plant, [], parse("x0 > 1"), (0.0, 0.0), TrainConfig(),
+                       random.Random(0))
+
+
 def test_log_csv_format(tmp_path):
     log = TrainLog()
     log.append(iter=0, rho=-1.5, branch="critical", lr=1.0, seconds=0.25)
@@ -436,7 +445,7 @@ def test_rho_equal_to_rho_bar_is_not_solved(algorithm):
 @pytest.mark.parametrize("algorithm,inner", [
     ("dropout", "_dropout_iteration"),
     ("vanilla", "grad_smooth"),
-    ("openloop", "smooth_robustness"),
+    ("openloop", "grad_smooth"),
 ])
 def test_a_diverged_step_is_retried(monkeypatch, algorithm, inner):
     # a step that raises DivergedRollout is taken again without a log row,
