@@ -329,8 +329,12 @@ def _load_checkpoint(path):
                                 "expected a non-empty list of equal-length rows")
         return _OpenLoop([[_typed("checkpoint.actions", x, float) for x in r]
                           for r in rows]), "openloop"
-    _req(doc, "widths", list)
-    _req(doc, "theta", list)
+    for key, typ in [("widths", int), ("theta", float)]:
+        for x in _req(doc, key, list):
+            _typed(f"checkpoint.{key}", x, typ)
+    for key, typ in [("include_time", bool), ("time_scale", float)]:
+        if key in doc:
+            _typed(f"checkpoint.{key}", doc[key], typ)
     return Policy.load(path), "policy"
 
 

@@ -105,7 +105,10 @@ def corners_and_center(low, high):
 
 
 class Rollout:
-    """A closed-loop run: K + 1 states and K raw actions (floats)."""
+    """A closed-loop run: K + 1 states and K raw actions (floats).  In a
+    differentiable run the states are build_sampled's anchors at every
+    step, Vars on tape where they depend on theta (autodiff.value_of reads
+    their floats)."""
 
     def __init__(self, states, raw_actions, tape=None, theta_vars=None,
                  noise_offsets=None):
@@ -118,9 +121,6 @@ class Rollout:
     @property
     def K(self):
         return len(self.states) - 1
-
-    def plain_states(self):
-        return [tuple(value_of(x) for x in s) for s in self.states]
 
 
 # -- builtin plants ------------------------------------------------------------

@@ -7,9 +7,11 @@ as an extra input coordinate unless include_time is off.
 The forward pass runs as code that autodiff.replay_source generates from
 reference_forward, traced on Vars like a plant step: one statement per
 neuron, ``h = tanh(th[b] + th[r] * x0 + ...)``, summed left to right like
-the loop, so it is bit-identical to it.  Per pattern of Var operands, a
-recorder computes the same floats, keeps the ones its generated adjoint
-reads (the inputs and each neuron's tanh) and pushes only the outputs.
+the loop, so it is bit-identical to it.  Policy.forward runs it on
+floats.  The only way onto a tape is Policy.recorder, whose theta is a
+range of node ids from Tape.consts: per pattern of Var inputs, it
+computes the same floats, keeps the ones its generated adjoint reads (the
+inputs and each neuron's tanh) and pushes only the outputs.
 """
 
 import json
@@ -51,13 +53,8 @@ class Policy:
     def action_dim(self):
         return self.widths[-1]
 
-    def forward(self, s, k, theta=None):
-        """Raw action vector; generic over floats and tape Vars.
-
-        theta holds floats only or Vars on one tape only (else ValueError);
-        the tape forward runs when it holds Vars or an input is a Var.
-        """
-        th = self.theta if theta is None else theta
+    def forward(self, s, k):
+        """Raw action vector for float inputs s at time-step k."""
         if len(s) + self.include_time != self.widths[0]:
             raise ValueError(
                 f"input dim {len(s) + self.include_time} != "
@@ -65,22 +62,13 @@ class Policy:
         kernels = self._kernels
         if kernels is None:
             kernels = self._kernels = _kernels(self.widths, self.include_time)
-        t = float(k) * self.time_scale if self.include_time else None
-        var_theta = isinstance(th[0], Var)
-        if not (var_theta or Var in map(type, s)):
-            return kernels[0](th, s, t)
-        # every operand is checked before the recorder writes
-        tape = (th[0] if var_theta else next(x for x in s if type(x) is Var)).tape
-        ids = [w.i for w in th if type(w) is Var and w.tape is tape]
-        if len(ids) != len(th) if var_theta else Var in map(type, th):
-            raise ValueError("theta must be all Vars on one tape or all floats")
-        return kernels[1](([tape.vals[i] for i in ids], ids, tape) if var_theta
-                          else (list(map(float, th)), None, tape), s, t)
+        return kernels[0](self.theta, s, float(k) * self.time_scale
+                          if self.include_time else None)
 
     def recorder(self, tape, theta):
-        """forward(s, k) on the tape for the weights with node ids theta, a
-        range from Tape.consts: a call checks only its inputs, and not
-        their dimension."""
+        """forward(s, k) on the tape, inputs s Vars or floats, for the
+        weights with node ids theta, a range from Tape.consts: a call
+        checks only its inputs' tapes, and not their dimension."""
         th = (tape.vals[theta.start:theta.stop], list(theta), tape)
         run, ts = _kernels(self.widths, self.include_time)[1], self.time_scale
         return lambda s, k: run(th, s, float(k) * ts if self.include_time
@@ -117,31 +105,30 @@ class Policy:
 def _kernels(widths, include_time):
     key = (tuple(widths), include_time)
     if key not in _KERNELS:
-        plain = _kernel(key, False, (False,) * (widths[0] - include_time))
-        _KERNELS[key] = (plain, partial(_run, key, {}))
+        _KERNELS[key] = (_kernel(key), partial(_run, key, {}))
     return _KERNELS[key]
 
 
 def _run(key, recorders, th, s, t):
-    """The recorder for th = (theta's values, their node ids or None for
-    float theta, tape); checks only the inputs."""
+    """The recorder for th = (theta's values, their node ids, tape), per
+    pattern of Var inputs; checks only the inputs."""
     var_in = tuple(isinstance(x, Var) for x in s)
     if any(x.tape is not th[2] for x, v in zip(s, var_in) if v):
         raise ValueError("operands recorded on different tapes")
-    pattern = (th[1] is not None, var_in)
-    if pattern not in recorders:
-        recorders[pattern] = _kernel(key, *pattern)
-    return recorders[pattern](th, s, t)
+    if var_in not in recorders:
+        recorders[var_in] = _kernel(key, var_in)
+    return recorders[var_in](th, s, t)
 
 
-def _kernel(key, var_theta, var_in):
+def _kernel(key, var_in=None):
     """forward(th, s, t), one function per run of layers, each calling the
-    next; if theta or an input is a Var, a recorder, whose th is (theta's
-    values, their node ids or None, the tape)."""
-    rec, fn = var_theta or any(var_in), None
-    theta = [(f"th[{r}]", f"ids[{r}]" if var_theta else None)
+    next: on floats, or given which inputs are Vars, a recorder, whose th
+    is (theta's values, their node ids, the tape)."""
+    rec, fn = var_in is not None, None
+    theta = [(f"th[{r}]", f"ids[{r}]" if rec else None)
              for r in range(param_count(key[0]))]
-    xs = [(f"x{i}", f"i{i}" if v else None) for i, v in enumerate(var_in)]
+    xs = [(f"x{i}", f"i{i}" if v else None)
+          for i, v in enumerate(var_in or (False,) * (key[0][0] - key[1]))]
     for xs, lines, outs, consts in reversed(forward_source(*key, theta, xs)):
         body = [f"[{', '.join(x for x, _ in xs)}] = s"]
         if rec:

@@ -4,9 +4,10 @@ A sampled trajectory keeps the controller live (differentiable in theta)
 only at chosen time-steps and freezes it to the reference rollout's raw
 actions everywhere else, so gradient cost scales with the number of
 sampled steps instead of the horizon.  On the tape, theta is one range of
-node ids, a live step is two blocks (the controller forward and the plant
-step) and each run of frozen steps between two live ones is one generated
-loop (plants.run_recorder) that pushes only its final state; its adjoint
+node ids from Tape.consts, a live step is two blocks (Policy.recorder,
+the controller's only tape path, and the plant step) and each run of
+frozen steps between two live ones is one generated loop
+(plants.run_recorder) that pushes only its final state; its adjoint
 carries the state's adjoint from step to step in locals, over one tuple
 of saved locals per step if it reads any.
 """
@@ -47,12 +48,11 @@ class SampledTrajectory:
     """Anchor states at the sampled times, on their own tape; theta_vars is
     the range of theta's node ids, the seeds of backward."""
 
-    def __init__(self, times, anchors, tape, theta_vars, ref):
+    def __init__(self, times, anchors, tape, theta_vars):
         self.times = times
         self.anchors = anchors
         self.tape = tape
         self.theta_vars = theta_vars
-        self.ref = ref
 
 
 def build_sampled(ref, times, policy, plant):
@@ -83,7 +83,7 @@ def build_sampled(ref, times, policy, plant):
         cur = record(tape, cur, forward(cur, k), offs and offs[k])
         cur = run(tape, cur, acts[k + 1:k1], offs and offs[k + 1:k1])
         anchors.append(cur)
-    return SampledTrajectory(list(times), anchors, tape, theta, ref)
+    return SampledTrajectory(list(times), anchors, tape, theta)
 
 
 def grad_critical(ref, kstar, hstar, N, policy, plant, rng):

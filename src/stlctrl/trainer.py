@@ -326,8 +326,12 @@ def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
     return theta3, "smooth", 1.0, run[0], diverged, run
 
 
-def _noise(cfg, rng):
-    return None if cfg.noise is None else (cfg.noise[0], cfg.noise[1], rng)
+def _reference(plant, policy, s0, K, cfg, rng, checked):
+    """A rollout of policy from s0 to ascend from: with noise off, checked,
+    the min-rho check's run of it, unless that diverged (None)."""
+    if cfg.noise is None:
+        return checked or rollout(plant, policy, s0, K)
+    return rollout(plant, policy, s0, K, noise=(*cfg.noise, rng))
 
 
 def train_vanilla(plant, policy, f, init_set, cfg, rng):
@@ -338,12 +342,11 @@ def train_vanilla(plant, policy, f, init_set, cfg, rng):
 
     def step(theta, min_rho, worst_s0, runs):
         s0 = _pick_s0(cfg, rng, init_set, worst_s0)
-        ref = rollout(plant, policy.with_theta(theta), s0, K,
-                      noise=_noise(cfg, rng))
+        pol = policy.with_theta(theta)
+        ref = _reference(plant, pol, s0, K, cfg, rng, runs[s0][1])
         partition = (partition_times(K, cfg.M, rng) if cfg.time_sampling
                      and cfg.M > 1 else [list(range(K + 1))])
-        d = grad_smooth(ref, partition, f, scfg,
-                        policy.with_theta(theta), plant)
+        d = grad_smooth(ref, partition, f, scfg, pol, plant)
         theta = adam_update(adam, theta, d)
         run = _exact_rho(plant, policy, theta, s0, K, f)
         return theta, "smooth", 1.0, run[0], 0, {s0: run}
@@ -363,15 +366,15 @@ class _OpenLoop:
         m = self.action_dim
         return _OpenLoop([theta[i:i + m] for i in range(0, len(theta), m)])
 
-    def forward(self, s, k, theta=None):
-        th = self.theta if theta is None else theta
+    def forward(self, s, k):
         m = self.action_dim
-        if (k + 1) * m > len(th):
+        if (k + 1) * m > len(self.theta):
             raise ValueError(f"open-loop actions end before step {k}")
-        return list(th[k * m:(k + 1) * m])
+        return self.theta[k * m:(k + 1) * m]
 
     def recorder(self, tape, theta):
-        return lambda s, k: [Var(tape, i) for i in self.forward(s, k, theta)]
+        m = self.action_dim
+        return lambda s, k: [Var(tape, i) for i in theta[k * m:(k + 1) * m]]
 
 
 def train_openloop(plant, actions, f, s0, cfg, rng):
@@ -391,7 +394,7 @@ def train_openloop(plant, actions, f, s0, cfg, rng):
 
     def step(theta, min_rho, worst_s0, runs):
         pol = ol.with_theta(theta)
-        ref = rollout(plant, pol, s0, K, noise=_noise(cfg, rng))
+        ref = _reference(plant, pol, s0, K, cfg, rng, runs[worst_s0][1])
         d = grad_smooth(ref, [range(K + 1)], f, scfg, pol, plant)
         return adam_update(adam, theta, d), "smooth", 1.0, min_rho, 0, {}
 

@@ -121,17 +121,18 @@ def test_sampled_gradients_match_interpreter(name, widths, include_time, s0,
 def test_forward_adjoints_for_var_and_float_operands(name, widths,
                                                      include_time, s0):
     pol = _policy(widths, include_time)
-    for var_theta, var_in in [(True, True), (True, False), (False, True)]:
+    n = len(s0)
+    for var_in in [[True] * n, [False] * n, [i % 2 == 0 for i in range(n)]]:
         runs = []
-        for forward in (pol.forward, lambda s, k, theta: _oracle_forward(
-                pol, theta, s, k)):
+        for recorded in (True, False):
             tape = Tape()
             tape.const(3.0)
-            theta = ([tape.const(w) for w in pol.theta] if var_theta
-                     else pol.theta)
-            s = tuple(tape.const(x) if var_in else x for x in s0)
-            seeds = [x for x in (*theta, *s) if isinstance(x, Var)]
-            runs.append((forward(s, 5, theta=theta), seeds))
+            theta = tape.consts(pol.theta)
+            tv = [Var(tape, i) for i in theta]
+            s = tuple(tape.const(x) if v else x for x, v in zip(s0, var_in))
+            out = (pol.recorder(tape, theta)(s, 5) if recorded
+                   else _oracle_forward(pol, tv, s, 5))
+            runs.append((out, tv + [x for x in s if isinstance(x, Var)]))
         _assert_same(runs[0][0], runs[1][0], runs[0][1], runs[1][1])
 
 

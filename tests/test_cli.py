@@ -410,6 +410,30 @@ def test_malformed_checkpoint_is_invalid_input(tmp_path, capsys, command, doc,
     assert f"error: {field}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,field", [
+    ("theta", ["a"] + [0.0] * 25, "checkpoint.theta"),
+    ("theta", [None] + [0.0] * 25, "checkpoint.theta"),
+    ("theta", [True] + [0.0] * 25, "checkpoint.theta"),
+    ("widths", ["3", 4, 2], "checkpoint.widths"),
+    ("widths", [3.0, 4, 2], "checkpoint.widths"),
+    ("include_time", "no", "checkpoint.include_time"),
+    ("time_scale", "0.2", "checkpoint.time_scale"),
+])
+def test_checkpoint_field_of_the_wrong_type_is_invalid_input(
+        tmp_path, capsys, key, value, field):
+    path = write_scenario(tmp_path, scenario_doc())
+    ckpt = tmp_path / "bad.json"
+    from stlctrl.policy import init
+    init([3, 4, 2], scheme="zero", time_scale=0.2).save(str(ckpt))
+    doc = json.loads(ckpt.read_text())
+    doc[key] = value
+    ckpt.write_text(json.dumps(doc))
+    rc = main(["simulate", "--scenario", path, "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "s"), "--trials", "1"])
+    assert rc == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+
+
 def test_verify_untrained_policy_fails_verdict(tmp_path, capsys):
     doc = scenario_doc()
     doc["formula"] = "G[0,5](x0 > 0)"  # start is at x0 = -1

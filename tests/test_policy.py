@@ -58,15 +58,16 @@ def test_forward_gradient_finite_differences():
     s, k = (0.3, -0.7), 2
     for idx in [0, 7, 19, len(p.theta) - 1]:
         tape = Tape()
-        tv = [tape.const(w) for w in p.theta]
-        out = p.forward(s, k, theta=tv)
+        tv = tape.consts(p.theta)
+        out = p.recorder(tape, tv)(s, k)
         g = tape.backward(out[0], tv)[idx]
         h = 1e-6
         hi = list(p.theta)
         lo = list(p.theta)
         hi[idx] += h
         lo[idx] -= h
-        fd = (p.forward(s, k, theta=hi)[0] - p.forward(s, k, theta=lo)[0]) / (2 * h)
+        fd = (p.with_theta(hi).forward(s, k)[0]
+              - p.with_theta(lo).forward(s, k)[0]) / (2 * h)
         assert g == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
@@ -176,20 +177,14 @@ def _grads(tape, outs, seeds):
             for v in outs]
 
 
-def _tape_run(fn, p, s, k):
-    tape = Tape()
-    tv = [tape.const(w) for w in p.theta]
-    return _grads(tape, fn(p, s, k, theta=tv), tv)
-
-
 def _assert_kernel_matches_loop(p, rng, trials=3):
     n = p.state_dim
     for _ in range(trials):
         s = tuple(rng.uniform(-3, 3) for _ in range(n))
         k = rng.randrange(1000)
         assert p.forward(s, k) == loop_forward(p, s, k)
-        assert (_tape_run(Policy.forward, p, s, k)
-                == _tape_run(loop_forward, p, s, k))
+        _assert_recorder_matches_loop(
+            p, lambda tape: (tape.consts(p.theta), [s]), k)
 
 
 def _policy_configs():
@@ -235,40 +230,31 @@ def test_kernel_compiles_fan_in_4000():
     _assert_kernel_matches_loop(p, rng, trials=1)
 
 
-def test_kernel_takes_var_inputs_with_float_weights():
-    p = init([3, 4, 2], rng=random.Random(15))
-    runs = []
-    for fn in (Policy.forward, loop_forward):
-        tape = Tape()
-        xs = (tape.const(0.3), tape.const(-0.2))
-        runs.append(_grads(tape, fn(p, xs, 4), xs))
-    assert runs[0] == runs[1]
-
-
 def _bits(x):
     return struct.pack("d", x)
 
 
 def _assert_recorder_matches_loop(p, setup, k=7):
-    """setup(tape) -> (theta, inputs of each forward); Policy.forward and
-    loop_forward must give the same outputs on fresh tapes, values and
-    gradients over the Vars among theta and the inputs, bit for bit.
-    Returns (tape, theta, outputs) of each."""
+    """setup(tape) -> (theta's node ids from Tape.consts, inputs of each
+    forward); Policy.recorder and loop_forward on theta's Vars must give
+    the same outputs on fresh tapes, values and gradients over theta and
+    the Var inputs, bit for bit.  Returns (tape, theta, outputs) of each."""
     runs, grads = [], []
-    for fn in (Policy.forward, loop_forward):
+    for recorded in (True, False):
         tape = Tape()
         theta, inputs = setup(tape)
-        outs = [fn(p, s, k, theta=theta) for s in inputs]
-        seeds = [x for x in (*theta, *(x for s in inputs for x in s))
-                 if isinstance(x, Var)]
+        tv = [Var(tape, i) for i in theta]
+        fwd = (p.recorder(tape, theta) if recorded
+               else lambda s, k: loop_forward(p, s, k, theta=tv))
+        outs = [fwd(s, k) for s in inputs]
+        seeds = tv + [x for s in inputs for x in s if isinstance(x, Var)]
         grads.append(_grads(tape, [v for o in outs for v in o], seeds))
         runs.append((tape, theta, outs))
     assert grads[0] == grads[1]
     return runs
 
 
-@pytest.mark.parametrize("var_theta", [True, False])
-def test_recorder_matches_loop_with_mixed_inputs(var_theta):
+def test_recorder_matches_loop_with_mixed_inputs():
     # one Var and one float input, and random patterns on wider nets;
     # [5,300,4,1] is compiled as a chain of functions
     rng = random.Random(16)
@@ -282,25 +268,20 @@ def test_recorder_matches_loop_with_mixed_inputs(var_theta):
         xs = [rng.uniform(-2, 2) for _ in pattern]
 
         def setup(tape):
-            theta = [tape.const(w) for w in p.theta] if var_theta else p.theta
+            theta = tape.consts(p.theta)
             s = [tape.const(x) if v else x for x, v in zip(xs, pattern)]
             return theta, [s, s[::-1]]
 
         _assert_recorder_matches_loop(p, setup)
 
 
-@pytest.mark.parametrize("var_theta", [True, False])
-def test_recorder_matches_loop_on_every_pattern(var_theta):
-    # theta and each input a Var or a float; all floats is the plain forward
+def test_recorder_matches_loop_on_every_pattern():
+    # each input a Var or a float
     p = init([4, 6, 3, 2], rng=random.Random(22))
     xs = (0.3, -1.2, 0.7)
     for pattern in itertools.product((False, True), repeat=len(xs)):
-        if not (var_theta or any(pattern)):
-            continue
-
         def setup(tape):
-            theta = ([Var(tape, i) for i in tape.consts(p.theta)]
-                     if var_theta else p.theta)
+            theta = tape.consts(p.theta)
             s = [tape.const(x) if v else x for x, v in zip(xs, pattern)]
             return theta, [s, s[::-1]]
 
@@ -321,12 +302,13 @@ def test_plain_forward_is_one_statement_per_neuron(widths, include_time,
 
 
 def test_recorder_compiles_a_long_float_prefix():
-    # float weights and float inputs before the only Var input sum as one
-    # float expression, which must be split like the plain kernel's sums
+    # a neuron's sum over 3999 float inputs and one Var input must be
+    # split in the recorder like the plain kernel's sums
     p = init([4000, 2, 1], rng=random.Random(21), include_time=False)
     xs = [0.001 * i for i in range(4000)]
     _assert_recorder_matches_loop(
-        p, lambda tape: (p.theta, [xs[:-1] + [tape.const(xs[-1])]]))
+        p, lambda tape: (tape.consts(p.theta),
+                         [xs[:-1] + [tape.const(xs[-1])]]))
 
 
 def test_recorder_matches_loop_with_theta_anywhere_on_the_tape():
@@ -335,14 +317,9 @@ def test_recorder_matches_loop_with_theta_anywhere_on_the_tape():
     def after_other_nodes(tape):
         for _ in range(5):
             tape.const(1.5)
-        return [tape.const(w) for w in p.theta], [(tape.const(0.25), -0.5)]
+        return tape.consts(p.theta), [(tape.const(0.25), -0.5)]
 
-    def pushed_in_reverse(tape):
-        theta = [tape.const(w) for w in reversed(p.theta)][::-1]
-        return theta, [(0.3, tape.const(-1.1))]
-
-    for setup in (after_other_nodes, pushed_in_reverse):
-        _assert_recorder_matches_loop(p, setup)
+    _assert_recorder_matches_loop(p, after_other_nodes)
 
 
 def test_recorder_several_forwards_on_one_tape():
@@ -350,11 +327,12 @@ def test_recorder_several_forwards_on_one_tape():
     p = init([3, 8, 2], rng=random.Random(18))
 
     def setup(tape):
-        theta = [tape.const(w) for w in p.theta]
+        theta = tape.consts(p.theta)
+        tv = [Var(tape, i) for i in theta]
         s, inputs = (0.4, -0.7), []
         for k in range(4):
             inputs.append(s)
-            s = [x * 0.5 + 0.1 for x in loop_forward(p, s, k, theta=theta)]
+            s = [x * 0.5 + 0.1 for x in loop_forward(p, s, k, theta=tv)]
         return theta, inputs
 
     (tape, _, _), _ = _assert_recorder_matches_loop(p, setup)
@@ -364,19 +342,12 @@ def test_recorder_several_forwards_on_one_tape():
 def test_recorder_rejects_before_writing():
     p = init([3, 4, 2], rng=random.Random(19))
     t1, t2 = Tape(), Tape()
-    theta = [t1.const(w) for w in p.theta]
+    forward = p.recorder(t1, t1.consts(p.theta))
     x1, x2 = t1.const(0.1), t2.const(0.5)
-    calls = [
-        (theta, (0.1, x2), "different tapes"),
-        (p.theta, (x1, x2), "different tapes"),
-        (theta[:5] + [p.theta[5]] + theta[6:], (0.1, 0.2), "theta"),
-        (theta[:5] + [t2.const(0.0)] + theta[6:], (0.1, 0.2), "theta"),
-        (p.theta[:-1] + [t1.const(0.0)], (x1, 0.2), "theta"),
-    ]
     sizes = (len(t1), len(t2))
-    for th, s, msg in calls:
-        with pytest.raises(ValueError, match=msg):
-            p.forward(s, 3, theta=th)
+    for s in [(0.1, x2), (x1, x2)]:
+        with pytest.raises(ValueError, match="different tapes"):
+            forward(s, 3)
     assert (len(t1), len(t2)) == sizes
     for t in (t1, t2):
         assert len(t.lhs) == len(t.rhs) == len(t.vals) == len(t.aux) == len(t)
@@ -389,7 +360,7 @@ def test_recorder_gradients_bit_identical_to_the_loop():
         xs = [rng.uniform(-1, 1) for _ in range(p.state_dim)]
 
         def setup(tape):
-            theta = [tape.const(w) for w in p.theta]
+            theta = tape.consts(p.theta)
             return theta, [[tape.const(x) for x in xs[1:]] + [xs[0]]]
 
         grads = []

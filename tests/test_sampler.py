@@ -12,6 +12,7 @@ from stlctrl.sampler import (
 )
 from stlctrl.smooth import SmoothConfig, smooth_robustness
 from stlctrl.stl import Trace, critical, parse
+from tests.test_policy import loop_forward
 
 
 def test_sample_times_forced_endpoints():
@@ -244,17 +245,17 @@ def test_chain_rule_decomposition_identity():
 
 
 def _generic_build_sampled(ref, times, policy, plant):
-    """build_sampled as one Var-operator Plant.step and Policy.forward per
-    step, with one Tape.const per weight: (tape, anchors)."""
+    """build_sampled as one Var-operator Plant.step per step and a
+    Policy.recorder step at each live one: (tape, anchors)."""
     tape = Tape()
-    theta_vars = [tape.const(w) for w in policy.theta]
+    forward = policy.recorder(tape, tape.consts(policy.theta))
     live = set(times)
     offs = ref.noise_offsets
     cur = ref.states[0]
     anchors = [cur]
     for k in range(times[-1]):
         if k in live:
-            a = tuple(policy.forward(cur, k, theta=theta_vars))
+            a = tuple(forward(cur, k))
         else:
             a = ref.raw_actions[k]
         cur = plant.step(cur, a, k)
@@ -313,8 +314,8 @@ def test_policy_recorder_matches_forward():
         tape.const(2.0)
         theta = tape.consts(p.theta)
         x = tape.const(0.1)
-        fwd = (p.recorder(tape, theta) if taped else lambda s, k: p.forward(
-            s, k, theta=[Var(tape, i) for i in theta]))
+        fwd = (p.recorder(tape, theta) if taped else lambda s, k: loop_forward(
+            p, s, k, theta=[Var(tape, i) for i in theta]))
         outs = [fwd(s, k) for s, k in [((0.3, -0.2), 0), ((x, 0.4), 5)]]
         seeds = [*(Var(tape, i) for i in theta), x]
         runs.append(_bits([[v.value, tape.backward(v, seeds)]

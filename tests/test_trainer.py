@@ -286,6 +286,33 @@ def test_next_check_reuses_the_committed_run(monkeypatch):
         assert rolled.count((tuple(theta), tuple(s0))) == 1
 
 
+@pytest.mark.parametrize("algorithm", ["vanilla", "openloop"])
+def test_smooth_step_ascends_from_the_checks_rollout(monkeypatch, algorithm):
+    # with noise off, the step takes the min-rho check's run of theta from
+    # s0: four iterations roll out the first theta and the four made
+    from stlctrl import trainer
+    sc = load_scenario(resolve_scenario("dubins_k10"))
+    assert sc.train_cfg.noise is None
+    cfg = dataclasses.replace(sc.train_cfg, max_iters=4)
+    rng = random.Random(1)
+    rolled, orig_rollout = [], trainer.rollout
+
+    def spy_rollout(plant, policy, s0, K, **kw):
+        rolled.append((tuple(policy.theta), tuple(s0)))
+        return orig_rollout(plant, policy, s0, K, **kw)
+
+    monkeypatch.setattr(trainer, "rollout", spy_rollout)
+    if algorithm == "vanilla":
+        _, log, info = train_vanilla(sc.plant, sc.build_policy(rng),
+                                     sc.formula, sc.init_set, cfg, rng)
+    else:
+        zeros = [[0.0] * sc.plant.action_dim] * horizon(sc.formula)
+        _, log, info = train_openloop(sc.plant, zeros, sc.formula,
+                                      sc.init_set.samples[0], cfg, rng)
+    assert len(log.records) == 4 and info["dnf"]
+    assert len(rolled) == len(set(rolled)) == 5
+
+
 def test_dropout_reuses_the_incumbent_rollout(monkeypatch):
     # the first N1 pass starts at theta1 = theta2 = theta from s0, whose
     # plain rollout the min-rho check has just made; it is not made again
