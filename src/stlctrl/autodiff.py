@@ -4,15 +4,16 @@ Rollouts, smooth robustness and training objectives are all recorded as
 scalar operations on a Tape; gradients with respect to controller
 parameters come out of a single reverse sweep.  Everything is 64-bit.
 
-replay_source is the one kernel generator: from a function traced once
-on Vars (a plant step, controller layers, an affine predicate) it writes
+Only this module writes to a tape.  replay_source, the one kernel
+generator, writes every recorder: from a function traced once on Vars (a
+plant step, controller layers, an affine predicate) it writes
 straight-line float code in the Var operators' order, or a loop of such
-steps.  Given Var inputs, the code pushes its Var outputs only, as one
-block keeping the Var inputs' ids and the locals its generated adjoint
-reads (reverse mode by source transformation, storing only what the
-sweep reads: Griewank & Walther, "Evaluating Derivatives", 2008, ch. 4
-and 6).  Tape.backward runs the blocks' adjoints and interprets the
-nodes between them.
+steps.  Given Var inputs, the code checks their tape, then pushes its Var
+outputs only, as one block keeping the Var inputs' ids and the locals its
+generated adjoint reads (reverse mode by source transformation, storing
+only what the sweep reads: Griewank & Walther, "Evaluating Derivatives",
+2008, ch. 4 and 6).  Tape.backward runs the blocks' adjoints and
+interprets the records between them.
 """
 
 import math
@@ -20,7 +21,6 @@ import re
 from collections import Counter
 
 # opcodes
-CONST = 0
 ADD = 1
 SUB = 2
 MUL = 3
@@ -70,29 +70,29 @@ class Var:
             if other.tape is not self.tape:
                 raise ValueError("operands recorded on different tapes")
             return other.i, other.value
-        return self.tape._push(CONST, -1, -1, float(other)), float(other)
+        return self.tape._push(float(other)), float(other)
 
     def __add__(self, other):
         j, vo = self._id_of(other)
         t = self.tape
-        return Var(t, t._push(ADD, self.i, j, t.vals[self.i] + vo))
+        return Var(t, t._push(t.vals[self.i] + vo, (ADD, self.i, j, None)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         j, vo = self._id_of(other)
         t = self.tape
-        return Var(t, t._push(SUB, self.i, j, t.vals[self.i] - vo))
+        return Var(t, t._push(t.vals[self.i] - vo, (SUB, self.i, j, None)))
 
     def __rsub__(self, other):
         j, vo = self._id_of(other)
         t = self.tape
-        return Var(t, t._push(SUB, j, self.i, vo - t.vals[self.i]))
+        return Var(t, t._push(vo - t.vals[self.i], (SUB, j, self.i, None)))
 
     def __mul__(self, other):
         j, vo = self._id_of(other)
         t = self.tape
-        return Var(t, t._push(MUL, self.i, j, t.vals[self.i] * vo))
+        return Var(t, t._push(t.vals[self.i] * vo, (MUL, self.i, j, None)))
 
     __rmul__ = __mul__
 
@@ -100,69 +100,62 @@ class Var:
         j, vo = self._id_of(other)
         t = self.tape
         if vo == 0.0:
-            raise EvalError(len(t.ops), "division by zero")
-        return Var(t, t._push(DIV, self.i, j, t.vals[self.i] / vo))
+            raise EvalError(len(t), "division by zero")
+        return Var(t, t._push(t.vals[self.i] / vo, (DIV, self.i, j, None)))
 
     def __rtruediv__(self, other):
         j, vo = self._id_of(other)
         t = self.tape
         if t.vals[self.i] == 0.0:
-            raise EvalError(len(t.ops), "division by zero")
-        return Var(t, t._push(DIV, j, self.i, vo / t.vals[self.i]))
+            raise EvalError(len(t), "division by zero")
+        return Var(t, t._push(vo / t.vals[self.i], (DIV, j, self.i, None)))
 
     def __neg__(self):
         t = self.tape
-        return Var(t, t._push(NEG, self.i, -1, -t.vals[self.i]))
+        return Var(t, t._push(-t.vals[self.i], (NEG, self.i, -1, None)))
 
 
 class Tape:
-    """Append-only record of scalar operations, stored as parallel lists.
+    """Append-only record of scalar operations: values, records, blocks.
 
     Node ids increase strictly; inputs of a node always precede it, so the
     list order is already a topological order for the reverse sweep.
     A tape is single-owner while recording; use one tape per rollout.
 
-    blocks holds (start, end, adjoint, args) per generated call: nodes
-    start..end-1 are its Var outputs, pushed as CONSTs, args its Var
+    recs[i] is (op, lhs, rhs, p) for a node the Var operators recorded,
+    rhs -1 for one operand and p powc's exponent, and None for a constant
+    or a block's output.  blocks holds (start, end, adjoint, args) per
+    generated call: nodes start..end-1 are its Var outputs, args its Var
     inputs' ids and the locals its adjoint reads, and adjoint(adj, start,
     args) applies the interpreter's sweep over the Var operators' records.
     """
 
-    __slots__ = ("ops", "lhs", "rhs", "vals", "aux", "blocks")
+    __slots__ = ("vals", "recs", "blocks")
 
     def __init__(self):
-        self.ops = []
-        self.lhs = []
-        self.rhs = []
         self.vals = []
-        self.aux = []
+        self.recs = []
         self.blocks = []
 
     def __len__(self):
-        return len(self.ops)
+        return len(self.vals)
 
-    def _push(self, op, a, b, val, aux=0.0):
-        i = len(self.ops)
-        self.ops.append(op)
-        self.lhs.append(a)
-        self.rhs.append(b)
+    def _push(self, val, rec=None):
+        i = len(self.vals)
         self.vals.append(val)
-        self.aux.append(aux)
+        self.recs.append(rec)
         return i
 
     def const(self, value):
-        return Var(self, self._push(CONST, -1, -1, float(value)))
+        return Var(self, self._push(float(value)))
 
     def consts(self, values):
         """The ids, a range, of one const per value, one extend per list."""
         vals = list(map(float, values))
-        n, m = len(self.ops), len(vals)
-        self.ops += [CONST] * m
-        self.lhs += [-1] * m
-        self.rhs += [-1] * m
+        n = len(self.vals)
         self.vals += vals
-        self.aux += [0.0] * m
-        return range(n, n + m)
+        self.recs += [None] * len(vals)
+        return range(n, len(self.vals))
 
     def backward(self, output, seeds):
         """Reverse accumulation of d(output)/d(seed) for each seed, a Var
@@ -188,17 +181,16 @@ class Tape:
         spans.append((0, hi, None, 0, None))
         adj = [0.0] * n
         adj[output.i] = 1.0
-        ops, lhs, rhs, vals, aux = self.ops, self.lhs, self.rhs, self.vals, self.aux
+        recs, vals = self.recs, self.vals
         for lo, hi, adjoint, start, args in spans:
             for i in range(hi - 1, lo - 1, -1):
                 g = adj[i]
                 if g == 0.0:
                     continue
-                op = ops[i]
-                if op == CONST:
+                rec = recs[i]
+                if rec is None:
                     continue
-                a = lhs[i]
-                b = rhs[i]
+                op, a, b, p = rec
                 if op == ADD:
                     adj[a] += g
                     adj[b] += g
@@ -233,7 +225,6 @@ class Tape:
                 elif op == COS:
                     adj[a] -= g * math.sin(vals[a])
                 elif op == POW_CONST:
-                    p = aux[i]
                     adj[a] += g * p * vals[a] ** (p - 1.0)
                 else:  # pragma: no cover
                     raise AssertionError(f"unhandled opcode {op}")
@@ -247,14 +238,14 @@ class Tape:
 def tanh(x):
     if isinstance(x, Var):
         t = x.tape
-        return Var(t, t._push(TANH, x.i, -1, math.tanh(t.vals[x.i])))
+        return Var(t, t._push(math.tanh(t.vals[x.i]), (TANH, x.i, -1, None)))
     return math.tanh(x)
 
 
 def exp(x):
     if isinstance(x, Var):
         t = x.tape
-        return Var(t, t._push(EXP, x.i, -1, math.exp(t.vals[x.i])))
+        return Var(t, t._push(math.exp(t.vals[x.i]), (EXP, x.i, -1, None)))
     return math.exp(x)
 
 
@@ -263,8 +254,8 @@ def ln(x):
         t = x.tape
         v = t.vals[x.i]
         if v <= 0.0:
-            raise EvalError(len(t.ops), f"log of non-positive value {v}")
-        return Var(t, t._push(LN, x.i, -1, math.log(v)))
+            raise EvalError(len(t), f"log of non-positive value {v}")
+        return Var(t, t._push(math.log(v), (LN, x.i, -1, None)))
     if x <= 0.0:
         raise ValueError(f"log of non-positive value {x}")
     return math.log(x)
@@ -273,14 +264,14 @@ def ln(x):
 def sin(x):
     if isinstance(x, Var):
         t = x.tape
-        return Var(t, t._push(SIN, x.i, -1, math.sin(t.vals[x.i])))
+        return Var(t, t._push(math.sin(t.vals[x.i]), (SIN, x.i, -1, None)))
     return math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Var):
         t = x.tape
-        return Var(t, t._push(COS, x.i, -1, math.cos(t.vals[x.i])))
+        return Var(t, t._push(math.cos(t.vals[x.i]), (COS, x.i, -1, None)))
     return math.cos(x)
 
 
@@ -291,8 +282,8 @@ def powc(x, p):
         t = x.tape
         v = t.vals[x.i]
         if v < 0.0 and not p.is_integer():
-            raise EvalError(len(t.ops), f"negative base {v} with non-integer exponent {p}")
-        return Var(t, t._push(POW_CONST, x.i, -1, v ** p, p))
+            raise EvalError(len(t), f"negative base {v} with non-integer exponent {p}")
+        return Var(t, t._push(v ** p, (POW_CONST, x.i, -1, p)))
     if x < 0.0 and not p.is_integer():
         raise ValueError(f"negative base {x} with non-integer exponent {p}")
     return x ** p
@@ -304,7 +295,7 @@ def vmax(x, y):
             x, y = y, x
         j, vo = x._id_of(y)
         t = x.tape
-        return Var(t, t._push(MAX2, x.i, j, max(t.vals[x.i], vo)))
+        return Var(t, t._push(max(t.vals[x.i], vo), (MAX2, x.i, j, None)))
     return max(x, y)
 
 
@@ -314,7 +305,7 @@ def vmin(x, y):
             x, y = y, x
         j, vo = x._id_of(y)
         t = x.tape
-        return Var(t, t._push(MIN2, x.i, j, min(t.vals[x.i], vo)))
+        return Var(t, t._push(min(t.vals[x.i], vo), (MIN2, x.i, j, None)))
     return min(x, y)
 
 
@@ -350,9 +341,12 @@ def replay_source(trace, inputs, prefix="f", loop=None, inline=False):
     are, by EvalError with node id n, the tape's length.  A node read once
     is folded into its reader; read twice, by a guard, by the adjoint or
     as an output, or past _CHAIN nodes, it is a statement {prefix}{node}.
-    The last lines push the Var outputs as one block (see Tape).  Outputs
-    are (value, node id or None); with inline, a float output is its
-    expression rather than a statement.
+    If an input has a Var id, the first lines check that each input whose
+    id is a name holds a Var on tape (ValueError otherwise, before
+    anything is pushed), then bind vals and n from tape and unpack those
+    inputs' ids and values.  The last lines push the Var outputs as one
+    block (see Tape).  Outputs are (value, node id or None); with inline,
+    a float output is its expression rather than a statement.
 
     With loop, a for-header that binds the other inputs, the lines run
     the function once per iteration, output j carried into input j, and
@@ -360,12 +354,18 @@ def replay_source(trace, inputs, prefix="f", loop=None, inline=False):
     a Var output exists, the Var inputs are the carried ones and each Var
     output is a Var node of its own."""
     tape, out = trace
-    ops, lhs, rhs, nin = tape.ops, tape.lhs, tape.rhs, len(inputs)
-    uses = Counter(lhs) + Counter(rhs)
+    nin = len(inputs)
+    recs = {r: rec for r, rec in enumerate(tape.recs) if rec}
+    uses = Counter(x for _, a, b, _ in recs.values() for x in (a, b))
     var = {j for j, (_, i) in enumerate(inputs) if i}
+    # the prologue: a Var input x with a named id i is checked, then unpacked
+    unpack = [(x, i) for x, i in inputs if i and i.isidentifier()]
+    head = [f"if {x}.tape is not tape: raise ValueError("
+            "'operands recorded on different tapes')" for x, _ in unpack]
+    head += ["vals = tape.vals", "n = len(vals)"] * bool(var) + [
+        f"{i} = {x}.i\n{x} = vals[{i}]" for x, i in unpack]
     keep = set() if inline else {o.i for o in out if type(o) is Var}
-    for r in range(nin, len(ops)):  # the Var nodes, and what adjoints read
-        op, a, b = ops[r], lhs[r], rhs[r]
+    for r, (op, a, b, _) in recs.items():  # the Var nodes, what adjoints read
         if a in var or b in var:
             var.add(r)
             keep.update(x for x, on in (
@@ -387,13 +387,14 @@ def replay_source(trace, inputs, prefix="f", loop=None, inline=False):
         return x if x in nodes else (ref[x][0],
                                      x < nin and inputs[x][1] or None)
 
-    for r in range(nin, len(ops)):
-        op, la, lb = ops[r], lhs[r], rhs[r]
-        if op in (CONST, POW_CONST):
-            consts[f"c{r}"] = tape.vals[r] if op == CONST else tape.aux[r]
-        if op == CONST:
+    for r in range(nin, len(tape)):
+        if r not in recs:  # a constant
+            consts[f"c{r}"] = tape.vals[r]
             ref[r] = (f"c{r}", 1, 5)
             continue
+        op, la, lb, p = recs[r]
+        if op == POW_CONST:
+            consts[f"c{r}"] = p
         a, b = ref[la], ref.get(lb)
         if a[1] + (b[1] if b else 0) >= _CHAIN:
             a, b = name(la), b and name(lb)
@@ -407,7 +408,7 @@ def replay_source(trace, inputs, prefix="f", loop=None, inline=False):
             a = name(la)
             lines.append(f"if {a[0]} <= 0.0: raise {err}"
                          f"f'log of non-positive value {{{a[0]}}}')")
-        elif op == POW_CONST and not tape.aux[r].is_integer():
+        elif op == POW_CONST and not p.is_integer():
             a = name(la)
             lines.append(f"if {a[0]} < 0.0: raise {err}f'negative base "
                          f"{{{a[0]}}} with non-integer exponent {{c{r}}}')")
@@ -426,7 +427,7 @@ def replay_source(trace, inputs, prefix="f", loop=None, inline=False):
              if o.i in nodes else o.i < nin and inputs[o.i][1] or None)
             if type(o) is Var else (f"y{j}", None) for j, o in enumerate(out)]
     if not slots:
-        return None if loop else (lines, outs, consts)
+        return None if loop else (head + lines, outs, consts)
     local = _names(x for x, _ in inputs) | named
     ids = _names(i for _, i in inputs if i)
     if not loop:
@@ -436,7 +437,7 @@ def replay_source(trace, inputs, prefix="f", loop=None, inline=False):
         consts["adjoint"] = compile_kernel("adj, n, args", [
             *(f"g{r} = adj[n + {k}]" for k, r in enumerate(slots)),
             _zero(seeds), f"[{args}] = args", *rev], consts)
-        return lines + _push([ref[r][0] for r in slots], args), outs, consts
+        return head + lines + _push([ref[r][0] for r in slots], args), outs, consts
     # a run: state j is carried from node o, in slots' order; gi{j} sums
     # its adjoint
     carry = {j: o.i for j, o in enumerate(out) if getattr(o, "i", -1) in var}
@@ -465,7 +466,7 @@ def replay_source(trace, inputs, prefix="f", loop=None, inline=False):
                                        body + [_zero(seeds), *first], consts)
     xs = [x for x, _ in inputs[:len(out)]]
     save = [f"saved.append(({per}))" if per else "steps += 1"] * back
-    lines = [f"{kept} = {'[]' if per else 0}"] * back + [loop] + [
+    lines = head + [f"{kept} = {'[]' if per else 0}"] * back + [loop] + [
         "    " + line for line in lines + save + [
             f"{', '.join(xs)}, = {', '.join(x for x, _ in outs)},"]]
     return (lines + _push([xs[j] for j in carry], args),
@@ -474,15 +475,13 @@ def replay_source(trace, inputs, prefix="f", loop=None, inline=False):
 
 def _push(values, args):
     m = len(values)
-    return [f"vals += ({', '.join(values)},)", f"tape.ops += {(CONST,) * m}",
-            f"tape.lhs += {(-1,) * m}", f"tape.rhs += {(-1,) * m}",
-            f"tape.aux += {(0.0,) * m}",
+    return [f"vals += ({', '.join(values)},)", f"tape.recs += {(None,) * m}",
             f"tape.blocks.append((n, n + {m}, adjoint, ({args})))"]
 
 
 def _adjoint(nodes, seeds, local=None):
     """(lines, sums): the interpreter's reverse sweep over the records of
-    nodes = {r: (op, a, b, aux, value)} as straight-line code, an operand a
+    nodes = {r: (op, a, b, p, value)} as straight-line code, an operand a
     Var node, a Var input's (value, id) or a float's (value, None).
 
     Node r's adjoint is kept in a local, starting from the name seeds[r]

@@ -313,12 +313,15 @@ def write_manifest(out_dir, command, scenario, seed, argv):
         fh.write("\n")
 
 
-def _load_checkpoint(path):
-    """Controller from a checkpoint file: a Policy or an action sequence."""
+def _load_checkpoint(path, plant):
+    """Controller for plant from a checkpoint file: a Policy or actions."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ScenarioError("checkpoint", "top level must be an object")
+    if doc.get("plant") not in (None, plant):
+        raise ScenarioError("checkpoint.plant", f"trained for {doc['plant']!r}"
+                            f", not the scenario's {plant!r}")
     if doc.get("kind") == "openloop":
         from .trainer import _OpenLoop
         rows = doc.get("actions")
@@ -328,14 +331,17 @@ def _load_checkpoint(path):
             raise ScenarioError("checkpoint.actions",
                                 "expected a non-empty list of equal-length rows")
         return _OpenLoop([[_typed("checkpoint.actions", x, float) for x in r]
-                          for r in rows]), "openloop"
+                          for r in rows])
     for key, typ in [("widths", int), ("theta", float)]:
-        for x in _req(doc, key, list):
-            _typed(f"checkpoint.{key}", x, typ)
+        field = f"checkpoint.{key}"
+        if key not in doc:
+            raise ScenarioError(field, "missing required field")
+        for x in _typed(field, doc[key], list):
+            _typed(field, x, typ)
     for key, typ in [("include_time", bool), ("time_scale", float)]:
         if key in doc:
             _typed(f"checkpoint.{key}", doc[key], typ)
-    return Policy.load(path), "policy"
+    return Policy.load(path)
 
 
 def cmd_train(args, argv):
@@ -422,7 +428,7 @@ def cmd_verify(args, argv):
     m = sc.verify_cfg["m"] if args.m is None else args.m
     coverage = (sc.verify_cfg["coverage"] if args.coverage is None
                 else args.coverage)
-    ctrl, _ = _load_checkpoint(args.checkpoint)
+    ctrl = _load_checkpoint(args.checkpoint, sc.plant.name)
     rng = random.Random(seed)
     os.makedirs(args.out, exist_ok=True)
     noise = sc.noise if args.noise else None
@@ -444,7 +450,7 @@ def cmd_simulate(args, argv):
               "for an empty run", file=sys.stderr)
         return 2
     seed = sc.seed if args.seed is None else args.seed
-    ctrl, _ = _load_checkpoint(args.checkpoint)
+    ctrl = _load_checkpoint(args.checkpoint, sc.plant.name)
     rng = random.Random(seed)
     os.makedirs(args.out, exist_ok=True)
     K = horizon(sc.formula)

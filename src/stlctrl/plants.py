@@ -371,9 +371,7 @@ def _recorder(plant, types, noisy, run=False):
     if src is None:
         return None
     lines, outs, consts = src
-    body = [f"[{', '.join(names[:n] if run else names)}] = {'s' if run else 'xs'}",
-            "vals = tape.vals", "n = len(vals)"]
-    body += [f"{i} = {x}.i\n{x} = vals[{i}]" for x, i in ins if i]
+    body = [f"[{', '.join(names[:n] if run else names)}] = {'s' if run else 'xs'}"]
     ret = (x if i is None else f"Var(tape, {i})" for x, i in outs)
     return compile_kernel("tape, s, acts, offs" if run else "tape, xs",
                           body + lines + [f"return ({', '.join(ret)},)"], consts)

@@ -111,10 +111,8 @@ def _kernels(widths, include_time):
 
 def _run(key, recorders, th, s, t):
     """The recorder for th = (theta's values, their node ids, tape), per
-    pattern of Var inputs; checks only the inputs."""
+    pattern of Var inputs."""
     var_in = tuple(isinstance(x, Var) for x in s)
-    if any(x.tape is not th[2] for x, v in zip(s, var_in) if v):
-        raise ValueError("operands recorded on different tapes")
     if var_in not in recorders:
         recorders[var_in] = _kernel(key, var_in)
     return recorders[var_in](th, s, t)
@@ -132,10 +130,8 @@ def _kernel(key, var_in=None):
     for xs, lines, outs, consts in reversed(forward_source(*key, theta, xs)):
         body = [f"[{', '.join(x for x, _ in xs)}] = s"]
         if rec:
-            body += ["th, ids, tape = arg = th", "vals = tape.vals",
-                     "n = len(vals)"]
-            body += [f"{x} = float({x})" if i is None
-                     else f"{i} = {x}.i\n{x} = vals[{i}]" for x, i in xs]
+            body += ["th, ids, tape = arg = th"]
+            body += [f"{x} = float({x})" for x, i in xs if i is None]
         ret = ", ".join(x if i is None else f"Var(tape, {i})" for x, i in outs)
         fn = compile_kernel("th, s, t", body + lines + [
             f"return [{ret}]" if fn is None

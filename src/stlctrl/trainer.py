@@ -167,7 +167,7 @@ def _min_rho(plant, policy, theta, init_set, K, f, kept):
 
 
 def _pick_s0(cfg, rng, init_set, worst_s0):
-    if cfg.init_rule == "random" or worst_s0 is None:
+    if cfg.init_rule == "random":
         return init_set.samples[rng.randrange(len(init_set.samples))]
     return worst_s0
 

@@ -81,8 +81,7 @@ def test_finite_difference_oracle_smooth_ops():
 def test_recording_deterministic():
     t1, xs1, out1 = _rand_expr([0.1, 0.2, 0.3, 0.4])
     t2, xs2, out2 = _rand_expr([0.1, 0.2, 0.3, 0.4])
-    assert t1.ops == t2.ops
-    assert t1.lhs == t2.lhs
+    assert t1.recs == t2.recs
     assert t1.vals == t2.vals
     assert out1.i == out2.i
 

@@ -394,9 +394,9 @@ def test_verify_and_simulate_round_trip(tmp_path, capsys):
     ({"kind": "openloop", "actions": [[0.5, 0.0], [0.5]]}, "checkpoint.actions"),
     ({"kind": "openloop", "actions": [[]]}, "checkpoint.actions"),
     ({"kind": "openloop", "actions": [["0.5", 0.0]]}, "checkpoint.actions"),
-    ({"theta": [1]}, "widths"),
-    ({"widths": [3, 4, 2]}, "theta"),
-    ({"widths": 3, "theta": [1]}, "widths"),
+    ({"theta": [1]}, "checkpoint.widths"),
+    ({"widths": [3, 4, 2]}, "checkpoint.theta"),
+    ({"widths": 3, "theta": [1]}, "checkpoint.widths"),
 ])
 def test_malformed_checkpoint_is_invalid_input(tmp_path, capsys, command, doc,
                                                field):
@@ -432,6 +432,32 @@ def test_checkpoint_field_of_the_wrong_type_is_invalid_input(
                "--out", str(tmp_path / "s"), "--trials", "1"])
     assert rc == 2
     assert f"error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("kind", ["policy", "openloop"])
+def test_checkpoint_for_another_plant_is_invalid_input(tmp_path, capsys,
+                                                       command, kind):
+    # dubins has integrator2d's dimensions: only the recorded plant differs
+    path = write_scenario(tmp_path, scenario_doc())
+    ckpt = tmp_path / "ckpt.json"
+    if kind == "policy":
+        from stlctrl.policy import init
+        init([3, 4, 2], scheme="zero", time_scale=0.2).save(str(ckpt))
+        doc = json.loads(ckpt.read_text())
+    else:
+        doc = {"kind": "openloop", "actions": [[0.5, 0.0]] * 5}
+    extra = ["--m", "20"] if command == "verify" else ["--trials", "1"]
+    for plant, rc in [("dubins", 2), ("integrator2d", 0), (None, 0),
+                      ("absent", 0)]:
+        doc["plant"] = plant
+        if plant == "absent":
+            del doc["plant"]
+        ckpt.write_text(json.dumps(doc))
+        assert main([command, "--scenario", path, "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "o")] + extra) == rc
+        err = capsys.readouterr().err
+        assert ("error: checkpoint.plant: " in err) == (rc == 2), err
 
 
 def test_verify_untrained_policy_fails_verdict(tmp_path, capsys):

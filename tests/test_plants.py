@@ -4,13 +4,13 @@ import struct
 
 import pytest
 
-from stlctrl import autodiff, plants
+from stlctrl import plants
 from stlctrl.autodiff import (
     EvalError, Tape, Var, exp, ln, powc, value_of, vmax, vmin,
 )
 from stlctrl.plants import (
     DivergedRollout, InitialSet, Plant, builtin, corners_and_center,
-    read_trace_csv, rollout, step_recorder, write_trace_csv,
+    read_trace_csv, rollout, run_recorder, step_recorder, write_trace_csv,
 )
 from stlctrl.policy import Policy, init
 
@@ -406,7 +406,7 @@ def test_step_recorder_scalar_power_max_tie_and_power():
     x = tape.const(1e-3)
     (y,) = step_recorder(plant)(tape, (x,), (tape.const(0.2),))
     # one block, its output the only node it pushes
-    assert len(tape.blocks) == 1 and tape.ops == [autodiff.CONST] * 3
+    assert len(tape.blocks) == 1 and tape.recs == [None] * 3
     g = tape.backward(y, [x])[0]
     assert g == pytest.approx(0.5 * 0.8 * 1.2 * 1e-3 ** 0.2)
 
@@ -475,3 +475,26 @@ def test_step_recorder_guards_write_nothing(fn, s, a):
             run(plant, Policy([2, 1], theta=[0.0, 0.0, a]), (s,), 1,
                 noise=(0.1, 0.0, rngs[-1]))
     assert rngs[0].getstate() == rngs[1].getstate() == random.Random(2).getstate()
+
+
+def test_plant_recorders_reject_a_state_from_another_tape():
+    # the generated check runs before anything is pushed, a run's loop too
+    plant = builtin("dubins")
+    record, run = step_recorder(plant), run_recorder(plant)
+    t1, t2 = Tape(), Tape()
+    t2.const(9.0)
+    own, other, a = t2.const(1.0), t1.const(2.0), t2.const(0.5)
+    calls = [lambda s: record(t2, s, (0.5, -0.5)),
+             lambda s: record(t2, s, (a, -0.5)),
+             lambda s: run(t2, s, [(0.5, -0.5)]),
+             lambda s: run(t2, s, [(0.5, -0.5)] * 3)]
+    for s in [(other, 3.0), (own, other), (other, other)]:
+        for call in calls:
+            sizes = (len(t1), len(t2), list(t1.blocks), list(t2.blocks))
+            with pytest.raises(ValueError) as e:
+                call(s)
+            assert str(e.value) == "operands recorded on different tapes"
+            assert (len(t1), len(t2), t1.blocks, t2.blocks) == sizes
+    # a state on the recorders' tape is recorded as before
+    assert len(run(t2, (own, 3.0), [(0.5, -0.5)] * 3)) == 2
+    assert len(t2.blocks) == 1

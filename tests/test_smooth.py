@@ -208,8 +208,8 @@ def taped(run, f, states, b):
     out = run(f, var_states, b)
     seeds = [v for s in var_states for v in s]
     if not isinstance(out, Var):  # a formula whose predicates read no state
-        return len(tape.ops), out, None
-    return len(tape.ops), out.value, tape.backward(out, seeds)
+        return len(tape), out, None
+    return len(tape), out.value, tape.backward(out, seeds)
 
 
 def test_tape_records_and_gradients_match_recursion_on_corpus():

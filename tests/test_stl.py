@@ -337,8 +337,7 @@ def test_affine_eval_matches_loop_on_floats_and_tape():
             for fn in (Affine.eval, loop_affine):
                 tape = Tape()
                 out = fn(h, tuple(tape.const(x) for x in s))
-                runs.append((getattr(out, "value", out), tape.ops, tape.lhs,
-                             tape.rhs, tape.vals))
+                runs.append((getattr(out, "value", out), tape.recs, tape.vals))
             assert runs[0] == runs[1]
 
 
