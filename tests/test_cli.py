@@ -394,9 +394,10 @@ def test_verify_and_simulate_round_trip(tmp_path, capsys):
     ({"kind": "openloop", "actions": [[0.5, 0.0], [0.5]]}, "checkpoint.actions"),
     ({"kind": "openloop", "actions": [[]]}, "checkpoint.actions"),
     ({"kind": "openloop", "actions": [["0.5", 0.0]]}, "checkpoint.actions"),
-    ({"theta": [1]}, "checkpoint.widths"),
-    ({"widths": [3, 4, 2]}, "checkpoint.theta"),
-    ({"widths": 3, "theta": [1]}, "checkpoint.widths"),
+    pytest.param({"theta": [1]}, "checkpoint.widths", id="doc6-widths"),
+    pytest.param({"widths": [3, 4, 2]}, "checkpoint.theta", id="doc7-theta"),
+    pytest.param({"widths": 3, "theta": [1]}, "checkpoint.widths",
+                 id="doc8-widths"),
 ])
 def test_malformed_checkpoint_is_invalid_input(tmp_path, capsys, command, doc,
                                                field):
