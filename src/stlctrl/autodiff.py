@@ -363,7 +363,7 @@ def replay_source(trace, inputs, prefix="f", loop=None, inline=False):
     head = [f"if {x}.tape is not tape: raise ValueError("
             "'operands recorded on different tapes')" for x, _ in unpack]
     head += ["vals = tape.vals", "n = len(vals)"] * bool(var) + [
-        f"{i} = {x}.i\n{x} = vals[{i}]" for x, i in unpack]
+        f"{i} = {x}.i; {x} = vals[{i}]" for x, i in unpack]
     keep = set() if inline else {o.i for o in out if type(o) is Var}
     for r, (op, a, b, _) in recs.items():  # the Var nodes, what adjoints read
         if a in var or b in var:

@@ -29,7 +29,7 @@ from .stl import HorizonError, ParseError, Trace, critical, horizon, parse, \
 from .trainer import (
     TrainConfig, WaypointPath, train_dropout, train_openloop, train_vanilla,
 )
-from .verify import calibrate, report
+from .verify import calibrate, choose_ell, report
 
 
 class ScenarioError(ValueError):
@@ -78,15 +78,13 @@ class Scenario:
                 "formula", f"horizon {h} exceeds scenario horizon K={self.K}")
         self.policy_cfg = self._policy(doc.get("policy"))
         self.init_set = self._initial(doc.get("initial"))
+        self.noise = self._noise(doc.get("noise"))
         self.train_cfg, self.algorithm = self._train(doc.get("train"))
         if self.train_cfg.M > max(1, h):
             raise ScenarioError("train.M", f"M={self.train_cfg.M} partition "
                                 f"sets exceed the formula horizon {h}")
         self.waypoints = self._waypoints(doc.get("waypoints"))
         self.verify_cfg = self._verify(doc.get("verify"))
-        self.noise = self._noise(doc.get("noise"))
-        if self.train_cfg.noise is not None:
-            self.train_cfg.noise = self.noise
 
     def _policy(self, pd):
         if not isinstance(pd, dict):
@@ -181,7 +179,7 @@ class Scenario:
             if algorithm == "dropout":
                 raise ScenarioError("train.noise_training",
                                     "the dropout trainer has no noisy training")
-            kw["noise"] = (0.0, 0.0)  # replaced by the scenario noise pair
+            kw["noise"] = self.noise
         try:
             return TrainConfig(**kw), algorithm
         except ValueError as e:
@@ -198,6 +196,9 @@ class Scenario:
         for knot in wd["knots"]:
             if isinstance(knot, list) and knot:
                 _typed("waypoints.knots", knot[0], int)  # its time
+            if isinstance(knot, list) and len(knot) > 1:  # its target
+                for x in _typed("waypoints.knots", knot[1], list):
+                    _typed("waypoints.knots", x, float)
         try:
             return WaypointPath(wd["knots"], interpolate=interpolate)
         except (ValueError, TypeError) as e:
@@ -207,10 +208,7 @@ class Scenario:
         vd = _optional_section("verify", vd, ("m", "coverage"))
         m = _typed("verify.m", vd.get("m", 2000), int)
         coverage = _typed("verify.coverage", vd.get("coverage", 0.995), float)
-        if m < 1:
-            raise ScenarioError("verify.m", "must be >= 1")
-        if not 0.0 < coverage < 1.0:
-            raise ScenarioError("verify.coverage", "must lie in (0, 1)")
+        _check_verify(m, coverage, "verify.")
         return {"m": m, "coverage": coverage}
 
     def _noise(self, nd):
@@ -229,6 +227,15 @@ class Scenario:
         return init(cfg["widths"], scheme=cfg["scheme"], rng=rng,
                     include_time=cfg["include_time"],
                     time_scale=cfg["time_scale"])
+
+
+def _check_verify(m, coverage, prefix):
+    """ScenarioError naming prefix + m or coverage unless m >= 1 and
+    0 < coverage < 1."""
+    if m < 1:
+        raise ScenarioError(f"{prefix}m", "must be >= 1")
+    if not 0.0 < coverage < 1.0:
+        raise ScenarioError(f"{prefix}coverage", "must lie in (0, 1)")
 
 
 def _req(doc, key, typ):
@@ -256,11 +263,15 @@ def _optional_section(section, d, keys):
 
 
 def _typed(field, v, typ):
-    """v as typ; a float field also takes an int, and a bool is no number."""
+    """v as typ; a float field also takes an int, and a bool is no number.
+    A float must be finite: json reads NaN, Infinity and ints past 1e308."""
     ok = isinstance(v, (int, float) if typ is float else typ)
     if not ok or (isinstance(v, bool) and typ is not bool):
         raise ScenarioError(field, f"expected {typ.__name__}, "
                                    f"got {type(v).__name__}")
+    if typ is float and not abs(v) <= sys.float_info.max:
+        raise ScenarioError(field, "expected a finite number, of magnitude "
+                                   f"at most {sys.float_info.max:.4g}")
     return typ(v)
 
 
@@ -341,7 +352,11 @@ def _load_checkpoint(path, plant):
     for key, typ in [("include_time", bool), ("time_scale", float)]:
         if key in doc:
             _typed(f"checkpoint.{key}", doc[key], typ)
-    return Policy.load(path)
+    if doc.get("activation", "tanh") != "tanh":
+        raise ScenarioError("checkpoint.activation",
+                            f"unsupported activation {doc['activation']!r}")
+    return Policy(doc["widths"], doc["theta"], doc.get("include_time", True),
+                  doc.get("time_scale", 1.0))
 
 
 def cmd_train(args, argv):
@@ -429,6 +444,11 @@ def cmd_verify(args, argv):
     coverage = (sc.verify_cfg["coverage"] if args.coverage is None
                 else args.coverage)
     ctrl = _load_checkpoint(args.checkpoint, sc.plant.name)
+    _check_verify(m, coverage, "--")  # the scenario's passed at load
+    try:  # before any rollout: the pair may need more than m of them
+        choose_ell(m, coverage)
+    except ValueError as e:
+        raise ScenarioError("verify", str(e))
     rng = random.Random(seed)
     os.makedirs(args.out, exist_ok=True)
     noise = sc.noise if args.noise else None
@@ -546,8 +566,7 @@ def main(argv=None):
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ParseError, HorizonError,
-            ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

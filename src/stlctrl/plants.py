@@ -4,10 +4,10 @@ All continuous plants are integrated with forward Euler at their stated
 sampling time.  Plant.step() over tape Vars is traced once per (step_fn,
 squash_fn, dt, noise), and autodiff.replay_source generates from it a
 plain rollout loop per (widths, include_time, noise), inlining the
-controller forward traced the same way, a tape recorder per (which
-inputs are Vars, noise) and a recorder of a run of steps with frozen
-actions per (which states are Vars, noise).  A recorder pushes only the
-next state's Vars and saves the locals its generated adjoint reads.  All
+controller forward traced the same way, and per noise on or off one tape
+recorder of a step and one of a run of steps with frozen actions, both
+from Var states.  A recorder pushes only the next state's Vars and saves
+the locals its generated adjoint reads.  All
 compute in the Var operators' order, so a differentiable rollout (the
 plain one recorded by sampler.build_sampled at every step) has its bits
 and those gradients.  So step_fn and squash_fn must be straight-line
@@ -19,7 +19,7 @@ import csv
 import math
 
 from .autodiff import (
-    Tape, Var, compile_kernel, cos, exp, powc, replay_source, sin, tanh,
+    Tape, compile_kernel, cos, exp, powc, replay_source, sin, tanh,
     value_of, vmax,
 )
 from .policy import Policy, chained, forward_source, param_count
@@ -318,63 +318,61 @@ def _traced(plant, noisy=False):
 
 def step_recorder(plant):
     """record(tape, s, a, off=None): the next state as Plant.step computes
-    it from states and raw actions that are Vars or floats, plus the noise
-    offsets off, on the tape by a recorder generated per (which inputs are
-    Vars, noise): one block, with the Var operators' gradients."""
-    recorders = _traced(plant)[1]
-
-    def record(tape, s, a, off=None):
-        xs = (*s, *a, *(off or ()))
-        key = tuple(map(type, xs))
-        if key not in recorders:
-            recorders[key] = _recorder(plant, key, off is not None)
-        return recorders[key](tape, xs)
-
-    return record
+    it from states and raw actions that are Vars on tape, plus the noise
+    offsets off (floats), on the tape by the recorder generated per noise
+    on or off: one block, with the Var operators' gradients."""
+    return _recorders(plant, False)
 
 
 def run_recorder(plant):
     """run(tape, s, acts, offs=None): the state after one step per raw
-    action in acts (floats), from states s that are Vars or floats, plus
-    the noise offsets offs[j] at step j, with the values and gradients of
-    step_recorder step by step.  A loop generated per (which states are
-    Vars, noise) makes them one block that pushes only the final state; a
-    step replay_source cannot loop (it passes a state through, gives two
-    states one node or changes which states are Vars) goes step by step."""
-    kernels, record = _traced(plant)[1], step_recorder(plant)
+    action in acts (floats), from states s that are Vars on tape, plus the
+    noise offsets offs[j] at step j, with the values and gradients of
+    step_recorder step by step.  A loop generated per noise on or off makes
+    them one block that pushes only the final state; a step replay_source
+    cannot loop (it passes a state through, gives two states one node or
+    returns a constant) is recorded step by step."""
+    return _recorders(plant, True)
 
-    def run(tape, s, acts, offs=None):
-        key = ("run", tuple(map(type, s)), offs is not None)
+
+def _recorders(plant, run):
+    """record(tape, s, a, off=None) by the _recorder for noise on or off."""
+    kernels = _traced(plant)[1]
+
+    def record(tape, s, a, off=None):
+        key = (run, off is not None)
         if key not in kernels:
-            kernels[key] = _recorder(plant, key[1] + (float,) * (
-                plant.action_dim + plant.state_dim * key[2]), key[2], True)
-        if kernels[key] is None:
-            for j, a in enumerate(acts):
-                s = record(tape, s, a, offs and offs[j])
-            return s
-        return kernels[key](tape, s, acts, offs) if acts else s
+            kernels[key] = _recorder(plant, *key)
+        return kernels[key](tape, s, a, off)
 
-    return run
+    return record
 
 
-def _recorder(plant, types, noisy, run=False):
-    """The generated step recorder for inputs (states, raw actions, noise
-    offsets) of these types, or with run its loop over float actions and
-    offsets (None if replay_source cannot loop it)."""
-    ins = [(f"x{j}", f"i{j}" if t is Var else None) for j, t in enumerate(types)]
-    names = [x for x, _ in ins]
+def _recorder(plant, run, noisy):
+    """kernel(tape, s, a, off), generated: one step from Var states s and
+    raw actions a, plus noise offsets off, or with run a run of steps over
+    the float raw actions a[j] and offsets off[j], one loop and one block,
+    or a block per step if replay_source cannot loop the step.  Each state
+    it returns is a Var: an output that depends on no Var input is pushed
+    as a tape constant."""
     n, m = plant.state_dim, plant.action_dim
-    a, e = (f"[{', '.join(x)}]" for x in (names[n:n + m], names[n + m:]))
-    loop = run and (f"for {a}, {e} in zip(acts, offs):" if noisy
-                    else f"for {a} in acts:")
-    src = replay_source(_traced(plant, noisy)[0], ins, loop=loop)
-    if src is None:
-        return None
-    lines, outs, consts = src
-    body = [f"[{', '.join(names[:n] if run else names)}] = {'s' if run else 'xs'}"]
-    ret = (x if i is None else f"Var(tape, {i})" for x, i in outs)
-    return compile_kernel("tape, s, acts, offs" if run else "tape, xs",
-                          body + lines + [f"return ({', '.join(ret)},)"], consts)
+    ins = [(f"x{j}", f"i{j}" if j < n + m * (not run) else None)
+           for j in range(n + m + n * noisy)]
+    names = [x for x, _ in ins]
+    s, a, e = (", ".join(x) for x in (names[:n], names[n:n + m], names[n + m:]))
+    loop = f"for [{a}], [{e}] in zip(a, off):" if noisy else f"for [{a}] in a:"
+    trace = _traced(plant, noisy)[0]
+    src = run and replay_source(trace, ins, loop=loop)
+    lines, outs, consts = src or replay_source(trace, ins)
+    ret = ", ".join(f"Var(tape, {i})" if i else f"tape.const({x})"
+                    for x, i in outs)
+    if not run:
+        lines = [f"[{a}] = a"] + [f"[{e}] = off"] * noisy + lines
+    elif not src:  # step by step, a block per step
+        lines = [loop] + ["    " + line for line in lines + [f"{s}, = {ret},"]]
+        ret = s
+    return compile_kernel("tape, s, a, off", [f"[{s}] = s"] + [
+        "if not a: return s"] * run + lines + [f"return ({ret},)"], consts)
 
 
 def _closed_loop(plant, policy, noisy):

@@ -9,18 +9,17 @@ reference_forward, traced on Vars like a plant step: one statement per
 neuron, ``h = tanh(th[b] + th[r] * x0 + ...)``, summed left to right like
 the loop, so it is bit-identical to it.  Policy.forward runs it on
 floats.  The only way onto a tape is Policy.recorder, whose theta is a
-range of node ids from Tape.consts: per pattern of Var inputs, it
-computes the same floats, keeps the ones its generated adjoint reads (the
-inputs and each neuron's tanh) and pushes only the outputs.
+range of node ids from Tape.consts and whose inputs are Vars: one per
+net, it computes the same floats, keeps the ones its generated adjoint
+reads (the inputs and each neuron's tanh) and pushes only the outputs.
 """
 
 import json
 import math
-from functools import partial
 
-from .autodiff import Tape, Var, compile_kernel, replay_source, tanh
+from .autodiff import Tape, compile_kernel, replay_source, tanh
 
-_KERNELS = {}  # (widths, include_time) -> (plain forward, _run)
+_KERNELS = {}  # (widths, include_time, recorder) -> _kernel
 _TERMS = 1000  # weights of a net compiled as one function, see chained
 
 
@@ -43,7 +42,7 @@ class Policy:
         if len(theta) != n:
             raise ValueError(f"theta length {len(theta)} != {n} for widths {widths}")
         self.theta = list(theta)
-        self._kernels = None
+        self._forward = None
 
     @property
     def state_dim(self):
@@ -59,18 +58,18 @@ class Policy:
             raise ValueError(
                 f"input dim {len(s) + self.include_time} != "
                 f"widths[0]={self.widths[0]}")
-        kernels = self._kernels
-        if kernels is None:
-            kernels = self._kernels = _kernels(self.widths, self.include_time)
-        return kernels[0](self.theta, s, float(k) * self.time_scale
-                          if self.include_time else None)
+        fn = self._forward
+        if fn is None:
+            fn = self._forward = _kernel(self.widths, self.include_time)
+        return fn(self.theta, s, float(k) * self.time_scale
+                  if self.include_time else None)
 
     def recorder(self, tape, theta):
-        """forward(s, k) on the tape, inputs s Vars or floats, for the
-        weights with node ids theta, a range from Tape.consts: a call
-        checks only its inputs' tapes, and not their dimension."""
+        """forward(s, k) on the tape, inputs s Vars, for the weights with
+        node ids theta, a range from Tape.consts: a call checks only its
+        inputs' tapes, and not their dimension."""
         th = (tape.vals[theta.start:theta.stop], list(theta), tape)
-        run, ts = _kernels(self.widths, self.include_time)[1], self.time_scale
+        run, ts = _kernel(self.widths, self.include_time, True), self.time_scale
         return lambda s, k: run(th, s, float(k) * ts if self.include_time
                                 else None)
 
@@ -102,41 +101,28 @@ class Policy:
                    doc.get("include_time", True), doc.get("time_scale", 1.0))
 
 
-def _kernels(widths, include_time):
-    key = (tuple(widths), include_time)
-    if key not in _KERNELS:
-        _KERNELS[key] = (_kernel(key), partial(_run, key, {}))
-    return _KERNELS[key]
-
-
-def _run(key, recorders, th, s, t):
-    """The recorder for th = (theta's values, their node ids, tape), per
-    pattern of Var inputs."""
-    var_in = tuple(isinstance(x, Var) for x in s)
-    if var_in not in recorders:
-        recorders[var_in] = _kernel(key, var_in)
-    return recorders[var_in](th, s, t)
-
-
-def _kernel(key, var_in=None):
+def _kernel(widths, include_time, rec=False):
     """forward(th, s, t), one function per run of layers, each calling the
-    next: on floats, or given which inputs are Vars, a recorder, whose th
-    is (theta's values, their node ids, the tape)."""
-    rec, fn = var_in is not None, None
+    next: on floats, or with rec a recorder of Var inputs, whose th is
+    (theta's values, their node ids, the tape).  Compiled once per net."""
+    key = (tuple(widths), include_time, rec)
+    if key in _KERNELS:
+        return _KERNELS[key]
     theta = [(f"th[{r}]", f"ids[{r}]" if rec else None)
-             for r in range(param_count(key[0]))]
-    xs = [(f"x{i}", f"i{i}" if v else None)
-          for i, v in enumerate(var_in or (False,) * (key[0][0] - key[1]))]
-    for xs, lines, outs, consts in reversed(forward_source(*key, theta, xs)):
+             for r in range(param_count(widths))]
+    xs = [(f"x{i}", f"i{i}" if rec else None)
+          for i in range(widths[0] - include_time)]
+    fn = None
+    for xs, lines, outs, consts in reversed(
+            forward_source(widths, include_time, theta, xs)):
         body = [f"[{', '.join(x for x, _ in xs)}] = s"]
-        if rec:
-            body += ["th, ids, tape = arg = th"]
-            body += [f"{x} = float({x})" for x, i in xs if i is None]
+        body += ["th, ids, tape = arg = th"] * rec
         ret = ", ".join(x if i is None else f"Var(tape, {i})" for x, i in outs)
         fn = compile_kernel("th, s, t", body + lines + [
             f"return [{ret}]" if fn is None
             else f"return nxt({'arg' if rec else 'th'}, [{ret}], t)"],
             {**consts, "nxt": fn})
+    _KERNELS[key] = fn
     return fn
 
 

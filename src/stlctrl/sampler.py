@@ -3,13 +3,13 @@
 A sampled trajectory keeps the controller live (differentiable in theta)
 only at chosen time-steps and freezes it to the reference rollout's raw
 actions everywhere else, so gradient cost scales with the number of
-sampled steps instead of the horizon.  On the tape, theta is one range of
-node ids from Tape.consts, a live step is two blocks (Policy.recorder,
-the controller's only tape path, and the plant step) and each run of
-frozen steps between two live ones is one generated loop
-(plants.run_recorder) that pushes only its final state; its adjoint
-carries the state's adjoint from step to step in locals, over one tuple
-of saved locals per step if it reads any.
+sampled steps instead of the horizon.  On the tape, theta and then the
+start state are constants, so every recorder takes Vars: a live step is
+two blocks (Policy.recorder, the controller's only tape path, and the
+plant step) and each run of frozen steps between two live ones is one
+generated loop (plants.run_recorder) that pushes only its final state;
+its adjoint carries the state's adjoint from step to step in locals,
+over one tuple of saved locals per step if it reads any.
 """
 
 from .autodiff import Tape, Var
@@ -59,7 +59,9 @@ def build_sampled(ref, times, policy, plant):
     """Differentiable anchors along `times`; off-sample actions frozen.
 
     The reference rollout supplies the frozen raw actions and the start
-    state.  Anchor primal values match the reference states exactly
+    state, the first anchor as floats, which do not depend on theta, and
+    on the tape the live chain's start.  Anchor primal values match the
+    reference states exactly
     because live and frozen steps run the same scalar arithmetic.  Each
     sample time but the last gets a live step, then one run of frozen
     steps up to the next sample time; anchors and gradients are those of
@@ -77,8 +79,8 @@ def build_sampled(ref, times, policy, plant):
     forward = policy.recorder(tape, theta)
     record, run = step_recorder(plant), run_recorder(plant)
     acts, offs = ref.raw_actions, getattr(ref, "noise_offsets", None)
-    cur = ref.states[0]
-    anchors = [cur]
+    cur = tuple(Var(tape, i) for i in tape.consts(ref.states[0]))
+    anchors = [ref.states[0]]
     for k, k1 in zip(times, times[1:]):
         cur = record(tape, cur, forward(cur, k), offs and offs[k])
         cur = run(tape, cur, acts[k + 1:k1], offs and offs[k + 1:k1])

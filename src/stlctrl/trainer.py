@@ -52,6 +52,8 @@ class TrainConfig:
             raise ValueError("eps must be positive and M, N, N1, N2 >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not self.alpha > 0:  # a step of Adam ascends only then
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.init_rule not in ("worst", "random"):
             raise ValueError(f"unknown init rule {self.init_rule!r}")
         SmoothConfig(self.b)  # the same check of the smoothing sharpness

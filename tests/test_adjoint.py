@@ -41,11 +41,15 @@ def _bits(xs):
 
 def _assert_same(got, want, seeds, oracle_seeds):
     """Entry by entry: the same float, or Vars with the same value and the
-    same gradient over their tape's seeds."""
+    same gradient over their tape's seeds.  A recorder returns a constant
+    as a tape constant: a Var with a zero gradient where want is a float."""
     assert len(got) == len(want)
     for x, y in zip(got, want):
         if not isinstance(y, Var):
-            assert not isinstance(x, Var) and _bits([x]) == _bits([y])
+            if isinstance(x, Var):
+                assert not any(x.tape.backward(x, seeds))
+                x = x.value
+            assert _bits([x]) == _bits([y])
             continue
         assert isinstance(x, Var) and _bits([x.value]) == _bits([y.value])
         assert _bits(x.tape.backward(x, seeds)) == _bits(
@@ -64,11 +68,13 @@ def _oracle_step(plant, s, a, off=None):
 
 def _oracle_sampled(ref, times, pol, plant):
     """build_sampled by the Var operators: (tape, theta Vars, anchors,
-    [(raw action, next state)] per step)."""
+    [(raw action, next state)] per step), the start state on the tape
+    after theta."""
     tape = Tape()
     theta = [tape.const(w) for w in pol.theta]
-    live, offs, cur = set(times), ref.noise_offsets, ref.states[0]
-    anchors, steps = [cur], []
+    live, offs = set(times), ref.noise_offsets
+    cur = tuple(tape.const(x) for x in ref.states[0])
+    anchors, steps = [ref.states[0]], []
     for k in range(times[-1]):
         a = (_oracle_forward(pol, theta, cur, k) if k in live
              else ref.raw_actions[k])
@@ -120,20 +126,21 @@ def test_sampled_gradients_match_interpreter(name, widths, include_time, s0,
 @pytest.mark.parametrize("name,widths,include_time,s0", CASES)
 def test_forward_adjoints_for_var_and_float_operands(name, widths,
                                                      include_time, s0):
+    # Vars: Policy.recorder on the tape; floats: Policy.forward
     pol = _policy(widths, include_time)
-    n = len(s0)
-    for var_in in [[True] * n, [False] * n, [i % 2 == 0 for i in range(n)]]:
-        runs = []
-        for recorded in (True, False):
-            tape = Tape()
-            tape.const(3.0)
-            theta = tape.consts(pol.theta)
-            tv = [Var(tape, i) for i in theta]
-            s = tuple(tape.const(x) if v else x for x, v in zip(s0, var_in))
-            out = (pol.recorder(tape, theta)(s, 5) if recorded
-                   else _oracle_forward(pol, tv, s, 5))
-            runs.append((out, tv + [x for x in s if isinstance(x, Var)]))
-        _assert_same(runs[0][0], runs[1][0], runs[0][1], runs[1][1])
+    runs = []
+    for recorded in (True, False):
+        tape = Tape()
+        tape.const(3.0)
+        theta = tape.consts(pol.theta)
+        tv = [Var(tape, i) for i in theta]
+        s = tuple(tape.const(x) for x in s0)
+        out = (pol.recorder(tape, theta)(s, 5) if recorded
+               else _oracle_forward(pol, tv, s, 5))
+        runs.append((out, tv + list(s)))
+    _assert_same(runs[0][0], runs[1][0], runs[0][1], runs[1][1])
+    assert _bits(pol.forward(s0, 5)) == _bits(
+        _oracle_forward(pol, pol.theta, s0, 5))
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -145,13 +152,16 @@ def test_step_adjoints_for_var_and_float_operands(name, widths, include_time,
     rng = random.Random(5)
     a0 = tuple(rng.uniform(-2, 2) for _ in range(m))
     off = tuple(0.01 * (i + 1) for i in range(n)) if noisy else None
-    for var_s, var_a in [(True, True), (True, False), (False, True)]:
+    # Var actions: step_recorder; float actions: a run of one step
+    for var_a in (True, False):
         runs = []
-        for step in (step_recorder(plant),
+        for step in (step_recorder(plant) if var_a else
+                     lambda tape, s, a, off: run_recorder(plant)(
+                         tape, s, [a], off and [off]),
                      lambda tape, s, a, off: _oracle_step(plant, s, a, off)):
             tape = Tape()
             tape.const(3.0)
-            s = tuple(tape.const(x) if var_s else x for x in s0)
+            s = tuple(tape.const(x) for x in s0)
             a = tuple(tape.const(x) if var_a else x for x in a0)
             seeds = [x for x in (*s, *a) if isinstance(x, Var)]
             runs.append((step(tape, s, a, off), seeds))
@@ -160,8 +170,8 @@ def test_step_adjoints_for_var_and_float_operands(name, widths, include_time,
 
 def _run_and_steps(plant, s0, acts, offs):
     """(tape, final state, seeds) of run_recorder, of step_recorder step by
-    step and of the Var operators step by step, each from states that are
-    Vars (the seeds) after a few nodes."""
+    step (its raw actions tape constants) and of the Var operators step by
+    step, each from states that are Vars (the seeds) after a few nodes."""
     out = []
     for how in ("run", "steps", "oracle"):
         tape = Tape()
@@ -172,7 +182,8 @@ def _run_and_steps(plant, s0, acts, offs):
         else:
             for j, a in enumerate(acts):
                 off = offs and offs[j]
-                s = (step_recorder(plant)(tape, s, a, off) if how == "steps"
+                s = (step_recorder(plant)(tape, s, tuple(map(tape.const, a)),
+                                          off) if how == "steps"
                      else _oracle_step(plant, s, a, off))
         out.append((tape, s, seeds))
     return out
@@ -226,7 +237,7 @@ def test_run_of_no_steps_returns_its_input():
 
 @pytest.mark.parametrize("fn,blocks", [
     # steps that cannot loop: a state passed through, one node for two
-    # states, a state that stops being a Var
+    # states, a constant
     (lambda s, u, dt: (s[1], 2.0), 0),
     (lambda s, u, dt: (s[0] * u[0],) * 2, 4),
     (lambda s, u, dt: (s[0] + u[0], 2.0), 4),
@@ -237,8 +248,11 @@ def test_run_of_no_steps_returns_its_input():
 def test_runs_of_unusual_steps_match_step_by_step(fn, blocks):
     plant = Plant("odd", 2, 1, 1.0, fn, lambda a: a)
     acts, s0 = [(0.3,), (-0.2,), (0.7,), (0.1,)], (0.4, -0.6)
-    (tape, _, _), _, _ = _assert_run_matches_steps(plant, s0, acts)
+    (tape, s, _), (_, by_steps, _), _ = _assert_run_matches_steps(
+        plant, s0, acts)
     assert len(tape.blocks) == blocks
+    # a constant is returned as a tape constant
+    assert all(isinstance(x, Var) for x in (*s, *by_steps))
 
 
 def test_vmax_tie_splits_in_step_and_run():
@@ -288,7 +302,7 @@ def test_blocks_whose_outputs_have_zero_adjoint_are_skipped():
                  lambda tape, s, a: _oracle_step(plant, s, a)):
         tape = Tape()
         x = tape.const(-2.0)
-        (y,) = step(tape, (x,), (0.3,))
+        (y,) = step(tape, (x,), (tape.const(0.3),))
         runs.append((step(tape, (tape.const(1.0),), (y,)), [x]))
     _assert_same(runs[0][0], runs[1][0], runs[0][1], runs[1][1])
     (z,), [x] = runs[0]

@@ -184,6 +184,8 @@ def test_noise_training_is_rejected_for_dropout(tmp_path, capsys):
     assert "noise_training" in capsys.readouterr().err
     doc["train"]["algorithm"] = "vanilla"
     assert Scenario(doc).train_cfg.noise == (0.0, 0.0)
+    doc["noise"] = {"c1": 0.03, "c2": 0.01}
+    assert Scenario(doc).train_cfg.noise == (0.03, 0.01)
 
 
 def nan_gradient(ref, kstar, hstar, N, policy, plant, rng):
@@ -198,7 +200,8 @@ def recorder_guard(ref, kstar, hstar, N, policy, plant, rng):
     # a generated step recorder's guard, raised before it pushes anything
     tape, odd = Tape(), Plant("odd", 1, 1, 1.0,
                               lambda s, u, dt: (u[0] / s[0],), lambda a: a)
-    return step_recorder(odd)(tape, (tape.const(0.0),), (1.0,))
+    x = tape.const(0.0)
+    return step_recorder(odd)(tape, (x,), (x,))
 
 
 @pytest.mark.parametrize("grad,message", [
@@ -352,11 +355,15 @@ def test_monitor_rejects_bad_sharpness_before_printing(tmp_path, capsys, b):
 
 @pytest.mark.parametrize("b", [0.0, math.inf, math.nan])
 def test_bad_training_sharpness_is_rejected_at_load(b):
+    # a non-finite number is no number of the scenario's
     doc = scenario_doc()
     doc["train"]["b"] = b
     with pytest.raises(ScenarioError) as e:
         Scenario(doc)
-    assert e.value.field == "train" and "sharpness" in str(e.value)
+    if math.isfinite(b):
+        assert e.value.field == "train" and "sharpness" in str(e.value)
+    else:
+        assert e.value.field == "train.b" and "finite" in str(e.value)
 
 
 def test_verify_and_simulate_round_trip(tmp_path, capsys):
@@ -398,6 +405,11 @@ def test_verify_and_simulate_round_trip(tmp_path, capsys):
     pytest.param({"widths": [3, 4, 2]}, "checkpoint.theta", id="doc7-theta"),
     pytest.param({"widths": 3, "theta": [1]}, "checkpoint.widths",
                  id="doc8-widths"),
+    pytest.param({"widths": [3, 4, 2], "theta": [0.0] * 26,
+                  "activation": "relu"}, "checkpoint.activation",
+                 id="doc9-activation"),
+    pytest.param({"widths": [3, 4, 2], "theta": [math.nan] * 26},
+                 "checkpoint.theta", id="doc10-theta"),
 ])
 def test_malformed_checkpoint_is_invalid_input(tmp_path, capsys, command, doc,
                                                field):
@@ -535,3 +547,86 @@ def test_typed_numbers_still_load():
     assert sc.init_set.samples == [(-1.0, 0.0), (-1.0, 0.25)]
     assert sc.build_policy(None).theta == [1.0] * 13 + [0.5] * 13
     assert [k[0] for k in sc.waypoints.knots] == [0, 5]
+
+
+NON_FINITE_OR_NON_POSITIVE = [
+    # (path, value, the field named): NaN and Infinity are valid json
+    ("dt", math.nan, "dt"),                 # exited 4, a diverged rollout
+    ("train.alpha", -0.05, "train"),        # trained downhill, exited 3
+    ("train.alpha", 0.0, "train"),
+    ("train.rho_bar", math.nan, "train.rho_bar"),  # never solved, exited 3
+    ("policy.time_scale", math.inf, "policy.time_scale"),  # exited 4
+    ("policy.time_scale", 10 ** 400, "policy.time_scale"),  # no float
+    ("initial.low", [math.nan, 0.0], "initial.low"),  # exited 0
+    ("noise.c1", math.inf, "noise.c1"),
+    ("verify.coverage", math.nan, "verify.coverage"),
+    ("waypoints.knots", [[5, ["0.2", 0.0], [1, 0]]], "waypoints.knots"),
+    ("waypoints.knots", [[5, "ab", [1, 0]]], "waypoints.knots"),
+    ("waypoints.knots", [[5, [math.nan, 0.0], [1, 0]]], "waypoints.knots"),
+]
+
+
+@pytest.mark.parametrize("path,value,field", NON_FINITE_OR_NON_POSITIVE, ids=[
+    f"{path}-{i}" for i, (path, _, _) in enumerate(NON_FINITE_OR_NON_POSITIVE)])
+def test_non_finite_numbers_and_untyped_targets_are_invalid_input(
+        tmp_path, capsys, path, value, field):
+    doc = scenario_doc()
+    if "." in path:
+        set_field(doc, path, value)
+    else:
+        doc[path] = value
+    with pytest.raises(ScenarioError) as e:
+        Scenario(doc)
+    assert e.value.field == field
+    assert path.split(".")[-1] in str(e.value)
+    out = write_scenario(tmp_path, doc)
+    assert main(["train", "--scenario", out, "--out", str(tmp_path)]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,field", [
+    (["--coverage", "1.5"], "--coverage"),
+    (["--coverage", "nan"], "--coverage"),
+    (["--coverage", "0"], "--coverage"),
+    (["--m", "0"], "--m"),
+    (["--m", "3"], "verify"),               # coverage 0.9 needs ell = 4
+    (["--m", "3000", "--coverage", "0.9999"], "verify"),
+    ([], "verify"),                         # the scenario's own pair
+])
+def test_verify_rejects_m_and_coverage_before_any_rollout(
+        tmp_path, capsys, monkeypatch, args, field):
+    from stlctrl import cli
+    from stlctrl.policy import init
+    doc = scenario_doc()
+    if not args:
+        doc["verify"] = {"m": 5, "coverage": 0.9}
+    path = write_scenario(tmp_path, doc)
+    ckpt = tmp_path / "zero.json"
+    init([3, 4, 2], scheme="zero", time_scale=0.2).save(str(ckpt))
+    calls = []
+    monkeypatch.setattr(cli, "calibrate", lambda *a, **k: calls.append(a))
+    rc = main(["verify", "--scenario", path, "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "v")] + args)
+    assert (rc, calls) == (2, [])
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
+def test_a_checkpoint_is_read_once(tmp_path, monkeypatch):
+    # the policy is built from the document that was checked
+    import builtins
+    from stlctrl.policy import init
+    path = write_scenario(tmp_path, scenario_doc())
+    ckpt = str(tmp_path / "zero.json")
+    init([3, 4, 2], scheme="zero", time_scale=0.2).save(ckpt)
+    opened, real_open = [], builtins.open
+
+    def counting_open(f, *args, **kw):
+        opened.append(f)
+        return real_open(f, *args, **kw)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["simulate", "--scenario", path, "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "s"), "--trials", "1"]) == 0
+    assert opened.count(ckpt) == 1
+

@@ -345,19 +345,19 @@ def test_rollout_rejects_a_policy_for_other_states():
             rollout(p, init(widths, scheme="zero"), s0, 3)
 
 
-def _recorded(step, s, a, off, var_s, var_a, prefix=3):
+def _recorded(step, s, a, off, var_a, prefix=3):
     """The next state of one step on a tape that already holds a few nodes,
-    inputs marked var Vars: per entry its value, and for a Var its
-    gradient over the Var inputs, as bytes."""
+    states Vars, raw actions Vars if var_a: per entry its value and its
+    gradient over the Var inputs (a float's is zero), as bytes."""
     tape = Tape()
     for i in range(prefix):
         tape.const(0.5 * i)
-    s = tuple(tape.const(x) if v else x for x, v in zip(s, var_s))
-    a = tuple(tape.const(x) if v else x for x, v in zip(a, var_a))
+    s = tuple(map(tape.const, s))
+    a = tuple(map(tape.const, a)) if var_a else a
     nxt = step(tape, s, a, off)
     seeds = [x for x in (*s, *a) if isinstance(x, Var)]
     return [_bits((x.value, tape.backward(x, seeds)) if isinstance(x, Var)
-                  else x) for x in nxt]
+                  else (x, [0.0] * len(seeds))) for x in nxt]
 
 
 def _var_step(plant):
@@ -369,14 +369,22 @@ def _var_step(plant):
     return step
 
 
-def _assert_recorder_matches_var_operators(plant, s, a, patterns):
-    record = step_recorder(plant)
+def _one_step_run(plant):
+    """A frozen step: run_recorder over the one raw action a."""
+    run = run_recorder(plant)
+    return lambda tape, s, a, off: run(tape, s, [a], off and [off])
+
+
+def _assert_recorder_matches_var_operators(plant, s, a):
+    """A live step (step_recorder, Var actions) and a frozen one (a run of
+    one float action) against the Var operators, with noise off and on."""
     off = tuple(0.01 * (i + 1) for i in range(plant.state_dim))
-    for var_s, var_a in patterns:
+    for var_a, record in ((True, step_recorder(plant)),
+                          (False, _one_step_run(plant))):
         for o in (None, off):
-            want = _recorded(_var_step(plant), s, a, o, var_s, var_a)
-            got = _recorded(record, s, a, o, var_s, var_a)
-            assert got == want, (var_s, var_a, o)
+            want = _recorded(_var_step(plant), s, a, o, var_a)
+            got = _recorded(record, s, a, o, var_a)
+            assert got == want, (var_a, o)
 
 
 @pytest.mark.parametrize("name,widths,s0,scale", _PLANT_CASES[:-1])
@@ -385,13 +393,7 @@ def test_step_recorder_matches_var_operators(name, widths, s0, scale):
     n, m = plant.state_dim, plant.action_dim
     rng = random.Random(5)
     a = tuple(rng.uniform(-2, 2) for _ in range(m))
-    mixed = tuple(rng.random() < 0.5 for _ in range(n))
-    _assert_recorder_matches_var_operators(plant, s0, a, [
-        ((False,) * n, (True,) * m),  # the first, live step
-        ((True,) * n, (True,) * m),   # a live step
-        ((True,) * n, (False,) * m),  # a frozen step
-        (mixed, (False,) * m), (mixed, (True,) * m), ((False,) * n, (False,) * m),
-    ])
+    _assert_recorder_matches_var_operators(plant, s0, a)
 
 
 def test_step_recorder_scalar_power_max_tie_and_power():
@@ -399,9 +401,7 @@ def test_step_recorder_scalar_power_max_tie_and_power():
     # operand order, so lhs/rhs must be the Var path's
     plant = builtin("scalar_power")
     for x in (1e-3, -2.0, 1.15, 0.0):
-        _assert_recorder_matches_var_operators(
-            plant, (x,), (0.7,), [((True,), (False,)), ((True,), (True,)),
-                                  ((False,), (True,))])
+        _assert_recorder_matches_var_operators(plant, (x,), (0.7,))
     tape = Tape()
     x = tape.const(1e-3)
     (y,) = step_recorder(plant)(tape, (x,), (tape.const(0.2),))
@@ -424,9 +424,7 @@ def test_step_recorder_constants_and_operand_order(fn):
     n = len(fn((1.0, 1.0), (1.0,), 1.0))
     plant = Plant("consts", n, 1, 1.0, fn, lambda a: a)
     s = (0.5, -0.25)[:n]
-    _assert_recorder_matches_var_operators(
-        plant, s, (0.75,), [((True,) * n, (True,)), ((True,) * n, (False,)),
-                            ((False,) * n, (True,)), ((False,) * n, (False,))])
+    _assert_recorder_matches_var_operators(plant, s, (0.75,))
     pol = Policy([n + 1, 1], theta=[0.5] * (n + 1) + [0.1])
     runs = [_outcome(lambda: f(plant, pol, s, 4), None)
             for f in (rollout, _generic_rollout)]
@@ -438,11 +436,10 @@ def test_step_recorder_keeps_the_var_operand_first():
     # vmax(u, s) computes max(s, u), as the Var operators put the Var first
     plant = Plant("zeros", 2, 1, 1.0, lambda s, u, dt: (
         vmax(u[0], s[0]), vmin(u[0], s[1])), lambda a: a)
-    _assert_recorder_matches_var_operators(
-        plant, (-0.0, 0.0), (0.0,), [((True, True), (False,))])
+    _assert_recorder_matches_var_operators(plant, (-0.0, 0.0), (0.0,))
     tape = Tape()
-    nxt = step_recorder(plant)(tape, (tape.const(-0.0), tape.const(0.0)),
-                               (-0.0,))
+    nxt = _one_step_run(plant)(tape, (tape.const(-0.0), tape.const(0.0)),
+                               (-0.0,), None)
     assert _bits([x.value for x in nxt]) == _bits([-0.0, 0.0])
 
 
@@ -456,7 +453,8 @@ def test_step_recorder_guards_write_nothing(fn, s, a):
     plant = Plant("guarded", 1, 1, 1.0, fn, lambda a: a)
     errs = []
     for var_a in (True, False):
-        for step in (_var_step(plant), step_recorder(plant)):
+        for step in (_var_step(plant), step_recorder(plant) if var_a
+                     else _one_step_run(plant)):
             tape = Tape()
             tape.const(9.0)
             ins = ((tape.const(s),), (tape.const(a) if var_a else a,))
@@ -484,11 +482,10 @@ def test_plant_recorders_reject_a_state_from_another_tape():
     t1, t2 = Tape(), Tape()
     t2.const(9.0)
     own, other, a = t2.const(1.0), t1.const(2.0), t2.const(0.5)
-    calls = [lambda s: record(t2, s, (0.5, -0.5)),
-             lambda s: record(t2, s, (a, -0.5)),
+    calls = [lambda s: record(t2, s, (a, a)),
              lambda s: run(t2, s, [(0.5, -0.5)]),
              lambda s: run(t2, s, [(0.5, -0.5)] * 3)]
-    for s in [(other, 3.0), (own, other), (other, other)]:
+    for s in [(other, own), (own, other), (other, other)]:
         for call in calls:
             sizes = (len(t1), len(t2), list(t1.blocks), list(t2.blocks))
             with pytest.raises(ValueError) as e:
@@ -496,5 +493,5 @@ def test_plant_recorders_reject_a_state_from_another_tape():
             assert str(e.value) == "operands recorded on different tapes"
             assert (len(t1), len(t2), t1.blocks, t2.blocks) == sizes
     # a state on the recorders' tape is recorded as before
-    assert len(run(t2, (own, 3.0), [(0.5, -0.5)] * 3)) == 2
+    assert len(run(t2, (own, a), [(0.5, -0.5)] * 3)) == 2
     assert len(t2.blocks) == 1

@@ -1,5 +1,6 @@
 import random
 import struct
+from collections import Counter
 
 import pytest
 
@@ -246,13 +247,14 @@ def test_chain_rule_decomposition_identity():
 
 def _generic_build_sampled(ref, times, policy, plant):
     """build_sampled as one Var-operator Plant.step per step and a
-    Policy.recorder step at each live one: (tape, anchors)."""
+    Policy.recorder step at each live one, from the start state on the
+    tape after theta: (tape, anchors)."""
     tape = Tape()
     forward = policy.recorder(tape, tape.consts(policy.theta))
     live = set(times)
     offs = ref.noise_offsets
-    cur = ref.states[0]
-    anchors = [cur]
+    cur = tuple(tape.const(x) for x in ref.states[0])
+    anchors = [ref.states[0]]
     for k in range(times[-1]):
         if k in live:
             a = tuple(forward(cur, k))
@@ -313,13 +315,68 @@ def test_policy_recorder_matches_forward():
         tape = Tape()
         tape.const(2.0)
         theta = tape.consts(p.theta)
-        x = tape.const(0.1)
+        x, y, z = (tape.const(v) for v in (0.1, 0.3, -0.2))
         fwd = (p.recorder(tape, theta) if taped else lambda s, k: loop_forward(
             p, s, k, theta=[Var(tape, i) for i in theta]))
-        outs = [fwd(s, k) for s, k in [((0.3, -0.2), 0), ((x, 0.4), 5)]]
-        seeds = [*(Var(tape, i) for i in theta), x]
+        outs = [fwd(s, k) for s, k in [((y, z), 0), ((x, z), 5)]]
+        seeds = [*(Var(tape, i) for i in theta), x, y, z]
         runs.append(_bits([[v.value, tape.backward(v, seeds)]
                            for o in outs for v in o]))
     assert runs[0] == runs[1]
     with pytest.raises(ValueError, match="different tapes"):
-        p.recorder(tape, theta)((Tape().const(0.1), 0.4), 1)
+        p.recorder(tape, theta)((Tape().const(0.1), x), 1)
+
+
+def test_each_net_and_plant_compiles_one_recorder(monkeypatch):
+    # every recorder takes Vars: one controller recorder per net, and per
+    # (plant, noise) one step recorder and at most one run recorder, on
+    # every bundled scenario's seeded initial policy
+    from stlctrl import plants, policy
+    from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
+    monkeypatch.setattr(policy, "_KERNELS", {})
+    monkeypatch.setattr(plants, "_TRACES", {})
+    nets, steps, runs = [], [], []
+    source, replay = policy.forward_source, plants.replay_source
+
+    def forward_source(widths, include_time, theta, xs):
+        if theta[0][1] is not None:  # theta's node ids: a recorder
+            nets.append((tuple(widths), include_time))
+        return source(widths, include_time, theta, xs)
+
+    def replay_source(trace, inputs, *args, loop=None, **kw):
+        if any(i for _, i in inputs):  # Var inputs: a recorder
+            [key] = [k for k, v in plants._TRACES.items() if v[0] is trace]
+            (runs if loop else steps).append(key)
+        return replay(trace, inputs, *args, loop=loop, **kw)
+
+    monkeypatch.setattr(policy, "forward_source", forward_source)
+    monkeypatch.setattr(plants, "replay_source", replay_source)
+    made = set()  # the nets
+    for name in bundled_names():
+        sc = load_scenario(resolve_scenario(name))
+        pol = sc.build_policy(random.Random(sc.seed))
+        for noisy in (False, True):
+            ref = rollout(sc.plant, pol, sc.init_set.samples[0], 24, noise=(
+                0.02, 0.0, random.Random(4)) if noisy else None)
+            # a run right after the start: on quad6_platform its positions
+            # depend on theta from its second step on
+            for times in ([0, 4, 5, 12, 24], list(range(25))):
+                build_sampled(ref, times, pol, sc.plant)
+        made.add((tuple(pol.widths), pol.include_time))
+    assert sorted(nets) == sorted(made)
+    # plants._TRACES: one traced step per (plant, noise)
+    once = Counter(plants._TRACES.keys())
+    assert Counter(steps) == once and not Counter(runs) - once
+
+
+def test_quad6_platform_records_each_frozen_run_as_one_block():
+    plant = builtin("quad6_platform")
+    pol = init([8, 20, 20, 10, 4], rng=random.Random(2))
+    for noise in (None, (0.02, 0.0, random.Random(4))):
+        ref = rollout(plant, pol, (-40.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0),
+                      40, noise=noise)
+        for times in ([0, 4, 5, 12, 40], [0, 1, 2, 30], [0, 40]):
+            st = build_sampled(ref, times, pol, plant)
+            nonempty = sum(b > a + 1 for a, b in zip(times, times[1:]))
+            # a controller and a plant step block per live step
+            assert len(st.tape.blocks) == 2 * (len(times) - 1) + nonempty
