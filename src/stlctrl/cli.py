@@ -31,6 +31,8 @@ from .trainer import (
 )
 from .verify import calibrate, choose_ell, report
 
+_MAX_WEIGHTS = 100_000  # of a controller; the largest bundled net has 1700
+
 
 class ScenarioError(ValueError):
     """Scenario validation failure, pointing at the offending field."""
@@ -91,39 +93,13 @@ class Scenario:
             raise ScenarioError("policy", "missing or not an object")
         _known_keys("policy", pd, ("widths", "include_time", "time_scale",
                                    "init", "theta"))
-        widths = pd.get("widths")
-        if (not isinstance(widths, list) or len(widths) < 2
-                or any(not isinstance(w, int) or w < 1 for w in widths)):
-            raise ScenarioError("policy.widths", f"bad layer widths {widths!r}")
-        include_time = _typed("policy.include_time",
-                              pd.get("include_time", True), bool)
-        want = self.plant.state_dim + (1 if include_time else 0)
-        if widths[0] != want:
-            raise ScenarioError(
-                "policy.widths",
-                f"widths[0]={widths[0]} but plant {self.plant.name} needs "
-                f"{want} inputs (state_dim={self.plant.state_dim}, "
-                f"include_time={include_time})")
-        if widths[-1] != self.plant.action_dim:
-            raise ScenarioError(
-                "policy.widths",
-                f"widths[-1]={widths[-1]} != action_dim="
-                f"{self.plant.action_dim}")
         scheme = pd.get("init", "xavier")
         if scheme not in ("xavier", "zero", "given"):
             raise ScenarioError("policy.init", f"unknown scheme {scheme!r}")
-        theta = pd.get("theta")
-        if scheme == "given":
-            if (not isinstance(theta, list)
-                    or len(theta) != param_count(widths)):
-                raise ScenarioError(
-                    "policy.theta",
-                    f"needs {param_count(widths)} values for widths {widths}")
-            theta = [_typed("policy.theta", w, float) for w in theta]
+        widths, theta, include_time, time_scale = _net(
+            "policy", pd, self.plant, scheme == "given")
         return {"widths": widths, "include_time": include_time,
-                "time_scale": _typed("policy.time_scale",
-                                     pd.get("time_scale", 1.0), float),
-                "scheme": scheme, "theta": theta}
+                "time_scale": time_scale, "scheme": scheme, "theta": theta}
 
     def _initial(self, idoc):
         if not isinstance(idoc, dict):
@@ -200,9 +176,17 @@ class Scenario:
                 for x in _typed("waypoints.knots", knot[1], list):
                     _typed("waypoints.knots", x, float)
         try:
-            return WaypointPath(wd["knots"], interpolate=interpolate)
+            path = WaypointPath(wd["knots"], interpolate=interpolate)
         except (ValueError, TypeError) as e:
             raise ScenarioError("waypoints.knots", str(e))
+        n = self.plant.state_dim  # a knot's mask is as long as its target
+        if any(len(target) != n for _, target, _ in path.knots):
+            raise ScenarioError("waypoints.knots",
+                                f"each target and mask needs {n} entries")
+        if self.algorithm != "dropout":
+            raise ScenarioError("waypoints", f"the {self.algorithm} trainer "
+                                             "reads no waypoints")
+        return path
 
     def _verify(self, vd):
         vd = _optional_section("verify", vd, ("m", "coverage"))
@@ -264,15 +248,45 @@ def _optional_section(section, d, keys):
 
 def _typed(field, v, typ):
     """v as typ; a float field also takes an int, and a bool is no number.
-    A float must be finite: json reads NaN, Infinity and ints past 1e308."""
+    A number must lie in a float's range, and a float be finite: json reads
+    NaN, Infinity and ints past 1e308."""
     ok = isinstance(v, (int, float) if typ is float else typ)
     if not ok or (isinstance(v, bool) and typ is not bool):
         raise ScenarioError(field, f"expected {typ.__name__}, "
                                    f"got {type(v).__name__}")
-    if typ is float and not abs(v) <= sys.float_info.max:
+    if typ in (int, float) and not abs(v) <= sys.float_info.max:
         raise ScenarioError(field, "expected a finite number, of magnitude "
                                    f"at most {sys.float_info.max:.4g}")
     return typ(v)
+
+
+def _net(section, doc, plant, given):
+    """(widths, theta, include_time, time_scale) of a controller document,
+    a scenario's policy section or a checkpoint, that fits plant; theta is
+    read only if given.  Each error names section.<field>."""
+    field = f"{section}.widths"
+    widths = [_typed(field, w, int) for w in _typed(field, doc.get("widths"),
+                                                    list)]
+    if (len(widths) < 2 or min(widths) < 1
+            or param_count(widths) > _MAX_WEIGHTS):
+        raise ScenarioError(field, "expected 2 or more layer widths >= 1, "
+                                   f"with at most {_MAX_WEIGHTS} weights")
+    include_time = _typed(f"{section}.include_time",
+                          doc.get("include_time", True), bool)
+    want = plant.state_dim + include_time, plant.action_dim
+    if (widths[0], widths[-1]) != want:
+        raise ScenarioError(field, f"plant {plant.name} needs {want[0]} inputs "
+                            f"(include_time={include_time}) and {want[1]} "
+                            f"outputs, not {widths[0]} and {widths[-1]}")
+    theta = None
+    if given:
+        field, n = f"{section}.theta", param_count(widths)
+        theta = _typed(field, doc.get("theta"), list)
+        if len(theta) != n:
+            raise ScenarioError(field, f"needs {n} values for widths {widths}")
+        theta = [_typed(field, w, float) for w in theta]
+    return widths, theta, include_time, _typed(
+        f"{section}.time_scale", doc.get("time_scale", 1.0), float)
 
 
 def bundled_dir():
@@ -324,39 +338,29 @@ def write_manifest(out_dir, command, scenario, seed, argv):
         fh.write("\n")
 
 
-def _load_checkpoint(path, plant):
-    """Controller for plant from a checkpoint file: a Policy or actions."""
+def _load_checkpoint(path, sc):
+    """Controller for scenario sc from a checkpoint: a Policy or actions."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ScenarioError("checkpoint", "top level must be an object")
-    if doc.get("plant") not in (None, plant):
+    if doc.get("plant") not in (None, sc.plant.name):
         raise ScenarioError("checkpoint.plant", f"trained for {doc['plant']!r}"
-                            f", not the scenario's {plant!r}")
+                            f", not the scenario's {sc.plant.name!r}")
     if doc.get("kind") == "openloop":
         from .trainer import _OpenLoop
-        rows = doc.get("actions")
-        if (not isinstance(rows, list) or not rows or any(
-                not isinstance(r, list) or not r or len(r) != len(rows[0])
-                for r in rows)):
+        rows = _typed("checkpoint.actions", doc.get("actions"), list)
+        n, m = max(1, horizon(sc.formula)), sc.plant.action_dim
+        if len(rows) < n or any(not isinstance(r, list) or len(r) != m
+                                for r in rows):
             raise ScenarioError("checkpoint.actions",
-                                "expected a non-empty list of equal-length rows")
+                                f"expected at least {n} rows of {m} numbers")
         return _OpenLoop([[_typed("checkpoint.actions", x, float) for x in r]
                           for r in rows])
-    for key, typ in [("widths", int), ("theta", float)]:
-        field = f"checkpoint.{key}"
-        if key not in doc:
-            raise ScenarioError(field, "missing required field")
-        for x in _typed(field, doc[key], list):
-            _typed(field, x, typ)
-    for key, typ in [("include_time", bool), ("time_scale", float)]:
-        if key in doc:
-            _typed(f"checkpoint.{key}", doc[key], typ)
     if doc.get("activation", "tanh") != "tanh":
         raise ScenarioError("checkpoint.activation",
                             f"unsupported activation {doc['activation']!r}")
-    return Policy(doc["widths"], doc["theta"], doc.get("include_time", True),
-                  doc.get("time_scale", 1.0))
+    return Policy(*_net("checkpoint", doc, sc.plant, True))
 
 
 def cmd_train(args, argv):
@@ -443,7 +447,7 @@ def cmd_verify(args, argv):
     m = sc.verify_cfg["m"] if args.m is None else args.m
     coverage = (sc.verify_cfg["coverage"] if args.coverage is None
                 else args.coverage)
-    ctrl = _load_checkpoint(args.checkpoint, sc.plant.name)
+    ctrl = _load_checkpoint(args.checkpoint, sc)
     _check_verify(m, coverage, "--")  # the scenario's passed at load
     try:  # before any rollout: the pair may need more than m of them
         choose_ell(m, coverage)
@@ -470,7 +474,7 @@ def cmd_simulate(args, argv):
               "for an empty run", file=sys.stderr)
         return 2
     seed = sc.seed if args.seed is None else args.seed
-    ctrl = _load_checkpoint(args.checkpoint, sc.plant.name)
+    ctrl = _load_checkpoint(args.checkpoint, sc)
     rng = random.Random(seed)
     os.makedirs(args.out, exist_ok=True)
     K = horizon(sc.formula)

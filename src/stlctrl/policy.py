@@ -12,6 +12,9 @@ floats.  The only way onto a tape is Policy.recorder, whose theta is a
 range of node ids from Tape.consts and whose inputs are Vars: one per
 net, it computes the same floats, keeps the ones its generated adjoint
 reads (the inputs and each neuron's tanh) and pushes only the outputs.
+
+Policy.save writes a checkpoint; the command line reads one back with the
+checks of a scenario's policy section.
 """
 
 import json
@@ -90,15 +93,6 @@ class Policy:
         }
         with open(path, "w") as fh:
             json.dump(doc, fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("activation", "tanh") != "tanh":
-            raise ValueError(f"unsupported activation {doc['activation']!r}")
-        return cls(doc["widths"], doc["theta"],
-                   doc.get("include_time", True), doc.get("time_scale", 1.0))
 
 
 def _kernel(widths, include_time, rec=False):

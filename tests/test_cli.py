@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 
 import pytest
 
@@ -186,6 +187,21 @@ def test_noise_training_is_rejected_for_dropout(tmp_path, capsys):
     assert Scenario(doc).train_cfg.noise == (0.0, 0.0)
     doc["noise"] = {"c1": 0.03, "c2": 0.01}
     assert Scenario(doc).train_cfg.noise == (0.03, 0.01)
+
+
+@pytest.mark.parametrize("algorithm", ["vanilla", "openloop"])
+def test_waypoints_are_rejected_where_no_trainer_reads_them(
+        tmp_path, capsys, algorithm):
+    doc = scenario_doc(waypoints={"knots": KNOTS})
+    doc["train"]["algorithm"] = algorithm
+    with pytest.raises(ScenarioError) as e:
+        Scenario(doc)
+    assert e.value.field == "waypoints"
+    path = write_scenario(tmp_path, doc)
+    assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 2
+    assert "error: waypoints: " in capsys.readouterr().err
+    doc["train"]["algorithm"] = "dropout"
+    assert Scenario(doc).waypoints.knots == [(5, (0.2, 0.0), (1, 0))]
 
 
 def nan_gradient(ref, kstar, hstar, N, policy, plant, rng):
@@ -410,6 +426,19 @@ def test_verify_and_simulate_round_trip(tmp_path, capsys):
                  id="doc9-activation"),
     pytest.param({"widths": [3, 4, 2], "theta": [math.nan] * 26},
                  "checkpoint.theta", id="doc10-theta"),
+    # each of these exited 2 naming no field, or only at the first rollout
+    pytest.param({"widths": [3, 0, 2], "theta": [0.0] * 6},
+                 "checkpoint.widths", id="doc11-widths"),
+    pytest.param({"widths": [3, 10 ** 400, 2], "theta": []},
+                 "checkpoint.widths", id="doc12-widths"),
+    pytest.param({"widths": [5, 4, 2], "theta": [0.0] * 34, "plant": None},
+                 "checkpoint.widths", id="doc13-widths"),  # 4 states, not 2
+    pytest.param({"widths": [3, 4, 2], "theta": [0.0] * 25},
+                 "checkpoint.theta", id="doc14-theta"),
+    pytest.param({"kind": "openloop", "actions": [[0, 0]]},
+                 "checkpoint.actions", id="doc15-actions"),  # horizon 5
+    pytest.param({"kind": "openloop", "actions": [[0, 0, 0]] * 5},
+                 "checkpoint.actions", id="doc16-actions"),  # 2 actions
 ])
 def test_malformed_checkpoint_is_invalid_input(tmp_path, capsys, command, doc,
                                                field):
@@ -431,6 +460,7 @@ def test_malformed_checkpoint_is_invalid_input(tmp_path, capsys, command, doc,
     ("widths", [3.0, 4, 2], "checkpoint.widths"),
     ("include_time", "no", "checkpoint.include_time"),
     ("time_scale", "0.2", "checkpoint.time_scale"),
+    ("widths", [3, 10 ** 300, 2], "checkpoint.widths"),
 ])
 def test_checkpoint_field_of_the_wrong_type_is_invalid_input(
         tmp_path, capsys, key, value, field):
@@ -518,6 +548,7 @@ UNTYPED_NUMBERS = [
     ("waypoints.knots", [[2.7, [0.2, 0.0], [1, 0]]]),  # was truncated to 2
     ("waypoints.knots", [["3", [0.2, 0.0], [1, 0]]]),
     ("waypoints.knots", [[True, [0.2, 0.0], [1, 0]]]),
+    ("policy.widths", [3, True, 2]),   # loaded as a width of 1
 ]
 
 
@@ -538,6 +569,7 @@ def test_numbers_of_the_scenario_are_typed(tmp_path, capsys, path, value):
 
 def test_typed_numbers_still_load():
     doc = scenario_doc()
+    doc["train"]["algorithm"] = "dropout"  # the trainer that reads waypoints
     doc["initial"] = {"low": [-1, 0], "high": [-1, 0.5],
                       "samples": [[-1, 0], [-1.0, 0.25]]}
     doc["policy"].update(init="given", theta=[1] * 13 + [0.5] * 13)
@@ -563,6 +595,11 @@ NON_FINITE_OR_NON_POSITIVE = [
     ("waypoints.knots", [[5, ["0.2", 0.0], [1, 0]]], "waypoints.knots"),
     ("waypoints.knots", [[5, "ab", [1, 0]]], "waypoints.knots"),
     ("waypoints.knots", [[5, [math.nan, 0.0], [1, 0]]], "waypoints.knots"),
+    ("policy.widths", [3, 10 ** 400, 2], "policy.widths"),  # exited 4
+    ("policy.widths", [3, 10 ** 300, 2], "policy.widths"),  # too many weights
+    ("train.N1", 10 ** 400, "train.N1"),    # exited 4 for dropout
+    ("waypoints.knots", [[5, [0.2, 0.0, 1.0], [1, 0, 1]]],  # 2 states
+     "waypoints.knots"),
 ]
 
 
@@ -630,3 +667,74 @@ def test_a_checkpoint_is_read_once(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "s"), "--trials", "1"]) == 0
     assert opened.count(ckpt) == 1
 
+
+
+BAD_VALUES = ["x", True, {}, None, [], [[]], -1, 0, 1.5, -0.0, 10 ** 400]
+# a field whose check may report a bad value of another: a K too small for
+# the formula is reported on the formula, a TrainConfig value on train
+PARTNERS = {"K": "formula", "initial.low": "initial", "initial.high": "initial",
+            "initial.samples": "initial", "noise.c1": "noise",
+            "noise.c2": "noise", "policy.include_time": "policy.widths",
+            "checkpoint.include_time": "checkpoint.widths",
+            "checkpoint.kind": "checkpoint.widths"}
+
+
+def _leaves(doc, keys=()):
+    """The key path of each value of doc that is no list or object."""
+    for k, v in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        if isinstance(v, (dict, list)):
+            yield from _leaves(v, keys + (k,))
+        else:
+            yield keys + (k,)
+
+
+def _with(doc, keys, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value
+    return doc
+
+
+def test_bad_values_in_every_leaf_exit_2_naming_the_field_or_run(tmp_path,
+                                                                capsys):
+    """Each value of BAD_VALUES in each leaf of three scenarios and of a
+    checkpoint of each kind: a document that loads runs (2 iterations of
+    train, or one simulate trial), and none exits 1 or 4."""
+    cases = []  # (section, document, argv given the file's path)
+    for name in ("dubins_k10", "scalar_power", "integrator2d"):
+        with open(resolve_scenario(name)) as fh:
+            doc = json.load(fh)
+        doc["train"]["max_iters"] = 2
+        cases.append((None, doc, lambda p: ["train", "--scenario", p]))
+    sc = load_scenario(resolve_scenario("dubins_k10"))
+    ckpt = str(tmp_path / "policy.json")
+    sc.build_policy(random.Random(sc.seed)).save(
+        ckpt, plant_name="dubins", metadata={"scenario": sc.name})
+    with open(ckpt) as fh:
+        policy_doc = json.load(fh)
+    openloop_doc = {"kind": "openloop", "actions": [[0.0, 0.0]] * sc.K,
+                    "plant": "dubins", "scenario": sc.name}
+    for doc in (policy_doc, openloop_doc):
+        cases.append(("checkpoint", doc, lambda p: [
+            "simulate", "--scenario", "dubins_k10", "--checkpoint", p,
+            "--trials", "1"]))
+    path, out, wrong = str(tmp_path / "doc.json"), str(tmp_path / "o"), []
+    for section, doc, argv in cases:
+        for keys in _leaves(doc):
+            written = ".".join(
+                k for k in ((section,) if section else ()) + keys
+                if isinstance(k, str))
+            for value in BAD_VALUES:
+                with open(path, "w") as fh:
+                    json.dump(_with(doc, keys, value), fh)
+                rc = main(argv(path) + ["--out", out])
+                err = capsys.readouterr().err
+                fields = {written, PARTNERS.get(written)}
+                if written.startswith("train."):
+                    fields.add("train")
+                if rc not in (0, 2, 3) or rc == 2 and not any(
+                        f"error: {f}: " in err for f in fields if f):
+                    wrong.append((written, value, rc, err.strip()[:200]))
+    assert wrong == []

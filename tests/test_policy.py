@@ -6,7 +6,9 @@ import pytest
 
 from stlctrl.autodiff import TANH, Tape, Var, tanh
 from stlctrl import policy as pol
-from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
+from stlctrl.cli import (
+    _load_checkpoint, bundled_names, load_scenario, resolve_scenario,
+)
 from stlctrl.policy import AdamState, Policy, adam_update, init, param_count
 
 
@@ -85,7 +87,7 @@ def test_checkpoint_roundtrip(tmp_path):
     p = init([3, 6, 2], rng=random.Random(1), time_scale=0.01)
     path = tmp_path / "ckpt.json"
     p.save(path, plant_name="dubins", metadata={"note": "test"})
-    q = Policy.load(path)
+    q = _load_checkpoint(path, load_scenario(resolve_scenario("dubins_k10")))
     assert q.widths == p.widths
     assert q.theta == p.theta
     assert q.time_scale == p.time_scale
