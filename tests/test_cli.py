@@ -668,7 +668,6 @@ def test_a_checkpoint_is_read_once(tmp_path, monkeypatch):
     assert opened.count(ckpt) == 1
 
 
-
 BAD_VALUES = ["x", True, {}, None, [], [[]], -1, 0, 1.5, -0.0, 10 ** 400]
 # a field whose check may report a bad value of another: a K too small for
 # the formula is reported on the formula, a TrainConfig value on train
@@ -689,6 +688,7 @@ def _leaves(doc, keys=()):
 
 
 def _with(doc, keys, value):
+    """A copy of doc with value at the key path keys."""
     doc = json.loads(json.dumps(doc))
     node = doc
     for k in keys[:-1]:
