@@ -24,8 +24,8 @@ from .plants import (
 )
 from .policy import Policy, init, param_count
 from .smooth import SmoothConfig, smooth_robustness
-from .stl import HorizonError, ParseError, Trace, critical, horizon, parse, \
-    robustness, satisfies, width
+from .stl import ParseError, Trace, critical, horizon, parse, robustness, \
+    satisfies
 from .trainer import (
     TrainConfig, WaypointPath, train_dropout, train_openloop, train_vanilla,
 )
@@ -66,14 +66,9 @@ class Scenario:
         self.seed = _req(doc, "seed", int)
         text = _req(doc, "formula", str)
         try:
-            self.formula = parse(text)
+            self.formula = parse(text, dim=self.plant.state_dim)
         except ParseError as e:
             raise ScenarioError("formula", str(e))
-        n = width(self.formula)
-        if n > self.plant.state_dim:
-            raise ScenarioError(
-                "formula", f"names x{n - 1} but plant {self.plant.name} has "
-                           f"{self.plant.state_dim} state coordinates")
         h = horizon(self.formula)
         if h > self.K:
             raise ScenarioError(
@@ -96,6 +91,9 @@ class Scenario:
         scheme = pd.get("init", "xavier")
         if scheme not in ("xavier", "zero", "given"):
             raise ScenarioError("policy.init", f"unknown scheme {scheme!r}")
+        if "theta" in pd and scheme != "given":
+            raise ScenarioError("policy.theta", "read only with init "
+                                f"\"given\", not {scheme!r}")
         widths, theta, include_time, time_scale = _net(
             "policy", pd, self.plant, scheme == "given")
         return {"widths": widths, "include_time": include_time,
@@ -164,25 +162,29 @@ class Scenario:
     def _waypoints(self, wd):
         if wd is None:
             return None
+        field = "waypoints.knots"
         if not isinstance(wd, dict) or not isinstance(wd.get("knots"), list):
-            raise ScenarioError("waypoints.knots", "missing or not a list")
+            raise ScenarioError(field, "missing or not a list")
         _known_keys("waypoints", wd, ("knots", "interpolate"))
         interpolate = _typed("waypoints.interpolate",
                              wd.get("interpolate", True), bool)
-        for knot in wd["knots"]:
-            if isinstance(knot, list) and knot:
-                _typed("waypoints.knots", knot[0], int)  # its time
-            if isinstance(knot, list) and len(knot) > 1:  # its target
-                for x in _typed("waypoints.knots", knot[1], list):
-                    _typed("waypoints.knots", x, float)
+        n = self.plant.state_dim
+        for knot in wd["knots"]:  # [time, target, mask]
+            if len(_typed(field, knot, list)) != 3:
+                raise ScenarioError(field, "a knot is [time, target, mask]")
+            _typed(field, knot[0], int)
+            target, mask = (_typed(field, v, list) for v in knot[1:])
+            if len(target) != n or len(mask) != n:
+                raise ScenarioError(field, f"each target and mask needs {n} "
+                                           "entries")
+            for x in target:
+                _typed(field, x, float)
+            if any(_typed(field, m, int) not in (0, 1) for m in mask):
+                raise ScenarioError(field, "a mask entry is 0 or 1")
         try:
             path = WaypointPath(wd["knots"], interpolate=interpolate)
-        except (ValueError, TypeError) as e:
-            raise ScenarioError("waypoints.knots", str(e))
-        n = self.plant.state_dim  # a knot's mask is as long as its target
-        if any(len(target) != n for _, target, _ in path.knots):
-            raise ScenarioError("waypoints.knots",
-                                f"each target and mask needs {n} entries")
+        except ValueError as e:
+            raise ScenarioError(field, str(e))
         if self.algorithm != "dropout":
             raise ScenarioError("waypoints", f"the {self.algorithm} trainer "
                                              "reads no waypoints")
@@ -413,24 +415,13 @@ def cmd_train(args, argv):
 
 def cmd_monitor(args, argv):
     scfg = None if args.smooth is None else SmoothConfig(args.smooth)
+    tr = Trace(read_trace_csv(args.trace))
     try:
-        f = parse(args.formula)
+        f = parse(args.formula, dim=tr.dim)
     except ParseError as e:
-        print(f"error: formula: {e}", file=sys.stderr)
-        return 2
-    states = read_trace_csv(args.trace)
-    tr = Trace(states)
-    n = width(f)
-    if n > tr.dim:
-        print(f"error: formula names x{n - 1} but the trace has {tr.dim} "
-              f"state columns", file=sys.stderr)
-        return 2
-    try:
-        rho = robustness(f, tr)
-        w = critical(f, tr)
-    except HorizonError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise ScenarioError("formula", str(e))
+    rho = robustness(f, tr)  # HorizonError is a ValueError: exit 2
+    w = critical(f, tr)
     print(f"rho        {rho:.6g}")
     print(f"satisfied  {'yes' if satisfies(f, tr) else 'no'}")
     print(f"k_star     {w.time}")
@@ -567,10 +558,7 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args, argv)
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # ScenarioError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

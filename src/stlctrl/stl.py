@@ -2,7 +2,11 @@
 
 Formulas are kept in positive normal form: the parser pushes every
 negation down to the predicates, so the tree only contains predicates,
-And/Or, and the bounded temporal operators F/G/U/R.
+And/Or, and the bounded temporal operators F/G/U/R.  The parser splits
+the text into tokens with one regex (a state variable such as x12 is one
+token, a number is finite) and descends over them without backtracking;
+given the state's dimension, it rejects a state variable past it at its
+token.
 
 A formula compiles on first evaluation into one program, a post-order
 list of steps (a node and the window of times its parents read), and
@@ -12,6 +16,7 @@ critical backtracks from the exact kernel's signals.
 """
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
@@ -185,17 +190,6 @@ def horizon(f):
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def width(f):
-    """Least state dimension f's affine predicates can read: x0..x{n-1}."""
-    if isinstance(f, Pred):
-        return len(f.h.c) if isinstance(f.h, Affine) else 0
-    if isinstance(f, (And, Or)):
-        return max(width(c) for c in f.children)
-    if isinstance(f, (Eventually, Always)):
-        return width(f.child)
-    return max(width(f.left), width(f.right))
-
-
 def aggregation_shape(f):
     """(max nesting depth, max fan-in) of min/max aggregations in the
     expanded Table-style evaluation of f; predicates have depth 0."""
@@ -355,216 +349,174 @@ class ParseError(ValueError):
 _OPERATORS = {"F": Eventually, "G": Always, "U": Until, "R": Release}
 
 
-class _Lexer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def _linecol(self, pos):
-        line = self.text.count("\n", 0, pos) + 1
-        last = self.text.rfind("\n", 0, pos)
-        return line, pos - last
-
-    def error(self, message, pos=None):
-        line, col = self._linecol(self.pos if pos is None else pos)
-        raise ParseError(message, line, col)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, token):
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def expect(self, token):
-        if not self.eat(token):
-            self.error(f"expected {token!r}")
-
-    def number(self):
-        self.skip_ws()
-        start = self.pos
-        t = self.text
-        if self.pos < len(t) and t[self.pos] in "+-":
-            self.pos += 1
-        digits = False
-        while self.pos < len(t) and t[self.pos].isdigit():
-            self.pos += 1
-            digits = True
-        if self.pos < len(t) and t[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(t) and t[self.pos].isdigit():
-                self.pos += 1
-                digits = True
-        if self.pos < len(t) and t[self.pos] in "eE" and digits:
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(t) and t[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(t) and t[self.pos].isdigit():
-                while self.pos < len(t) and t[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark
-        if not digits:
-            self.error("expected a number", start)
-        return float(t[start:self.pos])
-
-    def integer(self):
-        v = self.number()
-        if not v.is_integer():
-            self.error("expected an integer time bound")
-        return int(v)
-
-    def ident(self):
-        self.skip_ws()
-        start = self.pos
-        t = self.text
-        while self.pos < len(t) and (t[self.pos].isalnum() or t[self.pos] == "_"):
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an identifier")
-        return t[start:self.pos]
+# one token each: a number, a state variable, an operator, a name, or any
+# other character, which is an error
+_TOKEN = re.compile(r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                    r"|(?P<var>x\d+\b)|(?P<op>&&|\|\||[<>]=?|[-+*!()[\],])"
+                    r"|(?P<name>\w+)|(?P<other>\S))")
 
 
-def parse(text, named=None):
+def parse(text, named=None, dim=None):
     """Parse the formula DSL into a positive-normal-form Formula.
 
     Predicates: `x0 > 1.5`, `2*x0 - x3 >= 0`, `pred(name)` with `named`
     a dict of Named predicates.  Connectives: `&&`, `||`, `!`,
     `F[a,b](...)`, `G[a,b](...)`, `U[a,b](lhs, rhs)`, `R[a,b](lhs, rhs)`.
-    Negations are pushed onto the predicates while parsing.
+    Negations are pushed onto the predicates while parsing.  With dim
+    given, a state variable x{i} with i >= dim is an error at its token.
     """
-    lx = _Lexer(text)
-    f = _parse_or(lx, named or {})
-    lx.skip_ws()
-    if lx.pos != len(lx.text):
-        lx.error("unexpected trailing input")
+    p = _Parser(text, named or {}, dim)
+    f = p.disjunction()
+    if p.peek()[0] != "end":
+        p.error("unexpected trailing input")
     return f
 
 
-def _parse_or(lx, named):
-    children = [_parse_and(lx, named)]
-    while lx.eat("||"):
-        children.append(_parse_and(lx, named))
-    return children[0] if len(children) == 1 else Or(tuple(children))
+class _Parser:
+    """Recursive descent over the (kind, text, offset) tokens of text, kind
+    being num, var, name, end or the operator itself.  It looks one token
+    ahead, two for `F[`, `G[`, `U[`, `R[` and `pred(`."""
 
+    def __init__(self, text, named, dim):
+        self.text, self.named, self.dim, self.i = text, named, dim, 0
+        self.toks = []
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            self.toks.append((m[kind] if kind == "op" else kind, m[kind],
+                              m.start(kind)))
+            if kind == "other":
+                self.error(f"unexpected character {m[kind]!r}", self.toks[-1])
+        self.toks.append(("end", "", len(text)))
 
-def _parse_and(lx, named):
-    children = [_parse_unary(lx, named)]
-    while lx.eat("&&"):
-        children.append(_parse_unary(lx, named))
-    return children[0] if len(children) == 1 else And(tuple(children))
+    def error(self, message, tok=None):
+        pos = (tok or self.toks[self.i])[2]
+        raise ParseError(message, self.text.count("\n", 0, pos) + 1,
+                         pos - self.text.rfind("\n", 0, pos))
 
+    def peek(self, ahead=0):
+        return self.toks[self.i + ahead]
 
-def _parse_unary(lx, named):
-    if lx.eat("!"):
-        return negate(_parse_unary(lx, named))
-    c = lx.peek()
-    if c and c in "FGUR":
-        mark = lx.pos
-        op = lx.text[lx.pos]
-        lx.pos += 1
-        if lx.peek() != "[":
-            lx.pos = mark  # an identifier like `F...`? fall through to predicate
-        else:
-            lx.expect("[")
-            a = lx.integer()
-            lx.expect(",")
-            b = lx.integer()
-            lx.expect("]")
-            lx.expect("(")
-            if op in "FG":
-                child = _parse_or(lx, named)
-                lx.expect(")")
-                try:
-                    return _OPERATORS[op](a, b, child)
-                except ValueError as e:
-                    lx.error(str(e))
-            left = _parse_or(lx, named)
-            lx.expect(",")
-            right = _parse_or(lx, named)
-            lx.expect(")")
+    def eat(self, kind):
+        """The next token if it is of kind, consumed; else None."""
+        if self.toks[self.i][0] != kind:
+            return None
+        self.i += 1
+        return self.toks[self.i - 1]
+
+    def expect(self, kind, message=None):
+        return self.eat(kind) or self.error(message or f"expected {kind!r}")
+
+    def disjunction(self):
+        children = [self.conjunction()]
+        while self.eat("||"):
+            children.append(self.conjunction())
+        return children[0] if len(children) == 1 else Or(tuple(children))
+
+    def conjunction(self):
+        children = [self.unary()]
+        while self.eat("&&"):
+            children.append(self.unary())
+        return children[0] if len(children) == 1 else And(tuple(children))
+
+    def unary(self):
+        if self.eat("!"):
+            return negate(self.unary())
+        tok = self.peek()
+        if tok[1] in _OPERATORS and self.peek(1)[0] == "[":
+            self.i += 2
+            a = self.bound()
+            self.expect(",")
+            b = self.bound()
+            self.expect("]")
+            self.expect("(")
+            args = [self.disjunction()]
+            if tok[1] in "UR":
+                self.expect(",")
+                args.append(self.disjunction())
+            self.expect(")")
             try:
-                return _OPERATORS[op](a, b, left, right)
+                return _OPERATORS[tok[1]](a, b, *args)
             except ValueError as e:
-                lx.error(str(e))
-    if lx.eat("("):
-        f = _parse_or(lx, named)
-        lx.expect(")")
-        return f
-    return _parse_predicate(lx, named)
+                self.error(str(e), tok)
+        if self.eat("("):
+            f = self.disjunction()
+            self.expect(")")
+            return f
+        return self.predicate()
 
-
-def _parse_predicate(lx, named):
-    lx.skip_ws()
-    if lx.text.startswith("pred", lx.pos):
-        mark = lx.pos
-        lx.pos += 4
-        if lx.eat("("):
-            name = lx.ident()
-            lx.expect(")")
-            p = named.get(name)
+    def predicate(self):
+        tok = self.peek()
+        if tok[1] == "pred" and self.peek(1)[0] == "(":
+            self.i += 2
+            name = self.eat("name") or self.expect("var",
+                                                   "expected an identifier")
+            self.expect(")")
+            p = self.named.get(name[1])
             if p is None:
-                lx.error(f"unknown named predicate {name!r}", mark)
+                self.error(f"unknown named predicate {name[1]!r}", tok)
             return Pred(h=p, strict=True)
-        lx.pos = mark
-    coeffs = {}
-    const = 0.0
-    sign = 1.0
-    first = True
-    while True:
-        lx.skip_ws()
-        c = lx.peek()
-        coef = sign
-        if c in "+-" or c == "." or c.isdigit():
-            coef = sign * lx.number()
-            if not lx.eat("*"):
-                const += coef
-                coef = None
-        if coef is not None:
-            lx.skip_ws()
-            if lx.peek() != "x":
-                if first:
-                    lx.error("expected a predicate term like `x0` or `2*x0`")
-                lx.error("expected a state variable like `x0` after `*`")
-            lx.pos += 1
-            idx = lx.integer()
-            if idx < 0:
-                lx.error("state index must be non-negative")
-            coeffs[idx] = coeffs.get(idx, 0.0) + coef
-        first = False
-        lx.skip_ws()
-        nxt = lx.peek()
-        if nxt == "+":
-            lx.pos += 1
-            sign = 1.0
-        elif nxt == "-":
-            lx.pos += 1
-            sign = -1.0
-        else:
-            break
-    for cmp_tok in (">=", "<=", ">", "<"):
-        if lx.eat(cmp_tok):
-            rhs = lx.number()
-            break
-    else:
-        lx.error("expected a comparison (>, >=, <, <=)")
-    dim = max(coeffs) + 1 if coeffs else 1
-    c = [coeffs.get(i, 0.0) for i in range(dim)]
-    d = const - rhs
-    if cmp_tok in ("<", "<="):
-        c = [-ci for ci in c]
-        d = -d
-    h = Affine(tuple(c), d)
-    return Pred(h=h, strict=cmp_tok in (">", "<"))
+        coeffs, const, sign = {}, 0.0, self.sign()
+        while True:
+            i, c = self.term(sign)
+            if i is None:
+                const += c
+            else:
+                coeffs[i] = coeffs.get(i, 0.0) + c
+            if self.peek()[0] not in ("+", "-"):
+                break
+            sign = self.sign()
+        cmp_tok = self.peek()[0]
+        if cmp_tok not in (">=", "<=", ">", "<"):
+            self.error("expected a comparison (>, >=, <, <=)")
+        self.i += 1
+        rhs = self.sign() * self.number()
+        n = max(coeffs) + 1 if coeffs else 1
+        c = [coeffs.get(i, 0.0) for i in range(n)]
+        d = const - rhs
+        if cmp_tok in ("<", "<="):
+            c = [-ci for ci in c]
+            d = -d
+        return Pred(h=Affine(tuple(c), d), strict=cmp_tok in (">", "<"))
+
+    def term(self, sign):
+        """(i, c) of the term c*x{i}, or (None, c) of the constant c."""
+        if self.peek()[0] != "num":
+            return self.variable("expected a predicate term like `x0` or "
+                                 "`2*x0`"), sign
+        c = sign * self.number()
+        if not self.eat("*"):
+            return None, c
+        return self.variable("expected a state variable like `x0` after "
+                             "`*`"), c
+
+    def variable(self, message):
+        tok = self.expect("var", message)
+        i = int(tok[1][1:])
+        if self.dim is not None and i >= self.dim:
+            self.error(f"{tok[1]} is past the state's {self.dim} coordinates",
+                       tok)
+        return i
+
+    def sign(self):
+        """-1.0 or 1.0, for an optional `-` or `+`."""
+        if self.eat("-"):
+            return -1.0
+        self.eat("+")
+        return 1.0
+
+    def number(self):
+        tok = self.expect("num", "expected a number")
+        v = float(tok[1])
+        if not math.isfinite(v):
+            self.error("expected a finite number", tok)
+        return v
+
+    def bound(self):
+        tok = self.peek()
+        v = self.sign() * self.number()
+        if not v.is_integer():
+            self.error("expected an integer time bound", tok)
+        return int(v)
 
 
 def negate(f):

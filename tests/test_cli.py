@@ -352,6 +352,34 @@ def test_formula_naming_a_coordinate_past_the_state_is_invalid(tmp_path,
     assert out == "" and "x2" in err
 
 
+@pytest.mark.parametrize("text", ["x+1 > 0", "x0 > 1e400"])
+def test_monitor_rejects_a_misspelt_variable_or_an_infinite_number(
+        tmp_path, capsys, text):
+    # both monitored as some other predicate and exited 0
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(str(trace), [(1.0, 0.0), (2.0, 0.0)], [(0.0,)])
+    assert main(["monitor", text, str(trace)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: formula: " in err
+
+
+def test_a_variable_past_the_state_fails_at_its_token_without_building_it():
+    # the whole coefficient list of x10000000 was built before the check
+    import tracemalloc
+    with open(resolve_scenario("dubins_k10")) as fh:
+        doc = json.load(fh)
+    doc["formula"] = "x10000000 > 0"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError) as e:
+            Scenario(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.field == "formula" and "x10000000" in str(e.value)
+    assert peak < 10 ** 6
+
+
 def test_monitor_rejects_a_row_shorter_than_the_header(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     trace.write_text("k,s_0,s_1,a_0\n0,1.0,2.0,0.0\n1,1.0\n")
@@ -549,6 +577,8 @@ UNTYPED_NUMBERS = [
     ("waypoints.knots", [["3", [0.2, 0.0], [1, 0]]]),
     ("waypoints.knots", [[True, [0.2, 0.0], [1, 0]]]),
     ("policy.widths", [3, True, 2]),   # loaded as a width of 1
+    ("waypoints.knots", [[5, [0.2, 0.0], ["0", None]]]),  # loaded
+    ("waypoints.knots", [[5, [0.2, 0.0], [True, 0]]]),
 ]
 
 
@@ -600,6 +630,9 @@ NON_FINITE_OR_NON_POSITIVE = [
     ("train.N1", 10 ** 400, "train.N1"),    # exited 4 for dropout
     ("waypoints.knots", [[5, [0.2, 0.0, 1.0], [1, 0, 1]]],  # 2 states
      "waypoints.knots"),
+    ("waypoints.knots", [[5, [0.2, 0.0], [2, 0]]], "waypoints.knots"),
+    ("waypoints.knots", [[5, [0.2, 0.0], [1.0, 0]]], "waypoints.knots"),
+    ("policy.theta", "abc", "policy.theta"),  # loaded, unread with xavier
 ]
 
 

@@ -281,6 +281,54 @@ def test_parse_errors_with_position():
         parse("x0 > 0 x1 > 0")
 
 
+P1 = Pred(Affine((1.0,), 0.0))
+
+PARSED = [
+    # (text, tree): a sign may lead the first term
+    ("-x0 > 0", Pred(Affine((-1.0,), 0.0))),
+    ("+2*x1 - x0 > 0", Pred(Affine((-1.0, 2.0), 0.0))),
+    ("x0 > -3", Pred(Affine((1.0,), 3.0))),
+    ("G [0,2](x0 > 0)", Always(0, 2, P1)),
+    ("F[1e0,2](x0 > 0)", Eventually(1, 2, P1)),
+    ("x0 > .5", Pred(Affine((1.0,), -0.5))),
+    ("3.*x1 <= 1.5E-3", Pred(Affine((-0.0, -3.0), 1.5e-3), strict=False)),
+    ("x0 > 0\n&& x0 > 0", And((P1, P1))),
+]
+
+
+@pytest.mark.parametrize("text,tree", PARSED)
+def test_parse_tree_table(text, tree):
+    assert parse(text) == tree
+
+
+REJECTED = [
+    # (text, the ParseError's column): a state variable is one token, x
+    # then digits; a number is finite; a term takes one sign
+    ("x+1 > 0", 1),
+    ("x 1 > 0", 1),
+    ("x1.0 > 0", 3),
+    ("x1e0 > 0", 1),
+    ("x0. < 3", 3),
+    ("x0 > 1e400", 6),
+    ("F[0,1e400](x0 > 0)", 5),
+    ("x0 - -3 > 0", 6),
+]
+
+
+@pytest.mark.parametrize("text,col", REJECTED)
+def test_parse_rejects_at_column(text, col):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.line, e.value.col) == (1, col)
+
+
+def test_parse_rejects_a_state_variable_past_dim_at_its_token():
+    assert parse("x0 > 0 && x1 > 0", dim=2) == parse("x0 > 0 && x1 > 0")
+    with pytest.raises(ParseError) as e:
+        parse("x0 > 0 &&\n  3*x2 > 0", dim=2)
+    assert (e.value.line, e.value.col) == (2, 5) and "x2" in str(e.value)
+
+
 def test_negate_is_involutive_on_robustness():
     for f, states in CORPUS[:100]:
         try:
