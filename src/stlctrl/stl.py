@@ -349,8 +349,8 @@ class ParseError(ValueError):
 _OPERATORS = {"F": Eventually, "G": Always, "U": Until, "R": Release}
 
 
-# one token each: a number, a state variable, an operator, a name, or any
-# other character, which is an error
+# a token: a number, a state variable (x and digits), an operator or a name;
+# any other character is an error
 _TOKEN = re.compile(r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
                     r"|(?P<var>x\d+\b)|(?P<op>&&|\|\||[<>]=?|[-+*!()[\],])"
                     r"|(?P<name>\w+)|(?P<other>\S))")
@@ -367,41 +367,47 @@ def parse(text, named=None, dim=None):
     """
     p = _Parser(text, named or {}, dim)
     f = p.disjunction()
-    if p.peek()[0] != "end":
+    if p.tok[0] != "end":
         p.error("unexpected trailing input")
     return f
 
 
+def _error(text, message, pos):
+    raise ParseError(message, text.count("\n", 0, pos) + 1,
+                     pos - text.rfind("\n", 0, pos))
+
+
+def _tokens(text):
+    """The (kind, text, offset) tokens of text, kind being num, var, name or
+    the operator itself, then end tokens forever."""
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "other":
+            _error(text, f"unexpected character {m[kind]!r}", m.start(kind))
+        yield m[kind] if kind == "op" else kind, m[kind], m.start(kind)
+    while True:
+        yield "end", "", len(text)
+
+
 class _Parser:
-    """Recursive descent over the (kind, text, offset) tokens of text, kind
-    being num, var, name, end or the operator itself.  It looks one token
-    ahead, two for `F[`, `G[`, `U[`, `R[` and `pred(`."""
+    """Recursive descent that holds two tokens: tok, the next one, and
+    after, read only for `F[`, `G[`, `U[`, `R[` and `pred(`."""
 
     def __init__(self, text, named, dim):
-        self.text, self.named, self.dim, self.i = text, named, dim, 0
-        self.toks = []
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            self.toks.append((m[kind] if kind == "op" else kind, m[kind],
-                              m.start(kind)))
-            if kind == "other":
-                self.error(f"unexpected character {m[kind]!r}", self.toks[-1])
-        self.toks.append(("end", "", len(text)))
+        self.text, self.named, self.dim = text, named, dim
+        self.lexer = _tokens(text)
+        self.tok, self.after = next(self.lexer), next(self.lexer)
 
     def error(self, message, tok=None):
-        pos = (tok or self.toks[self.i])[2]
-        raise ParseError(message, self.text.count("\n", 0, pos) + 1,
-                         pos - self.text.rfind("\n", 0, pos))
+        _error(self.text, message, (tok or self.tok)[2])
 
-    def peek(self, ahead=0):
-        return self.toks[self.i + ahead]
+    def advance(self):
+        tok, self.tok, self.after = self.tok, self.after, next(self.lexer)
+        return tok
 
     def eat(self, kind):
         """The next token if it is of kind, consumed; else None."""
-        if self.toks[self.i][0] != kind:
-            return None
-        self.i += 1
-        return self.toks[self.i - 1]
+        return self.advance() if self.tok[0] == kind else None
 
     def expect(self, kind, message=None):
         return self.eat(kind) or self.error(message or f"expected {kind!r}")
@@ -421,9 +427,10 @@ class _Parser:
     def unary(self):
         if self.eat("!"):
             return negate(self.unary())
-        tok = self.peek()
-        if tok[1] in _OPERATORS and self.peek(1)[0] == "[":
-            self.i += 2
+        tok = self.tok
+        if tok[1] in _OPERATORS and self.after[0] == "[":
+            self.advance()
+            self.advance()
             a = self.bound()
             self.expect(",")
             b = self.bound()
@@ -445,9 +452,10 @@ class _Parser:
         return self.predicate()
 
     def predicate(self):
-        tok = self.peek()
-        if tok[1] == "pred" and self.peek(1)[0] == "(":
-            self.i += 2
+        tok = self.tok
+        if tok[1] == "pred" and self.after[0] == "(":
+            self.advance()
+            self.advance()
             name = self.eat("name") or self.expect("var",
                                                    "expected an identifier")
             self.expect(")")
@@ -462,13 +470,13 @@ class _Parser:
                 const += c
             else:
                 coeffs[i] = coeffs.get(i, 0.0) + c
-            if self.peek()[0] not in ("+", "-"):
+            if self.tok[0] not in ("+", "-"):
                 break
             sign = self.sign()
-        cmp_tok = self.peek()[0]
+        cmp_tok = self.tok[0]
         if cmp_tok not in (">=", "<=", ">", "<"):
             self.error("expected a comparison (>, >=, <, <=)")
-        self.i += 1
+        self.advance()
         rhs = self.sign() * self.number()
         n = max(coeffs) + 1 if coeffs else 1
         c = [coeffs.get(i, 0.0) for i in range(n)]
@@ -480,7 +488,7 @@ class _Parser:
 
     def term(self, sign):
         """(i, c) of the term c*x{i}, or (None, c) of the constant c."""
-        if self.peek()[0] != "num":
+        if self.tok[0] != "num":
             return self.variable("expected a predicate term like `x0` or "
                                  "`2*x0`"), sign
         c = sign * self.number()
@@ -512,7 +520,7 @@ class _Parser:
         return v
 
     def bound(self):
-        tok = self.peek()
+        tok = self.tok
         v = self.sign() * self.number()
         if not v.is_integer():
             self.error("expected an integer time bound", tok)
