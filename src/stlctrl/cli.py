@@ -1,10 +1,11 @@
 """Command-line front end tying plants, formulas, training and verification
 into reproducible experiments.
 
-Scenario files are JSON documents naming a plant, a formula, a horizon,
-an initial box, a controller architecture and the training/verification
-settings.  Every scenario carries a seed; runs write a manifest with the
-scenario hash and seed so any log can be reproduced bit for bit.
+Scenario files are JSON documents naming a plant, a formula (whose
+horizon is the run's), an initial box, a controller architecture and the
+training/verification settings.  Every scenario carries a seed; runs write
+a manifest with the scenario hash and seed so any log can be reproduced
+bit for bit.
 
 Exit codes: 0 success, 2 validation error, 3 training did not finish,
 4 runtime failure.
@@ -16,6 +17,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .plants import (
@@ -32,6 +34,10 @@ from .trainer import (
 from .verify import calibrate, choose_ell, report
 
 _MAX_WEIGHTS = 100_000  # of a controller; the largest bundled net has 1700
+# the train section's fields and their types: TrainConfig's, but noise,
+# which noise_training turns on, and max_retries
+_TRAIN = {f.name: f.type for f in fields(TrainConfig)
+          if f.name not in ("noise", "max_retries")}
 
 
 class ScenarioError(ValueError):
@@ -46,23 +52,15 @@ class Scenario:
     def __init__(self, doc, path=None):
         self.doc = doc
         self.path = path
-        _known_keys(None, doc, ("name", "plant", "dt", "K", "seed", "formula",
-                                "policy", "initial", "train", "waypoints",
-                                "verify", "noise"))
+        _known_keys(None, doc, ("name", "plant", "seed", "formula", "policy",
+                                "initial", "train", "waypoints", "verify",
+                                "noise"))
         self.name = _req(doc, "name", str)
         plant_name = _req(doc, "plant", str)
         try:
             self.plant = builtin(plant_name)
         except Exception as e:
             raise ScenarioError("plant", str(e))
-        if "dt" in doc:
-            dt = _req(doc, "dt", float)
-            if dt <= 0:
-                raise ScenarioError("dt", "must be positive")
-            self.plant = self.plant.with_dt(dt)
-        self.K = _req(doc, "K", int)
-        if self.K < 1:
-            raise ScenarioError("K", "must be >= 1")
         self.seed = _req(doc, "seed", int)
         text = _req(doc, "formula", str)
         try:
@@ -70,9 +68,6 @@ class Scenario:
         except ParseError as e:
             raise ScenarioError("formula", str(e))
         h = horizon(self.formula)
-        if h > self.K:
-            raise ScenarioError(
-                "formula", f"horizon {h} exceeds scenario horizon K={self.K}")
         self.policy_cfg = self._policy(doc.get("policy"))
         self.init_set = self._initial(doc.get("initial"))
         self.noise = self._noise(doc.get("noise"))
@@ -139,15 +134,9 @@ class Scenario:
         if algorithm not in ("dropout", "vanilla", "openloop"):
             raise ScenarioError("train.algorithm",
                                 f"unknown algorithm {algorithm!r}")
-        fields = {"rho_bar": float, "eps": float, "M": int, "N": int,
-                  "N1": int, "N2": int, "b": float, "max_iters": int,
-                  "init_rule": str, "alpha": float, "time_sampling": bool,
-                  "guard_smooth": bool}
-        _known_keys("train", td, ("algorithm", "noise_training", *fields))
-        kw = {}
-        for key, typ in fields.items():
-            if key in td:
-                kw[key] = _typed(f"train.{key}", td[key], typ)
+        _known_keys("train", td, ("algorithm", "noise_training", *_TRAIN))
+        kw = {key: _typed(f"train.{key}", td[key], typ)
+              for key, typ in _TRAIN.items() if key in td}
         if _typed("train.noise_training", td.get("noise_training", False),
                   bool):
             if algorithm == "dropout":
@@ -165,9 +154,7 @@ class Scenario:
         field = "waypoints.knots"
         if not isinstance(wd, dict) or not isinstance(wd.get("knots"), list):
             raise ScenarioError(field, "missing or not a list")
-        _known_keys("waypoints", wd, ("knots", "interpolate"))
-        interpolate = _typed("waypoints.interpolate",
-                             wd.get("interpolate", True), bool)
+        _known_keys("waypoints", wd, ("knots",))
         n = self.plant.state_dim
         for knot in wd["knots"]:  # [time, target, mask]
             if len(_typed(field, knot, list)) != 3:
@@ -182,7 +169,7 @@ class Scenario:
             if any(_typed(field, m, int) not in (0, 1) for m in mask):
                 raise ScenarioError(field, "a mask entry is 0 or 1")
         try:
-            path = WaypointPath(wd["knots"], interpolate=interpolate)
+            path = WaypointPath(wd["knots"])
         except ValueError as e:
             raise ScenarioError(field, str(e))
         if self.algorithm != "dropout":
@@ -461,9 +448,8 @@ def cmd_verify(args, argv):
 def cmd_simulate(args, argv):
     sc = load_scenario(resolve_scenario(args.scenario))
     if args.trials < 1:
-        print("error: trials: must be >= 1, the success rate is undefined "
-              "for an empty run", file=sys.stderr)
-        return 2
+        raise ScenarioError("--trials", "must be >= 1, the success rate is "
+                                        "undefined for an empty run")
     seed = sc.seed if args.seed is None else args.seed
     ctrl = _load_checkpoint(args.checkpoint, sc)
     rng = random.Random(seed)

@@ -65,10 +65,6 @@ class Plant:
             raise ValueError(f"policy state dim {policy.state_dim} != "
                              f"plant {self.name} state dim {self.state_dim}")
 
-    def with_dt(self, dt):
-        return Plant(self.name, self.state_dim, self.action_dim, dt,
-                     self._step_fn, self._squash_fn)
-
 
 class InitialSet:
     """Axis-aligned initial box plus the finite training sample set."""
@@ -434,7 +430,8 @@ def write_trace_csv(path, states, raw_actions):
 
 
 def read_trace_csv(path):
-    """States back from a trace CSV (action columns ignored)."""
+    """States back from a trace CSV (action columns ignored); a state cell
+    must hold a finite number."""
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd)
@@ -446,5 +443,18 @@ def read_trace_csv(path):
             if len(row) != len(header):
                 raise ValueError(f"{path}: row {rd.line_num} has {len(row)} "
                                  f"fields but the header has {len(header)}")
-            states.append(tuple(float(row[i]) for i in sidx))
+            states.append(tuple(_cell(path, rd.line_num, header[i], row[i])
+                                for i in sidx))
     return states
+
+
+def _cell(path, row, column, text):
+    """The finite number in a trace cell, else a ValueError naming it."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"{path}: row {row} column {column.strip()}: "
+                         f"{text!r} is not a finite number")
+    return x

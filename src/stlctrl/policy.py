@@ -177,15 +177,15 @@ def init(widths, scheme="xavier", rng=None, include_time=True, time_scale=1.0):
     return Policy(widths, theta, include_time, time_scale)
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and eps
+
+
 class AdamState:
-    def __init__(self, n, alpha=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, n, alpha=1e-2):
         self.m = [0.0] * n
         self.v = [0.0] * n
         self.t = 0
         self.alpha = alpha
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
 
 def adam_update(st, theta, g):
@@ -196,13 +196,13 @@ def adam_update(st, theta, g):
         if not math.isfinite(gi):
             raise FloatingPointError(f"non-finite gradient component {gi}")
     st.t += 1
-    b1t = 1.0 - st.beta1 ** st.t
-    b2t = 1.0 - st.beta2 ** st.t
+    b1t = 1.0 - _BETA1 ** st.t
+    b2t = 1.0 - _BETA2 ** st.t
     out = list(theta)
     for i, gi in enumerate(g):
-        st.m[i] = st.beta1 * st.m[i] + (1.0 - st.beta1) * gi
-        st.v[i] = st.beta2 * st.v[i] + (1.0 - st.beta2) * gi * gi
+        st.m[i] = _BETA1 * st.m[i] + (1.0 - _BETA1) * gi
+        st.v[i] = _BETA2 * st.v[i] + (1.0 - _BETA2) * gi * gi
         mhat = st.m[i] / b1t
         vhat = st.v[i] / b2t
-        out[i] = theta[i] + st.alpha * mhat / (math.sqrt(vhat) + st.eps)
+        out[i] = theta[i] + st.alpha * mhat / (math.sqrt(vhat) + _EPS)
     return out

@@ -40,7 +40,6 @@ class TrainConfig:
     N2: int = 3
     b: float = 15.0
     max_iters: int = 1000
-    init_rule: str = "worst"  # or "random"
     alpha: float = 1e-2
     time_sampling: bool = True
     guard_smooth: bool = True
@@ -54,20 +53,15 @@ class TrainConfig:
             raise ValueError("max_iters must be >= 1")
         if not self.alpha > 0:  # a step of Adam ascends only then
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.init_rule not in ("worst", "random"):
-            raise ValueError(f"unknown init rule {self.init_rule!r}")
         SmoothConfig(self.b)  # the same check of the smoothing sharpness
 
 
 class WaypointPath:
-    """Desired path as (time, target, mask) knots.
-
-    With interpolation on, targets between knots are linear blends and
-    times past the ends clamp to the nearest knot; otherwise only exact
-    knot times carry a target.
+    """Desired path as (time, target, mask) knots: targets between knots
+    are linear blends, and times past the ends clamp to the nearest knot.
     """
 
-    def __init__(self, knots, interpolate=True):
+    def __init__(self, knots):
         if not knots:
             raise ValueError("waypoint path needs at least one knot")
         knots = [(int(t), tuple(tgt), tuple(mask)) for t, tgt, mask in knots]
@@ -77,16 +71,10 @@ class WaypointPath:
             if len(tgt) != len(mask):
                 raise ValueError("target/mask length mismatch")
         self.knots = knots
-        self.interpolate = interpolate
 
     def entry(self, t):
-        """(target, mask) at time t, or None."""
+        """(target, mask) at time t."""
         ks = self.knots
-        if not self.interpolate:
-            for kt, tgt, mask in ks:
-                if kt == t:
-                    return tgt, mask
-            return None
         if t <= ks[0][0]:
             return ks[0][1], ks[0][2]
         if t >= ks[-1][0]:
@@ -103,10 +91,7 @@ def waypoint_objective(smpl, wp):
     """Negative masked squared distance of anchors to the desired path."""
     J = 0.0
     for t, anchor in zip(smpl.times, smpl.anchors):
-        e = wp.entry(t)
-        if e is None:
-            continue
-        tgt, mask = e
+        tgt, mask = wp.entry(t)
         for d, m in enumerate(mask):
             if m:
                 diff = anchor[d] - tgt[d]
@@ -166,12 +151,6 @@ def _min_rho(plant, policy, theta, init_set, K, f, kept):
         if best is None or runs[s0][0] < best:
             best, worst_s0 = runs[s0][0], s0
     return best, worst_s0, runs
-
-
-def _pick_s0(cfg, rng, init_set, worst_s0):
-    if cfg.init_rule == "random":
-        return init_set.samples[rng.randrange(len(init_set.samples))]
-    return worst_s0
 
 
 def _train(plant, policy, f, init_set, cfg, step):
@@ -234,8 +213,7 @@ def train_dropout(plant, policy, f, init_set, wp, cfg, rng):
     scfg = SmoothConfig(cfg.b)
     adams = [AdamState(len(policy.theta), alpha=cfg.alpha) for _ in range(3)]
 
-    def step(theta, min_rho, worst_s0, runs):
-        s0 = _pick_s0(cfg, rng, init_set, worst_s0)
+    def step(theta, min_rho, s0, runs):
         rho_j, ref_j, sig_j = runs[s0]
         *out, run = _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng,
                                        theta, s0, rho_j, ref_j, K, *adams,
@@ -342,8 +320,7 @@ def train_vanilla(plant, policy, f, init_set, cfg, rng):
     scfg = SmoothConfig(cfg.b)
     adam = AdamState(len(policy.theta), alpha=cfg.alpha)
 
-    def step(theta, min_rho, worst_s0, runs):
-        s0 = _pick_s0(cfg, rng, init_set, worst_s0)
+    def step(theta, min_rho, s0, runs):
         pol = policy.with_theta(theta)
         ref = _reference(plant, pol, s0, K, cfg, rng, runs[s0][1])
         partition = (partition_times(K, cfg.M, rng) if cfg.time_sampling

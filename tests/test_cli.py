@@ -11,6 +11,7 @@ from stlctrl.cli import (
 )
 from stlctrl.autodiff import Tape, ln
 from stlctrl.plants import Plant, step_recorder, write_trace_csv
+from stlctrl.stl import horizon
 
 
 def scenario_doc(**over):
@@ -18,7 +19,6 @@ def scenario_doc(**over):
         "name": "tiny",
         "plant": "integrator2d",
         "formula": "F[3,5](x0 > 0.2) && G[0,5](x0 > -2)",
-        "K": 5,
         "seed": 7,
         "policy": {"widths": [3, 4, 2], "include_time": True,
                    "time_scale": 0.2, "init": "xavier"},
@@ -57,11 +57,6 @@ def test_validation_errors_name_the_field(tmp_path):
     with pytest.raises(ScenarioError) as e:
         Scenario(doc)
     assert e.value.field == "policy.widths"
-
-    doc = scenario_doc(K=2)  # formula horizon is 5
-    with pytest.raises(ScenarioError) as e:
-        Scenario(doc)
-    assert e.value.field == "formula"
 
     doc = scenario_doc()
     del doc["seed"]
@@ -116,11 +111,9 @@ WRONG_TYPES = [
     ("train.M", 2.7),                  # int(2.7) would be 2
     ("train.max_iters", True),
     ("train.alpha", "0.1"),
-    ("train.init_rule", 1),
     ("train.noise_training", "false"),
     ("policy.include_time", "false"),
     ("policy.time_scale", "0.2"),
-    ("waypoints.interpolate", 0),
     ("verify.m", 2.7),
     ("verify.m", True),                # int(True) would be 1
     ("verify.coverage", "0.9"),
@@ -148,7 +141,9 @@ def test_train_fields_of_wrong_type_are_rejected(tmp_path, path, value):
 
 @pytest.mark.parametrize("path", [
     "sede", "policy.include_tme", "initial.sample", "train.guard_smoth",
-    "waypoints.interpolat", "verify.coverag", "noise.c3"])
+    "waypoints.interpolat", "verify.coverag", "noise.c3",
+    # the formula's horizon is the run's; the plant's step is its own
+    "K", "dt", "train.init_rule", "waypoints.interpolate"])
 def test_unknown_fields_are_rejected(tmp_path, capsys, path):
     doc = scenario_doc()
     if "." in path:
@@ -363,6 +358,20 @@ def test_monitor_rejects_a_misspelt_variable_or_an_infinite_number(
     assert out == "" and "error: formula: " in err
 
 
+@pytest.mark.parametrize("rows,bad", [
+    ("0,nan\n1,inf", "row 2 column s_0: 'nan'"),
+    ("0,0\n1,abc", "row 3 column s_0: 'abc'")], ids=["nan-inf", "abc"])
+def test_monitor_rejects_a_trace_cell_that_is_no_finite_number(
+        tmp_path, capsys, rows, bad):
+    # nan and inf printed rho nan, satisfied yes, and exited 0; abc exited
+    # 2 naming no file, row or column
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"k,s_0\n{rows}\n")
+    assert main(["monitor", "F[0,1](x0 > 0)", str(trace)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {trace}: {bad} " in err
+
+
 def test_a_variable_past_the_state_fails_at_its_token_without_building_it():
     # the whole coefficient list of x10000000 was built before the check
     import tracemalloc
@@ -552,7 +561,7 @@ def test_simulate_zero_trials_is_error(tmp_path, capsys):
     rc = main(["simulate", "--scenario", path, "--checkpoint", str(ckpt),
                "--out", str(tmp_path / "s"), "--trials", "0"])
     assert rc == 2
-    assert "trials" in capsys.readouterr().err
+    assert "error: --trials: " in capsys.readouterr().err
 
 
 def test_scenarios_list_and_bad_args(capsys):
@@ -613,7 +622,7 @@ def test_typed_numbers_still_load():
 
 NON_FINITE_OR_NON_POSITIVE = [
     # (path, value, the field named): NaN and Infinity are valid json
-    ("dt", math.nan, "dt"),                 # exited 4, a diverged rollout
+    ("train.eps", math.nan, "train.eps"),   # ell < nan: no smooth branch
     ("train.alpha", -0.05, "train"),        # trained downhill, exited 3
     ("train.alpha", 0.0, "train"),
     ("train.rho_bar", math.nan, "train.rho_bar"),  # never solved, exited 3
@@ -702,9 +711,9 @@ def test_a_checkpoint_is_read_once(tmp_path, monkeypatch):
 
 
 BAD_VALUES = ["x", True, {}, None, [], [[]], -1, 0, 1.5, -0.0, 10 ** 400]
-# a field whose check may report a bad value of another: a K too small for
-# the formula is reported on the formula, a TrainConfig value on train
-PARTNERS = {"K": "formula", "initial.low": "initial", "initial.high": "initial",
+# a field whose check may report a bad value of another: a TrainConfig value
+# is reported on train
+PARTNERS = {"initial.low": "initial", "initial.high": "initial",
             "initial.samples": "initial", "noise.c1": "noise",
             "noise.c2": "noise", "policy.include_time": "policy.widths",
             "checkpoint.include_time": "checkpoint.widths",
@@ -747,7 +756,8 @@ def test_bad_values_in_every_leaf_exit_2_naming_the_field_or_run(tmp_path,
         ckpt, plant_name="dubins", metadata={"scenario": sc.name})
     with open(ckpt) as fh:
         policy_doc = json.load(fh)
-    openloop_doc = {"kind": "openloop", "actions": [[0.0, 0.0]] * sc.K,
+    openloop_doc = {"kind": "openloop",
+                    "actions": [[0.0, 0.0]] * horizon(sc.formula),
                     "plant": "dubins", "scenario": sc.name}
     for doc in (policy_doc, openloop_doc):
         cases.append(("checkpoint", doc, lambda p: [

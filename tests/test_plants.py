@@ -87,7 +87,8 @@ def test_integrator_saturation():
 
 def test_multi_dubins_is_ten_copies():
     p = builtin("multi_dubins_10")
-    single = builtin("dubins").with_dt(0.26)
+    single = Plant("dubins", 2, 2, 0.26, plants._dubins_step,
+                   plants._dubins_squash)
     s = tuple(random.Random(5).uniform(-1, 1) for _ in range(20))
     a = tuple(random.Random(6).uniform(-2, 2) for _ in range(20))
     got = p.step(s, a, 0)
@@ -213,6 +214,16 @@ def test_trace_csv_roundtrip(tmp_path):
     assert states == r.states
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "abc", ""])
+def test_trace_csv_cell_that_is_no_finite_number_is_named(tmp_path, cell):
+    # float() reads nan and inf, which monitored as a satisfied formula
+    path = tmp_path / "trace.csv"
+    path.write_text(f"k,s_0,s_1,a_0\n0,1.0,2.0,0.0\n1,1.0,{cell},\n")
+    with pytest.raises(ValueError) as e:
+        read_trace_csv(path)
+    assert f"{path}: row 3 column s_1: {cell!r}" in str(e.value)
+
+
 @pytest.mark.parametrize("grow", [lambda x: x * 1e4, lambda x: x + math.nan,
                                   lambda x: x - math.inf])
 def test_diverged_rollout_same_on_plain_and_tape_paths(grow):
@@ -331,7 +342,8 @@ def test_fused_loop_calls_an_open_loop_policy():
 def test_kernels_are_generated_per_dt():
     pol = init([3, 4, 2], rng=random.Random(1))
     slow = builtin("dubins")
-    fast = slow.with_dt(0.26)
+    fast = Plant("dubins", 2, 2, 0.26, plants._dubins_step,
+                 plants._dubins_squash)
     got = [rollout(p, pol, (0.0, 0.0), 6).states for p in (slow, fast, slow)]
     assert got[0] == got[2] != got[1]
     assert _bits(got[1]) == _bits(_generic_rollout(fast, pol, (0.0, 0.0), 6)[0])

@@ -27,8 +27,6 @@ def test_config_validation():
         TrainConfig(N1=0)
     with pytest.raises(ValueError):
         TrainConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        TrainConfig(init_rule="best")
 
 
 def test_waypoint_path_interpolation():
@@ -37,9 +35,8 @@ def test_waypoint_path_interpolation():
     assert tgt == (0.5, 1.0)
     assert wp.entry(0)[0] == (0.0, 0.0)
     assert wp.entry(99)[0] == (1.0, 2.0)
-    discrete = WaypointPath([(3, (1.0,), (1,))], interpolate=False)
-    assert discrete.entry(2) is None
-    assert discrete.entry(3) == ((1.0,), (1,))
+    single = WaypointPath([(3, (1.0,), (1,))])  # clamps to every time
+    assert single.entry(2) == single.entry(3) == ((1.0,), (1,))
     with pytest.raises(ValueError):
         WaypointPath([])
     with pytest.raises(ValueError):
@@ -51,12 +48,12 @@ def test_waypoint_objective_values():
     pol = init([3, 4, 2], scheme="zero")
     ref = rollout(plant, pol, (2.0, 0.0), 4)
     smpl = build_sampled(ref, [0, 2, 4], pol, plant)
-    # anchors sit at (2,0); target 5 in dim 0 only
-    wp = WaypointPath([(2, (5.0, 99.0), (1, 0))], interpolate=False)
+    # the 3 anchors sit at (2,0); one knot, target 5 in dim 0 only
+    wp = WaypointPath([(2, (5.0, 99.0), (1, 0))])
     J = waypoint_objective(smpl, wp)
     val = J.value if hasattr(J, "value") else J
-    assert val == pytest.approx(-9.0)
-    on_target = WaypointPath([(2, (2.0, 0.0), (1, 1))], interpolate=False)
+    assert val == pytest.approx(-27.0)
+    on_target = WaypointPath([(2, (2.0, 0.0), (1, 1))])
     J0 = waypoint_objective(smpl, on_target)
     assert (J0.value if hasattr(J0, "value") else J0) == pytest.approx(0.0)
 

@@ -38,7 +38,6 @@ def dubins(K, algorithm, max_iters, train_extra=None):
         "b": 15.0,
         "alpha": 0.05,
         "max_iters": max_iters,
-        "init_rule": "worst",
         "time_sampling": False,
     }
     if train_extra:
@@ -47,7 +46,6 @@ def dubins(K, algorithm, max_iters, train_extra=None):
         "name": f"dubins_k{K}",
         "plant": "dubins",
         "formula": formula,
-        "K": K,
         "seed": 2024,
         "policy": {"widths": [3, 20, 2], "include_time": True,
                    "time_scale": 1.0 / K, "init": "xavier"},
@@ -65,7 +63,6 @@ def dubins(K, algorithm, max_iters, train_extra=None):
                 [int(0.9 * K), [0.9 * a, 0.9 * a], [1, 1]],
                 [K, [0.9 * a, 0.9 * a], [1, 1]],
             ],
-            "interpolate": True,
         }
     return doc
 
@@ -100,16 +97,14 @@ def multi_dubins():
         "name": "multi_dubins_10",
         "plant": "multi_dubins_10",
         "formula": formula,
-        "K": 60,
         "seed": 2024,
         "policy": {"widths": [21, 40, 20], "include_time": True,
                    "time_scale": 1.0 / 60, "init": "xavier"},
         "initial": {"low": starts, "high": starts, "samples": [starts]},
         "train": {"algorithm": "dropout", "rho_bar": 0.0, "eps": 1e-5,
                   "M": 12, "N": 5, "N1": 30, "N2": 1, "b": 15.0,
-                  "alpha": 0.01, "max_iters": 4000, "init_rule": "worst",
-                  "time_sampling": True},
-        "waypoints": {"knots": knots, "interpolate": True},
+                  "alpha": 0.01, "max_iters": 4000, "time_sampling": True},
+        "waypoints": {"knots": knots},
         "verify": {"m": 2000, "coverage": 0.995},
         "noise": {"c1": 0.0, "c2": 0.0},
     }
@@ -141,16 +136,14 @@ def quad6_platform():
         "name": "quad6_platform",
         "plant": "quad6_platform",
         "formula": formula,
-        "K": 1500,
         "seed": 2024,
         "policy": {"widths": [8, 20, 20, 10, 4], "include_time": True,
                    "time_scale": 1.0 / 1500, "init": "xavier"},
         "initial": {"low": low, "high": high, "samples": "corners_center"},
         "train": {"algorithm": "dropout", "rho_bar": 0.0, "eps": 1e-5,
                   "M": 100, "N": 15, "N1": 30, "N2": 3, "b": 15.0,
-                  "alpha": 0.01, "max_iters": 2000, "init_rule": "worst",
-                  "time_sampling": True},
-        "waypoints": {"knots": knots, "interpolate": True},
+                  "alpha": 0.01, "max_iters": 2000, "time_sampling": True},
+        "waypoints": {"knots": knots},
         "verify": {"m": 2000, "coverage": 0.995},
         "noise": {"c1": 0.0, "c2": 0.0},
     }
@@ -184,16 +177,14 @@ def quad12():
         "name": "quad12",
         "plant": "quad12",
         "formula": formula,
-        "K": 45,
         "seed": 2024,
         "policy": {"widths": [13, 20, 20, 10, 4], "include_time": True,
                    "time_scale": 1.0 / 45, "init": "zero"},
         "initial": {"low": low, "high": high, "samples": "corners_center"},
         "train": {"algorithm": "dropout", "rho_bar": 0.0, "eps": 1e-5,
                   "M": 9, "N": 5, "N1": 30, "N2": 40, "b": 5.0,
-                  "alpha": 0.01, "max_iters": 3000, "init_rule": "worst",
-                  "time_sampling": True},
-        "waypoints": {"knots": knots, "interpolate": True},
+                  "alpha": 0.01, "max_iters": 3000, "time_sampling": True},
+        "waypoints": {"knots": knots},
         "verify": {"m": 2000, "coverage": 0.995},
         "noise": {"c1": 0.0, "c2": 0.0},
     }
@@ -211,7 +202,6 @@ def integrator2d():
         "name": "integrator2d",
         "plant": "integrator2d",
         "formula": formula,
-        "K": 50,
         "seed": 2024,
         "policy": {"widths": [3, 20, 20, 2], "include_time": True,
                    "time_scale": 1.0 / 50, "init": "xavier"},
@@ -219,8 +209,8 @@ def integrator2d():
                     "samples": [[-1.0, -1.0]]},
         "train": {"algorithm": "vanilla", "rho_bar": 0.05, "eps": 1e-5,
                   "M": 1, "N": 5, "N1": 10, "N2": 3, "b": 15.0,
-                  "alpha": 0.05, "max_iters": 5000, "init_rule": "worst",
-                  "time_sampling": False, "noise_training": True},
+                  "alpha": 0.05, "max_iters": 5000, "time_sampling": False,
+                  "noise_training": True},
         "verify": {"m": 2000, "coverage": 0.995},
         "noise": {"c1": 0.0314, "c2": 0.0005},
     }
@@ -234,7 +224,6 @@ def scalar_power():
         "name": "scalar_power",
         "plant": "scalar_power",
         "formula": formula,
-        "K": 50,
         "seed": 2024,
         "policy": {"widths": [1, 1], "include_time": False,
                    "time_scale": 1.0, "init": "given",
@@ -242,8 +231,7 @@ def scalar_power():
         "initial": {"low": [1.15], "high": [1.15], "samples": [[1.15]]},
         "train": {"algorithm": "dropout", "rho_bar": 0.0, "eps": 1e-5,
                   "M": 5, "N": 3, "N1": 5, "N2": 3, "b": 15.0,
-                  "alpha": 0.02, "max_iters": 200, "init_rule": "worst",
-                  "time_sampling": True},
+                  "alpha": 0.02, "max_iters": 200, "time_sampling": True},
         "verify": {"m": 500, "coverage": 0.99},
         "noise": {"c1": 0.0, "c2": 0.0},
     }
