@@ -34,10 +34,22 @@ from .trainer import (
 from .verify import calibrate, choose_ell, report
 
 _MAX_WEIGHTS = 100_000  # of a controller; the largest bundled net has 1700
-# the train section's fields and their types: TrainConfig's, but noise,
-# which noise_training turns on, and max_retries
-_TRAIN = {f.name: f.type for f in fields(TrainConfig)
-          if f.name not in ("noise", "max_retries")}
+_TRAIN = {f.name: f.type for f in fields(TrainConfig)}  # train field types
+# the scenario fields that every run reads, and that each trainer reads besides
+_READ_BY_ALL = ("name", "plant", "seed", "formula", "initial", "initial.low",
+                "initial.high", "initial.samples", "train", "train.algorithm",
+                "train.rho_bar", "train.max_iters", "train.alpha", "train.b",
+                "verify", "verify.m", "verify.coverage", "noise", "noise.c1",
+                "noise.c2")
+_POLICY = ("policy", "policy.widths", "policy.include_time",
+           "policy.time_scale", "policy.init", "policy.theta")
+_READS = {
+    "dropout": (*_POLICY, "waypoints", "waypoints.knots", "train.M", "train.N",
+                "train.N1", "train.N2", "train.eps", "train.guard_smooth"),
+    "vanilla": (*_POLICY, "train.M", "train.time_sampling",
+                "train.noise_training"),
+    "openloop": ("train.noise_training",),
+}
 
 
 class ScenarioError(ValueError):
@@ -49,12 +61,23 @@ class ScenarioError(ValueError):
 
 
 class Scenario:
-    def __init__(self, doc, path=None):
-        self.doc = doc
-        self.path = path
-        _known_keys(None, doc, ("name", "plant", "seed", "formula", "policy",
-                                "initial", "train", "waypoints", "verify",
-                                "noise"))
+    def __init__(self, doc):
+        td = doc.get("train")
+        if not isinstance(td, dict):
+            raise ScenarioError("train", "missing or not an object")
+        self.algorithm = algorithm = td.get("algorithm")
+        if algorithm not in ("dropout", "vanilla", "openloop"):
+            raise ScenarioError("train.algorithm",
+                                f"unknown algorithm {algorithm!r}")
+        reads = _READ_BY_ALL + _READS[algorithm]
+        for field in (*doc, *(f"{key}.{k}" for key, v in doc.items()
+                              if isinstance(v, dict) for k in v)):
+            stray = field in doc and "." in field  # "train.M" at the top
+            if stray or field not in reads:
+                raise ScenarioError(field, (
+                    f"the {algorithm} trainer does not read it"
+                    if not stray and any(field in r for r in _READS.values())
+                    else "unknown field"))
         self.name = _req(doc, "name", str)
         plant_name = _req(doc, "plant", str)
         try:
@@ -68,10 +91,11 @@ class Scenario:
         except ParseError as e:
             raise ScenarioError("formula", str(e))
         h = horizon(self.formula)
-        self.policy_cfg = self._policy(doc.get("policy"))
+        self.policy_cfg = (self._policy(doc.get("policy"))
+                           if "policy" in reads else None)
         self.init_set = self._initial(doc.get("initial"))
         self.noise = self._noise(doc.get("noise"))
-        self.train_cfg, self.algorithm = self._train(doc.get("train"))
+        self.train_cfg = self._train(td)
         if self.train_cfg.M > max(1, h):
             raise ScenarioError("train.M", f"M={self.train_cfg.M} partition "
                                 f"sets exceed the formula horizon {h}")
@@ -81,8 +105,6 @@ class Scenario:
     def _policy(self, pd):
         if not isinstance(pd, dict):
             raise ScenarioError("policy", "missing or not an object")
-        _known_keys("policy", pd, ("widths", "include_time", "time_scale",
-                                   "init", "theta"))
         scheme = pd.get("init", "xavier")
         if scheme not in ("xavier", "zero", "given"):
             raise ScenarioError("policy.init", f"unknown scheme {scheme!r}")
@@ -97,7 +119,6 @@ class Scenario:
     def _initial(self, idoc):
         if not isinstance(idoc, dict):
             raise ScenarioError("initial", "missing or not an object")
-        _known_keys("initial", idoc, ("low", "high", "samples"))
         low = idoc.get("low")
         high = idoc.get("high")
         n = self.plant.state_dim
@@ -128,23 +149,13 @@ class Scenario:
             raise ScenarioError("initial", str(e))
 
     def _train(self, td):
-        if not isinstance(td, dict):
-            raise ScenarioError("train", "missing or not an object")
-        algorithm = td.get("algorithm")
-        if algorithm not in ("dropout", "vanilla", "openloop"):
-            raise ScenarioError("train.algorithm",
-                                f"unknown algorithm {algorithm!r}")
-        _known_keys("train", td, ("algorithm", "noise_training", *_TRAIN))
-        kw = {key: _typed(f"train.{key}", td[key], typ)
-              for key, typ in _TRAIN.items() if key in td}
+        kw = {key: _typed(f"train.{key}", v, _TRAIN[key])
+              for key, v in td.items() if key in _TRAIN}
         if _typed("train.noise_training", td.get("noise_training", False),
                   bool):
-            if algorithm == "dropout":
-                raise ScenarioError("train.noise_training",
-                                    "the dropout trainer has no noisy training")
             kw["noise"] = self.noise
         try:
-            return TrainConfig(**kw), algorithm
+            return TrainConfig(**kw)
         except ValueError as e:
             raise ScenarioError("train", str(e))
 
@@ -154,7 +165,6 @@ class Scenario:
         field = "waypoints.knots"
         if not isinstance(wd, dict) or not isinstance(wd.get("knots"), list):
             raise ScenarioError(field, "missing or not a list")
-        _known_keys("waypoints", wd, ("knots",))
         n = self.plant.state_dim
         for knot in wd["knots"]:  # [time, target, mask]
             if len(_typed(field, knot, list)) != 3:
@@ -172,20 +182,17 @@ class Scenario:
             path = WaypointPath(wd["knots"])
         except ValueError as e:
             raise ScenarioError(field, str(e))
-        if self.algorithm != "dropout":
-            raise ScenarioError("waypoints", f"the {self.algorithm} trainer "
-                                             "reads no waypoints")
         return path
 
     def _verify(self, vd):
-        vd = _optional_section("verify", vd, ("m", "coverage"))
+        vd = _optional_section("verify", vd)
         m = _typed("verify.m", vd.get("m", 2000), int)
         coverage = _typed("verify.coverage", vd.get("coverage", 0.995), float)
         _check_verify(m, coverage, "verify.")
         return {"m": m, "coverage": coverage}
 
     def _noise(self, nd):
-        nd = _optional_section("noise", nd, ("c1", "c2"))
+        nd = _optional_section("noise", nd)
         c1 = _typed("noise.c1", nd.get("c1", 0.0), float)
         c2 = _typed("noise.c2", nd.get("c2", 0.0), float)
         if c1 < 0 or c2 < 0:
@@ -217,21 +224,12 @@ def _req(doc, key, typ):
     return _typed(key, doc[key], typ)
 
 
-def _known_keys(section, d, keys):
-    """Reject a key of d that the parser does not read, naming it."""
-    for key in d:
-        if key not in keys:
-            raise ScenarioError(key if section is None else f"{section}.{key}",
-                                "unknown field")
-
-
-def _optional_section(section, d, keys):
+def _optional_section(section, d):
     """The optional object d, {} when absent."""
     if d is None:
         return {}
     if not isinstance(d, dict):
         raise ScenarioError(section, "not an object")
-    _known_keys(section, d, keys)
     return d
 
 
@@ -298,16 +296,22 @@ def resolve_scenario(arg):
     raise ScenarioError("scenario", f"no such file or bundled scenario {arg!r}")
 
 
-def load_scenario(path):
+def _read_object(path, field):
+    """(bytes, JSON object) of the file at path; an error names field."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
-        raise ScenarioError("scenario", f"invalid JSON: {e}")
+        raise ScenarioError(field, f"invalid JSON: {e}")
     if not isinstance(doc, dict):
-        raise ScenarioError("scenario", "top level must be an object")
-    sc = Scenario(doc, path=path)
+        raise ScenarioError(field, "top level must be an object")
+    return raw, doc
+
+
+def load_scenario(path):
+    raw, doc = _read_object(path, "scenario")
+    sc = Scenario(doc)
     sc.sha256 = hashlib.sha256(raw).hexdigest()
     return sc
 
@@ -329,10 +333,7 @@ def write_manifest(out_dir, command, scenario, seed, argv):
 
 def _load_checkpoint(path, sc):
     """Controller for scenario sc from a checkpoint: a Policy or actions."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ScenarioError("checkpoint", "top level must be an object")
+    doc = _read_object(path, "checkpoint")[1]
     if doc.get("plant") not in (None, sc.plant.name):
         raise ScenarioError("checkpoint.plant", f"trained for {doc['plant']!r}"
                             f", not the scenario's {sc.plant.name!r}")
@@ -357,7 +358,7 @@ def cmd_train(args, argv):
     seed = sc.seed if args.seed is None else args.seed
     rng = random.Random(seed)
     os.makedirs(args.out, exist_ok=True)
-    pol = sc.build_policy(rng)
+    pol = sc.build_policy(rng) if sc.policy_cfg else None  # not for openloop
     if sc.algorithm == "dropout":
         ctrl, log, info = train_dropout(sc.plant, pol, sc.formula, sc.init_set,
                                         sc.waypoints, sc.train_cfg, rng)
@@ -480,10 +481,6 @@ def cmd_simulate(args, argv):
 
 
 def cmd_scenarios(args, argv):
-    if args.action != "list":
-        print(f"error: unknown scenarios action {args.action!r}",
-              file=sys.stderr)
-        return 2
     for name in bundled_names():
         print(name)
     return 0

@@ -430,11 +430,11 @@ def write_trace_csv(path, states, raw_actions):
 
 
 def read_trace_csv(path):
-    """States back from a trace CSV (action columns ignored); a state cell
-    must hold a finite number."""
+    """States back from a trace CSV (action columns ignored): one or more
+    rows, each state cell a finite number."""
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, [])  # an empty file has no header
         sidx = [i for i, h in enumerate(header) if h.strip().startswith("s_")]
         if not sidx:
             raise ValueError(f"{path}: no state columns in header {header}")
@@ -445,6 +445,8 @@ def read_trace_csv(path):
                                  f"fields but the header has {len(header)}")
             states.append(tuple(_cell(path, rd.line_num, header[i], row[i])
                                 for i in sidx))
+    if not states:
+        raise ValueError(f"{path}: no state rows below the header")
     return states
 
 

@@ -12,6 +12,7 @@ from stlctrl.cli import (
 from stlctrl.autodiff import Tape, ln
 from stlctrl.plants import Plant, step_recorder, write_trace_csv
 from stlctrl.stl import horizon
+from stlctrl.trainer import train_openloop
 
 
 def scenario_doc(**over):
@@ -25,11 +26,20 @@ def scenario_doc(**over):
         "initial": {"low": [-1.0, 0.0], "high": [-1.0, 0.0],
                     "samples": [[-1.0, 0.0]]},
         "train": {"algorithm": "vanilla", "alpha": 0.1, "max_iters": 100,
-                  "b": 10.0, "time_sampling": False},
+                  "b": 10.0},
         "verify": {"m": 50, "coverage": 0.9},
         "noise": {"c1": 0.0, "c2": 0.0},
     }
     doc.update(over)
+    return doc
+
+
+def trainer_doc(algorithm):
+    """scenario_doc for the trainer named: the open loop reads no policy."""
+    doc = scenario_doc()
+    doc["train"]["algorithm"] = algorithm
+    if algorithm == "openloop":
+        del doc["policy"]
     return doc
 
 
@@ -84,7 +94,7 @@ def test_more_partition_sets_than_the_horizon_is_rejected_at_load(
     # partition_times would raise only at the first smooth step, unnamed
     doc = scenario_doc()
     doc["formula"] = formula or doc["formula"]
-    doc["train"].update(algorithm=algorithm, time_sampling=True, M=M)
+    doc["train"].update(algorithm=algorithm, M=M)
     with pytest.raises(ScenarioError) as e:
         Scenario(doc)
     assert e.value.field == "train.M"
@@ -98,14 +108,16 @@ def test_more_partition_sets_than_the_horizon_is_rejected_at_load(
 
 def test_openloop_training_on_a_horizon_0_formula_is_invalid_input(
         tmp_path, capsys):
-    doc = scenario_doc(formula="x0 > 1")
-    doc["train"]["algorithm"] = "openloop"
+    doc = trainer_doc("openloop")
+    doc["formula"] = "x0 > 1"
     path = write_scenario(tmp_path, doc)
     assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 2
     assert "horizon >= 1, got 0" in capsys.readouterr().err
 
 
 KNOTS = [[5, [0.2, 0.0], [1, 0]]]  # a valid waypoint path for scenario_doc
+DROPOUT_ONLY = ("train.N", "train.N1", "train.N2", "train.eps",
+                "train.guard_smooth")
 WRONG_TYPES = [
     ("train.time_sampling", "false"),  # bool("false") would be True
     ("train.M", 2.7),                  # int(2.7) would be 2
@@ -124,6 +136,8 @@ WRONG_TYPES = [
 
 def set_field(doc, path, value):
     section, key = path.split(".")
+    if section == "waypoints" or path in DROPOUT_ONLY:
+        doc["train"]["algorithm"] = "dropout"  # the trainer that reads it
     doc.setdefault(section, {"knots": KNOTS})[key] = value
 
 
@@ -187,16 +201,80 @@ def test_noise_training_is_rejected_for_dropout(tmp_path, capsys):
 @pytest.mark.parametrize("algorithm", ["vanilla", "openloop"])
 def test_waypoints_are_rejected_where_no_trainer_reads_them(
         tmp_path, capsys, algorithm):
-    doc = scenario_doc(waypoints={"knots": KNOTS})
-    doc["train"]["algorithm"] = algorithm
+    doc = trainer_doc(algorithm)
+    doc["waypoints"] = {"knots": KNOTS}
     with pytest.raises(ScenarioError) as e:
         Scenario(doc)
     assert e.value.field == "waypoints"
     path = write_scenario(tmp_path, doc)
     assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 2
     assert "error: waypoints: " in capsys.readouterr().err
+    doc = scenario_doc(waypoints={"knots": KNOTS})
     doc["train"]["algorithm"] = "dropout"
     assert Scenario(doc).waypoints.knots == [(5, (0.2, 0.0), (1, 0))]
+
+
+# each trainer with each section and train field that it does not read, at
+# a value that would load for a trainer that reads it
+UNREAD = [("dropout", "train.time_sampling", False),
+          ("dropout", "train.noise_training", False),
+          ("vanilla", "waypoints", {"knots": KNOTS})]
+UNREAD += [(algorithm, path, value)
+           for algorithm in ("vanilla", "openloop")
+           for path, value in [("train.N", 5), ("train.N1", 10),
+                               ("train.N2", 3), ("train.eps", 1e-5),
+                               ("train.guard_smooth", True)]]
+UNREAD += [("openloop", "policy", scenario_doc()["policy"]),
+           ("openloop", "waypoints", {"knots": KNOTS}),
+           ("openloop", "train.M", 1),
+           ("openloop", "train.time_sampling", False)]
+
+
+@pytest.mark.parametrize("algorithm,path,value", UNREAD, ids=[
+    f"{algorithm}-{path}" for algorithm, path, _ in UNREAD])
+def test_a_field_the_trainer_does_not_read_is_rejected(
+        tmp_path, capsys, algorithm, path, value):
+    doc = trainer_doc(algorithm)
+    Scenario(doc)
+    if path.startswith("train."):
+        doc["train"][path[len("train."):]] = value
+    else:
+        doc[path] = value
+    with pytest.raises(ScenarioError) as e:
+        Scenario(doc)
+    assert e.value.field == path
+    out = write_scenario(tmp_path, doc)
+    assert main(["train", "--scenario", out, "--out", str(tmp_path)]) == 2
+    assert (f"error: {path}: the {algorithm} trainer does not read it"
+            in capsys.readouterr().err)
+
+
+def test_a_top_level_key_spelt_as_a_train_field_is_unknown():
+    doc = scenario_doc(**{"train.M": 1})
+    with pytest.raises(ScenarioError) as e:
+        Scenario(doc)
+    assert (e.value.field, str(e.value)) == ("train.M",
+                                             "train.M: unknown field")
+
+
+def test_an_openloop_run_draws_no_policy(tmp_path):
+    # a xavier controller was drawn from the training rng, so the noise of
+    # each rollout depended on policy.widths
+    doc = trainer_doc("openloop")
+    doc["train"].update(noise_training=True, max_iters=4)
+    doc["noise"] = {"c1": 0.05, "c2": 0.01}
+    doc["formula"] = "F[3,5](x0 > 1e9)"  # never solved: 4 iterations
+    path = write_scenario(tmp_path, doc)
+    assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 3
+    sc = Scenario(doc)
+    zeros = [[0.0] * sc.plant.action_dim] * horizon(sc.formula)
+    _, log, _ = train_openloop(sc.plant, zeros, sc.formula,
+                               sc.init_set.samples[0], sc.train_cfg,
+                               random.Random(sc.seed))
+    log.write_csv(str(tmp_path / "direct.csv"))
+    rows = [[ln.split(",")[:4] for ln in (tmp_path / f).read_text()
+             .splitlines()] for f in ("log.csv", "direct.csv")]
+    assert len(rows[0]) == 5 and rows[0] == rows[1]
 
 
 def nan_gradient(ref, kstar, hstar, N, policy, plant, rng):
@@ -266,8 +344,8 @@ def test_train_writes_artifacts_and_solves(tmp_path, capsys):
 
 
 def test_openloop_train_writes_summary(tmp_path, capsys):
-    doc = scenario_doc()
-    doc["train"].update(algorithm="openloop", max_iters=2)
+    doc = trainer_doc("openloop")
+    doc["train"]["max_iters"] = 2
     doc["formula"] = "F[3,5](x0 > 1e9)"
     path = write_scenario(tmp_path, doc)
     out = tmp_path / "run"
@@ -370,6 +448,20 @@ def test_monitor_rejects_a_trace_cell_that_is_no_finite_number(
     assert main(["monitor", "F[0,1](x0 > 0)", str(trace)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"error: {trace}: {bad} " in err
+
+
+@pytest.mark.parametrize("text,why", [
+    ("", "no state columns"), ("k,s_0,a_0\n", "no state rows")],
+    ids=["empty", "header-only"])
+def test_monitor_rejects_a_trace_that_holds_no_state(tmp_path, capsys, text,
+                                                     why):
+    # an empty file exited 4 (StopIteration); a header alone exited 2 with
+    # a message that named no file
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text)
+    assert main(["monitor", "x0 > 0", str(trace)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {trace}: {why}" in err
 
 
 def test_a_variable_past_the_state_fails_at_its_token_without_building_it():
@@ -476,12 +568,14 @@ def test_verify_and_simulate_round_trip(tmp_path, capsys):
                  "checkpoint.actions", id="doc15-actions"),  # horizon 5
     pytest.param({"kind": "openloop", "actions": [[0, 0, 0]] * 5},
                  "checkpoint.actions", id="doc16-actions"),  # 2 actions
+    # exited 2 with json's bare "Expecting value: line 1 column 1 (char 0)"
+    pytest.param("no json", "checkpoint", id="doc17-not-json"),
 ])
 def test_malformed_checkpoint_is_invalid_input(tmp_path, capsys, command, doc,
                                                field):
     path = write_scenario(tmp_path, scenario_doc())
     ckpt = tmp_path / "bad.json"
-    ckpt.write_text(json.dumps(doc))
+    ckpt.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     extra = ["--m", "5"] if command == "verify" else ["--trials", "1"]
     rc = main([command, "--scenario", path, "--checkpoint", str(ckpt),
                "--out", str(tmp_path / "o")] + extra)
@@ -568,6 +662,7 @@ def test_scenarios_list_and_bad_args(capsys):
     assert main(["scenarios", "list"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "dubins_k100" in out
+    assert main(["scenarios", "bogus"]) == 2  # argparse's choices
     assert main(["nonsense"]) == 2
     assert main(["train", "--scenario", "does_not_exist",
                  "--out", "/tmp/x"]) == 2

@@ -224,6 +224,16 @@ def test_trace_csv_cell_that_is_no_finite_number_is_named(tmp_path, cell):
     assert f"{path}: row 3 column s_1: {cell!r}" in str(e.value)
 
 
+@pytest.mark.parametrize("text", ["", "\n", "k,s_0,a_0\n", "k,s_0,a_0\n\n"])
+def test_trace_csv_that_holds_no_state_is_named(tmp_path, text):
+    # an empty file raised StopIteration; a header alone read as no states
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as e:
+        read_trace_csv(path)
+    assert str(e.value).startswith(f"{path}: no state ")
+
+
 @pytest.mark.parametrize("grow", [lambda x: x * 1e4, lambda x: x + math.nan,
                                   lambda x: x - math.inf])
 def test_diverged_rollout_same_on_plain_and_tape_paths(grow):

@@ -30,16 +30,16 @@ def dubins(K, algorithm, max_iters, train_extra=None):
     train = {
         "algorithm": algorithm,
         "rho_bar": 0.0,
-        "eps": 1e-5,
         "M": 1,
-        "N": 5,
-        "N1": 10,
-        "N2": 3,
         "b": 15.0,
         "alpha": 0.05,
         "max_iters": max_iters,
-        "time_sampling": False,
     }
+    # only the fields the trainer reads: the scenario loader rejects others
+    if algorithm == "dropout":
+        train.update(eps=1e-5, N=5, N1=10, N2=3)
+    else:
+        train["time_sampling"] = False
     if train_extra:
         train.update(train_extra)
     doc = {
@@ -103,7 +103,7 @@ def multi_dubins():
         "initial": {"low": starts, "high": starts, "samples": [starts]},
         "train": {"algorithm": "dropout", "rho_bar": 0.0, "eps": 1e-5,
                   "M": 12, "N": 5, "N1": 30, "N2": 1, "b": 15.0,
-                  "alpha": 0.01, "max_iters": 4000, "time_sampling": True},
+                  "alpha": 0.01, "max_iters": 4000},
         "waypoints": {"knots": knots},
         "verify": {"m": 2000, "coverage": 0.995},
         "noise": {"c1": 0.0, "c2": 0.0},
@@ -142,7 +142,7 @@ def quad6_platform():
         "initial": {"low": low, "high": high, "samples": "corners_center"},
         "train": {"algorithm": "dropout", "rho_bar": 0.0, "eps": 1e-5,
                   "M": 100, "N": 15, "N1": 30, "N2": 3, "b": 15.0,
-                  "alpha": 0.01, "max_iters": 2000, "time_sampling": True},
+                  "alpha": 0.01, "max_iters": 2000},
         "waypoints": {"knots": knots},
         "verify": {"m": 2000, "coverage": 0.995},
         "noise": {"c1": 0.0, "c2": 0.0},
@@ -183,7 +183,7 @@ def quad12():
         "initial": {"low": low, "high": high, "samples": "corners_center"},
         "train": {"algorithm": "dropout", "rho_bar": 0.0, "eps": 1e-5,
                   "M": 9, "N": 5, "N1": 30, "N2": 40, "b": 5.0,
-                  "alpha": 0.01, "max_iters": 3000, "time_sampling": True},
+                  "alpha": 0.01, "max_iters": 3000},
         "waypoints": {"knots": knots},
         "verify": {"m": 2000, "coverage": 0.995},
         "noise": {"c1": 0.0, "c2": 0.0},
@@ -207,8 +207,7 @@ def integrator2d():
                    "time_scale": 1.0 / 50, "init": "xavier"},
         "initial": {"low": [-1.0, -1.0], "high": [-1.0, -1.0],
                     "samples": [[-1.0, -1.0]]},
-        "train": {"algorithm": "vanilla", "rho_bar": 0.05, "eps": 1e-5,
-                  "M": 1, "N": 5, "N1": 10, "N2": 3, "b": 15.0,
+        "train": {"algorithm": "vanilla", "rho_bar": 0.05, "M": 1, "b": 15.0,
                   "alpha": 0.05, "max_iters": 5000, "time_sampling": False,
                   "noise_training": True},
         "verify": {"m": 2000, "coverage": 0.995},
@@ -231,7 +230,7 @@ def scalar_power():
         "initial": {"low": [1.15], "high": [1.15], "samples": [[1.15]]},
         "train": {"algorithm": "dropout", "rho_bar": 0.0, "eps": 1e-5,
                   "M": 5, "N": 3, "N1": 5, "N2": 3, "b": 15.0,
-                  "alpha": 0.02, "max_iters": 200, "time_sampling": True},
+                  "alpha": 0.02, "max_iters": 200},
         "verify": {"m": 500, "coverage": 0.99},
         "noise": {"c1": 0.0, "c2": 0.0},
     }
@@ -243,10 +242,10 @@ def main():
         dubins(50, "vanilla", 1500),
         dubins(100, "dropout", 1000),
         dubins(500, "dropout", 3000,
-               {"M": 100, "N": 5, "N1": 10, "N2": 3, "time_sampling": True}),
+               {"M": 100, "N": 5, "N1": 10, "N2": 3}),
         dubins(1000, "dropout", 3000,
                {"M": 50, "N": 20, "N1": 10, "N2": 1, "eps": 1e-3,
-                "alpha": 0.02, "time_sampling": True}),
+                "alpha": 0.02}),
         multi_dubins(),
         quad6_platform(),
         quad12(),
