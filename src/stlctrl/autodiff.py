@@ -331,7 +331,7 @@ _FORMS = {ADD: ("{} + {}", 1, 1, 2), SUB: ("{} - {}", 1, 1, 2),
           LN: ("log({})", 5, 0, 0)}
 
 
-def replay_source(trace, inputs, prefix="f", loop=None, inline=False):
+def replay_source(trace, inputs, prefix="f", loop=None):
     """(lines, outputs, constants): straight-line code for trace = (tape,
     outputs) of a function run once on Vars, its inputs the first nodes,
     input j read as inputs[j] = (value, node id or None for a float).
@@ -345,8 +345,7 @@ def replay_source(trace, inputs, prefix="f", loop=None, inline=False):
     id is a name holds a Var on tape (ValueError otherwise, before
     anything is pushed), then bind vals and n from tape and unpack those
     inputs' ids and values.  The last lines push the Var outputs as one
-    block (see Tape).  Outputs are (value, node id or None); with inline,
-    a float output is its expression rather than a statement.
+    block (see Tape).  Outputs are (value, node id or None).
 
     With loop, a for-header that binds the other inputs, the lines run
     the function once per iteration, output j carried into input j, and
@@ -364,7 +363,7 @@ def replay_source(trace, inputs, prefix="f", loop=None, inline=False):
             "'operands recorded on different tapes')" for x, _ in unpack]
     head += ["vals = tape.vals", "n = len(vals)"] * bool(var) + [
         f"{i} = {x}.i; {x} = vals[{i}]" for x, i in unpack]
-    keep = set() if inline else {o.i for o in out if type(o) is Var}
+    keep = {o.i for o in out if type(o) is Var}
     for r, (op, a, b, _) in recs.items():  # the Var nodes, what adjoints read
         if a in var or b in var:
             var.add(r)
@@ -423,7 +422,7 @@ def replay_source(trace, inputs, prefix="f", loop=None, inline=False):
             nodes[r] = (op, operand(la), b and operand(lb), f"c{r}", ref[r][0])
     consts.update((f"y{j}", o) for j, o in enumerate(out) if type(o) is not Var)
     slots = list(dict.fromkeys(o.i for o in out if getattr(o, "i", -1) in nodes))
-    outs = [((ref[o.i] if inline else name(o.i))[0], f"n + {slots.index(o.i)}"
+    outs = [(name(o.i)[0], f"n + {slots.index(o.i)}"
              if o.i in nodes else o.i < nin and inputs[o.i][1] or None)
             if type(o) is Var else (f"y{j}", None) for j, o in enumerate(out)]
     if not slots:

@@ -46,8 +46,7 @@ _POLICY = ("policy", "policy.widths", "policy.include_time",
 _READS = {
     "dropout": (*_POLICY, "waypoints", "waypoints.knots", "train.M", "train.N",
                 "train.N1", "train.N2", "train.eps", "train.guard_smooth"),
-    "vanilla": (*_POLICY, "train.M", "train.time_sampling",
-                "train.noise_training"),
+    "vanilla": (*_POLICY, "train.noise_training"),
     "openloop": ("train.noise_training",),
 }
 

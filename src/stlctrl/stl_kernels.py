@@ -4,9 +4,9 @@ generate writes, for one program and one semantics (exact, Boolean or
 smooth), one straight-line function that computes every step's signal
 bottom-up, and compiles it with autodiff.compile_kernel: offline
 monitoring in the order of Donze, Ferrere & Maler, "Efficient Robust
-Monitoring for STL" (CAV 2013), written out as code.  Affine predicates
-are inlined from the expression autodiff.replay_source writes for
-Affine.eval's sum, so the kernels are bit-identical to it.  stl imports
+Monitoring for STL" (CAV 2013), written out as code.  An affine predicate
+is inlined as Affine.eval's sum, d + c0 * x{i0} + ... left to right with
+literal coefficients, so the kernels are bit-identical to it.  stl imports
 this module when it first needs a kernel, so importing stlctrl compiles
 none of it.  A node's type is read from its step's op, not from stl's
 classes, so a program compiled before stlctrl was imported again still
@@ -16,27 +16,12 @@ gets its kernels.
 import math
 from collections import Counter
 
-from .autodiff import Tape, compile_kernel, replay_source
+from .autodiff import compile_kernel
 from .stl import INF, _inner
 
-_AFFINE = {}  # nonzero count n -> trace of d + c0*s[i0] + ... on nan Vars
-
-
-def _affine_source(n, names, prefix):
-    """(lines, expression) of Affine.eval's sum over n nonzero terms, its
-    inputs named names = [d, c0.., s[i0]..]: replayed from one trace per
-    n, so floats and Vars alike get the same operations in the same
-    order."""
-    trace = _AFFINE.get(n)
-    if trace is None:
-        tape = Tape()
-        acc, *xs = [tape.const(math.nan) for _ in range(2 * n + 1)]
-        for cj, sj in zip(xs[:n], xs[n:]):
-            acc = acc + cj * sj
-        trace = _AFFINE[n] = (tape, [acc])
-    lines, [(out, _)], _ = replay_source(trace, [(x, None) for x in names],
-                                         prefix, inline=True)
-    return lines, out
+# Terms of an affine sum per statement: CPython's compiler recurses once
+# per operand of a `+` chain and overflows near 3000.
+_TERMS = 50
 
 
 def generate(steps, sem):
@@ -46,16 +31,15 @@ def generate(steps, sem):
     The smooth kernel runs the steps in order, a predicate's eval over all
     its times and then the next step, so it records on the tape what the
     steps one by one would.  The exact and Boolean ones evaluate predicates
-    inline (an Affine replayed by _affine_source with literal
-    coefficients, a Named one call per state), take an And/Or whose
-    children are all predicates as one min/max per state, its children
-    without signals of their own, and evaluate those and the predicates
-    of one window in one loop over its states.  Builtin min/max over
-    arguments keep the first of equal items and NaN behaviour as over a
-    tuple, so values are bit for bit the min/max recursion's; Boolean
-    predicates compare (> 0 if strict, else >= 0) first.  The exact
-    kernel returns every signal (None where there is none), the others
-    the root's value."""
+    inline (an Affine as its sum with literal coefficients, a Named one
+    call per state), take an And/Or whose children are all predicates as
+    one min/max per state, its children without signals of their own, and
+    evaluate those and the predicates of one window in one loop over its
+    states.  Builtin min/max over arguments keep the first of equal items
+    and NaN behaviour as over a tuple, so values are bit for bit the
+    min/max recursion's; Boolean predicates compare (> 0 if strict, else
+    >= 0) first.  The exact kernel returns every signal (None where there
+    is none), the others the root's value."""
     smooth = sem == "smooth"
     agg = {min: "mn", max: "mx"} if smooth else {min: "min", max: "max"}
     ns = {"_window": _window, "_until": _until, "_soft_until": _soft_until}
@@ -73,9 +57,12 @@ def generate(steps, sem):
         if steps[i][5] == "affine":
             nz = [(ci, j) for j, ci in enumerate(g.h.c) if ci != 0.0]
             coords.update(j for _, j in nz)
-            body, out = _affine_source(len(nz), [_literal(x, ns) for x in (
-                g.h.d, *(ci for ci, _ in nz))] + [f"x{j}" for _, j in nz],
-                f"p{i}_")
+            out = _literal(g.h.d, ns)
+            for t, (ci, j) in enumerate(nz):
+                if t and t % _TERMS == 0:
+                    body.append(f"p{i}_{t} = {out}")
+                    out = f"p{i}_{t}"
+                out += f" + {_literal(ci, ns)} * x{j}"
         else:
             ns[f"h{i}"], out = steps[i][4], f"h{i}(s)"
         if sem == "boolean":

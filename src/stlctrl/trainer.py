@@ -3,17 +3,18 @@
 All three trainers run one outer loop, _train: each iteration checks the
 parameters on every training sample, stops once the minimum robustness
 exceeds rho_bar, and otherwise takes one step of its trainer, retrying a
-step whose rollout diverged.  A step maps (theta, min rho, worst sample,
-{sample: (rho, rollout, exact signals)}) to (theta, branch, lr, logged
-rho, diverged candidates, such runs of its theta for the next check).
+step whose rollout diverged.  A step maps (theta, worst sample, {sample:
+(rho, rollout, exact signals)}) to (theta, branch, lr, diverged
+candidates, such runs of its theta), and the log's rho is the exact rho
+of that theta from the worst sample, read from those runs.
 
 train_dropout's step is the gradient-sampling iteration: it ascends the
 critical predicate value (and optionally a waypoint surrogate) through
 sampled trajectories, halves the learning rate when the critical-predicate
 direction stalls, and falls back to the smooth robustness over a time
 partition when even a tiny step fails to improve.  train_vanilla's step is
-plain smooth-robustness ascent, and train_openloop's is that ascent over
-the whole horizon on a raw action sequence instead of network weights.
+plain smooth-robustness ascent over the whole horizon, and train_openloop
+runs it on a raw action sequence instead of network weights.
 """
 
 import csv
@@ -41,16 +42,16 @@ class TrainConfig:
     b: float = 15.0
     max_iters: int = 1000
     alpha: float = 1e-2
-    time_sampling: bool = True
     guard_smooth: bool = True
     noise: tuple = None  # (c1, c2) for noisy training rollouts
     max_retries: int = 50
 
     def __post_init__(self):
-        if self.eps <= 0 or min(self.M, self.N, self.N1, self.N2) < 1:
-            raise ValueError("eps must be positive and M, N, N1, N2 >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not self.eps > 0 or min(self.M, self.N, self.N1, self.N2,
+                                   self.max_iters) < 1:
+            raise ValueError("need eps > 0 and M, N, N1, N2, max_iters >= 1")
+        if math.isnan(self.rho_bar):  # no min rho would ever exceed it
+            raise ValueError("rho_bar must be a number, got nan")
         if not self.alpha > 0:  # a step of Adam ascends only then
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         SmoothConfig(self.b)  # the same check of the smoothing sharpness
@@ -158,11 +159,11 @@ def _train(plant, policy, f, init_set, cfg, step):
 
     Each iteration checks theta on every training sample and stops once
     the minimum rho exceeds cfg.rho_bar.  Otherwise it takes
-    step(theta, min_rho, worst_s0, runs) -> (theta, branch, lr, rho,
-    diverged, kept), runs being _min_rho's and kept its runs of the new
-    theta, and logs rho.  A step that raises DivergedRollout is retried, at
-    most cfg.max_retries times per run.  The returned theta is the one that
-    solved the task, or the best one checked if none did.
+    step(theta, worst_s0, runs) -> (theta, branch, lr, diverged, kept),
+    runs being _min_rho's and kept its runs of the new theta, and logs the
+    rho of kept's run from worst_s0.  A step that raises DivergedRollout is
+    retried, at most cfg.max_retries times per run.  The returned theta is
+    the one that solved the task, or the best one checked if none did.
     """
     K = horizon(f)
     theta = list(policy.theta)
@@ -180,15 +181,14 @@ def _train(plant, policy, f, init_set, cfg, step):
             break
         t_iter = time.time()
         try:
-            theta, branch, lr, rho, div, kept = step(theta, min_rho,
-                                                     worst_s0, runs)
+            theta, branch, lr, div, kept = step(theta, worst_s0, runs)
         except DivergedRollout:
             retries += 1
             if retries > cfg.max_retries:
                 raise
             continue
         diverged += div
-        log.append(iter=iters, rho=rho, branch=branch, lr=lr,
+        log.append(iter=iters, rho=kept[worst_s0][0], branch=branch, lr=lr,
                    seconds=time.time() - t_iter)
         iters += 1
     # repeats a solved check; the benchmark's spans count its .samples read
@@ -213,12 +213,12 @@ def train_dropout(plant, policy, f, init_set, wp, cfg, rng):
     scfg = SmoothConfig(cfg.b)
     adams = [AdamState(len(policy.theta), alpha=cfg.alpha) for _ in range(3)]
 
-    def step(theta, min_rho, s0, runs):
+    def step(theta, s0, runs):
         rho_j, ref_j, sig_j = runs[s0]
-        *out, run = _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng,
-                                       theta, s0, rho_j, ref_j, K, *adams,
-                                       sig_j)
-        return (*out, runs if run is None else {s0: run})
+        theta, branch, lr, _, div, run = _dropout_iteration(
+            plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j, ref_j, K,
+            *adams, sig_j)
+        return theta, branch, lr, div, runs if run is None else {s0: run}
 
     theta, log, info = _train(plant, policy, f, init_set, cfg, step)
     return policy.with_theta(theta), log, info
@@ -306,29 +306,22 @@ def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
     return theta3, "smooth", 1.0, run[0], diverged, run
 
 
-def _reference(plant, policy, s0, K, cfg, rng, checked):
-    """A rollout of policy from s0 to ascend from: with noise off, checked,
-    the min-rho check's run of it, unless that diverged (None)."""
-    if cfg.noise is None:
-        return checked or rollout(plant, policy, s0, K)
-    return rollout(plant, policy, s0, K, noise=(*cfg.noise, rng))
-
-
 def train_vanilla(plant, policy, f, init_set, cfg, rng):
-    """Smooth-robustness gradient ascent baseline."""
+    """Smooth-robustness gradient ascent over the whole horizon."""
     K = horizon(f)
     scfg = SmoothConfig(cfg.b)
     adam = AdamState(len(policy.theta), alpha=cfg.alpha)
 
-    def step(theta, min_rho, s0, runs):
+    def step(theta, s0, runs):
         pol = policy.with_theta(theta)
-        ref = _reference(plant, pol, s0, K, cfg, rng, runs[s0][1])
-        partition = (partition_times(K, cfg.M, rng) if cfg.time_sampling
-                     and cfg.M > 1 else [list(range(K + 1))])
-        d = grad_smooth(ref, partition, f, scfg, pol, plant)
+        if cfg.noise is None:  # the check's run of theta, unless it diverged
+            ref = runs[s0][1] or rollout(plant, pol, s0, K)
+        else:
+            ref = rollout(plant, pol, s0, K, noise=(*cfg.noise, rng))
+        d = grad_smooth(ref, [range(K + 1)], f, scfg, pol, plant)
         theta = adam_update(adam, theta, d)
-        run = _exact_rho(plant, policy, theta, s0, K, f)
-        return theta, "smooth", 1.0, run[0], 0, {s0: run}
+        return theta, "smooth", 1.0, 0, {s0: _exact_rho(plant, policy, theta,
+                                                        s0, K, f)}
 
     theta, log, info = _train(plant, policy, f, init_set, cfg, step)
     return policy.with_theta(theta), log, info
@@ -338,6 +331,7 @@ class _OpenLoop:
     """Adapter presenting a raw action sequence as a per-step policy."""
 
     def __init__(self, actions):
+        self.actions = actions
         self.theta = [a for step in actions for a in step]
         self.action_dim = len(actions[0])
 
@@ -357,27 +351,16 @@ class _OpenLoop:
 
 
 def train_openloop(plant, actions, f, s0, cfg, rng):
-    """Optimize the raw action sequence itself; returns (actions, log, info).
+    """train_vanilla on the raw action sequence itself, from s0; returns
+    (actions, log, info).
 
-    actions is a K x action_dim list of raw (pre-squash) inputs.  Each
-    step logs the exact rho from before it.
+    actions is a K x action_dim list of raw (pre-squash) inputs.
     """
     K = horizon(f)
     if K < 1:
         raise ValueError(f"open-loop training needs horizon >= 1, got {K}")
     if len(actions) != K:
         raise ValueError(f"need {K} action rows, got {len(actions)}")
-    ol = _OpenLoop(actions)
-    scfg = SmoothConfig(cfg.b)
-    adam = AdamState(len(ol.theta), alpha=cfg.alpha)
-
-    def step(theta, min_rho, worst_s0, runs):
-        pol = ol.with_theta(theta)
-        ref = _reference(plant, pol, s0, K, cfg, rng, runs[worst_s0][1])
-        d = grad_smooth(ref, [range(K + 1)], f, scfg, pol, plant)
-        return adam_update(adam, theta, d), "smooth", 1.0, min_rho, 0, {}
-
-    theta, log, info = _train(plant, ol, f, InitialSet(s0, s0, [s0]), cfg,
-                              step)
-    m = ol.action_dim
-    return [theta[i:i + m] for i in range(0, len(theta), m)], log, info
+    ol, log, info = train_vanilla(plant, _OpenLoop(actions), f,
+                                  InitialSet(s0, s0, [s0]), cfg, rng)
+    return ol.actions, log, info

@@ -299,7 +299,7 @@ def test_criterion_10_noise_feedback_beats_openloop():
     K = horizon(sc.formula)
     olcfg = TrainConfig(rho_bar=sc.train_cfg.rho_bar, alpha=sc.train_cfg.alpha,
                         b=sc.train_cfg.b, max_iters=sc.train_cfg.max_iters,
-                        noise=noise, time_sampling=False)
+                        noise=noise)
     s0 = sc.init_set.samples[0]
     actions, _, info_ol = train_openloop(
         sc.plant, [[0.0] * sc.plant.action_dim for _ in range(K)],

@@ -86,7 +86,6 @@ def test_validation_errors_name_the_field(tmp_path):
 
 @pytest.mark.parametrize("algorithm,formula,M", [
     ("dropout", None, 6),   # scenario_doc's formula has horizon 5
-    ("vanilla", None, 20),
     ("dropout", "x0 > 1", 2),
 ])
 def test_more_partition_sets_than_the_horizon_is_rejected_at_load(
@@ -116,10 +115,9 @@ def test_openloop_training_on_a_horizon_0_formula_is_invalid_input(
 
 
 KNOTS = [[5, [0.2, 0.0], [1, 0]]]  # a valid waypoint path for scenario_doc
-DROPOUT_ONLY = ("train.N", "train.N1", "train.N2", "train.eps",
+DROPOUT_ONLY = ("train.M", "train.N", "train.N1", "train.N2", "train.eps",
                 "train.guard_smooth")
 WRONG_TYPES = [
-    ("train.time_sampling", "false"),  # bool("false") would be True
     ("train.M", 2.7),                  # int(2.7) would be 2
     ("train.max_iters", True),
     ("train.alpha", "0.1"),
@@ -153,13 +151,22 @@ def test_train_fields_of_wrong_type_are_rejected(tmp_path, path, value):
     assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("path", [
+UNKNOWN = [(None, path) for path in [
     "sede", "policy.include_tme", "initial.sample", "train.guard_smoth",
     "waypoints.interpolat", "verify.coverag", "noise.c3",
     # the formula's horizon is the run's; the plant's step is its own
-    "K", "dt", "train.init_rule", "waypoints.interpolate"])
-def test_unknown_fields_are_rejected(tmp_path, capsys, path):
-    doc = scenario_doc()
+    "K", "dt", "train.init_rule", "waypoints.interpolate"]]
+# no trainer reads it: vanilla ascends over the whole horizon at once, and
+# dropout partitions the horizon by train.M alone
+UNKNOWN += [(algorithm, "train.time_sampling")
+            for algorithm in ("dropout", "vanilla", "openloop")]
+
+
+@pytest.mark.parametrize("algorithm,path", UNKNOWN, ids=[
+    path if algorithm is None else f"{algorithm}-{path}"
+    for algorithm, path in UNKNOWN])
+def test_unknown_fields_are_rejected(tmp_path, capsys, algorithm, path):
+    doc = scenario_doc() if algorithm is None else trainer_doc(algorithm)
     if "." in path:
         set_field(doc, path, False)
     else:
@@ -216,9 +223,9 @@ def test_waypoints_are_rejected_where_no_trainer_reads_them(
 
 # each trainer with each section and train field that it does not read, at
 # a value that would load for a trainer that reads it
-UNREAD = [("dropout", "train.time_sampling", False),
-          ("dropout", "train.noise_training", False),
-          ("vanilla", "waypoints", {"knots": KNOTS})]
+UNREAD = [("dropout", "train.noise_training", False),
+          ("vanilla", "waypoints", {"knots": KNOTS}),
+          ("vanilla", "train.M", 1)]
 UNREAD += [(algorithm, path, value)
            for algorithm in ("vanilla", "openloop")
            for path, value in [("train.N", 5), ("train.N1", 10),
@@ -226,8 +233,7 @@ UNREAD += [(algorithm, path, value)
                                ("train.guard_smooth", True)]]
 UNREAD += [("openloop", "policy", scenario_doc()["policy"]),
            ("openloop", "waypoints", {"knots": KNOTS}),
-           ("openloop", "train.M", 1),
-           ("openloop", "train.time_sampling", False)]
+           ("openloop", "train.M", 1)]
 
 
 @pytest.mark.parametrize("algorithm,path,value", UNREAD, ids=[

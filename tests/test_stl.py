@@ -397,6 +397,21 @@ def test_affine_compiled_evaluator_is_not_a_field():
     assert repr(h) == repr(g)
 
 
+def test_a_300_coordinate_predicate_is_affine_eval_bit_for_bit():
+    # the kernels write a sum this long as several statements; each must
+    # carry on Affine.eval's left-to-right order
+    rng = random.Random(30)
+    h = Affine(tuple(0.0 if rng.random() < 0.1 else rng.uniform(-5, 5)
+                     for _ in range(300)), rng.uniform(-5, 5))
+    tr = Trace([tuple(rng.uniform(-9, 9) for _ in range(300))
+                for _ in range(4)])
+    f = Pred(h)
+    for k, s in enumerate(tr.states):
+        assert (struct.pack("<d", robustness(f, tr, k))
+                == struct.pack("<d", h.eval(s)))
+        assert satisfies(f, tr, k) == (h.eval(s) > 0.0)
+
+
 # -- the min/max recursions the compiled program replaced (oracles) -----------
 
 def rho_rec(f, states, k, memo):

@@ -27,6 +27,12 @@ def test_config_validation():
         TrainConfig(N1=0)
     with pytest.raises(ValueError):
         TrainConfig(max_iters=0)
+    # every comparison with nan is false: ell < nan never reaches the
+    # smooth fallback, and min rho > nan never stops a run
+    with pytest.raises(ValueError):
+        TrainConfig(eps=math.nan)
+    with pytest.raises(ValueError):
+        TrainConfig(rho_bar=math.nan)
 
 
 def test_waypoint_path_interpolation():
@@ -107,7 +113,7 @@ def test_vanilla_zero_gradient_is_dnf():
     plant = Plant("inert", 1, 2, 1.0, lambda s, u, dt: (s[0],), lambda a: a)
     pol = init([2, 3, 2], rng=random.Random(1))
     f = parse("F[0,3](x0 > 5)")
-    cfg = TrainConfig(max_iters=10, time_sampling=False)
+    cfg = TrainConfig(max_iters=10)
     out_pol, log, info = train_vanilla(plant, pol, f, _point_set((0.0,)), cfg,
                                        random.Random(0))
     assert info["dnf"]
@@ -118,7 +124,7 @@ def test_vanilla_solves_simple_reach():
     plant = builtin("integrator2d")
     pol = init([3, 6, 2], rng=random.Random(2))
     f = parse("F[8,10](x0 > 0.5 && x1 > 0.5) && G[0,10](x0 > -2 && x1 > -2)")
-    cfg = TrainConfig(max_iters=400, alpha=0.05, b=10.0, time_sampling=False)
+    cfg = TrainConfig(max_iters=400, alpha=0.05, b=10.0)
     out_pol, log, info = train_vanilla(plant, pol, f, _point_set((-1.0, -1.0)),
                                        cfg, random.Random(0))
     assert not info["dnf"]
@@ -464,6 +470,27 @@ def test_rho_equal_to_rho_bar_is_not_solved(algorithm):
     # one loop reports for every trainer
     assert set(info) == {"dnf", "iters", "branch_counts", "final_rho",
                          "retries", "diverged", "seconds"}
+
+
+@pytest.mark.parametrize("algorithm", ["dropout", "vanilla", "openloop"])
+def test_a_solved_runs_last_row_logs_its_final_rho(algorithm):
+    # every row logs the exact rho of the theta its step committed, so the
+    # row of the step that solved the task holds the rho that solved it
+    plant = builtin("integrator2d")
+    f = parse("F[2,3](x0 > 0.1) && G[0,3](x1 > -1)")
+    s0, rng = (0.0, 0.0), random.Random(0)
+    cfg = TrainConfig(max_iters=200, N1=2, N2=1, alpha=0.05)
+    pol = init([3, 4, 2], rng=random.Random(3))
+    if algorithm == "openloop":
+        _, log, info = train_openloop(plant, [[0.0, 0.0]] * 3, f, s0, cfg,
+                                      rng)
+    elif algorithm == "dropout":
+        _, log, info = train_dropout(plant, pol, f, _point_set(s0), None, cfg,
+                                     rng)
+    else:
+        _, log, info = train_vanilla(plant, pol, f, _point_set(s0), cfg, rng)
+    assert not info["dnf"] and info["iters"] >= 2
+    assert log.records[-1].rho == info["final_rho"] > 0.0
 
 
 @pytest.mark.parametrize("algorithm,inner", [

@@ -30,16 +30,13 @@ def dubins(K, algorithm, max_iters, train_extra=None):
     train = {
         "algorithm": algorithm,
         "rho_bar": 0.0,
-        "M": 1,
         "b": 15.0,
         "alpha": 0.05,
         "max_iters": max_iters,
     }
     # only the fields the trainer reads: the scenario loader rejects others
     if algorithm == "dropout":
-        train.update(eps=1e-5, N=5, N1=10, N2=3)
-    else:
-        train["time_sampling"] = False
+        train.update(M=1, eps=1e-5, N=5, N1=10, N2=3)
     if train_extra:
         train.update(train_extra)
     doc = {
@@ -207,9 +204,8 @@ def integrator2d():
                    "time_scale": 1.0 / 50, "init": "xavier"},
         "initial": {"low": [-1.0, -1.0], "high": [-1.0, -1.0],
                     "samples": [[-1.0, -1.0]]},
-        "train": {"algorithm": "vanilla", "rho_bar": 0.05, "M": 1, "b": 15.0,
-                  "alpha": 0.05, "max_iters": 5000, "time_sampling": False,
-                  "noise_training": True},
+        "train": {"algorithm": "vanilla", "rho_bar": 0.05, "b": 15.0,
+                  "alpha": 0.05, "max_iters": 5000, "noise_training": True},
         "verify": {"m": 2000, "coverage": 0.995},
         "noise": {"c1": 0.0314, "c2": 0.0005},
     }
