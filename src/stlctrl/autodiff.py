@@ -6,14 +6,16 @@ parameters come out of a single reverse sweep.  Everything is 64-bit.
 
 Only this module writes to a tape.  replay_source, the one kernel
 generator, writes every recorder: from a function traced once on Vars (a
-plant step, controller layers, an affine predicate) it writes
-straight-line float code in the Var operators' order, or a loop of such
-steps.  Given Var inputs, the code checks their tape, then pushes its Var
-outputs only, as one block keeping the Var inputs' ids and the locals its
-generated adjoint reads (reverse mode by source transformation, storing
-only what the sweep reads: Griewank & Walther, "Evaluating Derivatives",
-2008, ch. 4 and 6).  Tape.backward runs the blocks' adjoints and
-interprets the records between them.
+plant step, controller layers) it writes straight-line float code in the
+Var operators' order, or a loop of such steps.  Given Var inputs, the code
+checks their tape, then pushes its Var outputs only, as one block keeping
+the Var inputs' ids and the locals its generated adjoint reads (reverse
+mode by source transformation, storing only what the sweep reads:
+Griewank & Walther, "Evaluating Derivatives", 2008, ch. 4 and 6).  The
+smooth aggregations (smooth.softmin, smooth.softmax_lb) compute on floats
+and push their one output through Tape.block, with a hand-written adjoint
+(local preaccumulation, ibid.).  Tape.backward runs the blocks'
+adjoints and interprets the records between them.
 """
 
 import math
@@ -125,9 +127,10 @@ class Tape:
     recs[i] is (op, lhs, rhs, p) for a node the Var operators recorded,
     rhs -1 for one operand and p powc's exponent, and None for a constant
     or a block's output.  blocks holds (start, end, adjoint, args) per
-    generated call: nodes start..end-1 are its Var outputs, args its Var
-    inputs' ids and the locals its adjoint reads, and adjoint(adj, start,
-    args) applies the interpreter's sweep over the Var operators' records.
+    generated call or Tape.block: nodes start..end-1 are its Var outputs,
+    args its Var inputs' ids and the locals its adjoint reads, and
+    adjoint(adj, start, args) applies the interpreter's sweep over the Var
+    operators' records.
     """
 
     __slots__ = ("vals", "recs", "blocks")
@@ -156,6 +159,13 @@ class Tape:
         self.vals += vals
         self.recs += [None] * len(vals)
         return range(n, len(self.vals))
+
+    def block(self, value, adjoint, args):
+        """A Var for one node holding value, the output of a block that
+        adjoint(adj, n, args) sweeps back (see above)."""
+        i = self._push(value)
+        self.blocks.append((i, i + 1, adjoint, args))
+        return Var(self, i)
 
     def backward(self, output, seeds):
         """Reverse accumulation of d(output)/d(seed) for each seed, a Var

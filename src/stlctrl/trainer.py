@@ -52,8 +52,9 @@ class TrainConfig:
             raise ValueError("need eps > 0 and M, N, N1, N2, max_iters >= 1")
         if math.isnan(self.rho_bar):  # no min rho would ever exceed it
             raise ValueError("rho_bar must be a number, got nan")
-        if not self.alpha > 0:  # a step of Adam ascends only then
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:  # Adam ascends, theta stays finite
+            raise ValueError(f"alpha must be positive and finite, "
+                             f"got {self.alpha}")
         SmoothConfig(self.b)  # the same check of the smoothing sharpness
 
 

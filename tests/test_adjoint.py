@@ -1,10 +1,12 @@
 """Generated recorders and their adjoints against the Var operators.
 
-The oracle is Plant.step and policy.reference_forward run on Vars: the
-Var operators' records, which Tape.backward interprets node by node, with
-no generated code.  A generated block keeps no records, so values and
-gradients are compared, as IEEE bytes: of sampled trajectories,
-differentiable rollouts and the gradients built on them.
+The oracle is Plant.step and policy.reference_forward run on Vars, and
+the smooth kernel with tests/test_smooth.py's soft min/max by the Var
+operators: their records, which Tape.backward interprets node by node,
+with no generated code and no aggregation block.  A generated block
+keeps no records, so values and gradients are compared, as IEEE bytes:
+of sampled trajectories, differentiable rollouts and the gradients built
+on them.
 """
 
 import random
@@ -20,8 +22,9 @@ from stlctrl.sampler import (
     build_sampled, grad_critical, grad_smooth, partition_times,
     sample_times_to,
 )
-from stlctrl.smooth import SmoothConfig, smooth_robustness
+from stlctrl.smooth import SmoothConfig
 from stlctrl.stl import Trace, critical, horizon, parse
+from tests.test_smooth import oracle_smooth_robustness
 
 # every builtin plant with its bundled scenario's controller widths
 CASES = [
@@ -358,7 +361,7 @@ def _oracle_grad_smooth(ref, partition, f, cfg, pol, plant):
         states = list(ref.states)
         for t, anchor in zip(times, anchors):
             states[t] = anchor
-        out = smooth_robustness(f, Trace(states), cfg)
+        out = oracle_smooth_robustness(f, states, cfg.b)
         if isinstance(out, Var):
             for i, g in enumerate(tape.backward(out, theta)):
                 total[i] += g
@@ -369,7 +372,9 @@ def _oracle_grad_smooth(ref, partition, f, cfg, pol, plant):
 @pytest.mark.parametrize("name", bundled_names())
 def test_bundled_scenarios_match_the_var_operators(name, noisy):
     """Each bundled scenario's plant, controller layout and training
-    settings: anchors, grad_critical and grad_smooth at M = 1, 2."""
+    settings: anchors, grad_critical and grad_smooth at M = 1, 2 and the
+    scenario's M (at most the horizon), whose aggregations mix float and
+    Var entries."""
     sc = load_scenario(resolve_scenario(name))
     cfg, plant = sc.policy_cfg, sc.plant
     pol = init(cfg["widths"], rng=random.Random(2),
@@ -388,7 +393,7 @@ def test_bundled_scenarios_match_the_var_operators(name, noisy):
                                random.Random(5))) == _bits(
         _oracle_grad_critical(ref, w, N, pol, plant, random.Random(5)))
     scfg = SmoothConfig(sc.train_cfg.b)
-    for M in (1, 2):
+    for M in sorted({1, 2, min(sc.train_cfg.M, K)}):
         part = partition_times(K, M, random.Random(M))
         assert _bits(grad_smooth(ref, part, f, scfg, pol, plant)) == _bits(
             _oracle_grad_smooth(ref, part, f, scfg, pol, plant))

@@ -12,6 +12,14 @@ train_openloop from zero actions on the first training sample of each,
 driven by random.Random(1).  integrator2d trains with the scenario's noise
 pair; dubins_k10 has none.
 
+tests/data/dubins_k1000_golden.json holds the same for the first 20
+dropout iterations of the bundled dubins_k1000 scenario from its own seed,
+and the grad_smooth at the returned theta over the first training sample
+with the scenario's M = 50 partition sets, drawn by random.Random(0).  Its
+smooth candidates all keep the incumbent, so the rows alone do not depend
+on grad_smooth's bits; the gradient pins them where a smooth aggregation
+mixes float and Var entries, which the M = 1 runs above never reach.
+
 A speedup or refactor that changes any bit of these fails here.
 Regenerate the files only for a deliberate change of the numbers:
 
@@ -26,12 +34,17 @@ import random
 import pytest
 
 from stlctrl.cli import load_scenario, resolve_scenario
+from stlctrl.plants import rollout
+from stlctrl.sampler import grad_smooth, partition_times
+from stlctrl.smooth import SmoothConfig
 from stlctrl.stl import horizon
 from stlctrl.trainer import train_dropout, train_openloop, train_vanilla
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 DATA = os.path.join(DATA_DIR, "dubins_k100_golden.json")
 BASELINES = os.path.join(DATA_DIR, "baselines_golden.json")
+LONG = os.path.join(DATA_DIR, "dubins_k1000_golden.json")
+LONG_ITERS = 20
 SEEDS = (1, 2, 3)
 BASELINE_RUNS = [("vanilla", name, seed)
                  for name in ("dubins_k10", "integrator2d") for seed in (1, 2)]
@@ -54,6 +67,21 @@ def run_seed(seed):
     ctrl, log, info = train_dropout(sc.plant, pol, sc.formula, sc.init_set,
                                     sc.waypoints, sc.train_cfg, rng)
     return _result(log, info, ctrl.theta)
+
+
+def run_long():
+    sc = load_scenario(resolve_scenario("dubins_k1000"))
+    cfg = dataclasses.replace(sc.train_cfg, max_iters=LONG_ITERS)
+    rng = random.Random(sc.seed)
+    pol = sc.build_policy(rng)
+    ctrl, log, info = train_dropout(sc.plant, pol, sc.formula, sc.init_set,
+                                    sc.waypoints, cfg, rng)
+    K = horizon(sc.formula)
+    ref = rollout(sc.plant, ctrl, sc.init_set.samples[0], K)
+    part = partition_times(K, cfg.M, random.Random(0))
+    grad = grad_smooth(ref, part, sc.formula, SmoothConfig(cfg.b), ctrl,
+                       sc.plant)
+    return {**_result(log, info, ctrl.theta), "grad_smooth": grad}
 
 
 def run_baseline(algorithm, name, seed):
@@ -97,6 +125,12 @@ def test_baseline_log_matches_golden(algorithm, name, seed):
            _load(BASELINES)[_key(algorithm, name, seed)])
 
 
+def test_long_horizon_log_matches_golden():
+    got, want = run_long(), _load(LONG)
+    _check(got, want)
+    assert got["grad_smooth"] == want["grad_smooth"]
+
+
 def _dump(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -107,3 +141,4 @@ if __name__ == "__main__":
     os.makedirs(DATA_DIR, exist_ok=True)
     _dump(DATA, {str(s): run_seed(s) for s in SEEDS})
     _dump(BASELINES, {_key(*run): run_baseline(*run) for run in BASELINE_RUNS})
+    _dump(LONG, run_long())

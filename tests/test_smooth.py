@@ -1,13 +1,14 @@
 import math
 import random
+import struct
 
 import pytest
 
-from stlctrl.autodiff import Tape, Var
+from stlctrl.autodiff import Tape, Var, exp, ln, value_of
 from stlctrl.smooth import SmoothConfig, smooth_robustness, softmin, softmax_lb
 from stlctrl.stl import (
     Affine, Always, And, Eventually, Or, Pred, Release, Trace, Until,
-    aggregation_shape, horizon, parse, robustness, satisfies,
+    _kernel, aggregation_shape, horizon, parse, robustness, satisfies,
 )
 from tests.test_stl import (
     CORPUS, bits, crafted_traces, random_formula, zero_offsets,
@@ -124,9 +125,49 @@ def test_sharper_b_is_tighter():
     assert all(gaps[i] >= gaps[i + 1] - 1e-12 for i in range(len(gaps) - 1))
 
 
+# -- the aggregations by the Var operators, which the blocks replaced --------
+
+def var_softmin(xs, b):
+    if len(xs) == 1:
+        return xs[0]
+    m = min(value_of(x) for x in xs)
+    acc = None
+    for x in xs:
+        e = exp((m - x) * b)
+        acc = e if acc is None else acc + e
+    return m - ln(acc) / b
+
+
+def var_softmax_lb(xs, b):
+    if len(xs) == 1:
+        return xs[0]
+    m = max(value_of(x) for x in xs)
+    num = None
+    den = None
+    for x in xs:
+        w = exp((x - m) * b)
+        num = x * w if num is None else num + x * w
+        den = w if den is None else den + w
+    return num / den
+
+
+ORACLE = (var_softmin, var_softmax_lb)
+
+
+def oracle_smooth_robustness(f, states, b):
+    """The smooth kernel over states with the Var-operator aggregations."""
+    tr = Trace(states)
+    return _kernel(f, tr, 0, "smooth")(tr.states, 0,
+                                       lambda xs: var_softmin(xs, b),
+                                       lambda xs: var_softmax_lb(xs, b))
+
+
 # -- the memoised recursion the compiled program replaced (oracle) -----------
 
-def srho_rec(f, states, k, b, memo):
+def srho_rec(f, states, k, b, memo, agg=ORACLE):
+    """The smooth robustness by recursion, aggregating with agg = (soft
+    min, soft max), the Var operators' unless given."""
+    softmin, softmax_lb = agg
     key = (id(f), k)
     got = memo.get(key)
     if got is not None:
@@ -134,29 +175,31 @@ def srho_rec(f, states, k, b, memo):
     if isinstance(f, Pred):
         v = f.h.eval(states[k])
     elif isinstance(f, And):
-        v = softmin([srho_rec(c, states, k, b, memo) for c in f.children], b)
+        v = softmin([srho_rec(c, states, k, b, memo, agg)
+                     for c in f.children], b)
     elif isinstance(f, Or):
-        v = softmax_lb([srho_rec(c, states, k, b, memo) for c in f.children], b)
+        v = softmax_lb([srho_rec(c, states, k, b, memo, agg)
+                        for c in f.children], b)
     elif isinstance(f, Always):
-        v = softmin([srho_rec(f.child, states, kk, b, memo)
+        v = softmin([srho_rec(f.child, states, kk, b, memo, agg)
                      for kk in range(k + f.a, k + f.b + 1)], b)
     elif isinstance(f, Eventually):
-        v = softmax_lb([srho_rec(f.child, states, kk, b, memo)
+        v = softmax_lb([srho_rec(f.child, states, kk, b, memo, agg)
                         for kk in range(k + f.a, k + f.b + 1)], b)
     elif isinstance(f, Until):
         outer = []
         for kp in range(k + f.a, k + f.b + 1):
-            inner = [srho_rec(f.left, states, kpp, b, memo)
+            inner = [srho_rec(f.left, states, kpp, b, memo, agg)
                      for kpp in range(k, kp)]
-            inner.append(srho_rec(f.right, states, kp, b, memo))
+            inner.append(srho_rec(f.right, states, kp, b, memo, agg))
             outer.append(softmin(inner, b))
         v = softmax_lb(outer, b)
     elif isinstance(f, Release):
         outer = []
         for kp in range(k + f.a, k + f.b + 1):
-            inner = [srho_rec(f.left, states, kpp, b, memo)
+            inner = [srho_rec(f.left, states, kpp, b, memo, agg)
                      for kpp in range(k, kp)]
-            inner.append(srho_rec(f.right, states, kp, b, memo))
+            inner.append(srho_rec(f.right, states, kp, b, memo, agg))
             outer.append(softmax_lb(inner, b))
         v = softmin(outer, b)
     else:
@@ -215,7 +258,9 @@ def taped(run, f, states, b):
 def test_tape_records_and_gradients_match_recursion_on_corpus():
     # the program records predicate nodes step by step rather than time by
     # time, so a state read by several predicates may sum its adjoint in
-    # another order: gradients agree to rounding, node counts exactly
+    # another order: gradients agree to rounding with the Var operators'
+    # recursion, and node counts exactly with the recursion that aggregates
+    # as the program does (one block node per aggregation with a Var entry)
     for f, states in CORPUS:
         for b in (5.0, 15.0):
             n, value, grad = taped(
@@ -224,7 +269,116 @@ def test_tape_records_and_gradients_match_recursion_on_corpus():
                 f, states, b)
             n_rec, value_rec, grad_rec = taped(
                 lambda f, st, b: srho_rec(f, st, 0, b, {}), f, states, b)
-            assert n == n_rec, (f, b)
+            n_blocks, _, _ = taped(
+                lambda f, st, b: srho_rec(f, st, 0, b, {},
+                                          (softmin, softmax_lb)),
+                f, states, b)
+            assert n == n_blocks <= n_rec, (f, b)
             assert bits(value) == bits(value_rec), (f, b)
             assert grad == (grad_rec if grad is None else
                             pytest.approx(grad_rec, rel=1e-14, abs=0.0)), (f, b)
+
+
+# -- the aggregation blocks against the Var operators, bit for bit ----------
+
+def _pack(xs):
+    # with two NaN operands CPython's float add returns either one's NaN,
+    # by whether the interpreter has specialised the instruction yet, so a
+    # NaN's sign does not repeat even for the same code: all NaNs are one
+    return struct.pack(f"<{len(xs)}d", *(x if x == x else math.nan
+                                         for x in xs))
+
+
+def _aggregated(agg, entries, b, post):
+    """Value and gradient bits of agg(xs, b) on a fresh tape.  An int entry
+    j is the j-th Var of a pool of seeds holding VALUES and two nodes
+    computed from them; a float stays a float.  post "nest" puts the
+    output and the list's first entry through the other aggregation of
+    agg's pair and squares that; "zero" multiplies the output by 0.0, so
+    its adjoint is 0.0 whatever its value."""
+    tape = Tape()
+    seeds = [tape.const(v) for v in VALUES]
+    pool = seeds + [seeds[0] * seeds[1], seeds[2] - 2.0]
+    xs = [pool[e] if type(e) is int else e for e in entries]
+    pair = ORACLE if agg in ORACLE else (softmin, softmax_lb)
+    out = agg(xs, b)
+    if post == "nest":
+        other = pair[1] if agg is pair[0] else pair[0]
+        out = other([xs[0], out, 0.25], b)
+        out = out * out
+    elif post == "zero":
+        out = out * 0.0
+    if not isinstance(out, Var):
+        return _pack([out]), None
+    return _pack([out.value]), _pack(tape.backward(out, seeds))
+
+
+VALUES = (0.5, -1.25, 3.0, 100.0, -100.0, math.inf, -math.inf, math.nan,
+          -0.0, 0.0)
+V = {v if v == v else "nan": j for j, v in enumerate(VALUES)}  # Var of v
+
+CRAFTED = [
+    [0.5, V[0.5], V[0.5]],                         # ties, a float among them
+    [V[0.5], 0.5, V[0.5], 0.5],
+    [0.0, V[100.0]],                               # softmin's weight 0.0
+    [V[-100.0], 0.0, V[0.5]],                      # softmax_lb's weight 0.0
+    [V[100.0], V[-100.0], 1.0],                    # both at once
+    [V[math.inf], 1.0, V[0.5]],
+    [V[-math.inf], 1.0, V[0.5]],
+    [1.0, V["nan"], V[0.5]],
+    [V["nan"], 1.0],
+    [math.nan, V[0.5], 2.0],
+    [math.inf, V[0.5]],
+    [-math.inf, V[0.5]],
+    [V[-0.0], 0.0, V[0.0], -0.0],
+    [V[-1.25], 10, V[-1.25], V[3.0], V[-1.25]],   # the same Var thrice
+    [2.0, 3.0, -1.0, V[0.5], 1.0, V[-1.25]],      # a float-only prefix
+    [2.0, 3.0, 1.0, 0.5],                          # floats only
+    [V[0.5], V[3.0]],
+    [10, 11, V[0.5], 11],                          # nodes computed from seeds
+    [V[3.0]],
+]
+
+
+POSTS = (None, "nest", "zero")
+
+
+@pytest.mark.parametrize("b", [5.0, 15.0])
+@pytest.mark.parametrize("k", range(len(CRAFTED)))
+def test_aggregations_match_the_var_operators_on_crafted_lists(k, b):
+    entries = CRAFTED[k]
+    for post in POSTS:
+        for agg, oracle in ((softmin, var_softmin),
+                            (softmax_lb, var_softmax_lb)):
+            assert _aggregated(agg, entries, b, post) == _aggregated(
+                oracle, entries, b, post), (agg.__name__, entries, post)
+
+
+def test_aggregations_match_the_var_operators_on_random_lists():
+    rng = random.Random(21)
+    floats = (0.5, 0.5, -1.25, 3.0, 40.0, -40.0, 0.0, -0.0, math.inf,
+              -math.inf, math.nan)
+    for _ in range(600):
+        entries = [rng.choice(floats) if rng.random() < 0.5
+                   else rng.randrange(len(VALUES) + 2)
+                   for _ in range(rng.randint(1, 9))]
+        for b in (5.0, 15.0):
+            for post in POSTS:
+                for agg, oracle in ((softmin, var_softmin),
+                                    (softmax_lb, var_softmax_lb)):
+                    assert _aggregated(agg, entries, b, post) == \
+                        _aggregated(oracle, entries, b, post), (
+                            agg.__name__, entries, post)
+
+
+def test_an_aggregation_with_a_var_entry_is_one_node():
+    tape = Tape()
+    x, y = tape.const(1.0), tape.const(2.0)
+    for agg in (softmin, softmax_lb):
+        n = len(tape)
+        out = agg([0.5, x, 3.0, y, x], 15.0)
+        assert len(tape) == n + 1 and out.i == n
+    other = Tape().const(1.0)
+    for agg in (softmin, softmax_lb):
+        with pytest.raises(ValueError, match="different tapes"):
+            agg([x, other], 15.0)

@@ -33,6 +33,10 @@ def test_config_validation():
         TrainConfig(eps=math.nan)
     with pytest.raises(ValueError):
         TrainConfig(rho_bar=math.nan)
+    # an infinite step makes theta nan at the first Adam update
+    for alpha in (0.0, -0.05, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            TrainConfig(alpha=alpha)
 
 
 def test_waypoint_path_interpolation():
