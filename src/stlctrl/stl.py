@@ -34,8 +34,10 @@ class Affine:
     """h(s) = sum_i c[i]*s[i] + d over state coordinates.
 
     eval sums the nonzero terms left to right from d, over floats or tape
-    Vars alike; the kernels inline the same sum (see stl_kernels), so
-    they are bit-identical to it and record the same tape nodes.
+    Vars alike: a term with c[i] == 1.0 adds s[i] and one with c[i] ==
+    -1.0 subtracts it, with no multiply (IEEE gives the same bits but for
+    a NaN payload), and the others add c[i]*s[i].  The kernels inline the
+    same sum (see stl_kernels), so they are bit-identical to it.
     """
 
     c: tuple
@@ -48,7 +50,12 @@ class Affine:
                 (ci, i) for i, ci in enumerate(self.c) if ci != 0.0))
         acc = self.d
         for ci, i in self._nz:
-            acc = acc + ci * state[i]
+            if ci == 1.0:
+                acc = acc + state[i]
+            elif ci == -1.0:
+                acc = acc - state[i]
+            else:
+                acc = acc + ci * state[i]
         return acc
 
     def negated(self):
@@ -214,7 +221,9 @@ def aggregation_shape(f):
 def _program(f, tr, k):
     """f's (horizon, program steps, kernels), compiled on first use and
     cached on the root (like Affine._nz); HorizonError unless f fits tr
-    at k."""
+    at k, ValueError if k is negative."""
+    if k < 0:
+        raise ValueError(f"time k={k} is negative")
     prog = getattr(f, "_prog", None)
     if prog is None:
         prog = (horizon(f), _compile(f), {})

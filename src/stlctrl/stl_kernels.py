@@ -5,8 +5,9 @@ smooth), one straight-line function that computes every step's signal
 bottom-up, and compiles it with autodiff.compile_kernel: offline
 monitoring in the order of Donze, Ferrere & Maler, "Efficient Robust
 Monitoring for STL" (CAV 2013), written out as code.  An affine predicate
-is inlined as Affine.eval's sum, d + c0 * x{i0} + ... left to right with
-literal coefficients, so the kernels are bit-identical to it.  stl imports
+is inlined as Affine.eval's sum, left to right from d, a coefficient of
+1.0 or -1.0 as + x{i} or - x{i} and any other as + c * x{i} with c a
+literal, so the kernels are bit-identical to it.  stl imports
 this module when it first needs a kernel, so importing stlctrl compiles
 none of it.  A node's type is read from its step's op, not from stl's
 classes, so a program compiled before stlctrl was imported again still
@@ -31,15 +32,18 @@ def generate(steps, sem):
     The smooth kernel runs the steps in order, a predicate's eval over all
     its times and then the next step, so it records on the tape what the
     steps one by one would.  The exact and Boolean ones evaluate predicates
-    inline (an Affine as its sum with literal coefficients, a Named one
-    call per state), take an And/Or whose children are all predicates as
-    one min/max per state, its children without signals of their own, and
+    inline (an Affine as its sum, unit coefficients without a multiply, a
+    Named one call per state), take an And/Or whose children are all
+    predicates as CPython's own min/max loop written out per state (m =
+    the first child, then m = v for each later child v that compares < m,
+    or > m for Or), its children without signals of their own, and
     evaluate those and the predicates of one window in one loop over its
-    states.  Builtin min/max over arguments keep the first of equal items
-    and NaN behaviour as over a tuple, so values are bit for bit the
-    min/max recursion's; Boolean predicates compare (> 0 if strict, else
-    >= 0) first.  The exact kernel returns every signal (None where there
-    is none), the others the root's value."""
+    states.  That loop keeps the first of equal items, signed zeros, NaN
+    behaviour and the number of comparisons of builtin min/max over a
+    tuple, so values are bit for bit the min/max recursion's; Boolean
+    predicates compare (> 0 if strict, else >= 0) first.  The exact
+    kernel returns every signal (None where there is none), the others
+    the root's value."""
     smooth = sem == "smooth"
     agg = {min: "mn", max: "mx"} if smooth else {min: "min", max: "max"}
     ns = {"_window": _window, "_until": _until, "_soft_until": _soft_until}
@@ -62,7 +66,8 @@ def generate(steps, sem):
                 if t and t % _TERMS == 0:
                     body.append(f"p{i}_{t} = {out}")
                     out = f"p{i}_{t}"
-                out += f" + {_literal(ci, ns)} * x{j}"
+                out += (f" + x{j}" if ci == 1.0 else f" - x{j}" if ci == -1.0
+                        else f" + {_literal(ci, ns)} * x{j}")
         else:
             ns[f"h{i}"], out = steps[i][4], f"h{i}(s)"
         if sem == "boolean":
@@ -105,9 +110,16 @@ def generate(steps, sem):
             body += got + [f"p{c} = {value[c]}"] * (u > 1)
             value[c] = f"p{c}" if u > 1 else value[c]
         for i in leaves:
-            vals = ", ".join(value[c] for c in steps[i][3] or [i])
-            body.append(f"z{i}.append({agg[steps[i][4]]}({vals}))"
-                        if steps[i][3][1:] else f"z{i}.append({vals})")
+            first, *rest = (value[c] for c in steps[i][3] or [i])
+            if rest:
+                # CPython's min/max loop: a later item replaces m only if
+                # it compares < (min) or > (max) to it
+                cmp = "<" if steps[i][4] is min else ">"
+                body.append(f"m = {first}")
+                for v in rest:
+                    body += [f"v = {v}", f"if v {cmp} m: m = v"]
+                first = "m"
+            body.append(f"z{i}.append({first})")
         loops += [*(f"z{i} = []" for i in leaves), f"for s in {rows}:",
                   *(f"    x{j} = s[{j}]" for j in sorted(coords)),
                   *(f"    {ln}" for ln in body)]

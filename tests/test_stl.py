@@ -363,7 +363,8 @@ def test_aggregation_shape():
 
 
 def loop_affine(h, state):
-    """The coordinate loop Affine.eval's compiled code replaces (oracle)."""
+    """The coordinate loop Affine.eval replaces, every term c[i] * s[i]
+    (oracle)."""
     v = h.d
     for i, ci in enumerate(h.c):
         if ci != 0.0:
@@ -372,21 +373,36 @@ def loop_affine(h, state):
 
 
 def test_affine_eval_matches_loop_on_floats_and_tape():
+    # unit coefficients are a bare + or - s[i]: the same value bits as
+    # 1.0 * s[i] and -1.0 * s[i], and the same gradient bits with fewer
+    # tape nodes; the kernel's inline sum has the same bits
     from stlctrl.autodiff import Tape
+    # signed zeros, infinities and subnormals, drawn now and then
+    special = (0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308,
+               -1e-310)
     rng = random.Random(21)
     for dim in (1, 2, 7, 20, 4000):
-        for _ in range(3):
-            c = tuple(rng.choice((0.0, -0.0, rng.uniform(-5, 5)))
-                      for _ in range(dim))
-            h = Affine(c, rng.uniform(-5, 5))
-            s = tuple(rng.uniform(-9, 9) for _ in range(dim))
-            assert h.eval(s) == loop_affine(h, s)
+        for trial in range(6):
+            c = tuple(rng.choice((0.0, -0.0, 1.0, -1.0, 1, -1,
+                                  rng.uniform(-5, 5))) for _ in range(dim))
+            h = Affine(c, rng.choice((0.0, -0.0, rng.uniform(-5, 5))))
+            odds = 0.0 if trial % 2 else 0.2 / dim ** 0.5
+            s = tuple(rng.choice(special) if rng.random() < odds
+                      else rng.uniform(-9, 9) for _ in range(dim))
+            want = loop_affine(h, s)
+            assert bits(h.eval(s)) == bits(want), (c, s)
+            assert bits(robustness(Pred(h), Trace([s]))) == bits(want)
             runs = []
             for fn in (Affine.eval, loop_affine):
                 tape = Tape()
-                out = fn(h, tuple(tape.const(x) for x in s))
-                runs.append((getattr(out, "value", out), tape.recs, tape.vals))
-            assert runs[0] == runs[1]
+                xs = tuple(tape.const(x) for x in s)
+                out = fn(h, xs)
+                runs.append((bits(out.value), len(tape),
+                             [bits(g) for g in tape.backward(out, xs)]))
+            assert runs[0][0] == runs[1][0] and runs[0][2] == runs[1][2]
+            # a unit term is one node, not a constant, a product and a sum
+            assert runs[1][1] - runs[0][1] == 2 * sum(
+                ci in (1.0, -1.0) for ci in c)
 
 
 def test_affine_compiled_evaluator_is_not_a_field():
@@ -399,16 +415,17 @@ def test_affine_compiled_evaluator_is_not_a_field():
 
 def test_a_300_coordinate_predicate_is_affine_eval_bit_for_bit():
     # the kernels write a sum this long as several statements; each must
-    # carry on Affine.eval's left-to-right order
+    # carry on Affine.eval's left-to-right order, unit terms (+ x, - x)
+    # across the statement breaks too
     rng = random.Random(30)
-    h = Affine(tuple(0.0 if rng.random() < 0.1 else rng.uniform(-5, 5)
+    h = Affine(tuple(rng.choice((0.0, 1.0, -1.0, rng.uniform(-5, 5)))
                      for _ in range(300)), rng.uniform(-5, 5))
     tr = Trace([tuple(rng.uniform(-9, 9) for _ in range(300))
                 for _ in range(4)])
     f = Pred(h)
     for k, s in enumerate(tr.states):
-        assert (struct.pack("<d", robustness(f, tr, k))
-                == struct.pack("<d", h.eval(s)))
+        assert bits(robustness(f, tr, k)) == bits(h.eval(s)) == bits(
+            loop_affine(h, s))
         assert satisfies(f, tr, k) == (h.eval(s) > 0.0)
 
 
@@ -590,6 +607,18 @@ class Compared(float):
         return float.__gt__(self, other)
 
 
+def test_a_negative_time_is_an_error():
+    # states[k + lo:...] once wrapped a negative k round the trace's end
+    tr = tr1([0.5, 1.5, 2.0, 3.5, 0.0, 1.0, 6.0, 2.0])
+    for text, k in (("F[0,2](x0 > 2.5)", -8), ("F[0,2](x0 > 2.5)", -1),
+                    ("x0 > 2.5", -2)):
+        f = parse(text)
+        for run in (robustness, satisfies, critical, stl.signals):
+            with pytest.raises(ValueError, match=f"k={k} is negative"):
+                run(f, tr, k)
+        assert robustness(f, tr, 0) == (-0.5 if "F" in text else -2.0)
+
+
 def test_linear_in_the_window():
     # each predicate is evaluated at most once per time step, and a running
     # extremum keeps U/R at O(b) comparisons per output (the recursion made
@@ -614,6 +643,64 @@ def test_linear_in_the_window():
             run(f, tr)
             assert calls.count("p") <= K + 1 and calls.count("q") <= K + 1
             assert Compared.n <= 5 * 501, (f, run)
+
+
+class Scored(float):
+    """A predicate value whose comparison with 0 is a Compared 1.0 or 0.0,
+    so that the Boolean kernel's And/Or comparisons are counted."""
+
+    def __gt__(self, other):
+        return Compared(float.__gt__(self, other))
+
+    def __ge__(self, other):
+        return Compared(float.__ge__(self, other))
+
+
+def fused(op, n, wrap=float):
+    """op (And or Or) over the n predicates wrap(x0)..wrap(x{n-1}): one
+    fused step whose children have no signals of their own."""
+    return op(tuple(Pred(Named(f"x{i}", lambda s, i=i: wrap(s[i])))
+                    for i in range(n)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_fused_and_or_compares_n_minus_1_times_per_state(n):
+    # G[0,3] over the fused node: n - 1 comparisons at each of 4 states,
+    # then 3 for the window's min
+    rng = random.Random(n)
+    tr = Trace([tuple(rng.uniform(-1, 1) for _ in range(n))
+                for _ in range(4)])
+    for op in (And, Or):
+        for run, wrap in ((robustness, Compared), (satisfies, Scored)):
+            f = Always(0, 3, fused(op, n, wrap))
+            Compared.n = 0
+            run(f, tr)
+            assert Compared.n == 4 * (n - 1) + 3, (op, run)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_fused_and_or_is_the_builtin_over_the_same_tuple(n):
+    # ties and 0.0/-0.0 keep the first child's value and witness, and a
+    # NaN anywhere gives what min/max over the tuple gives, bit for bit
+    import itertools
+    nan = math.nan
+    rng = random.Random(n)
+    rows = [*itertools.product((0.0, -0.0, 1.0), repeat=n)]
+    rows += [tuple(rng.choice((0.0, -0.0, 1.0, -1.0, -math.inf))
+                   for _ in range(n)) for _ in range(40)]
+    rows += [r[:j] + (nan,) + r[j + 1:] for r in rows[::7]
+             for j in (0, n // 2, n - 1)]
+    for op, agg in ((And, min), (Or, max)):
+        f = fused(op, n)
+        for row in rows:
+            tr = Trace([row])
+            want = agg(row)
+            assert bits(robustness(f, tr)) == bits(want), (op, row)
+            assert satisfies(f, tr) is agg(tuple(x > 0.0 for x in row))
+            if want == want:
+                w = critical(f, tr)
+                assert w.predicate is f.children[row.index(want)], row
+                assert bits(w.value) == bits(want), (op, row)
 
 
 def test_operands_no_output_reads_are_not_evaluated():
@@ -723,24 +810,68 @@ def test_critical_from_kept_signals_only_backtracks():
         assert w == critical(f, tr)
 
 
+def looped(f, memo):
+    """f with each Affine predicate a Named one that sums loop_affine's
+    c[i] * s[i] terms, object sharing kept; memo maps id(node) to its
+    copy."""
+    if id(f) in memo:
+        return memo[id(f)]
+    if isinstance(f, Pred):
+        h = f.h
+        g = Pred(Named(h.describe(), lambda s: loop_affine(h, s)),
+                 f.strict) if isinstance(h, Affine) else f
+    elif isinstance(f, (And, Or)):
+        g = type(f)(tuple(looped(c, memo) for c in f.children))
+    elif isinstance(f, (Eventually, Always)):
+        g = type(f)(f.a, f.b, looped(f.child, memo))
+    else:
+        g = type(f)(f.a, f.b, looped(f.left, memo), looped(f.right, memo))
+    memo[id(f)] = g
+    return g
+
+
 def test_bundled_scenarios_match_recursions():
     # one seeded rollout of each bundled scenario's initial policy: the
     # large fused formulas (multi_dubins_10's 55 conjuncts, quad6_platform
-    # at K=1500) against the recursions bit for bit
+    # at K=1500) against the recursions bit for bit, and against the same
+    # formula whose affine predicates multiply by every coefficient
     from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
     from stlctrl.plants import rollout
+    from stlctrl.sampler import grad_critical, grad_smooth, partition_times
     from stlctrl.smooth import SmoothConfig, smooth_robustness
     from tests.test_smooth import srho_rec
     for name in bundled_names():
         sc = load_scenario(resolve_scenario(name))
+        memo = {}
+        f, g, K = sc.formula, looped(sc.formula, memo), horizon(sc.formula)
+        back = {id(copy): i for i, copy in memo.items()}
         policy = sc.build_policy(random.Random(sc.seed))
         s0 = sc.init_set.sample_uniform(random.Random(1))
-        states = rollout(sc.plant, policy, s0, horizon(sc.formula)).states
-        assert_matches_recursions(sc.formula, states)
-        b = sc.train_cfg.b
-        assert bits(smooth_robustness(sc.formula, Trace(states),
-                                      SmoothConfig(b))) == \
-            bits(srho_rec(sc.formula, states, 0, b, {})), name
+        ref = rollout(sc.plant, policy, s0, K)
+        states, tr = ref.states, Trace(ref.states)
+        assert_matches_recursions(f, states)
+        assert [s and [bits(x) for x in s] for s in stl.signals(f, tr)] == [
+            s and [bits(x) for x in s] for s in stl.signals(g, tr)], name
+        assert satisfies(f, tr) is satisfies(g, tr), name
+        wf, wg = critical(f, tr), critical(g, tr)
+        assert (wf.time, id(wf.predicate), bits(wf.value)) == (
+            wg.time, back[id(wg.predicate)], bits(wg.value)), name
+        cfg = SmoothConfig(sc.train_cfg.b)
+        assert bits(smooth_robustness(f, tr, cfg)) == bits(
+            smooth_robustness(g, tr, cfg)) == bits(
+            srho_rec(f, states, 0, cfg.b, {})), name
+        grads = []
+        for h in (f, g):
+            w = critical(h, tr)
+            grads.append([grad_critical(ref, w.time, w.predicate,
+                                        sc.train_cfg.N, policy, sc.plant,
+                                        random.Random(5))])
+            for M in sorted({1, 2, min(sc.train_cfg.M, K)}):
+                grads[-1].append(grad_smooth(
+                    ref, partition_times(K, M, random.Random(M)), h, cfg,
+                    policy, sc.plant))
+        assert [[bits(x) for x in gr] for gr in grads[0]] == [
+            [bits(x) for x in gr] for gr in grads[1]], name
 
 
 def test_load_scenario_compiles_no_kernel(monkeypatch):
