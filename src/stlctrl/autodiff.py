@@ -6,7 +6,7 @@ parameters come out of a single reverse sweep.  Everything is 64-bit.
 
 Only this module writes to a tape.  replay_source, the one kernel
 generator, writes every recorder: from a function traced once on Vars (a
-plant step, controller layers) it writes straight-line float code in the
+plant step, a controller forward) it writes straight-line float code in the
 Var operators' order, or a loop of such steps.  Given Var inputs, the code
 checks their tape, then pushes its Var outputs only, as one block keeping
 the Var inputs' ids and the locals its generated adjoint reads (reverse

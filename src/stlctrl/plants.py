@@ -3,11 +3,13 @@
 All continuous plants are integrated with forward Euler at their stated
 sampling time.  Plant.step() over tape Vars is traced once per (step_fn,
 squash_fn, dt, noise), and autodiff.replay_source generates from it a
-plain rollout loop per (widths, include_time, noise), inlining the
-controller forward traced the same way, and per noise on or off one tape
-recorder of a step and one of a run of steps with frozen actions, both
-from Var states.  A recorder pushes only the next state's Vars and saves
-the locals its generated adjoint reads.  All
+plain rollout loop per (widths, include_time, noise), which unpacks theta
+into locals once per rollout and inlines the controller forward traced
+the same way, for a Policy of any size (any other controller is called
+as forward(s, k)), and per noise on or off one tape recorder of a step
+and one of a run of steps with frozen actions, both from Var states.  A
+recorder pushes only the next state's Vars and saves the locals its
+generated adjoint reads.  All
 compute in the Var operators' order, so a differentiable rollout (the
 plain one recorded by sampler.build_sampled at every step) has its bits
 and those gradients.  So step_fn and squash_fn must be straight-line
@@ -22,7 +24,7 @@ from .autodiff import (
     Tape, compile_kernel, cos, exp, powc, replay_source, sin, tanh,
     value_of, vmax,
 )
-from .policy import Policy, chained, forward_source, param_count
+from .policy import Policy, forward_source, param_count
 
 G = 9.81
 
@@ -374,7 +376,7 @@ def _recorder(plant, run, noisy):
 def _closed_loop(plant, policy, noisy):
     """kernel(th, forward, s0, K, time_scale, c1, gauss) -> (states, raw
     actions, noise offsets or None): it inlines a Policy's forward with
-    theta in locals, and calls forward(s, k) of a chained net or other."""
+    theta in locals, and calls forward(s, k) of any other controller."""
     trace, loops = _traced(plant)
     key = ((tuple(policy.widths), policy.include_time, noisy)
            if isinstance(policy, Policy) else (None, False, noisy))
@@ -384,11 +386,9 @@ def _closed_loop(plant, policy, noisy):
     xs = list(map("x{}".format, range(n)))
     state, es = f"({', '.join(xs)},)", ", ".join(map("e{}".format, range(n)))
     head = ["states, acts, offs = [s], [], [] if gauss else None"]
-    if key[0] and not chained(key[0]):
-        # the forward inline, theta in locals
+    if key[0]:  # the forward inline, theta in locals
         ws = [(f"w{r}", None) for r in range(param_count(key[0]))]
-        [(_, fwd, acts, _)] = forward_source(*key[:2], ws,
-                                             [(x, None) for x in xs])
+        fwd, acts, _ = forward_source(*key[:2], ws, [(x, None) for x in xs])
         head.append(f"[{', '.join(w for w, _ in ws)}] = th")
         fwd, acts = ["t = float(k) * ts"] * key[1] + fwd, [a for a, _ in acts]
     else:

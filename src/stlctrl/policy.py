@@ -5,12 +5,14 @@ out x in) followed by biases.  The time-step k is appended to the state
 as an extra input coordinate unless include_time is off.
 
 The forward pass runs as code that autodiff.replay_source generates from
-reference_forward, traced on Vars like a plant step: one statement per
-neuron, ``h = tanh(th[b] + th[r] * x0 + ...)``, summed left to right like
-the loop, so it is bit-identical to it.  Policy.forward runs it on
-floats.  The only way onto a tape is Policy.recorder, whose theta is a
-range of node ids from Tape.consts and whose inputs are Vars: one per
-net, it computes the same floats, keeps the ones its generated adjoint
+reference_forward, traced on Vars like a plant step: one function per
+net, whatever its size, with one statement per neuron,
+``h = tanh(th[b] + th[r] * x0 + ...)``, summed left to right like the
+loop, so it is bit-identical to it.  Policy.forward runs it on floats;
+a rollout inlines the same source into its loop instead.  The only way
+onto a tape is Policy.recorder, whose theta is a range of node ids from
+Tape.consts and whose inputs are Vars: one per net and one block per
+call, it computes the same floats, keeps the ones its generated adjoint
 reads (the inputs and each neuron's tanh) and pushes only the outputs.
 
 Policy.save writes a checkpoint; the command line reads one back with the
@@ -23,7 +25,6 @@ import math
 from .autodiff import Tape, compile_kernel, replay_source, tanh
 
 _KERNELS = {}  # (widths, include_time, recorder) -> _kernel
-_TERMS = 1000  # weights of a net compiled as one function, see chained
 
 
 def param_count(widths):
@@ -96,9 +97,9 @@ class Policy:
 
 
 def _kernel(widths, include_time, rec=False):
-    """forward(th, s, t), one function per run of layers, each calling the
-    next: on floats, or with rec a recorder of Var inputs, whose th is
-    (theta's values, their node ids, the tape).  Compiled once per net."""
+    """forward(th, s, t), one function: on floats, or with rec a recorder
+    of Var inputs, whose th is (theta's values, their node ids, the tape).
+    Compiled once per net."""
     key = (tuple(widths), include_time, rec)
     if key in _KERNELS:
         return _KERNELS[key]
@@ -106,33 +107,19 @@ def _kernel(widths, include_time, rec=False):
              for r in range(param_count(widths))]
     xs = [(f"x{i}", f"i{i}" if rec else None)
           for i in range(widths[0] - include_time)]
-    fn = None
-    for xs, lines, outs, consts in reversed(
-            forward_source(widths, include_time, theta, xs)):
-        body = [f"[{', '.join(x for x, _ in xs)}] = s"]
-        body += ["th, ids, tape = arg = th"] * rec
-        ret = ", ".join(x if i is None else f"Var(tape, {i})" for x, i in outs)
-        fn = compile_kernel("th, s, t", body + lines + [
-            f"return [{ret}]" if fn is None
-            else f"return nxt({'arg' if rec else 'th'}, [{ret}], t)"],
-            {**consts, "nxt": fn})
-    _KERNELS[key] = fn
+    lines, outs, consts = forward_source(widths, include_time, theta, xs)
+    ret = ", ".join(x if i is None else f"Var(tape, {i})" for x, i in outs)
+    fn = _KERNELS[key] = compile_kernel("th, s, t", [
+        f"[{', '.join(x for x, _ in xs)}] = s"]
+        + ["th, ids, tape = th"] * rec + lines + [f"return [{ret}]"], consts)
     return fn
 
 
-def chained(widths):
-    """Whether a net runs a layer per function: compiling takes memory in
-    proportion to the source, so one function of over _TERMS weights would
-    raise the process's peak memory."""
-    return param_count(widths) > _TERMS
-
-
-def reference_forward(widths, theta, x, layers=None):
-    """The outputs of layers (all if None) of the net on inputs x, weight
-    r theta[r], as a loop over floats or Vars: forward_source traces it."""
-    layers = range(len(widths) - 1) if layers is None else layers
-    off = param_count(widths[:layers[0] + 1])
-    for li in layers:
+def reference_forward(widths, theta, x):
+    """The outputs of the net on inputs x, weight r theta[r], as a loop
+    over floats or Vars: forward_source traces it."""
+    off = 0
+    for li in range(len(widths) - 1):
         nin, nout = widths[li], widths[li + 1]
         bias, h = off + nout * nin, []
         for j in range(nout):
@@ -145,20 +132,13 @@ def reference_forward(widths, theta, x, layers=None):
 
 
 def forward_source(widths, include_time, theta, xs):
-    """[(inputs, lines, outputs, constants)] of replay_source per run of
-    layers traced on Vars (one per layer if chained): weight r reads
-    theta[r], the first run's input i xs[i] and the time t, a later run's
-    x{i} (a Var's id i{i})."""
-    every, out = list(range(len(widths) - 1)), []
-    for layers in [[li] for li in every] if chained(widths) else [every]:
-        ins = xs + [("t", None)] * (include_time and not layers[0])
-        tape = Tape()
-        th = [tape.const(math.nan) for _ in range(len(theta) + len(ins))]
-        x = reference_forward(widths, th, th[len(theta):], layers)
-        lines, outs, consts = replay_source((tape, x), theta + ins, prefix="h")
-        out.append((xs, lines, outs, consts))
-        xs = [(f"x{j}", i and f"i{j}") for j, (_, i) in enumerate(outs)]
-    return out
+    """(lines, outputs, constants) of replay_source for the net traced on
+    Vars: weight r reads theta[r], input i xs[i] and the time t."""
+    ins = xs + [("t", None)] * include_time
+    tape = Tape()
+    th = [tape.const(math.nan) for _ in range(len(theta) + len(ins))]
+    x = reference_forward(widths, th, th[len(theta):])
+    return replay_source((tape, x), theta + ins, prefix="h")
 
 
 def init(widths, scheme="xavier", rng=None, include_time=True, time_scale=1.0):

@@ -301,9 +301,8 @@ def _outcome(run, rng):
     return _bits(got), rng.getstate() if rng else None
 
 
-# (plant, widths, s0, scale of theta); multi_dubins_10's net is compiled as a
-# chain, which the loop calls instead of inlining, and the larger scales
-# make some rollouts diverge
+# (plant, widths, s0, scale of theta); the larger scales make some rollouts
+# diverge
 _PLANT_CASES = [
     ("dubins", [3, 20, 2], (0.0, 0.0), 1.0),
     ("multi_dubins_10", [21, 40, 20], tuple(0.1 * i for i in range(20)), 1.0),
@@ -331,6 +330,44 @@ def test_fused_loop_matches_generic_loop(name, widths, s0, scale, noisy):
             runs.append(_outcome(lambda: fn(plant, pol, s0, 40, noise=noise),
                                  rng))
         assert runs[0] == runs[1]
+
+
+def _inline_cases():
+    """(plant, policy, s0) of every bundled scenario's seeded net, and of
+    [21,40,20] and [3,100,100,2] (10,702 weights)."""
+    from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
+    for name in bundled_names():
+        sc = load_scenario(resolve_scenario(name))
+        if sc.policy_cfg:
+            yield name, sc.plant, sc.build_policy(random.Random(sc.seed)), \
+                sc.init_set.samples[0]
+    yield "wide", builtin("multi_dubins_10"), init(
+        [21, 40, 20], rng=random.Random(3)), tuple(0.1 * i for i in range(20))
+    yield "deep", builtin("dubins"), init(
+        [3, 100, 100, 2], rng=random.Random(4)), (0.5, -0.5)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_fused_loop_inlines_every_policy_forward(noisy):
+    # the rollout never calls Policy.forward, for a net of any size, and
+    # runs the interpreted forward's arithmetic
+    from tests.test_policy import loop_forward
+
+    def boom(s, k):
+        raise AssertionError("the closed loop called forward")
+
+    for name, plant, pol, s0 in _inline_cases():
+        oracle = Policy(pol.widths, pol.theta, pol.include_time,
+                        pol.time_scale)
+        oracle.forward = lambda s, k, pol=pol: loop_forward(pol, s, k)
+        pol.forward = boom
+        runs = []
+        for fn, p in ((rollout, pol), (_generic_rollout, oracle)):
+            rng = random.Random(5)
+            noise = (0.03, 0.002, rng) if noisy else None
+            runs.append(_outcome(lambda: fn(plant, p, s0, 30, noise=noise),
+                                 rng))
+        assert runs[0] == runs[1], name
 
 
 def test_fused_loop_calls_an_open_loop_policy():

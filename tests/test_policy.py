@@ -266,10 +266,8 @@ def test_plain_forward_is_one_statement_per_neuron(widths, include_time,
                                                    time_scale):
     # per-operation statements made the forward 1.4-3x slower; a neuron
     # that only one neuron reads is folded into that neuron's statement
-    fn, names = pol._kernel(widths, include_time), []
-    while fn:  # a wide net runs as a chain of functions
-        names += [v for v in fn.__code__.co_varnames if v[0] == "h"]
-        fn = fn.__globals__["nxt"]
+    fn = pol._kernel(widths, include_time)
+    names = [v for v in fn.__code__.co_varnames if v[0] == "h"]
     folded = sum(w for w, nxt in zip(widths[1:-1], widths[2:]) if nxt == 1)
     assert len(names) == sum(widths[1:]) - folded
 

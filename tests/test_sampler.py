@@ -341,7 +341,8 @@ def test_each_net_and_plant_compiles_one_recorder(monkeypatch):
     def forward_source(widths, include_time, theta, xs):
         if theta[0][1] is not None:  # theta's node ids: a recorder
             nets.append((tuple(widths), include_time))
-        return source(widths, include_time, theta, xs)
+        lines, outs, consts = source(widths, include_time, theta, xs)
+        return lines, outs, consts  # one run, whatever the net's size
 
     def replay_source(trace, inputs, *args, loop=None, **kw):
         if any(i for _, i in inputs):  # Var inputs: a recorder
@@ -367,6 +368,23 @@ def test_each_net_and_plant_compiles_one_recorder(monkeypatch):
     # plants._TRACES: one traced step per (plant, noise)
     once = Counter(plants._TRACES.keys())
     assert Counter(steps) == once and not Counter(runs) - once
+
+
+def test_a_wide_net_records_one_controller_block_per_live_step():
+    # [21,40,20] has 1,700 weights: its recorder is one function, as for
+    # any net, and so one block per call
+    from stlctrl import policy
+    plant = builtin("multi_dubins_10")
+    pol = init([21, 40, 20], rng=random.Random(6))
+    adjoint = policy._kernel(pol.widths, True, True).__globals__["adjoint"]
+    ref = rollout(plant, pol, tuple(0.1 * i for i in range(20)), 30)
+    for times in ([0, 4, 5, 12, 30], [0, 1, 2], list(range(31))):
+        st = build_sampled(ref, times, pol, plant)
+        live = len(times) - 1
+        nonempty = sum(b > a + 1 for a, b in zip(times, times[1:]))
+        ours = [(a, b) for a, b, adj, _ in st.tape.blocks if adj is adjoint]
+        assert len(ours) == live and all(b - a == 20 for a, b in ours)
+        assert len(st.tape.blocks) == 2 * live + nonempty
 
 
 def test_quad6_platform_records_each_frozen_run_as_one_block():
