@@ -35,7 +35,6 @@ SIN = 9
 COS = 10
 POW_CONST = 11
 MAX2 = 12
-MIN2 = 13
 
 
 class EvalError(ArithmeticError):
@@ -171,9 +170,9 @@ class Tape:
         """Reverse accumulation of d(output)/d(seed) for each seed, a Var
         or, if seeds is a range, a node id.
 
-        max2/min2 send the full adjoint to the strict argmax/argmin input
-        and split it 50/50 on exact ties.  Blocks up to the one holding
-        the output run their adjoints; nodes between them are interpreted.
+        vmax sends the full adjoint to the strict argmax input and splits
+        it 50/50 on exact ties.  Blocks up to the one holding the output
+        run their adjoints; nodes between them are interpreted.
         """
         if output.tape is not self:
             raise ValueError("output not on this tape")
@@ -214,12 +213,12 @@ class Tape:
                     adj[a] += g * (1.0 - vals[i] * vals[i])
                 elif op == EXP:
                     adj[a] += g * vals[i]
-                elif op == MAX2 or op == MIN2:
+                elif op == MAX2:
                     va, vb = vals[a], vals[b]
                     if va == vb:
                         adj[a] += 0.5 * g
                         adj[b] += 0.5 * g
-                    elif (va > vb) == (op == MAX2):
+                    elif va > vb:
                         adj[a] += g
                     else:
                         adj[b] += g
@@ -309,22 +308,12 @@ def vmax(x, y):
     return max(x, y)
 
 
-def vmin(x, y):
-    if isinstance(x, Var) or isinstance(y, Var):
-        if not isinstance(x, Var):
-            x, y = y, x
-        j, vo = x._id_of(y)
-        t = x.tape
-        return Var(t, t._push(min(t.vals[x.i], vo), (MIN2, x.i, j, None)))
-    return min(x, y)
-
-
 def value_of(x):
     return x.value if isinstance(x, Var) else float(x)
 
 
-# Nodes per generated expression.  CPython's compiler recurses once per
-# operand of a `+` chain and overflows near 3000.
+# Nodes per generated expression, here and in stl_kernels.  CPython's
+# compiler recurses once per operand of a `+` chain and overflows near 3000.
 _CHAIN = 200
 
 
@@ -335,10 +324,9 @@ _CHAIN = 200
 _FORMS = {ADD: ("{} + {}", 1, 1, 2), SUB: ("{} - {}", 1, 1, 2),
           MUL: ("{} * {}", 2, 2, 3), DIV: ("{} / {}", 2, 2, 3),
           NEG: ("-{}", 3, 3, 0), POW_CONST: ("{} ** {}", 4, 5, 0),
-          MAX2: ("max({}, {})", 5, 0, 0), MIN2: ("min({}, {})", 5, 0, 0),
-          TANH: ("tanh({})", 5, 0, 0), EXP: ("exp({})", 5, 0, 0),
-          SIN: ("sin({})", 5, 0, 0), COS: ("cos({})", 5, 0, 0),
-          LN: ("log({})", 5, 0, 0)}
+          MAX2: ("max({}, {})", 5, 0, 0), TANH: ("tanh({})", 5, 0, 0),
+          EXP: ("exp({})", 5, 0, 0), SIN: ("sin({})", 5, 0, 0),
+          COS: ("cos({})", 5, 0, 0), LN: ("log({})", 5, 0, 0)}
 
 
 def replay_source(trace, inputs, prefix="f", loop=None):
@@ -347,7 +335,7 @@ def replay_source(trace, inputs, prefix="f", loop=None):
     input j read as inputs[j] = (value, node id or None for a float).
 
     A node with a Var operand, a Var node, is computed as the Var operators
-    do (a Var operand of ADD, MUL, MAX2, MIN2 first) and guarded as they
+    do (a Var operand of ADD, MUL, MAX2 first) and guarded as they
     are, by EvalError with node id n, the tape's length.  A node read once
     is folded into its reader; read twice, by a guard, by the adjoint or
     as an output, or past _CHAIN nodes, it is a statement {prefix}{node}.
@@ -379,9 +367,9 @@ def replay_source(trace, inputs, prefix="f", loop=None):
             var.add(r)
             keep.update(x for x, on in (
                 (r, op in (TANH, EXP) or op == DIV and b in var),
-                (a, op in (LN, SIN, COS, POW_CONST, MAX2, MIN2)
+                (a, op in (LN, SIN, COS, POW_CONST, MAX2)
                  or op == MUL and b in var),
-                (b, op in (DIV, MAX2, MIN2) or op == MUL and a in var)) if on)
+                (b, op in (DIV, MAX2) or op == MUL and a in var)) if on)
     ref = {j: (x, 1, 5) for j, (x, _) in enumerate(inputs)}
     consts, lines, named, nodes = {}, [], set(), {}
 
@@ -407,7 +395,7 @@ def replay_source(trace, inputs, prefix="f", loop=None):
         a, b = ref[la], ref.get(lb)
         if a[1] + (b[1] if b else 0) >= _CHAIN:
             a, b = name(la), b and name(lb)
-        if r in var and b and la not in var and op in (ADD, MUL, MAX2, MIN2):
+        if r in var and b and la not in var and op in (ADD, MUL, MAX2):
             la, lb, a, b = lb, la, b, a
         err = "EvalError(n, " if r in var else "ValueError("
         if op == DIV and r in var:
@@ -558,14 +546,13 @@ def _adjoint(nodes, seeds, local=None):
             add(a, "+", f"{g} * (1.0 - {v} * {v})")
         elif op == EXP:
             add(a, "+", f"{g} * {v}")
-        elif op == MAX2 or op == MIN2:
+        elif op == MAX2:
             va, vb = val(a), val(b)
             prepare(a)
             prepare(b)
-            big, small = (a, b) if op == MAX2 else (b, a)
             branch(f"if {va} == {vb}:", (a, f"0.5 * {g}"), (b, f"0.5 * {g}"))
-            branch(f"elif {va} > {vb}:", (big, g))
-            branch("else:", (small, g))
+            branch(f"elif {va} > {vb}:", (a, g))
+            branch("else:", (b, g))
         elif op == DIV:
             add(a, "+", f"{g} / {val(b)}")
             add(b, "-", f"{g} * {v} / {val(b)}")

@@ -4,16 +4,17 @@ Parameters are a flat list theta; layer i occupies weights (row-major,
 out x in) followed by biases.  The time-step k is appended to the state
 as an extra input coordinate unless include_time is off.
 
-The forward pass runs as code that autodiff.replay_source generates from
-reference_forward, traced on Vars like a plant step: one function per
-net, whatever its size, with one statement per neuron,
+reference_forward is the net as a loop, and Policy.forward runs it on
+floats.  Code is generated from it only where the program runs the net:
+autodiff.replay_source writes it, traced on Vars like a plant step, as
+one function per net, whatever its size, with one statement per neuron,
 ``h = tanh(th[b] + th[r] * x0 + ...)``, summed left to right like the
-loop, so it is bit-identical to it.  Policy.forward runs it on floats;
-a rollout inlines the same source into its loop instead.  The only way
-onto a tape is Policy.recorder, whose theta is a range of node ids from
-Tape.consts and whose inputs are Vars: one per net and one block per
-call, it computes the same floats, keeps the ones its generated adjoint
-reads (the inputs and each neuron's tanh) and pushes only the outputs.
+loop, so it is bit-identical to it.  A rollout inlines that source into
+its loop.  The only way onto a tape is Policy.recorder, whose theta is a
+range of node ids from Tape.consts and whose inputs are Vars: one per net
+and one block per call, it computes the same floats, keeps the ones its
+generated adjoint reads (the inputs and each neuron's tanh) and pushes
+only the outputs.
 
 Policy.save writes a checkpoint; the command line reads one back with the
 checks of a scenario's policy section.
@@ -24,7 +25,7 @@ import math
 
 from .autodiff import Tape, compile_kernel, replay_source, tanh
 
-_KERNELS = {}  # (widths, include_time, recorder) -> _kernel
+_KERNELS = {}  # (widths, include_time) -> _recorder
 
 
 def param_count(widths):
@@ -46,7 +47,6 @@ class Policy:
         if len(theta) != n:
             raise ValueError(f"theta length {len(theta)} != {n} for widths {widths}")
         self.theta = list(theta)
-        self._forward = None
 
     @property
     def state_dim(self):
@@ -57,23 +57,21 @@ class Policy:
         return self.widths[-1]
 
     def forward(self, s, k):
-        """Raw action vector for float inputs s at time-step k."""
+        """Raw action vector for float inputs s at time-step k, by the
+        reference loop, whose bits every generated forward has."""
         if len(s) + self.include_time != self.widths[0]:
             raise ValueError(
                 f"input dim {len(s) + self.include_time} != "
                 f"widths[0]={self.widths[0]}")
-        fn = self._forward
-        if fn is None:
-            fn = self._forward = _kernel(self.widths, self.include_time)
-        return fn(self.theta, s, float(k) * self.time_scale
-                  if self.include_time else None)
+        t = [float(k) * self.time_scale] * self.include_time
+        return reference_forward(self.widths, self.theta, [*s, *t])
 
     def recorder(self, tape, theta):
         """forward(s, k) on the tape, inputs s Vars, for the weights with
         node ids theta, a range from Tape.consts: a call checks only its
         inputs' tapes, and not their dimension."""
         th = (tape.vals[theta.start:theta.stop], list(theta), tape)
-        run, ts = _kernel(self.widths, self.include_time, True), self.time_scale
+        run, ts = _recorder(self.widths, self.include_time), self.time_scale
         return lambda s, k: run(th, s, float(k) * ts if self.include_time
                                 else None)
 
@@ -96,22 +94,20 @@ class Policy:
             json.dump(doc, fh)
 
 
-def _kernel(widths, include_time, rec=False):
-    """forward(th, s, t), one function: on floats, or with rec a recorder
-    of Var inputs, whose th is (theta's values, their node ids, the tape).
-    Compiled once per net."""
-    key = (tuple(widths), include_time, rec)
+def _recorder(widths, include_time):
+    """forward(th, s, t) on the tape, one function, from Var inputs s and
+    th = (theta's values, their node ids, the tape).  Compiled once per
+    net."""
+    key = (tuple(widths), include_time)
     if key in _KERNELS:
         return _KERNELS[key]
-    theta = [(f"th[{r}]", f"ids[{r}]" if rec else None)
-             for r in range(param_count(widths))]
-    xs = [(f"x{i}", f"i{i}" if rec else None)
-          for i in range(widths[0] - include_time)]
+    theta = [(f"th[{r}]", f"ids[{r}]") for r in range(param_count(widths))]
+    xs = [(f"x{i}", f"i{i}") for i in range(widths[0] - include_time)]
     lines, outs, consts = forward_source(widths, include_time, theta, xs)
-    ret = ", ".join(x if i is None else f"Var(tape, {i})" for x, i in outs)
+    ret = ", ".join(f"Var(tape, {i})" for _, i in outs)
     fn = _KERNELS[key] = compile_kernel("th, s, t", [
-        f"[{', '.join(x for x, _ in xs)}] = s"]
-        + ["th, ids, tape = th"] * rec + lines + [f"return [{ret}]"], consts)
+        f"[{', '.join(x for x, _ in xs)}] = s", "th, ids, tape = th",
+        *lines, f"return [{ret}]"], consts)
     return fn
 
 

@@ -17,12 +17,8 @@ gets its kernels.
 import math
 from collections import Counter
 
-from .autodiff import compile_kernel
+from .autodiff import _CHAIN, compile_kernel
 from .stl import INF, _inner
-
-# Terms of an affine sum per statement: CPython's compiler recurses once
-# per operand of a `+` chain and overflows near 3000.
-_TERMS = 50
 
 
 def generate(steps, sem):
@@ -61,13 +57,17 @@ def generate(steps, sem):
         if steps[i][5] == "affine":
             nz = [(ci, j) for j, ci in enumerate(g.h.c) if ci != 0.0]
             coords.update(j for _, j in nz)
-            out = _literal(g.h.d, ns)
+            # the sum goes on in a new statement before it reaches _CHAIN
+            # nodes, counted as replay_source counts them
+            out, size = _literal(g.h.d, ns), 1
             for t, (ci, j) in enumerate(nz):
-                if t and t % _TERMS == 0:
+                term = 1 if ci in (1.0, -1.0) else 3  # x, or c * x
+                if size + term >= _CHAIN:
                     body.append(f"p{i}_{t} = {out}")
-                    out = f"p{i}_{t}"
+                    out, size = f"p{i}_{t}", 1
                 out += (f" + x{j}" if ci == 1.0 else f" - x{j}" if ci == -1.0
                         else f" + {_literal(ci, ns)} * x{j}")
+                size += 1 + term
         else:
             ns[f"h{i}"], out = steps[i][4], f"h{i}(s)"
         if sem == "boolean":

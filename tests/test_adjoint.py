@@ -14,7 +14,7 @@ import struct
 
 import pytest
 
-from stlctrl.autodiff import Tape, Var, vmax, vmin
+from stlctrl.autodiff import Tape, Var, vmax
 from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
 from stlctrl.plants import Plant, builtin, rollout, run_recorder, step_recorder
 from stlctrl.policy import init, reference_forward
@@ -273,7 +273,7 @@ def test_vmax_tie_splits_in_step_and_run():
     assert tape.backward(s[0], seeds) == [0.125]
     # ties between two states: each gets half
     both = Plant("both", 2, 1, 1.0, lambda s, u, dt: (
-        vmax(s[0], s[1]) + 0.0 * u[0], vmin(s[1], s[0]) * u[0]), lambda a: a)
+        vmax(s[0], s[1]) + 0.0 * u[0], vmax(s[1], s[0]) * u[0]), lambda a: a)
     for steps in (1, 3):
         (tape, s, seeds), _, _ = _assert_run_matches_steps(
             both, (0.5, 0.5), [(1.0,)] * steps)

@@ -614,6 +614,32 @@ def test_checkpoint_field_of_the_wrong_type_is_invalid_input(
     assert f"error: {field}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hidden", [3333, 3334])
+def test_a_controller_past_the_weight_cap_is_invalid_input(tmp_path, capsys,
+                                                           hidden):
+    # compiling a net's kernels takes memory in proportion to its weights
+    # (README "Performance"); [3, h, 2] has 6h + 2, so 3333 is at the cap
+    from stlctrl.cli import _load_checkpoint
+    from stlctrl.policy import Policy, param_count
+    widths = [3, hidden, 2]
+    doc = scenario_doc()
+    doc["policy"]["widths"] = widths
+    ckpt = tmp_path / "ckpt.json"
+    Policy(widths).save(str(ckpt))
+    if param_count(widths) == 20_000:
+        assert Scenario(doc).policy_cfg["widths"] == widths
+        pol = _load_checkpoint(str(ckpt), Scenario(scenario_doc()))
+        assert pol.widths == widths
+        return
+    path = write_scenario(tmp_path, doc)
+    assert main(["train", "--scenario", path, "--out", str(tmp_path)]) == 2
+    assert "error: policy.widths: " in capsys.readouterr().err
+    path = write_scenario(tmp_path, scenario_doc())
+    assert main(["simulate", "--scenario", path, "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "s"), "--trials", "1"]) == 2
+    assert "error: checkpoint.widths: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 @pytest.mark.parametrize("kind", ["policy", "openloop"])
 def test_checkpoint_for_another_plant_is_invalid_input(tmp_path, capsys,

@@ -6,7 +6,7 @@ import pytest
 
 from stlctrl import plants
 from stlctrl.autodiff import (
-    EvalError, Tape, Var, exp, ln, powc, value_of, vmax, vmin,
+    EvalError, Tape, Var, exp, ln, powc, value_of, vmax,
 )
 from stlctrl.plants import (
     DivergedRollout, InitialSet, Plant, builtin, corners_and_center,
@@ -476,7 +476,7 @@ def test_step_recorder_scalar_power_max_tie_and_power():
     lambda s, u, dt: (-s[0], u[0] - s[0]),
     lambda s, u, dt: (s[1], 2.0),
     # float on the left of a Var: the Var becomes lhs when u is frozen
-    lambda s, u, dt: (vmax(u[0], s[0]) + u[0] * s[1], vmin(u[0], s[1])),
+    lambda s, u, dt: (vmax(u[0], s[0]) + u[0] * s[1], vmax(u[0], s[1])),
     lambda s, u, dt: (u[0] - s[0], u[0] / s[1] + exp(u[0] + s[0])),
 ])
 def test_step_recorder_constants_and_operand_order(fn):
@@ -494,7 +494,7 @@ def test_step_recorder_keeps_the_var_operand_first():
     # max(0.0, -0.0) is 0.0 and max(-0.0, 0.0) is -0.0: with a frozen u,
     # vmax(u, s) computes max(s, u), as the Var operators put the Var first
     plant = Plant("zeros", 2, 1, 1.0, lambda s, u, dt: (
-        vmax(u[0], s[0]), vmin(u[0], s[1])), lambda a: a)
+        vmax(u[0], s[0]), vmax(u[0], s[1])), lambda a: a)
     _assert_recorder_matches_var_operators(plant, (-0.0, 0.0), (0.0,))
     tape = Tape()
     nxt = _one_step_run(plant)(tape, (tape.const(-0.0), tape.const(0.0)),

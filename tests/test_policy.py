@@ -183,7 +183,8 @@ def _assert_kernel_matches_loop(p, rng, trials=3):
     for _ in range(trials):
         s = tuple(rng.uniform(-3, 3) for _ in range(n))
         k = rng.randrange(1000)
-        assert p.forward(s, k) == loop_forward(p, s, k)
+        assert list(map(_bits, p.forward(s, k))) == list(
+            map(_bits, loop_forward(p, s, k)))
         # two forwards on one tape, as in a sampled trajectory
         _assert_recorder_matches_loop(p, lambda tape: (
             tape.consts(p.theta), [_on_tape(tape, s), _on_tape(tape, s)[::-1]]),
@@ -264,12 +265,33 @@ def _assert_recorder_matches_loop(p, setup, k=7):
 @pytest.mark.parametrize("widths,include_time,time_scale", _policy_configs())
 def test_plain_forward_is_one_statement_per_neuron(widths, include_time,
                                                    time_scale):
-    # per-operation statements made the forward 1.4-3x slower; a neuron
-    # that only one neuron reads is folded into that neuron's statement
-    fn = pol._kernel(widths, include_time)
+    # per-operation statements made the forward 1.4-3x slower; in the
+    # rollout loop's forward a neuron that only one neuron reads is folded
+    # into that neuron's statement, and the recorder keeps each neuron's
+    # tanh, which its adjoint reads
+    fn = pol._recorder(widths, include_time)
     names = [v for v in fn.__code__.co_varnames if v[0] == "h"]
+    assert len(names) == sum(widths[1:])
+    ws = [(f"w{r}", None) for r in range(param_count(widths))]
+    xs = [(f"x{i}", None) for i in range(widths[0] - include_time)]
+    lines = pol.forward_source(widths, include_time, ws, xs)[0]
     folded = sum(w for w, nxt in zip(widths[1:-1], widths[2:]) if nxt == 1)
-    assert len(names) == sum(widths[1:]) - folded
+    assert len([ln for ln in lines if ln[0] == "h"]) == (
+        sum(widths[1:]) - folded)
+
+
+def test_forward_is_the_reference_loop_and_compiles_nothing(monkeypatch):
+    def boom(*args):
+        raise AssertionError("Policy.forward compiled a kernel")
+
+    before = dict(pol._KERNELS)
+    monkeypatch.setattr(pol, "compile_kernel", boom)
+    rng = random.Random(21)
+    p = init([3, 13, 2], rng=rng, time_scale=0.1)
+    s, k = (rng.uniform(-3, 3), rng.uniform(-3, 3)), 17
+    assert list(map(_bits, p.forward(s, k))) == list(
+        map(_bits, loop_forward(p, s, k)))
+    assert pol._KERNELS == before
 
 
 def test_recorder_matches_loop_with_theta_anywhere_on_the_tape():

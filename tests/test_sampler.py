@@ -376,7 +376,7 @@ def test_a_wide_net_records_one_controller_block_per_live_step():
     from stlctrl import policy
     plant = builtin("multi_dubins_10")
     pol = init([21, 40, 20], rng=random.Random(6))
-    adjoint = policy._kernel(pol.widths, True, True).__globals__["adjoint"]
+    adjoint = policy._recorder(pol.widths, True).__globals__["adjoint"]
     ref = rollout(plant, pol, tuple(0.1 * i for i in range(20)), 30)
     for times in ([0, 4, 5, 12, 30], [0, 1, 2], list(range(31))):
         st = build_sampled(ref, times, pol, plant)
