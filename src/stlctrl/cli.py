@@ -26,8 +26,8 @@ from .plants import (
 )
 from .policy import Policy, init, param_count
 from .smooth import SmoothConfig, smooth_robustness
-from .stl import ParseError, Trace, critical, horizon, parse, robustness, \
-    satisfies
+from .stl import ParseError, Trace, critical, horizon, parse, satisfies, \
+    signals
 from .trainer import (
     TrainConfig, WaypointPath, train_dropout, train_openloop, train_vanilla,
 )
@@ -409,9 +409,9 @@ def cmd_monitor(args, argv):
         f = parse(args.formula, dim=tr.dim)
     except ParseError as e:
         raise ScenarioError("formula", str(e))
-    rho = robustness(f, tr)  # HorizonError is a ValueError: exit 2
-    w = critical(f, tr)
-    print(f"rho        {rho:.6g}")
+    sig = signals(f, tr)  # HorizonError is a ValueError: exit 2
+    w = critical(f, tr, sig=sig)
+    print(f"rho        {sig[-1][0]:.6g}")
     print(f"satisfied  {'yes' if satisfies(f, tr) else 'no'}")
     print(f"k_star     {w.time}")
     print(f"h_star     {w.predicate.h.describe()}")

@@ -19,6 +19,7 @@ their arguments' values.
 
 import csv
 import math
+import re
 
 from .autodiff import (
     Tape, compile_kernel, cos, exp, powc, replay_source, sin, tanh,
@@ -405,11 +406,24 @@ def _closed_loop(plant, policy, noisy):
         f"if not ({' and '.join(f'abs({x}) <= LIMIT' for x in xs)}):",
         f"    check(k + 1, {state})", f"states.append({state})",
         f"acts.append(({', '.join(acts)},))"]
-    loops[key] = compile_kernel("th, forward, s, K, ts, sigma, gauss", head + [
-        f"[{', '.join(xs)}] = s", "for k in range(K):"]
-        + ["    " + line for line in step] + ["return states, acts, offs"],
+    # a local's slot is the order of its first binding: the step's locals
+    # go before the weights, so that past 256 names only weights need an
+    # EXTENDED_ARG prefix
+    own = dict.fromkeys(["k"] + [x for ln in step for x in _bound(ln)
+                                 if x not in xs])
+    loops[key] = compile_kernel("th, forward, s, K, ts, sigma, gauss", [
+        f"[{', '.join(xs)}] = s", f"{' = '.join(own)} = None"] + head
+        + ["for k in range(K):"] + ["    " + line for line in step]
+        + ["return states, acts, offs"],
         {**consts, "LIMIT": DIVERGE_LIMIT, "check": _check})
     return loops[key]
+
+
+def _bound(line):
+    """The names a generated assignment `a = ...`, `a, b, = ...` or
+    `[a, b] = ...` binds; none for other lines."""
+    m = re.match(r"\[?(\w+(?:, \w+)*),?\]? = ", line)
+    return m[1].split(", ") if m else []
 
 
 def write_trace_csv(path, states, raw_actions):

@@ -12,7 +12,15 @@ A formula compiles on first evaluation into one program, a post-order
 list of steps (a node and the window of times its parents read), and
 each semantics (exact, Boolean, smooth) into one straight-line kernel
 that stl_kernels generates from that program, both cached on the root.
-critical backtracks from the exact kernel's signals.
+critical backtracks from the exact kernel's signals.  robustness of an
+And with a later child G[a,b](Or of predicates), a reach-avoid spec's
+safety conjunct, has a fourth kernel that computes the root value alone
+and skips the rows of such a child that cannot set the min: a row whose
+Or's first predicate is not below the min of the children before it
+(max is never below its first item, a NaN first item makes the max NaN,
+which never replaces a min, and the window's first row is evaluated in
+full, as builtin min keeps a NaN first item), so its bits are the exact
+kernel's.
 """
 
 import math
@@ -235,12 +243,14 @@ def _program(f, tr, k):
 
 
 def _kernel(f, tr, k, sem):
-    """f's kernel for sem ("exact", "boolean" or "smooth"), generated on
-    first use by stl_kernels, which is imported then."""
+    """f's kernel for sem ("exact", "boolean", "smooth" or "root"),
+    generated on first use by stl_kernels, which is imported then; the
+    root kernel is None if f has no child it prunes."""
     _, steps, kernels = _program(f, tr, k)
     if sem not in kernels:
-        from .stl_kernels import generate
-        kernels[sem] = generate(steps, sem)
+        from .stl_kernels import generate, prunable
+        kernels[sem] = (generate(steps, sem)
+                        if sem != "root" or prunable(steps) else None)
     return kernels[sem]
 
 
@@ -297,8 +307,16 @@ def signals(f, tr, k=0):
 
 
 def robustness(f, tr, k=0):
-    """Exact robustness of f over tr at time k."""
-    return signals(f, tr, k)[-1][0]
+    """Exact robustness of f over tr at time k, signals(f, tr, k)[-1][0] by
+    bits.  If f is an And with a later child G[a,b](Or of predicates), a
+    root kernel computes the root value alone and skips the rows of such
+    a child whose Or's first predicate is not below the min of the
+    children before it: max is never below its first item, a NaN first
+    item makes the max NaN, which never replaces a min, and the window's
+    first row is evaluated in full, as builtin min keeps a NaN first item
+    (see stl_kernels.generate)."""
+    kernel = _kernel(f, tr, k, "root")
+    return kernel(tr.states, k) if kernel else signals(f, tr, k)[-1][0]
 
 
 def satisfies(f, tr, k=0):

@@ -4,10 +4,16 @@ generate writes, for one program and one semantics (exact, Boolean or
 smooth), one straight-line function that computes every step's signal
 bottom-up, and compiles it with autodiff.compile_kernel: offline
 monitoring in the order of Donze, Ferrere & Maler, "Efficient Robust
-Monitoring for STL" (CAV 2013), written out as code.  An affine predicate
-is inlined as Affine.eval's sum, left to right from d, a coefficient of
-1.0 or -1.0 as + x{i} or - x{i} and any other as + c * x{i} with c a
-literal, so the kernels are bit-identical to it.  stl imports
+Monitoring for STL" (CAV 2013), written out as code.  A fourth one, the
+root kernel, computes only the exact root value of an And whose later
+children include G[a,b](Or of predicates), and skips the rows of those
+that cannot set the And's min, as bounded monitoring skips work that
+cannot change a min or max (Deshmukh, Donze, Ghosh, Jin, Juniwal &
+Seshia, "Robust online monitoring of signal temporal logic", FMSD
+2017).  An affine predicate is inlined as Affine.eval's sum, left to
+right from d, a coefficient of 1.0 or -1.0 as + x{i} or - x{i} and any
+other as + c * x{i} with c a literal, so the kernels are bit-identical
+to it.  stl imports
 this module when it first needs a kernel, so importing stlctrl compiles
 none of it.  A node's type is read from its step's op, not from stl's
 classes, so a program compiled before stlctrl was imported again still
@@ -16,6 +22,7 @@ gets its kernels.
 
 import math
 from collections import Counter
+from itertools import groupby
 
 from .autodiff import _CHAIN, compile_kernel
 from .stl import INF, _inner
@@ -39,7 +46,22 @@ def generate(steps, sem):
     tuple, so values are bit for bit the min/max recursion's; Boolean
     predicates compare (> 0 if strict, else >= 0) first.  The exact
     kernel returns every signal (None where there is none), the others
-    the root's value."""
+    the root's value.
+
+    The root kernel ("root") is the exact root value of a formula whose
+    root And has prunable children (see prunable): its other children
+    come as in the exact kernel, and the root is CPython's min loop over
+    its children in order (m = the first, then m = v if v < m), with each
+    run of consecutive prunable children over the same rows in one loop,
+    in which a row's Or is builtin max over its predicates.  A row after
+    a window's first row only evaluates the Or's first predicate o, and
+    the rest of it only if o < m, m being the fold's value at the run's
+    first child: max is never below its first item, and a NaN first
+    item makes the max NaN, which never replaces a min, so a skipped row
+    cannot set a value below m.  The first row is always evaluated in
+    full, as builtin min keeps a NaN first item.  A child's value then
+    differs from the exact one only where neither is below the fold, so
+    the root's bits are the exact kernel's."""
     smooth = sem == "smooth"
     agg = {min: "mn", max: "mx"} if smooth else {min: "min", max: "max"}
     ns = {"_window": _window, "_until": _until, "_soft_until": _soft_until}
@@ -49,6 +71,17 @@ def generate(steps, sem):
     read = {len(steps) - 1}.union(*[steps[i][3] for i in range(len(steps))
                                     if i not in fused])
     sig, loops, lines, groups = ["None"] * len(steps), [], [], {}
+    pruned = prunable(steps) if sem == "root" else ()
+    live = set(range(len(steps)))
+    if pruned:
+        # the steps the root's other children read
+        live, todo = set(), [c for p, c in enumerate(steps[-1][3])
+                             if p not in pruned]
+        while todo:
+            i = todo.pop()
+            if i not in live:
+                live.add(i)
+                todo += steps[i][3]
 
     def pred(i, coords):
         """(lines, expression) of predicate step i at state s, adding the
@@ -75,6 +108,8 @@ def generate(steps, sem):
         return body, out
 
     for i, (g, lo, n, kids, fn, op) in enumerate(steps):
+        if i not in live:
+            continue
         z = sig[i] = f"z{i}"
         rows = f"states[k + {lo}:k + {lo + n}]"
         if not n:
@@ -123,10 +158,76 @@ def generate(steps, sem):
         loops += [*(f"z{i} = []" for i in leaves), f"for s in {rows}:",
                   *(f"    x{j} = s[{j}]" for j in sorted(coords)),
                   *(f"    {ln}" for ln in body)]
-    ret = (f"return [{', '.join(sig)}]" if sem == "exact"
-           else f"return z{len(steps) - 1}[0]")
+    ret = (_fold(steps, pruned, pred) + ["return m"] if pruned
+           else [f"return [{', '.join(sig)}]"] if sem == "exact"
+           else [f"return z{len(steps) - 1}[0]"])
     return compile_kernel("states, k, mn, mx" if smooth else "states, k",
-                          loops + lines + [ret], ns)
+                          loops + lines + ret, ns)
+
+
+def prunable(steps):
+    """Positions p > 0 among the root's children whose child is G[a,b] over
+    an Or of predicates, if the root is an And: the children whose rows
+    the root kernel may skip."""
+    *_, (_, _, _, kids, fn, op) = steps
+    if op != "andor" or fn is not min:
+        return set()
+    return {p for p, c in enumerate(kids) if p and steps[c][4] is min
+            and steps[c][5] == "window"
+            and _or_of_preds(steps, steps[c][3][0])}
+
+
+def _or_of_preds(steps, i):
+    _, _, _, kids, fn, op = steps[i]
+    return (op == "andor" and fn is max and bool(kids)
+            and not any(steps[c][3] for c in kids))
+
+
+def _fold(steps, pruned, pred):
+    """The root kernel's min loop over the root's children into m (see
+    generate), pred(i, coords) giving a predicate's lines and expression."""
+    kids = steps[-1][3]
+    ors = {p: steps[steps[kids[p]][3][0]] for p in pruned}
+    out = [f"m = z{kids[0]}[0]"]
+    # a position not pruned is its own group; pruned ones group by rows
+    for rows, run in groupby(range(1, len(kids)),
+                             lambda p: ors[p][1:3] if p in ors else p):
+        out += ([f"v = z{kids[rows]}[0]", "if v < m: m = v"]
+                if type(rows) is int
+                else _run([(p, ors[p][3]) for p in run], *rows, pred))
+    return out
+
+
+def _run(run, lo, n, pred):
+    """One loop over the rows k+lo..k+lo+n-1 for a run of prunable children
+    (position q, the Or's predicate steps): g{q} is child q's value, a min
+    over rows written out as in generate, and a row's value is builtin
+    max over the Or's predicates.  A later row reads the coordinates of
+    the Ors' first predicates, and those of the others only where it
+    evaluates them."""
+    def inline(c):
+        coords = set()
+        return (*pred(c, coords), coords)
+
+    run = [(q, [inline(c) for c in preds]) for q, preds in run]
+    heads = set().union(*(preds[0][2] for _, preds in run))
+    every = heads.union(*(c[2] for _, preds in run for c in preds))
+    first, loop = [f"s = states[k + {lo}]", *_loads(every)], _loads(heads)
+    for q, ((got, v, _), *rest) in run:
+        more, vs = [ln for c in rest for ln in c[0]], [c[1] for c in rest]
+        first += got + more + [f"g{q} = max({', '.join([v] + vs)})"
+                               if rest else f"g{q} = {v}"]
+        body = (_loads(set().union(*(c[2] for c in rest)) - heads) + more
+                + [f"v = max(v, {', '.join(vs)})"] * bool(rest)
+                + [f"if v < g{q}: g{q} = v"])
+        loop += got + [f"v = {v}", "if v < m:", *(f"    {ln}" for ln in body)]
+    return (first + [f"for s in states[k + {lo + 1}:k + {lo + n}]:"]
+            + [f"    {ln}" for ln in loop]
+            + [f"if g{q} < m: m = g{q}" for q, _ in run])
+
+
+def _loads(coords):
+    return [f"x{j} = s[{j}]" for j in sorted(coords)]
 
 
 def _literal(x, ns):

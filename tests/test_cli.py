@@ -406,6 +406,36 @@ def test_monitor_smooth_flag_prints_lower_bound(tmp_path, capsys):
     assert float(line.split()[1]) <= 3.0
 
 
+def test_monitor_output_is_that_of_robustness_critical_and_satisfies(
+        tmp_path, capsys):
+    # dubins_k10's reach-avoid formula, whose robustness takes the root
+    # kernel, over rollouts of the scenario's seeded policy: monitor takes
+    # the exact signals once and prints what the separate calls give
+    from stlctrl.plants import rollout
+    from stlctrl.smooth import SmoothConfig, smooth_robustness
+    from stlctrl.stl import Trace, critical, robustness, satisfies
+    path = resolve_scenario("dubins_k10")
+    with open(path) as fh:
+        text = json.load(fh)["formula"]
+    sc = load_scenario(path)
+    pol, rng = sc.build_policy(random.Random(sc.seed)), random.Random(2)
+    trace = tmp_path / "trace.csv"
+    for scale in (0.0, 0.5, 2.0):
+        p = pol.with_theta([w + rng.gauss(0.0, scale) for w in pol.theta])
+        r = rollout(sc.plant, p, sc.init_set.samples[0], horizon(sc.formula))
+        write_trace_csv(str(trace), r.states, r.raw_actions)
+        assert main(["monitor", text, str(trace), "--smooth", "5"]) == 0
+        tr = Trace(r.states)
+        w = critical(sc.formula, tr)
+        assert capsys.readouterr().out == (
+            f"rho        {robustness(sc.formula, tr):.6g}\n"
+            f"satisfied  {'yes' if satisfies(sc.formula, tr) else 'no'}\n"
+            f"k_star     {w.time}\n"
+            f"h_star     {w.predicate.h.describe()}\n"
+            f"rho_smooth "
+            f"{smooth_robustness(sc.formula, tr, SmoothConfig(5.0)):.6g}\n")
+
+
 def test_monitor_short_trace_is_horizon_error(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     write_trace_csv(str(trace), [(1.0,), (2.0,)], [(0.0,)])

@@ -370,6 +370,21 @@ def test_fused_loop_inlines_every_policy_forward(noisy):
         assert runs[0] == runs[1], name
 
 
+@pytest.mark.parametrize("noisy", [False, True])
+def test_only_weights_need_extended_args_in_the_loop(noisy):
+    # [21,40,20] has 1700 weights: the step's locals come first, so in the
+    # loop body no local but a weight has a slot past 255 (an EXTENDED_ARG)
+    import dis
+    pol = init([21, 40, 20], rng=random.Random(3))
+    code = plants._closed_loop(builtin("multi_dubins_10"), pol, noisy).__code__
+    body = list(dis.get_instructions(code))
+    body = body[next(i for i, ins in enumerate(body)
+                     if ins.opname == "FOR_ITER"):]
+    far = {ins.argval for ins in body
+           if ins.opcode in dis.haslocal and ins.arg > 255}
+    assert far and all(x[0] == "w" and x[1:].isdigit() for x in far), far
+
+
 def test_fused_loop_calls_an_open_loop_policy():
     from stlctrl.trainer import _OpenLoop
     plant = builtin("quad6_platform")

@@ -912,3 +912,97 @@ def test_formula_from_an_earlier_import_gets_a_kernel(monkeypatch):
     f = parse(text)
     assert (robustness(f, tr), satisfies(f, tr)) == want
     assert critical(f, tr).value == want[0]
+
+
+# -- the root kernel: rows of a safety conjunct that cannot set the min -------
+
+WINDOWS = ((0, 0), (0, 3), (1, 4), (2, 2))
+
+
+def guarded(rng, dim):
+    """G[a,b] over an Or of 2-4 affine predicates, the conjunct the root
+    kernel prunes; windows repeat, so that runs share a row loop."""
+    return Always(*rng.choice(WINDOWS), Or(tuple(
+        random_formula(rng, dim, 0) for _ in range(rng.randint(2, 4)))))
+
+
+def reach_avoid(rng, dim):
+    """A root And of random children and guarded ones, one of which comes
+    after the first child; the first is guarded in about a third of the
+    draws."""
+    kids = [guarded(rng, dim) if rng.random() < 0.5
+            else random_formula(rng, dim, rng.randint(0, 2))
+            for _ in range(rng.randint(1, 5))]
+    kids.insert(rng.randint(1, len(kids)), guarded(rng, dim))
+    if rng.random() < 0.33:
+        kids[0] = guarded(rng, dim)
+    return And(tuple(kids))
+
+
+@pytest.mark.parametrize("pool", [
+    (0.0, -0.0, 1.0, -1.0, 2.0, math.inf, -math.inf),
+    (0.0, -0.0, 1.0, math.nan, math.inf, -math.inf),
+])
+def test_root_kernel_is_the_exact_root_on_reach_avoid_formulas(pool):
+    # ties, signed zeros, infinities and NaN, the last also in the first
+    # row of a guarded child's window and in later rows, at every k
+    rng = random.Random(13)
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        f = reach_avoid(rng, dim)
+        f = zero_offsets(f) if rng.random() < 0.5 else f
+        h = horizon(f)
+        states = crafted_traces(rng, dim, h + rng.randint(1, 3), pool)
+        if math.nan in pool:
+            g = rng.choice([c for c in f.children if isinstance(c, Always)])
+            for t in (g.a, rng.randint(g.a, g.b + 1)):
+                states[t] = tuple(math.nan if rng.random() < 0.5 else x
+                                  for x in states[t])
+        assert_matches_recursions(f, states, key=nan_as_one)
+        tr = Trace(states)
+        for k in range(len(states) - h):
+            assert nan_as_one(robustness(f, tr, k)) == nan_as_one(
+                stl.signals(f, tr, k)[-1][0]), (f, k)
+        assert f._prog[2]["root"] is not None
+
+
+def test_root_kernel_is_the_exact_root_on_bundled_rollouts():
+    # each scenario's seeded rollout, and rollouts of perturbed policies
+    from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
+    from stlctrl.plants import DivergedRollout, rollout
+    from stlctrl.policy import Policy
+    for name in bundled_names():
+        sc = load_scenario(resolve_scenario(name))
+        f, K = sc.formula, horizon(sc.formula)
+        policy, rng = sc.build_policy(random.Random(sc.seed)), random.Random(3)
+        for scale in (0.0, 0.3, 0.3, 1.0):
+            p = Policy(policy.widths, [w + rng.gauss(0.0, scale)
+                                       for w in policy.theta],
+                       policy.include_time, policy.time_scale)
+            try:
+                r = rollout(sc.plant, p, sc.init_set.sample_uniform(
+                    random.Random(1)), K)
+            except DivergedRollout:
+                continue
+            tr = Trace(r.states)
+            assert bits(robustness(f, tr)) == bits(
+                stl.signals(f, tr)[-1][0]), name
+
+
+def test_root_kernel_skips_the_rows_that_cannot_set_the_min():
+    # with -100 first, the Or's later predicates run at the window's first
+    # row only: the first predicate is not below -100 at the later rows,
+    # one of which ties it and one of which is NaN
+    calls = []
+    p, q, r = (counted(name, calls) for name in "pqr")
+    low = Pred(Affine((0.0,), -100.0))
+    f = And((low, Always(1, 4, Or((p, q, r)))))
+    tr = tr1([5.0, 3.0, -99.5, math.nan, 0.5, 7.0])
+    for k in (0, 1):
+        calls.clear()
+        assert robustness(f, tr, k) == -100.0
+        assert calls == ["p", "q", "r", "p", "p", "p"], k
+    # below the bound, a later row is evaluated in full
+    calls.clear()
+    assert robustness(f, tr1([5.0, 3.0, -200.0, 1.0, 1.0]), 0) == -200.5
+    assert calls == ["p", "q", "r", "p", "q", "r", "p", "p"]
