@@ -12,10 +12,11 @@ checks their tape, then pushes its Var outputs only, as one block keeping
 the Var inputs' ids and the locals its generated adjoint reads (reverse
 mode by source transformation, storing only what the sweep reads:
 Griewank & Walther, "Evaluating Derivatives", 2008, ch. 4 and 6).  The
-smooth aggregations (smooth.softmin, smooth.softmax_lb) compute on floats
-and push their one output through Tape.block, with a hand-written adjoint
-(local preaccumulation, ibid.).  Tape.backward runs the blocks'
-adjoints and interprets the records between them.
+smooth aggregations (smooth.softmin, smooth.softmax_lb) and the waypoint
+objective (trainer.waypoint_objective) compute on floats and push their
+one output through Tape.block, with a hand-written adjoint (local
+preaccumulation, ibid.).  Tape.backward runs the blocks' adjoints and
+interprets the records between them.
 """
 
 import math
@@ -172,7 +173,8 @@ class Tape:
 
         vmax sends the full adjoint to the strict argmax input and splits
         it 50/50 on exact ties.  Blocks up to the one holding the output
-        run their adjoints; nodes between them are interpreted.
+        run their adjoints; nodes between them are interpreted, unless
+        none of them has a record (constants and nothing else).
         """
         if output.tape is not self:
             raise ValueError("output not on this tape")
@@ -192,7 +194,7 @@ class Tape:
         adj[output.i] = 1.0
         recs, vals = self.recs, self.vals
         for lo, hi, adjoint, start, args in spans:
-            for i in range(hi - 1, lo - 1, -1):
+            for i in range(hi - 1, lo - 1, -1) if any(recs[lo:hi]) else ():
                 g = adj[i]
                 if g == 0.0:
                     continue
@@ -239,6 +241,9 @@ class Tape:
                     raise AssertionError(f"unhandled opcode {op}")
             if adjoint is not None:
                 adjoint(adj, start, args)
+        if type(seeds) is range and seeds.step == 1:
+            g = adj[seeds.start:seeds.stop]
+            return g + [0.0] * (len(seeds) - len(g))  # seeds past the tape
         return [adj[i] if i < n else 0.0 for i in seeds]
 
 
@@ -329,7 +334,7 @@ _FORMS = {ADD: ("{} + {}", 1, 1, 2), SUB: ("{} - {}", 1, 1, 2),
           COS: ("cos({})", 5, 0, 0), LN: ("log({})", 5, 0, 0)}
 
 
-def replay_source(trace, inputs, prefix="f", loop=None):
+def replay_source(trace, inputs, prefix="f", loop=None, end=None):
     """(lines, outputs, constants): straight-line code for trace = (tape,
     outputs) of a function run once on Vars, its inputs the first nodes,
     input j read as inputs[j] = (value, node id or None for a float).
@@ -349,7 +354,11 @@ def replay_source(trace, inputs, prefix="f", loop=None):
     the function once per iteration, output j carried into input j, and
     keep a tuple of locals per step if the adjoint reads any.  None unless
     a Var output exists, the Var inputs are the carried ones and each Var
-    output is a Var node of its own."""
+    output is a Var node of its own.  With end too, a pair (state, count)
+    of expressions, a run that keeps no tuple per step (its adjoint reads
+    only the Var inputs' ids and at most the number of steps) runs the
+    loop only if state is None; otherwise its outputs are state's values,
+    the values the loop would reach, and its number of steps count."""
     tape, out = trace
     nin = len(inputs)
     recs = {r: rec for r, rec in enumerate(tape.recs) if rec}
@@ -463,10 +472,14 @@ def replay_source(trace, inputs, prefix="f", loop=None):
                                        body + [_zero(seeds), *first], consts)
     xs = [x for x, _ in inputs[:len(out)]]
     save = [f"saved.append(({per}))" if per else "steps += 1"] * back
-    lines = head + [f"{kept} = {'[]' if per else 0}"] * back + [loop] + [
+    lines = [f"{kept} = {'[]' if per else 0}"] * back + [loop] + [
         "    " + line for line in lines + save + [
             f"{', '.join(xs)}, = {', '.join(x for x, _ in outs)},"]]
-    return (lines + _push([xs[j] for j in carry], args),
+    if end and not per:  # the adjoint reads no step's locals
+        lines = [f"if {end[0]} is None:", *("    " + ln for ln in lines),
+                 "else:", f"    [{', '.join(xs)}] = {end[0]}"] + [
+            f"    steps = {end[1]}"] * back
+    return (head + lines + _push([xs[j] for j in carry], args),
             [(x, i) for x, (_, i) in zip(xs, outs)], consts)
 
 

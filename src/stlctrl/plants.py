@@ -9,7 +9,8 @@ the same way, for a Policy of any size (any other controller is called
 as forward(s, k)), and per noise on or off one tape recorder of a step
 and one of a run of steps with frozen actions, both from Var states.  A
 recorder pushes only the next state's Vars and saves the locals its
-generated adjoint reads.  All
+generated adjoint reads; a run whose adjoint keeps none per step,
+given the reference's final state, pushes that and steps nothing.  All
 compute in the Var operators' order, so a differentiable rollout (the
 plain one recorded by sampler.build_sampled at every step) has its bits
 and those gradients.  So step_fn and squash_fn must be straight-line
@@ -324,36 +325,43 @@ def step_recorder(plant):
 
 
 def run_recorder(plant):
-    """run(tape, s, acts, offs=None): the state after one step per raw
-    action in acts (floats), from states s that are Vars on tape, plus the
-    noise offsets offs[j] at step j, with the values and gradients of
-    step_recorder step by step.  A loop generated per noise on or off makes
-    them one block that pushes only the final state; a step replay_source
-    cannot loop (it passes a state through, gives two states one node or
-    returns a constant) is recorded step by step."""
+    """run(tape, s, acts, offs=None, end=None): the state after one step
+    per raw action in acts (floats), from states s that are Vars on tape,
+    plus the noise offsets offs[j] at step j, with the values and
+    gradients of step_recorder step by step.  A loop generated per noise on
+    or off makes them one block that pushes only the final state; a step
+    replay_source cannot loop (it passes a state through, gives two states
+    one node or returns a constant) is recorded step by step.
+
+    end, if given, is the state as floats that the loop would reach (in
+    build_sampled, the reference's).  A run whose adjoint keeps no locals
+    per step (dubins, multi_dubins_10, integrator2d: none; quad6_platform:
+    a count) then pushes end and steps nothing; any other runs its loop."""
     return _recorders(plant, True)
 
 
 def _recorders(plant, run):
-    """record(tape, s, a, off=None) by the _recorder for noise on or off."""
+    """record(tape, s, a, off=None, *end) by the _recorder for noise on or
+    off."""
     kernels = _traced(plant)[1]
 
-    def record(tape, s, a, off=None):
+    def record(tape, s, a, off=None, *end):
         key = (run, off is not None)
         if key not in kernels:
             kernels[key] = _recorder(plant, *key)
-        return kernels[key](tape, s, a, off)
+        return kernels[key](tape, s, a, off, *end)
 
     return record
 
 
 def _recorder(plant, run, noisy):
-    """kernel(tape, s, a, off), generated: one step from Var states s and
-    raw actions a, plus noise offsets off, or with run a run of steps over
-    the float raw actions a[j] and offsets off[j], one loop and one block,
-    or a block per step if replay_source cannot loop the step.  Each state
-    it returns is a Var: an output that depends on no Var input is pushed
-    as a tape constant."""
+    """kernel(tape, s, a, off[, end]), generated: one step from Var states
+    s and raw actions a, plus noise offsets off, or with run a run of
+    steps over the float raw actions a[j] and offsets off[j], one loop and
+    one block, or a block per step if replay_source cannot loop the step,
+    and given end, the run's final state, in place of the loop if the
+    adjoint allows (run_recorder).  Each state it returns is a Var: an
+    output that depends on no Var input is pushed as a tape constant."""
     n, m = plant.state_dim, plant.action_dim
     ins = [(f"x{j}", f"i{j}" if j < n + m * (not run) else None)
            for j in range(n + m + n * noisy)]
@@ -361,7 +369,7 @@ def _recorder(plant, run, noisy):
     s, a, e = (", ".join(x) for x in (names[:n], names[n:n + m], names[n + m:]))
     loop = f"for [{a}], [{e}] in zip(a, off):" if noisy else f"for [{a}] in a:"
     trace = _traced(plant, noisy)[0]
-    src = run and replay_source(trace, ins, loop=loop)
+    src = run and replay_source(trace, ins, loop=loop, end=("end", "len(a)"))
     lines, outs, consts = src or replay_source(trace, ins)
     ret = ", ".join(f"Var(tape, {i})" if i else f"tape.const({x})"
                     for x, i in outs)
@@ -370,7 +378,8 @@ def _recorder(plant, run, noisy):
     elif not src:  # step by step, a block per step
         lines = [loop] + ["    " + line for line in lines + [f"{s}, = {ret},"]]
         ret = s
-    return compile_kernel("tape, s, a, off", [f"[{s}] = s"] + [
+    params = "tape, s, a, off, end=None" if run else "tape, s, a, off"
+    return compile_kernel(params, [f"[{s}] = s"] + [
         "if not a: return s"] * run + lines + [f"return ({ret},)"], consts)
 
 

@@ -7,9 +7,12 @@ sampled steps instead of the horizon.  On the tape, theta and then the
 start state are constants, so every recorder takes Vars: a live step is
 two blocks (Policy.recorder, the controller's only tape path, and the
 plant step) and each run of frozen steps between two live ones is one
-generated loop (plants.run_recorder) that pushes only its final state;
-its adjoint carries the state's adjoint from step to step in locals,
-over one tuple of saved locals per step if it reads any.
+block (plants.run_recorder) that pushes only its final state; its
+adjoint carries the state's adjoint from step to step in locals, over
+one tuple of saved locals per step if it reads any.  A frozen state is
+the reference's, bit for bit, so a run whose adjoint keeps no tuple per
+step pushes the reference's state and steps nothing; the others (quad12,
+scalar_power) loop.
 """
 
 from .autodiff import Tape, Var
@@ -54,6 +57,13 @@ class SampledTrajectory:
         self.tape = tape
         self.theta_vars = theta_vars
 
+    def grad(self, out):
+        """d(out)/d(theta) by one backward, or zeros if out is a float: an
+        objective that reads no Var (k* = 0, say) does not depend on theta."""
+        if type(out) is not Var:
+            return [0.0] * len(self.theta_vars)
+        return self.tape.backward(out, self.theta_vars)
+
 
 def build_sampled(ref, times, policy, plant):
     """Differentiable anchors along `times`; off-sample actions frozen.
@@ -61,11 +71,13 @@ def build_sampled(ref, times, policy, plant):
     The reference rollout supplies the frozen raw actions and the start
     state, the first anchor as floats, which do not depend on theta, and
     on the tape the live chain's start.  Anchor primal values match the
-    reference states exactly
-    because live and frozen steps run the same scalar arithmetic.  Each
-    sample time but the last gets a live step, then one run of frozen
-    steps up to the next sample time; anchors and gradients are those of
-    the Var operators step by step.
+    reference states exactly because live and frozen steps run the same
+    scalar arithmetic, so ref must be the rollout of policy.  Each sample
+    time but the last gets a live step, then one run of frozen steps up
+    to the next sample time, which pushes the reference's state there
+    without stepping if its adjoint keeps no locals per step
+    (run_recorder); anchors and gradients are those of the Var operators
+    step by step.
     """
     if not times or times[0] != 0:
         raise ValueError("sample times must start at 0")
@@ -78,12 +90,14 @@ def build_sampled(ref, times, policy, plant):
     theta = tape.consts(policy.theta)
     forward = policy.recorder(tape, theta)
     record, run = step_recorder(plant), run_recorder(plant)
-    acts, offs = ref.raw_actions, getattr(ref, "noise_offsets", None)
-    cur = tuple(Var(tape, i) for i in tape.consts(ref.states[0]))
-    anchors = [ref.states[0]]
+    states, acts = ref.states, ref.raw_actions
+    offs = getattr(ref, "noise_offsets", None)
+    cur = tuple(Var(tape, i) for i in tape.consts(states[0]))
+    anchors = [states[0]]
     for k, k1 in zip(times, times[1:]):
         cur = record(tape, cur, forward(cur, k), offs and offs[k])
-        cur = run(tape, cur, acts[k + 1:k1], offs and offs[k + 1:k1])
+        cur = run(tape, cur, acts[k + 1:k1], offs and offs[k + 1:k1],
+                  states[k1])
         anchors.append(cur)
     return SampledTrajectory(list(times), anchors, tape, theta)
 
@@ -92,11 +106,7 @@ def grad_critical(ref, kstar, hstar, N, policy, plant, rng):
     """Sampled ascent direction of the critical predicate value h*(s_{k*})."""
     times = sample_times_to(kstar, N, ref.K, rng)
     st = build_sampled(ref, times, policy, plant)
-    J = hstar.h.eval(st.anchors[-1])
-    if not isinstance(J, Var):
-        # k*=0 or a predicate that ignores every live coordinate
-        return [0.0] * len(policy.theta)
-    return st.tape.backward(J, st.theta_vars)
+    return st.grad(hstar.h.eval(st.anchors[-1]))
 
 
 def grad_smooth(ref, partition, f, cfg, policy, plant):
@@ -113,9 +123,7 @@ def grad_smooth(ref, partition, f, cfg, policy, plant):
         for t, anchor in zip(st.times, st.anchors):
             states[t] = anchor
         out = smooth_robustness(f, Trace(states), cfg)
-        if isinstance(out, Var):
-            g = st.tape.backward(out, st.theta_vars)
-            for i, gi in enumerate(g):
-                total[i] += gi
+        for i, gi in enumerate(st.grad(out)):
+            total[i] += gi
     return total
 

@@ -73,9 +73,16 @@ class WaypointPath:
             if len(tgt) != len(mask):
                 raise ValueError("target/mask length mismatch")
         self.knots = knots
+        self._entries = {}
 
     def entry(self, t):
-        """(target, mask) at time t."""
+        """(target, mask) at time t, computed once per time."""
+        got = self._entries.get(t)
+        if got is None:
+            got = self._entries[t] = self._entry(t)
+        return got
+
+    def _entry(self, t):
         ks = self.knots
         if t <= ks[0][0]:
             return ks[0][1], ks[0][2]
@@ -90,15 +97,48 @@ class WaypointPath:
 
 
 def waypoint_objective(smpl, wp):
-    """Negative masked squared distance of anchors to the desired path."""
-    J = 0.0
+    """Negative masked squared distance of anchors to the desired path.
+
+    J = J - diff * diff per masked coordinate, diff = anchor - target, is
+    computed on floats in the Var operators' order, so the value has their
+    bits.  With a Var entry it is one node on the anchors' tape, whose
+    block adjoint replays the interpreter's sweep over the records the
+    operators would have made (as smooth.softmin does): every subtraction
+    of the sum passes its adjoint g on unchanged (0.0 + g), so only the
+    Var entries get terms, newest first, with the interpreter's skips of a
+    zero adjoint.
+    """
+    J, tape, live = 0.0, None, []  # live: each Var entry's id and diff
     for t, anchor in zip(smpl.times, smpl.anchors):
         tgt, mask = wp.entry(t)
         for d, m in enumerate(mask):
             if m:
-                diff = anchor[d] - tgt[d]
+                x = anchor[d]
+                if type(x) is Var:
+                    if x.tape is not tape:
+                        if tape is not None:
+                            raise ValueError(
+                                "operands recorded on different tapes")
+                        tape = x.tape
+                    diff = tape.vals[x.i] - tgt[d]
+                    live += x.i, diff
+                else:
+                    diff = x - tgt[d]
                 J = J - diff * diff
-    return J
+    return J if tape is None else tape.block(J, _waypoint_adjoint, live)
+
+
+def _waypoint_adjoint(adj, n, live):
+    # a Var entry's records: diff = x - target, diff * diff, J - that
+    g = adj[n]
+    if g == 0.0:
+        return
+    g_sq = 0.0 - g
+    for j in range(len(live) - 2, -1, -2):
+        diff = live[j + 1]
+        g_diff = (0.0 + g_sq * diff) + g_sq * diff  # MUL's two terms
+        if g_diff != 0.0:
+            adj[live[j]] += g_diff
 
 
 @dataclass
@@ -259,11 +299,7 @@ def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
                                                 min(cfg.N, K)))
                 smpl = build_sampled(ref2, times, policy.with_theta(theta2),
                                      plant)
-                J = waypoint_objective(smpl, wp)
-                if hasattr(J, "tape"):
-                    d2 = smpl.tape.backward(J, smpl.theta_vars)
-                else:
-                    d2 = [0.0] * len(theta2)
+                d2 = smpl.grad(waypoint_objective(smpl, wp))
                 theta2 = adam_update(adam2, theta2, [g / cfg.N1 for g in d2])
             except DivergedRollout:
                 diverged += 1

@@ -9,6 +9,7 @@ of sampled trajectories, differentiable rollouts and the gradients built
 on them.
 """
 
+import math
 import random
 import struct
 
@@ -16,7 +17,9 @@ import pytest
 
 from stlctrl.autodiff import Tape, Var, vmax
 from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
-from stlctrl.plants import Plant, builtin, rollout, run_recorder, step_recorder
+from stlctrl.plants import (
+    Plant, Rollout, builtin, rollout, run_recorder, step_recorder,
+)
 from stlctrl.policy import init, reference_forward
 from stlctrl.sampler import (
     build_sampled, grad_critical, grad_smooth, partition_times,
@@ -344,6 +347,33 @@ def test_sampled_tape_equals_step_by_step_recording(noisy):
         st = _assert_sampled_matches_oracle(ref, times, pol, plant)
         assert len(st.tape.blocks) == 3 * (len(times) - 1) - sum(
             b == a + 1 for a, b in zip(times, times[1:]))
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_frozen_runs_take_the_reference_state(noisy):
+    # a frozen state is the reference's: a run whose adjoint keeps no
+    # locals per step pushes it and steps nothing, so nan frozen actions
+    # do not show in its anchors or gradients; quad12 and scalar_power
+    # keep a tuple per step, so they step the poisoned actions
+    times, stepped = [0, 2, 3, 7, 14], set()
+    for name, widths, include_time, s0 in CASES:
+        plant, pol, ref = _reference(name, widths, include_time, s0, noisy)
+        nan = (math.nan,) * plant.action_dim
+        acts = [a if k in times else nan
+                for k, a in enumerate(ref.raw_actions)]
+        poisoned = Rollout(ref.states, acts, noise_offsets=ref.noise_offsets)
+        runs = []
+        for r in (ref, poisoned):
+            st = build_sampled(r, times, pol, plant)
+            runs.append([[_bits([x.value, *st.grad(x)]) for x in a]
+                         for a in st.anchors[1:]])
+            last = [x.value for x in st.anchors[-1]]
+        if runs[0] != runs[1]:
+            stepped.add(name)  # seven nan steps reach every coordinate
+            assert all(map(math.isnan, last)), name
+        else:
+            assert not any(map(math.isnan, last)), name
+    assert stepped == {"quad12", "scalar_power"}
 
 
 def _oracle_grad_critical(ref, w, N, pol, plant, rng):

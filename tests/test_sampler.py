@@ -79,7 +79,9 @@ def _shift_plant():
 
 def test_example_frozen_action_structure():
     plant = _shift_plant()
-    ref_actions = [(0.0,), (0.1,), (0.2,), (0.3,), (0.4,), (0.5,),
+    # the policy's action 2.0 at the sample times, as build_sampled's
+    # contract asks of a reference: a frozen state is the reference's
+    ref_actions = [(2.0,), (2.0,), (0.2,), (2.0,), (0.4,), (0.5,),
                    (0.6,), (0.7,), (0.8,)]
     states = [(1.0,)]
     for a in ref_actions:

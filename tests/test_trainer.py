@@ -1,10 +1,12 @@
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from stlctrl.cli import load_scenario, resolve_scenario
+from stlctrl.autodiff import Tape, Var
+from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
 from stlctrl.plants import InitialSet, builtin, rollout
 from stlctrl.policy import AdamState, Policy, init
 from stlctrl.sampler import build_sampled
@@ -14,6 +16,7 @@ from stlctrl.trainer import (
     TrainConfig, TrainLog, WaypointPath, train_dropout, train_openloop,
     train_vanilla, waypoint_objective,
 )
+from tests.test_stl import nan_as_one
 
 
 def _point_set(s0):
@@ -90,6 +93,123 @@ def test_waypoint_objective_gradient_fd():
             vals.append(Jv.value if hasattr(Jv, "value") else Jv)
         fd = (vals[0] - vals[1]) / (2 * h)
         assert g[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+def oracle_waypoint_objective(smpl, wp):
+    """waypoint_objective by the Var operators, node by node: the oracle of
+    the one-block objective."""
+    J = 0.0
+    for t, anchor in zip(smpl.times, smpl.anchors):
+        tgt, mask = wp.entry(t)
+        for d, m in enumerate(mask):
+            if m:
+                diff = anchor[d] - tgt[d]
+                J = J - diff * diff
+    return J
+
+
+def _bits(xs):
+    # NaNs as one value: which NaN operand an add returns can differ
+    # between two code paths (see tests/test_smooth.py)
+    return b"".join(map(nan_as_one, xs))
+
+
+def _objective_bits(objective, smpl, seeds):
+    """The objective's value and its gradient over seeds, as bytes."""
+    J = objective(smpl, smpl.wp)
+    if not isinstance(J, Var):
+        return _bits([J]), None
+    return _bits([J.value]), _bits(J.tape.backward(J, seeds(J.tape)))
+
+
+@pytest.mark.parametrize("name", [n for n in bundled_names() if load_scenario(
+    resolve_scenario(n)).waypoints])
+def test_waypoint_block_matches_the_var_operators(name):
+    # the scenario's path, and one whose knots start after 0 and end
+    # before the horizon, with 0 mask entries; the anchor at 0 is floats
+    sc = load_scenario(resolve_scenario(name))
+    plant, pol = sc.plant, sc.build_policy(random.Random(sc.seed))
+    K, n = horizon(sc.formula), plant.state_dim
+    ref = rollout(plant, pol, sc.init_set.samples[0], K)
+    (_, g0, _), *_, (_, g1, _) = sc.waypoints.knots
+    inner = WaypointPath([(3, g0, [d % 2 for d in range(n)]),
+                          (K // 2, g1, [d % 3 > 0 for d in range(n)])])
+    rng = random.Random(3)
+    for wp in (sc.waypoints, inner):
+        for times in ([0, 1, 2, K // 3, K - 1, K], [0, K // 2 + 1],
+                      [0] + sorted(rng.sample(range(1, K + 1), 5))):
+            runs = []
+            for objective in (waypoint_objective, oracle_waypoint_objective):
+                smpl = build_sampled(ref, times, pol, plant)
+                smpl.wp = wp
+                ids = [*smpl.theta_vars, *(x.i for a in smpl.anchors[1:]
+                                           for x in a)]
+                runs.append(_objective_bits(
+                    objective, smpl, lambda t: [Var(t, i) for i in ids]))
+            assert runs[0] == runs[1], (wp.knots[0][0], times)
+
+
+@pytest.mark.parametrize("scale", [1.0, -2.5, 0.0, -0.0, math.inf, math.nan])
+def test_waypoint_block_special_values_match_the_var_operators(scale):
+    # targets hit exactly (diff +-0.0), infinite and nan entries, one Var
+    # in two anchors, a float entry after a Var one, and an output
+    # adjoint other than 1.0
+    inf, nan = math.inf, math.nan
+    wp = WaypointPath([(1, (0.5, 0.0, 2.0), (1, 1, 0)),
+                       (4, (3.0, -0.0, 1.0), (1, 1, 1))])
+    runs = []
+    for objective in (waypoint_objective, oracle_waypoint_objective):
+        tape = Tape()
+        a, b, c, d, e, f = (tape.const(v) for v in (
+            0.5, -0.0, 3.0, inf, nan, 1e200))
+        y = a * c  # a record below the block
+        anchors = [(0.25, 7.0, 1.0), (a, e, b), (y, f, d), (a, 0.0, c),
+                   (c, -0.0, a)]
+        smpl = SimpleNamespace(times=[0, 1, 2, 4, 6], anchors=anchors, wp=wp)
+        J = objective(smpl, wp)
+        out = J * scale
+        seeds = [a, b, c, d, e, f, y, J]
+        runs.append((_bits([J.value, out.value]),
+                     _bits(tape.backward(out, seeds))))
+    assert runs[0] == runs[1]
+    floats = SimpleNamespace(times=[0, 3], anchors=[(0.25, 7.0, 1.0),
+                                                     (1.0, -0.5, 0.0)], wp=wp)
+    assert (_objective_bits(waypoint_objective, floats, None)
+            == _objective_bits(oracle_waypoint_objective, floats, None))
+
+
+def test_waypoint_block_sums_an_entry_newest_term_first():
+    # one Var in three anchors: its terms 1.0, 1e16 and -1e16 sum to 1.0
+    # newest first, as the interpreter sweeps, and to 0.0 oldest first
+    wp = WaypointPath([(1, (0.5,), (1,)), (2, (5e15,), (1,)),
+                       (3, (-5e15,), (1,))])
+    grads = []
+    for objective in (waypoint_objective, oracle_waypoint_objective):
+        tape = Tape()
+        z = tape.const(0.0)
+        J = objective(SimpleNamespace(times=[1, 2, 3], anchors=[(z,)] * 3), wp)
+        grads.append(tape.backward(J, [z]))
+    assert grads == [[1.0], [1.0]]
+
+
+def test_waypoint_block_rejects_anchors_on_two_tapes():
+    t1, t2 = Tape(), Tape()
+    smpl = SimpleNamespace(times=[1, 2], anchors=[(t1.const(1.0),),
+                                                   (t2.const(2.0),)])
+    wp = WaypointPath([(0, (0.0,), (1,))])
+    for objective in (waypoint_objective, oracle_waypoint_objective):
+        with pytest.raises(ValueError, match="different tapes"):
+            objective(smpl, wp)
+
+
+def test_waypoint_path_computes_each_time_once(monkeypatch):
+    wp = WaypointPath([(0, (0.0, 0.0), (1, 1)), (10, (1.0, 2.0), (1, 0))])
+    calls = []
+    entry = wp._entry
+    monkeypatch.setattr(wp, "_entry", lambda t: calls.append(t) or entry(t))
+    mid, end = ((0.5, 1.0), (1, 0)), ((1.0, 2.0), (1, 0))
+    assert [wp.entry(t) for t in (5, 12, 5, 12)] == [mid, end, mid, end]
+    assert calls == [5, 12]
 
 
 def test_already_satisfying_returns_immediately():
