@@ -356,9 +356,9 @@ def replay_source(trace, inputs, prefix="f", loop=None, end=None):
     a Var output exists, the Var inputs are the carried ones and each Var
     output is a Var node of its own.  With end too, a pair (state, count)
     of expressions, a run that keeps no tuple per step (its adjoint reads
-    only the Var inputs' ids and at most the number of steps) runs the
-    loop only if state is None; otherwise its outputs are state's values,
-    the values the loop would reach, and its number of steps count."""
+    only the Var inputs' ids and at most the number of steps) has no
+    loop: its outputs are state's values, which the loop would reach, and
+    its number of steps count."""
     tape, out = trace
     nin = len(inputs)
     recs = {r: rec for r, rec in enumerate(tape.recs) if rec}
@@ -475,10 +475,9 @@ def replay_source(trace, inputs, prefix="f", loop=None, end=None):
     lines = [f"{kept} = {'[]' if per else 0}"] * back + [loop] + [
         "    " + line for line in lines + save + [
             f"{', '.join(xs)}, = {', '.join(x for x, _ in outs)},"]]
-    if end and not per:  # the adjoint reads no step's locals
-        lines = [f"if {end[0]} is None:", *("    " + ln for ln in lines),
-                 "else:", f"    [{', '.join(xs)}] = {end[0]}"] + [
-            f"    steps = {end[1]}"] * back
+    if end and not per:  # the adjoint reads no step's locals: no loop
+        lines = [f"[{', '.join(xs)}] = {end[0]}"] + [
+            f"steps = {end[1]}"] * back
     return (head + lines + _push([xs[j] for j in carry], args),
             [(x, i) for x, (_, i) in zip(xs, outs)], consts)
 

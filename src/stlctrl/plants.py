@@ -321,47 +321,48 @@ def step_recorder(plant):
     it from states and raw actions that are Vars on tape, plus the noise
     offsets off (floats), on the tape by the recorder generated per noise
     on or off: one block, with the Var operators' gradients."""
-    return _recorders(plant, False)
+    kernels = _traced(plant)[1]
+
+    def record(tape, s, a, off=None):
+        key = (False, off is not None)
+        if key not in kernels:
+            kernels[key] = _recorder(plant, *key)
+        return kernels[key](tape, s, a, off)
+
+    return record
 
 
 def run_recorder(plant):
-    """run(tape, s, acts, offs=None, end=None): the state after one step
-    per raw action in acts (floats), from states s that are Vars on tape,
-    plus the noise offsets offs[j] at step j, with the values and
-    gradients of step_recorder step by step.  A loop generated per noise on
-    or off makes them one block that pushes only the final state; a step
-    replay_source cannot loop (it passes a state through, gives two states
-    one node or returns a constant) is recorded step by step.
-
-    end, if given, is the state as floats that the loop would reach (in
-    build_sampled, the reference's).  A run whose adjoint keeps no locals
-    per step (dubins, multi_dubins_10, integrator2d: none; quad6_platform:
-    a count) then pushes end and steps nothing; any other runs its loop."""
-    return _recorders(plant, True)
-
-
-def _recorders(plant, run):
-    """record(tape, s, a, off=None, *end) by the _recorder for noise on or
-    off."""
+    """run(tape, s, acts, end, offs=None): the state after one step per raw
+    action in acts (floats), from states s that are Vars on tape, plus the
+    noise offsets offs[j] at step j, with the values and gradients of
+    step_recorder step by step; end is that state as floats (in
+    build_sampled, the reference's).  The recorder generated per noise on
+    or off makes the run one block that pushes only the final state.  A
+    run whose adjoint keeps no locals per step (dubins, multi_dubins_10,
+    integrator2d: none; quad6_platform: a count) pushes end and steps
+    nothing; any other (quad12, scalar_power) loops over the steps, and a
+    step replay_source cannot loop (it passes a state through, gives two
+    states one node or returns a constant) is recorded step by step."""
     kernels = _traced(plant)[1]
 
-    def record(tape, s, a, off=None, *end):
-        key = (run, off is not None)
+    def run(tape, s, acts, end, offs=None):
+        key = (True, offs is not None)
         if key not in kernels:
             kernels[key] = _recorder(plant, *key)
-        return kernels[key](tape, s, a, off, *end)
+        return kernels[key](tape, s, acts, offs, end)
 
-    return record
+    return run
 
 
 def _recorder(plant, run, noisy):
     """kernel(tape, s, a, off[, end]), generated: one step from Var states
     s and raw actions a, plus noise offsets off, or with run a run of
-    steps over the float raw actions a[j] and offsets off[j], one loop and
-    one block, or a block per step if replay_source cannot loop the step,
-    and given end, the run's final state, in place of the loop if the
-    adjoint allows (run_recorder).  Each state it returns is a Var: an
-    output that depends on no Var input is pushed as a tape constant."""
+    steps over the float raw actions a[j] and offsets off[j] to the final
+    state end: one block that pushes end if the adjoint allows, else one
+    loop and one block, or a block per step if replay_source cannot loop
+    the step (run_recorder).  Each state it returns is a Var: an output
+    that depends on no Var input is pushed as a tape constant."""
     n, m = plant.state_dim, plant.action_dim
     ins = [(f"x{j}", f"i{j}" if j < n + m * (not run) else None)
            for j in range(n + m + n * noisy)]
@@ -378,7 +379,7 @@ def _recorder(plant, run, noisy):
     elif not src:  # step by step, a block per step
         lines = [loop] + ["    " + line for line in lines + [f"{s}, = {ret},"]]
         ret = s
-    params = "tape, s, a, off, end=None" if run else "tape, s, a, off"
+    params = "tape, s, a, off, end" if run else "tape, s, a, off"
     return compile_kernel(params, [f"[{s}] = s"] + [
         "if not a: return s"] * run + lines + [f"return ({ret},)"], consts)
 

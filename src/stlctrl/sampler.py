@@ -10,9 +10,10 @@ plant step) and each run of frozen steps between two live ones is one
 block (plants.run_recorder) that pushes only its final state; its
 adjoint carries the state's adjoint from step to step in locals, over
 one tuple of saved locals per step if it reads any.  A frozen state is
-the reference's, bit for bit, so a run whose adjoint keeps no tuple per
-step pushes the reference's state and steps nothing; the others (quad12,
-scalar_power) loop.
+the reference's, bit for bit, if the reference is the policy's rollout
+(build_sampled checks each live step's raw action), so a run whose
+adjoint keeps no tuple per step pushes the reference's state and steps
+nothing; the others (quad12, scalar_power) loop.
 """
 
 from .autodiff import Tape, Var
@@ -72,7 +73,8 @@ def build_sampled(ref, times, policy, plant):
     state, the first anchor as floats, which do not depend on theta, and
     on the tape the live chain's start.  Anchor primal values match the
     reference states exactly because live and frozen steps run the same
-    scalar arithmetic, so ref must be the rollout of policy.  Each sample
+    scalar arithmetic, so ref must be the rollout of policy: a live
+    step's raw action that is not ref's raises ValueError.  Each sample
     time but the last gets a live step, then one run of frozen steps up
     to the next sample time, which pushes the reference's state there
     without stepping if its adjoint keeps no locals per step
@@ -94,10 +96,15 @@ def build_sampled(ref, times, policy, plant):
     offs = getattr(ref, "noise_offsets", None)
     cur = tuple(Var(tape, i) for i in tape.consts(states[0]))
     anchors = [states[0]]
+    vals = tape.vals
     for k, k1 in zip(times, times[1:]):
-        cur = record(tape, cur, forward(cur, k), offs and offs[k])
-        cur = run(tape, cur, acts[k + 1:k1], offs and offs[k + 1:k1],
-                  states[k1])
+        a = forward(cur, k)
+        if [vals[x.i] for x in a] != [*acts[k]]:
+            raise ValueError(f"ref is not the rollout of policy: its raw "
+                             f"action at step {k} is not the policy's")
+        cur = record(tape, cur, a, offs and offs[k])
+        cur = run(tape, cur, acts[k + 1:k1], states[k1],
+                  offs and offs[k + 1:k1])
         anchors.append(cur)
     return SampledTrajectory(list(times), anchors, tape, theta)
 

@@ -73,16 +73,9 @@ class WaypointPath:
             if len(tgt) != len(mask):
                 raise ValueError("target/mask length mismatch")
         self.knots = knots
-        self._entries = {}
 
     def entry(self, t):
-        """(target, mask) at time t, computed once per time."""
-        got = self._entries.get(t)
-        if got is None:
-            got = self._entries[t] = self._entry(t)
-        return got
-
-    def _entry(self, t):
+        """(target, mask) at time t."""
         ks = self.knots
         if t <= ks[0][0]:
             return ks[0][1], ks[0][2]

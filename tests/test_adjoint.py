@@ -27,6 +27,7 @@ from stlctrl.sampler import (
 )
 from stlctrl.smooth import SmoothConfig
 from stlctrl.stl import Trace, critical, horizon, parse
+from tests.test_plants import run_end
 from tests.test_smooth import oracle_smooth_robustness
 
 # every builtin plant with its bundled scenario's controller widths
@@ -163,7 +164,8 @@ def test_step_adjoints_for_var_and_float_operands(name, widths, include_time,
         runs = []
         for step in (step_recorder(plant) if var_a else
                      lambda tape, s, a, off: run_recorder(plant)(
-                         tape, s, [a], off and [off]),
+                         tape, s, [a], run_end(plant, s, [a], off and [off]),
+                         off and [off]),
                      lambda tape, s, a, off: _oracle_step(plant, s, a, off)):
             tape = Tape()
             tape.const(3.0)
@@ -175,16 +177,18 @@ def test_step_adjoints_for_var_and_float_operands(name, widths, include_time,
 
 
 def _run_and_steps(plant, s0, acts, offs):
-    """(tape, final state, seeds) of run_recorder, of step_recorder step by
-    step (its raw actions tape constants) and of the Var operators step by
-    step, each from states that are Vars (the seeds) after a few nodes."""
+    """(tape, final state, seeds) of run_recorder (its end by Plant.step on
+    floats), of step_recorder step by step (its raw actions tape
+    constants) and of the Var operators step by step, each from states
+    that are Vars (the seeds) after a few nodes."""
     out = []
     for how in ("run", "steps", "oracle"):
         tape = Tape()
         tape.consts([0.5, 1.5])
         s = seeds = tuple(tape.const(x) for x in s0)
         if how == "run":
-            s = run_recorder(plant)(tape, s, acts, offs)
+            s = run_recorder(plant)(tape, s, acts,
+                                    run_end(plant, s, acts, offs), offs)
         else:
             for j, a in enumerate(acts):
                 off = offs and offs[j]
@@ -237,7 +241,7 @@ def test_run_of_no_steps_returns_its_input():
     plant = builtin("dubins")
     tape = Tape()
     s = (tape.const(0.1), tape.const(0.2))
-    assert run_recorder(plant)(tape, s, []) == s
+    assert run_recorder(plant)(tape, s, [], (0.1, 0.2)) == s
     assert len(tape) == 2 and not tape.blocks
 
 
@@ -354,7 +358,8 @@ def test_frozen_runs_take_the_reference_state(noisy):
     # a frozen state is the reference's: a run whose adjoint keeps no
     # locals per step pushes it and steps nothing, so nan frozen actions
     # do not show in its anchors or gradients; quad12 and scalar_power
-    # keep a tuple per step, so they step the poisoned actions
+    # keep a tuple per step, so they step the poisoned actions, and the
+    # live step after such a run does not give the reference's action
     times, stepped = [0, 2, 3, 7, 14], set()
     for name, widths, include_time, s0 in CASES:
         plant, pol, ref = _reference(name, widths, include_time, s0, noisy)
@@ -364,15 +369,19 @@ def test_frozen_runs_take_the_reference_state(noisy):
         poisoned = Rollout(ref.states, acts, noise_offsets=ref.noise_offsets)
         runs = []
         for r in (ref, poisoned):
-            st = build_sampled(r, times, pol, plant)
+            try:
+                st = build_sampled(r, times, pol, plant)
+            except ValueError as e:
+                assert r is poisoned and "at step 2" in str(e), name
+                stepped.add(name)
+                # one frozen run and no live step after it: nan anchors
+                st = build_sampled(r, [0, 7], pol, plant)
+                assert all(math.isnan(x.value) for x in st.anchors[-1]), name
+                break
             runs.append([[_bits([x.value, *st.grad(x)]) for x in a]
                          for a in st.anchors[1:]])
-            last = [x.value for x in st.anchors[-1]]
-        if runs[0] != runs[1]:
-            stepped.add(name)  # seven nan steps reach every coordinate
-            assert all(map(math.isnan, last)), name
         else:
-            assert not any(map(math.isnan, last)), name
+            assert runs[0] == runs[1], name
     assert stepped == {"quad12", "scalar_power"}
 
 

@@ -443,10 +443,31 @@ def _var_step(plant):
     return step
 
 
+def run_end(plant, s, acts, offs=None):
+    """The state as floats that a run of steps over the raw actions acts,
+    plus the noise offsets offs, reaches from s: Plant.step on floats,
+    run_recorder's end."""
+    s = tuple(map(value_of, s))
+    for j, a in enumerate(acts):
+        s = plant.step(s, a, 0)
+        if offs:
+            s = tuple(x + o for x, o in zip(s, offs[j]))
+    return s
+
+
 def _one_step_run(plant):
     """A frozen step: run_recorder over the one raw action a."""
     run = run_recorder(plant)
-    return lambda tape, s, a, off: run(tape, s, [a], off and [off])
+
+    def step(tape, s, a, off):
+        offs = off and [off]
+        try:
+            end = run_end(plant, s, [a], offs)
+        except (ArithmeticError, ValueError):
+            end = None  # the guarded local is kept per step, so it loops
+        return run(tape, s, [a], end, offs)
+
+    return step
 
 
 def _assert_recorder_matches_var_operators(plant, s, a):
@@ -556,9 +577,10 @@ def test_plant_recorders_reject_a_state_from_another_tape():
     t1, t2 = Tape(), Tape()
     t2.const(9.0)
     own, other, a = t2.const(1.0), t1.const(2.0), t2.const(0.5)
+    end = (0.0, 0.0)  # read after the check
     calls = [lambda s: record(t2, s, (a, a)),
-             lambda s: run(t2, s, [(0.5, -0.5)]),
-             lambda s: run(t2, s, [(0.5, -0.5)] * 3)]
+             lambda s: run(t2, s, [(0.5, -0.5)], end),
+             lambda s: run(t2, s, [(0.5, -0.5)] * 3, end)]
     for s in [(other, own), (own, other), (other, other)]:
         for call in calls:
             sizes = (len(t1), len(t2), list(t1.blocks), list(t2.blocks))
@@ -567,5 +589,5 @@ def test_plant_recorders_reject_a_state_from_another_tape():
             assert str(e.value) == "operands recorded on different tapes"
             assert (len(t1), len(t2), t1.blocks, t2.blocks) == sizes
     # a state on the recorders' tape is recorded as before
-    assert len(run(t2, (own, a), [(0.5, -0.5)] * 3)) == 2
+    assert len(run(t2, (own, a), [(0.5, -0.5)] * 3, end)) == 2
     assert len(t2.blocks) == 1

@@ -79,26 +79,39 @@ def _shift_plant():
 
 def test_example_frozen_action_structure():
     plant = _shift_plant()
-    # the policy's action 2.0 at the sample times, as build_sampled's
-    # contract asks of a reference: a frozen state is the reference's
-    ref_actions = [(2.0,), (2.0,), (0.2,), (2.0,), (0.4,), (0.5,),
+    ref_actions = [(0.0,), (0.1,), (0.2,), (0.3,), (0.4,), (0.5,),
                    (0.6,), (0.7,), (0.8,)]
-    states = [(1.0,)]
-    for a in ref_actions:
-        states.append((states[-1][0] + a[0],))
 
-    class Ref:
-        K = 9
-        raw_actions = ref_actions
+    def reference(actions):
+        states = [(1.0,)]
+        for a in actions:
+            states.append((states[-1][0] + a[0],))
 
-    Ref.states = states
+        class Ref:
+            K = 9
+            raw_actions = actions
+
+        Ref.states = states
+        return Ref
+
     pol = Policy([2, 1], theta=[0.0, 0.0, 2.0])  # constant action 2.0
-    st = build_sampled(Ref, [0, 1, 3, 6], pol, plant)
-    # live at 0,1,3; frozen 0.2 (k=2), 0.4 (k=4), 0.5 (k=5)
-    assert st.anchors[-1][0].value == pytest.approx(1.0 + 2.0 + 2.0 + 0.2
-                                                    + 2.0 + 0.4 + 0.5)
+    # not the policy's rollout: its action at the live step 0 is 0.0
+    with pytest.raises(ValueError, match="raw action at step 0"):
+        build_sampled(reference(ref_actions), [0, 1, 3, 6], pol, plant)
+    # the policy's action 2.0 at the live steps 0, 1, 3; frozen 0.2 (k=2),
+    # 0.4 (k=4), 0.5 (k=5) from the reference
+    for k in (0, 1, 3):
+        ref_actions[k] = (2.0,)
+    st = build_sampled(reference(ref_actions), [0, 1, 3, 6], pol, plant)
+    assert [a[0].value for a in st.anchors[1:]] == pytest.approx(
+        [1.0 + 2.0, 1.0 + 2.0 + 2.0 + 0.2,
+         1.0 + 2.0 + 2.0 + 0.2 + 2.0 + 0.4 + 0.5])
     (g,) = [st.tape.backward(st.anchors[-1][0], st.theta_vars)[2]]
     assert g == pytest.approx(3.0)  # three live steps, unit sensitivity each
+    # a frozen step's action need not be the policy's, a live one's must
+    ref_actions[3] = (0.3,)
+    with pytest.raises(ValueError, match="raw action at step 3"):
+        build_sampled(reference(ref_actions), [0, 1, 3, 6], pol, plant)
 
 
 def test_full_sampling_equals_reference_bit_exact():

@@ -202,16 +202,6 @@ def test_waypoint_block_rejects_anchors_on_two_tapes():
             objective(smpl, wp)
 
 
-def test_waypoint_path_computes_each_time_once(monkeypatch):
-    wp = WaypointPath([(0, (0.0, 0.0), (1, 1)), (10, (1.0, 2.0), (1, 0))])
-    calls = []
-    entry = wp._entry
-    monkeypatch.setattr(wp, "_entry", lambda t: calls.append(t) or entry(t))
-    mid, end = ((0.5, 1.0), (1, 0)), ((1.0, 2.0), (1, 0))
-    assert [wp.entry(t) for t in (5, 12, 5, 12)] == [mid, end, mid, end]
-    assert calls == [5, 12]
-
-
 def test_already_satisfying_returns_immediately():
     plant = builtin("integrator2d")
     pol = init([3, 4, 2], scheme="zero")
