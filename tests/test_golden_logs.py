@@ -20,6 +20,10 @@ smooth candidates all keep the incumbent, so the rows alone do not depend
 on grad_smooth's bits; the gradient pins them where a smooth aggregation
 mixes float and Var entries, which the M = 1 runs above never reach.
 
+tests/data/quad12_golden.json holds the rows and theta of the first 20
+dropout iterations of the bundled quad12 scenario from its own seed, a
+run whose candidates diverge: 16 critical and 4 smooth rows.
+
 A speedup or refactor that changes any bit of these fails here.
 Regenerate the files only for a deliberate change of the numbers:
 
@@ -44,7 +48,8 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 DATA = os.path.join(DATA_DIR, "dubins_k100_golden.json")
 BASELINES = os.path.join(DATA_DIR, "baselines_golden.json")
 LONG = os.path.join(DATA_DIR, "dubins_k1000_golden.json")
-LONG_ITERS = 20
+QUAD12 = os.path.join(DATA_DIR, "quad12_golden.json")
+LONG_ITERS = QUAD12_ITERS = 20
 SEEDS = (1, 2, 3)
 BASELINE_RUNS = [("vanilla", name, seed)
                  for name in ("dubins_k10", "integrator2d") for seed in (1, 2)]
@@ -69,19 +74,26 @@ def run_seed(seed):
     return _result(log, info, ctrl.theta)
 
 
-def run_long():
-    sc = load_scenario(resolve_scenario("dubins_k1000"))
-    cfg = dataclasses.replace(sc.train_cfg, max_iters=LONG_ITERS)
+def run_first_iters(name, iters):
+    """(scenario, its config, policy, _result) of the first iters dropout
+    iterations of a bundled scenario from its own seed."""
+    sc = load_scenario(resolve_scenario(name))
+    cfg = dataclasses.replace(sc.train_cfg, max_iters=iters)
     rng = random.Random(sc.seed)
     pol = sc.build_policy(rng)
     ctrl, log, info = train_dropout(sc.plant, pol, sc.formula, sc.init_set,
                                     sc.waypoints, cfg, rng)
+    return sc, cfg, ctrl, _result(log, info, ctrl.theta)
+
+
+def run_long():
+    sc, cfg, ctrl, result = run_first_iters("dubins_k1000", LONG_ITERS)
     K = horizon(sc.formula)
     ref = rollout(sc.plant, ctrl, sc.init_set.samples[0], K)
     part = partition_times(K, cfg.M, random.Random(0))
     grad = grad_smooth(ref, part, sc.formula, SmoothConfig(cfg.b), ctrl,
                        sc.plant)
-    return {**_result(log, info, ctrl.theta), "grad_smooth": grad}
+    return {**result, "grad_smooth": grad}
 
 
 def run_baseline(algorithm, name, seed):
@@ -131,6 +143,10 @@ def test_long_horizon_log_matches_golden():
     assert got["grad_smooth"] == want["grad_smooth"]
 
 
+def test_diverging_run_log_matches_golden():
+    _check(run_first_iters("quad12", QUAD12_ITERS)[3], _load(QUAD12))
+
+
 def _dump(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -142,3 +158,4 @@ if __name__ == "__main__":
     _dump(DATA, {str(s): run_seed(s) for s in SEEDS})
     _dump(BASELINES, {_key(*run): run_baseline(*run) for run in BASELINE_RUNS})
     _dump(LONG, run_long())
+    _dump(QUAD12, run_first_iters("quad12", QUAD12_ITERS)[3])
