@@ -12,7 +12,8 @@ train_dropout's step is the gradient-sampling iteration: it ascends the
 critical predicate value (and optionally a waypoint surrogate) through
 sampled trajectories, halves the learning rate when the critical-predicate
 direction stalls, and falls back to the smooth robustness over a time
-partition when even a tiny step fails to improve.  train_vanilla's step is
+partition when even a tiny step fails to improve.  A candidate whose
+rollout diverged takes no further ascent passes.  train_vanilla's step is
 plain smooth-robustness ascent over the whole horizon, and train_openloop
 runs it on a raw action sequence instead of network weights.
 """
@@ -20,7 +21,8 @@ runs it on a raw action sequence instead of network weights.
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from .autodiff import Var
 from .plants import DivergedRollout, InitialSet, rollout
@@ -243,97 +245,81 @@ def _train(plant, policy, f, init_set, cfg, step):
 
 def train_dropout(plant, policy, f, init_set, wp, cfg, rng):
     """Sampled-gradient training; returns (policy, log, info)."""
-    K = horizon(f)
-    scfg = SmoothConfig(cfg.b)
     adams = [AdamState(len(policy.theta), alpha=cfg.alpha) for _ in range(3)]
-
-    def step(theta, s0, runs):
-        rho_j, ref_j, sig_j = runs[s0]
-        theta, branch, lr, _, div, run = _dropout_iteration(
-            plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j, ref_j, K,
-            *adams, sig_j)
-        return theta, branch, lr, div, runs if run is None else {s0: run}
-
+    step = partial(_dropout_iteration, plant, policy, f, wp, cfg, rng, adams)
     theta, log, info = _train(plant, policy, f, init_set, cfg, step)
     return policy.with_theta(theta), log, info
 
 
-def _dropout_iteration(plant, policy, f, wp, cfg, scfg, rng, theta, s0, rho_j,
-                       ref_j, K, adam1, adam2, adam3, sig_j=None):
-    """One iteration from theta, whose exact rho, plain rollout from s0 and
-    its exact signals are rho_j, ref_j and sig_j (None if it diverged or
-    not kept).
+def _dropout_iteration(plant, policy, f, wp, cfg, rng, adams, theta, s0,
+                       runs):
+    """_train's step from theta on its worst sample s0, whose _exact_rho
+    is runs[s0]: (theta, branch, lr, diverged candidates, {s0: committed
+    theta's _exact_rho}, or runs if the smooth guard kept theta).
 
-    Returns (committed theta, branch, lr, exact rho of the committed theta,
-    number of candidate updates skipped because their rollout diverged,
-    _exact_rho of the committed theta from s0 or None if it is theta).
+    The waypoint candidate, the critical one and a line search towards it
+    are committed if their exact rho is at least theta's, else the smooth
+    candidate unless guarded.  A candidate whose pass rollout diverged
+    takes no further passes, as its rollout would diverge again; its
+    commit test still rolls it out.
     """
-    diverged = 0
-    theta1 = list(theta)
-    theta2 = list(theta)
-    ref1 = ref2 = ref_j  # theta1 = theta2 = theta3 = theta on a first pass
-    sig1 = sig_j
-    for _ in range(cfg.N1):
-        try:
-            if ref1 is None:
-                ref1 = rollout(plant, policy.with_theta(theta1), s0, K)
-            w = critical(f, Trace(ref1.states), sig=sig1)
-            d1 = grad_critical(ref1, w.time, w.predicate, cfg.N,
-                               policy.with_theta(theta1), plant, rng)
-            theta1 = adam_update(adam1, theta1, [g / cfg.N1 for g in d1])
-        except DivergedRollout:
-            diverged += 1  # keep theta1; the commit test filters bad candidates
-        ref1 = sig1 = None
-        if wp is not None:
-            try:
-                if ref2 is None:
-                    ref2 = rollout(plant, policy.with_theta(theta2), s0, K)
-                times = [0] + sorted(rng.sample(range(1, K + 1),
-                                                min(cfg.N, K)))
-                smpl = build_sampled(ref2, times, policy.with_theta(theta2),
-                                     plant)
-                d2 = smpl.grad(waypoint_objective(smpl, wp))
-                theta2 = adam_update(adam2, theta2, [g / cfg.N1 for g in d2])
-            except DivergedRollout:
-                diverged += 1
-            ref2 = None
+    K, rho_j, diverged = horizon(f), runs[s0][0], 0
 
-    if wp is not None:
-        run = _exact_rho(plant, policy, theta2, s0, K, f)
-        if run[0] >= rho_j:
-            return theta2, "waypoint", 1.0, run[0], diverged, run
-    run = _exact_rho(plant, policy, theta1, s0, K, f)
-    if run[0] >= rho_j:
-        return theta1, "critical", 1.0, run[0], diverged, run
+    def ascend(steps, n):
+        # n passes from theta, the first on runs[s0]; each steps every live
+        # candidate by Adam along its grad(rollout, signals, policy) / n
+        nonlocal diverged
+        cands, live, run = [theta] * len(steps), [True] * len(steps), runs[s0]
+        for _ in range(n):
+            for i, (grad, adam) in enumerate(steps):
+                if live[i]:
+                    pol = policy.with_theta(cands[i])
+                    try:
+                        ref = run[1] or rollout(plant, pol, s0, K)
+                        d = [g / n for g in grad(ref, run[2], pol)]
+                        cands[i] = adam_update(adam, cands[i], d)
+                    except DivergedRollout:
+                        live[i] = False
+            run = (None, None, None)
+        diverged += live.count(False)
+        return cands
+
+    def crit(ref, sig, pol):
+        w = critical(f, Trace(ref.states), sig=sig)
+        return grad_critical(ref, w.time, w.predicate, cfg.N, pol, plant, rng)
+
+    def way(ref, sig, pol):
+        times = [0] + sorted(rng.sample(range(1, K + 1), min(cfg.N, K)))
+        smpl = build_sampled(ref, times, pol, plant)
+        return smpl.grad(waypoint_objective(smpl, wp))
+
+    def smooth(ref, sig, pol):
+        partition = partition_times(K, cfg.M, rng)
+        return grad_smooth(ref, partition, f, SmoothConfig(cfg.b), pol, plant)
+
+    def commit(cand, branch, lr, guard=True):
+        # the step to cand if its exact rho from s0 passes the commit test
+        run = _exact_rho(plant, policy, cand, s0, K, f)
+        if run[0] >= rho_j or not guard:
+            return cand, branch, lr, diverged, {s0: run}
+
+    steps = [(crit, adams[0])] + ([(way, adams[1])] if wp is not None else [])
+    theta1, *theta2 = ascend(steps, cfg.N1)  # theta2: [waypoint candidate]
+    if theta2 and (out := commit(theta2[0], "waypoint", 1.0)):
+        return out
+    if out := commit(theta1, "critical", 1.0):
+        return out
     ell = 1.0
     while True:
         ell = ell / 2.0
         hat = [tj + ell * (t1 - tj) for tj, t1 in zip(theta, theta1)]
-        run = _exact_rho(plant, policy, hat, s0, K, f)
-        if run[0] >= rho_j:
-            return hat, "critical", ell, run[0], diverged, run
+        if out := commit(hat, "critical", ell):
+            return out
         if ell < cfg.eps:
             break
-
-    theta3 = list(theta)
-    ref3 = ref_j
-    for _ in range(cfg.N2):
-        try:
-            if ref3 is None:
-                ref3 = rollout(plant, policy.with_theta(theta3), s0, K)
-            partition = partition_times(K, cfg.M, rng)
-            d3 = grad_smooth(ref3, partition, f, scfg,
-                             policy.with_theta(theta3), plant)
-            theta3 = adam_update(adam3, theta3, [g / cfg.N2 for g in d3])
-        except DivergedRollout:
-            diverged += 1
-            break
-        ref3 = None
-    run = _exact_rho(plant, policy, theta3, s0, K, f)
-    if cfg.guard_smooth and run[0] < rho_j:
-        # keep the incumbent rather than regress
-        return theta, "smooth", 1.0, rho_j, diverged, None
-    return theta3, "smooth", 1.0, run[0], diverged, run
+    theta3, = ascend([(smooth, adams[2])], cfg.N2)
+    return (commit(theta3, "smooth", 1.0, cfg.guard_smooth)
+            or (theta, "smooth", 1.0, diverged, runs))  # the guard kept theta
 
 
 def train_vanilla(plant, policy, f, init_set, cfg, rng):

@@ -10,7 +10,6 @@ from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
 from stlctrl.plants import InitialSet, builtin, rollout
 from stlctrl.policy import AdamState, Policy, init
 from stlctrl.sampler import build_sampled
-from stlctrl.smooth import SmoothConfig
 from stlctrl.stl import Trace, horizon, parse, robustness
 from stlctrl.trainer import (
     TrainConfig, TrainLog, WaypointPath, train_dropout, train_openloop,
@@ -358,17 +357,19 @@ def test_dropout_passes_exact_rho_of_incumbent_and_commit(monkeypatch,
                                  sc.waypoints, cfg, rng)
     assert "smooth" in info["branch_counts"]
     K = horizon(sc.formula)
-    for args, (theta, branch, lr, rho, _, run) in calls:
-        theta_in, s0, rho_j = args[7], args[8], args[9]
-        assert rho_j == trainer._exact_rho(sc.plant, pol, theta_in, s0, K,
-                                           sc.formula)[0]
+    for args, (theta, branch, lr, _, kept) in calls:
+        theta_in, s0, runs = args[7:10]
+        assert runs[s0][0] == trainer._exact_rho(sc.plant, pol, theta_in, s0,
+                                                 K, sc.formula)[0]
         fresh = trainer._exact_rho(sc.plant, pol, theta, s0, K, sc.formula)
-        assert rho == fresh[0]
-        # the run handed to the next check, None if theta is the incumbent
-        assert (theta is theta_in if run is None else
+        assert kept[s0][0] == fresh[0]
+        # the runs handed to the next check, the incumbent's if it was kept
+        run = kept[s0]
+        assert (theta is theta_in if kept is runs else
                 (run[0], run[1].states, run[2])
                 == (fresh[0], fresh[1].states, fresh[2]))
-    assert [r.rho for r in log.records] == [out[3] for _, out in calls]
+    assert [r.rho for r in log.records] == [out[4][args[8]][0]
+                                            for args, out in calls]
 
 
 def test_next_check_reuses_the_committed_run(monkeypatch):
@@ -389,7 +390,7 @@ def test_next_check_reuses_the_committed_run(monkeypatch):
 
     def spy_iteration(*args):
         out = orig_iteration(*args)
-        commits.append((out[0], args[8], out[5]))
+        commits.append((out[0], args[8], out[4] is args[9]))
         return out
 
     monkeypatch.setattr(trainer, "rollout", spy_rollout)
@@ -398,7 +399,7 @@ def test_next_check_reuses_the_committed_run(monkeypatch):
                                  sc.waypoints, cfg, rng)
     # seven iterations, one of them a smooth step the guard rejected
     assert len(commits) == len(log.records) == 7 and not info["dnf"]
-    assert [run is None for _, _, run in commits].count(True) == 1
+    assert [kept for _, _, kept in commits].count(True) == 1
     for theta, s0, _ in commits:  # by the commit test or the first check
         assert rolled.count((tuple(theta), tuple(s0))) == 1
 
@@ -450,9 +451,10 @@ def test_dropout_reuses_the_incumbent_rollout(monkeypatch):
     def spy_iteration(*args):
         rolled.clear()
         out = orig_iteration(*args)
-        theta, s0, _, ref_j = args[7:11]
-        assert ref_j.states == orig_rollout(sc.plant, pol.with_theta(theta),
-                                            s0, args[11]).states
+        theta, s0, runs = args[7:10]
+        K = horizon(sc.formula)
+        assert runs[s0][1].states == orig_rollout(
+            sc.plant, pol.with_theta(theta), s0, K).states
         assert (tuple(theta), tuple(s0)) not in rolled
         return out
 
@@ -485,16 +487,19 @@ def test_dropout_first_pass_backtracks_the_incumbent_signals(monkeypatch):
     assert len(kept) == len(log.records) == 5
 
 
-def _iteration(sc, pol, theta, s0, ref, N1):
+def _iteration(sc, pol, theta, s0, reuse, N1):
+    # one iteration with or without theta's run from s0 to reuse
     from stlctrl import trainer
     K = horizon(sc.formula)
     cfg = dataclasses.replace(sc.train_cfg, N1=N1)
-    rho_j = trainer._exact_rho(sc.plant, pol, theta, s0, K, sc.formula)[0]
+    run = trainer._exact_rho(sc.plant, pol, theta, s0, K, sc.formula)
+    runs = {s0: run if reuse else (run[0], None, None)}
     adams = [AdamState(len(theta), alpha=cfg.alpha) for _ in range(3)]
-    *out, run = trainer._dropout_iteration(
-        sc.plant, pol, sc.formula, sc.waypoints, cfg, SmoothConfig(cfg.b),
-        random.Random(5), theta, s0, rho_j, ref, K, *adams)
-    # the committed run, compared by its states
+    *out, kept = trainer._dropout_iteration(
+        sc.plant, pol, sc.formula, sc.waypoints, cfg, random.Random(5),
+        adams, theta, s0, runs)
+    # the committed run, compared by its states, or None if theta was kept
+    run = None if kept is runs else kept[s0]
     return (*out, run and (run[0], run[1] and run[1].states, run[2]))
 
 
@@ -502,14 +507,14 @@ def test_dropout_iteration_same_with_or_without_the_reused_rollout():
     sc = load_scenario(resolve_scenario("dubins_k100"))
     pol = sc.build_policy(random.Random(1))
     s0 = sc.init_set.samples[0]
-    ref = rollout(sc.plant, pol, s0, horizon(sc.formula))
-    assert (_iteration(sc, pol, list(pol.theta), s0, ref, 3)
-            == _iteration(sc, pol, list(pol.theta), s0, None, 3))
+    assert (_iteration(sc, pol, list(pol.theta), s0, True, 3)
+            == _iteration(sc, pol, list(pol.theta), s0, False, 3))
 
 
 def test_dropout_incumbent_that_diverged_is_rolled_out_again(monkeypatch):
-    # no rollout to reuse: each pass rolls theta out, takes the except
-    # DivergedRollout branch and keeps theta1, as before the reuse
+    # no rollout to reuse: the first pass rolls theta out and takes the
+    # except DivergedRollout branch; the candidate stays theta and takes
+    # no further pass, and its commit test rolls it out
     from stlctrl import trainer
     sc = load_scenario(resolve_scenario("scalar_power"))
     sc.waypoints = None
@@ -518,23 +523,72 @@ def test_dropout_incumbent_that_diverged_is_rolled_out_again(monkeypatch):
     orig = trainer.rollout
     monkeypatch.setattr(trainer, "rollout",
                         lambda *a, **kw: calls.append(1) or orig(*a, **kw))
-    out = _iteration(sc, pol, list(pol.theta), (80.0,), None, 2)
-    assert out == ([0.0, 0.0, -100.0], "critical", 1.0, -math.inf, 2,
+    out = _iteration(sc, pol, list(pol.theta), (80.0,), True, 2)
+    assert out == ([0.0, 0.0, -100.0], "critical", 1.0, 1,
                    (-math.inf, None, None))
-    assert len(calls) == 1 + 2 + 1  # rho_j, two passes, the commit test
+    assert len(calls) == 1 + 1 + 1  # rho_j, one pass, the commit test
+
+
+def test_dropout_rolls_out_no_diverged_candidate_again(monkeypatch):
+    # dropout rollouts are deterministic, so a candidate whose pass
+    # rollout diverged takes no further pass: within an iteration its
+    # theta is rolled out again only by its commit test, and an iteration
+    # counts at most three diverged candidates (critical, waypoint, smooth)
+    from stlctrl import trainer
+    from stlctrl.plants import DivergedRollout
+    sc = load_scenario(resolve_scenario("quad12"))
+    rng = random.Random(sc.seed)
+    pol = sc.build_policy(rng)
+    cfg = dataclasses.replace(sc.train_cfg, max_iters=3)
+    orig_rollout, orig_exact = trainer.rollout, trainer._exact_rho
+    orig_iteration = trainer._dropout_iteration
+    failed, again, passes_failed, in_commit = set(), [], [], [False]
+
+    def spy_rollout(plant, policy, s0, K, **kw):
+        key = (tuple(policy.theta), tuple(s0))
+        if key in failed and not in_commit[0]:
+            again.append(key)
+        try:
+            return orig_rollout(plant, policy, s0, K, **kw)
+        except DivergedRollout:
+            failed.add(key)
+            if not in_commit[0]:
+                passes_failed.append(key)
+            raise
+
+    def spy_exact(*args):
+        in_commit[0] = True  # the commit test, or the check's
+        try:
+            return orig_exact(*args)
+        finally:
+            in_commit[0] = False
+
+    def spy_iteration(*args):
+        failed.clear()
+        return orig_iteration(*args)
+
+    monkeypatch.setattr(trainer, "rollout", spy_rollout)
+    monkeypatch.setattr(trainer, "_exact_rho", spy_exact)
+    monkeypatch.setattr(trainer, "_dropout_iteration", spy_iteration)
+    _, log, info = train_dropout(sc.plant, pol, sc.formula, sc.init_set,
+                                 sc.waypoints, cfg, rng)
+    assert again == []
+    assert info["iters"] == 3
+    assert 0 < len(passes_failed) == info["diverged"] <= 3 * info["iters"]
 
 
 def test_dropout_counts_diverged_candidates():
-    # every N1 pass diverges, so each iteration skips N1 candidates; the
-    # count reaches info, and the log rows stay those of an iteration
-    # that commits the unchanged theta
+    # the first N1 pass diverges, so each iteration counts one diverged
+    # candidate, which takes no further pass; the count reaches info, and
+    # the log rows stay those of an iteration that commits the unchanged
+    # theta
     sc = load_scenario(resolve_scenario("scalar_power"))
     pol = Policy([2, 1], theta=[0.0, 0.0, -100.0])
     cfg = dataclasses.replace(sc.train_cfg, N1=3, max_iters=2)
     _, log, info = train_dropout(sc.plant, pol, sc.formula,
                                  _point_set((80.0,)), None, cfg,
                                  random.Random(0))
-    assert info["diverged"] == 2 * 3
+    assert info["diverged"] == 2
     assert info["retries"] == 0
     assert [(r.rho, r.branch, r.lr) for r in log.records] == \
         [(-math.inf, "critical", 1.0)] * 2
