@@ -2,20 +2,21 @@
 
 All continuous plants are integrated with forward Euler at their stated
 sampling time.  Plant.step() over tape Vars is traced once per (step_fn,
-squash_fn, dt, noise), and autodiff.replay_source generates from it a
-plain rollout loop per (widths, include_time, noise), which unpacks theta
-into locals once per rollout and inlines the controller forward traced
-the same way, for a Policy of any size (any other controller is called
-as forward(s, k)), and per noise on or off one tape recorder of a step
-and one of a run of steps with frozen actions, both from Var states.  A
-recorder pushes only the next state's Vars and saves the locals its
-generated adjoint reads; a run whose adjoint keeps none per step,
-given the reference's final state, pushes that and steps nothing.  All
-compute in the Var operators' order, so a differentiable rollout (the
-plain one recorded by sampler.build_sampled at every step) has its bits
-and those gradients.  So step_fn and squash_fn must be straight-line
-code over arithmetic and the autodiff helpers: nothing may depend on
-their arguments' values.
+squash_fn, dt), without noise, and autodiff.replay_source generates from
+it a plain rollout loop per (widths, include_time, noise), which unpacks
+theta into locals once per rollout, inlines the controller forward
+traced the same way, for a Policy of any size (any other controller is
+called as forward(s, k)), and draws the noise; and one tape recorder of
+a step and one of a run of steps with frozen actions, both from Var
+states.  A recorder pushes only the next state's Vars and saves the
+locals its generated adjoint reads; a run whose adjoint keeps none per
+step, given the reference's final state, pushes that and steps nothing.
+All compute in the Var operators' order, so a differentiable rollout
+(the plain one recorded by sampler.build_sampled at every step, which
+adds each step's noise offsets to the recorded state by the Var
+operators) has its bits and those gradients.  So step_fn and squash_fn
+must be straight-line code over arithmetic and the autodiff helpers:
+nothing may depend on their arguments' values.
 """
 
 import csv
@@ -294,94 +295,72 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None):
 
 # -- generated kernels: Plant.step traced once ------------------------------------
 
-_TRACES = {}  # (functions, dt, dims, noise) -> (trace, kernels)
+_TRACES = {}  # (functions, dt, dims) -> (trace, kernels)
 
 
-def _traced(plant, noisy=False):
+def _traced(plant):
     """(trace, kernels): the tape and outputs of one Plant.step over Vars
-    of nan, on which no domain guard fires, plus noise offsets (Vars after
-    the states and raw actions) if noisy, and the kernels generated."""
+    of nan, on which no domain guard fires, and the kernels generated."""
     key = (plant._step_fn, plant._squash_fn, repr(plant.dt),
-           plant.state_dim, plant.action_dim, noisy)
+           plant.state_dim, plant.action_dim)
     if key not in _TRACES:
-        tape, n, m = Tape(), plant.state_dim, plant.action_dim
-        xs = [tape.const(math.nan) for _ in range(n + m + n * noisy)]
-        out = tuple(plant.step(tuple(xs[:n]), tuple(xs[n:n + m]), 0))
+        tape, n = Tape(), plant.state_dim
+        xs = [tape.const(math.nan) for _ in range(n + plant.action_dim)]
+        out = tuple(plant.step(tuple(xs[:n]), tuple(xs[n:]), 0))
         if len(out) != n:
             raise ValueError(f"plant {plant.name} steps to {len(out)} "
                              f"entries, not state_dim={n}")
-        if noisy:
-            out = tuple(x + e for x, e in zip(out, xs[n + m:]))
         _TRACES[key] = ((tape, out), {})
     return _TRACES[key]
 
 
 def step_recorder(plant):
-    """record(tape, s, a, off=None): the next state as Plant.step computes
-    it from states and raw actions that are Vars on tape, plus the noise
-    offsets off (floats), on the tape by the recorder generated per noise
-    on or off: one block, with the Var operators' gradients."""
-    kernels = _traced(plant)[1]
-
-    def record(tape, s, a, off=None):
-        key = (False, off is not None)
-        if key not in kernels:
-            kernels[key] = _recorder(plant, *key)
-        return kernels[key](tape, s, a, off)
-
-    return record
+    """record(tape, s, a): the next state as Plant.step computes it from
+    states and raw actions that are Vars on tape, as one block with the
+    Var operators' gradients (a live step; build_sampled adds its noise
+    offsets to the result)."""
+    return _recorder(plant, False)
 
 
 def run_recorder(plant):
-    """run(tape, s, acts, end, offs=None): the state after one step per raw
-    action in acts (floats), from states s that are Vars on tape, plus the
-    noise offsets offs[j] at step j, with the values and gradients of
-    step_recorder step by step; end is that state as floats (in
-    build_sampled, the reference's).  The recorder generated per noise on
-    or off makes the run one block that pushes only the final state.  A
-    run whose adjoint keeps no locals per step (dubins, multi_dubins_10,
-    integrator2d: none; quad6_platform: a count) pushes end and steps
-    nothing; any other (quad12, scalar_power) loops over the steps, and a
-    step replay_source cannot loop (it passes a state through, gives two
-    states one node or returns a constant) is recorded step by step."""
-    kernels = _traced(plant)[1]
-
-    def run(tape, s, acts, end, offs=None):
-        key = (True, offs is not None)
-        if key not in kernels:
-            kernels[key] = _recorder(plant, *key)
-        return kernels[key](tape, s, acts, offs, end)
-
-    return run
+    """run(tape, s, acts, end): the state after one step per raw action in
+    acts (floats), from states s that are Vars on tape, with the values
+    and gradients of step_recorder step by step; end is that state as
+    floats (in build_sampled, the reference's).  The run is one block
+    that pushes only the final state.  A run whose adjoint keeps no
+    locals per step (dubins, multi_dubins_10, integrator2d: none;
+    quad6_platform: a count) pushes end and steps nothing; the others
+    (quad12, scalar_power) loop over the steps."""
+    return _recorder(plant, True)
 
 
-def _recorder(plant, run, noisy):
-    """kernel(tape, s, a, off[, end]), generated: one step from Var states
-    s and raw actions a, plus noise offsets off, or with run a run of
-    steps over the float raw actions a[j] and offsets off[j] to the final
-    state end: one block that pushes end if the adjoint allows, else one
-    loop and one block, or a block per step if replay_source cannot loop
-    the step (run_recorder).  Each state it returns is a Var: an output
-    that depends on no Var input is pushed as a tape constant."""
-    n, m = plant.state_dim, plant.action_dim
-    ins = [(f"x{j}", f"i{j}" if j < n + m * (not run) else None)
-           for j in range(n + m + n * noisy)]
-    names = [x for x, _ in ins]
-    s, a, e = (", ".join(x) for x in (names[:n], names[n:n + m], names[n + m:]))
-    loop = f"for [{a}], [{e}] in zip(a, off):" if noisy else f"for [{a}] in a:"
-    trace = _traced(plant, noisy)[0]
-    src = run and replay_source(trace, ins, loop=loop, end=("end", "len(a)"))
-    lines, outs, consts = src or replay_source(trace, ins)
-    ret = ", ".join(f"Var(tape, {i})" if i else f"tape.const({x})"
-                    for x, i in outs)
-    if not run:
-        lines = [f"[{a}] = a"] + [f"[{e}] = off"] * noisy + lines
-    elif not src:  # step by step, a block per step
-        lines = [loop] + ["    " + line for line in lines + [f"{s}, = {ret},"]]
-        ret = s
-    params = "tape, s, a, off, end" if run else "tape, s, a, off"
-    return compile_kernel(params, [f"[{s}] = s"] + [
-        "if not a: return s"] * run + lines + [f"return ({ret},)"], consts)
+def _recorder(plant, run):
+    """The plant's step recorder kernel(tape, s, a), or with run its run
+    recorder kernel(tape, s, a, end), generated once from the noise-free
+    trace.  Each state it returns is a Var: ValueError naming the plant
+    if an output reads no Var, or if run and replay_source cannot loop
+    the step (it passes a state through, gives two states one node or
+    returns a constant)."""
+    trace, kernels = _traced(plant)
+    if run not in kernels:  # keyed True or False, the loops by a tuple
+        n, m = plant.state_dim, plant.action_dim
+        ins = [(f"x{j}", f"i{j}" if j < n + m * (not run) else None)
+               for j in range(n + m)]
+        s, a = (", ".join(x for x, _ in xs) for xs in (ins[:n], ins[n:]))
+        src = replay_source(trace, ins, loop=run and f"for [{a}] in a:",
+                            end=("end", "len(a)"))
+        if not src or None in (i for _, i in src[1]):
+            raise ValueError(f"plant {plant.name}: its step cannot be recorded"
+                             + (" as a run (a next state passed through, "
+                                "shared or constant)" if run
+                                else " (a next state is constant)"))
+        lines, outs, consts = src
+        ret = ", ".join(f"Var(tape, {i})" for _, i in outs)
+        kernels[run] = compile_kernel(
+            "tape, s, a, end" if run else "tape, s, a",
+            [f"[{s}] = s", "if not a: return s" if run else f"[{a}] = a",
+             *lines, f"return ({ret},)"], consts)
+    return kernels[run]
 
 
 def _closed_loop(plant, policy, noisy):

@@ -13,7 +13,9 @@ one tuple of saved locals per step if it reads any.  A frozen state is
 the reference's, bit for bit, if the reference is the policy's rollout
 (build_sampled checks each live step's raw action), so a run whose
 adjoint keeps no tuple per step pushes the reference's state and steps
-nothing; the others (quad12, scalar_power) loop.
+nothing; the others (quad12, scalar_power) loop.  Both are noise-free:
+a noisy reference is live at every step, and build_sampled adds each
+step's noise offsets to the recorded state by the Var operators.
 """
 
 from .autodiff import Tape, Var
@@ -75,11 +77,12 @@ def build_sampled(ref, times, policy, plant):
     reference states exactly because live and frozen steps run the same
     scalar arithmetic, so ref must be the rollout of policy: a live
     step's raw action that is not ref's raises ValueError.  Each sample
-    time but the last gets a live step, then one run of frozen steps up
-    to the next sample time, which pushes the reference's state there
-    without stepping if its adjoint keeps no locals per step
-    (run_recorder); anchors and gradients are those of the Var operators
-    step by step.
+    time but the last gets a live step, plus ref's noise offsets there
+    as one Var add, then one run of frozen steps up to the next sample
+    time, which pushes the reference's state there without stepping if
+    its adjoint keeps no locals per step (run_recorder); anchors and
+    gradients are those of the Var operators step by step.  A run has no
+    noise: a noisy ref with a frozen step raises ValueError first.
     """
     if not times or times[0] != 0:
         raise ValueError("sample times must start at 0")
@@ -88,12 +91,16 @@ def build_sampled(ref, times, policy, plant):
     if times[-1] > ref.K:
         raise ValueError(f"sample time {times[-1]} past reference horizon {ref.K}")
     plant.check_dims(ref.states[0], policy)
+    frozen = len(times) <= times[-1]  # a step between two sample times
+    offs = getattr(ref, "noise_offsets", None)
+    if offs and frozen:
+        raise ValueError("ref is noisy: every step before the last sample "
+                         "time must be live")
     tape = Tape()
     theta = tape.consts(policy.theta)
     forward = policy.recorder(tape, theta)
-    record, run = step_recorder(plant), run_recorder(plant)
+    record, run = step_recorder(plant), frozen and run_recorder(plant)
     states, acts = ref.states, ref.raw_actions
-    offs = getattr(ref, "noise_offsets", None)
     cur = tuple(Var(tape, i) for i in tape.consts(states[0]))
     anchors = [states[0]]
     vals = tape.vals
@@ -102,9 +109,11 @@ def build_sampled(ref, times, policy, plant):
         if [vals[x.i] for x in a] != [*acts[k]]:
             raise ValueError(f"ref is not the rollout of policy: its raw "
                              f"action at step {k} is not the policy's")
-        cur = record(tape, cur, a, offs and offs[k])
-        cur = run(tape, cur, acts[k + 1:k1], states[k1],
-                  offs and offs[k + 1:k1])
+        cur = record(tape, cur, a)
+        if offs:
+            cur = tuple(x + e for x, e in zip(cur, offs[k]))
+        if k1 > k + 1:
+            cur = run(tape, cur, acts[k + 1:k1], states[k1])
         anchors.append(cur)
     return SampledTrajectory(list(times), anchors, tape, theta)
 

@@ -13,9 +13,10 @@ critical predicate value (and optionally a waypoint surrogate) through
 sampled trajectories, halves the learning rate when the critical-predicate
 direction stalls, and falls back to the smooth robustness over a time
 partition when even a tiny step fails to improve.  A candidate whose
-rollout diverged takes no further ascent passes.  train_vanilla's step is
-plain smooth-robustness ascent over the whole horizon, and train_openloop
-runs it on a raw action sequence instead of network weights.
+rollout diverged takes no further ascent passes and is not rolled out
+again.  train_vanilla's step is plain smooth-robustness ascent over the
+whole horizon, and train_openloop runs it on a raw action sequence
+instead of network weights.
 """
 
 import csv
@@ -167,13 +168,16 @@ class TrainLog:
                             repr(r.seconds)])
 
 
+_DIVERGED = (-math.inf, None, None)
+
+
 def _exact_rho(plant, policy, theta, s0, K, f):
     """(exact rho of theta from s0, its rollout, its exact signals), or
-    (-inf, None, None) if the rollout diverged."""
+    _DIVERGED if the rollout diverged."""
     try:
         r = rollout(plant, policy.with_theta(theta), s0, K)
     except DivergedRollout:
-        return -math.inf, None, None
+        return _DIVERGED
     sig = signals(f, Trace(r.states))
     return sig[-1][0], r, sig
 
@@ -259,17 +263,18 @@ def _dropout_iteration(plant, policy, f, wp, cfg, rng, adams, theta, s0,
 
     The waypoint candidate, the critical one and a line search towards it
     are committed if their exact rho is at least theta's, else the smooth
-    candidate unless guarded.  A candidate whose pass rollout diverged
-    takes no further passes, as its rollout would diverge again; its
-    commit test still rolls it out.
+    candidate unless guarded.  Rollouts are deterministic, so a candidate
+    whose pass rollout diverged (every one if runs[s0] is _DIVERGED) takes
+    no further passes, and its commit test reads _DIVERGED unrolled.
     """
-    K, rho_j, diverged = horizon(f), runs[s0][0], 0
+    K, rho_j, diverged, dead = horizon(f), runs[s0][0], 0, []
 
     def ascend(steps, n):
         # n passes from theta, the first on runs[s0]; each steps every live
         # candidate by Adam along its grad(rollout, signals, policy) / n
         nonlocal diverged
-        cands, live, run = [theta] * len(steps), [True] * len(steps), runs[s0]
+        run, cands = runs[s0], [theta] * len(steps)
+        live = [run != _DIVERGED] * len(steps)
         for _ in range(n):
             for i, (grad, adam) in enumerate(steps):
                 if live[i]:
@@ -281,6 +286,7 @@ def _dropout_iteration(plant, policy, f, wp, cfg, rng, adams, theta, s0,
                     except DivergedRollout:
                         live[i] = False
             run = (None, None, None)
+        dead.extend(c for c, ok in zip(cands, live) if not ok)
         diverged += live.count(False)
         return cands
 
@@ -299,7 +305,8 @@ def _dropout_iteration(plant, policy, f, wp, cfg, rng, adams, theta, s0,
 
     def commit(cand, branch, lr, guard=True):
         # the step to cand if its exact rho from s0 passes the commit test
-        run = _exact_rho(plant, policy, cand, s0, K, f)
+        run = (_DIVERGED if any(c is cand for c in dead)
+               else _exact_rho(plant, policy, cand, s0, K, f))
         if run[0] >= rho_j or not guard:
             return cand, branch, lr, diverged, {s0: run}
 

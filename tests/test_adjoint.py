@@ -20,7 +20,7 @@ from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
 from stlctrl.plants import (
     Plant, Rollout, builtin, rollout, run_recorder, step_recorder,
 )
-from stlctrl.policy import init, reference_forward
+from stlctrl.policy import Policy, init, reference_forward
 from stlctrl.sampler import (
     build_sampled, grad_critical, grad_smooth, partition_times,
     sample_times_to,
@@ -48,14 +48,10 @@ def _bits(xs):
 
 def _assert_same(got, want, seeds, oracle_seeds):
     """Entry by entry: the same float, or Vars with the same value and the
-    same gradient over their tape's seeds.  A recorder returns a constant
-    as a tape constant: a Var with a zero gradient where want is a float."""
+    same gradient over their tape's seeds."""
     assert len(got) == len(want)
     for x, y in zip(got, want):
         if not isinstance(y, Var):
-            if isinstance(x, Var):
-                assert not any(x.tape.backward(x, seeds))
-                x = x.value
             assert _bits([x]) == _bits([y])
             continue
         assert isinstance(x, Var) and _bits([x.value]) == _bits([y.value])
@@ -116,8 +112,13 @@ def _assert_sampled_matches_oracle(ref, times, pol, plant):
 def test_sampled_gradients_match_interpreter(name, widths, include_time, s0,
                                              noisy):
     plant, pol, ref = _reference(name, widths, include_time, s0, noisy)
-    # runs of frozen steps of length 0, 1, 3 and 6, and none at all
+    # runs of frozen steps of length 0, 1, 3 and 6, which a noisy
+    # reference does not have, and none at all
     for times in ([0, 2, 3, 7, 14], list(range(15))):
+        if noisy and len(times) < 15:
+            with pytest.raises(ValueError, match="ref is noisy"):
+                build_sampled(ref, times, pol, plant)
+            continue
         _assert_sampled_matches_oracle(ref, times, pol, plant)
     # a differentiable rollout: its every state, each coordinate's gradient
     diff = _reference(name, widths, include_time, s0, noisy,
@@ -159,24 +160,28 @@ def test_step_adjoints_for_var_and_float_operands(name, widths, include_time,
     rng = random.Random(5)
     a0 = tuple(rng.uniform(-2, 2) for _ in range(m))
     off = tuple(0.01 * (i + 1) for i in range(n)) if noisy else None
-    # Var actions: step_recorder; float actions: a run of one step
-    for var_a in (True, False):
+    # Var actions: step_recorder, then the noise offsets by the Var
+    # operators as build_sampled adds them at a live step; float actions:
+    # a run of one step, which only a noise-free reference records
+    for var_a in (True, False)[:2 - noisy]:
         runs = []
         for step in (step_recorder(plant) if var_a else
-                     lambda tape, s, a, off: run_recorder(plant)(
-                         tape, s, [a], run_end(plant, s, [a], off and [off]),
-                         off and [off]),
-                     lambda tape, s, a, off: _oracle_step(plant, s, a, off)):
+                     lambda tape, s, a: run_recorder(plant)(
+                         tape, s, [a], run_end(plant, s, [a])),
+                     lambda tape, s, a: plant.step(s, a, 0)):
             tape = Tape()
             tape.const(3.0)
             s = tuple(tape.const(x) for x in s0)
             a = tuple(tape.const(x) if var_a else x for x in a0)
             seeds = [x for x in (*s, *a) if isinstance(x, Var)]
-            runs.append((step(tape, s, a, off), seeds))
+            nxt = step(tape, s, a)
+            if off:
+                nxt = tuple(x + o for x, o in zip(nxt, off))
+            runs.append((nxt, seeds))
         _assert_same(runs[0][0], runs[1][0], runs[0][1], runs[1][1])
 
 
-def _run_and_steps(plant, s0, acts, offs):
+def _run_and_steps(plant, s0, acts):
     """(tape, final state, seeds) of run_recorder (its end by Plant.step on
     floats), of step_recorder step by step (its raw actions tape
     constants) and of the Var operators step by step, each from states
@@ -187,22 +192,19 @@ def _run_and_steps(plant, s0, acts, offs):
         tape.consts([0.5, 1.5])
         s = seeds = tuple(tape.const(x) for x in s0)
         if how == "run":
-            s = run_recorder(plant)(tape, s, acts,
-                                    run_end(plant, s, acts, offs), offs)
+            s = run_recorder(plant)(tape, s, acts, run_end(plant, s, acts))
         else:
-            for j, a in enumerate(acts):
-                off = offs and offs[j]
-                s = (step_recorder(plant)(tape, s, tuple(map(tape.const, a)),
-                                          off) if how == "steps"
-                     else _oracle_step(plant, s, a, off))
+            for a in acts:
+                s = (step_recorder(plant)(tape, s, tuple(map(tape.const, a)))
+                     if how == "steps" else plant.step(s, a, 0))
         out.append((tape, s, seeds))
     return out
 
 
-def _assert_run_matches_steps(plant, s0, acts, offs=None):
+def _assert_run_matches_steps(plant, s0, acts):
     """The run's final state equals the oracle's and step_recorder's step
     by step, from each output; returns the three (tape, state, seeds)."""
-    runs = _run_and_steps(plant, s0, acts, offs)
+    runs = _run_and_steps(plant, s0, acts)
     (tape, s, seeds), *others = runs
     for _, s_other, seeds_other in others:
         _assert_same(s, s_other, seeds, seeds_other)
@@ -214,14 +216,18 @@ def _assert_run_matches_steps(plant, s0, acts, offs=None):
 @pytest.mark.parametrize("name,widths,include_time,s0", CASES)
 def test_run_records_and_adjoint_match_steps(name, widths, include_time, s0,
                                              steps, noisy):
-    plant, _, ref = _reference(name, widths, include_time, s0, noisy)
+    # a run steps without noise: from a noisy reference's state too, and
+    # build_sampled rejects a noisy reference's run of frozen steps
+    plant, pol, ref = _reference(name, widths, include_time, s0, noisy)
     acts = ref.raw_actions[3:3 + steps]
-    offs = ref.noise_offsets and ref.noise_offsets[3:3 + steps]
     (tape, s, _), (by_steps, _, _), _ = _assert_run_matches_steps(
-        plant, ref.states[3], acts, offs)
+        plant, ref.states[3], acts)
     assert len(tape.blocks) == 1 and len(by_steps.blocks) == steps
     # the run pushes its final state only
     assert len(tape) == 2 + 2 * plant.state_dim
+    if noisy:
+        with pytest.raises(ValueError, match="ref is noisy"):
+            build_sampled(ref, [0, 1, 2, 3, 3 + steps + 1], pol, plant)
 
 
 def test_backward_from_the_first_output_of_a_run_block():
@@ -246,12 +252,7 @@ def test_run_of_no_steps_returns_its_input():
 
 
 @pytest.mark.parametrize("fn,blocks", [
-    # steps that cannot loop: a state passed through, one node for two
-    # states, a constant
-    (lambda s, u, dt: (s[1], 2.0), 0),
-    (lambda s, u, dt: (s[0] * u[0],) * 2, 4),
-    (lambda s, u, dt: (s[0] + u[0], 2.0), 4),
-    # steps that loop: states swapped, a state squared
+    # states swapped, a state squared
     (lambda s, u, dt: (s[1] * u[0], s[0] - u[0]), 1),
     (lambda s, u, dt: (s[0] + u[0], s[0] * s[0]), 1),
 ])
@@ -261,8 +262,33 @@ def test_runs_of_unusual_steps_match_step_by_step(fn, blocks):
     (tape, s, _), (_, by_steps, _), _ = _assert_run_matches_steps(
         plant, s0, acts)
     assert len(tape.blocks) == blocks
-    # a constant is returned as a tape constant
     assert all(isinstance(x, Var) for x in (*s, *by_steps))
+
+
+@pytest.mark.parametrize("fn,step_records", [
+    (lambda s, u, dt: (s[1], 2.0), False),
+    (lambda s, u, dt: (s[0] * u[0],) * 2, True),
+    (lambda s, u, dt: (s[0] + u[0], 2.0), False),
+    (lambda s, u, dt: (s[1], s[0] + u[0]), True),
+], ids=["through_and_constant", "one_node_for_two", "constant", "through"])
+def test_recorders_reject_a_step_they_cannot_record(fn, step_records):
+    # a run needs a step replay_source can loop: no state passed through,
+    # a node of its own per state and no constant; every recorder output
+    # reads a Var.  Else generating the kernel raises, naming the plant,
+    # and so does build_sampled where it needs that kernel
+    plant = Plant("odd", 2, 1, 1.0, fn, lambda a: a)
+    for recorder in [run_recorder] + [step_recorder] * (not step_records):
+        with pytest.raises(ValueError, match="^plant odd: its step cannot"):
+            recorder(plant)
+    pol = Policy([3, 1], theta=[0.5, -0.25, 0.1, 0.2])
+    ref = rollout(plant, pol, (0.4, -0.6), 4)  # the plain loop steps it
+    with pytest.raises(ValueError, match="^plant odd: "):  # a frozen step
+        build_sampled(ref, [0, 2, 4], pol, plant)
+    if step_records:  # every step live: no run recorder is needed
+        _assert_sampled_matches_oracle(ref, list(range(5)), pol, plant)
+    else:
+        with pytest.raises(ValueError, match="^plant odd: "):
+            build_sampled(ref, list(range(5)), pol, plant)
 
 
 def test_vmax_tie_splits_in_step_and_run():
@@ -322,7 +348,7 @@ def test_blocks_whose_outputs_have_zero_adjoint_are_skipped():
 def test_backward_from_a_node_inside_a_block():
     # every output of every block, not only a block's last node
     plant, pol, ref = _reference("dubins", [3, 20, 2], True, (0.0, 0.0),
-                                 True)
+                                 False)
     times = [0, 1, 9]
     st = build_sampled(ref, times, pol, plant)
     _, theta, _, steps = _oracle_sampled(ref, times, pol, plant)
@@ -342,12 +368,16 @@ def test_backward_from_a_node_inside_a_block():
 @pytest.mark.parametrize("noisy", [False, True])
 def test_sampled_tape_equals_step_by_step_recording(noisy):
     """build_sampled, one run per stretch of frozen steps, gives the
-    anchors and gradients of the Var operators step by step."""
+    anchors and gradients of the Var operators step by step; a noisy
+    reference, which has no frozen step, at every step up to the last
+    sample time."""
     plant, pol, ref = _reference("dubins", [3, 20, 2], True, (0.0, 0.0),
                                  noisy, K=100)
     rng = random.Random(1)
     for _ in range(5):
         times = sample_times_to(rng.randint(1, 100), 7, 100, rng)
+        if noisy:
+            times = list(range(times[-1] + 1))
         st = _assert_sampled_matches_oracle(ref, times, pol, plant)
         assert len(st.tape.blocks) == 3 * (len(times) - 1) - sum(
             b == a + 1 for a, b in zip(times, times[1:]))
@@ -359,7 +389,8 @@ def test_frozen_runs_take_the_reference_state(noisy):
     # locals per step pushes it and steps nothing, so nan frozen actions
     # do not show in its anchors or gradients; quad12 and scalar_power
     # keep a tuple per step, so they step the poisoned actions, and the
-    # live step after such a run does not give the reference's action
+    # live step after such a run does not give the reference's action;
+    # a noisy reference's frozen steps are rejected before any of that
     times, stepped = [0, 2, 3, 7, 14], set()
     for name, widths, include_time, s0 in CASES:
         plant, pol, ref = _reference(name, widths, include_time, s0, noisy)
@@ -367,6 +398,11 @@ def test_frozen_runs_take_the_reference_state(noisy):
         acts = [a if k in times else nan
                 for k, a in enumerate(ref.raw_actions)]
         poisoned = Rollout(ref.states, acts, noise_offsets=ref.noise_offsets)
+        if noisy:
+            for r in (ref, poisoned):
+                with pytest.raises(ValueError, match="ref is noisy"):
+                    build_sampled(r, times, pol, plant)
+            continue
         runs = []
         for r in (ref, poisoned):
             try:
@@ -382,7 +418,7 @@ def test_frozen_runs_take_the_reference_state(noisy):
                          for a in st.anchors[1:]])
         else:
             assert runs[0] == runs[1], name
-    assert stepped == {"quad12", "scalar_power"}
+    assert stepped == (set() if noisy else {"quad12", "scalar_power"})
 
 
 def _oracle_grad_critical(ref, w, N, pol, plant, rng):
@@ -413,7 +449,9 @@ def test_bundled_scenarios_match_the_var_operators(name, noisy):
     """Each bundled scenario's plant, controller layout and training
     settings: anchors, grad_critical and grad_smooth at M = 1, 2 and the
     scenario's M (at most the horizon), whose aggregations mix float and
-    Var entries."""
+    Var entries.  A noisy reference has no frozen step: its anchors are
+    sampled at every step, grad_critical with N = K and grad_smooth at M =
+    1, and sampling it with frozen steps is rejected."""
     sc = load_scenario(resolve_scenario(name))
     cfg, plant = sc.policy_cfg, sc.plant
     pol = init(cfg["widths"], rng=random.Random(2),
@@ -425,14 +463,19 @@ def test_bundled_scenarios_match_the_var_operators(name, noisy):
     K = horizon(f)
     ref = rollout(plant, pol, sc.init_set.samples[0], K,
                   noise=(0.02, 0.001, random.Random(4)) if noisy else None)
-    _assert_sampled_matches_oracle(ref, [0, 1, 3, K // 2, K], pol, plant)
+    times = [0, 1, 3, K // 2, K]
+    if noisy:
+        with pytest.raises(ValueError, match="ref is noisy"):
+            build_sampled(ref, times, pol, plant)
+        times = list(range(K + 1))
+    _assert_sampled_matches_oracle(ref, times, pol, plant)
     w = critical(f, Trace(ref.states))
-    N = sc.train_cfg.N
+    N = K if noisy else sc.train_cfg.N
     assert _bits(grad_critical(ref, w.time, w.predicate, N, pol, plant,
                                random.Random(5))) == _bits(
         _oracle_grad_critical(ref, w, N, pol, plant, random.Random(5)))
     scfg = SmoothConfig(sc.train_cfg.b)
-    for M in sorted({1, 2, min(sc.train_cfg.M, K)}):
+    for M in [1] if noisy else sorted({1, 2, min(sc.train_cfg.M, K)}):
         part = partition_times(K, M, random.Random(M))
         assert _bits(grad_smooth(ref, part, f, scfg, pol, plant)) == _bits(
             _oracle_grad_smooth(ref, part, f, scfg, pol, plant))

@@ -419,7 +419,7 @@ def test_rollout_rejects_a_policy_for_other_states():
             rollout(p, init(widths, scheme="zero"), s0, 3)
 
 
-def _recorded(step, s, a, off, var_a, prefix=3):
+def _recorded(step, s, a, var_a, prefix=3):
     """The next state of one step on a tape that already holds a few nodes,
     states Vars, raw actions Vars if var_a: per entry its value and its
     gradient over the Var inputs (a float's is zero), as bytes."""
@@ -428,30 +428,23 @@ def _recorded(step, s, a, off, var_a, prefix=3):
         tape.const(0.5 * i)
     s = tuple(map(tape.const, s))
     a = tuple(map(tape.const, a)) if var_a else a
-    nxt = step(tape, s, a, off)
+    nxt = step(tape, s, a)
     seeds = [x for x in (*s, *a) if isinstance(x, Var)]
     return [_bits((x.value, tape.backward(x, seeds)) if isinstance(x, Var)
                   else (x, [0.0] * len(seeds))) for x in nxt]
 
 
 def _var_step(plant):
-    """The Var operators, interpreted: Plant.step plus the noise as rollout
-    adds it."""
-    def step(tape, s, a, off):
-        nxt = plant.step(s, a, 0)
-        return nxt if off is None else tuple(x + o for x, o in zip(nxt, off))
-    return step
+    """The Var operators, interpreted: Plant.step."""
+    return lambda tape, s, a: plant.step(s, a, 0)
 
 
-def run_end(plant, s, acts, offs=None):
-    """The state as floats that a run of steps over the raw actions acts,
-    plus the noise offsets offs, reaches from s: Plant.step on floats,
-    run_recorder's end."""
+def run_end(plant, s, acts):
+    """The state as floats that a run of steps over the raw actions acts
+    reaches from s: Plant.step on floats, run_recorder's end."""
     s = tuple(map(value_of, s))
-    for j, a in enumerate(acts):
+    for a in acts:
         s = plant.step(s, a, 0)
-        if offs:
-            s = tuple(x + o for x, o in zip(s, offs[j]))
     return s
 
 
@@ -459,27 +452,23 @@ def _one_step_run(plant):
     """A frozen step: run_recorder over the one raw action a."""
     run = run_recorder(plant)
 
-    def step(tape, s, a, off):
-        offs = off and [off]
+    def step(tape, s, a):
         try:
-            end = run_end(plant, s, [a], offs)
+            end = run_end(plant, s, [a])
         except (ArithmeticError, ValueError):
             end = None  # the guarded local is kept per step, so it loops
-        return run(tape, s, [a], end, offs)
+        return run(tape, s, [a], end)
 
     return step
 
 
 def _assert_recorder_matches_var_operators(plant, s, a):
     """A live step (step_recorder, Var actions) and a frozen one (a run of
-    one float action) against the Var operators, with noise off and on."""
-    off = tuple(0.01 * (i + 1) for i in range(plant.state_dim))
+    one float action) against the Var operators."""
     for var_a, record in ((True, step_recorder(plant)),
                           (False, _one_step_run(plant))):
-        for o in (None, off):
-            want = _recorded(_var_step(plant), s, a, o, var_a)
-            got = _recorded(record, s, a, o, var_a)
-            assert got == want, (var_a, o)
+        want = _recorded(_var_step(plant), s, a, var_a)
+        assert _recorded(record, s, a, var_a) == want, var_a
 
 
 @pytest.mark.parametrize("name,widths,s0,scale", _PLANT_CASES[:-1])
@@ -510,7 +499,8 @@ def test_step_recorder_scalar_power_max_tie_and_power():
     lambda s, u, dt: (s[0] + math.nan,), lambda s, u, dt: (s[0] - math.inf,),
     lambda s, u, dt: (math.inf * u[0] + s[0],),
     lambda s, u, dt: (-s[0], u[0] - s[0]),
-    lambda s, u, dt: (s[1], 2.0),
+    # outputs that read a state through a zero term
+    lambda s, u, dt: (s[1] + 0.0, 2.0 + 0.0 * s[0]),
     # float on the left of a Var: the Var becomes lhs when u is frozen
     lambda s, u, dt: (vmax(u[0], s[0]) + u[0] * s[1], vmax(u[0], s[1])),
     lambda s, u, dt: (u[0] - s[0], u[0] / s[1] + exp(u[0] + s[0])),
@@ -534,7 +524,7 @@ def test_step_recorder_keeps_the_var_operand_first():
     _assert_recorder_matches_var_operators(plant, (-0.0, 0.0), (0.0,))
     tape = Tape()
     nxt = _one_step_run(plant)(tape, (tape.const(-0.0), tape.const(0.0)),
-                               (-0.0,), None)
+                               (-0.0,))
     assert _bits([x.value for x in nxt]) == _bits([-0.0, 0.0])
 
 
@@ -555,7 +545,7 @@ def test_step_recorder_guards_write_nothing(fn, s, a):
             ins = ((tape.const(s),), (tape.const(a) if var_a else a,))
             size = len(tape)
             with pytest.raises(EvalError) as e:
-                step(tape, *ins, None)
+                step(tape, *ins)
             errs.append(str(e.value).split(": ", 1)[1])
         assert len(tape) == size  # the recorder's tape
         assert e.value.node_id == size  # the id its first output would get
@@ -568,6 +558,21 @@ def test_step_recorder_guards_write_nothing(fn, s, a):
             run(plant, Policy([2, 1], theta=[0.0, 0.0, a]), (s,), 1,
                 noise=(0.1, 0.0, rngs[-1]))
     assert rngs[0].getstate() == rngs[1].getstate() == random.Random(2).getstate()
+
+
+@pytest.mark.parametrize("name,loops", [
+    ("dubins", False), ("multi_dubins_10", False), ("quad6_platform", False),
+    ("quad12", True), ("integrator2d", False), ("scalar_power", True),
+])
+def test_each_builtin_plant_generates_both_recorders_once(name, loops):
+    # from the noise-free trace: one step recorder and one run recorder,
+    # which pushes the end state unless its adjoint keeps locals per step
+    import dis
+    record, run = step_recorder(builtin(name)), run_recorder(builtin(name))
+    assert record is step_recorder(builtin(name)) is not run
+    assert run is run_recorder(builtin(name))
+    assert loops == any(ins.opname == "FOR_ITER"
+                        for ins in dis.get_instructions(run))
 
 
 def test_plant_recorders_reject_a_state_from_another_tape():

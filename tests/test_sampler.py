@@ -147,6 +147,31 @@ def test_build_sampled_validation():
         build_sampled(ref, [0, 9], pol, plant)
 
 
+def test_build_sampled_rejects_a_noisy_reference_with_a_frozen_step(
+        monkeypatch):
+    # a live step's noise offsets are added on the tape; a frozen run
+    # steps without noise, so it is rejected before anything is pushed,
+    # also after live steps that could have been recorded
+    from stlctrl import sampler
+    plant = builtin("dubins")
+    pol = init([3, 4, 2], rng=random.Random(1))
+    tapes = []
+    monkeypatch.setattr(sampler, "Tape",
+                        lambda: tapes.append(Tape()) or tapes[-1])
+    noisy = rollout(plant, pol, (0.0, 0.0), 8,
+                    noise=(0.02, 0.0, random.Random(4)))
+    for times in ([0, 2], [0, 1, 2, 5], [0, 1, 2, 3, 4, 5, 6, 8]):
+        with pytest.raises(ValueError, match="ref is noisy"):
+            build_sampled(noisy, times, pol, plant)
+        assert not any(map(len, tapes))
+    # every step live, or noise on the start state only: recorded
+    assert len(build_sampled(noisy, [0, 1, 2], pol, plant).anchors) == 3
+    start = rollout(plant, pol, (0.0, 0.0), 8,
+                    noise=(0.0, 0.01, random.Random(4)))
+    assert start.noise_offsets is None
+    assert len(build_sampled(start, [0, 2, 8], pol, plant).anchors) == 3
+
+
 def _fd_theta(fn, theta, idx, h=1e-6):
     hi = list(theta)
     lo = list(theta)
@@ -316,6 +341,10 @@ def test_build_sampled_records_what_var_operators_record(name, widths, s0,
     ref = rollout(plant, pol, s0, K,
                   noise=(0.02, 0.0, random.Random(4)) if noisy else None)
     for times in ([0, 1, 2, 5, 6, 11], [0, 4, 12], list(range(K + 1))):
+        if noisy and len(times) <= times[-1]:  # a noisy frozen step
+            with pytest.raises(ValueError, match="ref is noisy"):
+                build_sampled(ref, times, pol, plant)
+            continue
         st = build_sampled(ref, times, pol, plant)
         tape, anchors = _generic_build_sampled(ref, times, pol, plant)
         assert (_anchor_bits(st.tape, st.anchors, st.theta_vars)
@@ -344,8 +373,8 @@ def test_policy_recorder_matches_forward():
 
 def test_each_net_and_plant_compiles_one_recorder(monkeypatch):
     # every recorder takes Vars: one controller recorder per net, and per
-    # (plant, noise) one step recorder and at most one run recorder, on
-    # every bundled scenario's seeded initial policy
+    # plant one step recorder and at most one run recorder, noise or not,
+    # on every bundled scenario's seeded initial policy
     from stlctrl import plants, policy
     from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
     monkeypatch.setattr(policy, "_KERNELS", {})
@@ -375,12 +404,14 @@ def test_each_net_and_plant_compiles_one_recorder(monkeypatch):
             ref = rollout(sc.plant, pol, sc.init_set.samples[0], 24, noise=(
                 0.02, 0.0, random.Random(4)) if noisy else None)
             # a run right after the start: on quad6_platform its positions
-            # depend on theta from its second step on
-            for times in ([0, 4, 5, 12, 24], list(range(25))):
+            # depend on theta from its second step on; a noisy reference
+            # is sampled at every step
+            for times in [[0, 4, 5, 12, 24]] * (not noisy) + [
+                    list(range(25))]:
                 build_sampled(ref, times, pol, sc.plant)
         made.add((tuple(pol.widths), pol.include_time))
     assert sorted(nets) == sorted(made)
-    # plants._TRACES: one traced step per (plant, noise)
+    # plants._TRACES: one traced step per plant
     once = Counter(plants._TRACES.keys())
     assert Counter(steps) == once and not Counter(runs) - once
 
@@ -405,11 +436,17 @@ def test_a_wide_net_records_one_controller_block_per_live_step():
 def test_quad6_platform_records_each_frozen_run_as_one_block():
     plant = builtin("quad6_platform")
     pol = init([8, 20, 20, 10, 4], rng=random.Random(2))
-    for noise in (None, (0.02, 0.0, random.Random(4))):
-        ref = rollout(plant, pol, (-40.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0),
-                      40, noise=noise)
-        for times in ([0, 4, 5, 12, 40], [0, 1, 2, 30], [0, 40]):
-            st = build_sampled(ref, times, pol, plant)
-            nonempty = sum(b > a + 1 for a, b in zip(times, times[1:]))
-            # a controller and a plant step block per live step
-            assert len(st.tape.blocks) == 2 * (len(times) - 1) + nonempty
+    s0 = (-40.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0)
+    ref = rollout(plant, pol, s0, 40)
+    for times in ([0, 4, 5, 12, 40], [0, 1, 2, 30], [0, 40]):
+        st = build_sampled(ref, times, pol, plant)
+        nonempty = sum(b > a + 1 for a, b in zip(times, times[1:]))
+        # a controller and a plant step block per live step
+        assert len(st.tape.blocks) == 2 * (len(times) - 1) + nonempty
+        assert not any(st.tape.recs)
+    # a noisy reference, every step live: the same two blocks per step,
+    # and its noise offsets one Var add (a record) per state entry
+    ref = rollout(plant, pol, s0, 40, noise=(0.02, 0.0, random.Random(4)))
+    st = build_sampled(ref, range(41), pol, plant)
+    assert len(st.tape.blocks) == 2 * 40
+    assert sum(rec is not None for rec in st.tape.recs) == 7 * 40

@@ -511,10 +511,11 @@ def test_dropout_iteration_same_with_or_without_the_reused_rollout():
             == _iteration(sc, pol, list(pol.theta), s0, False, 3))
 
 
-def test_dropout_incumbent_that_diverged_is_rolled_out_again(monkeypatch):
-    # no rollout to reuse: the first pass rolls theta out and takes the
-    # except DivergedRollout branch; the candidate stays theta and takes
-    # no further pass, and its commit test rolls it out
+def test_dropout_incumbent_that_diverged_is_not_rolled_out_again(
+        monkeypatch):
+    # theta's run is (-inf, None, None): the first pass marks the
+    # candidate dead without a rollout; it stays theta and takes no
+    # further pass, and its commit test reads -inf without a rollout
     from stlctrl import trainer
     sc = load_scenario(resolve_scenario("scalar_power"))
     sc.waypoints = None
@@ -526,14 +527,15 @@ def test_dropout_incumbent_that_diverged_is_rolled_out_again(monkeypatch):
     out = _iteration(sc, pol, list(pol.theta), (80.0,), True, 2)
     assert out == ([0.0, 0.0, -100.0], "critical", 1.0, 1,
                    (-math.inf, None, None))
-    assert len(calls) == 1 + 1 + 1  # rho_j, one pass, the commit test
+    assert len(calls) == 1  # rho_j only
 
 
 def test_dropout_rolls_out_no_diverged_candidate_again(monkeypatch):
     # dropout rollouts are deterministic, so a candidate whose pass
-    # rollout diverged takes no further pass: within an iteration its
-    # theta is rolled out again only by its commit test, and an iteration
-    # counts at most three diverged candidates (critical, waypoint, smooth)
+    # rollout diverged takes no further pass and its commit test reads
+    # -inf: within an iteration its theta is not rolled out again, and an
+    # iteration counts at most three diverged candidates (critical,
+    # waypoint, smooth)
     from stlctrl import trainer
     from stlctrl.plants import DivergedRollout
     sc = load_scenario(resolve_scenario("quad12"))
@@ -546,7 +548,7 @@ def test_dropout_rolls_out_no_diverged_candidate_again(monkeypatch):
 
     def spy_rollout(plant, policy, s0, K, **kw):
         key = (tuple(policy.theta), tuple(s0))
-        if key in failed and not in_commit[0]:
+        if key in failed:
             again.append(key)
         try:
             return orig_rollout(plant, policy, s0, K, **kw)
