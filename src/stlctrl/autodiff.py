@@ -4,19 +4,18 @@ Rollouts, smooth robustness and training objectives are all recorded as
 scalar operations on a Tape; gradients with respect to controller
 parameters come out of a single reverse sweep.  Everything is 64-bit.
 
-Only this module writes to a tape.  replay_source, the one kernel
-generator, writes every recorder: from a function traced once on Vars (a
-plant step, a controller forward) it writes straight-line float code in the
-Var operators' order, or a loop of such steps.  Given Var inputs, the code
-checks their tape, then pushes its Var outputs only, as one block keeping
-the Var inputs' ids and the locals its generated adjoint reads (reverse
-mode by source transformation, storing only what the sweep reads:
-Griewank & Walther, "Evaluating Derivatives", 2008, ch. 4 and 6).  The
-smooth aggregations (smooth.softmin, smooth.softmax_lb) and the waypoint
-objective (trainer.waypoint_objective) compute on floats and push their
-one output through Tape.block, with a hand-written adjoint (local
-preaccumulation, ibid.).  Tape.backward runs the blocks' adjoints and
-interprets the records between them.
+Only this module writes to a tape.  From a function traced once on Vars
+(a plant step, a controller forward), replay_source writes straight-line
+float code in the Var operators' order, and _adjoint the interpreter's
+reverse sweep over its records (reverse mode by source transformation,
+storing only what the sweep reads: Griewank & Walther, "Evaluating
+Derivatives", 2008, ch. 4 and 6).  sampler generates from them the two
+kernels of a sampled trajectory, whose anchors Tape.outputs pushes as one
+block.  The smooth aggregations (smooth.softmin, smooth.softmax_lb) and
+the waypoint objective (trainer.waypoint_objective) compute on floats and
+push their one output through Tape.block, with a hand-written adjoint
+(local preaccumulation, ibid.).  Tape.backward runs the blocks' adjoints
+and interprets the records between them.
 """
 
 import math
@@ -154,18 +153,24 @@ class Tape:
 
     def consts(self, values):
         """The ids, a range, of one const per value, one extend per list."""
-        vals = list(map(float, values))
         n = len(self.vals)
-        self.vals += vals
-        self.recs += [None] * len(vals)
+        self.vals.extend(map(float, values))
+        self.recs += [None] * (len(self.vals) - n)
         return range(n, len(self.vals))
 
     def block(self, value, adjoint, args):
         """A Var for one node holding value, the output of a block that
         adjoint(adj, n, args) sweeps back (see above)."""
-        i = self._push(value)
-        self.blocks.append((i, i + 1, adjoint, args))
-        return Var(self, i)
+        return Var(self, self.outputs([value], adjoint, args).start)
+
+    def outputs(self, values, adjoint, args):
+        """The ids, a range, of one node per float: the outputs of a block
+        that adjoint(adj, start, args) sweeps back."""
+        n = len(self.vals)
+        self.vals += values
+        self.recs += [None] * len(values)
+        self.blocks.append((n, len(self.vals), adjoint, args))
+        return range(n, len(self.vals))
 
     def backward(self, output, seeds):
         """Reverse accumulation of d(output)/d(seed) for each seed, a Var
@@ -334,42 +339,25 @@ _FORMS = {ADD: ("{} + {}", 1, 1, 2), SUB: ("{} - {}", 1, 1, 2),
           COS: ("cos({})", 5, 0, 0), LN: ("log({})", 5, 0, 0)}
 
 
-def replay_source(trace, inputs, prefix="f", loop=None, end=None):
-    """(lines, outputs, constants): straight-line code for trace = (tape,
-    outputs) of a function run once on Vars, its inputs the first nodes,
-    input j read as inputs[j] = (value, node id or None for a float).
+def replay_source(trace, inputs, prefix="f"):
+    """(lines, outputs, constants, nodes): straight-line float code for
+    trace = (tape, outputs) of a function run once on Vars, its inputs the
+    first nodes, input j read as inputs[j] = (value, id), a Var input if
+    its id is not None.
 
     A node with a Var operand, a Var node, is computed as the Var operators
     do (a Var operand of ADD, MUL, MAX2 first) and guarded as they
-    are, by EvalError with node id n, the tape's length.  A node read once
-    is folded into its reader; read twice, by a guard, by the adjoint or
-    as an output, or past _CHAIN nodes, it is a statement {prefix}{node}.
-    If an input has a Var id, the first lines check that each input whose
-    id is a name holds a Var on tape (ValueError otherwise, before
-    anything is pushed), then bind vals and n from tape and unpack those
-    inputs' ids and values.  The last lines push the Var outputs as one
-    block (see Tape).  Outputs are (value, node id or None).
-
-    With loop, a for-header that binds the other inputs, the lines run
-    the function once per iteration, output j carried into input j, and
-    keep a tuple of locals per step if the adjoint reads any.  None unless
-    a Var output exists, the Var inputs are the carried ones and each Var
-    output is a Var node of its own.  With end too, a pair (state, count)
-    of expressions, a run that keeps no tuple per step (its adjoint reads
-    only the Var inputs' ids and at most the number of steps) has no
-    loop: its outputs are state's values, which the loop would reach, and
-    its number of steps count."""
+    are, by EvalError with node id n; other nodes by ValueError.  A node
+    read once is folded into its reader; read twice, by a guard, by the
+    adjoint or as an output, or past _CHAIN nodes, it is a statement
+    {prefix}{node}.  Outputs are (name, trace node id), or (name of a
+    constant, None); nodes maps each Var node to (op, a, b, p, value) for
+    _adjoint, every value and operand a name."""
     tape, out = trace
     nin = len(inputs)
     recs = {r: rec for r, rec in enumerate(tape.recs) if rec}
     uses = Counter(x for _, a, b, _ in recs.values() for x in (a, b))
     var = {j for j, (_, i) in enumerate(inputs) if i}
-    # the prologue: a Var input x with a named id i is checked, then unpacked
-    unpack = [(x, i) for x, i in inputs if i and i.isidentifier()]
-    head = [f"if {x}.tape is not tape: raise ValueError("
-            "'operands recorded on different tapes')" for x, _ in unpack]
-    head += ["vals = tape.vals", "n = len(vals)"] * bool(var) + [
-        f"{i} = {x}.i; {x} = vals[{i}]" for x, i in unpack]
     keep = {o.i for o in out if type(o) is Var}
     for r, (op, a, b, _) in recs.items():  # the Var nodes, what adjoints read
         if a in var or b in var:
@@ -380,13 +368,12 @@ def replay_source(trace, inputs, prefix="f", loop=None, end=None):
                  or op == MUL and b in var),
                 (b, op in (DIV, MAX2) or op == MUL and a in var)) if on)
     ref = {j: (x, 1, 5) for j, (x, _) in enumerate(inputs)}
-    consts, lines, named, nodes = {}, [], set(), {}
+    consts, lines, nodes = {}, [], {}
 
     def name(r):
         if ref[r][1] > 1:
             lines.append(f"{prefix}{r} = {ref[r][0]}")
             ref[r] = (f"{prefix}{r}", 1, 5)
-            named.add(ref[r][0])
         return ref[r]
 
     def operand(x):  # a Var node, or an input's or a float's (value, id)
@@ -428,78 +415,28 @@ def replay_source(trace, inputs, prefix="f", loop=None, end=None):
         if r in var:
             nodes[r] = (op, operand(la), b and operand(lb), f"c{r}", ref[r][0])
     consts.update((f"y{j}", o) for j, o in enumerate(out) if type(o) is not Var)
-    slots = list(dict.fromkeys(o.i for o in out if getattr(o, "i", -1) in nodes))
-    outs = [(name(o.i)[0], f"n + {slots.index(o.i)}"
-             if o.i in nodes else o.i < nin and inputs[o.i][1] or None)
-            if type(o) is Var else (f"y{j}", None) for j, o in enumerate(out)]
-    if not slots:
-        return None if loop else (head + lines, outs, consts)
-    local = _names(x for x, _ in inputs) | named
-    ids = _names(i for _, i in inputs if i)
-    if not loop:
-        seeds = {r: f"g{r}" for r in slots}
-        rev, _ = _adjoint(nodes, seeds)
-        args = _reads(rev, local | ids)
-        consts["adjoint"] = compile_kernel("adj, n, args", [
-            *(f"g{r} = adj[n + {k}]" for k, r in enumerate(slots)),
-            _zero(seeds), f"[{args}] = args", *rev], consts)
-        return head + lines + _push([ref[r][0] for r in slots], args), outs, consts
-    # a run: state j is carried from node o, in slots' order; gi{j} sums
-    # its adjoint
-    carry = {j: o.i for j, o in enumerate(out) if getattr(o, "i", -1) in var}
-    if (list(carry) != [j for j, (_, i) in enumerate(inputs) if i] or min(
-            carry.values()) < nin or len(set(carry.values())) < len(carry)):
-        return None
-    seeds = {o: f"go{j}" for j, o in carry.items()}
-    inner, sums = _adjoint(nodes, seeds, {inputs[j][1]: f"gi{j}" for j in carry})
-    step = [sums.get(inputs[j][1], "0.0") for j in carry]
-    first, _ = _adjoint(nodes, seeds)
-    per = _reads(inner + first, local)
-    back = bool(inner or per) or step != list(seeds.values())
-    kept = ("saved" if per else "steps") if back else ""
-    args = _reads(first, ids) + kept
-    body = [*(f"go{j} = adj[n + {k}]" for k, j in enumerate(carry)),
-            f"[{args}] = args"]
-    if back:
-        # interior steps: their inputs are the step before's outputs
-        body += [f"for [{per}] in saved[:0:-1]:" if per
-                 else "for _ in range(steps - 1):"] + [
-            "    " + line for line in [
-                _zero(seeds), *inner,
-                f"{', '.join(seeds.values())}, = {', '.join(step)},"]]
-        body += [f"[{per}] = saved[0]"] * bool(per)
-    consts["adjoint"] = compile_kernel("adj, n, args",
-                                       body + [_zero(seeds), *first], consts)
-    xs = [x for x, _ in inputs[:len(out)]]
-    save = [f"saved.append(({per}))" if per else "steps += 1"] * back
-    lines = [f"{kept} = {'[]' if per else 0}"] * back + [loop] + [
-        "    " + line for line in lines + save + [
-            f"{', '.join(xs)}, = {', '.join(x for x, _ in outs)},"]]
-    if end and not per:  # the adjoint reads no step's locals: no loop
-        lines = [f"[{', '.join(xs)}] = {end[0]}"] + [
-            f"steps = {end[1]}"] * back
-    return (head + lines + _push([xs[j] for j in carry], args),
-            [(x, i) for x, (_, i) in zip(xs, outs)], consts)
+    outs = [(name(o.i)[0], o.i) if type(o) is Var else (f"y{j}", None)
+            for j, o in enumerate(out)]
+    return lines, outs, consts, nodes
 
 
-def _push(values, args):
-    m = len(values)
-    return [f"vals += ({', '.join(values)},)", f"tape.recs += {(None,) * m}",
-            f"tape.blocks.append((n, n + {m}, adjoint, ({args})))"]
-
-
-def _adjoint(nodes, seeds, local=None):
+def _adjoint(nodes, seeds, local, sums=None):
     """(lines, sums): the interpreter's reverse sweep over the records of
     nodes = {r: (op, a, b, p, value)} as straight-line code, an operand a
     Var node, a Var input's (value, id) or a float's (value, None).
 
-    Node r's adjoint is kept in a local, starting from the name seeds[r]
-    if given.  A Var input gets each contribution as its own `adj[id] +=
-    ...`, as the interpreter applies it, or with local = {id: name} sums it
-    in that name (sums: id -> the expression holding the sum).  A zero
-    adjoint is not skipped (its terms are 0.0), except before powc's,
-    which can raise."""
-    grad, sums, lines = dict(seeds), {}, []
+    seeds are (x, g): adjoint g reaches node x, or is first added to the
+    operand x that an output passes through.  Node r's adjoint is kept in
+    a local, assigned once from the sum of its terms where none of them
+    is in a branch, or inlined into the one term that reads it.  A Var
+    input whose id is in local sums its adjoint in the local named
+    local[id], starting from the expression sums[id] if given (sums: id
+    -> the expression holding the sum), in one statement at the end; any
+    other gets each contribution as its own `adj[id] += ...`, as the
+    interpreter applies it.  A sum is left to right, so it rounds as the
+    interpreter's does.  A zero adjoint is not skipped (its terms are
+    0.0), except before powc's, which can raise."""
+    grad, sums, lines, size = {}, dict(sums or {}), [], Counter()
 
     def val(x):
         return nodes[x][4] if type(x) is int else x[0]
@@ -509,7 +446,7 @@ def _adjoint(nodes, seeds, local=None):
         float, False for an adj write."""
         if type(x) is int:
             return grad, x, f"g{x}"
-        return x[1] and (False if local is None else (sums, x[1], local[x[1]]))
+        return x[1] and (x[1] in local and (sums, x[1], local[x[1]]))
 
     def prepare(x):
         # a sum added to in a branch needs a name of its own
@@ -522,18 +459,17 @@ def _adjoint(nodes, seeds, local=None):
         s = slot(x)
         if s is False:
             lines.append(f"{ind}adj[{x[1]}] {sign}= {term}")
-        elif s:
+        elif s and ind:
+            lines.append(f"{ind}{s[2]} {sign}= {term}")
+        elif s:  # a sum's terms: one expression, named when read
             store, key, name = s
             cur = store.get(key)
-            if ind:
-                lines.append(f"{ind}{name} {sign}= {term}")
-            elif cur is not None:
-                lines.append(f"{name} = {cur} {sign} {term}")
-            elif sign == "+" and term.isidentifier():
-                name = term  # an alias, no statement
-            else:
-                lines.append(f"{name} = {'' if sign == '+' else '-'}({term})")
-            store[key] = name
+            store[key] = (f"{cur} {sign} {term}" if cur is not None else
+                          term if sign == "+" else f"-({term})")
+            size[key] += 1
+            if size[key] % _CHAIN == 0:
+                lines.append(f"{name} = {store[key]}")
+                store[key] = name
 
     def branch(head, *terms):
         lines.append(head)
@@ -543,11 +479,23 @@ def _adjoint(nodes, seeds, local=None):
         if len(lines) == size:
             lines.append("    pass")
 
+    for x, g in seeds:
+        if type(x) is int:
+            grad[x] = g
+        else:
+            add(x, "+", g)
     for k in reversed(nodes):
         op, a, b, p, v = nodes[k]
         g = grad.get(k)
         if g is None:
             continue
+        if op in (MAX2, POW_CONST) or slot(a) is not None and b and slot(
+                b) is not None:  # read twice: a name
+            if not g.isidentifier():
+                lines.append(f"g{k} = {g}")
+                g = grad[k] = f"g{k}"
+        elif not g.isidentifier():
+            g = f"({g})"  # read once: inline
         if op == ADD or op == SUB:
             add(a, "+", g)
             add(b, "+" if op == ADD else "-", g)
@@ -581,6 +529,10 @@ def _adjoint(nodes, seeds, local=None):
             branch(f"if {g} != 0.0:", (a, f"{g} * {p} * {val(a)} ** ({p} - 1.0)"))
         else:  # pragma: no cover
             raise AssertionError(f"unhandled opcode {op}")
+    for key in sums:
+        if key in size and not sums[key].isidentifier():
+            lines.append(f"{local[key]} = {sums[key]}")
+            sums[key] = local[key]
     return lines, sums
 
 
@@ -588,14 +540,22 @@ def _names(exprs):
     return set(re.findall(r"[A-Za-z_]\w*", " ".join(exprs)))
 
 
-def _reads(lines, names):
-    """The names of `names` that lines read, as a tuple's items."""
-    return "".join(f"{x}, " for x in sorted(_names(lines) & names))
+def _bound(line):
+    """The names a generated assignment `a = ...`, `a, b, = ...` or
+    `[a, b] = ...` binds; none for other lines."""
+    m = re.match(r"\[?(\w+(?:, \w+)*),?\]? = ", line)
+    return m[1].split(", ") if m else []
 
 
-def _zero(seeds):
-    """Return if the block's adjoints are all 0.0: the interpreter skips them."""
-    return f"if not ({' or '.join(seeds.values()) or 0}): return"
+def _needed(lines, body):
+    """The lines of straight-line code that body reads, each guard with
+    the local it tests."""
+    need, out = _names(body), []
+    for line in reversed(lines):
+        if need.intersection(_bound(line) or line.split()[1:2]):
+            out.append(line)
+            need |= _names([line])
+    return out[::-1]
 
 
 def compile_kernel(params, body, names):

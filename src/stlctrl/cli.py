@@ -34,7 +34,7 @@ from .trainer import (
 from .verify import calibrate, choose_ell, report
 
 # weights of a controller; the largest bundled net has 1700.  Compiling a
-# net's rollout loop and recorder takes about 10 kB of memory per weight.
+# net's rollout loop and trajectory kernels takes about 10 kB per weight.
 _MAX_WEIGHTS = 20_000
 _TRAIN = {f.name: f.type for f in fields(TrainConfig)}  # train field types
 # the scenario fields that every run reads, and that each trainer reads besides

@@ -6,25 +6,20 @@ squash_fn, dt), without noise, and autodiff.replay_source generates from
 it a plain rollout loop per (widths, include_time, noise), which unpacks
 theta into locals once per rollout, inlines the controller forward
 traced the same way, for a Policy of any size (any other controller is
-called as forward(s, k)), and draws the noise; and one tape recorder of
-a step and one of a run of steps with frozen actions, both from Var
-states.  A recorder pushes only the next state's Vars and saves the
-locals its generated adjoint reads; a run whose adjoint keeps none per
-step, given the reference's final state, pushes that and steps nothing.
-All compute in the Var operators' order, so a differentiable rollout
-(the plain one recorded by sampler.build_sampled at every step, which
-adds each step's noise offsets to the recorded state by the Var
-operators) has its bits and those gradients.  So step_fn and squash_fn
-must be straight-line code over arithmetic and the autodiff helpers:
-nothing may depend on their arguments' values.
+called as forward(s, k)), and draws the noise.  sampler.build_sampled
+generates its trajectory kernels from the same trace.  Both compute in
+the Var operators' order, so a differentiable rollout (the plain one
+recorded by build_sampled at every step) has its bits and the Var
+operators' gradients.  So step_fn and squash_fn must be straight-line
+code over arithmetic and the autodiff helpers: nothing may depend on
+their arguments' values.
 """
 
 import csv
 import math
-import re
 
 from .autodiff import (
-    Tape, compile_kernel, cos, exp, powc, replay_source, sin, tanh,
+    Tape, _bound, compile_kernel, cos, exp, powc, replay_source, sin, tanh,
     value_of, vmax,
 )
 from .policy import Policy, forward_source, param_count
@@ -314,55 +309,6 @@ def _traced(plant):
     return _TRACES[key]
 
 
-def step_recorder(plant):
-    """record(tape, s, a): the next state as Plant.step computes it from
-    states and raw actions that are Vars on tape, as one block with the
-    Var operators' gradients (a live step; build_sampled adds its noise
-    offsets to the result)."""
-    return _recorder(plant, False)
-
-
-def run_recorder(plant):
-    """run(tape, s, acts, end): the state after one step per raw action in
-    acts (floats), from states s that are Vars on tape, with the values
-    and gradients of step_recorder step by step; end is that state as
-    floats (in build_sampled, the reference's).  The run is one block
-    that pushes only the final state.  A run whose adjoint keeps no
-    locals per step (dubins, multi_dubins_10, integrator2d: none;
-    quad6_platform: a count) pushes end and steps nothing; the others
-    (quad12, scalar_power) loop over the steps."""
-    return _recorder(plant, True)
-
-
-def _recorder(plant, run):
-    """The plant's step recorder kernel(tape, s, a), or with run its run
-    recorder kernel(tape, s, a, end), generated once from the noise-free
-    trace.  Each state it returns is a Var: ValueError naming the plant
-    if an output reads no Var, or if run and replay_source cannot loop
-    the step (it passes a state through, gives two states one node or
-    returns a constant)."""
-    trace, kernels = _traced(plant)
-    if run not in kernels:  # keyed True or False, the loops by a tuple
-        n, m = plant.state_dim, plant.action_dim
-        ins = [(f"x{j}", f"i{j}" if j < n + m * (not run) else None)
-               for j in range(n + m)]
-        s, a = (", ".join(x for x, _ in xs) for xs in (ins[:n], ins[n:]))
-        src = replay_source(trace, ins, loop=run and f"for [{a}] in a:",
-                            end=("end", "len(a)"))
-        if not src or None in (i for _, i in src[1]):
-            raise ValueError(f"plant {plant.name}: its step cannot be recorded"
-                             + (" as a run (a next state passed through, "
-                                "shared or constant)" if run
-                                else " (a next state is constant)"))
-        lines, outs, consts = src
-        ret = ", ".join(f"Var(tape, {i})" for _, i in outs)
-        kernels[run] = compile_kernel(
-            "tape, s, a, end" if run else "tape, s, a",
-            [f"[{s}] = s", "if not a: return s" if run else f"[{a}] = a",
-             *lines, f"return ({ret},)"], consts)
-    return kernels[run]
-
-
 def _closed_loop(plant, policy, noisy):
     """kernel(th, forward, s0, K, time_scale, c1, gauss) -> (states, raw
     actions, noise offsets or None): it inlines a Policy's forward with
@@ -378,13 +324,14 @@ def _closed_loop(plant, policy, noisy):
     head = ["states, acts, offs = [s], [], [] if gauss else None"]
     if key[0]:  # the forward inline, theta in locals
         ws = [(f"w{r}", None) for r in range(param_count(key[0]))]
-        fwd, acts, _ = forward_source(*key[:2], ws, [(x, None) for x in xs])
+        fwd, acts, _, _ = forward_source(*key[:2], ws, [(x, None) for x in xs])
         head.append(f"[{', '.join(w for w, _ in ws)}] = th")
         fwd, acts = ["t = float(k) * ts"] * key[1] + fwd, [a for a, _ in acts]
     else:
         acts = list(map("a{}".format, range(m)))
         fwd = [f"[{', '.join(acts)}] = forward({state}, k)"]
-    lines, outs, consts = replay_source(trace, [(x, None) for x in xs + acts])
+    lines, outs, consts, _ = replay_source(trace,
+                                           [(x, None) for x in xs + acts])
     nxt = [x for x, _ in outs]
     if noisy:  # drawn after the step, as the Plant.step loop draws them
         lines += [f"e{j} = sigma * gauss(0.0, 1.0)" for j in range(n)]
@@ -398,21 +345,15 @@ def _closed_loop(plant, policy, noisy):
     # a local's slot is the order of its first binding: the step's locals
     # go before the weights, so that past 256 names only weights need an
     # EXTENDED_ARG prefix
+    state = set(xs)
     own = dict.fromkeys(["k"] + [x for ln in step for x in _bound(ln)
-                                 if x not in xs])
+                                 if x not in state])
     loops[key] = compile_kernel("th, forward, s, K, ts, sigma, gauss", [
         f"[{', '.join(xs)}] = s", f"{' = '.join(own)} = None"] + head
         + ["for k in range(K):"] + ["    " + line for line in step]
         + ["return states, acts, offs"],
         {**consts, "LIMIT": DIVERGE_LIMIT, "check": _check})
     return loops[key]
-
-
-def _bound(line):
-    """The names a generated assignment `a = ...`, `a, b, = ...` or
-    `[a, b] = ...` binds; none for other lines."""
-    m = re.match(r"\[?(\w+(?:, \w+)*),?\]? = ", line)
-    return m[1].split(", ") if m else []
 
 
 def write_trace_csv(path, states, raw_actions):

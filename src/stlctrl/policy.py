@@ -10,11 +10,10 @@ autodiff.replay_source writes it, traced on Vars like a plant step, as
 one function per net, whatever its size, with one statement per neuron,
 ``h = tanh(th[b] + th[r] * x0 + ...)``, summed left to right like the
 loop, so it is bit-identical to it.  A rollout inlines that source into
-its loop.  The only way onto a tape is Policy.recorder, whose theta is a
-range of node ids from Tape.consts and whose inputs are Vars: one per net
-and one block per call, it computes the same floats, keeps the ones its
-generated adjoint reads (the inputs and each neuron's tanh) and pushes
-only the outputs.
+its loop.  The only way onto a tape is a live step of a sampled
+trajectory, whose kernel sampler generates from the same source: it
+computes the same floats and keeps the ones its adjoint reads (each
+neuron's tanh).
 
 Policy.save writes a checkpoint; the command line reads one back with the
 checks of a scenario's policy section.
@@ -23,9 +22,7 @@ checks of a scenario's policy section.
 import json
 import math
 
-from .autodiff import Tape, compile_kernel, replay_source, tanh
-
-_KERNELS = {}  # (widths, include_time) -> _recorder
+from .autodiff import Tape, replay_source, tanh
 
 
 def param_count(widths):
@@ -66,15 +63,6 @@ class Policy:
         t = [float(k) * self.time_scale] * self.include_time
         return reference_forward(self.widths, self.theta, [*s, *t])
 
-    def recorder(self, tape, theta):
-        """forward(s, k) on the tape, inputs s Vars, for the weights with
-        node ids theta, a range from Tape.consts: a call checks only its
-        inputs' tapes, and not their dimension."""
-        th = (tape.vals[theta.start:theta.stop], list(theta), tape)
-        run, ts = _recorder(self.widths, self.include_time), self.time_scale
-        return lambda s, k: run(th, s, float(k) * ts if self.include_time
-                                else None)
-
     def with_theta(self, theta):
         return Policy(self.widths, theta, self.include_time, self.time_scale)
 
@@ -92,23 +80,6 @@ class Policy:
         }
         with open(path, "w") as fh:
             json.dump(doc, fh)
-
-
-def _recorder(widths, include_time):
-    """forward(th, s, t) on the tape, one function, from Var inputs s and
-    th = (theta's values, their node ids, the tape).  Compiled once per
-    net."""
-    key = (tuple(widths), include_time)
-    if key in _KERNELS:
-        return _KERNELS[key]
-    theta = [(f"th[{r}]", f"ids[{r}]") for r in range(param_count(widths))]
-    xs = [(f"x{i}", f"i{i}") for i in range(widths[0] - include_time)]
-    lines, outs, consts = forward_source(widths, include_time, theta, xs)
-    ret = ", ".join(f"Var(tape, {i})" for _, i in outs)
-    fn = _KERNELS[key] = compile_kernel("th, s, t", [
-        f"[{', '.join(x for x, _ in xs)}] = s", "th, ids, tape = th",
-        *lines, f"return [{ret}]"], consts)
-    return fn
 
 
 def reference_forward(widths, theta, x):

@@ -3,23 +3,38 @@
 A sampled trajectory keeps the controller live (differentiable in theta)
 only at chosen time-steps and freezes it to the reference rollout's raw
 actions everywhere else, so gradient cost scales with the number of
-sampled steps instead of the horizon.  On the tape, theta and then the
-start state are constants, so every recorder takes Vars: a live step is
-two blocks (Policy.recorder, the controller's only tape path, and the
-plant step) and each run of frozen steps between two live ones is one
-block (plants.run_recorder) that pushes only its final state; its
-adjoint carries the state's adjoint from step to step in locals, over
-one tuple of saved locals per step if it reads any.  A frozen state is
-the reference's, bit for bit, if the reference is the policy's rollout
-(build_sampled checks each live step's raw action), so a run whose
-adjoint keeps no tuple per step pushes the reference's state and steps
-nothing; the others (quad12, scalar_power) loop.  Both are noise-free:
-a noisy reference is live at every step, and build_sampled adds each
-step's noise offsets to the recorded state by the Var operators.
+sampled steps instead of the horizon.  On the tape a trajectory is one
+block: theta and then the start state are constants, and the block's
+outputs are its anchors, the reference's states at the sample times
+after the first, bit for bit if the reference is the policy's rollout.
+
+Its two kernels are generated once per (plant, controller) from
+plants._traced's step and policy.forward_source's net, or for a table of
+raw actions (theta[k * m + j] is action j at step k) from the step alone.
+build runs the controller at the live steps only, checks each action
+against the reference's and saves the tanh values the adjoint reads.
+The adjoint walks the live steps and the runs of frozen steps between
+them in reverse, the state's adjoint in locals and theta's read from and
+written back to adj.  It recomputes a step's locals from the reference's
+floats where it reads them: at live steps, and at frozen ones for quad12
+and scalar_power; the other builtin plants' frozen runs it counts
+(quad6_platform) or skips.  A noise offset adds a constant, which passes
+the state's adjoint through unchanged.  The sweep is the interpreter's
+over the Var operators' records, term by term, and skips a step whose
+outputs' adjoints are all zero.  A next state passed through gets its
+adjoint added to its input's first, as the interpreter's one node does
+where only one of the two carries an objective's adjoint; two next states
+of one node are rejected.
 """
 
-from .autodiff import Tape, Var
-from .plants import run_recorder, step_recorder
+from itertools import repeat
+
+from .autodiff import (
+    Tape, Var, _adjoint, _bound, _names, _needed, compile_kernel,
+    replay_source,
+)
+from .plants import _traced
+from .policy import Policy, forward_source, param_count
 from .smooth import smooth_robustness
 from .stl import Trace
 
@@ -72,17 +87,13 @@ def build_sampled(ref, times, policy, plant):
     """Differentiable anchors along `times`; off-sample actions frozen.
 
     The reference rollout supplies the frozen raw actions and the start
-    state, the first anchor as floats, which do not depend on theta, and
-    on the tape the live chain's start.  Anchor primal values match the
-    reference states exactly because live and frozen steps run the same
-    scalar arithmetic, so ref must be the rollout of policy: a live
-    step's raw action that is not ref's raises ValueError.  Each sample
-    time but the last gets a live step, plus ref's noise offsets there
-    as one Var add, then one run of frozen steps up to the next sample
-    time, which pushes the reference's state there without stepping if
-    its adjoint keeps no locals per step (run_recorder); anchors and
-    gradients are those of the Var operators step by step.  A run has no
-    noise: a noisy ref with a frozen step raises ValueError first.
+    state, the first anchor as floats, which do not depend on theta.  The
+    other anchors are the outputs of one block whose inputs are theta and
+    the start state, consts on the tape in that order, and whose values are
+    ref's states: ref must be the rollout of policy, and a live step's raw
+    action that is not ref's raises ValueError.  Their gradients are the
+    Var operators' step by step, noise offsets included (see the module
+    doc).
     """
     if not times or times[0] != 0:
         raise ValueError("sample times must start at 0")
@@ -91,31 +102,110 @@ def build_sampled(ref, times, policy, plant):
     if times[-1] > ref.K:
         raise ValueError(f"sample time {times[-1]} past reference horizon {ref.K}")
     plant.check_dims(ref.states[0], policy)
-    frozen = len(times) <= times[-1]  # a step between two sample times
-    offs = getattr(ref, "noise_offsets", None)
-    if offs and frozen:
-        raise ValueError("ref is noisy: every step before the last sample "
-                         "time must be live")
+    build, adjoint = _kernels(plant, policy)
+    th, states, acts = policy.theta, ref.states, ref.raw_actions
+    ts = getattr(policy, "time_scale", None)
+    args = (th, states, acts, times, build(th, states, acts, times, ts), ts)
     tape = Tape()
-    theta = tape.consts(policy.theta)
-    forward = policy.recorder(tape, theta)
-    record, run = step_recorder(plant), frozen and run_recorder(plant)
-    states, acts = ref.states, ref.raw_actions
-    cur = tuple(Var(tape, i) for i in tape.consts(states[0]))
-    anchors = [states[0]]
-    vals = tape.vals
-    for k, k1 in zip(times, times[1:]):
-        a = forward(cur, k)
-        if [vals[x.i] for x in a] != [*acts[k]]:
-            raise ValueError(f"ref is not the rollout of policy: its raw "
-                             f"action at step {k} is not the policy's")
-        cur = record(tape, cur, a)
-        if offs:
-            cur = tuple(x + e for x, e in zip(cur, offs[k]))
-        if k1 > k + 1:
-            cur = run(tape, cur, acts[k + 1:k1], states[k1])
-        anchors.append(cur)
+    theta = tape.consts(th)
+    tape.consts(states[0])
+    ids = tape.outputs([x for t in times[1:] for x in states[t]], adjoint,
+                       args)
+    vs = map(Var, repeat(tape), ids)
+    anchors = [states[0], *zip(*[vs] * plant.state_dim)]
     return SampledTrajectory(list(times), anchors, tape, theta)
+
+
+def _mismatch(k):
+    raise ValueError(f"ref is not the rollout of policy: its raw action at "
+                     f"step {k} is not the policy's")
+
+
+def _kernels(plant, policy):
+    """(build, adjoint) of a sampled trajectory of plant under policy: a
+    Policy's net or else a table of raw actions, theta[k * m + j] action j
+    at step k.  Generated once per (plant, controller); see the module
+    doc.  The adjoint keeps the adjoints of the state at a step's output
+    in G, at its input in H (from adj: the anchor's), of its raw actions
+    in ga and of theta's weight r in b{r}."""
+    trace, kernels = _traced(plant)
+    net = (tuple(policy.widths), policy.include_time) if isinstance(
+        policy, Policy) else None
+    if net in kernels:
+        return kernels[net]
+    n, m = plant.state_dim, plant.action_dim
+    xs = [(f"x{d}", f"s{d}") for d in range(n)]
+    G, H = ([f"{c}{d}" for d in range(n)] for c in "GH")
+    into_h = {i: h for (_, i), h in zip(xs, H)}
+    ga = {f"a{e}": f"ga{e}" for e in range(m)}
+
+    def step(k, live, local, sums):
+        # the step's adjoint from G at step k, its raw actions Vars if
+        # live: (the lines that recompute what it reads and it, sums, the
+        # G it reads)
+        ins = xs + [(f"u{e}", live and f"a{e}") for e in range(m)]
+        lines, outs, consts, nodes = replay_source(trace, ins)
+        seeds = [(o if o in nodes else ins[o], g) for (_, o), g in zip(outs, G)
+                 if o in nodes or o is not None and o < n + m and ins[o][1]]
+        shared = [o for o, _ in seeds if o in nodes]
+        if len(set(shared)) < len(shared):
+            raise ValueError(f"plant {plant.name}: two next states are one "
+                             "node; make each its own")
+        rev, sums = _adjoint(nodes, seeds, local, sums)
+        unpack = [f"[{', '.join(x for x, _ in ins[:n])}] = states[{k}]",
+                  f"[{', '.join(x for x, _ in ins[n:])}] = acts[{k}]"]
+        return (_needed(unpack + lines, rev) + rev, sums,
+                " or ".join(g for _, g in seeds) or "0", consts)
+
+    back, sums, gs, consts = step("j", False, {i: f"N{d}" for d, (_, i) in
+                                               enumerate(xs)}, {})
+    nxt = [sums.get(i, "0.0") for _, i in xs]
+    frozen = [] if not back and nxt == G else [  # no run, a count or a loop
+        "for j in range(k1 - 1, k, -1):" if _names(back) & {"states", "acts"}
+        else "for _ in range(k1 - k - 1):", f"    if not ({gs}): break",
+        *("    " + line for line in back), f"    {', '.join(G)}, = {', '.join(nxt)},"]
+    live, sums, gs, _ = step("k", True, {**into_h, **ga}, {**into_h, **{
+        a: "0.0" if net else f"adj[k * {m} + {e}]" for e, a in enumerate(ga)}})
+    acts = [sums[a] for a in ga]
+    at_k = [f"[{', '.join(x for x, _ in xs)}] = states[k]", "t = float(k) * ts"]
+    if net:
+        P = param_count(net[0])
+        ws = [(f"w{r}", f"b{r}") for r in range(P)]
+        into = {**into_h, **{b: b for _, b in ws}}
+        fwd, outs, _, nodes = forward_source(*net, ws, xs)
+        rev, _ = _adjoint(nodes, [(o, a) for (_, o), a in zip(outs, acts)],
+                          into, into)
+        reads, bs = _names(rev), ", ".join(b for _, b in ws)
+        save = "".join(f"{x}, " for line in fwd for x in _bound(line)
+                       if x in reads)
+        head = [f"[{', '.join(w for w, _ in ws)}] = th"]
+        run = fwd + [f"if [{', '.join(a for a, _ in outs)}] != [*acts[k]]: "
+                     "mismatch(k)", f"saved.append(({save}))"]
+        ctrl = [f"if {' or '.join(acts)}:", *("    " + line for line in [
+            f"[{save}] = saved[i]"] * bool(save) + _needed(at_k, rev) + rev)]
+        load, store = [f"[{bs}] = adj[:{P}]"], [f"adj[:{P}] = [{bs}]"]
+    else:
+        head = load = store = []
+        ctrl = [f"adj[k * {m} + {e}] = {a}"
+                for e, a in enumerate(acts) if a in ga.values()]
+        run = [f"if th[k * {m}:k * {m} + {m}] != [*acts[k]]: mismatch(k)"]
+    consts["mismatch"] = _mismatch
+    build = compile_kernel("th, states, acts, times, ts", head + [
+        "saved = []", "for k in times[:-1]:",
+        *("    " + line for line in _needed(at_k, run) + run),
+        "return saved"], consts)
+    adjoint = compile_kernel("adj, n, args", [
+        "[th, states, acts, times, saved, ts] = args", *head, *load,
+        "i = len(times) - 1", f"o = n + i * {n}",
+        f"[{', '.join(G)}] = adj[o - {n}:o]", "k1 = times[i]", "while i:",
+        *("    " + line for line in [
+            "i -= 1", f"o -= {n}", "k = times[i]", *frozen,
+            f"[{', '.join(H)}] = adj[o - {n}:o]", f"if {gs}:",
+            *("    " + x for x in live + ctrl),
+            f"adj[o - {n}:o] = [{', '.join(G)}] = [{', '.join(H)}]",
+            "k1 = k"]), *store], consts)
+    kernels[net] = build, adjoint
+    return build, adjoint
 
 
 def grad_critical(ref, kstar, hstar, N, policy, plant, rng):

@@ -368,10 +368,6 @@ class _OpenLoop:
             raise ValueError(f"open-loop actions end before step {k}")
         return self.theta[k * m:(k + 1) * m]
 
-    def recorder(self, tape, theta):
-        m = self.action_dim
-        return lambda s, k: [Var(tape, i) for i in theta[k * m:(k + 1) * m]]
-
 
 def train_openloop(plant, actions, f, s0, cfg, rng):
     """train_vanilla on the raw action sequence itself, from s0; returns

@@ -10,9 +10,10 @@ from stlctrl.cli import (
     resolve_scenario,
 )
 from stlctrl.autodiff import Tape, ln
-from stlctrl.plants import Plant, step_recorder, write_trace_csv
+from stlctrl.plants import Plant, Rollout, write_trace_csv
+from stlctrl.sampler import build_sampled
 from stlctrl.stl import horizon
-from stlctrl.trainer import train_openloop
+from stlctrl.trainer import _OpenLoop, train_openloop
 
 
 def scenario_doc(**over):
@@ -292,11 +293,14 @@ def log_of_zero(ref, kstar, hstar, N, policy, plant, rng):
 
 
 def recorder_guard(ref, kstar, hstar, N, policy, plant, rng):
-    # a generated step recorder's guard, raised before it pushes anything
-    tape, odd = Tape(), Plant("odd", 1, 1, 1.0,
-                              lambda s, u, dt: (u[0] / s[0],), lambda a: a)
-    x = tape.const(0.0)
-    return step_recorder(odd)(tape, (x,), (x,))
+    # a guard of a trajectory block's generated adjoint, which recomputes
+    # a step from the reference's floats: the block's first output is
+    # node 1, after the start state (an action table of no actions)
+    odd = Plant("odd", 1, 0, 1.0, lambda s, u, dt: (1.0 / s[0],),
+                lambda a: a)
+    st = build_sampled(Rollout([(0.0,), (1.0,)], [()]), [0, 1],
+                       _OpenLoop([[]]), odd)
+    return st.grad(st.anchors[1][0])
 
 
 @pytest.mark.parametrize("grad,message", [

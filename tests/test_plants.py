@@ -10,7 +10,7 @@ from stlctrl.autodiff import (
 )
 from stlctrl.plants import (
     DivergedRollout, InitialSet, Plant, builtin, corners_and_center,
-    read_trace_csv, rollout, run_recorder, step_recorder, write_trace_csv,
+    read_trace_csv, rollout, write_trace_csv,
 )
 from stlctrl.policy import Policy, init
 
@@ -419,56 +419,41 @@ def test_rollout_rejects_a_policy_for_other_states():
             rollout(p, init(widths, scheme="zero"), s0, 3)
 
 
-def _recorded(step, s, a, var_a, prefix=3):
-    """The next state of one step on a tape that already holds a few nodes,
-    states Vars, raw actions Vars if var_a: per entry its value and its
-    gradient over the Var inputs (a float's is zero), as bytes."""
-    tape = Tape()
-    for i in range(prefix):
-        tape.const(0.5 * i)
-    s = tuple(map(tape.const, s))
-    a = tuple(map(tape.const, a)) if var_a else a
-    nxt = step(tape, s, a)
-    seeds = [x for x in (*s, *a) if isinstance(x, Var)]
-    return [_bits((x.value, tape.backward(x, seeds)) if isinstance(x, Var)
-                  else (x, [0.0] * len(seeds))) for x in nxt]
-
-
-def _var_step(plant):
-    """The Var operators, interpreted: Plant.step."""
-    return lambda tape, s, a: plant.step(s, a, 0)
-
-
-def run_end(plant, s, acts):
-    """The state as floats that a run of steps over the raw actions acts
-    reaches from s: Plant.step on floats, run_recorder's end."""
-    s = tuple(map(value_of, s))
+def _one_trajectory(plant, s, acts, times):
+    """Each anchor entry of an open-loop trajectory from s over the raw
+    actions acts (states by Plant.step on floats), live at times, as its
+    value and its gradient over the actions and the start state, in bytes:
+    (build_sampled's, the Var operators' step by step; a float entry's
+    gradient is zero)."""
+    from stlctrl.sampler import build_sampled
+    from stlctrl.trainer import _OpenLoop
+    ol, states = _OpenLoop([list(a) for a in acts]), [tuple(s)]
     for a in acts:
-        s = plant.step(s, a, 0)
-    return s
+        states.append(tuple(plant.step(states[-1], a, 0)))
+    st = build_sampled(plants.Rollout(states, [tuple(a) for a in acts]),
+                       times, ol, plant)
+    tape, m = Tape(), plant.action_dim
+    theta = [Var(tape, i) for i in tape.consts(ol.theta)]
+    cur, anchors = tuple(map(tape.const, s)), []
+    for k, a in enumerate(acts[:times[-1]]):
+        cur = plant.step(cur, theta[k * m:k * m + m] if k in times else a, k)
+        if k + 1 in times:
+            anchors.append(cur)
+    seeds = range(len(theta) + len(s))
+    return [[_bits([(x.value, t.backward(x, seeds)) if isinstance(x, Var)
+                    else (x, [0.0] * len(seeds)) for x in a]) for a in an]
+            for t, an in ((st.tape, st.anchors[1:]), (tape, anchors))]
 
 
-def _one_step_run(plant):
-    """A frozen step: run_recorder over the one raw action a."""
-    run = run_recorder(plant)
-
-    def step(tape, s, a):
-        try:
-            end = run_end(plant, s, [a])
-        except (ArithmeticError, ValueError):
-            end = None  # the guarded local is kept per step, so it loops
-        return run(tape, s, [a], end)
-
-    return step
-
-
-def _assert_recorder_matches_var_operators(plant, s, a):
-    """A live step (step_recorder, Var actions) and a frozen one (a run of
-    one float action) against the Var operators."""
-    for var_a, record in ((True, step_recorder(plant)),
-                          (False, _one_step_run(plant))):
-        want = _recorded(_var_step(plant), s, a, var_a)
-        assert _recorded(record, s, a, var_a) == want, var_a
+def _assert_recorder_matches_var_operators(plant, s, a, a0=None):
+    """A step over the raw action a from s, live (a Var action) and frozen
+    (a float action, after a live step over a0 to s), against the Var
+    operators."""
+    got, want = _one_trajectory(plant, s, [a], [0, 1])
+    assert got == want
+    if a0 is not None:
+        got, want = _one_trajectory(plant, s, [a0, a], [0, 2])
+        assert got == want
 
 
 @pytest.mark.parametrize("name,widths,s0,scale", _PLANT_CASES[:-1])
@@ -476,8 +461,8 @@ def test_step_recorder_matches_var_operators(name, widths, s0, scale):
     plant = builtin(name)
     n, m = plant.state_dim, plant.action_dim
     rng = random.Random(5)
-    a = tuple(rng.uniform(-2, 2) for _ in range(m))
-    _assert_recorder_matches_var_operators(plant, s0, a)
+    a, a0 = (tuple(rng.uniform(-2, 2) for _ in range(m)) for _ in "aa")
+    _assert_recorder_matches_var_operators(plant, s0, a, a0)
 
 
 def test_step_recorder_scalar_power_max_tie_and_power():
@@ -485,13 +470,15 @@ def test_step_recorder_scalar_power_max_tie_and_power():
     # operand order, so lhs/rhs must be the Var path's
     plant = builtin("scalar_power")
     for x in (1e-3, -2.0, 1.15, 0.0):
-        _assert_recorder_matches_var_operators(plant, (x,), (0.7,))
-    tape = Tape()
-    x = tape.const(1e-3)
-    (y,) = step_recorder(plant)(tape, (x,), (tape.const(0.2),))
-    # one block, its output the only node it pushes
-    assert len(tape.blocks) == 1 and tape.recs == [None] * 3
-    g = tape.backward(y, [x])[0]
+        _assert_recorder_matches_var_operators(plant, (x,), (0.7,), (0.7,))
+    from stlctrl.sampler import build_sampled
+    from stlctrl.trainer import _OpenLoop
+    ref = plants.Rollout([(1e-3,), plant.step((1e-3,), (0.2,), 0)], [(0.2,)])
+    st = build_sampled(ref, [0, 1], _OpenLoop([[0.2]]), plant)
+    # one block, its outputs the only nodes it pushes
+    assert len(st.tape.blocks) == 1 and st.tape.recs == [None] * 3
+    y = st.anchors[1][0]
+    g = st.tape.backward(y, range(2))[1]  # over the start state
     assert g == pytest.approx(0.5 * 0.8 * 1.2 * 1e-3 ** 0.2)
 
 
@@ -509,7 +496,7 @@ def test_step_recorder_constants_and_operand_order(fn):
     n = len(fn((1.0, 1.0), (1.0,), 1.0))
     plant = Plant("consts", n, 1, 1.0, fn, lambda a: a)
     s = (0.5, -0.25)[:n]
-    _assert_recorder_matches_var_operators(plant, s, (0.75,))
+    _assert_recorder_matches_var_operators(plant, s, (0.75,), (0.5,))
     pol = Policy([n + 1, 1], theta=[0.5] * (n + 1) + [0.1])
     runs = [_outcome(lambda: f(plant, pol, s, 4), None)
             for f in (rollout, _generic_rollout)]
@@ -517,15 +504,21 @@ def test_step_recorder_constants_and_operand_order(fn):
 
 
 def test_step_recorder_keeps_the_var_operand_first():
-    # max(0.0, -0.0) is 0.0 and max(-0.0, 0.0) is -0.0: with a frozen u,
-    # vmax(u, s) computes max(s, u), as the Var operators put the Var first
+    # max(0.0, -0.0) is 0.0 and max(-0.0, 0.0) is -0.0: the rollout
+    # computes max(u, s), and the anchors are its states; a frozen step's
+    # adjoint reads the Var operators' max(s, u), whose tie at u == s
+    # sends s half its adjoint
     plant = Plant("zeros", 2, 1, 1.0, lambda s, u, dt: (
         vmax(u[0], s[0]), vmax(u[0], s[1])), lambda a: a)
-    _assert_recorder_matches_var_operators(plant, (-0.0, 0.0), (0.0,))
-    tape = Tape()
-    nxt = _one_step_run(plant)(tape, (tape.const(-0.0), tape.const(0.0)),
-                               (-0.0,))
-    assert _bits([x.value for x in nxt]) == _bits([-0.0, 0.0])
+    s = (-0.0, 0.0)
+    got, want = _one_trajectory(plant, s, [(0.0,)], [0, 1])
+    assert got == want
+    for times in ([0, 1, 2], [0, 2]):
+        got, want = _one_trajectory(plant, s, [(0.0,), (0.0,)], times)
+        assert [[x[0] for x in a] for a in got] == _bits([[0.0, 0.0]] * (
+            len(times) - 1))
+        assert [[x[1] for x in a] for a in got] == [
+            [x[1] for x in a] for a in want]
 
 
 @pytest.mark.parametrize("fn,s,a", [
@@ -535,21 +528,31 @@ def test_step_recorder_keeps_the_var_operand_first():
     (lambda s, u, dt: (u[0] * powc(s[0] + 0.0, 0.5),), -3.0, 1.0),
 ])
 def test_step_recorder_guards_write_nothing(fn, s, a):
+    # the trajectory block steps nothing when it is recorded; its adjoint
+    # recomputes a step from the reference's floats, behind the Var
+    # operators' guards, as EvalError at the block's first output
+    from stlctrl.sampler import build_sampled
+    from stlctrl.trainer import _OpenLoop
     plant = Plant("guarded", 1, 1, 1.0, fn, lambda a: a)
     errs = []
-    for var_a in (True, False):
-        for step in (_var_step(plant), step_recorder(plant) if var_a
-                     else _one_step_run(plant)):
+    for step in (lambda tape, s, a: plant.step(s, a, 0),):
+        for var_a in (True, False):
             tape = Tape()
             tape.const(9.0)
-            ins = ((tape.const(s),), (tape.const(a) if var_a else a,))
-            size = len(tape)
             with pytest.raises(EvalError) as e:
-                step(tape, *ins)
+                step(tape, (tape.const(s),), (tape.const(a) if var_a else a,))
             errs.append(str(e.value).split(": ", 1)[1])
-        assert len(tape) == size  # the recorder's tape
-        assert e.value.node_id == size  # the id its first output would get
-        assert errs[-1] == errs[-2]
+    # live at step 0, or frozen at step 1 after a live step from 1.0
+    for states, acts, times in (([(s,), (0.0,)], [(a,)], [0, 1]),
+                                ([(1.0,), (s,), (0.0,)], [(a,), (a,)], [0, 2])):
+        st = build_sampled(plants.Rollout(states, acts), times,
+                           _OpenLoop([list(x) for x in acts]), plant)
+        size = len(st.tape)
+        with pytest.raises(EvalError) as e:
+            st.grad(st.anchors[-1][0])
+        assert len(st.tape) == size
+        assert e.value.node_id == st.tape.blocks[0][0]
+        assert str(e.value).split(": ", 1)[1] in errs
     # the plain loop fails before it draws the step's noise
     rngs = []
     for run in (rollout, _generic_rollout):
@@ -565,34 +568,43 @@ def test_step_recorder_guards_write_nothing(fn, s, a):
     ("quad12", True), ("integrator2d", False), ("scalar_power", True),
 ])
 def test_each_builtin_plant_generates_both_recorders_once(name, loops):
-    # from the noise-free trace: one step recorder and one run recorder,
-    # which pushes the end state unless its adjoint keeps locals per step
-    import dis
-    record, run = step_recorder(builtin(name)), run_recorder(builtin(name))
-    assert record is step_recorder(builtin(name)) is not run
-    assert run is run_recorder(builtin(name))
-    assert loops == any(ins.opname == "FOR_ITER"
-                        for ins in dis.get_instructions(run))
+    # one build and one adjoint kernel per (plant, controller), from the
+    # noise-free trace; the adjoint recomputes a frozen step from the
+    # reference's floats only where it reads the step's locals
+    from stlctrl.sampler import _kernels
+    pol = init([builtin(name).state_dim + 1, 3, builtin(name).action_dim],
+               scheme="zero")
+    build, adjoint = _kernels(builtin(name), pol)
+    assert (build, adjoint) == _kernels(builtin(name), pol.with_theta(
+        [1.0] * len(pol.theta)))
+    assert build is not adjoint
+    assert loops == ("j" in adjoint.__code__.co_varnames)
 
 
 def test_plant_recorders_reject_a_state_from_another_tape():
-    # the generated check runs before anything is pushed, a run's loop too
+    # anchors of two trajectories are on two tapes: an objective that
+    # mixes them, or a backward seeded on the other tape, is rejected
+    # before anything is pushed
+    from stlctrl.sampler import build_sampled
+    from stlctrl.smooth import softmin
+    from stlctrl.trainer import WaypointPath, waypoint_objective
     plant = builtin("dubins")
-    record, run = step_recorder(plant), run_recorder(plant)
-    t1, t2 = Tape(), Tape()
-    t2.const(9.0)
-    own, other, a = t2.const(1.0), t1.const(2.0), t2.const(0.5)
-    end = (0.0, 0.0)  # read after the check
-    calls = [lambda s: record(t2, s, (a, a)),
-             lambda s: run(t2, s, [(0.5, -0.5)], end),
-             lambda s: run(t2, s, [(0.5, -0.5)] * 3, end)]
-    for s in [(other, own), (own, other), (other, other)]:
-        for call in calls:
-            sizes = (len(t1), len(t2), list(t1.blocks), list(t2.blocks))
-            with pytest.raises(ValueError) as e:
-                call(s)
-            assert str(e.value) == "operands recorded on different tapes"
-            assert (len(t1), len(t2), t1.blocks, t2.blocks) == sizes
-    # a state on the recorders' tape is recorded as before
-    assert len(run(t2, (own, a), [(0.5, -0.5)] * 3, end)) == 2
-    assert len(t2.blocks) == 1
+    pol = init([3, 4, 2], rng=random.Random(1))
+    ref = rollout(plant, pol, (0.0, 0.0), 6)
+    st1, st2 = (build_sampled(ref, times, pol, plant)
+                for times in ([0, 2, 6], [0, 3, 6]))
+    own, other = st1.anchors[1][0], st2.anchors[1][0]
+    st2.anchors[1] = st1.anchors[1]
+    wp = WaypointPath([(0, (0.0, 0.0), (1, 1))])
+    calls = [lambda: own + other, lambda: softmin([own, other], 5.0),
+             lambda: waypoint_objective(st2, wp),
+             lambda: st1.tape.backward(own, [other])]
+    for call in calls:
+        sizes = [(len(t), list(t.blocks)) for t in (st1.tape, st2.tape)]
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) in ("operands recorded on different tapes",
+                                "seed not on this tape")
+        assert [(len(t), t.blocks) for t in (st1.tape, st2.tape)] == sizes
+    # an anchor on its own tape is recorded as before
+    assert isinstance(own + own, Var) and len(st1.tape.blocks) == 1

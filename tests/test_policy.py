@@ -5,11 +5,14 @@ import struct
 import pytest
 
 from stlctrl.autodiff import TANH, Tape, Var, tanh
+from stlctrl import autodiff, plants, sampler
 from stlctrl import policy as pol
 from stlctrl.cli import (
     _load_checkpoint, bundled_names, load_scenario, resolve_scenario,
 )
+from stlctrl.plants import Plant, rollout
 from stlctrl.policy import AdamState, Policy, adam_update, init, param_count
+from stlctrl.sampler import build_sampled
 
 
 def test_param_count_formula():
@@ -54,14 +57,18 @@ def test_include_time_off_and_time_scale():
 
 
 def test_forward_gradient_finite_differences():
+    # a next state that adds the action to a zero term: its gradient is
+    # the action's at step k alone
     rng = random.Random(9)
     p = init([3, 5, 2], rng=rng)
     s, k = (0.3, -0.7), 2
+    plant = Plant("expose", 2, 2, 1.0, lambda s, u, dt: (
+        s[0] * 0.0 + u[0], s[1] * 0.0 + u[1]), lambda a: a)
+    ref = rollout(plant, p, s, k + 1)
+    st = build_sampled(ref, [0, k, k + 1], p, plant)
+    s = ref.states[k]  # the forward's input at step k
     for idx in [0, 7, 19, len(p.theta) - 1]:
-        tape = Tape()
-        tv = tape.consts(p.theta)
-        out = p.recorder(tape, tv)(_on_tape(tape, s), k)
-        g = tape.backward(out[0], tv)[idx]
+        g = st.grad(st.anchors[-1][0])[idx]
         h = 1e-6
         hi = list(p.theta)
         lo = list(p.theta)
@@ -182,13 +189,12 @@ def _assert_kernel_matches_loop(p, rng, trials=3):
     n = p.state_dim
     for _ in range(trials):
         s = tuple(rng.uniform(-3, 3) for _ in range(n))
-        k = rng.randrange(1000)
+        k = rng.randrange(1, 20)
         assert list(map(_bits, p.forward(s, k))) == list(
             map(_bits, loop_forward(p, s, k)))
         # two forwards on one tape, as in a sampled trajectory
-        _assert_recorder_matches_loop(p, lambda tape: (
-            tape.consts(p.theta), [_on_tape(tape, s), _on_tape(tape, s)[::-1]]),
-            k)
+        if n:
+            _assert_recorder_matches_loop(p, s, [0, k, k + 1])
 
 
 def _policy_configs():
@@ -242,22 +248,38 @@ def _on_tape(tape, xs):
     return [tape.const(x) for x in xs]
 
 
-def _assert_recorder_matches_loop(p, setup, k=7):
-    """setup(tape) -> (theta's node ids from Tape.consts, inputs of each
-    forward); Policy.recorder and loop_forward on theta's Vars must give
-    the same outputs on fresh tapes, values and gradients over theta and
-    the Var inputs, bit for bit.  Returns (tape, theta, outputs) of each."""
-    runs, grads = [], []
-    for recorded in (True, False):
-        tape = Tape()
-        theta, inputs = setup(tape)
-        tv = [Var(tape, i) for i in theta]
-        fwd = (p.recorder(tape, theta) if recorded
-               else lambda s, k: loop_forward(p, s, k, theta=tv))
-        outs = [fwd(s, k) for s in inputs]
-        seeds = tv + [x for s in inputs for x in s if isinstance(x, Var)]
-        grads.append(_grads(tape, [v for o in outs for v in o], seeds))
-        runs.append((tape, theta, outs))
+def _probe(p):
+    """A plant for p whose next state is 0.5 times the state plus, per
+    entry d, action d mod m: an anchor's gradient shows an action's."""
+    n, m = p.state_dim, p.action_dim
+    return Plant("probe", n, m, 1.0, lambda s, u, dt: tuple(
+        s[d] * 0.5 + u[d % m] for d in range(n)), lambda a: a)
+
+
+def _assert_recorder_matches_loop(p, s, times):
+    """A trajectory of _probe(p) from s, live at times: its anchors'
+    values, and the gradients over theta and the start state of their
+    first, middle and last entries, must be the same by build_sampled and
+    by the Var operators (loop_forward on theta's Vars), bit for bit.
+    Returns (tape, theta, anchors) of each."""
+    plant = _probe(p)
+    ref = rollout(plant, p, s, times[-1])
+    st = build_sampled(ref, times, p, plant)
+    tape = Tape()
+    tv = [Var(tape, i) for i in tape.consts(p.theta)]
+    cur, anchors = _on_tape(tape, s), [ref.states[0]]
+    for k in range(times[-1]):
+        a = (loop_forward(p, cur, k, theta=tv) if k in times
+             else ref.raw_actions[k])
+        cur = plant.step(cur, a, k)
+        if k + 1 in times:
+            anchors.append(cur)
+    runs = [(st.tape, st.theta_vars, st.anchors),
+            (tape, range(len(tv)), anchors)]
+    seeds = range(len(p.theta) + len(s))
+    some = sorted({0, len(s) // 2, len(s) - 1})  # the gradients of these
+    grads = [_grads(t, [a[d] for a in an[1:] for d in some], seeds)
+             + [_bits(x.value) for a in an[1:] for x in a] for t, _, an in runs]
     assert grads[0] == grads[1]
     return runs
 
@@ -267,9 +289,10 @@ def test_plain_forward_is_one_statement_per_neuron(widths, include_time,
                                                    time_scale):
     # per-operation statements made the forward 1.4-3x slower; in the
     # rollout loop's forward a neuron that only one neuron reads is folded
-    # into that neuron's statement, and the recorder keeps each neuron's
-    # tanh, which its adjoint reads
-    fn = pol._recorder(widths, include_time)
+    # into that neuron's statement, and the trajectory kernel's forward
+    # keeps each neuron's tanh, which its adjoint reads
+    p = init(list(widths), scheme="zero", include_time=include_time)
+    fn = sampler._kernels(_probe(p), p)[0]
     names = [v for v in fn.__code__.co_varnames if v[0] == "h"]
     assert len(names) == sum(widths[1:])
     ws = [(f"w{r}", None) for r in range(param_count(widths))]
@@ -284,71 +307,71 @@ def test_forward_is_the_reference_loop_and_compiles_nothing(monkeypatch):
     def boom(*args):
         raise AssertionError("Policy.forward compiled a kernel")
 
-    before = dict(pol._KERNELS)
-    monkeypatch.setattr(pol, "compile_kernel", boom)
+    for module in (autodiff, plants, sampler):
+        monkeypatch.setattr(module, "compile_kernel", boom)
     rng = random.Random(21)
     p = init([3, 13, 2], rng=rng, time_scale=0.1)
     s, k = (rng.uniform(-3, 3), rng.uniform(-3, 3)), 17
     assert list(map(_bits, p.forward(s, k))) == list(
         map(_bits, loop_forward(p, s, k)))
-    assert pol._KERNELS == before
+    assert not hasattr(pol, "compile_kernel")
 
 
-def test_recorder_matches_loop_with_theta_anywhere_on_the_tape():
+def test_recorder_puts_theta_then_the_start_state_on_the_tape():
+    # theta's consts are the first nodes, the start state's the next, then
+    # the one block of anchors; seeds given as Vars in any order read them
     p = init([3, 7, 2], rng=random.Random(17))
-
-    def after_other_nodes(tape):
-        for _ in range(5):
-            tape.const(1.5)
-        return tape.consts(p.theta), [_on_tape(tape, (0.25, -0.5))]
-
-    _assert_recorder_matches_loop(p, after_other_nodes)
+    [(tape, theta, anchors), _] = _assert_recorder_matches_loop(
+        p, (0.25, -0.5), [0, 2, 3, 7])
+    P = len(p.theta)
+    assert theta == range(P) and tape.vals[:P] == p.theta
+    assert tape.vals[P:P + 2] == [0.25, -0.5]
+    assert tape.blocks[0][:2] == (P + 2, P + 2 + 2 * 3) == (P + 2, len(tape))
+    order = list(range(P + 2))[::-1]
+    y = anchors[-1][1]
+    g = tape.backward(y, range(P + 2))
+    assert tape.backward(y, [Var(tape, i) for i in order]) == [
+        g[i] for i in order]
 
 
 def test_recorder_several_forwards_on_one_tape():
     # as in a sampled trajectory: each forward's inputs depend on the last
     p = init([3, 8, 2], rng=random.Random(18))
-
-    def setup(tape):
-        theta = tape.consts(p.theta)
-        tv = [Var(tape, i) for i in theta]
-        s, inputs = _on_tape(tape, (0.4, -0.7)), []
-        for k in range(4):
-            inputs.append(s)
-            s = [x * 0.5 + 0.1 for x in loop_forward(p, s, k, theta=tv)]
-        return theta, inputs
-
-    (tape, _, _), _ = _assert_recorder_matches_loop(p, setup)
-    # TANH: setup's; the recorder's push none
-    assert [r and r[0] for r in tape.recs].count(TANH) == 8 * 4
+    (tape, _, _), (oracle, _, _) = _assert_recorder_matches_loop(
+        p, (0.4, -0.7), [0, 1, 2, 3, 4])
+    # TANH: the Var operators' records; the block pushes none
+    assert [r and r[0] for r in oracle.recs].count(TANH) == 8 * 4
+    assert not any(tape.recs) and len(tape.blocks) == 1
 
 
-def test_recorder_rejects_before_writing():
+def test_recorder_rejects_before_writing(monkeypatch):
+    # a live step whose raw action is not the reference's is rejected
+    # before a tape is made
     p = init([3, 4, 2], rng=random.Random(19))
-    t1, t2 = Tape(), Tape()
-    forward = p.recorder(t1, t1.consts(p.theta))
-    x1, x2 = t1.const(0.1), t2.const(0.5)
-    sizes = (len(t1), len(t2))
-    for s in [(x2, x1), (x1, x2)]:
-        with pytest.raises(ValueError, match="different tapes"):
-            forward(s, 3)
-    assert (len(t1), len(t2)) == sizes
-    for t in (t1, t2):
-        assert len(t.recs) == len(t.vals) == len(t)
+    plant = _probe(p)
+    ref = rollout(plant, p, (0.1, 0.5), 4)
+    bad = plants.Rollout(ref.states, [*ref.raw_actions[:2], (0.0, 0.0),
+                                      *ref.raw_actions[3:]])
+    tapes = []
+    monkeypatch.setattr(sampler, "Tape",
+                        lambda: tapes.append(Tape()) or tapes[-1])
+    for times in ([0, 2, 3], [0, 1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="raw action at step 2"):
+            build_sampled(bad, times, p, plant)
+    assert not tapes
+    build_sampled(bad, [0, 1, 4], p, plant)  # step 2 frozen: its action
+    assert len(tapes) == 1
 
 
 def test_recorder_gradients_bit_identical_to_the_loop():
     rng = random.Random(20)
     for widths in ([3, 20, 2], [4, 9, 9, 3]):
         p = init(widths, rng=rng)
-        xs = [rng.uniform(-1, 1) for _ in range(p.state_dim)]
-
-        def setup(tape):
-            theta = tape.consts(p.theta)
-            return theta, [_on_tape(tape, xs)]
-
+        xs = tuple(rng.uniform(-1, 1) for _ in range(p.state_dim))
         grads = []
-        for tape, theta, [out] in _assert_recorder_matches_loop(p, setup):
+        for tape, theta, anchors in _assert_recorder_matches_loop(
+                p, xs, [0, 3, 4]):
+            out = anchors[-1]
             y = out[0]
             for v in out[1:]:
                 y = y * v

@@ -1,6 +1,5 @@
 import random
 import struct
-from collections import Counter
 
 import pytest
 
@@ -147,29 +146,25 @@ def test_build_sampled_validation():
         build_sampled(ref, [0, 9], pol, plant)
 
 
-def test_build_sampled_rejects_a_noisy_reference_with_a_frozen_step(
-        monkeypatch):
-    # a live step's noise offsets are added on the tape; a frozen run
-    # steps without noise, so it is rejected before anything is pushed,
-    # also after live steps that could have been recorded
-    from stlctrl import sampler
+def test_build_sampled_samples_a_noisy_reference_with_frozen_steps():
+    # a frozen step of a noisy reference takes the reference's (noisy)
+    # state and passes the state's adjoint through the noise offsets, as
+    # the Var operators do step by step; noise on the start state only
+    # leaves no offsets to add
     plant = builtin("dubins")
     pol = init([3, 4, 2], rng=random.Random(1))
-    tapes = []
-    monkeypatch.setattr(sampler, "Tape",
-                        lambda: tapes.append(Tape()) or tapes[-1])
     noisy = rollout(plant, pol, (0.0, 0.0), 8,
                     noise=(0.02, 0.0, random.Random(4)))
-    for times in ([0, 2], [0, 1, 2, 5], [0, 1, 2, 3, 4, 5, 6, 8]):
-        with pytest.raises(ValueError, match="ref is noisy"):
-            build_sampled(noisy, times, pol, plant)
-        assert not any(map(len, tapes))
-    # every step live, or noise on the start state only: recorded
-    assert len(build_sampled(noisy, [0, 1, 2], pol, plant).anchors) == 3
     start = rollout(plant, pol, (0.0, 0.0), 8,
                     noise=(0.0, 0.01, random.Random(4)))
-    assert start.noise_offsets is None
-    assert len(build_sampled(start, [0, 2, 8], pol, plant).anchors) == 3
+    assert start.noise_offsets is None and noisy.noise_offsets
+    seeds = range(len(pol.theta) + 2)  # theta, then the start state
+    for ref in (noisy, start):
+        for times in ([0, 2], [0, 1, 2, 5], [0, 1, 2, 3, 4, 5, 6, 8]):
+            st = build_sampled(ref, times, pol, plant)
+            tape, anchors = _generic_build_sampled(ref, times, pol, plant)
+            assert (_anchor_bits(st.tape, st.anchors, seeds)
+                    == _anchor_bits(tape, anchors, seeds))
 
 
 def _fd_theta(fn, theta, idx, h=1e-6):
@@ -286,18 +281,18 @@ def test_chain_rule_decomposition_identity():
 
 
 def _generic_build_sampled(ref, times, policy, plant):
-    """build_sampled as one Var-operator Plant.step per step and a
-    Policy.recorder step at each live one, from the start state on the
-    tape after theta: (tape, anchors)."""
+    """build_sampled by the Var operators: Plant.step at every step, the
+    reference loop on theta's Vars at each live one, from the start state
+    on the tape after theta: (tape, anchors)."""
     tape = Tape()
-    forward = policy.recorder(tape, tape.consts(policy.theta))
+    theta = [Var(tape, i) for i in tape.consts(policy.theta)]
     live = set(times)
     offs = ref.noise_offsets
     cur = tuple(tape.const(x) for x in ref.states[0])
     anchors = [ref.states[0]]
     for k in range(times[-1]):
         if k in live:
-            a = tuple(forward(cur, k))
+            a = tuple(loop_forward(policy, cur, k, theta=theta))
         else:
             a = ref.raw_actions[k]
         cur = plant.step(cur, a, k)
@@ -340,113 +335,93 @@ def test_build_sampled_records_what_var_operators_record(name, widths, s0,
     K = 12
     ref = rollout(plant, pol, s0, K,
                   noise=(0.02, 0.0, random.Random(4)) if noisy else None)
+    seeds = range(len(pol.theta) + len(s0))  # theta, then the start state
     for times in ([0, 1, 2, 5, 6, 11], [0, 4, 12], list(range(K + 1))):
-        if noisy and len(times) <= times[-1]:  # a noisy frozen step
-            with pytest.raises(ValueError, match="ref is noisy"):
-                build_sampled(ref, times, pol, plant)
-            continue
         st = build_sampled(ref, times, pol, plant)
         tape, anchors = _generic_build_sampled(ref, times, pol, plant)
-        assert (_anchor_bits(st.tape, st.anchors, st.theta_vars)
-                == _anchor_bits(tape, anchors, range(len(pol.theta))))
+        assert (_anchor_bits(st.tape, st.anchors, seeds)
+                == _anchor_bits(tape, anchors, seeds))
         assert st.theta_vars == range(len(pol.theta))
 
 
 def test_policy_recorder_matches_forward():
+    # the controller's only tape path is a live step of the trajectory
+    # block: values and gradients over theta and the start state are the
+    # reference loop's on Vars, at steps 0 and 5, after a frozen run too
     p = init([3, 7, 2], rng=random.Random(3))
-    runs = []
-    for taped in (True, False):
-        tape = Tape()
-        tape.const(2.0)
-        theta = tape.consts(p.theta)
-        x, y, z = (tape.const(v) for v in (0.1, 0.3, -0.2))
-        fwd = (p.recorder(tape, theta) if taped else lambda s, k: loop_forward(
-            p, s, k, theta=[Var(tape, i) for i in theta]))
-        outs = [fwd(s, k) for s, k in [((y, z), 0), ((x, z), 5)]]
-        seeds = [*(Var(tape, i) for i in theta), x, y, z]
-        runs.append(_bits([[v.value, tape.backward(v, seeds)]
-                           for o in outs for v in o]))
-    assert runs[0] == runs[1]
-    with pytest.raises(ValueError, match="different tapes"):
-        p.recorder(tape, theta)((Tape().const(0.1), x), 1)
+    plant = Plant("mix", 2, 2, 1.0, lambda s, u, dt: (
+        s[0] * 0.5 + u[0], s[1] - u[1] * s[0]), lambda a: a)
+    ref = rollout(plant, p, (0.3, -0.2), 6)
+    seeds = range(len(p.theta) + 2)
+    for times in ([0, 5, 6], [0, 1, 6], [0, 6]):
+        st = build_sampled(ref, times, p, plant)
+        tape, anchors = _generic_build_sampled(ref, times, p, plant)
+        assert (_anchor_bits(st.tape, st.anchors, seeds)
+                == _anchor_bits(tape, anchors, seeds))
 
 
 def test_each_net_and_plant_compiles_one_recorder(monkeypatch):
-    # every recorder takes Vars: one controller recorder per net, and per
-    # plant one step recorder and at most one run recorder, noise or not,
-    # on every bundled scenario's seeded initial policy
-    from stlctrl import plants, policy
+    # one build and one adjoint kernel per (plant, controller), noise or
+    # not, on every bundled scenario's seeded initial policy, each net's
+    # forward traced once per plant for it
+    from stlctrl import plants, policy, sampler
     from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
-    monkeypatch.setattr(policy, "_KERNELS", {})
     monkeypatch.setattr(plants, "_TRACES", {})
-    nets, steps, runs = [], [], []
-    source, replay = policy.forward_source, plants.replay_source
+    nets, kernels = [], []
+    source, compile_kernel = policy.forward_source, sampler.compile_kernel
 
     def forward_source(widths, include_time, theta, xs):
-        if theta[0][1] is not None:  # theta's node ids: a recorder
-            nets.append((tuple(widths), include_time))
-        lines, outs, consts = source(widths, include_time, theta, xs)
-        return lines, outs, consts  # one run, whatever the net's size
+        nets.append((tuple(widths), include_time))
+        return source(widths, include_time, theta, xs)
 
-    def replay_source(trace, inputs, *args, loop=None, **kw):
-        if any(i for _, i in inputs):  # Var inputs: a recorder
-            [key] = [k for k, v in plants._TRACES.items() if v[0] is trace]
-            (runs if loop else steps).append(key)
-        return replay(trace, inputs, *args, loop=loop, **kw)
-
-    monkeypatch.setattr(policy, "forward_source", forward_source)
-    monkeypatch.setattr(plants, "replay_source", replay_source)
-    made = set()  # the nets
+    monkeypatch.setattr(sampler, "forward_source", forward_source)
+    monkeypatch.setattr(sampler, "compile_kernel", lambda *a: kernels.append(
+        a[0]) or compile_kernel(*a))
+    made = set()  # the (plant, net) pairs
     for name in bundled_names():
         sc = load_scenario(resolve_scenario(name))
         pol = sc.build_policy(random.Random(sc.seed))
         for noisy in (False, True):
             ref = rollout(sc.plant, pol, sc.init_set.samples[0], 24, noise=(
                 0.02, 0.0, random.Random(4)) if noisy else None)
-            # a run right after the start: on quad6_platform its positions
-            # depend on theta from its second step on; a noisy reference
-            # is sampled at every step
-            for times in [[0, 4, 5, 12, 24]] * (not noisy) + [
-                    list(range(25))]:
-                build_sampled(ref, times, pol, sc.plant)
-        made.add((tuple(pol.widths), pol.include_time))
-    assert sorted(nets) == sorted(made)
-    # plants._TRACES: one traced step per plant
-    once = Counter(plants._TRACES.keys())
-    assert Counter(steps) == once and not Counter(runs) - once
+            for times in ([0, 4, 5, 12, 24], list(range(25))):
+                st = build_sampled(ref, times, pol, sc.plant)
+                [(_, _, adjoint, _)] = st.tape.blocks
+                assert adjoint is sampler._kernels(sc.plant, pol)[1]
+        made.add((sc.plant.name, tuple(pol.widths), pol.include_time))
+    assert len(nets) == len(made) < len(bundled_names())
+    assert sorted(kernels) == sorted(
+        ["th, states, acts, times, ts", "adj, n, args"] * len(made))
 
 
-def test_a_wide_net_records_one_controller_block_per_live_step():
-    # [21,40,20] has 1,700 weights: its recorder is one function, as for
-    # any net, and so one block per call
-    from stlctrl import policy
+def test_a_wide_net_records_one_block_per_trajectory():
+    # [21,40,20] has 1,700 weights: one block holds the whole trajectory,
+    # its outputs the anchors after the start, and its gradients are the
+    # Var operators'
     plant = builtin("multi_dubins_10")
     pol = init([21, 40, 20], rng=random.Random(6))
-    adjoint = policy._recorder(pol.widths, True).__globals__["adjoint"]
     ref = rollout(plant, pol, tuple(0.1 * i for i in range(20)), 30)
     for times in ([0, 4, 5, 12, 30], [0, 1, 2], list(range(31))):
         st = build_sampled(ref, times, pol, plant)
-        live = len(times) - 1
-        nonempty = sum(b > a + 1 for a, b in zip(times, times[1:]))
-        ours = [(a, b) for a, b, adj, _ in st.tape.blocks if adj is adjoint]
-        assert len(ours) == live and all(b - a == 20 for a, b in ours)
-        assert len(st.tape.blocks) == 2 * live + nonempty
+        [(start, end, _, _)] = st.tape.blocks
+        assert start == len(pol.theta) + 20 and end == len(st.tape)
+        assert end - start == 20 * (len(times) - 1) and not any(st.tape.recs)
+        assert [x.i for a in st.anchors[1:] for x in a] == list(
+            range(start, end))
+    tape, anchors = _generic_build_sampled(ref, times, pol, plant)
+    assert (_anchor_bits(st.tape, st.anchors[-1:], st.theta_vars)
+            == _anchor_bits(tape, anchors[-1:], st.theta_vars))
 
 
-def test_quad6_platform_records_each_frozen_run_as_one_block():
+def test_quad6_platform_records_its_trajectory_as_one_block():
+    # frozen runs and noise offsets are in the block too: the tape holds
+    # theta, the start state and the anchors, and no record
     plant = builtin("quad6_platform")
     pol = init([8, 20, 20, 10, 4], rng=random.Random(2))
     s0 = (-40.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0)
-    ref = rollout(plant, pol, s0, 40)
-    for times in ([0, 4, 5, 12, 40], [0, 1, 2, 30], [0, 40]):
-        st = build_sampled(ref, times, pol, plant)
-        nonempty = sum(b > a + 1 for a, b in zip(times, times[1:]))
-        # a controller and a plant step block per live step
-        assert len(st.tape.blocks) == 2 * (len(times) - 1) + nonempty
-        assert not any(st.tape.recs)
-    # a noisy reference, every step live: the same two blocks per step,
-    # and its noise offsets one Var add (a record) per state entry
-    ref = rollout(plant, pol, s0, 40, noise=(0.02, 0.0, random.Random(4)))
-    st = build_sampled(ref, range(41), pol, plant)
-    assert len(st.tape.blocks) == 2 * 40
-    assert sum(rec is not None for rec in st.tape.recs) == 7 * 40
+    for noise in (None, (0.02, 0.0, random.Random(4))):
+        ref = rollout(plant, pol, s0, 40, noise=noise)
+        for times in ([0, 4, 5, 12, 40], [0, 1, 2, 30], [0, 40], range(41)):
+            st = build_sampled(ref, times, pol, plant)
+            assert len(st.tape.blocks) == 1 and not any(st.tape.recs)
+            assert len(st.tape) == len(pol.theta) + 7 * len(times)
