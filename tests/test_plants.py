@@ -427,22 +427,17 @@ def _one_trajectory(plant, s, acts, times):
     gradient is zero)."""
     from stlctrl.sampler import build_sampled
     from stlctrl.trainer import _OpenLoop
+    from tests.test_adjoint import _oracle_sampled
     ol, states = _OpenLoop([list(a) for a in acts]), [tuple(s)]
     for a in acts:
         states.append(tuple(plant.step(states[-1], a, 0)))
-    st = build_sampled(plants.Rollout(states, [tuple(a) for a in acts]),
-                       times, ol, plant)
-    tape, m = Tape(), plant.action_dim
-    theta = [Var(tape, i) for i in tape.consts(ol.theta)]
-    cur, anchors = tuple(map(tape.const, s)), []
-    for k, a in enumerate(acts[:times[-1]]):
-        cur = plant.step(cur, theta[k * m:k * m + m] if k in times else a, k)
-        if k + 1 in times:
-            anchors.append(cur)
-    seeds = range(len(theta) + len(s))
-    return [[_bits([(x.value, t.backward(x, seeds)) if isinstance(x, Var)
-                    else (x, [0.0] * len(seeds)) for x in a]) for a in an]
-            for t, an in ((st.tape, st.anchors[1:]), (tape, anchors))]
+    ref = plants.Rollout(states, [tuple(a) for a in acts])
+    st = build_sampled(ref, times, ol, plant)
+    tape, seeds, anchors, _ = _oracle_sampled(ref, times, ol, plant)
+    return [[_bits([(x.value, x.tape.backward(x, range(len(seeds))))
+                    if isinstance(x, Var) else (x, [0.0] * len(seeds))
+                    for x in a]) for a in an[1:]]
+            for an in (st.anchors, anchors)]
 
 
 def _assert_recorder_matches_var_operators(plant, s, a, a0=None):
