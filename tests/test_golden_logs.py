@@ -24,6 +24,12 @@ tests/data/quad12_golden.json holds the rows and theta of the first 20
 dropout iterations of the bundled quad12 scenario from its own seed, a
 run whose candidates diverge: 16 critical and 4 smooth rows.
 
+tests/data/dubins_k500_golden.json holds the rows and theta of the whole
+dropout run of the bundled dubins_k500 scenario from its own seed, solved
+at iteration 99.  3 of its 50 smooth rows commit a grad_smooth step at
+the scenario's M = 100, so it is the one solved bundled run whose log
+pins grad_smooth at M > 1; it takes about 40 s and is marked slow.
+
 A speedup or refactor that changes any bit of these fails here.
 Regenerate the files only for a deliberate change of the numbers:
 
@@ -49,6 +55,7 @@ DATA = os.path.join(DATA_DIR, "dubins_k100_golden.json")
 BASELINES = os.path.join(DATA_DIR, "baselines_golden.json")
 LONG = os.path.join(DATA_DIR, "dubins_k1000_golden.json")
 QUAD12 = os.path.join(DATA_DIR, "quad12_golden.json")
+K500 = os.path.join(DATA_DIR, "dubins_k500_golden.json")
 LONG_ITERS = QUAD12_ITERS = 20
 SEEDS = (1, 2, 3)
 BASELINE_RUNS = [("vanilla", name, seed)
@@ -74,11 +81,13 @@ def run_seed(seed):
     return _result(log, info, ctrl.theta)
 
 
-def run_first_iters(name, iters):
+def run_first_iters(name, iters=None):
     """(scenario, its config, policy, _result) of the first iters dropout
-    iterations of a bundled scenario from its own seed."""
+    iterations of a bundled scenario from its own seed (all of them when
+    iters is None)."""
     sc = load_scenario(resolve_scenario(name))
-    cfg = dataclasses.replace(sc.train_cfg, max_iters=iters)
+    cfg = dataclasses.replace(sc.train_cfg,
+                              max_iters=iters or sc.train_cfg.max_iters)
     rng = random.Random(sc.seed)
     pol = sc.build_policy(rng)
     ctrl, log, info = train_dropout(sc.plant, pol, sc.formula, sc.init_set,
@@ -147,6 +156,13 @@ def test_diverging_run_log_matches_golden():
     _check(run_first_iters("quad12", QUAD12_ITERS)[3], _load(QUAD12))
 
 
+@pytest.mark.slow
+def test_smooth_steps_at_many_sets_log_matches_golden():
+    got = run_first_iters("dubins_k500")[3]
+    assert not got["dnf"] and len(got["rows"]) == 99
+    _check(got, _load(K500))
+
+
 def _dump(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -159,3 +175,4 @@ if __name__ == "__main__":
     _dump(BASELINES, {_key(*run): run_baseline(*run) for run in BASELINE_RUNS})
     _dump(LONG, run_long())
     _dump(QUAD12, run_first_iters("quad12", QUAD12_ITERS)[3])
+    _dump(K500, run_first_iters("dubins_k500")[3])
