@@ -11,11 +11,12 @@ reverse sweep over its records (reverse mode by source transformation,
 storing only what the sweep reads: Griewank & Walther, "Evaluating
 Derivatives", 2008, ch. 4 and 6).  sampler generates from them the two
 kernels of a sampled trajectory, whose anchors Tape.outputs pushes as one
-block.  The smooth aggregations (smooth.softmin, smooth.softmax_lb) and
-the waypoint objective (trainer.waypoint_objective) compute on floats and
-push their one output through Tape.block, with a hand-written adjoint
-(local preaccumulation, ibid.).  Tape.backward runs the blocks' adjoints
-and interprets the records between them.
+block, and whose gradient runs that block's adjoint alone from an
+objective's state adjoints.  The smooth aggregations (smooth.softmin,
+smooth.softmax_lb) compute on floats and push their one output through
+Tape.block, with a hand-written adjoint (local preaccumulation, ibid.).
+Tape.backward runs the blocks' adjoints and interprets the records
+between them.
 """
 
 import math

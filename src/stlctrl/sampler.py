@@ -25,6 +25,9 @@ outputs' adjoints are all zero.  A next state passed through gets its
 adjoint added to its input's first, as the interpreter's one node does
 where only one of the two carries an objective's adjoint; two next states
 of one node are rejected.
+No objective is recorded on that tape: an anchor holds its reference
+state's floats, so grad seeds the block's adjoint with the objective's
+adjoints at those states, taken on floats or on a tape of their own.
 """
 
 from itertools import repeat
@@ -67,7 +70,7 @@ def partition_times(K, M, rng):
 
 class SampledTrajectory:
     """Anchor states at the sampled times, on their own tape; theta_vars is
-    the range of theta's node ids, the seeds of backward."""
+    the range of theta's node ids."""
 
     def __init__(self, times, anchors, tape, theta_vars):
         self.times = times
@@ -75,12 +78,27 @@ class SampledTrajectory:
         self.tape = tape
         self.theta_vars = theta_vars
 
-    def grad(self, out):
-        """d(out)/d(theta) by one backward, or zeros if out is a float: an
-        objective that reads no Var (k* = 0, say) does not depend on theta."""
-        if type(out) is not Var:
-            return [0.0] * len(self.theta_vars)
-        return self.tape.backward(out, self.theta_vars)
+    def grad(self, adjs):
+        """d(objective)/d(theta), adjs[i] the objective's adjoint at each
+        entry of the anchor at times[i + 1]: the trajectory block's adjoint
+        alone, a vector-Jacobian product of the trajectory."""
+        start, end, adjoint, args = self.tape.blocks[0]
+        adj = [0.0] * start + [g for a in adjs for g in a]
+        if len(adj) != end:
+            raise ValueError("need one adjoint per entry of times[1:]'s anchors")
+        adjoint(adj, start, args)
+        return adj[self.theta_vars.start:self.theta_vars.stop]
+
+
+def state_adjoints(fn, states):
+    """fn(*states)'s adjoint at each entry of each state, a list per state,
+    by one backward over Vars of them on a tape of their own (zeros if fn
+    reads no Var): an objective's adjoint at an anchor of those floats."""
+    n, tape = len(states[0]), Tape()
+    ids = tape.consts(x for s in states for x in s)
+    out = fn(*zip(*[map(Var, repeat(tape), ids)] * n))
+    g = tape.backward(out, ids) if type(out) is Var else [0.0] * len(ids)
+    return [g[i:i + n] for i in range(0, len(g), n)]
 
 
 def build_sampled(ref, times, policy, plant):
@@ -209,10 +227,12 @@ def _kernels(plant, policy):
 
 
 def grad_critical(ref, kstar, hstar, N, policy, plant, rng):
-    """Sampled ascent direction of the critical predicate value h*(s_{k*})."""
+    """Sampled ascent direction of the critical predicate value h*(s_{k*}),
+    zeros at k* = 0."""
     times = sample_times_to(kstar, N, ref.K, rng)
     st = build_sampled(ref, times, policy, plant)
-    return st.grad(hstar.h.eval(st.anchors[-1]))
+    h = state_adjoints(hstar.h.eval, [ref.states[kstar]]) if kstar else []
+    return st.grad([[0.0] * plant.state_dim] * (len(times) - 2) + h)
 
 
 def grad_smooth(ref, partition, f, cfg, policy, plant):
@@ -220,16 +240,14 @@ def grad_smooth(ref, partition, f, cfg, policy, plant):
 
     Each set contributes the gradient of the smooth robustness over a
     full-horizon trace whose states are live anchors at the set's times
-    and frozen reference values elsewhere.
+    and frozen reference values elsewhere.  Its adjoint at a live anchor
+    is the same float in every set: it is taken once, at every state.
     """
+    adjs = state_adjoints(
+        lambda *states: smooth_robustness(f, Trace(states), cfg), ref.states)
     total = [0.0] * len(policy.theta)
     for times in partition:
         st = build_sampled(ref, times, policy, plant)
-        states = list(ref.states)
-        for t, anchor in zip(st.times, st.anchors):
-            states[t] = anchor
-        out = smooth_robustness(f, Trace(states), cfg)
-        for i, gi in enumerate(st.grad(out)):
+        for i, gi in enumerate(st.grad([adjs[t] for t in times[1:]])):
             total[i] += gi
     return total
-

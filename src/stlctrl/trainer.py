@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-from .autodiff import Var
 from .plants import DivergedRollout, InitialSet, rollout
 from .policy import AdamState, adam_update
 from .sampler import build_sampled, grad_critical, grad_smooth, partition_times
@@ -92,49 +91,26 @@ class WaypointPath:
         raise AssertionError("unreachable")
 
 
-def waypoint_objective(smpl, wp):
-    """Negative masked squared distance of anchors to the desired path.
+def waypoint_objective(times, states, wp):
+    """(J, adjs): J the negative masked squared distance of states[i] to
+    the desired path at times[i], adjs[i] its adjoint at states[i].
 
-    J = J - diff * diff per masked coordinate, diff = anchor - target, is
-    computed on floats in the Var operators' order, so the value has their
-    bits.  With a Var entry it is one node on the anchors' tape, whose
-    block adjoint replays the interpreter's sweep over the records the
-    operators would have made (as smooth.softmin does): every subtraction
-    of the sum passes its adjoint g on unchanged (0.0 + g), so only the
-    Var entries get terms, newest first, with the interpreter's skips of a
-    zero adjoint.
+    J = J - diff * diff per masked coordinate, diff = x - target, in the
+    Var operators' order, and a masked entry's adjoint is the
+    interpreter's MUL terms (0.0 + g_sq * diff) + g_sq * diff, g_sq = 0.0 -
+    1.0 (0.0 at diff = 0.0), so both have the Var operators' bits.
     """
-    J, tape, live = 0.0, None, []  # live: each Var entry's id and diff
-    for t, anchor in zip(smpl.times, smpl.anchors):
+    J, adjs, g_sq = 0.0, [], 0.0 - 1.0
+    for t, state in zip(times, states):
         tgt, mask = wp.entry(t)
+        adj = [0.0] * len(state)
         for d, m in enumerate(mask):
             if m:
-                x = anchor[d]
-                if type(x) is Var:
-                    if x.tape is not tape:
-                        if tape is not None:
-                            raise ValueError(
-                                "operands recorded on different tapes")
-                        tape = x.tape
-                    diff = tape.vals[x.i] - tgt[d]
-                    live += x.i, diff
-                else:
-                    diff = x - tgt[d]
+                diff = state[d] - tgt[d]
                 J = J - diff * diff
-    return J if tape is None else tape.block(J, _waypoint_adjoint, live)
-
-
-def _waypoint_adjoint(adj, n, live):
-    # a Var entry's records: diff = x - target, diff * diff, J - that
-    g = adj[n]
-    if g == 0.0:
-        return
-    g_sq = 0.0 - g
-    for j in range(len(live) - 2, -1, -2):
-        diff = live[j + 1]
-        g_diff = (0.0 + g_sq * diff) + g_sq * diff  # MUL's two terms
-        if g_diff != 0.0:
-            adj[live[j]] += g_diff
+                adj[d] = (0.0 + g_sq * diff) + g_sq * diff
+        adjs.append(adj)
+    return J, adjs
 
 
 @dataclass
@@ -264,9 +240,13 @@ def _dropout_iteration(plant, policy, f, wp, cfg, rng, adams, theta, s0,
     The waypoint candidate, the critical one and a line search towards it
     are committed if their exact rho is at least theta's, else the smooth
     candidate unless guarded.  Rollouts are deterministic, so a candidate
-    whose pass rollout diverged (every one if runs[s0] is _DIVERGED) takes
-    no further passes, and its commit test reads _DIVERGED unrolled.
+    whose pass rollout diverged takes no further passes, and its commit
+    test reads _DIVERGED unrolled.  If theta's own run from s0 diverged,
+    any candidate would pass at -inf >= -inf: RuntimeError names s0.
     """
+    if runs[s0] == _DIVERGED:
+        raise RuntimeError(f"the rollout of theta from training sample {s0} "
+                           "diverged: no step can be tested against it")
     K, rho_j, diverged, dead = horizon(f), runs[s0][0], 0, []
 
     def ascend(steps, n):
@@ -274,7 +254,7 @@ def _dropout_iteration(plant, policy, f, wp, cfg, rng, adams, theta, s0,
         # candidate by Adam along its grad(rollout, signals, policy) / n
         nonlocal diverged
         run, cands = runs[s0], [theta] * len(steps)
-        live = [run != _DIVERGED] * len(steps)
+        live = [True] * len(steps)
         for _ in range(n):
             for i, (grad, adam) in enumerate(steps):
                 if live[i]:
@@ -296,8 +276,8 @@ def _dropout_iteration(plant, policy, f, wp, cfg, rng, adams, theta, s0,
 
     def way(ref, sig, pol):
         times = [0] + sorted(rng.sample(range(1, K + 1), min(cfg.N, K)))
-        smpl = build_sampled(ref, times, pol, plant)
-        return smpl.grad(waypoint_objective(smpl, wp))
+        adjs = waypoint_objective(times, [ref.states[t] for t in times], wp)[1]
+        return build_sampled(ref, times, pol, plant).grad(adjs[1:])
 
     def smooth(ref, sig, pol):
         partition = partition_times(K, cfg.M, rng)

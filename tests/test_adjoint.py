@@ -197,18 +197,18 @@ def test_backward_from_the_first_output_of_a_run_block():
     st = _assert_sampled_matches_oracle(ref, times, pol, plant)
     start, end, _, _ = st.tape.blocks[-1]
     assert [x.i for x in st.anchors[2]] == [end - 4, end - 3]
-    assert any(st.grad(st.anchors[2][0]))
+    assert any(st.grad([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)]))
 
 
 def test_run_of_no_steps_returns_its_input():
     # the start alone: its anchor is the reference's floats, the block has
-    # no output, and an objective on floats has a zero gradient
+    # no output, and no anchor adjoint gives a zero gradient
     plant, pol, ref = _reference("dubins", [3, 20, 2], True, (0.1, 0.2),
                                  False, K=3)
     st = build_sampled(ref, [0], pol, plant)
     assert st.anchors == [ref.states[0]] and st.anchors[0] == (0.1, 0.2)
     assert [(a, b) for a, b, _, _ in st.tape.blocks] == [(len(st.tape),) * 2]
-    assert st.grad(st.anchors[0][0]) == [0.0] * len(pol.theta)
+    assert st.grad([]) == [0.0] * len(pol.theta)
     # consecutive sample times: no frozen step between them
     _assert_sampled_matches_oracle(ref, [0, 1, 2, 3], pol, plant)
 
@@ -336,7 +336,8 @@ def test_frozen_runs_take_the_reference_state(noisy):
         runs = []
         for r in (ref, poisoned):
             st = build_sampled(r, times, pol, plant)
-            runs.append([[_bits([x.value, *st.grad(x)]) for x in a]
+            runs.append([[_bits([x.value, *st.tape.backward(x, st.theta_vars)])
+                          for x in a]
                          for a in st.anchors[1:]])
         assert runs[0] == runs[1], name
         acts[3] = nan

@@ -300,7 +300,23 @@ def recorder_guard(ref, kstar, hstar, N, policy, plant, rng):
                 lambda a: a)
     st = build_sampled(Rollout([(0.0,), (1.0,)], [()]), [0, 1],
                        _OpenLoop([[]]), odd)
-    return st.grad(st.anchors[1][0])
+    return st.grad([(1.0,)])
+
+
+def test_training_from_an_incumbent_that_diverged_exits_4(tmp_path, capsys):
+    # scalar_power's controller from 80.0 diverges, so any candidate would
+    # pass its commit test at -inf >= -inf: the trainer fails at once,
+    # naming the sample
+    with open(resolve_scenario("scalar_power")) as fh:
+        doc = json.load(fh)
+    doc["initial"] = {"low": [80.0], "high": [80.0], "samples": [[80.0]]}
+    doc["policy"]["theta"] = [0.0, -100.0]
+    rc = main(["train", "--scenario", write_scenario(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith("runtime failure:")
+    assert "training sample (80.0,) diverged" in err
 
 
 @pytest.mark.parametrize("grad,message", [

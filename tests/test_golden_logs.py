@@ -28,7 +28,7 @@ tests/data/dubins_k500_golden.json holds the rows and theta of the whole
 dropout run of the bundled dubins_k500 scenario from its own seed, solved
 at iteration 99.  3 of its 50 smooth rows commit a grad_smooth step at
 the scenario's M = 100, so it is the one solved bundled run whose log
-pins grad_smooth at M > 1; it takes about 40 s and is marked slow.
+pins grad_smooth at M > 1; it takes about 10 s and is marked slow.
 
 A speedup or refactor that changes any bit of these fails here.
 Regenerate the files only for a deliberate change of the numbers:

@@ -85,8 +85,8 @@ def gradients(name, noisy):
                                                   min(cfg.N, K))))
     for key, wp in paths.items():
         smpl = build_sampled(ref, times, pol, plant)
-        J = waypoint_objective(smpl, wp)
-        out[f"waypoint/{key}"] = [value_of(J), *smpl.grad(J)]
+        J, adjs = waypoint_objective(times, [ref.states[t] for t in times], wp)
+        out[f"waypoint/{key}"] = [J, *smpl.grad(adjs[1:])]
     Ms = {1} if noisy else {1, 2} | ({cfg.M} if name not in SLOW_M else set())
     for M in sorted(m for m in Ms if m <= K):
         part = partition_times(K, M, random.Random(M))

@@ -4,6 +4,7 @@ import struct
 import pytest
 
 from stlctrl.autodiff import Tape, Var, value_of
+from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
 from stlctrl.plants import Plant, builtin, rollout
 from stlctrl.policy import Policy, init
 from stlctrl.sampler import (
@@ -11,8 +12,10 @@ from stlctrl.sampler import (
     sample_times_to,
 )
 from stlctrl.smooth import SmoothConfig, smooth_robustness
-from stlctrl.stl import Trace, critical, parse
+from stlctrl.stl import Named, Trace, critical, horizon, parse
+from stlctrl.trainer import TrainConfig
 from tests.test_policy import loop_forward
+from tests.test_stl import nan_as_one
 
 
 def test_sample_times_forced_endpoints():
@@ -234,6 +237,92 @@ def test_grad_smooth_zero_influence_plant():
     part = partition_times(6, 2, random.Random(2))
     g = grad_smooth(ref, part, f, SmoothConfig(10.0), pol, plant)
     assert all(x == 0.0 for x in g)
+
+
+def _per_set_grad_smooth(ref, partition, f, cfg, pol, plant):
+    """grad_smooth as each partition set's own tape: the smooth robustness
+    over a full-horizon Trace with the set's anchors at its times, then one
+    Tape.backward; the oracle of the adjoints taken once per reference."""
+    total = [0.0] * len(pol.theta)
+    for times in partition:
+        st = build_sampled(ref, times, pol, plant)
+        states = list(ref.states)
+        for t, anchor in zip(st.times, st.anchors):
+            states[t] = anchor
+        out = smooth_robustness(f, Trace(states), cfg)
+        if isinstance(out, Var):
+            for i, g in enumerate(st.tape.backward(out, st.theta_vars)):
+                total[i] += g
+    return total
+
+
+def _on_tape_grad_critical(ref, kstar, hstar, N, pol, plant, rng):
+    """grad_critical with h* evaluated on the anchor, then Tape.backward."""
+    st = build_sampled(ref, sample_times_to(kstar, N, ref.K, rng), pol, plant)
+    out = hstar.h.eval(st.anchors[-1])
+    return (st.tape.backward(out, st.theta_vars) if isinstance(out, Var)
+            else [0.0] * len(pol.theta))
+
+
+def _nan_bits(xs):
+    # NaNs as one value: which NaN operand an add returns can differ
+    # between a Var and a float operand (see tests/test_stl.py)
+    return b"".join(map(nan_as_one, xs))
+
+
+def _assert_gradients_match_the_tape(ref, f, cfg, N, Ms, pol, plant):
+    # grad_smooth at each M, grad_critical at the critical time and at 0
+    scfg = SmoothConfig(cfg.b)
+    for M in Ms:
+        part = partition_times(ref.K, M, random.Random(M))
+        assert _nan_bits(grad_smooth(ref, part, f, scfg, pol, plant)) == \
+            _nan_bits(_per_set_grad_smooth(ref, part, f, scfg, pol, plant)), M
+    w = critical(f, Trace(ref.states))
+    for kstar in (w.time, 0):
+        got, want = (g(ref, kstar, w.predicate, N, pol, plant,
+                       random.Random(N)) for g in (grad_critical,
+                                                   _on_tape_grad_critical))
+        assert _nan_bits(got) == _nan_bits(want), kstar
+    assert grad_critical(ref, 0, w.predicate, N, pol, plant,
+                         random.Random(0)) == [0.0] * len(pol.theta)
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["plain", "noisy"])
+@pytest.mark.parametrize("name", bundled_names())
+def test_gradients_match_the_per_set_tape(name, noisy):
+    """Each bundled scenario at its full horizon from its seeded policy:
+    grad_smooth at M = 1, 2 and the scenario's M (quad6_platform's 100
+    included), and from a noisy reference all live, at M = 1 and N = K."""
+    sc = load_scenario(resolve_scenario(name))
+    pol, plant = sc.build_policy(random.Random(sc.seed)), sc.plant
+    K, cfg = horizon(sc.formula), sc.train_cfg
+    ref = rollout(plant, pol, sc.init_set.samples[0], K,
+                  noise=(0.02, 0.001, random.Random(4)) if noisy else None)
+    Ms = [1] if noisy else sorted({1, 2, min(cfg.M, K)})
+    _assert_gradients_match_the_tape(ref, sc.formula, cfg, K if noisy
+                                     else cfg.N, Ms, pol, plant)
+
+
+def test_named_predicates_match_the_per_set_tape():
+    # Named predicates through the autodiff math, as the critical one and
+    # inside the smooth robustness; one reads no state, so the formula
+    # that holds only it has zero gradients
+    from stlctrl.autodiff import sin
+    named = {"wave": Named("wave", lambda s: sin(s[0]) * s[1] - 0.05),
+             "near": Named("near", lambda s: 0.5 - s[0] * s[0] - s[1] * s[1]),
+             "flat": Named("flat", lambda s: 0.25)}
+    plant = builtin("dubins")
+    pol = init([3, 8, 2], rng=random.Random(3))
+    cfg = TrainConfig(b=12.0)
+    for text in ("F[3,15](pred(wave)) && G[0,20](pred(near))",
+                 "G[0,20](pred(near) || pred(wave))", "F[2,20](pred(flat))"):
+        f = parse(text, named)
+        ref = rollout(plant, pol, (0.1, -0.2), horizon(f))
+        _assert_gradients_match_the_tape(ref, f, cfg, 4, [1, 2, 7], pol,
+                                         plant)
+    part = partition_times(20, 3, random.Random(0))
+    assert grad_smooth(ref, part, f, SmoothConfig(cfg.b), pol, plant) == \
+        [0.0] * len(pol.theta)
 
 
 def test_chain_rule_decomposition_identity():

@@ -5,15 +5,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from stlctrl.autodiff import Tape, Var
+from stlctrl.autodiff import Tape, Var, value_of
 from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
-from stlctrl.plants import InitialSet, builtin, rollout
+from stlctrl.plants import InitialSet, Plant, Rollout, builtin, rollout
 from stlctrl.policy import AdamState, Policy, init
 from stlctrl.sampler import build_sampled
 from stlctrl.stl import Trace, horizon, parse, robustness
 from stlctrl.trainer import (
-    TrainConfig, TrainLog, WaypointPath, train_dropout, train_openloop,
-    train_vanilla, waypoint_objective,
+    TrainConfig, TrainLog, WaypointPath, _OpenLoop, train_dropout,
+    train_openloop, train_vanilla, waypoint_objective,
 )
 from tests.test_stl import nan_as_one
 
@@ -59,15 +59,14 @@ def test_waypoint_objective_values():
     plant = builtin("integrator2d")
     pol = init([3, 4, 2], scheme="zero")
     ref = rollout(plant, pol, (2.0, 0.0), 4)
-    smpl = build_sampled(ref, [0, 2, 4], pol, plant)
-    # the 3 anchors sit at (2,0); one knot, target 5 in dim 0 only
+    states = [ref.states[t] for t in (0, 2, 4)]
+    # the 3 states sit at (2,0); one knot, target 5 in dim 0 only
     wp = WaypointPath([(2, (5.0, 99.0), (1, 0))])
-    J = waypoint_objective(smpl, wp)
-    val = J.value if hasattr(J, "value") else J
-    assert val == pytest.approx(-27.0)
+    assert waypoint_objective([0, 2, 4], states, wp) == (
+        pytest.approx(-27.0), [[6.0, 0.0]] * 3)
     on_target = WaypointPath([(2, (2.0, 0.0), (1, 1))])
-    J0 = waypoint_objective(smpl, on_target)
-    assert (J0.value if hasattr(J0, "value") else J0) == pytest.approx(0.0)
+    J0, adjs = waypoint_objective([0, 2, 4], states, on_target)
+    assert J0 == 0.0 and _bits(sum(adjs, [])) == _bits([0.0] * 6)
 
 
 def test_waypoint_objective_gradient_fd():
@@ -77,26 +76,22 @@ def test_waypoint_objective_gradient_fd():
     wp = WaypointPath([(0, (0.0, 0.0), (1, 1)), (6, (1.0, 1.0), (1, 1))])
     times = list(range(7))  # full sampling: sampled gradient is exact
     smpl = build_sampled(ref, times, pol, plant)
-    J = waypoint_objective(smpl, wp)
-    g = smpl.tape.backward(J, smpl.theta_vars)
+    g = smpl.grad(waypoint_objective(times, ref.states, wp)[1][1:])
     h = 1e-6
     for idx in [0, 7, len(pol.theta) - 1]:
         vals = []
         for delta in (h, -h):
             th = list(pol.theta)
             th[idx] += delta
-            p2 = pol.with_theta(th)
-            r2 = rollout(plant, p2, (0.0, 0.0), 6)
-            s2 = build_sampled(r2, times, p2, plant)
-            Jv = waypoint_objective(s2, wp)
-            vals.append(Jv.value if hasattr(Jv, "value") else Jv)
+            r2 = rollout(plant, pol.with_theta(th), (0.0, 0.0), 6)
+            vals.append(waypoint_objective(times, r2.states, wp)[0])
         fd = (vals[0] - vals[1]) / (2 * h)
         assert g[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 def oracle_waypoint_objective(smpl, wp):
     """waypoint_objective by the Var operators, node by node: the oracle of
-    the one-block objective."""
+    its value and its state adjoints."""
     J = 0.0
     for t, anchor in zip(smpl.times, smpl.anchors):
         tgt, mask = wp.entry(t)
@@ -113,12 +108,33 @@ def _bits(xs):
     return b"".join(map(nan_as_one, xs))
 
 
-def _objective_bits(objective, smpl, seeds):
-    """The objective's value and its gradient over seeds, as bytes."""
-    J = objective(smpl, smpl.wp)
-    if not isinstance(J, Var):
-        return _bits([J]), None
-    return _bits([J.value]), _bits(J.tape.backward(J, seeds(J.tape)))
+def _objective_bits(objective, states, wp, smpl):
+    """J, its adjoint at each entry of states, and the gradient over theta
+    of smpl, a sampled trajectory whose anchors hold states, as bytes: by
+    waypoint_objective and smpl.grad, or by the Var operators over Vars of
+    states and over smpl's anchors, each with one backward."""
+    if objective is waypoint_objective:
+        J, adjs = objective(smpl.times, states, wp)
+        return _bits([J, *sum(adjs, []), *smpl.grad(adjs[1:])])
+    tape = Tape()
+    vs = [tuple(map(tape.const, s)) for s in states]
+    out = []
+    for anchors, seeds in ((vs, [x for s in vs for x in s]),
+                           (smpl.anchors, smpl.theta_vars)):
+        J = objective(SimpleNamespace(times=smpl.times, anchors=anchors), wp)
+        out += (J.tape.backward(J, seeds) if isinstance(J, Var)
+                else [0.0] * len(seeds))
+    return _bits([value_of(J), *out])
+
+
+def _passed_through(states):
+    """A trajectory live at every step whose anchors are states: each is
+    the raw action of an action table, which the plant passes through."""
+    n, acts = len(states[0]), [list(s) for s in states[1:]]
+    plant = Plant("through", n, n, 1.0, lambda s, u, dt: tuple(u),
+                  lambda a: a)
+    ref = Rollout(states, [tuple(a) for a in acts])
+    return build_sampled(ref, range(len(states)), _OpenLoop(acts), plant)
 
 
 @pytest.mark.parametrize("name", [n for n in bundled_names() if load_scenario(
@@ -137,68 +153,63 @@ def test_waypoint_block_matches_the_var_operators(name):
     for wp in (sc.waypoints, inner):
         for times in ([0, 1, 2, K // 3, K - 1, K], [0, K // 2 + 1],
                       [0] + sorted(rng.sample(range(1, K + 1), 5))):
-            runs = []
-            for objective in (waypoint_objective, oracle_waypoint_objective):
-                smpl = build_sampled(ref, times, pol, plant)
-                smpl.wp = wp
-                ids = [*smpl.theta_vars, *(x.i for a in smpl.anchors[1:]
-                                           for x in a)]
-                runs.append(_objective_bits(
-                    objective, smpl, lambda t: [Var(t, i) for i in ids]))
+            smpl = build_sampled(ref, times, pol, plant)
+            states = [ref.states[t] for t in times]
+            runs = [_objective_bits(objective, states, wp, smpl) for objective
+                    in (waypoint_objective, oracle_waypoint_objective)]
             assert runs[0] == runs[1], (wp.knots[0][0], times)
 
 
 @pytest.mark.parametrize("scale", [1.0, -2.5, 0.0, -0.0, math.inf, math.nan])
 def test_waypoint_block_special_values_match_the_var_operators(scale):
-    # targets hit exactly (diff +-0.0), infinite and nan entries, one Var
-    # in two anchors, a float entry after a Var one, and an output
-    # adjoint other than 1.0
-    inf, nan = math.inf, math.nan
+    # targets hit exactly (diff +-0.0: the adjoint is 0.0, not -0.0),
+    # infinite and nan entries, scaled states and a blended target
     wp = WaypointPath([(1, (0.5, 0.0, 2.0), (1, 1, 0)),
-                       (4, (3.0, -0.0, 1.0), (1, 1, 1))])
-    runs = []
+                       (3, (3.0, -0.0, 1.0), (1, 1, 1))])
+    states = [tuple(scale * x for x in s) for s in (
+        (0.25, 7.0, 1.0), (0.5, math.nan, -0.0), (1.5, 1e200, math.inf),
+        (0.5, 0.0, 3.0), (3.0, -0.0, 0.5))]
+    smpl = _passed_through(states)
+    assert (_objective_bits(waypoint_objective, states, wp, smpl)
+            == _objective_bits(oracle_waypoint_objective, states, wp, smpl))
+    floats = [(0.25, 7.0, 1.0), (0.5, 0.0, 0.0)]  # no masked entry
     for objective in (waypoint_objective, oracle_waypoint_objective):
-        tape = Tape()
-        a, b, c, d, e, f = (tape.const(v) for v in (
-            0.5, -0.0, 3.0, inf, nan, 1e200))
-        y = a * c  # a record below the block
-        anchors = [(0.25, 7.0, 1.0), (a, e, b), (y, f, d), (a, 0.0, c),
-                   (c, -0.0, a)]
-        smpl = SimpleNamespace(times=[0, 1, 2, 4, 6], anchors=anchors, wp=wp)
-        J = objective(smpl, wp)
-        out = J * scale
-        seeds = [a, b, c, d, e, f, y, J]
-        runs.append((_bits([J.value, out.value]),
-                     _bits(tape.backward(out, seeds))))
-    assert runs[0] == runs[1]
-    floats = SimpleNamespace(times=[0, 3], anchors=[(0.25, 7.0, 1.0),
-                                                     (1.0, -0.5, 0.0)], wp=wp)
-    assert (_objective_bits(waypoint_objective, floats, None)
-            == _objective_bits(oracle_waypoint_objective, floats, None))
+        assert _objective_bits(objective, floats, WaypointPath(
+            [(0, (1.0,) * 3, (0, 0, 0))]), _passed_through(floats)) == _bits(
+                [0.0] * 10)
 
 
 def test_waypoint_block_sums_an_entry_newest_term_first():
-    # one Var in three anchors: its terms 1.0, 1e16 and -1e16 sum to 1.0
-    # newest first, as the interpreter sweeps, and to 0.0 oldest first
+    # one action reaches three states: their terms 1.0, 1e16 and -1e16
+    # sum to 1.0 newest first, as the interpreter sweeps, and to 0.0
+    # oldest first
     wp = WaypointPath([(1, (0.5,), (1,)), (2, (5e15,), (1,)),
                        (3, (-5e15,), (1,))])
-    grads = []
-    for objective in (waypoint_objective, oracle_waypoint_objective):
-        tape = Tape()
-        z = tape.const(0.0)
-        J = objective(SimpleNamespace(times=[1, 2, 3], anchors=[(z,)] * 3), wp)
-        grads.append(tape.backward(J, [z]))
-    assert grads == [[1.0], [1.0]]
+    plant = Plant("sum", 1, 1, 1.0, lambda s, u, dt: (s[0] + u[0],),
+                  lambda a: a)
+    ref = Rollout([(0.0,)] * 4, [(0.0,)] * 3)
+    smpl = build_sampled(ref, [0, 1, 2, 3], _OpenLoop([[0.0]] * 3), plant)
+    assert smpl.grad(waypoint_objective(smpl.times, ref.states, wp)[1][1:]) \
+        == smpl.tape.backward(oracle_waypoint_objective(smpl, wp),
+                              smpl.theta_vars) == [1.0, 0.0, -1e16]
 
 
-def test_waypoint_block_rejects_anchors_on_two_tapes():
-    t1, t2 = Tape(), Tape()
-    smpl = SimpleNamespace(times=[1, 2], anchors=[(t1.const(1.0),),
-                                                   (t2.const(2.0),)])
-    wp = WaypointPath([(0, (0.0,), (1,))])
-    for objective in (waypoint_objective, oracle_waypoint_objective):
-        with pytest.raises(ValueError, match="different tapes"):
-            objective(smpl, wp)
+def test_sampled_grad_rejects_adjoints_of_other_anchors():
+    # adjoints for another trajectory's anchors are rejected, and a
+    # gradient pushes nothing on the trajectory's tape
+    plant = builtin("dubins")
+    pol = init([3, 4, 2], rng=random.Random(1))
+    ref = rollout(plant, pol, (0.0, 0.0), 6)
+    wp = WaypointPath([(0, (1.0, 0.0), (1, 1))])
+    st = build_sampled(ref, [0, 2, 6], pol, plant)
+    size = len(st.tape), list(st.tape.blocks)
+    for times in ([0, 3], [0, 2, 4, 6]):
+        adjs = waypoint_objective(times, [ref.states[t] for t in times], wp)[1]
+        with pytest.raises(ValueError, match="one adjoint per entry"):
+            st.grad(adjs[1:])
+    assert any(st.grad(waypoint_objective(
+        st.times, [ref.states[t] for t in st.times], wp)[1][1:]))
+    assert (len(st.tape), st.tape.blocks) == size
 
 
 def test_already_satisfying_returns_immediately():
@@ -513,9 +524,9 @@ def test_dropout_iteration_same_with_or_without_the_reused_rollout():
 
 def test_dropout_incumbent_that_diverged_is_not_rolled_out_again(
         monkeypatch):
-    # theta's run is (-inf, None, None): the first pass marks the
-    # candidate dead without a rollout; it stays theta and takes no
-    # further pass, and its commit test reads -inf without a rollout
+    # theta's run is (-inf, None, None): any candidate would commit at
+    # -inf >= -inf, so the iteration fails, naming the sample, before it
+    # rolls anything out
     from stlctrl import trainer
     sc = load_scenario(resolve_scenario("scalar_power"))
     sc.waypoints = None
@@ -524,10 +535,29 @@ def test_dropout_incumbent_that_diverged_is_not_rolled_out_again(
     orig = trainer.rollout
     monkeypatch.setattr(trainer, "rollout",
                         lambda *a, **kw: calls.append(1) or orig(*a, **kw))
-    out = _iteration(sc, pol, list(pol.theta), (80.0,), True, 2)
-    assert out == ([0.0, 0.0, -100.0], "critical", 1.0, 1,
-                   (-math.inf, None, None))
+    with pytest.raises(RuntimeError, match=r"sample \(80\.0,\) diverged"):
+        _iteration(sc, pol, list(pol.theta), (80.0,), True, 2)
     assert len(calls) == 1  # rho_j only
+
+
+def test_dropout_fails_on_an_incumbent_that_diverged(monkeypatch):
+    # scalar_power from 80.0 under this theta diverges: the run fails at
+    # its first iteration, naming the sample; it is not retried, and it
+    # draws nothing
+    from stlctrl import trainer
+    sc = load_scenario(resolve_scenario("scalar_power"))
+    pol = Policy([2, 1], theta=[0.0, 0.0, -100.0])
+    cfg = dataclasses.replace(sc.train_cfg, max_iters=50, max_retries=50)
+    calls, orig = [], trainer._dropout_iteration
+    monkeypatch.setattr(trainer, "_dropout_iteration",
+                        lambda *a: calls.append(1) or orig(*a))
+    rng = random.Random(0)
+    with pytest.raises(RuntimeError, match=r"training sample \(80\.0,\) "
+                                           "diverged"):
+        train_dropout(sc.plant, pol, sc.formula, _point_set((80.0,)), None,
+                      cfg, rng)
+    assert len(calls) == 1
+    assert rng.getstate() == random.Random(0).getstate()
 
 
 def test_dropout_rolls_out_no_diverged_candidate_again(monkeypatch):
@@ -579,21 +609,30 @@ def test_dropout_rolls_out_no_diverged_candidate_again(monkeypatch):
     assert 0 < len(passes_failed) == info["diverged"] <= 3 * info["iters"]
 
 
-def test_dropout_counts_diverged_candidates():
+def test_dropout_counts_diverged_candidates(monkeypatch):
     # the first N1 pass diverges, so each iteration counts one diverged
     # candidate, which takes no further pass; the count reaches info, and
-    # the log rows stay those of an iteration that commits the unchanged
-    # theta
+    # the line search commits theta itself at ell = 0.5
+    from stlctrl import trainer
+    from stlctrl.plants import DivergedRollout
+    calls = []
+
+    def diverge(*args):
+        calls.append(1)
+        raise DivergedRollout(1, math.inf)
+
+    monkeypatch.setattr(trainer, "grad_critical", diverge)
     sc = load_scenario(resolve_scenario("scalar_power"))
-    pol = Policy([2, 1], theta=[0.0, 0.0, -100.0])
+    pol = sc.build_policy(random.Random(0))
     cfg = dataclasses.replace(sc.train_cfg, N1=3, max_iters=2)
-    _, log, info = train_dropout(sc.plant, pol, sc.formula,
-                                 _point_set((80.0,)), None, cfg,
-                                 random.Random(0))
-    assert info["diverged"] == 2
+    _, log, info = train_dropout(sc.plant, pol, sc.formula, sc.init_set,
+                                 None, cfg, random.Random(0))
+    assert info["diverged"] == len(calls) == 2
     assert info["retries"] == 0
+    rho = robustness(sc.formula, Trace(rollout(
+        sc.plant, pol, sc.init_set.samples[0], horizon(sc.formula)).states))
     assert [(r.rho, r.branch, r.lr) for r in log.records] == \
-        [(-math.inf, "critical", 1.0)] * 2
+        [(rho, "critical", 0.5)] * 2
 
 
 def test_dropout_counts_a_diverged_smooth_pass(monkeypatch):
