@@ -1,8 +1,8 @@
 """Scalar reverse-mode differentiation on an append-only tape.
 
-Rollouts, smooth robustness and training objectives are all recorded as
-scalar operations on a Tape; gradients with respect to controller
-parameters come out of a single reverse sweep.  Everything is 64-bit.
+Objectives of states are recorded as scalar operations on a Tape, and
+their adjoints at the states come out of a single reverse sweep.
+Everything is 64-bit.
 
 Only this module writes to a tape.  From a function traced once on Vars
 (a plant step, a controller forward), replay_source writes straight-line
@@ -10,13 +10,13 @@ float code in the Var operators' order, and _adjoint the interpreter's
 reverse sweep over its records (reverse mode by source transformation,
 storing only what the sweep reads: Griewank & Walther, "Evaluating
 Derivatives", 2008, ch. 4 and 6).  sampler generates from them the two
-kernels of a sampled trajectory, whose anchors Tape.outputs pushes as one
-block, and whose gradient runs that block's adjoint alone from an
-objective's state adjoints.  The smooth aggregations (smooth.softmin,
-smooth.softmax_lb) compute on floats and push their one output through
-Tape.block, with a hand-written adjoint (local preaccumulation, ibid.).
-Tape.backward runs the blocks' adjoints and interprets the records
-between them.
+kernels of a sampled trajectory, whose gradient is its adjoint run alone
+on an objective's state adjoints, with no tape; only a differentiable
+rollout pushes a trajectory, as one block through Tape.outputs.  The
+smooth aggregations (smooth.softmin, smooth.softmax_lb) compute on
+floats and push their one output through Tape.block, with a hand-written
+adjoint (local preaccumulation, ibid.).  Tape.backward runs the blocks'
+adjoints and interprets the records between them.
 """
 
 import math

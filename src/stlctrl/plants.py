@@ -6,13 +6,14 @@ squash_fn, dt), without noise, and autodiff.replay_source generates from
 it a plain rollout loop per (widths, include_time, noise), which unpacks
 theta into locals once per rollout, inlines the controller forward
 traced the same way, for a Policy of any size (any other controller is
-called as forward(s, k)), and draws the noise.  sampler.build_sampled
-generates its trajectory kernels from the same trace.  Both compute in
-the Var operators' order, so a differentiable rollout (the plain one
-recorded by build_sampled at every step) has its bits and the Var
-operators' gradients.  So step_fn and squash_fn must be straight-line
-code over arithmetic and the autodiff helpers: nothing may depend on
-their arguments' values.
+called as forward(s, k)), and draws the noise and adds it to the next
+state.  sampler.build_sampled generates its trajectory kernels from the
+same trace.  Both compute in the Var operators' order, so a
+differentiable rollout (the plain one sampled by build_sampled at every
+step and put on a tape by SampledTrajectory.on_tape) has its bits and
+the Var operators' gradients.  So step_fn and squash_fn must be
+straight-line code over arithmetic and the autodiff helpers: nothing may
+depend on their arguments' values.
 """
 
 import csv
@@ -102,17 +103,14 @@ def corners_and_center(low, high):
 
 class Rollout:
     """A closed-loop run: K + 1 states and K raw actions (floats).  In a
-    differentiable run the states are build_sampled's anchors at every
-    step, Vars on tape where they depend on theta (autodiff.value_of reads
-    their floats)."""
+    differentiable run the states are on_tape's anchors, Vars on tape
+    where they depend on theta (autodiff.value_of reads their floats)."""
 
-    def __init__(self, states, raw_actions, tape=None, theta_vars=None,
-                 noise_offsets=None):
+    def __init__(self, states, raw_actions, tape=None, theta_vars=None):
         self.states = states
         self.raw_actions = raw_actions
         self.tape = tape  # differentiable: the states are anchors on it
         self.theta_vars = theta_vars  # theta's node ids, backward's seeds
-        self.noise_offsets = noise_offsets  # per-step additive terms, or None
 
     @property
     def K(self):
@@ -267,7 +265,8 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None):
     noise is (c1, c2, rng): s0 is perturbed once by c2*eta and every step
     gains c1*v_k, with eta, v_k i.i.d. standard normal per dimension.
     Noise draws happen in a fixed order so traces are seed-reproducible.
-    mode="differentiable" records the trace by build_sampled at every step.
+    mode="differentiable" samples the trace by build_sampled at every
+    step and puts it on a tape by SampledTrajectory.on_tape.
     """
     if mode not in ("plain", "differentiable"):
         raise ValueError(f"unknown rollout mode {mode!r}")
@@ -277,15 +276,15 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None):
     if c2 != 0.0:
         s0 = tuple(x + c2 * rng.gauss(0.0, 1.0) for x in s0)
     gauss = rng.gauss if c1 != 0.0 else None
-    states, raw_actions, offsets = _closed_loop(plant, policy, bool(gauss))(
+    run = Rollout(*_closed_loop(plant, policy, bool(gauss))(
         policy.theta, policy.forward, s0, K,
-        getattr(policy, "time_scale", None), c1, gauss)
-    run = Rollout(states, raw_actions, noise_offsets=offsets)
+        getattr(policy, "time_scale", None), c1, gauss))
     if mode == "plain":
         return run
     from .sampler import build_sampled  # sampler imports this module
-    st = build_sampled(run, range(K + 1), policy, plant)
-    return Rollout(st.anchors, raw_actions, st.tape, st.theta_vars, offsets)
+    tape, theta, states = build_sampled(run, range(K + 1), policy,
+                                        plant).on_tape()
+    return Rollout(states, run.raw_actions, tape, theta)
 
 
 # -- generated kernels: Plant.step traced once ------------------------------------
@@ -311,8 +310,8 @@ def _traced(plant):
 
 def _closed_loop(plant, policy, noisy):
     """kernel(th, forward, s0, K, time_scale, c1, gauss) -> (states, raw
-    actions, noise offsets or None): it inlines a Policy's forward with
-    theta in locals, and calls forward(s, k) of any other controller."""
+    actions): it inlines a Policy's forward with theta in locals, and
+    calls forward(s, k) of any other controller."""
     trace, loops = _traced(plant)
     key = ((tuple(policy.widths), policy.include_time, noisy)
            if isinstance(policy, Policy) else (None, False, noisy))
@@ -320,8 +319,8 @@ def _closed_loop(plant, policy, noisy):
         return loops[key]
     n, m = plant.state_dim, plant.action_dim
     xs = list(map("x{}".format, range(n)))
-    state, es = f"({', '.join(xs)},)", ", ".join(map("e{}".format, range(n)))
-    head = ["states, acts, offs = [s], [], [] if gauss else None"]
+    state = f"({', '.join(xs)},)"
+    head = ["states, acts = [s], []"]
     if key[0]:  # the forward inline, theta in locals
         ws = [(f"w{r}", None) for r in range(param_count(key[0]))]
         fwd, acts, _, _ = forward_source(*key[:2], ws, [(x, None) for x in xs])
@@ -335,7 +334,6 @@ def _closed_loop(plant, policy, noisy):
     nxt = [x for x, _ in outs]
     if noisy:  # drawn after the step, as the Plant.step loop draws them
         lines += [f"e{j} = sigma * gauss(0.0, 1.0)" for j in range(n)]
-        lines.append(f"offs.append(({es},))")
         nxt = [f"{x} + e{j}" for j, x in enumerate(nxt)]
     step = fwd + lines + [
         f"{', '.join(xs)}, = {', '.join(nxt)},",
@@ -351,7 +349,7 @@ def _closed_loop(plant, policy, noisy):
     loops[key] = compile_kernel("th, forward, s, K, ts, sigma, gauss", [
         f"[{', '.join(xs)}] = s", f"{' = '.join(own)} = None"] + head
         + ["for k in range(K):"] + ["    " + line for line in step]
-        + ["return states, acts, offs"],
+        + ["return states, acts"],
         {**consts, "LIMIT": DIVERGE_LIMIT, "check": _check})
     return loops[key]
 

@@ -3,10 +3,12 @@
 A sampled trajectory keeps the controller live (differentiable in theta)
 only at chosen time-steps and freezes it to the reference rollout's raw
 actions everywhere else, so gradient cost scales with the number of
-sampled steps instead of the horizon.  On the tape a trajectory is one
-block: theta and then the start state are constants, and the block's
-outputs are its anchors, the reference's states at the sample times
-after the first, bit for bit if the reference is the policy's rollout.
+sampled steps instead of the horizon.  Its states at the sample times
+are the reference's, bit for bit if the reference is the policy's
+rollout, and its gradient is a vector-Jacobian product (Griewank &
+Walther, "Evaluating Derivatives", 2008, ch. 3): grad runs its adjoint
+on an objective's adjoints at those states, taken on floats or on a tape
+of their own.  Only a differentiable rollout puts it on a tape (on_tape).
 
 Its two kernels are generated once per (plant, controller) from
 plants._traced's step and policy.forward_source's net, or for a table of
@@ -18,16 +20,13 @@ them in reverse, the state's adjoint in locals and theta's read from and
 written back to adj.  It recomputes a step's locals from the reference's
 floats where it reads them: at live steps, and at frozen ones for quad12
 and scalar_power; the other builtin plants' frozen runs it counts
-(quad6_platform) or skips.  A noise offset adds a constant, which passes
+(quad6_platform) or skips.  A noisy step adds a constant, which passes
 the state's adjoint through unchanged.  The sweep is the interpreter's
 over the Var operators' records, term by term, and skips a step whose
 outputs' adjoints are all zero.  A next state passed through gets its
 adjoint added to its input's first, as the interpreter's one node does
 where only one of the two carries an objective's adjoint; two next states
 of one node are rejected.
-No objective is recorded on that tape: an anchor holds its reference
-state's floats, so grad seeds the block's adjoint with the objective's
-adjoints at those states, taken on floats or on a tape of their own.
 """
 
 from itertools import repeat
@@ -69,31 +68,42 @@ def partition_times(K, M, rng):
 
 
 class SampledTrajectory:
-    """Anchor states at the sampled times, on their own tape; theta_vars is
-    the range of theta's node ids."""
+    """A trajectory sampled at times: its generated adjoint and the args
+    that reads (theta, ref's states and actions, times, saved, ts)."""
 
-    def __init__(self, times, anchors, tape, theta_vars):
+    def __init__(self, times, adjoint, args):
         self.times = times
-        self.anchors = anchors
-        self.tape = tape
-        self.theta_vars = theta_vars
+        self.adjoint = adjoint
+        self.args = args
 
     def grad(self, adjs):
         """d(objective)/d(theta), adjs[i] the objective's adjoint at each
-        entry of the anchor at times[i + 1]: the trajectory block's adjoint
-        alone, a vector-Jacobian product of the trajectory."""
-        start, end, adjoint, args = self.tape.blocks[0]
+        entry of the state at times[i + 1], laid out in adj after theta's
+        and the start state's, as on on_tape's tape."""
+        th, states = self.args[:2]
+        start = len(th) + len(states[0])
         adj = [0.0] * start + [g for a in adjs for g in a]
-        if len(adj) != end:
-            raise ValueError("need one adjoint per entry of times[1:]'s anchors")
-        adjoint(adj, start, args)
-        return adj[self.theta_vars.start:self.theta_vars.stop]
+        if len(adj) != start + len(states[0]) * (len(self.times) - 1):
+            raise ValueError("need one adjoint per entry of times[1:]'s states")
+        self.adjoint(adj, start, self.args)
+        return adj[:len(th)]
+
+    def on_tape(self):
+        """(tape, theta's ids, anchors): theta and the start state as consts
+        on a tape of its own, then one block whose adjoint is grad's and
+        whose outputs are the anchors after the start state's floats."""
+        tape, (th, states) = Tape(), self.args[:2]
+        tape.consts([*th, *states[0]])
+        vs = map(Var, repeat(tape), tape.outputs(
+            [x for t in self.times[1:] for x in states[t]], self.adjoint,
+            self.args))
+        return tape, range(len(th)), [states[0], *zip(*[vs] * len(states[0]))]
 
 
 def state_adjoints(fn, states):
     """fn(*states)'s adjoint at each entry of each state, a list per state,
     by one backward over Vars of them on a tape of their own (zeros if fn
-    reads no Var): an objective's adjoint at an anchor of those floats."""
+    reads no Var): an objective's adjoint at a trajectory's states."""
     n, tape = len(states[0]), Tape()
     ids = tape.consts(x for s in states for x in s)
     out = fn(*zip(*[map(Var, repeat(tape), ids)] * n))
@@ -102,16 +112,11 @@ def state_adjoints(fn, states):
 
 
 def build_sampled(ref, times, policy, plant):
-    """Differentiable anchors along `times`; off-sample actions frozen.
+    """The trajectory along `times` from ref; off-sample actions frozen.
 
-    The reference rollout supplies the frozen raw actions and the start
-    state, the first anchor as floats, which do not depend on theta.  The
-    other anchors are the outputs of one block whose inputs are theta and
-    the start state, consts on the tape in that order, and whose values are
-    ref's states: ref must be the rollout of policy, and a live step's raw
-    action that is not ref's raises ValueError.  Their gradients are the
-    Var operators' step by step, noise offsets included (see the module
-    doc).
+    ref, the rollout of policy, supplies the frozen raw actions and the
+    states: a live step's raw action that is not ref's raises ValueError.
+    Its gradients are the Var operators' step by step (see the module doc).
     """
     if not times or times[0] != 0:
         raise ValueError("sample times must start at 0")
@@ -123,15 +128,8 @@ def build_sampled(ref, times, policy, plant):
     build, adjoint = _kernels(plant, policy)
     th, states, acts = policy.theta, ref.states, ref.raw_actions
     ts = getattr(policy, "time_scale", None)
-    args = (th, states, acts, times, build(th, states, acts, times, ts), ts)
-    tape = Tape()
-    theta = tape.consts(th)
-    tape.consts(states[0])
-    ids = tape.outputs([x for t in times[1:] for x in states[t]], adjoint,
-                       args)
-    vs = map(Var, repeat(tape), ids)
-    anchors = [states[0], *zip(*[vs] * plant.state_dim)]
-    return SampledTrajectory(list(times), anchors, tape, theta)
+    return SampledTrajectory(list(times), adjoint, (
+        th, states, acts, times, build(th, states, acts, times, ts), ts))
 
 
 def _mismatch(k):

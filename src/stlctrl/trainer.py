@@ -170,6 +170,14 @@ def _min_rho(plant, policy, theta, init_set, K, f, kept):
     return best, worst_s0, runs
 
 
+def _incumbent(runs, s0):
+    """runs[s0], or RuntimeError naming s0 if that run of theta diverged."""
+    if runs[s0] == _DIVERGED:
+        raise RuntimeError(f"the rollout of theta from training sample {s0} "
+                           "diverged: no step can be taken from it")
+    return runs[s0]
+
+
 def _train(plant, policy, f, init_set, cfg, step):
     """The outer loop of every trainer; returns (theta, log, info).
 
@@ -242,12 +250,9 @@ def _dropout_iteration(plant, policy, f, wp, cfg, rng, adams, theta, s0,
     candidate unless guarded.  Rollouts are deterministic, so a candidate
     whose pass rollout diverged takes no further passes, and its commit
     test reads _DIVERGED unrolled.  If theta's own run from s0 diverged,
-    any candidate would pass at -inf >= -inf: RuntimeError names s0.
+    any candidate would pass at -inf >= -inf: _incumbent raises.
     """
-    if runs[s0] == _DIVERGED:
-        raise RuntimeError(f"the rollout of theta from training sample {s0} "
-                           "diverged: no step can be tested against it")
-    K, rho_j, diverged, dead = horizon(f), runs[s0][0], 0, []
+    K, rho_j, diverged, dead = horizon(f), _incumbent(runs, s0)[0], 0, []
 
     def ascend(steps, n):
         # n passes from theta, the first on runs[s0]; each steps every live
@@ -317,10 +322,8 @@ def train_vanilla(plant, policy, f, init_set, cfg, rng):
 
     def step(theta, s0, runs):
         pol = policy.with_theta(theta)
-        if cfg.noise is None:  # the check's run of theta, unless it diverged
-            ref = runs[s0][1] or rollout(plant, pol, s0, K)
-        else:
-            ref = rollout(plant, pol, s0, K, noise=(*cfg.noise, rng))
+        ref = (_incumbent(runs, s0)[1] if cfg.noise is None
+               else rollout(plant, pol, s0, K, noise=(*cfg.noise, rng)))
         d = grad_smooth(ref, [range(K + 1)], f, scfg, pol, plant)
         theta = adam_update(adam, theta, d)
         return theta, "smooth", 1.0, 0, {s0: _exact_rho(plant, policy, theta,

@@ -1,12 +1,13 @@
-"""The trajectory block and its generated adjoint against the Var operators.
+"""The sampled trajectory's generated adjoint against the Var operators.
 
-The oracle is Plant.step and policy.reference_forward run on Vars, and
-the smooth kernel with tests/test_smooth.py's soft min/max by the Var
-operators: their records, which Tape.backward interprets node by node,
-with no generated code and no aggregation block.  A generated block
-keeps no records, so values and gradients are compared, as IEEE bytes:
-of sampled trajectories, differentiable rollouts and the gradients built
-on them, over theta and the start state.
+The oracle is tests/test_plants.py's oracle_sampled, Plant.step and the
+reference loop of the controller run on Vars, and the smooth kernel with
+tests/test_smooth.py's soft min/max by the Var operators: their records,
+which Tape.backward interprets node by node, with no generated code and
+no aggregation block.  A trajectory put on a tape by on_tape is one
+block that keeps no records, so values and gradients are compared, as
+IEEE bytes: of sampled trajectories, differentiable rollouts and the
+gradients built on them, over theta and the start state.
 """
 
 import math
@@ -15,10 +16,10 @@ import struct
 
 import pytest
 
-from stlctrl.autodiff import Tape, Var, value_of, vmax
+from stlctrl.autodiff import Var, value_of, vmax
 from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
 from stlctrl.plants import Plant, Rollout, builtin, rollout
-from stlctrl.policy import Policy, init, reference_forward
+from stlctrl.policy import Policy, init
 from stlctrl.sampler import (
     build_sampled, grad_critical, grad_smooth, partition_times,
     sample_times_to,
@@ -26,6 +27,8 @@ from stlctrl.sampler import (
 from stlctrl.smooth import SmoothConfig
 from stlctrl.stl import Trace, critical, horizon, parse
 from stlctrl.trainer import _OpenLoop
+from tests.test_plants import oracle_sampled, rollout_with_offsets
+from tests.test_policy import loop_forward
 from tests.test_smooth import oracle_smooth_robustness
 
 # every builtin plant with its bundled scenario's controller widths
@@ -44,9 +47,10 @@ def _bits(xs):
     return struct.pack(f"<{len(xs)}d", *xs)
 
 
-def _assert_same(got, want, seeds, oracle_seeds):
+def _assert_same(got, want, seeds):
     """Entry by entry: the same float, or Vars with the same value and the
-    same gradient over their tape's seeds, a float's being zero."""
+    same gradient over the seeds, theta's and the start state's node ids
+    on each tape, a float's being zero."""
     assert len(got) == len(want)
     for x, y in zip(got, want):
         if not isinstance(x, Var):
@@ -54,43 +58,13 @@ def _assert_same(got, want, seeds, oracle_seeds):
             continue
         assert _bits([x.value]) == _bits([value_of(y)])
         assert _bits(x.tape.backward(x, seeds)) == _bits(
-            y.tape.backward(y, oracle_seeds) if isinstance(y, Var)
-            else [0.0] * len(oracle_seeds)), x
+            y.tape.backward(y, seeds) if isinstance(y, Var)
+            else [0.0] * len(seeds)), x
 
 
-def _oracle_forward(pol, theta, s, k):
-    t = [float(k) * pol.time_scale] if pol.include_time else []
-    return reference_forward(pol.widths, theta, [*s, *t])
-
-
-def _oracle_step(plant, s, a, off=None):
-    nxt = plant.step(s, a, 0)
-    return nxt if off is None else tuple(x + o for x, o in zip(nxt, off))
-
-
-def _oracle_sampled(ref, times, pol, plant):
-    """build_sampled by the Var operators: (tape, theta's and the start
-    state's Vars, anchors, [(raw action, next state)] per step), the start
-    state on the tape after theta; an action table's actions are theta's."""
-    tape = Tape()
-    theta = [tape.const(w) for w in pol.theta]
-    live, offs = set(times), ref.noise_offsets
-    start = cur = tuple(tape.const(x) for x in ref.states[0])
-    anchors, steps, m = [ref.states[0]], [], plant.action_dim
-    for k in range(times[-1]):
-        a = (ref.raw_actions[k] if k not in live
-             else _oracle_forward(pol, theta, cur, k)
-             if isinstance(pol, Policy) else theta[k * m:k * m + m])
-        cur = _oracle_step(plant, cur, a, offs and offs[k])
-        steps.append((a, cur))
-        if k + 1 in live:
-            anchors.append(cur)
-    return tape, theta + list(start), anchors, steps
-
-
-def _seeds(st):
-    """theta's and the start state's node ids on a sampled trajectory's tape."""
-    return range(len(st.theta_vars) + len(st.anchors[0]))
+def _seeds(pol, ref):
+    """theta's and the start state's node ids on a trajectory's tape."""
+    return range(len(pol.theta) + len(ref.states[0]))
 
 
 def _policy(widths, include_time, seed=9):
@@ -99,52 +73,53 @@ def _policy(widths, include_time, seed=9):
 
 
 def _reference(name, widths, include_time, s0, noisy, K=14, mode="plain"):
+    """(plant, policy, its rollout, the noise offsets that added)."""
     plant, pol = builtin(name), _policy(widths, include_time)
     noise = (0.02, 0.0, random.Random(4)) if noisy else None
-    return plant, pol, rollout(plant, pol, s0, K, mode=mode, noise=noise)
+    return (plant, pol,
+            *rollout_with_offsets(plant, pol, s0, K, noise=noise, mode=mode))
 
 
-def _assert_sampled_matches_oracle(ref, times, pol, plant):
+def _assert_sampled_matches_oracle(ref, times, pol, plant, offsets=None):
     st = build_sampled(ref, times, pol, plant)
-    tape, seeds, anchors, _ = _oracle_sampled(ref, times, pol, plant)
-    assert len(st.anchors) == len(anchors)
-    for got, want in zip(st.anchors, anchors):
-        _assert_same(got, want, _seeds(st), seeds)
+    got = st.on_tape()[2]
+    want = oracle_sampled(ref, times, pol, plant, offsets)[2]
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        _assert_same(x, y, _seeds(pol, ref))
     return st
 
 
 def _open_loop(plant, s0, acts, times, noise=None):
     """The trajectory over the raw actions acts from s0, live at times (an
-    action table, theta the actions), against the Var operators; returns
-    (build_sampled's, the oracle's (tape, seeds, anchors, steps)).  Without
-    noise its states are Plant.step's on floats, past any limit."""
+    action table, theta the actions), checked against the Var operators.
+    Without noise its states are Plant.step's on floats, past any limit."""
     ol, states = _OpenLoop([list(a) for a in acts]), [tuple(s0)]
     for a in acts:
         states.append(tuple(plant.step(states[-1], a, 0)))
-    ref = (rollout(plant, ol, s0, len(acts), noise=noise) if noise
-           else Rollout(states, [tuple(a) for a in acts]))
-    _assert_sampled_matches_oracle(ref, times, ol, plant)
-    return build_sampled(ref, times, ol, plant), _oracle_sampled(
-        ref, times, ol, plant)
+    ref, offsets = (rollout_with_offsets(plant, ol, s0, len(acts), noise)
+                    if noise else (Rollout(states, [tuple(a) for a in acts]),
+                                   None))
+    return _assert_sampled_matches_oracle(ref, times, ol, plant, offsets)
 
 
 @pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("name,widths,include_time,s0", CASES)
 def test_sampled_gradients_match_interpreter(name, widths, include_time, s0,
                                              noisy):
-    plant, pol, ref = _reference(name, widths, include_time, s0, noisy)
+    plant, pol, ref, offs = _reference(name, widths, include_time, s0, noisy)
     # runs of frozen steps of length 0, 1, 3 and 6, and none at all
     for times in ([0, 2, 3, 7, 14], list(range(15))):
-        _assert_sampled_matches_oracle(ref, times, pol, plant)
-    # a differentiable rollout: its every state, each coordinate's gradient
+        _assert_sampled_matches_oracle(ref, times, pol, plant, offs)
+    # a differentiable rollout, whose states and raw actions are the
+    # step-by-step loop's: its every state, each coordinate's gradient
     diff = _reference(name, widths, include_time, s0, noisy,
                       mode="differentiable")[2]
     assert diff.raw_actions == ref.raw_actions
-    assert diff.noise_offsets == ref.noise_offsets
-    _, seeds, anchors, _ = _oracle_sampled(ref, range(15), pol, plant)
+    anchors = oracle_sampled(ref, range(15), pol, plant, offs)[2]
     assert len(diff.states) == len(anchors) == 15
     for got, want in zip(diff.states, anchors):
-        _assert_same(got, want, range(len(seeds)), seeds)
+        _assert_same(got, want, _seeds(pol, ref))
 
 
 @pytest.mark.parametrize("name,widths,include_time,s0", CASES)
@@ -152,10 +127,10 @@ def test_forward_adjoints_for_var_and_float_operands(name, widths,
                                                      include_time, s0):
     # Var operands: the controller at live steps 0 and 5 of a trajectory,
     # over theta and the states; floats: Policy.forward
-    plant, pol, ref = _reference(name, widths, include_time, s0, False, K=6)
+    plant, pol, ref, _ = _reference(name, widths, include_time, s0, False,
+                                    K=6)
     _assert_sampled_matches_oracle(ref, [0, 5, 6], pol, plant)
-    assert _bits(pol.forward(s0, 5)) == _bits(
-        _oracle_forward(pol, pol.theta, s0, 5))
+    assert _bits(pol.forward(s0, 5)) == _bits(loop_forward(pol, s0, 5))
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -180,34 +155,37 @@ def test_run_records_and_adjoint_match_steps(name, widths, include_time, s0,
                                              steps, noisy):
     # a run of frozen steps between the live steps 3 and 3 + steps + 1,
     # from a noisy reference's states too
-    plant, pol, ref = _reference(name, widths, include_time, s0, noisy)
+    plant, pol, ref, offs = _reference(name, widths, include_time, s0, noisy)
     st = _assert_sampled_matches_oracle(ref, [0, 3, 3 + steps + 1], pol,
-                                        plant)
-    # the block pushes the anchors only
-    assert len(st.tape.blocks) == 1
-    assert len(st.tape) == len(pol.theta) + 3 * plant.state_dim
+                                        plant, offs)
+    # on a tape, the block pushes the anchors only
+    tape = st.on_tape()[0]
+    assert len(tape.blocks) == 1
+    assert len(tape) == len(pol.theta) + 3 * plant.state_dim
 
 
 def test_backward_from_the_first_output_of_a_run_block():
     # dubins carries two states: the anchor after a frozen run is not the
     # block's last node, so the block's adjoint must run for it too
-    plant, pol, ref = _reference("dubins", [3, 20, 2], True, (0.0, 0.0),
-                                 False)
+    plant, pol, ref, _ = _reference("dubins", [3, 20, 2], True, (0.0, 0.0),
+                                    False)
     times = [0, 2, 8, 9]
     st = _assert_sampled_matches_oracle(ref, times, pol, plant)
-    start, end, _, _ = st.tape.blocks[-1]
-    assert [x.i for x in st.anchors[2]] == [end - 4, end - 3]
+    tape, _, anchors = st.on_tape()
+    start, end, _, _ = tape.blocks[-1]
+    assert [x.i for x in anchors[2]] == [end - 4, end - 3]
     assert any(st.grad([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)]))
 
 
 def test_run_of_no_steps_returns_its_input():
     # the start alone: its anchor is the reference's floats, the block has
     # no output, and no anchor adjoint gives a zero gradient
-    plant, pol, ref = _reference("dubins", [3, 20, 2], True, (0.1, 0.2),
-                                 False, K=3)
+    plant, pol, ref, _ = _reference("dubins", [3, 20, 2], True, (0.1, 0.2),
+                                    False, K=3)
     st = build_sampled(ref, [0], pol, plant)
-    assert st.anchors == [ref.states[0]] and st.anchors[0] == (0.1, 0.2)
-    assert [(a, b) for a, b, _, _ in st.tape.blocks] == [(len(st.tape),) * 2]
+    tape, _, anchors = st.on_tape()
+    assert anchors == [ref.states[0]] and anchors[0] == (0.1, 0.2)
+    assert [(a, b) for a, b, _, _ in tape.blocks] == [(len(tape),) * 2]
     assert st.grad([]) == [0.0] * len(pol.theta)
     # consecutive sample times: no frozen step between them
     _assert_sampled_matches_oracle(ref, [0, 1, 2, 3], pol, plant)
@@ -222,9 +200,9 @@ def test_runs_of_unusual_steps_match_step_by_step(fn, blocks):
     plant = Plant("odd", 2, 1, 1.0, fn, lambda a: a)
     acts, s0 = [(0.3,), (-0.2,), (0.7,), (0.1,)], (0.4, -0.6)
     for times in ([0, 4], [0, 1, 4], [0, 1, 2, 3, 4]):
-        st, _ = _open_loop(plant, s0, acts, times)
-        assert len(st.tape.blocks) == blocks
-        assert all(isinstance(x, Var) for a in st.anchors[1:] for x in a)
+        tape, _, anchors = _open_loop(plant, s0, acts, times).on_tape()
+        assert len(tape.blocks) == blocks
+        assert all(isinstance(x, Var) for a in anchors[1:] for x in a)
 
 
 @pytest.mark.parametrize("fn", [
@@ -260,17 +238,19 @@ def test_vmax_tie_splits_in_step_and_run():
     for p, acts in ((plant, [(0.4,)] * 4), (tie, [(0.0,)] * 4)):
         for times in ([0, 1], [0, 2], [0, 4], [0, 1, 2, 3, 4]):
             _open_loop(p, (1e-3,), acts, times)
-    st, _ = _open_loop(tie, (1e-3,), [(0.0,)] * 4, [0, 4])
-    assert st.tape.backward(st.anchors[1][0], range(4, 5)) == [0.0625]
+    tape, _, anchors = _open_loop(tie, (1e-3,), [(0.0,)] * 4,
+                                  [0, 4]).on_tape()
+    assert tape.backward(anchors[1][0], range(4, 5)) == [0.0625]
     # ties between two states: each gets half
     both = Plant("both", 2, 1, 1.0, lambda s, u, dt: (
         vmax(s[0], s[1]) + 0.0 * u[0], vmax(s[1], s[0]) * u[0]), lambda a: a)
     for steps in (1, 3):
-        st, _ = _open_loop(both, (0.5, 0.5), [(1.0,)] * steps, [0, steps])
-        assert [st.tape.backward(x, range(steps, steps + 2))
-                for x in st.anchors[1]] == [[0.5, 0.5]] * 2
-    st, _ = _open_loop(plant, (1e-3,), [(0.2,)], [0, 1])
-    assert st.tape.backward(st.anchors[1][0], range(1, 2))[0] == (
+        tape, _, anchors = _open_loop(both, (0.5, 0.5), [(1.0,)] * steps,
+                                      [0, steps]).on_tape()
+        assert [tape.backward(x, range(steps, steps + 2))
+                for x in anchors[1]] == [[0.5, 0.5]] * 2
+    tape, _, anchors = _open_loop(plant, (1e-3,), [(0.2,)], [0, 1]).on_tape()
+    assert tape.backward(anchors[1][0], range(1, 2))[0] == (
         pytest.approx(0.5 * 0.8 * 1.2 * 1e-3 ** 0.2))
 
 
@@ -286,39 +266,39 @@ def test_blocks_whose_outputs_have_zero_adjoint_are_skipped():
         for a in acts:
             states.append(p.step(states[-1], a, 0))
         for times in ([0, len(acts)], list(range(len(acts) + 1))):
-            st = build_sampled(Rollout(states, acts), times, ol, p)
+            tape, _, anchors = build_sampled(Rollout(states, acts), times,
+                                             ol, p).on_tape()
             start = len(acts)  # the start state's id
-            assert st.tape.backward(st.anchors[-1][0],
-                                    range(start, start + 1)) == [0.0]
+            assert tape.backward(anchors[-1][0],
+                                 range(start, start + 1)) == [0.0]
     _open_loop(plant, (-2.0,), [(0.4,)] * 5, [0, 2, 5])
 
 
 def test_backward_from_a_node_inside_a_block():
     # every output of the block, not only its last node
-    plant, pol, ref = _reference("dubins", [3, 20, 2], True, (0.0, 0.0),
-                                 False)
+    plant, pol, ref, _ = _reference("dubins", [3, 20, 2], True, (0.0, 0.0),
+                                    False)
     times = [0, 1, 9]
     st = _assert_sampled_matches_oracle(ref, times, pol, plant)
-    _, seeds, anchors, _ = _oracle_sampled(ref, times, pol, plant)
-    tape, nonzero = st.tape, 0
+    (tape, theta, _), nonzero = st.on_tape(), 0
     [(start, end, _, _)] = tape.blocks
     assert end - start == 2 * (len(times) - 1)
     for i in range(start, end):
-        nonzero += any(tape.backward(Var(tape, i), st.theta_vars))
+        nonzero += any(tape.backward(Var(tape, i), theta))
     assert nonzero == end - start
 
 
 @pytest.mark.parametrize("noisy", [False, True])
 def test_sampled_tape_equals_step_by_step_recording(noisy):
-    """build_sampled, one block per trajectory, gives the anchors and
-    gradients of the Var operators step by step, noisy or not."""
-    plant, pol, ref = _reference("dubins", [3, 20, 2], True, (0.0, 0.0),
-                                 noisy, K=100)
+    """build_sampled, one block per trajectory on a tape, gives the anchors
+    and gradients of the Var operators step by step, noisy or not."""
+    plant, pol, ref, offs = _reference("dubins", [3, 20, 2], True,
+                                       (0.0, 0.0), noisy, K=100)
     rng = random.Random(1)
     for _ in range(5):
         times = sample_times_to(rng.randint(1, 100), 7, 100, rng)
-        st = _assert_sampled_matches_oracle(ref, times, pol, plant)
-        assert len(st.tape.blocks) == 1
+        st = _assert_sampled_matches_oracle(ref, times, pol, plant, offs)
+        assert len(st.on_tape()[0].blocks) == 1
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -328,37 +308,36 @@ def test_frozen_runs_take_the_reference_state(noisy):
     # gradient; a live step's action must be the policy's
     times = [0, 2, 3, 7, 14]
     for name, widths, include_time, s0 in CASES:
-        plant, pol, ref = _reference(name, widths, include_time, s0, noisy)
+        plant, pol, ref, _ = _reference(name, widths, include_time, s0,
+                                        noisy)
         nan = (math.nan,) * plant.action_dim
         acts = [a if k in times else nan
                 for k, a in enumerate(ref.raw_actions)]
-        poisoned = Rollout(ref.states, acts, noise_offsets=ref.noise_offsets)
         runs = []
-        for r in (ref, poisoned):
-            st = build_sampled(r, times, pol, plant)
-            runs.append([[_bits([x.value, *st.tape.backward(x, st.theta_vars)])
+        for r in (ref, Rollout(ref.states, acts)):
+            tape, theta, anchors = build_sampled(r, times, pol,
+                                                 plant).on_tape()
+            runs.append([[_bits([x.value, *tape.backward(x, theta)])
                           for x in a]
-                         for a in st.anchors[1:]])
+                         for a in anchors[1:]])
         assert runs[0] == runs[1], name
         acts[3] = nan
         with pytest.raises(ValueError, match="at step 3"):
             build_sampled(Rollout(ref.states, acts), times, pol, plant)
 
 
-def _oracle_grad_critical(ref, w, N, pol, plant, rng):
+def _oracle_grad_critical(ref, w, N, pol, plant, rng, offsets):
     times = sample_times_to(w.time, N, ref.K, rng)
-    tape, seeds, anchors, _ = _oracle_sampled(ref, times, pol, plant)
-    theta = seeds[:len(pol.theta)]
+    tape, theta, anchors = oracle_sampled(ref, times, pol, plant, offsets)
     J = w.predicate.h.eval(anchors[-1])
     return (tape.backward(J, theta) if isinstance(J, Var)
             else [0.0] * len(theta))
 
 
-def _oracle_grad_smooth(ref, partition, f, cfg, pol, plant):
+def _oracle_grad_smooth(ref, partition, f, cfg, pol, plant, offsets):
     total = [0.0] * len(pol.theta)
     for times in partition:
-        tape, seeds, anchors, _ = _oracle_sampled(ref, times, pol, plant)
-        theta = seeds[:len(pol.theta)]
+        tape, theta, anchors = oracle_sampled(ref, times, pol, plant, offsets)
         states = list(ref.states)
         for t, anchor in zip(times, anchors):
             states[t] = anchor
@@ -385,16 +364,18 @@ def test_bundled_scenarios_match_the_var_operators(name, noisy):
     if horizon(f) > 60:  # a short formula over the same states
         f = parse(f"F[2,12](x0 > 0.1) && G[0,20](x{plant.state_dim - 1} < 50)")
     K = horizon(f)
-    ref = rollout(plant, pol, sc.init_set.samples[0], K,
-                  noise=(0.02, 0.001, random.Random(4)) if noisy else None)
-    _assert_sampled_matches_oracle(ref, [0, 1, 3, K // 2, K], pol, plant)
+    ref, offs = rollout_with_offsets(
+        plant, pol, sc.init_set.samples[0], K,
+        noise=(0.02, 0.001, random.Random(4)) if noisy else None)
+    _assert_sampled_matches_oracle(ref, [0, 1, 3, K // 2, K], pol, plant,
+                                   offs)
     w = critical(f, Trace(ref.states))
     N = sc.train_cfg.N
     assert _bits(grad_critical(ref, w.time, w.predicate, N, pol, plant,
                                random.Random(5))) == _bits(
-        _oracle_grad_critical(ref, w, N, pol, plant, random.Random(5)))
+        _oracle_grad_critical(ref, w, N, pol, plant, random.Random(5), offs))
     scfg = SmoothConfig(sc.train_cfg.b)
     for M in sorted({1, 2, min(sc.train_cfg.M, K)}):
         part = partition_times(K, M, random.Random(M))
         assert _bits(grad_smooth(ref, part, f, scfg, pol, plant)) == _bits(
-            _oracle_grad_smooth(ref, part, f, scfg, pol, plant))
+            _oracle_grad_smooth(ref, part, f, scfg, pol, plant, offs))

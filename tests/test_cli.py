@@ -319,6 +319,26 @@ def test_training_from_an_incumbent_that_diverged_exits_4(tmp_path, capsys):
     assert "training sample (80.0,) diverged" in err
 
 
+def test_vanilla_training_from_an_incumbent_that_diverged_exits_4(
+        tmp_path, capsys):
+    # the same controller under the vanilla trainer: its step would
+    # differentiate the diverged run, so it fails at once, naming the
+    # sample, instead of retrying the step
+    with open(resolve_scenario("scalar_power")) as fh:
+        doc = json.load(fh)
+    doc["initial"] = {"low": [80.0], "high": [80.0], "samples": [[80.0]]}
+    doc["policy"]["theta"] = [0.0, -100.0]
+    doc["train"] = {k: v for k, v in doc["train"].items()
+                    if k not in ("M", "N", "N1", "N2", "eps")}
+    doc["train"]["algorithm"] = "vanilla"
+    rc = main(["train", "--scenario", write_scenario(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith("runtime failure:")
+    assert "training sample (80.0,) diverged" in err
+
+
 @pytest.mark.parametrize("grad,message", [
     (nan_gradient, "non-finite gradient component nan"),
     (log_of_zero, "log of non-positive value 0.0"),

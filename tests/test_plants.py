@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import struct
@@ -289,6 +290,47 @@ def _generic_rollout(plant, policy, s0, K, noise=None):
     return states, raw_actions, offsets
 
 
+def rollout_with_offsets(plant, policy, s0, K, noise=None, mode="plain"):
+    """(rollout(...), the noise offsets it added): the offsets are
+    _generic_rollout's from a copy of noise's rng, whose states and raw
+    actions must be the rollout's, bit for bit."""
+    twin = noise and random.Random()
+    if twin:
+        twin.setstate(noise[2].getstate())
+    states, acts, offsets = _generic_rollout(plant, policy, s0, K,
+                                             noise and (*noise[:2], twin))
+    run = rollout(plant, policy, s0, K, mode=mode, noise=noise)
+    assert _bits([[value_of(x) for x in s] for s in run.states]) == _bits(
+        [list(s) for s in states])
+    assert _bits(run.raw_actions) == _bits(acts)
+    return run, offsets
+
+
+def oracle_sampled(ref, times, policy, plant, offsets=None):
+    """build_sampled(ref, times, policy, plant).on_tape() by the Var
+    operators: (tape, theta's ids, anchors).  Plant.step at every step,
+    its action at a live step the reference loop's on theta's Vars, or for
+    an action table theta's own; offsets[k], _generic_rollout's noise
+    offsets, are added after step k.  theta and then the start state are
+    the first nodes on the tape."""
+    from tests.test_policy import loop_forward
+    tape = Tape()
+    theta = tape.consts(policy.theta)
+    th, live, m = [Var(tape, i) for i in theta], set(times), plant.action_dim
+    cur = tuple(tape.const(x) for x in ref.states[0])
+    anchors = [ref.states[0]]
+    for k in range(times[-1]):
+        a = (ref.raw_actions[k] if k not in live
+             else loop_forward(policy, cur, k, theta=th)
+             if isinstance(policy, Policy) else th[k * m:k * m + m])
+        cur = plant.step(cur, a, k)
+        if offsets:
+            cur = tuple(x + o for x, o in zip(cur, offsets[k]))
+        if k + 1 in live:
+            anchors.append(cur)
+    return tape, theta, anchors
+
+
 def _outcome(run, rng):
     """What a rollout left behind, diverged or not, with the rng's state."""
     try:
@@ -296,8 +338,8 @@ def _outcome(run, rng):
     except DivergedRollout as e:
         got = ("diverged", e.step, str(e))
     else:
-        if isinstance(got, plants.Rollout):
-            got = (got.states, got.raw_actions, got.noise_offsets)
+        got = ((got.states, got.raw_actions) if isinstance(got, plants.Rollout)
+               else got[:2])  # _generic_rollout's, without its offsets
     return _bits(got), rng.getstate() if rng else None
 
 
@@ -395,8 +437,7 @@ def test_fused_loop_calls_an_open_loop_policy():
         want = _generic_rollout(plant, ol, s0, 15,
                                 noise=(c1, 0.0, random.Random(1)))
         got = rollout(plant, ol, s0, 15, noise=(c1, 0.0, random.Random(1)))
-        assert _bits(want) == _bits((got.states, got.raw_actions,
-                                     got.noise_offsets))
+        assert _bits(want[:2]) == _bits((got.states, got.raw_actions))
     with pytest.raises(ValueError, match="actions end"):
         rollout(plant, ol, s0, 16)
 
@@ -427,17 +468,16 @@ def _one_trajectory(plant, s, acts, times):
     gradient is zero)."""
     from stlctrl.sampler import build_sampled
     from stlctrl.trainer import _OpenLoop
-    from tests.test_adjoint import _oracle_sampled
     ol, states = _OpenLoop([list(a) for a in acts]), [tuple(s)]
     for a in acts:
         states.append(tuple(plant.step(states[-1], a, 0)))
     ref = plants.Rollout(states, [tuple(a) for a in acts])
-    st = build_sampled(ref, times, ol, plant)
-    tape, seeds, anchors, _ = _oracle_sampled(ref, times, ol, plant)
-    return [[_bits([(x.value, x.tape.backward(x, range(len(seeds))))
+    seeds = range(len(acts) * plant.action_dim + plant.state_dim)
+    return [[_bits([(x.value, x.tape.backward(x, seeds))
                     if isinstance(x, Var) else (x, [0.0] * len(seeds))
                     for x in a]) for a in an[1:]]
-            for an in (st.anchors, anchors)]
+            for _, _, an in (build_sampled(ref, times, ol, plant).on_tape(),
+                             oracle_sampled(ref, times, ol, plant))]
 
 
 def _assert_recorder_matches_var_operators(plant, s, a, a0=None):
@@ -469,11 +509,11 @@ def test_step_recorder_scalar_power_max_tie_and_power():
     from stlctrl.sampler import build_sampled
     from stlctrl.trainer import _OpenLoop
     ref = plants.Rollout([(1e-3,), plant.step((1e-3,), (0.2,), 0)], [(0.2,)])
-    st = build_sampled(ref, [0, 1], _OpenLoop([[0.2]]), plant)
+    tape, _, anchors = build_sampled(ref, [0, 1], _OpenLoop([[0.2]]),
+                                     plant).on_tape()
     # one block, its outputs the only nodes it pushes
-    assert len(st.tape.blocks) == 1 and st.tape.recs == [None] * 3
-    y = st.anchors[1][0]
-    g = st.tape.backward(y, range(2))[1]  # over the start state
+    assert len(tape.blocks) == 1 and tape.recs == [None] * 3
+    g = tape.backward(anchors[1][0], range(2))[1]  # over the start state
     assert g == pytest.approx(0.5 * 0.8 * 1.2 * 1e-3 ** 0.2)
 
 
@@ -523,9 +563,10 @@ def test_step_recorder_keeps_the_var_operand_first():
     (lambda s, u, dt: (u[0] * powc(s[0] + 0.0, 0.5),), -3.0, 1.0),
 ])
 def test_step_recorder_guards_write_nothing(fn, s, a):
-    # the trajectory block steps nothing when it is recorded; its adjoint
-    # recomputes a step from the reference's floats, behind the Var
-    # operators' guards, as EvalError at the block's first output
+    # build_sampled steps nothing; the trajectory's adjoint recomputes a
+    # step from the reference's floats, behind the Var operators' guards,
+    # as EvalError at the first output of on_tape's block, and changes
+    # nothing of the trajectory
     from stlctrl.sampler import build_sampled
     from stlctrl.trainer import _OpenLoop
     plant = Plant("guarded", 1, 1, 1.0, fn, lambda a: a)
@@ -542,11 +583,11 @@ def test_step_recorder_guards_write_nothing(fn, s, a):
                                 ([(1.0,), (s,), (0.0,)], [(a,), (a,)], [0, 2])):
         st = build_sampled(plants.Rollout(states, acts), times,
                            _OpenLoop([list(x) for x in acts]), plant)
-        size = len(st.tape)
+        args = copy.deepcopy(st.args)
         with pytest.raises(EvalError) as e:
             st.grad([(1.0,)])
-        assert len(st.tape) == size
-        assert e.value.node_id == st.tape.blocks[0][0]
+        assert st.args == args
+        assert e.value.node_id == st.on_tape()[0].blocks[0][0]
         assert str(e.value).split(": ", 1)[1] in errs
     # the plain loop fails before it draws the step's noise
     rngs = []
@@ -585,17 +626,17 @@ def test_plant_recorders_reject_a_state_from_another_tape():
     plant = builtin("dubins")
     pol = init([3, 4, 2], rng=random.Random(1))
     ref = rollout(plant, pol, (0.0, 0.0), 6)
-    st1, st2 = (build_sampled(ref, times, pol, plant)
-                for times in ([0, 2, 6], [0, 3, 6]))
-    own, other = st1.anchors[1][0], st2.anchors[1][0]
+    (t1, _, a1), (t2, _, a2) = (build_sampled(ref, times, pol, plant).on_tape()
+                                for times in ([0, 2, 6], [0, 3, 6]))
+    own, other = a1[1][0], a2[1][0]
     calls = [lambda: own + other, lambda: softmin([own, other], 5.0),
-             lambda: st1.tape.backward(own, [other])]
+             lambda: t1.backward(own, [other])]
     for call in calls:
-        sizes = [(len(t), list(t.blocks)) for t in (st1.tape, st2.tape)]
+        sizes = [(len(t), list(t.blocks)) for t in (t1, t2)]
         with pytest.raises(ValueError) as e:
             call()
         assert str(e.value) in ("operands recorded on different tapes",
                                 "seed not on this tape")
-        assert [(len(t), t.blocks) for t in (st1.tape, st2.tape)] == sizes
+        assert [(len(t), t.blocks) for t in (t1, t2)] == sizes
     # an anchor on its own tape is recorded as before
-    assert isinstance(own + own, Var) and len(st1.tape.blocks) == 1
+    assert isinstance(own + own, Var) and len(t1.blocks) == 1

@@ -244,10 +244,6 @@ def _bits(x):
     return struct.pack("d", x)
 
 
-def _on_tape(tape, xs):
-    return [tape.const(x) for x in xs]
-
-
 def _probe(p):
     """A plant for p whose next state is 0.5 times the state plus, per
     entry d, action d mod m: an anchor's gradient shows an action's."""
@@ -260,22 +256,13 @@ def _assert_recorder_matches_loop(p, s, times):
     """A trajectory of _probe(p) from s, live at times: its anchors'
     values, and the gradients over theta and the start state of their
     first, middle and last entries, must be the same by build_sampled and
-    by the Var operators (loop_forward on theta's Vars), bit for bit.
-    Returns (tape, theta, anchors) of each."""
+    by the Var operators (oracle_sampled), bit for bit.  Returns (tape,
+    theta, anchors) of each."""
+    from tests.test_plants import oracle_sampled
     plant = _probe(p)
     ref = rollout(plant, p, s, times[-1])
-    st = build_sampled(ref, times, p, plant)
-    tape = Tape()
-    tv = [Var(tape, i) for i in tape.consts(p.theta)]
-    cur, anchors = _on_tape(tape, s), [ref.states[0]]
-    for k in range(times[-1]):
-        a = (loop_forward(p, cur, k, theta=tv) if k in times
-             else ref.raw_actions[k])
-        cur = plant.step(cur, a, k)
-        if k + 1 in times:
-            anchors.append(cur)
-    runs = [(st.tape, st.theta_vars, st.anchors),
-            (tape, range(len(tv)), anchors)]
+    runs = [build_sampled(ref, times, p, plant).on_tape(),
+            oracle_sampled(ref, times, p, plant)]
     seeds = range(len(p.theta) + len(s))
     some = sorted({0, len(s) // 2, len(s) - 1})  # the gradients of these
     grads = [_grads(t, [a[d] for a in an[1:] for d in some], seeds)
@@ -345,8 +332,8 @@ def test_recorder_several_forwards_on_one_tape():
 
 
 def test_recorder_rejects_before_writing(monkeypatch):
-    # a live step whose raw action is not the reference's is rejected
-    # before a tape is made
+    # a live step whose raw action is not the reference's is rejected;
+    # build_sampled makes no tape, on_tape one
     p = init([3, 4, 2], rng=random.Random(19))
     plant = _probe(p)
     ref = rollout(plant, p, (0.1, 0.5), 4)
@@ -359,8 +346,9 @@ def test_recorder_rejects_before_writing(monkeypatch):
         with pytest.raises(ValueError, match="raw action at step 2"):
             build_sampled(bad, times, p, plant)
     assert not tapes
-    build_sampled(bad, [0, 1, 4], p, plant)  # step 2 frozen: its action
-    assert len(tapes) == 1
+    st = build_sampled(bad, [0, 1, 4], p, plant)  # step 2 frozen: its action
+    assert not tapes
+    assert st.on_tape()[0] is tapes[0] and len(tapes) == 1
 
 
 def test_recorder_gradients_bit_identical_to_the_loop():

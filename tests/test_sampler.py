@@ -14,7 +14,7 @@ from stlctrl.sampler import (
 from stlctrl.smooth import SmoothConfig, smooth_robustness
 from stlctrl.stl import Named, Trace, critical, horizon, parse
 from stlctrl.trainer import TrainConfig
-from tests.test_policy import loop_forward
+from tests.test_plants import oracle_sampled, rollout_with_offsets
 from tests.test_stl import nan_as_one
 
 
@@ -105,10 +105,11 @@ def test_example_frozen_action_structure():
     for k in (0, 1, 3):
         ref_actions[k] = (2.0,)
     st = build_sampled(reference(ref_actions), [0, 1, 3, 6], pol, plant)
-    assert [a[0].value for a in st.anchors[1:]] == pytest.approx(
+    tape, theta, anchors = st.on_tape()
+    assert [a[0].value for a in anchors[1:]] == pytest.approx(
         [1.0 + 2.0, 1.0 + 2.0 + 2.0 + 0.2,
          1.0 + 2.0 + 2.0 + 0.2 + 2.0 + 0.4 + 0.5])
-    (g,) = [st.tape.backward(st.anchors[-1][0], st.theta_vars)[2]]
+    (g,) = [tape.backward(anchors[-1][0], theta)[2]]
     assert g == pytest.approx(3.0)  # three live steps, unit sensitivity each
     # a frozen step's action need not be the policy's, a live one's must
     ref_actions[3] = (0.3,)
@@ -121,7 +122,7 @@ def test_full_sampling_equals_reference_bit_exact():
     pol = init([3, 6, 2], rng=random.Random(2))
     ref = rollout(plant, pol, (0.0, 0.0), 15)
     st = build_sampled(ref, list(range(16)), pol, plant)
-    for t, anchor in zip(st.times, st.anchors):
+    for t, anchor in zip(st.times, st.on_tape()[2]):
         assert tuple(x.value if hasattr(x, "value") else x for x in anchor) \
             == ref.states[t]
 
@@ -132,7 +133,7 @@ def test_anchor_primal_equality_partial_sampling():
     s0 = (-40.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0)
     ref = rollout(plant, pol, s0, 20)
     st = build_sampled(ref, [0, 2, 7, 13, 20], pol, plant)
-    for t, anchor in zip(st.times, st.anchors):
+    for t, anchor in zip(st.times, st.on_tape()[2]):
         got = tuple(x.value if hasattr(x, "value") else x for x in anchor)
         assert got == ref.states[t]
 
@@ -156,18 +157,15 @@ def test_build_sampled_samples_a_noisy_reference_with_frozen_steps():
     # leaves no offsets to add
     plant = builtin("dubins")
     pol = init([3, 4, 2], rng=random.Random(1))
-    noisy = rollout(plant, pol, (0.0, 0.0), 8,
-                    noise=(0.02, 0.0, random.Random(4)))
-    start = rollout(plant, pol, (0.0, 0.0), 8,
-                    noise=(0.0, 0.01, random.Random(4)))
-    assert start.noise_offsets is None and noisy.noise_offsets
+    noisy, start = (rollout_with_offsets(plant, pol, (0.0, 0.0), 8, noise=(
+        c1, c2, random.Random(4))) for c1, c2 in ((0.02, 0.0), (0.0, 0.01)))
+    assert start[1] is None and noisy[1]
     seeds = range(len(pol.theta) + 2)  # theta, then the start state
-    for ref in (noisy, start):
+    for ref, offsets in (noisy, start):
         for times in ([0, 2], [0, 1, 2, 5], [0, 1, 2, 3, 4, 5, 6, 8]):
             st = build_sampled(ref, times, pol, plant)
-            tape, anchors = _generic_build_sampled(ref, times, pol, plant)
-            assert (_anchor_bits(st.tape, st.anchors, seeds)
-                    == _anchor_bits(tape, anchors, seeds))
+            assert (_anchor_bits(st.on_tape(), seeds) == _anchor_bits(
+                oracle_sampled(ref, times, pol, plant, offsets), seeds))
 
 
 def _fd_theta(fn, theta, idx, h=1e-6):
@@ -245,22 +243,23 @@ def _per_set_grad_smooth(ref, partition, f, cfg, pol, plant):
     Tape.backward; the oracle of the adjoints taken once per reference."""
     total = [0.0] * len(pol.theta)
     for times in partition:
-        st = build_sampled(ref, times, pol, plant)
+        tape, theta, anchors = build_sampled(ref, times, pol, plant).on_tape()
         states = list(ref.states)
-        for t, anchor in zip(st.times, st.anchors):
+        for t, anchor in zip(times, anchors):
             states[t] = anchor
         out = smooth_robustness(f, Trace(states), cfg)
         if isinstance(out, Var):
-            for i, g in enumerate(st.tape.backward(out, st.theta_vars)):
+            for i, g in enumerate(tape.backward(out, theta)):
                 total[i] += g
     return total
 
 
 def _on_tape_grad_critical(ref, kstar, hstar, N, pol, plant, rng):
     """grad_critical with h* evaluated on the anchor, then Tape.backward."""
-    st = build_sampled(ref, sample_times_to(kstar, N, ref.K, rng), pol, plant)
-    out = hstar.h.eval(st.anchors[-1])
-    return (st.tape.backward(out, st.theta_vars) if isinstance(out, Var)
+    tape, theta, anchors = build_sampled(
+        ref, sample_times_to(kstar, N, ref.K, rng), pol, plant).on_tape()
+    out = hstar.h.eval(anchors[-1])
+    return (tape.backward(out, theta) if isinstance(out, Var)
             else [0.0] * len(pol.theta))
 
 
@@ -369,33 +368,12 @@ def test_chain_rule_decomposition_identity():
         assert a == pytest.approx(b, abs=1e-8)
 
 
-def _generic_build_sampled(ref, times, policy, plant):
-    """build_sampled by the Var operators: Plant.step at every step, the
-    reference loop on theta's Vars at each live one, from the start state
-    on the tape after theta: (tape, anchors)."""
-    tape = Tape()
-    theta = [Var(tape, i) for i in tape.consts(policy.theta)]
-    live = set(times)
-    offs = ref.noise_offsets
-    cur = tuple(tape.const(x) for x in ref.states[0])
-    anchors = [ref.states[0]]
-    for k in range(times[-1]):
-        if k in live:
-            a = tuple(loop_forward(policy, cur, k, theta=theta))
-        else:
-            a = ref.raw_actions[k]
-        cur = plant.step(cur, a, k)
-        if offs is not None:
-            cur = tuple(x + o for x, o in zip(cur, offs[k]))
-        if k + 1 in live:
-            anchors.append(cur)
-    return tape, anchors
-
-
-def _anchor_bits(tape, anchors, theta):
-    """Each anchor entry's value, and a Var's gradient over theta, as bytes."""
-    return _bits([[(x.value, tape.backward(x, theta)) if isinstance(x, Var)
-                   else x for x in a] for a in anchors])
+def _anchor_bits(on_tape, seeds, last=0):
+    """Each entry of a trajectory's anchors (the last ones if given), as
+    on_tape gives them, and a Var's gradient over seeds, as bytes."""
+    tape, _, anchors = on_tape
+    return _bits([[(x.value, tape.backward(x, seeds)) if isinstance(x, Var)
+                   else x for x in a] for a in anchors[-last:]])
 
 
 def _bits(x):
@@ -422,15 +400,15 @@ def test_build_sampled_records_what_var_operators_record(name, widths, s0,
     pol = init(widths, rng=random.Random(9))
     pol = pol.with_theta([0.5 * w for w in pol.theta])
     K = 12
-    ref = rollout(plant, pol, s0, K,
-                  noise=(0.02, 0.0, random.Random(4)) if noisy else None)
+    ref, offsets = rollout_with_offsets(
+        plant, pol, s0, K,
+        noise=(0.02, 0.0, random.Random(4)) if noisy else None)
     seeds = range(len(pol.theta) + len(s0))  # theta, then the start state
     for times in ([0, 1, 2, 5, 6, 11], [0, 4, 12], list(range(K + 1))):
         st = build_sampled(ref, times, pol, plant)
-        tape, anchors = _generic_build_sampled(ref, times, pol, plant)
-        assert (_anchor_bits(st.tape, st.anchors, seeds)
-                == _anchor_bits(tape, anchors, seeds))
-        assert st.theta_vars == range(len(pol.theta))
+        assert (_anchor_bits(st.on_tape(), seeds) == _anchor_bits(
+            oracle_sampled(ref, times, pol, plant, offsets), seeds))
+        assert st.on_tape()[1] == range(len(pol.theta))
 
 
 def test_policy_recorder_matches_forward():
@@ -444,9 +422,8 @@ def test_policy_recorder_matches_forward():
     seeds = range(len(p.theta) + 2)
     for times in ([0, 5, 6], [0, 1, 6], [0, 6]):
         st = build_sampled(ref, times, p, plant)
-        tape, anchors = _generic_build_sampled(ref, times, p, plant)
-        assert (_anchor_bits(st.tape, st.anchors, seeds)
-                == _anchor_bits(tape, anchors, seeds))
+        assert (_anchor_bits(st.on_tape(), seeds)
+                == _anchor_bits(oracle_sampled(ref, times, p, plant), seeds))
 
 
 def test_each_net_and_plant_compiles_one_recorder(monkeypatch):
@@ -475,8 +452,7 @@ def test_each_net_and_plant_compiles_one_recorder(monkeypatch):
                 0.02, 0.0, random.Random(4)) if noisy else None)
             for times in ([0, 4, 5, 12, 24], list(range(25))):
                 st = build_sampled(ref, times, pol, sc.plant)
-                [(_, _, adjoint, _)] = st.tape.blocks
-                assert adjoint is sampler._kernels(sc.plant, pol)[1]
+                assert st.adjoint is sampler._kernels(sc.plant, pol)[1]
         made.add((sc.plant.name, tuple(pol.widths), pol.include_time))
     assert len(nets) == len(made) < len(bundled_names())
     assert sorted(kernels) == sorted(
@@ -491,26 +467,25 @@ def test_a_wide_net_records_one_block_per_trajectory():
     pol = init([21, 40, 20], rng=random.Random(6))
     ref = rollout(plant, pol, tuple(0.1 * i for i in range(20)), 30)
     for times in ([0, 4, 5, 12, 30], [0, 1, 2], list(range(31))):
-        st = build_sampled(ref, times, pol, plant)
-        [(start, end, _, _)] = st.tape.blocks
-        assert start == len(pol.theta) + 20 and end == len(st.tape)
-        assert end - start == 20 * (len(times) - 1) and not any(st.tape.recs)
-        assert [x.i for a in st.anchors[1:] for x in a] == list(
+        tape, theta, anchors = build_sampled(ref, times, pol, plant).on_tape()
+        [(start, end, _, _)] = tape.blocks
+        assert start == len(pol.theta) + 20 and end == len(tape)
+        assert end - start == 20 * (len(times) - 1) and not any(tape.recs)
+        assert [x.i for a in anchors[1:] for x in a] == list(
             range(start, end))
-    tape, anchors = _generic_build_sampled(ref, times, pol, plant)
-    assert (_anchor_bits(st.tape, st.anchors[-1:], st.theta_vars)
-            == _anchor_bits(tape, anchors[-1:], st.theta_vars))
+    assert (_anchor_bits((tape, theta, anchors), theta, 1) == _anchor_bits(
+        oracle_sampled(ref, times, pol, plant), theta, 1))
 
 
 def test_quad6_platform_records_its_trajectory_as_one_block():
-    # frozen runs and noise offsets are in the block too: the tape holds
-    # theta, the start state and the anchors, and no record
+    # frozen runs and a noisy reference are in the block too: on a tape
+    # it holds theta, the start state and the anchors, and no record
     plant = builtin("quad6_platform")
     pol = init([8, 20, 20, 10, 4], rng=random.Random(2))
     s0 = (-40.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0)
     for noise in (None, (0.02, 0.0, random.Random(4))):
         ref = rollout(plant, pol, s0, 40, noise=noise)
         for times in ([0, 4, 5, 12, 40], [0, 1, 2, 30], [0, 40], range(41)):
-            st = build_sampled(ref, times, pol, plant)
-            assert len(st.tape.blocks) == 1 and not any(st.tape.recs)
-            assert len(st.tape) == len(pol.theta) + 7 * len(times)
+            tape = build_sampled(ref, times, pol, plant).on_tape()[0]
+            assert len(tape.blocks) == 1 and not any(tape.recs)
+            assert len(tape) == len(pol.theta) + 7 * len(times)

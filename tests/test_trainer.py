@@ -1,7 +1,7 @@
+import copy
 import dataclasses
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -89,11 +89,11 @@ def test_waypoint_objective_gradient_fd():
         assert g[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
-def oracle_waypoint_objective(smpl, wp):
+def oracle_waypoint_objective(times, anchors, wp):
     """waypoint_objective by the Var operators, node by node: the oracle of
     its value and its state adjoints."""
     J = 0.0
-    for t, anchor in zip(smpl.times, smpl.anchors):
+    for t, anchor in zip(times, anchors):
         tgt, mask = wp.entry(t)
         for d, m in enumerate(mask):
             if m:
@@ -112,16 +112,16 @@ def _objective_bits(objective, states, wp, smpl):
     """J, its adjoint at each entry of states, and the gradient over theta
     of smpl, a sampled trajectory whose anchors hold states, as bytes: by
     waypoint_objective and smpl.grad, or by the Var operators over Vars of
-    states and over smpl's anchors, each with one backward."""
+    states and over smpl's anchors on its tape, each with one backward."""
     if objective is waypoint_objective:
         J, adjs = objective(smpl.times, states, wp)
         return _bits([J, *sum(adjs, []), *smpl.grad(adjs[1:])])
     tape = Tape()
     vs = [tuple(map(tape.const, s)) for s in states]
+    _, theta, anchors = smpl.on_tape()
     out = []
-    for anchors, seeds in ((vs, [x for s in vs for x in s]),
-                           (smpl.anchors, smpl.theta_vars)):
-        J = objective(SimpleNamespace(times=smpl.times, anchors=anchors), wp)
+    for xs, seeds in ((vs, [x for s in vs for x in s]), (anchors, theta)):
+        J = objective(smpl.times, xs, wp)
         out += (J.tape.backward(J, seeds) if isinstance(J, Var)
                 else [0.0] * len(seeds))
     return _bits([value_of(J), *out])
@@ -189,27 +189,28 @@ def test_waypoint_block_sums_an_entry_newest_term_first():
                   lambda a: a)
     ref = Rollout([(0.0,)] * 4, [(0.0,)] * 3)
     smpl = build_sampled(ref, [0, 1, 2, 3], _OpenLoop([[0.0]] * 3), plant)
+    tape, theta, anchors = smpl.on_tape()
     assert smpl.grad(waypoint_objective(smpl.times, ref.states, wp)[1][1:]) \
-        == smpl.tape.backward(oracle_waypoint_objective(smpl, wp),
-                              smpl.theta_vars) == [1.0, 0.0, -1e16]
+        == tape.backward(oracle_waypoint_objective(smpl.times, anchors, wp),
+                         theta) == [1.0, 0.0, -1e16]
 
 
 def test_sampled_grad_rejects_adjoints_of_other_anchors():
     # adjoints for another trajectory's anchors are rejected, and a
-    # gradient pushes nothing on the trajectory's tape
+    # gradient changes nothing of the trajectory
     plant = builtin("dubins")
     pol = init([3, 4, 2], rng=random.Random(1))
     ref = rollout(plant, pol, (0.0, 0.0), 6)
     wp = WaypointPath([(0, (1.0, 0.0), (1, 1))])
     st = build_sampled(ref, [0, 2, 6], pol, plant)
-    size = len(st.tape), list(st.tape.blocks)
+    args = copy.deepcopy(st.args)
     for times in ([0, 3], [0, 2, 4, 6]):
         adjs = waypoint_objective(times, [ref.states[t] for t in times], wp)[1]
         with pytest.raises(ValueError, match="one adjoint per entry"):
             st.grad(adjs[1:])
     assert any(st.grad(waypoint_objective(
         st.times, [ref.states[t] for t in st.times], wp)[1][1:]))
-    assert (len(st.tape), st.tape.blocks) == size
+    assert st.args == args
 
 
 def test_already_satisfying_returns_immediately():
@@ -558,6 +559,57 @@ def test_dropout_fails_on_an_incumbent_that_diverged(monkeypatch):
                       cfg, rng)
     assert len(calls) == 1
     assert rng.getstate() == random.Random(0).getstate()
+
+
+@pytest.mark.parametrize("trainer_name", ["vanilla", "openloop"])
+def test_vanilla_fails_on_an_incumbent_that_diverged(monkeypatch,
+                                                     trainer_name):
+    # without noise a vanilla step differentiates the check's run of
+    # theta: from 80.0 it diverged, so the run fails at once, naming the
+    # sample, after that one rollout; it is not retried
+    from stlctrl import trainer
+    sc = load_scenario(resolve_scenario("scalar_power"))
+    cfg = TrainConfig(max_iters=20)
+    calls, orig = [], trainer.rollout
+    monkeypatch.setattr(trainer, "rollout",
+                        lambda *a, **kw: calls.append(1) or orig(*a, **kw))
+    with pytest.raises(RuntimeError, match=r"training sample \(80\.0,\) "
+                                           "diverged"):
+        if trainer_name == "vanilla":
+            train_vanilla(sc.plant, Policy([2, 1], [0.0, 0.0, -100.0]),
+                          sc.formula, _point_set((80.0,)), cfg,
+                          random.Random(0))
+        else:
+            train_openloop(sc.plant, [[0.0]] * horizon(sc.formula),
+                           sc.formula, (80.0,), cfg, random.Random(0))
+    assert len(calls) == 1
+
+
+def test_sampled_gradients_make_no_tape(monkeypatch):
+    # a sampled trajectory is its adjoint: build_sampled and grad on a
+    # dubins_k100 reference, and a dropout iteration that takes the
+    # waypoint and critical branches with a float objective, make no Tape
+    from stlctrl import autodiff, trainer
+    sc = load_scenario(resolve_scenario("dubins_k100"))
+    pol = sc.build_policy(random.Random(sc.seed))
+    s0, K = sc.init_set.samples[0], horizon(sc.formula)
+    ref = rollout(sc.plant, pol, s0, K)
+    times = [0, 3, 40, 41, K]
+    build_sampled(ref, times, pol, sc.plant)  # generates the kernels
+
+    def no_tape(self):
+        raise AssertionError("a Tape was made")
+
+    monkeypatch.setattr(autodiff.Tape, "__init__", no_tape)
+    with pytest.raises(AssertionError, match="a Tape was made"):
+        Tape()
+    adjs = waypoint_objective(times, [ref.states[t] for t in times],
+                              sc.waypoints)[1]
+    assert any(build_sampled(ref, times, pol, sc.plant).grad(adjs[1:]))
+    monkeypatch.setattr(trainer, "grad_critical",
+                        lambda ref, *a: [0.0] * len(pol.theta))
+    theta, branch, *_ = _iteration(sc, pol, list(pol.theta), s0, True, 3)
+    assert branch in ("waypoint", "critical")
 
 
 def test_dropout_rolls_out_no_diverged_candidate_again(monkeypatch):
