@@ -15,8 +15,11 @@ on an objective's state adjoints, with no tape; only a differentiable
 rollout pushes a trajectory, as one block through Tape.outputs.  The
 smooth aggregations (smooth.softmin, smooth.softmax_lb) compute on
 floats and push their one output through Tape.block, with a hand-written
-adjoint (local preaccumulation, ibid.).  Tape.backward runs the blocks'
-adjoints and interprets the records between them.
+adjoint (local preaccumulation, ibid.); smooth.smooth_adjoints runs
+those adjoints on floats with no tape.  Tape.backward runs the blocks'
+adjoints and interprets the records between them: in training, those
+of a critical predicate h*, and of a smooth robustness whose formula
+has a Named predicate.
 """
 
 import math
@@ -436,11 +439,16 @@ def _adjoint(nodes, seeds, local, sums=None):
     other gets each contribution as its own `adj[id] += ...`, as the
     interpreter applies it.  A sum is left to right, so it rounds as the
     interpreter's does.  A zero adjoint is not skipped (its terms are
-    0.0), except before powc's, which can raise."""
+    0.0), except before powc's, which can raise.  SIN's term reads the
+    value of a COS node of the same operand, and COS's that of a SIN node,
+    where the forward keeps one in a local."""
     grad, sums, lines, size = {}, dict(sums or {}), [], Counter()
 
     def val(x):
         return nodes[x][4] if type(x) is int else x[0]
+
+    named = {(op, val(a)): v for op, a, _, _, v in nodes.values()
+             if op in (SIN, COS) and v.isidentifier()}
 
     def slot(x):
         """(sums, key, name) of an adjoint kept in a local; None for a
@@ -522,9 +530,9 @@ def _adjoint(nodes, seeds, local, sums=None):
         elif op == LN:
             add(a, "+", f"{g} / {val(a)}")
         elif op == SIN:
-            add(a, "+", f"{g} * cos({val(a)})")
+            add(a, "+", f"{g} * {named.get((COS, val(a)), f'cos({val(a)})')}")
         elif op == COS:
-            add(a, "-", f"{g} * sin({val(a)})")
+            add(a, "-", f"{g} * {named.get((SIN, val(a)), f'sin({val(a)})')}")
         elif op == POW_CONST:
             prepare(a)
             branch(f"if {g} != 0.0:", (a, f"{g} * {p} * {val(a)} ** ({p} - 1.0)"))

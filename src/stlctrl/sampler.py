@@ -7,8 +7,11 @@ sampled steps instead of the horizon.  Its states at the sample times
 are the reference's, bit for bit if the reference is the policy's
 rollout, and its gradient is a vector-Jacobian product (Griewank &
 Walther, "Evaluating Derivatives", 2008, ch. 3): grad runs its adjoint
-on an objective's adjoints at those states, taken on floats or on a tape
-of their own.  Only a differentiable rollout puts it on a tape (on_tape).
+on an objective's adjoints at those states, taken on floats (the
+waypoint objective; the smooth robustness by smooth.smooth_adjoints
+when every predicate is Affine) or on a tape of their own
+(state_adjoints: h*, and a smooth robustness with a Named predicate).
+Only a differentiable rollout puts it on a tape (on_tape).
 
 Its two kernels are generated once per (plant, controller) from
 plants._traced's step and policy.forward_source's net, or for a table of
@@ -37,7 +40,7 @@ from .autodiff import (
 )
 from .plants import _traced
 from .policy import Policy, forward_source, param_count
-from .smooth import smooth_robustness
+from .smooth import smooth_adjoints, smooth_robustness
 from .stl import Trace
 
 
@@ -239,10 +242,14 @@ def grad_smooth(ref, partition, f, cfg, policy, plant):
     Each set contributes the gradient of the smooth robustness over a
     full-horizon trace whose states are live anchors at the set's times
     and frozen reference values elsewhere.  Its adjoint at a live anchor
-    is the same float in every set: it is taken once, at every state.
+    is the same float in every set: it is taken once, at every state, on
+    floats (smooth_adjoints), or on a tape if f has a Named predicate.
     """
-    adjs = state_adjoints(
-        lambda *states: smooth_robustness(f, Trace(states), cfg), ref.states)
+    adjs = smooth_adjoints(f, ref.states, cfg)
+    if adjs is None:
+        adjs = state_adjoints(
+            lambda *states: smooth_robustness(f, Trace(states), cfg),
+            ref.states)
     total = [0.0] * len(policy.theta)
     for times in partition:
         st = build_sampled(ref, times, policy, plant)

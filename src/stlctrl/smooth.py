@@ -1,18 +1,30 @@
-"""Smooth lower bound of the robustness, differentiable on the tape.
+"""Smooth lower bound of the robustness, differentiable on the tape or,
+with Affine predicates, on floats.
 
 min is replaced by softmin(x) = -(1/b) ln(sum_i e^{-b x_i}) and max by
-the weighted mean softmax_lb(x) = sum_i x_i e^{b x_i} / sum_i e^{b x_i}.
-Both are below the exact extremum, so a positive smooth value still
-certifies satisfaction.  Inputs are shifted by the running extremum
-before exponentiation; the shift is mathematically exact for both
+the weighted mean softmax_lb(x) = sum_i x_i e^{b x_i} / sum_i e^{b x_i}
+(Pant, Abbas & Mangharam, "Smooth Operator", CCTA 2017).  Both are below
+the exact extremum, so a positive smooth value still certifies
+satisfaction.  Inputs are shifted by the running extremum before
+exponentiation; the shift is mathematically exact for both
 aggregations, it only prevents overflow.
+
+smooth_robustness runs the smooth kernel over Vars, floats or a mix.
+smooth_adjoints gives its adjoint at every state entry without a tape:
+a forward pass over the program on the states' floats, then one reverse
+sweep in Tape.backward's order over a flat list of slots, running the
+aggregations' block adjoints and the predicates' records, so its bits
+are the tape's (reverse mode over floats: Griewank & Walther,
+"Evaluating Derivatives", 2008, ch. 4 and 6).
 """
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, itemgetter, mul, sub
 
 from .autodiff import Var
-from .stl import _kernel
+from .stl import Trace, _kernel, _program
 
 
 @dataclass(frozen=True)
@@ -24,37 +36,57 @@ class SmoothConfig:
             raise ValueError("smoothing sharpness b must be finite and > 0")
 
 
-# softmin and softmax_lb compute on floats, in the order and with the
-# operations the Var operators would, so the values are theirs.  With a
-# Var entry they push one node whose block adjoint replays Tape.backward's
-# sweep over the records those operators would have made: each entry x
-# recorded x - m, * b and exp, and each add of a running sum passes its
-# adjoint on unchanged (0.0 + g), so only the Var entries get terms, in
-# reverse entry order, with the interpreter's skips of a zero adjoint.
-# (Var.__radd__ adds a Var entry after a float-only prefix as e + acc, the
-# same float as acc + e.)  The least entry's weight is exp(0.0) = 1.0, so a
-# sum of weights is at least 1.0 or NaN, and the log and the division
-# need no guard.
+# softmin and softmax_lb compute on floats (_softmin, _softmax_lb: an
+# entry's value and its node id or slot, None for a float), in the order
+# and with the operations the Var operators would, so the values are
+# theirs.  With a Var entry they push one node whose block adjoint
+# replays Tape.backward's sweep over the records those operators would
+# have made: each entry x recorded x - m, * b and exp, and each add of a
+# running sum passes its adjoint on unchanged (0.0 + g), so only the Var
+# entries get terms, in reverse entry order, with the interpreter's skips
+# of a zero adjoint.  (Var.__radd__ adds a Var entry after a float-only
+# prefix as e + acc, the same float as acc + e.)  The least entry's
+# weight is exp(0.0) = 1.0, so a sum of weights is at least 1.0 or NaN,
+# and the log and the division need no guard.
 
 def softmin(xs, b):
     if len(xs) == 1:
         return xs[0]
-    vs = [x.value if type(x) is Var else float(x) for x in xs]
-    m = min(vs)
-    tape = acc = None
-    live = []  # each Var entry's id and weight
-    for x, v in zip(xs, vs):
-        e = math.exp((m - v) * b)
+    tape, vs, ids = _operands(xs)
+    out, args = _softmin(vs, ids, b)
+    return out if tape is None else tape.block(out, _softmin_adjoint, args)
+
+
+def _operands(xs):
+    """(tape, values, ids): xs's tape (None if it holds no Var), each
+    entry's value and each one's node id, None for a float."""
+    tape, vs, ids = None, [], []
+    for x in xs:
         if type(x) is Var:
             if x.tape is not tape:
                 if tape is not None:
                     raise ValueError("operands recorded on different tapes")
                 tape = x.tape
-            live += x.i, e
+            vs.append(x.value)
+            ids.append(x.i)
+        else:
+            vs.append(float(x))
+            ids.append(None)
+    return tape, vs, ids
+
+
+def _softmin(vs, ids, b):
+    """(softmin of the values vs, its block's args): live holds the id and
+    weight of each entry whose id is not None."""
+    m = min(vs)
+    acc = None
+    live = []
+    for i, v in zip(ids, vs):
+        e = math.exp((m - v) * b)
+        if i is not None:
+            live += i, e
         acc = e if acc is None else acc + e
-    out = m - math.log(acc) / b
-    return out if tape is None else tape.block(out, _softmin_adjoint,
-                                               (acc, b, live))
+    return m - math.log(acc) / b, (acc, b, live)
 
 
 def _softmin_adjoint(adj, n, args):
@@ -80,23 +112,25 @@ def _softmin_adjoint(adj, n, args):
 def softmax_lb(xs, b):
     if len(xs) == 1:
         return xs[0]
-    vs = [x.value if type(x) is Var else float(x) for x in xs]
+    tape, vs, ids = _operands(xs)
+    out, args = _softmax_lb(vs, ids, b)
+    return out if tape is None else tape.block(out, _softmax_lb_adjoint, args)
+
+
+def _softmax_lb(vs, ids, b):
+    """(softmax_lb of the values vs, its block's args): live holds the id,
+    value and weight of each entry whose id is not None."""
     m = max(vs)
-    tape = num = den = None
-    live = []  # each Var entry's id, value and weight
-    for x, v in zip(xs, vs):
+    num = den = None
+    live = []
+    for i, v in zip(ids, vs):
         w = math.exp((v - m) * b)
-        if type(x) is Var:
-            if x.tape is not tape:
-                if tape is not None:
-                    raise ValueError("operands recorded on different tapes")
-                tape = x.tape
-            live += x.i, v, w
+        if i is not None:
+            live += i, v, w
         num = v * w if num is None else num + v * w
         den = w if den is None else den + w
     out = num / den
-    return out if tape is None else tape.block(out, _softmax_lb_adjoint,
-                                               (den, out, b, live))
+    return out, (den, out, b, live)
 
 
 def _softmax_lb_adjoint(adj, n, args):
@@ -132,3 +166,111 @@ def smooth_robustness(f, tr, cfg=SmoothConfig()):
     b = cfg.b
     return _kernel(f, tr, 0, "smooth")(tr.states, 0, lambda xs: softmin(xs, b),
                                        lambda xs: softmax_lb(xs, b))
+
+
+def smooth_adjoints(f, states, cfg=SmoothConfig()):
+    """The adjoint of smooth_robustness(f, Trace(states), cfg) at each entry
+    of each state, a list per state: state_adjoints' over Vars of the
+    states, bit for bit, without a tape.  None if f has a Named predicate,
+    which only a tape differentiates.
+
+    A forward pass walks f's program on the floats: an Affine predicate's
+    rows are its eval's sum, taken a term at a time over the rows, and
+    softmin and softmax_lb keep their block's args.
+    Each value with a node on the tape has a slot in adj, after one per
+    state entry; a float (a predicate without a nonzero coefficient, an
+    aggregation of floats) has none, and an aggregation of one entry is
+    that entry.  The reverse sweep is Tape.backward's: the aggregations'
+    block adjoints and each predicate row's records, in reverse creation
+    order (see _affine_adjoint).
+    """
+    steps = _program(f, Trace(states), 0)[1]
+    if any(op == "named" for *_, op in steps):
+        return None
+    b, dim = cfg.b, len(states[0])
+    size = len(states) * dim  # the next free slot
+    ops, vals, slots = [], [], []  # (adjoint, slot, args); each step's signal
+
+    def aggregate(fn, pairs):
+        # fn's smooth aggregation of each (values, slots) in pairs, in
+        # order: their values and slots
+        nonlocal size
+        core, adjoint = _CORES[fn]
+        vs, ids = [], []
+        for v, i in pairs:
+            if len(v) == 1:
+                v, i = v[0], i[0]
+            else:
+                v, args = core(v, i, b)
+                i = None
+                if args[-1]:  # an entry has a slot
+                    ops.append((adjoint, size, args))
+                    i, size = size, size + 1
+            vs.append(v)
+            ids.append(i)
+        return vs, ids
+
+    for g, lo, n, kids, fn, op in steps:
+        if op == "affine":
+            # eval's sum over the rows, a term at a time
+            rows, vs = states[lo:lo + n], [g.h.d] * n
+            terms = [(c, i) for i, c in enumerate(g.h.c) if c != 0.0]
+            for c, i in terms:
+                xs = map(itemgetter(i), rows)
+                vs = list(map(add, vs, xs) if c == 1.0 else map(sub, vs, xs)
+                          if c == -1.0 else map(add, vs, map(mul, repeat(c),
+                                                              xs)))
+            ids = [None] * n
+            if terms and n:
+                ids = list(range(size, size + n))
+                ops.append((_affine_adjoint, size, (lo * dim, dim, n, terms)))
+                size += n
+        elif op == "andor":
+            vs, ids = aggregate(fn, zip(zip(*[vals[c] for c in kids]),
+                                        zip(*[slots[c] for c in kids])))
+        elif op == "window":
+            (z, zi), w = (vals[kids[0]], slots[kids[0]]), g.b - g.a + 1
+            vs, ids = aggregate(fn, ((z[j:j + w], zi[j:j + w])
+                                     for j in range(n)))
+        else:  # U/R as _soft_until, fn the inner aggregation
+            (lv, li), (rv, ri) = [(vals[c], slots[c]) for c in kids]
+            vs, ids = [], []
+            for j in range(n):
+                inner = aggregate(fn, (
+                    (lv[j:j + g.a + p] + rv[j + p:j + p + 1],
+                     li[j:j + g.a + p] + ri[j + p:j + p + 1])
+                    for p in range(g.b - g.a + 1)))
+                v, i = aggregate(max if fn is min else min, [inner])
+                vs += v
+                ids += i
+        vals.append(vs)
+        slots.append(ids)
+    root = slots[-1][0]
+    adj = [0.0] * size
+    if root is not None:
+        adj[root] = 1.0
+        for adjoint, n, args in reversed(ops):
+            adjoint(adj, n, args)
+    return [adj[i:i + dim] for i in range(0, len(states) * dim, dim)]
+
+
+_CORES = {min: (_softmin, _softmin_adjoint),
+          max: (_softmax_lb, _softmax_lb_adjoint)}
+
+
+def _affine_adjoint(adj, n, args):
+    # the records of Affine.eval's rows over Vars, whose values are at
+    # slots n..: a term c * x{i} adds g (ADD) or subtracts it (SUB) or
+    # adds g * c (MUL by a constant) at x{i}, each partial sum passing g on
+    # unchanged (0.0 + g).  A step's rows read distinct state entries, so
+    # it goes a term at a time.  The interpreter skips a zero g; adding it
+    # leaves a state's slot as it is, as that never holds -0.0 (a sum from
+    # 0.0), but for a MUL term, whose 0.0 * c is NaN if c is infinite.
+    o, dim, rows, terms = args
+    gs = adj[n:n + rows]
+    for c, i in terms:
+        col = slice(o + i, o + i + rows * dim, dim)
+        adj[col] = list(
+            map(add, adj[col], gs) if c == 1.0 else map(sub, adj[col], gs)
+            if c == -1.0 else map(add, adj[col], [g * c if g else 0.0
+                                                  for g in gs]))

@@ -4,9 +4,9 @@ All three trainers run one outer loop, _train: each iteration checks the
 parameters on every training sample, stops once the minimum robustness
 exceeds rho_bar, and otherwise takes one step of its trainer, retrying a
 step whose rollout diverged.  A step maps (theta, worst sample, {sample:
-(rho, rollout, exact signals)}) to (theta, branch, lr, diverged
-candidates, such runs of its theta), and the log's rho is the exact rho
-of that theta from the worst sample, read from those runs.
+(exact rho, rollout)}) to (theta, branch, lr, diverged candidates, such
+runs of its theta), and the log's rho is the exact rho of that theta
+from the worst sample, read from those runs.
 
 train_dropout's step is the gradient-sampling iteration: it ascends the
 critical predicate value (and optionally a waypoint surrogate) through
@@ -29,8 +29,7 @@ from .plants import DivergedRollout, InitialSet, rollout
 from .policy import AdamState, adam_update
 from .sampler import build_sampled, grad_critical, grad_smooth, partition_times
 from .smooth import SmoothConfig
-# robustness is unused, but the benchmark's tracer expects it here by name
-from .stl import Trace, critical, horizon, robustness, signals  # noqa: F401
+from .stl import Trace, critical, horizon, robustness
 
 
 @dataclass
@@ -144,18 +143,17 @@ class TrainLog:
                             repr(r.seconds)])
 
 
-_DIVERGED = (-math.inf, None, None)
+_DIVERGED = (-math.inf, None)
 
 
 def _exact_rho(plant, policy, theta, s0, K, f):
-    """(exact rho of theta from s0, its rollout, its exact signals), or
-    _DIVERGED if the rollout diverged."""
+    """(exact rho of theta from s0, its rollout), or _DIVERGED if the
+    rollout diverged."""
     try:
         r = rollout(plant, policy.with_theta(theta), s0, K)
     except DivergedRollout:
         return _DIVERGED
-    sig = signals(f, Trace(r.states))
-    return sig[-1][0], r, sig
+    return robustness(f, Trace(r.states)), r
 
 
 def _min_rho(plant, policy, theta, init_set, K, f, kept):
@@ -256,7 +254,7 @@ def _dropout_iteration(plant, policy, f, wp, cfg, rng, adams, theta, s0,
 
     def ascend(steps, n):
         # n passes from theta, the first on runs[s0]; each steps every live
-        # candidate by Adam along its grad(rollout, signals, policy) / n
+        # candidate by Adam along its grad(rollout, policy) / n
         nonlocal diverged
         run, cands = runs[s0], [theta] * len(steps)
         live = [True] * len(steps)
@@ -266,25 +264,25 @@ def _dropout_iteration(plant, policy, f, wp, cfg, rng, adams, theta, s0,
                     pol = policy.with_theta(cands[i])
                     try:
                         ref = run[1] or rollout(plant, pol, s0, K)
-                        d = [g / n for g in grad(ref, run[2], pol)]
+                        d = [g / n for g in grad(ref, pol)]
                         cands[i] = adam_update(adam, cands[i], d)
                     except DivergedRollout:
                         live[i] = False
-            run = (None, None, None)
+            run = (None, None)
         dead.extend(c for c, ok in zip(cands, live) if not ok)
         diverged += live.count(False)
         return cands
 
-    def crit(ref, sig, pol):
-        w = critical(f, Trace(ref.states), sig=sig)
+    def crit(ref, pol):
+        w = critical(f, Trace(ref.states))
         return grad_critical(ref, w.time, w.predicate, cfg.N, pol, plant, rng)
 
-    def way(ref, sig, pol):
+    def way(ref, pol):
         times = [0] + sorted(rng.sample(range(1, K + 1), min(cfg.N, K)))
         adjs = waypoint_objective(times, [ref.states[t] for t in times], wp)[1]
         return build_sampled(ref, times, pol, plant).grad(adjs[1:])
 
-    def smooth(ref, sig, pol):
+    def smooth(ref, pol):
         partition = partition_times(K, cfg.M, rng)
         return grad_smooth(ref, partition, f, SmoothConfig(cfg.b), pol, plant)
 

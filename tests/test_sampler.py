@@ -324,6 +324,30 @@ def test_named_predicates_match_the_per_set_tape():
         [0.0] * len(pol.theta)
 
 
+def test_grad_smooth_of_affine_predicates_records_no_tape(monkeypatch):
+    # every predicate Affine: the adjoints come from the float sweep, with
+    # no smooth_robustness over Vars and no Tape.backward; a Named one
+    # still takes the tape
+    from stlctrl import sampler
+    sc = load_scenario(resolve_scenario("dubins_k10"))
+    pol = sc.build_policy(random.Random(sc.seed))
+    K, calls = horizon(sc.formula), []
+    ref = rollout(sc.plant, pol, sc.init_set.samples[0], K)
+    part = partition_times(K, 2, random.Random(0))
+    want = grad_smooth(ref, part, sc.formula, SmoothConfig(), pol, sc.plant)
+    monkeypatch.setattr(sampler, "smooth_robustness", lambda *a: calls.append(
+        1) or smooth_robustness(*a))
+    monkeypatch.setattr(Tape, "backward", lambda *a: pytest.fail("taped"))
+    assert grad_smooth(ref, part, sc.formula, SmoothConfig(), pol,
+                       sc.plant) == want
+    assert calls == []
+    named = parse("F[0,10](pred(near))", {"near": Named(
+        "near", lambda s: 0.5 - s[0] * s[0])})
+    with pytest.raises(pytest.fail.Exception, match="taped"):
+        grad_smooth(ref, part, named, SmoothConfig(), pol, sc.plant)
+    assert calls == [1]
+
+
 def test_chain_rule_decomposition_identity():
     """Summed per-group exact gradients equal the full gradient.
 
@@ -457,6 +481,29 @@ def test_each_net_and_plant_compiles_one_recorder(monkeypatch):
     assert len(nets) == len(made) < len(bundled_names())
     assert sorted(kernels) == sorted(
         ["th, states, acts, times, ts", "adj, n, args"] * len(made))
+
+
+def test_a_live_steps_adjoint_reads_the_forwards_cos_and_sin(monkeypatch):
+    # a Dubins step keeps cos and sin of each heading in locals, and the
+    # adjoint's SIN and COS terms read those: each is computed once per
+    # heading, and the gradients stay the Var operators'
+    from stlctrl import plants, sampler
+    monkeypatch.setattr(plants, "_TRACES", {})
+    sources, compile_kernel = [], sampler.compile_kernel
+    monkeypatch.setattr(sampler, "compile_kernel", lambda *a: sources.append(
+        "\n".join(a[1])) or compile_kernel(*a))
+    for name, widths, headings in (("dubins", [3, 6, 2], 1),
+                                   ("multi_dubins_10", [21, 8, 20], 10)):
+        plant = builtin(name)
+        pol = init(widths, rng=random.Random(7))
+        ref = rollout(plant, pol, tuple(0.1 * i for i in range(
+            widths[0] - 1)), 12)
+        times = [0, 3, 4, 12]
+        tape, theta, anchors = build_sampled(ref, times, pol, plant).on_tape()
+        adjoint = sources[-1]
+        assert adjoint.count("cos(") == adjoint.count("sin(") == headings
+        assert _anchor_bits((tape, theta, anchors), theta, 1) == \
+            _anchor_bits(oracle_sampled(ref, times, pol, plant), theta, 1)
 
 
 def test_a_wide_net_records_one_block_per_trajectory():

@@ -4,10 +4,16 @@ import random
 import pytest
 
 from stlctrl.autodiff import Tape, Var, exp, ln, value_of
-from stlctrl.smooth import SmoothConfig, smooth_robustness, softmin, softmax_lb
+from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
+from stlctrl.plants import rollout
+from stlctrl.sampler import state_adjoints
+from stlctrl.smooth import (
+    SmoothConfig, smooth_adjoints, smooth_robustness, softmin, softmax_lb,
+)
 from stlctrl.stl import (
-    Affine, Always, And, Eventually, Or, Pred, Release, Trace, Until,
-    _kernel, aggregation_shape, horizon, parse, robustness, satisfies,
+    Affine, Always, And, Eventually, HorizonError, Named, Or, Pred, Release,
+    Trace, Until, _kernel, aggregation_shape, horizon, parse, robustness,
+    satisfies,
 )
 from tests.test_stl import (
     CORPUS, bits, crafted_traces, nan_as_one, random_formula, zero_offsets,
@@ -378,3 +384,115 @@ def test_an_aggregation_with_a_var_entry_is_one_node():
     for agg in (softmin, softmax_lb):
         with pytest.raises(ValueError, match="different tapes"):
             agg([x, other], 15.0)
+
+
+# -- the float sweep against Tape.backward, bit for bit ----------------------
+
+def taped_adjoints(f, states, b):
+    """smooth_robustness's adjoints over Vars of the states, by the tape."""
+    return state_adjoints(lambda *s: smooth_robustness(f, Trace(s),
+                                                       SmoothConfig(b)),
+                          states)
+
+
+def assert_sweep_matches_tape(f, states, b):
+    got = smooth_adjoints(f, states, SmoothConfig(b))
+    want = taped_adjoints(f, states, b)
+    assert [len(a) for a in got] == [len(a) for a in want]
+    assert _pack([g for a in got for g in a]) == \
+        _pack([g for a in want for g in a]), (f, states, b)
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_sweep_matches_the_tape_on_bundled_scenarios(name):
+    # each scenario's formula over rollouts of four seeded controllers
+    sc = load_scenario(resolve_scenario(name))
+    K = horizon(sc.formula)
+    for seed in (sc.seed, 1, 2, 3):
+        pol = sc.build_policy(random.Random(seed))
+        ref = rollout(sc.plant, pol, sc.init_set.samples[0], K)
+        assert_sweep_matches_tape(sc.formula, ref.states, sc.train_cfg.b)
+
+
+def test_sweep_matches_the_tape_on_corpus():
+    # random formulas with And/Or, F/G (F[a,a] among them), U and R over
+    # multi-term, non-unit and cancelled (all-zero) coefficients
+    for f, states in CORPUS:
+        for b in (5.0, 15.0):
+            assert_sweep_matches_tape(f, states, b)
+
+
+@pytest.mark.parametrize("pool", [
+    (0.0, -0.0, 1.0, -1.0, 2.0, math.inf, -math.inf),
+    (0.0, -0.0, 1.0, math.nan, math.inf, -math.inf),
+])
+def test_sweep_matches_the_tape_on_ties_zeros_and_infinities(pool):
+    rng = random.Random(9)
+    checked = 0
+    while checked < 300:
+        dim = rng.randint(1, 3)
+        f = random_formula(rng, dim, rng.randint(1, 3))
+        h = horizon(f)
+        if h > 12:
+            continue
+        states = crafted_traces(rng, dim, h + rng.randint(0, 3), pool)
+        for b in (5.0, 15.0):
+            assert_sweep_matches_tape(f, states, b)
+        checked += 1
+
+
+def _affine(c, d=0.25):
+    return Pred(Affine(tuple(c), d))
+
+
+CRAFTED_FORMULAS = [
+    _affine((1.0, 0.0)),                             # a lone predicate
+    _affine((2.0, -0.5), -1.0),
+    _affine((0.0, 0.0)),                             # all-zero coefficients
+    _affine((0.0, -0.0), math.inf),
+    And((_affine((1.0, -1.0)),)),                    # one child
+    Or((_affine((-0.0, 3.0)),)),
+    And((_affine((0.0, 0.0)), _affine((1.0, 0.0)))),
+    Or((_affine((0.0, 0.0), -1.0), _affine((0.0, 0.0), 2.0))),
+    Always(2, 2, _affine((1.0, 2.0), 0.5)),          # F[a,a] and G[a,a]
+    Eventually(0, 0, And((_affine((1.0, 0.0)), _affine((0.0, -1.0))))),
+    Eventually(1, 3, Or((_affine((-1.0, -2.5)),
+                         _affine((0.0, 0.0))))),
+    And((Always(0, 3, _affine((1.5, -1.0))), Eventually(1, 1, _affine(
+        (0.0, 1.0))))),
+    Until(0, 3, _affine((1.0, -1.0)), _affine((0.5, 0.0))),
+    Release(1, 3, _affine((-1.0, 1.0)), Or((_affine((0.0, 0.0)),
+                                            _affine((1.0, 1.0))))),
+    Until(2, 2, _affine((0.0, 0.0)), _affine((1.0, 0.0))),
+    Until(0, 0, _affine((1.0, 0.0)), _affine((0.0, 1.0))),
+    Release(0, 2, Always(0, 1, _affine((1.0, 0.0))), _affine((0.0, 0.0))),
+    And((_affine((math.inf, 0.0)), _affine((0.0, 1.0)))),  # g * inf
+    Eventually(0, 2, _affine((-0.0, 1e-310), 0.0)),
+]
+
+
+@pytest.mark.parametrize("k", range(len(CRAFTED_FORMULAS)))
+def test_sweep_matches_the_tape_on_crafted_formulas(k):
+    f = CRAFTED_FORMULAS[k]
+    rng = random.Random(k)
+    K = horizon(f) + 1
+    traces = [[(0.5 * t - 1.0, 0.25 * t) for t in range(K + 1)],
+              [(1.0, 1.0)] * (K + 1)]
+    for pool in ((0.0, -0.0, 1.0, -1.0, 2.0, math.inf, -math.inf),
+                 (0.0, -0.0, 1.0, math.nan, math.inf, -math.inf),
+                 (1e-300, -1e-300, 1e300, 0.5)):
+        traces += [crafted_traces(rng, 2, K, pool) for _ in range(10)]
+    for states in traces:
+        for b in (5.0, 15.0):
+            assert_sweep_matches_tape(f, states, b)
+
+
+def test_sweep_declines_a_named_predicate():
+    named = Pred(Named("x", lambda s: s[0]))
+    f = And((named, Pred(Affine((1.0,), 0.0))))
+    assert smooth_adjoints(f, [(0.5,)], SmoothConfig()) is None
+
+
+def test_sweep_checks_the_horizon():
+    with pytest.raises(HorizonError):
+        smooth_adjoints(parse("F[0,3](x0 > 0)"), [(0.0,)] * 3)

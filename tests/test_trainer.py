@@ -378,8 +378,7 @@ def test_dropout_passes_exact_rho_of_incumbent_and_commit(monkeypatch,
         # the runs handed to the next check, the incumbent's if it was kept
         run = kept[s0]
         assert (theta is theta_in if kept is runs else
-                (run[0], run[1].states, run[2])
-                == (fresh[0], fresh[1].states, fresh[2]))
+                (run[0], run[1].states) == (fresh[0], fresh[1].states))
     assert [r.rho for r in log.records] == [out[4][args[8]][0]
                                             for args, out in calls]
 
@@ -478,25 +477,38 @@ def test_dropout_reuses_the_incumbent_rollout(monkeypatch):
 
 
 def test_dropout_first_pass_backtracks_the_incumbent_signals(monkeypatch):
-    # the first N1 pass takes the critical predicate of theta's rollout
-    # from the signals the min-rho check evaluated on it, once per iteration
+    # the first N1 pass takes the critical predicate of the rollout of
+    # theta that the min-rho check made, critical evaluating its signals;
+    # the checks and commit tests read robustness, which on dubins_k100's
+    # formula is the root kernel's, and evaluate none
     from stlctrl import stl, trainer
     sc = load_scenario(resolve_scenario("dubins_k100"))
     rng = random.Random(1)
     pol = sc.build_policy(rng)
     cfg = dataclasses.replace(sc.train_cfg, max_iters=5)
-    kept = []
+    backtracked, incumbents, evaluated = [], [], []
+    orig_signals, orig_iteration = stl.signals, trainer._dropout_iteration
 
     def spy(f, tr, k=0, sig=None):
-        if sig is not None:
-            assert sig == stl.signals(f, tr, k)
-            kept.append(tr.states)
+        assert sig is None
+        backtracked.append(tr.states)
         return stl.critical(f, tr, k, sig)
 
+    def spy_iteration(*args):
+        theta, s0, runs = args[7:10]
+        incumbents.append((len(backtracked), runs[s0][1].states))
+        return orig_iteration(*args)
+
     monkeypatch.setattr(trainer, "critical", spy)
+    monkeypatch.setattr(trainer, "_dropout_iteration", spy_iteration)
+    monkeypatch.setattr(stl, "signals", lambda *a: evaluated.append(1)
+                        or orig_signals(*a))
     _, log, _ = train_dropout(sc.plant, pol, sc.formula, sc.init_set,
                               sc.waypoints, cfg, rng)
-    assert len(kept) == len(log.records) == 5
+    assert len(incumbents) == len(log.records) == 5
+    for first, states in incumbents:
+        assert backtracked[first] == Trace(states).states
+    assert len(evaluated) == len(backtracked)
 
 
 def _iteration(sc, pol, theta, s0, reuse, N1):
@@ -505,14 +517,14 @@ def _iteration(sc, pol, theta, s0, reuse, N1):
     K = horizon(sc.formula)
     cfg = dataclasses.replace(sc.train_cfg, N1=N1)
     run = trainer._exact_rho(sc.plant, pol, theta, s0, K, sc.formula)
-    runs = {s0: run if reuse else (run[0], None, None)}
+    runs = {s0: run if reuse else (run[0], None)}
     adams = [AdamState(len(theta), alpha=cfg.alpha) for _ in range(3)]
     *out, kept = trainer._dropout_iteration(
         sc.plant, pol, sc.formula, sc.waypoints, cfg, random.Random(5),
         adams, theta, s0, runs)
     # the committed run, compared by its states, or None if theta was kept
     run = None if kept is runs else kept[s0]
-    return (*out, run and (run[0], run[1] and run[1].states, run[2]))
+    return (*out, run and (run[0], run[1] and run[1].states))
 
 
 def test_dropout_iteration_same_with_or_without_the_reused_rollout():
@@ -525,7 +537,7 @@ def test_dropout_iteration_same_with_or_without_the_reused_rollout():
 
 def test_dropout_incumbent_that_diverged_is_not_rolled_out_again(
         monkeypatch):
-    # theta's run is (-inf, None, None): any candidate would commit at
+    # theta's run is (-inf, None): any candidate would commit at
     # -inf >= -inf, so the iteration fails, naming the sample, before it
     # rolls anything out
     from stlctrl import trainer
