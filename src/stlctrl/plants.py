@@ -13,7 +13,9 @@ differentiable rollout (the plain one sampled by build_sampled at every
 step and put on a tape by SampledTrajectory.on_tape) has its bits and
 the Var operators' gradients.  So step_fn and squash_fn must be
 straight-line code over arithmetic and the autodiff helpers: nothing may
-depend on their arguments' values.
+depend on their arguments' values.  A noise-free loop may also run a
+formula's watch (stl_kernels.watch), which stops the run at the first
+state that proves its robustness below a floor.
 """
 
 import csv
@@ -88,7 +90,8 @@ class InitialSet:
 
 
 def corners_and_center(low, high):
-    """Corners over the dims with low < high, plus the box center."""
+    """Corners over the dims with low < high, plus the box center if
+    there is such a dim (a point box is its one corner)."""
     free = [i for i in range(len(low)) if high[i] > low[i]]
     out = []
     for mask in range(1 << len(free)):
@@ -97,7 +100,8 @@ def corners_and_center(low, high):
             if mask >> bit & 1:
                 s[i] = high[i]
         out.append(tuple(s))
-    out.append(tuple((lo + hi) / 2.0 for lo, hi in zip(low, high)))
+    if free:
+        out.append(tuple((lo + hi) / 2.0 for lo, hi in zip(low, high)))
     return out
 
 
@@ -259,7 +263,7 @@ def _check(k, s):
             raise DivergedRollout(k, x)
 
 
-def rollout(plant, policy, s0, K, mode="plain", noise=None):
+def rollout(plant, policy, s0, K, mode="plain", noise=None, watch=None):
     """Closed-loop trace of K steps under pi_theta.
 
     noise is (c1, c2, rng): s0 is perturbed once by c2*eta and every step
@@ -267,6 +271,16 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None):
     Noise draws happen in a fixed order so traces are seed-reproducible.
     mode="differentiable" samples the trace by build_sampled at every
     step and puts it on a tape by SampledTrajectory.on_tape.
+
+    watch is (formula, floor), for a plain run without per-step noise:
+    the run is None from the first state at which a watched conjunct of
+    the formula has a running min below floor, which proves that
+    robustness(formula, Trace(states)) >= floor is false for the whole
+    run, and otherwise the run it would be without watch, bit for bit.
+    The watched conjuncts are the G[a,b] over an affine predicate or an
+    And/Or of affine predicates that are the formula or a child of its
+    root And (see stl_kernels.watch); a formula with none is never
+    stopped, and a NaN floor stops no run.
     """
     if mode not in ("plain", "differentiable"):
         raise ValueError(f"unknown rollout mode {mode!r}")
@@ -276,9 +290,23 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None):
     if c2 != 0.0:
         s0 = tuple(x + c2 * rng.gauss(0.0, 1.0) for x in s0)
     gauss = rng.gauss if c1 != 0.0 else None
-    run = Rollout(*_closed_loop(plant, policy, bool(gauss))(
-        policy.theta, policy.forward, s0, K,
-        getattr(policy, "time_scale", None), c1, gauss))
+    args = [policy.theta, policy.forward, s0, K,
+            getattr(policy, "time_scale", None), c1, gauss]
+    code = ()
+    if watch is not None:
+        if mode != "plain" or gauss:
+            raise ValueError("a watched rollout is plain, without per-step "
+                             "noise")
+        from .stl_kernels import watch as watch_of
+        code = watch_of(watch[0])
+        if code and code[3] > plant.state_dim:
+            raise ValueError(f"the formula reads x{code[3] - 1}, past plant "
+                             f"{plant.name}'s {plant.state_dim} coordinates")
+        args += [watch[1]] * bool(code)
+    out = _closed_loop(plant, policy, bool(gauss), code)(*args)
+    if out is None:
+        return None
+    run = Rollout(*out)
     if mode == "plain":
         return run
     from .sampler import build_sampled  # sampler imports this module
@@ -308,13 +336,17 @@ def _traced(plant):
     return _TRACES[key]
 
 
-def _closed_loop(plant, policy, noisy):
+def _closed_loop(plant, policy, noisy, watch=()):
     """kernel(th, forward, s0, K, time_scale, c1, gauss) -> (states, raw
     actions): it inlines a Policy's forward with theta in locals, and
-    calls forward(s, k) of any other controller."""
+    calls forward(s, k) of any other controller.  Given a watch
+    (stl_kernels.watch), kernel(..., floor) runs its lines on s0 and
+    after each step's divergence check, and returns None if they do."""
     trace, loops = _traced(plant)
     key = ((tuple(policy.widths), policy.include_time, noisy)
            if isinstance(policy, Policy) else (None, False, noisy))
+    if watch:
+        key += (watch,)
     if key in loops:
         return loops[key]
     n, m = plant.state_dim, plant.action_dim
@@ -335,22 +367,25 @@ def _closed_loop(plant, policy, noisy):
     if noisy:  # drawn after the step, as the Plant.step loop draws them
         lines += [f"e{j} = sigma * gauss(0.0, 1.0)" for j in range(n)]
         nxt = [f"{x} + e{j}" for j, x in enumerate(nxt)]
+    start, each, names, _ = watch or ((), (), (), 0)
     step = fwd + lines + [
         f"{', '.join(xs)}, = {', '.join(nxt)},",
         f"if not ({' and '.join(f'abs({x}) <= LIMIT' for x in xs)}):",
-        f"    check(k + 1, {state})", f"states.append({state})",
+        f"    check(k + 1, {state})", *each, f"states.append({state})",
         f"acts.append(({', '.join(acts)},))"]
     # a local's slot is the order of its first binding: the step's locals
     # go before the weights, so that past 256 names only weights need an
     # EXTENDED_ARG prefix
     state = set(xs)
-    own = dict.fromkeys(["k"] + [x for ln in step for x in _bound(ln)
+    own = dict.fromkeys(["k"] + [x for ln in [*start, *step]
+                                 for x in _bound(ln.lstrip())
                                  if x not in state])
-    loops[key] = compile_kernel("th, forward, s, K, ts, sigma, gauss", [
-        f"[{', '.join(xs)}] = s", f"{' = '.join(own)} = None"] + head
-        + ["for k in range(K):"] + ["    " + line for line in step]
+    loops[key] = compile_kernel(
+        "th, forward, s, K, ts, sigma, gauss" + ", floor" * bool(watch), [
+            f"[{', '.join(xs)}] = s", f"{' = '.join(own)} = None"] + head
+        + [*start, "for k in range(K):"] + ["    " + line for line in step]
         + ["return states, acts"],
-        {**consts, "LIMIT": DIVERGE_LIMIT, "check": _check})
+        {**consts, "LIMIT": DIVERGE_LIMIT, "check": _check, **dict(names)})
     return loops[key]
 
 

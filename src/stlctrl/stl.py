@@ -226,17 +226,17 @@ def aggregation_shape(f):
 
 # -- semantics: one compiled program per formula, one kernel per semantics -----
 
-def _program(f, tr, k):
+def _program(f, tr=None, k=0):
     """f's (horizon, program steps, kernels), compiled on first use and
-    cached on the root (like Affine._nz); HorizonError unless f fits tr
-    at k, ValueError if k is negative."""
+    cached on the root (like Affine._nz); given tr, HorizonError unless f
+    fits tr at k, ValueError if k is negative."""
     if k < 0:
         raise ValueError(f"time k={k} is negative")
     prog = getattr(f, "_prog", None)
     if prog is None:
         prog = (horizon(f), _compile(f), {})
         object.__setattr__(f, "_prog", prog)
-    if k + prog[0] > tr.K:
+    if tr is not None and k + prog[0] > tr.K:
         raise HorizonError(f"formula horizon {prog[0]} at time {k} "
                            f"exceeds trace length K={tr.K}")
     return prog

@@ -10,11 +10,15 @@ children include G[a,b](Or of predicates), and skips the rows of those
 that cannot set the And's min, as bounded monitoring skips work that
 cannot change a min or max (Deshmukh, Donze, Ghosh, Jin, Juniwal &
 Seshia, "Robust online monitoring of signal temporal logic", FMSD
-2017).  An affine predicate is inlined as Affine.eval's sum, left to
-right from d, a coefficient of 1.0 or -1.0 as + x{i} or - x{i} and any
-other as + c * x{i} with c a literal, so the kernels are bit-identical
-to it.  stl imports
-this module when it first needs a kernel, so importing stlctrl compiles
+2017).  The same bound stops a rollout: watch writes, for each G[a,b]
+over affine predicates that is the root or a conjunct of a root And,
+lines that plants splices into a rollout loop, which return no run once
+the conjunct's running min over the states so far, an upper bound of
+the root, is below a floor.  An affine predicate is inlined as
+Affine.eval's sum, left to right from d, a coefficient of 1.0 or -1.0
+as + x{i} or - x{i} and any other as + c * x{i} with c a literal, so
+the kernels are bit-identical to it.  stl and plants import this module
+when they first need a kernel or a watch, so importing stlctrl compiles
 none of it.  A node's type is read from its step's op, not from stl's
 classes, so a program compiled before stlctrl was imported again still
 gets its kernels.
@@ -22,10 +26,11 @@ gets its kernels.
 
 import math
 from collections import Counter
+from functools import partial
 from itertools import groupby
 
 from .autodiff import _CHAIN, compile_kernel
-from .stl import INF, _inner
+from .stl import INF, _inner, _program
 
 
 def generate(steps, sem):
@@ -83,30 +88,7 @@ def generate(steps, sem):
                 live.add(i)
                 todo += steps[i][3]
 
-    def pred(i, coords):
-        """(lines, expression) of predicate step i at state s, adding the
-        coordinates x{j} it reads to coords."""
-        g, body = steps[i][0], []
-        if steps[i][5] == "affine":
-            nz = [(ci, j) for j, ci in enumerate(g.h.c) if ci != 0.0]
-            coords.update(j for _, j in nz)
-            # the sum goes on in a new statement before it reaches _CHAIN
-            # nodes, counted as replay_source counts them
-            out, size = _literal(g.h.d, ns), 1
-            for t, (ci, j) in enumerate(nz):
-                term = 1 if ci in (1.0, -1.0) else 3  # x, or c * x
-                if size + term >= _CHAIN:
-                    body.append(f"p{i}_{t} = {out}")
-                    out, size = f"p{i}_{t}", 1
-                out += (f" + x{j}" if ci == 1.0 else f" - x{j}" if ci == -1.0
-                        else f" + {_literal(ci, ns)} * x{j}")
-                size += 1 + term
-        else:
-            ns[f"h{i}"], out = steps[i][4], f"h{i}(s)"
-        if sem == "boolean":
-            out = f"{out} {'>' if g.strict else '>='} 0.0"
-        return body, out
-
+    pred = partial(_pred, steps, ns, sem)
     for i, (g, lo, n, kids, fn, op) in enumerate(steps):
         if i not in live:
             continue
@@ -145,16 +127,9 @@ def generate(steps, sem):
             body += got + [f"p{c} = {value[c]}"] * (u > 1)
             value[c] = f"p{c}" if u > 1 else value[c]
         for i in leaves:
-            first, *rest = (value[c] for c in steps[i][3] or [i])
-            if rest:
-                # CPython's min/max loop: a later item replaces m only if
-                # it compares < (min) or > (max) to it
-                cmp = "<" if steps[i][4] is min else ">"
-                body.append(f"m = {first}")
-                for v in rest:
-                    body += [f"v = {v}", f"if v {cmp} m: m = v"]
-                first = "m"
-            body.append(f"z{i}.append({first})")
+            got, v = _minmax([value[c] for c in steps[i][3] or [i]],
+                             steps[i][4])
+            body += got + [f"z{i}.append({v})"]
         loops += [*(f"z{i} = []" for i in leaves), f"for s in {rows}:",
                   *(f"    x{j} = s[{j}]" for j in sorted(coords)),
                   *(f"    {ln}" for ln in body)]
@@ -163,6 +138,109 @@ def generate(steps, sem):
            else [f"return z{len(steps) - 1}[0]"])
     return compile_kernel("states, k, mn, mx" if smooth else "states, k",
                           loops + lines + ret, ns)
+
+
+def _pred(steps, ns, sem, i, coords):
+    """(lines, expression) of predicate step i at state s, adding the
+    coordinates x{j} it reads to coords."""
+    g, body = steps[i][0], []
+    if steps[i][5] == "affine":
+        nz = [(ci, j) for j, ci in enumerate(g.h.c) if ci != 0.0]
+        coords.update(j for _, j in nz)
+        # the sum goes on in a new statement before it reaches _CHAIN
+        # nodes, counted as replay_source counts them
+        out, size = _literal(g.h.d, ns), 1
+        for t, (ci, j) in enumerate(nz):
+            term = 1 if ci in (1.0, -1.0) else 3  # x, or c * x
+            if size + term >= _CHAIN:
+                body.append(f"p{i}_{t} = {out}")
+                out, size = f"p{i}_{t}", 1
+            out += (f" + x{j}" if ci == 1.0 else f" - x{j}" if ci == -1.0
+                    else f" + {_literal(ci, ns)} * x{j}")
+            size += 1 + term
+    else:
+        ns[f"h{i}"], out = steps[i][4], f"h{i}(s)"
+    if sem == "boolean":
+        out = f"{out} {'>' if g.strict else '>='} 0.0"
+    return body, out
+
+
+def _minmax(values, fn):
+    """(lines, expression) of CPython's min/max loop over the expressions
+    values: m = the first, then m = v for each later v that compares <
+    m (min) or > m (max); the first alone if there is no other."""
+    first, *rest = values
+    if not rest:
+        return [], first
+    cmp, lines = "<" if fn is min else ">", [f"m = {first}"]
+    for v in rest:
+        lines += [f"v = {v}", f"if v {cmp} m: m = v"]
+    return lines, "m"
+
+
+def watch(f):
+    """f's watch (see _watch), generated on first use and cached on its
+    program with its kernels."""
+    _, steps, kernels = _program(f)
+    if "watch" not in kernels:
+        kernels["watch"] = _watch(steps)
+    return kernels["watch"]
+
+
+def _watch(steps):
+    """(lines at time 0, lines of loop step k, names, dimension) that fold
+    each watched conjunct's rows into r{c} and return None once one is
+    below floor, or () if the program has no watched conjunct.
+
+    A watched conjunct is G[a,b](phi), the root or a child of a root And,
+    whose phi is an affine predicate or an And/Or of affine predicates.
+    The lines read a state in x0, x1, ...: s_0 at time 0, and s_{k+1} in
+    step k of a rollout loop; dimension is one more than the largest
+    coordinate they read.  A row at time t in [a,b] evaluates phi as the
+    exact kernel does (its predicates inlined, an And/Or as CPython's
+    min/max loop) and folds into r{c} as builtin min: the window's first
+    row assigns it and a later row replaces it only if it compares <, so
+    a NaN first row keeps it NaN.  Once r{c} < floor is true, r{c} is a
+    number and G[a,b](phi) is at most r{c}; the root's min loop then
+    gives a value below floor, or NaN, and robustness >= floor is false
+    whatever the later states are."""
+    *_, (_, _, _, kids, fn, op) = steps
+    ns, coords, rows = {}, set(), {}
+    for c in dict.fromkeys(kids if op == "andor" and fn is min
+                           else [len(steps) - 1]):
+        if steps[c][5] != "window" or steps[c][4] is not min:
+            continue
+        i = steps[c][3][0]
+        preds = steps[i][3] if steps[i][5] == "andor" else [i]
+        if not preds or any(steps[p][5] != "affine" for p in preds):
+            continue
+        body, values = [], []
+        for p in preds:
+            got, v = _pred(steps, ns, "exact", p, coords)
+            body, values = body + got, values + [v]
+        got, v = _minmax(values, steps[i][4])
+        first, later = rows.setdefault(
+            (steps[i][1], steps[i][1] + steps[i][2] - 1), ([], []))
+        first += body + got + [f"r{c} = {v}", f"if r{c} < floor: return None"]
+        later += body + got + [f"m = {v}"] * (v != "m") + [
+            f"if m < r{c}:", f"    r{c} = m", "    if m < floor: return None"]
+    if not rows:
+        return ()
+    start, loop = [], []
+    for (a, b), (first, later) in rows.items():
+        if a:
+            loop += [f"if k == {a - 1}:", *_indent(first)]
+        else:
+            start += first
+        if b > a:
+            loop += [f"elif {a} <= k < {b}:" if a else f"if k < {b}:",
+                     *_indent(later)]
+    return tuple(start), tuple(loop), tuple(ns.items()), max(coords,
+                                                             default=-1) + 1
+
+
+def _indent(lines):
+    return [f"    {ln}" for ln in lines]
 
 
 def prunable(steps):

@@ -14,9 +14,11 @@ sampled trajectories, halves the learning rate when the critical-predicate
 direction stalls, and falls back to the smooth robustness over a time
 partition when even a tiny step fails to improve.  A candidate whose
 rollout diverged takes no further ascent passes and is not rolled out
-again.  train_vanilla's step is plain smooth-robustness ascent over the
-whole horizon, and train_openloop runs it on a raw action sequence
-instead of network weights.
+again, and a commit test's rollout stops at the first state that proves
+the candidate's rho below the incumbent's.  train_vanilla's step is
+plain smooth-robustness ascent over the whole horizon, and
+train_openloop runs it on a raw action sequence instead of network
+weights.
 """
 
 import csv
@@ -144,16 +146,19 @@ class TrainLog:
 
 
 _DIVERGED = (-math.inf, None)
+_BELOW = (math.nan, None)  # a watched run stopped: rho < floor, or nan
 
 
-def _exact_rho(plant, policy, theta, s0, K, f):
-    """(exact rho of theta from s0, its rollout), or _DIVERGED if the
-    rollout diverged."""
+def _exact_rho(plant, policy, theta, s0, K, f, floor=None):
+    """(exact rho of theta from s0, its rollout), _DIVERGED if the rollout
+    diverged, or _BELOW if given a floor the rollout stopped at a state
+    that proves rho >= floor false (see plants.rollout's watch)."""
     try:
-        r = rollout(plant, policy.with_theta(theta), s0, K)
+        r = rollout(plant, policy.with_theta(theta), s0, K,
+                    watch=None if floor is None else (f, floor))
     except DivergedRollout:
         return _DIVERGED
-    return robustness(f, Trace(r.states)), r
+    return _BELOW if r is None else (robustness(f, Trace(r.states)), r)
 
 
 def _min_rho(plant, policy, theta, init_set, K, f, kept):
@@ -162,9 +167,11 @@ def _min_rho(plant, policy, theta, init_set, K, f, kept):
     best = worst_s0 = None
     runs = {}
     for s0 in init_set.samples:
-        runs[s0] = kept.get(s0) or _exact_rho(plant, policy, theta, s0, K, f)
-        if best is None or runs[s0][0] < best:
-            best, worst_s0 = runs[s0][0], s0
+        if s0 not in runs:  # a repeated sample is rolled out once
+            runs[s0] = kept.get(s0) or _exact_rho(plant, policy, theta, s0,
+                                                  K, f)
+            if best is None or runs[s0][0] < best:
+                best, worst_s0 = runs[s0][0], s0
     return best, worst_s0, runs
 
 
@@ -245,7 +252,9 @@ def _dropout_iteration(plant, policy, f, wp, cfg, rng, adams, theta, s0,
 
     The waypoint candidate, the critical one and a line search towards it
     are committed if their exact rho is at least theta's, else the smooth
-    candidate unless guarded.  Rollouts are deterministic, so a candidate
+    candidate unless guarded.  A guarded commit test's rollout stops, as
+    _BELOW, at the first state that proves the candidate's rho below
+    theta's (rho_j its floor).  Rollouts are deterministic, so a candidate
     whose pass rollout diverged takes no further passes, and its commit
     test reads _DIVERGED unrolled.  If theta's own run from s0 diverged,
     any candidate would pass at -inf >= -inf: _incumbent raises.
@@ -287,9 +296,11 @@ def _dropout_iteration(plant, policy, f, wp, cfg, rng, adams, theta, s0,
         return grad_smooth(ref, partition, f, SmoothConfig(cfg.b), pol, plant)
 
     def commit(cand, branch, lr, guard=True):
-        # the step to cand if its exact rho from s0 passes the commit test
+        # the step to cand if its exact rho from s0 passes the commit test;
+        # a guarded test stops the rollout once it proves rho < rho_j
         run = (_DIVERGED if any(c is cand for c in dead)
-               else _exact_rho(plant, policy, cand, s0, K, f))
+               else _exact_rho(plant, policy, cand, s0, K, f,
+                               rho_j if guard else None))
         if run[0] >= rho_j or not guard:
             return cand, branch, lr, diverged, {s0: run}
 

@@ -14,6 +14,10 @@ from stlctrl.plants import (
     read_trace_csv, rollout, write_trace_csv,
 )
 from stlctrl.policy import Policy, init
+from stlctrl.stl import (
+    Affine, Always, And, Eventually, Named, Or, Pred, Trace, horizon,
+    robustness,
+)
 
 
 def test_builtin_names_and_dims():
@@ -201,6 +205,8 @@ def test_corners_and_center():
     assert len(pts) == 9
     assert pts[-1] == (0.0, 0.0, 0.0, 0.0)
     assert len(set(pts)) == 9
+    # a point box is its one state, not that state twice
+    assert corners_and_center([0.0, 1.0], [0.0, 1.0]) == [(0.0, 1.0)]
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -640,3 +646,243 @@ def test_plant_recorders_reject_a_state_from_another_tape():
         assert [(len(t), t.blocks) for t in (t1, t2)] == sizes
     # an anchor on its own tape is recorded as before
     assert isinstance(own + own, Var) and len(t1.blocks) == 1
+
+
+
+# -- the watch: a rollout stopped at the first state that proves rho < floor --
+
+def _through_step(s, u, dt):
+    return tuple(u)
+
+
+def _through_squash(a):
+    return a
+
+
+class _Rows:
+    """A controller whose raw action at step k is rows[k]."""
+
+    theta = ()
+
+    def __init__(self, rows):
+        self.rows, self.action_dim = rows, len(rows[0])
+
+    def forward(self, s, k):
+        return self.rows[k]
+
+
+def _table(states):
+    """(plant, policy, s0, K) whose plain rollout is states: the plant's
+    next state is the raw action, the next state's row."""
+    n = len(states[0])
+    return (Plant(f"through{n}", n, n, 1.0, _through_step, _through_squash),
+            _Rows(states[1:] or [states[0]]), states[0], len(states) - 1)
+
+
+def watched(f):
+    """f's watched conjuncts, read off the tree: a G[a,b] over an Affine
+    predicate or an And/Or of Affine predicates that is f or a child of
+    f's root And."""
+    def affine(g):
+        return isinstance(g, Pred) and isinstance(g.h, Affine)
+
+    return [g for g in (f.children if isinstance(f, And) else (f,))
+            if isinstance(g, Always) and (affine(g.child) or isinstance(
+                g.child, (And, Or)) and all(map(affine, g.child.children)))]
+
+
+def first_stop(f, states, floor):
+    """The first time at which a watched conjunct's builtin min over its
+    rows so far is below floor, or None."""
+    stops = []
+    for g in watched(f):
+        phi, r = g.child, None
+        for t in range(g.a, min(g.b, len(states) - 1) + 1):
+            v = (phi.h.eval(states[t]) if isinstance(phi, Pred) else
+                 (max if isinstance(phi, Or) else min)(
+                     c.h.eval(states[t]) for c in phi.children))
+            r = v if t == g.a else min(r, v)
+            if r < floor:
+                stops.append(t)
+                break
+    return min(stops, default=None)
+
+
+def floors(f, states):
+    """rho, its neighbouring floats and rho +- 1 for f's robustness and
+    each watched conjunct's over states, then +-inf and NaN."""
+    rhos = [robustness(g, Trace(states)) for g in [f, *watched(f)]]
+    return [x for rho in rhos for x in (
+        rho, math.nextafter(rho, math.inf), math.nextafter(rho, -math.inf),
+        rho + 1.0, rho - 1.0)] + [math.inf, -math.inf, math.nan]
+
+
+def assert_watched(plant, policy, s0, K, f, floor):
+    """The watched run is the plain run, states and raw actions bit for
+    bit, unless the plain run has a first stop t (first_stop): then it is
+    None, robustness >= floor is false, and the watched run of t steps
+    stops while that of t - 1 steps does not.  True if it stopped."""
+    watch = (f, floor)
+    try:
+        plain = rollout(plant, policy, s0, K)
+        t = first_stop(f, plain.states, floor)
+    except DivergedRollout as e:  # stopped before, or diverged at e.step
+        plain = None
+        t = first_stop(f, rollout(plant, policy, s0, e.step - 1).states,
+                       floor)
+        if t is None:
+            with pytest.raises(DivergedRollout):
+                rollout(plant, policy, s0, K, watch=watch)
+            return False
+    run = rollout(plant, policy, s0, K, watch=watch)
+    if t is None:
+        assert _bits([run.states, run.raw_actions]) == _bits(
+            [plain.states, plain.raw_actions]), (f, floor)
+        return False
+    assert run is None, (f, floor, t)
+    assert plain is None or not robustness(f, Trace(plain.states)) >= floor
+    assert rollout(plant, policy, s0, t, watch=watch) is None, (f, floor, t)
+    if t:
+        prefix = rollout(plant, policy, s0, t - 1, watch=watch)
+        assert _bits(prefix.states) == _bits(rollout(
+            plant, policy, s0, t - 1).states), (f, floor, t)
+    return True
+
+
+def test_watched_rollouts_of_bundled_scenarios():
+    # each scenario's seeded controller and a perturbed one, at floors on
+    # both sides of rho and of each watched conjunct's value:
+    # scalar_power's G[6,50] starts after time 0, quad6_platform's first
+    # conjunct is watched, dubins' second; quad12's perturbed run diverges
+    from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
+    stopped = kept = 0
+    for name in bundled_names():
+        sc = load_scenario(resolve_scenario(name))
+        f, K, s0 = sc.formula, horizon(sc.formula), sc.init_set.samples[0]
+        pol, rng = sc.build_policy(random.Random(sc.seed)), random.Random(3)
+        for scale in (0.0, 0.3) if K < 1000 else (0.0,):
+            p = pol.with_theta([w + rng.gauss(0.0, scale) for w in pol.theta])
+            try:
+                states = rollout(sc.plant, p, s0, K).states
+            except DivergedRollout:
+                states = [s0] * (K + 1)
+            for floor in floors(f, states):
+                got = assert_watched(sc.plant, p, s0, K, f, floor)
+                stopped, kept = stopped + got, kept + (not got)
+    assert stopped > 100 and kept > 100
+
+
+def test_watched_rollouts_of_the_corpus():
+    # random formulas, and reach-avoid ones, whose guarded conjuncts are
+    # all watched, each rolled out as a table of its trace
+    from tests.test_stl import CORPUS, reach_avoid
+    rng = random.Random(17)
+    cases = list(CORPUS)
+    for _ in range(150):
+        dim = rng.randint(1, 3)
+        f = reach_avoid(rng, dim)
+        cases.append((f, [tuple(rng.uniform(-3, 3) for _ in range(dim))
+                          for _ in range(horizon(f) + rng.randint(1, 3))]))
+    stopped = 0
+    for f, states in cases:
+        for floor in floors(f, states):
+            stopped += assert_watched(*_table(states), f, floor)
+    assert stopped > 500
+
+
+def _p(c, d=0.0):
+    return Pred(Affine(tuple(c), d))
+
+
+_INF_PRED = _p([math.inf])  # inf * 0.0 is NaN, inf * -1.0 is -inf
+
+_CRAFTED = {  # name: (formula, states, whether some floor stops the run)
+    # a NaN first row keeps the conjunct out, later or first
+    "nan_first": (And((_p([1.0]), Always(0, 3, _INF_PRED))),
+                  [0.0, -1.0, 2.0, -1.0], False),
+    "nan_first_in_first_place": (And((Always(0, 3, _INF_PRED),
+                                      _p([1.0], 5.0))),
+                                 [0.0, -1.0, 2.0, -1.0], False),
+    # a later NaN row replaces nothing; -inf after it does
+    "nan_later": (And((_p([0.0], 1.0), Always(0, 3, _INF_PRED))),
+                  [1.0, 0.0, 2.0, -1.0], True),
+    # ties of 0.0 and -0.0: the first row's zero is kept
+    "signed_zeros": (And((_p([0.0], 1.0), Always(0, 3, Or((
+        _p([1.0], -0.0), _p([-1.0], -0.0)))))), [0.0, -0.0, -0.0, 0.0], True),
+    "signed_zeros_and": (Always(0, 3, And((_p([1.0], -0.0),
+                                           _p([1.0, 1.0], -0.0)))),
+                         [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)],
+                         True),
+    # a window after time 0, a root G, windows of one row
+    "late_window": (And((_p([0.0], 9.0), Always(2, 4, Or((
+        _p([1.0]), _p([-1.0], -4.0)))))), [-5.0, -4.0, 3.0, 1.0, 2.0, -3.0],
+        True),
+    "root_g": (Always(1, 3, Or((_p([1.0, 0.0], -1.0), _p([0.0, 2.0])))),
+               [(5.0, -5.0), (2.0, 1.0), (0.5, 0.1), (3.0, -1.0), (0.0, 0.0)],
+               True),
+    "one_row": (And((Always(2, 2, _p([1.0])), Always(2, 2, _p([-1.0])))),
+                [0.0, 5.0, -2.0, 7.0], True),
+}
+
+
+@pytest.mark.parametrize("name", _CRAFTED)
+def test_watched_rollouts_of_crafted_cases(name):
+    f, states, stops = _CRAFTED[name]
+    states = [s if isinstance(s, tuple) else (s,) for s in states]
+    got = [assert_watched(*_table(states), f, floor)
+           for floor in floors(f, states) + [0.0, -0.0, 0.5, -0.5, 1.5]]
+    assert any(got) == stops and not all(got)
+
+
+def test_unwatched_formulas_roll_out_in_full():
+    # an Or root, Named predicates, F, and G over a temporal operator or a
+    # mix of Named and Affine predicates are never watched: even a floor
+    # of inf leaves the plain run, and no kernel is compiled for them
+    from stlctrl.stl_kernels import watch
+    named = Pred(Named("x", lambda s: s[0]))
+    g = Always(0, 2, _p([1.0]))
+    formulas = [Or((g, g)), Always(0, 2, named),
+                And((named, Always(0, 2, Or((named, _p([1.0])))))),
+                Eventually(0, 2, _p([1.0])),
+                Always(0, 2, Always(0, 1, g.child)),
+                And((Or((g, _p([1.0]))), Eventually(1, 2, g)))]
+    states = [(-1.0,), (-2.0,), (-3.0,), (-4.0,), (-5.0,)]
+    plant, pol, s0, K = _table(states)
+    rollout(plant, pol, s0, K)
+    kernels = len(plants._traced(plant)[1])
+    for f in formulas:
+        assert watch(f) == () and watched(f) == [], f
+        assert rollout(plant, pol, s0, K, watch=(f, math.inf)).states == states
+    assert len(plants._traced(plant)[1]) == kernels
+    assert watch(And((named, g))) != ()
+
+
+def test_watch_needs_a_plain_noise_free_run_over_the_formulas_coordinates():
+    plant, pol, s0, K = _table([(0.0,), (1.0,)])
+    f = Always(0, 1, _p([1.0]))
+    with pytest.raises(ValueError, match="plain, without per-step noise"):
+        rollout(plant, pol, s0, K, mode="differentiable", watch=(f, 0.0))
+    with pytest.raises(ValueError, match="plain, without per-step noise"):
+        rollout(plant, pol, s0, K, noise=(0.1, 0.0, random.Random(1)),
+                watch=(f, 0.0))
+    with pytest.raises(ValueError, match="reads x1, past plant through1"):
+        rollout(plant, pol, s0, K, watch=(Always(0, 1, _p([0.0, 1.0])), 0.0))
+
+
+def test_watched_loop_keeps_far_slots_for_weights():
+    # multi_dubins_10's 45 watched pairs add locals to the [21,40,20] loop:
+    # they come before the weights, so only weights need an EXTENDED_ARG
+    import dis
+    from stlctrl.cli import load_scenario, resolve_scenario
+    from stlctrl.stl_kernels import watch
+    sc = load_scenario(resolve_scenario("multi_dubins_10"))
+    pol = init([21, 40, 20], rng=random.Random(3))
+    code = plants._closed_loop(sc.plant, pol, False,
+                               watch(sc.formula)).__code__
+    body = list(dis.get_instructions(code))
+    body = body[next(i for i, ins in enumerate(body)
+                     if ins.opname == "FOR_ITER"):]
+    far = {ins.argval for ins in body
+           if ins.opcode in dis.haslocal and ins.arg > 255}
+    assert far and all(x[0] == "w" and x[1:].isdigit() for x in far), far
+    assert sum(x[0] == "r" for x in code.co_varnames) == 45

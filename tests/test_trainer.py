@@ -535,6 +535,115 @@ def test_dropout_iteration_same_with_or_without_the_reused_rollout():
             == _iteration(sc, pol, list(pol.theta), s0, False, 3))
 
 
+def _watched_calls(monkeypatch):
+    """Spy on the trainer's rollouts: (watch, stopped) per call, and
+    ("iteration", rho_j) as each dropout iteration starts."""
+    from stlctrl import trainer
+    calls, orig_rollout = [], trainer.rollout
+    orig_iteration = trainer._dropout_iteration
+
+    def spy_rollout(*args, **kw):
+        run = orig_rollout(*args, **kw)
+        calls.append((kw.get("watch"), run is None))
+        return run
+
+    def spy_iteration(*args):
+        theta, s0, runs = args[7:10]
+        calls.append(("iteration", runs[s0][0]))
+        return orig_iteration(*args)
+
+    monkeypatch.setattr(trainer, "rollout", spy_rollout)
+    monkeypatch.setattr(trainer, "_dropout_iteration", spy_iteration)
+    return calls
+
+
+def _iterations(calls):
+    """calls split at the iteration marks: (rho_j, [(watch, stopped)])."""
+    out = [(None, [])]
+    for watch, x in calls:
+        if watch == "iteration":
+            out.append((x, []))
+        else:
+            out[-1][1].append((watch, x))
+    return out
+
+
+def test_guarded_commit_tests_stop_at_the_first_losing_state(monkeypatch):
+    # the seeded dubins_k100 run: every watched rollout is a commit test
+    # at the incumbent's rho_j, some stop early (39 of 51 when this was
+    # written), and the first min-rho check watches nothing
+    sc = load_scenario(resolve_scenario("dubins_k100"))
+    rng = random.Random(sc.seed)
+    calls = _watched_calls(monkeypatch)
+    _, log, info = train_dropout(sc.plant, sc.build_policy(rng), sc.formula,
+                                 sc.init_set, sc.waypoints, sc.train_cfg, rng)
+    assert not info["dnf"]
+    (_, check), *iterations = _iterations(calls)
+    assert check == [(None, False)] and len(iterations) == len(log.records)
+    tests = [stopped for rho_j, runs in iterations for watch, stopped in runs
+             if watch is not None and watch[0] is sc.formula
+             and watch[1] == rho_j]
+    assert len(tests) == sum(w is not None for _, runs in iterations
+                             for w, _ in runs)
+    assert 0 < sum(tests) < len(tests)
+
+
+@pytest.mark.parametrize("guard_smooth", [True, False])
+def test_an_unguarded_smooth_commit_rolls_out_in_full(monkeypatch,
+                                                      guard_smooth):
+    # the smooth step's commit test is the last rollout of its iteration:
+    # guarded it passes rho_j and may stop, unguarded it passes no floor,
+    # its run being committed
+    sc = load_scenario(resolve_scenario("dubins_k100"))
+    rng = random.Random(1)
+    cfg = dataclasses.replace(sc.train_cfg, max_iters=5,
+                              guard_smooth=guard_smooth)
+    calls = _watched_calls(monkeypatch)
+    _, log, _ = train_dropout(sc.plant, sc.build_policy(rng), sc.formula,
+                              sc.init_set, sc.waypoints, cfg, rng)
+    smooth = [runs[-1] for (rho_j, runs), r in zip(_iterations(calls)[1:],
+                                                   log.records)
+              if r.branch == "smooth"]
+    assert smooth
+    for watch, stopped in smooth:
+        assert (watch is None) == (not guard_smooth)
+        assert guard_smooth or not stopped
+
+
+def test_vanilla_steps_and_min_rho_checks_watch_nothing(monkeypatch):
+    from stlctrl import trainer
+    sc = load_scenario(resolve_scenario("dubins_k10"))
+    rng = random.Random(1)
+    pol = sc.build_policy(rng)
+    calls = _watched_calls(monkeypatch)
+    cfg = dataclasses.replace(sc.train_cfg, max_iters=3)
+    train_vanilla(sc.plant, pol, sc.formula, sc.init_set, cfg, rng)
+    init_set = InitialSet((0.0, 0.0), (0.1, 0.0),
+                          [(0.0, 0.0), (0.1, 0.0)])
+    trainer._min_rho(sc.plant, pol, pol.theta, init_set, 10, sc.formula, {})
+    assert len(calls) == 6 and all(w is None for w, _ in calls)
+
+
+def test_min_rho_rolls_a_repeated_sample_out_once(monkeypatch):
+    # a repeated sample, as a "corners_center" point box once gave, is
+    # rolled out once; the first sample with the minimum is the worst
+    from stlctrl import trainer
+    sc = load_scenario(resolve_scenario("dubins_k10"))
+    pol = sc.build_policy(random.Random(1))
+    a, b = (0.0, 0.0), (0.0, 0.1)
+    K, f = horizon(sc.formula), sc.formula
+    rho = {s: trainer._exact_rho(sc.plant, pol, pol.theta, s, K, f)[0]
+           for s in (a, b)}
+    calls = _watched_calls(monkeypatch)
+    for samples in ([a, b, a, b], [b, a, b, b, a], [a, a, a]):
+        calls.clear()
+        best, worst, runs = trainer._min_rho(
+            sc.plant, pol, pol.theta, InitialSet(a, b, samples), K, f, {})
+        first = min(dict.fromkeys(samples), key=rho.get)
+        assert (best, worst) == (rho[first], first)
+        assert len(calls) == len(runs) == len(set(samples))
+
+
 def test_dropout_incumbent_that_diverged_is_not_rolled_out_again(
         monkeypatch):
     # theta's run is (-inf, None): any candidate would commit at
