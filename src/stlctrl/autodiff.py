@@ -4,22 +4,17 @@ Objectives of states are recorded as scalar operations on a Tape, and
 their adjoints at the states come out of a single reverse sweep.
 Everything is 64-bit.
 
-Only this module writes to a tape.  From a function traced once on Vars
-(a plant step, a controller forward), replay_source writes straight-line
-float code in the Var operators' order, and _adjoint the interpreter's
-reverse sweep over its records (reverse mode by source transformation,
-storing only what the sweep reads: Griewank & Walther, "Evaluating
-Derivatives", 2008, ch. 4 and 6).  sampler generates from them the two
-kernels of a sampled trajectory, whose gradient is its adjoint run alone
-on an objective's state adjoints, with no tape; only a differentiable
-rollout pushes a trajectory, as one block through Tape.outputs.  The
-smooth aggregations (smooth.softmin, smooth.softmax_lb) compute on
-floats and push their one output through Tape.block, with a hand-written
-adjoint (local preaccumulation, ibid.); smooth.smooth_adjoints runs
-those adjoints on floats with no tape.  Tape.backward runs the blocks'
-adjoints and interprets the records between them: in training, those
-of a critical predicate h*, and of a smooth robustness whose formula
-has a Named predicate.
+Only the Var operators and the helpers below write to a tape, one record
+per node.  From a function traced once on Vars (a plant step, a
+controller forward), replay_source writes straight-line float code in
+the Var operators' order, and _adjoint the interpreter's reverse sweep
+over its records (reverse mode by source transformation, storing only
+what the sweep reads: Griewank & Walther, "Evaluating Derivatives",
+2008, ch. 4 and 6).  sampler generates from them the two kernels of a
+sampled trajectory, whose gradient is its adjoint run on floats, with no
+tape.  Tape.backward interprets the records: in training, those of a
+critical predicate h*, and of a smooth robustness whose formula has a
+Named predicate; in tests, those of a differentiable rollout.
 """
 
 import math
@@ -121,27 +116,21 @@ class Var:
 
 
 class Tape:
-    """Append-only record of scalar operations: values, records, blocks.
+    """Append-only record of scalar operations: values and records.
 
     Node ids increase strictly; inputs of a node always precede it, so the
     list order is already a topological order for the reverse sweep.
     A tape is single-owner while recording; use one tape per rollout.
 
     recs[i] is (op, lhs, rhs, p) for a node the Var operators recorded,
-    rhs -1 for one operand and p powc's exponent, and None for a constant
-    or a block's output.  blocks holds (start, end, adjoint, args) per
-    generated call or Tape.block: nodes start..end-1 are its Var outputs,
-    args its Var inputs' ids and the locals its adjoint reads, and
-    adjoint(adj, start, args) applies the interpreter's sweep over the Var
-    operators' records.
+    rhs -1 for one operand and p powc's exponent, and None for a constant.
     """
 
-    __slots__ = ("vals", "recs", "blocks")
+    __slots__ = ("vals", "recs")
 
     def __init__(self):
         self.vals = []
         self.recs = []
-        self.blocks = []
 
     def __len__(self):
         return len(self.vals)
@@ -162,28 +151,12 @@ class Tape:
         self.recs += [None] * (len(self.vals) - n)
         return range(n, len(self.vals))
 
-    def block(self, value, adjoint, args):
-        """A Var for one node holding value, the output of a block that
-        adjoint(adj, n, args) sweeps back (see above)."""
-        return Var(self, self.outputs([value], adjoint, args).start)
-
-    def outputs(self, values, adjoint, args):
-        """The ids, a range, of one node per float: the outputs of a block
-        that adjoint(adj, start, args) sweeps back."""
-        n = len(self.vals)
-        self.vals += values
-        self.recs += [None] * len(values)
-        self.blocks.append((n, len(self.vals), adjoint, args))
-        return range(n, len(self.vals))
-
     def backward(self, output, seeds):
         """Reverse accumulation of d(output)/d(seed) for each seed, a Var
         or, if seeds is a range, a node id.
 
         vmax sends the full adjoint to the strict argmax input and splits
-        it 50/50 on exact ties.  Blocks up to the one holding the output
-        run their adjoints; nodes between them are interpreted, unless
-        none of them has a record (constants and nothing else).
+        it 50/50 on exact ties.
         """
         if output.tape is not self:
             raise ValueError("output not on this tape")
@@ -192,67 +165,57 @@ class Tape:
                 raise ValueError("seed not on this tape")
             seeds = [s.i for s in seeds]
         n = output.i + 1
-        spans, hi = [], n  # (nodes lo..hi-1 to interpret, then a block)
-        for start, end, adjoint, args in reversed(self.blocks):
-            if start < hi:
-                n = max(n, end)
-                spans.append((end, hi, adjoint, start, args))
-                hi = start
-        spans.append((0, hi, None, 0, None))
         adj = [0.0] * n
         adj[output.i] = 1.0
         recs, vals = self.recs, self.vals
-        for lo, hi, adjoint, start, args in spans:
-            for i in range(hi - 1, lo - 1, -1) if any(recs[lo:hi]) else ():
-                g = adj[i]
-                if g == 0.0:
-                    continue
-                rec = recs[i]
-                if rec is None:
-                    continue
-                op, a, b, p = rec
-                if op == ADD:
+        for i in range(output.i, -1, -1):
+            g = adj[i]
+            if g == 0.0:
+                continue
+            rec = recs[i]
+            if rec is None:
+                continue
+            op, a, b, p = rec
+            if op == ADD:
+                adj[a] += g
+                adj[b] += g
+            elif op == MUL:
+                adj[a] += g * vals[b]
+                adj[b] += g * vals[a]
+            elif op == SUB:
+                adj[a] += g
+                adj[b] -= g
+            elif op == TANH:
+                adj[a] += g * (1.0 - vals[i] * vals[i])
+            elif op == EXP:
+                adj[a] += g * vals[i]
+            elif op == MAX2:
+                va, vb = vals[a], vals[b]
+                if va == vb:
+                    adj[a] += 0.5 * g
+                    adj[b] += 0.5 * g
+                elif va > vb:
                     adj[a] += g
+                else:
                     adj[b] += g
-                elif op == MUL:
-                    adj[a] += g * vals[b]
-                    adj[b] += g * vals[a]
-                elif op == SUB:
-                    adj[a] += g
-                    adj[b] -= g
-                elif op == TANH:
-                    adj[a] += g * (1.0 - vals[i] * vals[i])
-                elif op == EXP:
-                    adj[a] += g * vals[i]
-                elif op == MAX2:
-                    va, vb = vals[a], vals[b]
-                    if va == vb:
-                        adj[a] += 0.5 * g
-                        adj[b] += 0.5 * g
-                    elif va > vb:
-                        adj[a] += g
-                    else:
-                        adj[b] += g
-                elif op == DIV:
-                    adj[a] += g / vals[b]
-                    adj[b] -= g * vals[i] / vals[b]
-                elif op == NEG:
-                    adj[a] -= g
-                elif op == LN:
-                    adj[a] += g / vals[a]
-                elif op == SIN:
-                    adj[a] += g * math.cos(vals[a])
-                elif op == COS:
-                    adj[a] -= g * math.sin(vals[a])
-                elif op == POW_CONST:
-                    adj[a] += g * p * vals[a] ** (p - 1.0)
-                else:  # pragma: no cover
-                    raise AssertionError(f"unhandled opcode {op}")
-            if adjoint is not None:
-                adjoint(adj, start, args)
+            elif op == DIV:
+                adj[a] += g / vals[b]
+                adj[b] -= g * vals[i] / vals[b]
+            elif op == NEG:
+                adj[a] -= g
+            elif op == LN:
+                adj[a] += g / vals[a]
+            elif op == SIN:
+                adj[a] += g * math.cos(vals[a])
+            elif op == COS:
+                adj[a] -= g * math.sin(vals[a])
+            elif op == POW_CONST:
+                adj[a] += g * p * vals[a] ** (p - 1.0)
+            else:  # pragma: no cover
+                raise AssertionError(f"unhandled opcode {op}")
         if type(seeds) is range and seeds.step == 1:
             g = adj[seeds.start:seeds.stop]
-            return g + [0.0] * (len(seeds) - len(g))  # seeds past the tape
+            return g + [0.0] * (len(seeds) - len(g))  # seeds past the output
         return [adj[i] if i < n else 0.0 for i in seeds]
 
 

@@ -9,21 +9,22 @@ traced the same way, for a Policy of any size (any other controller is
 called as forward(s, k)), and draws the noise and adds it to the next
 state.  sampler.build_sampled generates its trajectory kernels from the
 same trace.  Both compute in the Var operators' order, so a
-differentiable rollout (the plain one sampled by build_sampled at every
-step and put on a tape by SampledTrajectory.on_tape) has its bits and
-the Var operators' gradients.  So step_fn and squash_fn must be
+differentiable rollout, which records the plain run's steps by Plant.step
+and the controller's forward on Vars, has its bits, and a sampled
+trajectory's adjoint its gradients.  So step_fn and squash_fn must be
 straight-line code over arithmetic and the autodiff helpers: nothing may
 depend on their arguments' values.  A noise-free loop may also run a
 formula's watch (stl_kernels.watch), which stops the run at the first
 state that proves its robustness below a floor.
 """
 
+import copy
 import csv
 import math
 
 from .autodiff import (
-    Tape, _bound, compile_kernel, cos, exp, powc, replay_source, sin, tanh,
-    value_of, vmax,
+    Tape, Var, _bound, compile_kernel, cos, exp, powc, replay_source, sin,
+    tanh, value_of, vmax,
 )
 from .policy import Policy, forward_source, param_count
 
@@ -107,13 +108,13 @@ def corners_and_center(low, high):
 
 class Rollout:
     """A closed-loop run: K + 1 states and K raw actions (floats).  In a
-    differentiable run the states are on_tape's anchors, Vars on tape
-    where they depend on theta (autodiff.value_of reads their floats)."""
+    differentiable run the states are Vars on tape (autodiff.value_of
+    reads their floats), after theta's, whose ids theta_vars holds."""
 
     def __init__(self, states, raw_actions, tape=None, theta_vars=None):
         self.states = states
         self.raw_actions = raw_actions
-        self.tape = tape  # differentiable: the states are anchors on it
+        self.tape = tape  # differentiable: the states are recorded on it
         self.theta_vars = theta_vars  # theta's node ids, backward's seeds
 
     @property
@@ -269,8 +270,10 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None, watch=None):
     noise is (c1, c2, rng): s0 is perturbed once by c2*eta and every step
     gains c1*v_k, with eta, v_k i.i.d. standard normal per dimension.
     Noise draws happen in a fixed order so traces are seed-reproducible.
-    mode="differentiable" samples the trace by build_sampled at every
-    step and puts it on a tape by SampledTrajectory.on_tape.
+    mode="differentiable" runs the plain run, then records its steps on
+    a tape by Plant.step and the controller's forward over Vars: theta,
+    then the start state, with the noise redrawn from a copy of rng.
+    Its values, errors and the state it leaves rng in are the plain run's.
 
     watch is (formula, floor), for a plain run without per-step noise:
     the run is None from the first state at which a watched conjunct of
@@ -290,6 +293,7 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None, watch=None):
     if c2 != 0.0:
         s0 = tuple(x + c2 * rng.gauss(0.0, 1.0) for x in s0)
     gauss = rng.gauss if c1 != 0.0 else None
+    twin = copy.copy(rng) if gauss and mode != "plain" else None
     args = [policy.theta, policy.forward, s0, K,
             getattr(policy, "time_scale", None), c1, gauss]
     code = ()
@@ -306,13 +310,17 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None, watch=None):
     out = _closed_loop(plant, policy, bool(gauss), code)(*args)
     if out is None:
         return None
-    run = Rollout(*out)
     if mode == "plain":
-        return run
-    from .sampler import build_sampled  # sampler imports this module
-    tape, theta, states = build_sampled(run, range(K + 1), policy,
-                                        plant).on_tape()
-    return Rollout(states, run.raw_actions, tape, theta)
+        return Rollout(*out)
+    tape = Tape()
+    theta = tape.consts(policy.theta)
+    ctrl = policy.with_theta([Var(tape, i) for i in theta])
+    states = [tuple(map(tape.const, s0))]
+    for k in range(K):
+        s = plant.step(states[-1], ctrl.forward(states[-1], k), k)
+        states.append(tuple(x + c1 * twin.gauss(0.0, 1.0) for x in s)
+                      if twin else tuple(s))
+    return Rollout(states, out[1], tape, theta)
 
 
 # -- generated kernels: Plant.step traced once ------------------------------------

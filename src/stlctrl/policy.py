@@ -10,10 +10,10 @@ autodiff.replay_source writes it, traced on Vars like a plant step, as
 one function per net, whatever its size, with one statement per neuron,
 ``h = tanh(th[b] + th[r] * x0 + ...)``, summed left to right like the
 loop, so it is bit-identical to it.  A rollout inlines that source into
-its loop.  The only way onto a tape is a live step of a sampled
-trajectory, whose kernel sampler generates from the same source: it
-computes the same floats and keeps the ones its adjoint reads (each
-neuron's tanh).
+its loop, and a sampled trajectory's kernel, which sampler generates
+from the same source, computes the same floats and keeps the ones its
+adjoint reads (each neuron's tanh).  On Vars (a differentiable rollout)
+the loop records the Var operators.
 
 Policy.save writes a checkpoint; the command line reads one back with the
 checks of a scenario's policy section.
@@ -54,8 +54,9 @@ class Policy:
         return self.widths[-1]
 
     def forward(self, s, k):
-        """Raw action vector for float inputs s at time-step k, by the
-        reference loop, whose bits every generated forward has."""
+        """Raw action vector for inputs s (floats, or Vars, on whose tape
+        it records) at time-step k, by the reference loop, whose bits
+        every generated forward has."""
         if len(s) + self.include_time != self.widths[0]:
             raise ValueError(
                 f"input dim {len(s) + self.include_time} != "

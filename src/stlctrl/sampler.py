@@ -11,7 +11,8 @@ on an objective's adjoints at those states, taken on floats (the
 waypoint objective; the smooth robustness by smooth.smooth_adjoints
 when every predicate is Affine) or on a tape of their own
 (state_adjoints: h*, and a smooth robustness with a Named predicate).
-Only a differentiable rollout puts it on a tape (on_tape).
+A sampled trajectory never goes onto a tape; a differentiable rollout
+records its steps with the Var operators instead (plants.rollout).
 
 Its two kernels are generated once per (plant, controller) from
 plants._traced's step and policy.forward_source's net, or for a table of
@@ -81,8 +82,8 @@ class SampledTrajectory:
 
     def grad(self, adjs):
         """d(objective)/d(theta), adjs[i] the objective's adjoint at each
-        entry of the state at times[i + 1], laid out in adj after theta's
-        and the start state's, as on on_tape's tape."""
+        entry of the state at times[i + 1], laid out in adj after the
+        slots of theta and of the start state, which adjoint fills."""
         th, states = self.args[:2]
         start = len(th) + len(states[0])
         adj = [0.0] * start + [g for a in adjs for g in a]
@@ -90,17 +91,6 @@ class SampledTrajectory:
             raise ValueError("need one adjoint per entry of times[1:]'s states")
         self.adjoint(adj, start, self.args)
         return adj[:len(th)]
-
-    def on_tape(self):
-        """(tape, theta's ids, anchors): theta and the start state as consts
-        on a tape of its own, then one block whose adjoint is grad's and
-        whose outputs are the anchors after the start state's floats."""
-        tape, (th, states) = Tape(), self.args[:2]
-        tape.consts([*th, *states[0]])
-        vs = map(Var, repeat(tape), tape.outputs(
-            [x for t in self.times[1:] for x in states[t]], self.adjoint,
-            self.args))
-        return tape, range(len(th)), [states[0], *zip(*[vs] * len(states[0]))]
 
 
 def state_adjoints(fn, states):

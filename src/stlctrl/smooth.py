@@ -9,11 +9,12 @@ satisfaction.  Inputs are shifted by the running extremum before
 exponentiation; the shift is mathematically exact for both
 aggregations, it only prevents overflow.
 
-smooth_robustness runs the smooth kernel over Vars, floats or a mix.
-smooth_adjoints gives its adjoint at every state entry without a tape:
-a forward pass over the program on the states' floats, then one reverse
-sweep in Tape.backward's order over a flat list of slots, running the
-aggregations' block adjoints and the predicates' records, so its bits
+smooth_robustness runs the smooth kernel over Vars, floats or a mix; over
+Vars, softmin and softmax_lb record the Var operators.  smooth_adjoints
+gives its adjoint at every state entry without a tape: a forward pass
+over the program on the states' floats, then one reverse sweep in
+Tape.backward's order over a flat list of slots, running hand-written
+adjoints of the aggregations and the predicates' records, so its bits
 are the tape's (reverse mode over floats: Griewank & Walther,
 "Evaluating Derivatives", 2008, ch. 4 and 6).
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import add, itemgetter, mul, sub
 
-from .autodiff import Var
+from .autodiff import Var, exp, ln, value_of
 from .stl import Trace, _kernel, _program
 
 
@@ -36,48 +37,53 @@ class SmoothConfig:
             raise ValueError("smoothing sharpness b must be finite and > 0")
 
 
-# softmin and softmax_lb compute on floats (_softmin, _softmax_lb: an
-# entry's value and its node id or slot, None for a float), in the order
-# and with the operations the Var operators would, so the values are
-# theirs.  With a Var entry they push one node whose block adjoint
-# replays Tape.backward's sweep over the records those operators would
-# have made: each entry x recorded x - m, * b and exp, and each add of a
-# running sum passes its adjoint on unchanged (0.0 + g), so only the Var
-# entries get terms, in reverse entry order, with the interpreter's skips
-# of a zero adjoint.  (Var.__radd__ adds a Var entry after a float-only
-# prefix as e + acc, the same float as acc + e.)  The least entry's
-# weight is exp(0.0) = 1.0, so a sum of weights is at least 1.0 or NaN,
-# and the log and the division need no guard.
-
 def softmin(xs, b):
     if len(xs) == 1:
         return xs[0]
-    tape, vs, ids = _operands(xs)
-    out, args = _softmin(vs, ids, b)
-    return out if tape is None else tape.block(out, _softmin_adjoint, args)
-
-
-def _operands(xs):
-    """(tape, values, ids): xs's tape (None if it holds no Var), each
-    entry's value and each one's node id, None for a float."""
-    tape, vs, ids = None, [], []
+    m = min(map(value_of, _one_tape(xs)))
+    acc = None
     for x in xs:
-        if type(x) is Var:
-            if x.tape is not tape:
-                if tape is not None:
-                    raise ValueError("operands recorded on different tapes")
-                tape = x.tape
-            vs.append(x.value)
-            ids.append(x.i)
-        else:
-            vs.append(float(x))
-            ids.append(None)
-    return tape, vs, ids
+        e = exp((m - x) * b)
+        acc = e if acc is None else acc + e
+    return m - ln(acc) / b
 
+
+def softmax_lb(xs, b):
+    if len(xs) == 1:
+        return xs[0]
+    m = max(map(value_of, _one_tape(xs)))
+    num = den = None
+    for x in xs:
+        w = exp((x - m) * b)
+        num = x * w if num is None else num + x * w
+        den = w if den is None else den + w
+    return num / den
+
+
+def _one_tape(xs):
+    """xs, after a ValueError if its Vars are on two tapes, before any
+    node is pushed."""
+    if len({x.tape for x in xs if type(x) is Var}) > 1:
+        raise ValueError("operands recorded on different tapes")
+    return xs
+
+
+# The float cores of smooth_adjoints: _softmin and _softmax_lb compute on
+# floats (an entry's value and its slot, None for a float) in the order
+# and with the operations of softmin and softmax_lb, so the values are
+# theirs, and keep the args of an adjoint that replays Tape.backward's
+# sweep over the records those would make: each entry x recorded x - m,
+# * b and exp, and each add of a running sum passes its adjoint on
+# unchanged (0.0 + g), so only the entries with a slot get terms, in
+# reverse entry order, with the interpreter's skips of a zero adjoint.
+# (Var.__radd__ adds a Var entry after a float-only prefix as e + acc, the
+# same float as acc + e.)  The least entry's weight is exp(0.0) = 1.0, so
+# a sum of weights is at least 1.0 or NaN, and the log and the division
+# need no guard.
 
 def _softmin(vs, ids, b):
-    """(softmin of the values vs, its block's args): live holds the id and
-    weight of each entry whose id is not None."""
+    """(softmin of the values vs, its adjoint's args): live holds the slot
+    and weight of each entry whose slot is not None."""
     m = min(vs)
     acc = None
     live = []
@@ -109,17 +115,9 @@ def _softmin_adjoint(adj, n, args):
                 adj[live[j]] -= g_sub  # m - x
 
 
-def softmax_lb(xs, b):
-    if len(xs) == 1:
-        return xs[0]
-    tape, vs, ids = _operands(xs)
-    out, args = _softmax_lb(vs, ids, b)
-    return out if tape is None else tape.block(out, _softmax_lb_adjoint, args)
-
-
 def _softmax_lb(vs, ids, b):
-    """(softmax_lb of the values vs, its block's args): live holds the id,
-    value and weight of each entry whose id is not None."""
+    """(softmax_lb of the values vs, its adjoint's args): live holds the
+    slot, value and weight of each entry whose slot is not None."""
     m = max(vs)
     num = den = None
     live = []
@@ -176,12 +174,12 @@ def smooth_adjoints(f, states, cfg=SmoothConfig()):
 
     A forward pass walks f's program on the floats: an Affine predicate's
     rows are its eval's sum, taken a term at a time over the rows, and
-    softmin and softmax_lb keep their block's args.
+    _softmin and _softmax_lb keep their adjoints' args.
     Each value with a node on the tape has a slot in adj, after one per
     state entry; a float (a predicate without a nonzero coefficient, an
     aggregation of floats) has none, and an aggregation of one entry is
-    that entry.  The reverse sweep is Tape.backward's: the aggregations'
-    block adjoints and each predicate row's records, in reverse creation
+    that entry.  The reverse sweep is Tape.backward's over the records
+    of the aggregations and of each predicate row, in reverse creation
     order (see _affine_adjoint).
     """
     steps = _program(f, Trace(states), 0)[1]

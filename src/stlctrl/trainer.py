@@ -199,7 +199,7 @@ def _train(plant, policy, f, init_set, cfg, step):
     log = TrainLog()
     retries = diverged = iters = 0
     dnf, best_theta, best_rho, kept = True, theta, -math.inf, {}
-    t_start = time.time()
+    t_start = time.perf_counter()
     while iters < cfg.max_iters:
         min_rho, worst_s0, runs = _min_rho(plant, policy, theta, init_set, K,
                                            f, kept)
@@ -208,7 +208,7 @@ def _train(plant, policy, f, init_set, cfg, step):
         if min_rho > cfg.rho_bar:
             dnf = False
             break
-        t_iter = time.time()
+        t_iter = time.perf_counter()
         try:
             theta, branch, lr, div, kept = step(theta, worst_s0, runs)
         except DivergedRollout:
@@ -218,7 +218,7 @@ def _train(plant, policy, f, init_set, cfg, step):
             continue
         diverged += div
         log.append(iter=iters, rho=kept[worst_s0][0], branch=branch, lr=lr,
-                   seconds=time.time() - t_iter)
+                   seconds=time.perf_counter() - t_iter)
         iters += 1
     # repeats a solved check; the benchmark's spans count its .samples read
     final_rho = _min_rho(plant, policy, theta, init_set, K, f, kept)[0]
@@ -231,7 +231,7 @@ def _train(plant, policy, f, init_set, cfg, step):
         "final_rho": best_rho,
         "retries": retries,
         "diverged": diverged,
-        "seconds": time.time() - t_start,
+        "seconds": time.perf_counter() - t_start,
     }
     return (best_theta if dnf else theta), log, info
 

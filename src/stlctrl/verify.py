@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .plants import DivergedRollout, rollout
-from .stl import Trace, horizon, robustness, satisfies
+from .stl import Trace, horizon, robustness
 
 
 class CalibrationSet:
@@ -169,19 +169,3 @@ def report(calib, coverage, delta1=None):
         mean=mean, variance=var, verdict=r_ell < 0.0,
         diverged=calib.values.count(math.inf))
 
-
-def success_rate(plant, controller, f, s0, noise, trials, rng):
-    """Fraction of noisy rollouts satisfying f (Boolean semantics)."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    K = horizon(f)
-    ok = 0
-    for _ in range(trials):
-        nz = None if noise is None else (noise[0], noise[1], rng)
-        try:
-            r = rollout(plant, controller, s0, K, noise=nz)
-        except DivergedRollout:
-            continue
-        if satisfies(f, Trace(r.states)):
-            ok += 1
-    return ok / trials

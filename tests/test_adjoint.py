@@ -1,13 +1,13 @@
 """The sampled trajectory's generated adjoint against the Var operators.
 
 The oracle is tests/test_plants.py's oracle_sampled, Plant.step and the
-reference loop of the controller run on Vars, and the smooth kernel with
-tests/test_smooth.py's soft min/max by the Var operators: their records,
-which Tape.backward interprets node by node, with no generated code and
-no aggregation block.  A trajectory put on a tape by on_tape is one
-block that keeps no records, so values and gradients are compared, as
-IEEE bytes: of sampled trajectories, differentiable rollouts and the
-gradients built on them, over theta and the start state.
+reference loop of the controller run on Vars, and the smooth kernel,
+whose soft min/max record the Var operators: their records, which
+Tape.backward interprets node by node, with no generated code.  A
+sampled trajectory's adjoint is run on a unit adjoint at each anchor
+entry (tests/test_plants.py's adjoint_anchors), and values and gradients
+are compared, as IEEE bytes: of sampled trajectories, differentiable
+rollouts and the gradients built on them, over theta and the start state.
 """
 
 import math
@@ -16,7 +16,7 @@ import struct
 
 import pytest
 
-from stlctrl.autodiff import Var, value_of, vmax
+from stlctrl.autodiff import Var, vmax
 from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
 from stlctrl.plants import Plant, Rollout, builtin, rollout
 from stlctrl.policy import Policy, init
@@ -24,12 +24,13 @@ from stlctrl.sampler import (
     build_sampled, grad_critical, grad_smooth, partition_times,
     sample_times_to,
 )
-from stlctrl.smooth import SmoothConfig
+from stlctrl.smooth import SmoothConfig, smooth_robustness
 from stlctrl.stl import Trace, critical, horizon, parse
 from stlctrl.trainer import _OpenLoop
-from tests.test_plants import oracle_sampled, rollout_with_offsets
+from tests.test_plants import (
+    adjoint_anchors, oracle_sampled, rollout_with_offsets, var_anchors,
+)
 from tests.test_policy import loop_forward
-from tests.test_smooth import oracle_smooth_robustness
 
 # every builtin plant with its bundled scenario's controller widths
 CASES = [
@@ -47,19 +48,9 @@ def _bits(xs):
     return struct.pack(f"<{len(xs)}d", *xs)
 
 
-def _assert_same(got, want, seeds):
-    """Entry by entry: the same float, or Vars with the same value and the
-    same gradient over the seeds, theta's and the start state's node ids
-    on each tape, a float's being zero."""
-    assert len(got) == len(want)
-    for x, y in zip(got, want):
-        if not isinstance(x, Var):
-            assert not isinstance(y, Var) and _bits([x]) == _bits([y])
-            continue
-        assert _bits([x.value]) == _bits([value_of(y)])
-        assert _bits(x.tape.backward(x, seeds)) == _bits(
-            y.tape.backward(y, seeds) if isinstance(y, Var)
-            else [0.0] * len(seeds)), x
+def _anchor_bits(anchors):
+    """adjoint_anchors' or var_anchors' list as bytes, entry by entry."""
+    return [[_bits([v, *g]) for v, g in a] for a in anchors]
 
 
 def _seeds(pol, ref):
@@ -82,11 +73,9 @@ def _reference(name, widths, include_time, s0, noisy, K=14, mode="plain"):
 
 def _assert_sampled_matches_oracle(ref, times, pol, plant, offsets=None):
     st = build_sampled(ref, times, pol, plant)
-    got = st.on_tape()[2]
     want = oracle_sampled(ref, times, pol, plant, offsets)[2]
-    assert len(got) == len(want)
-    for x, y in zip(got, want):
-        _assert_same(x, y, _seeds(pol, ref))
+    assert _anchor_bits(adjoint_anchors(st)) == _anchor_bits(
+        var_anchors(want, _seeds(pol, ref)))
     return st
 
 
@@ -118,8 +107,9 @@ def test_sampled_gradients_match_interpreter(name, widths, include_time, s0,
     assert diff.raw_actions == ref.raw_actions
     anchors = oracle_sampled(ref, range(15), pol, plant, offs)[2]
     assert len(diff.states) == len(anchors) == 15
-    for got, want in zip(diff.states, anchors):
-        _assert_same(got, want, _seeds(pol, ref))
+    assert _bits([x.value for x in diff.states[0]]) == _bits(anchors[0])
+    assert _anchor_bits(var_anchors(diff.states, _seeds(pol, ref))) == \
+        _anchor_bits(var_anchors(anchors, _seeds(pol, ref)))
 
 
 @pytest.mark.parametrize("name,widths,include_time,s0", CASES)
@@ -156,53 +146,35 @@ def test_run_records_and_adjoint_match_steps(name, widths, include_time, s0,
     # a run of frozen steps between the live steps 3 and 3 + steps + 1,
     # from a noisy reference's states too
     plant, pol, ref, offs = _reference(name, widths, include_time, s0, noisy)
-    st = _assert_sampled_matches_oracle(ref, [0, 3, 3 + steps + 1], pol,
-                                        plant, offs)
-    # on a tape, the block pushes the anchors only
-    tape = st.on_tape()[0]
-    assert len(tape.blocks) == 1
-    assert len(tape) == len(pol.theta) + 3 * plant.state_dim
-
-
-def test_backward_from_the_first_output_of_a_run_block():
-    # dubins carries two states: the anchor after a frozen run is not the
-    # block's last node, so the block's adjoint must run for it too
-    plant, pol, ref, _ = _reference("dubins", [3, 20, 2], True, (0.0, 0.0),
-                                    False)
-    times = [0, 2, 8, 9]
-    st = _assert_sampled_matches_oracle(ref, times, pol, plant)
-    tape, _, anchors = st.on_tape()
-    start, end, _, _ = tape.blocks[-1]
-    assert [x.i for x in anchors[2]] == [end - 4, end - 3]
-    assert any(st.grad([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)]))
+    _assert_sampled_matches_oracle(ref, [0, 3, 3 + steps + 1], pol, plant,
+                                   offs)
 
 
 def test_run_of_no_steps_returns_its_input():
-    # the start alone: its anchor is the reference's floats, the block has
-    # no output, and no anchor adjoint gives a zero gradient
+    # the start alone: no anchor after it, and no anchor adjoint gives a
+    # zero gradient
     plant, pol, ref, _ = _reference("dubins", [3, 20, 2], True, (0.1, 0.2),
                                     False, K=3)
     st = build_sampled(ref, [0], pol, plant)
-    tape, _, anchors = st.on_tape()
-    assert anchors == [ref.states[0]] and anchors[0] == (0.1, 0.2)
-    assert [(a, b) for a, b, _, _ in tape.blocks] == [(len(tape),) * 2]
+    assert st.times == [0] and adjoint_anchors(st) == []
     assert st.grad([]) == [0.0] * len(pol.theta)
     # consecutive sample times: no frozen step between them
     _assert_sampled_matches_oracle(ref, [0, 1, 2, 3], pol, plant)
 
 
-@pytest.mark.parametrize("fn,blocks", [
+@pytest.mark.parametrize("fn,kernels", [
     # states swapped, a state squared
     (lambda s, u, dt: (s[1] * u[0], s[0] - u[0]), 1),
     (lambda s, u, dt: (s[0] + u[0], s[0] * s[0]), 1),
 ])
-def test_runs_of_unusual_steps_match_step_by_step(fn, blocks):
+def test_runs_of_unusual_steps_match_step_by_step(fn, kernels):
+    # one pair of kernels for the action table, whatever the sample times
+    from stlctrl.plants import _traced
     plant = Plant("odd", 2, 1, 1.0, fn, lambda a: a)
     acts, s0 = [(0.3,), (-0.2,), (0.7,), (0.1,)], (0.4, -0.6)
     for times in ([0, 4], [0, 1, 4], [0, 1, 2, 3, 4]):
-        tape, _, anchors = _open_loop(plant, s0, acts, times).on_tape()
-        assert len(tape.blocks) == blocks
-        assert all(isinstance(x, Var) for a in anchors[1:] for x in a)
+        _open_loop(plant, s0, acts, times)
+    assert len(_traced(plant)[1]) == kernels
 
 
 @pytest.mark.parametrize("fn", [
@@ -212,9 +184,9 @@ def test_runs_of_unusual_steps_match_step_by_step(fn, blocks):
     lambda s, u, dt: (s[1], s[0] + u[0]),
 ], ids=["through_and_constant", "one_node_for_two", "constant", "through"])
 def test_recorders_reject_a_step_they_cannot_record(fn):
-    # the trajectory block records a next state passed through or
-    # constant, live or frozen: its anchors are Vars with the Var
-    # operators' values and gradients (a float's is zero).  It cannot
+    # the trajectory's adjoint takes a next state passed through or
+    # constant, live or frozen: its anchors have the Var operators' values
+    # and gradients (a float's is zero).  It cannot
     # record two next states that are one node, whose adjoints it would
     # sum in another order than the interpreter's one node does:
     # generating the kernel raises, naming the plant
@@ -238,26 +210,27 @@ def test_vmax_tie_splits_in_step_and_run():
     for p, acts in ((plant, [(0.4,)] * 4), (tie, [(0.0,)] * 4)):
         for times in ([0, 1], [0, 2], [0, 4], [0, 1, 2, 3, 4]):
             _open_loop(p, (1e-3,), acts, times)
-    tape, _, anchors = _open_loop(tie, (1e-3,), [(0.0,)] * 4,
-                                  [0, 4]).on_tape()
-    assert tape.backward(anchors[1][0], range(4, 5)) == [0.0625]
+    # gradients over the start state, after theta's four actions
+    [[(_, g)]] = adjoint_anchors(_open_loop(tie, (1e-3,), [(0.0,)] * 4,
+                                            [0, 4]))
+    assert g[4:5] == [0.0625]
     # ties between two states: each gets half
     both = Plant("both", 2, 1, 1.0, lambda s, u, dt: (
         vmax(s[0], s[1]) + 0.0 * u[0], vmax(s[1], s[0]) * u[0]), lambda a: a)
     for steps in (1, 3):
-        tape, _, anchors = _open_loop(both, (0.5, 0.5), [(1.0,)] * steps,
-                                      [0, steps]).on_tape()
-        assert [tape.backward(x, range(steps, steps + 2))
-                for x in anchors[1]] == [[0.5, 0.5]] * 2
-    tape, _, anchors = _open_loop(plant, (1e-3,), [(0.2,)], [0, 1]).on_tape()
-    assert tape.backward(anchors[1][0], range(1, 2))[0] == (
-        pytest.approx(0.5 * 0.8 * 1.2 * 1e-3 ** 0.2))
+        [anchor] = adjoint_anchors(_open_loop(both, (0.5, 0.5),
+                                              [(1.0,)] * steps, [0, steps]))
+        assert [g[steps:steps + 2] for _, g in anchor] == [[0.5, 0.5]] * 2
+    [[(_, g)]] = adjoint_anchors(_open_loop(plant, (1e-3,), [(0.2,)],
+                                            [0, 1]))
+    assert g[1] == pytest.approx(0.5 * 0.8 * 1.2 * 1e-3 ** 0.2)
 
 
 def test_blocks_whose_outputs_have_zero_adjoint_are_skipped():
     # below 1e-3, vmax(x, 1e-3) passes no adjoint back to x, so every step
-    # before the last has a zero adjoint, as the interpreter skips it; an
-    # infinite value in such a step would make its terms nan
+    # before the last has a zero adjoint, and the adjoint skips it as the
+    # interpreter does; an infinite value in such a step would make its
+    # terms nan
     plant = builtin("scalar_power")
     inf = Plant("inf", 1, 1, 1.0, lambda s, u, dt: (
         vmax(s[0] * u[0], 1e-3) + 1e308 * u[0] * s[0],), lambda a: a)
@@ -266,39 +239,22 @@ def test_blocks_whose_outputs_have_zero_adjoint_are_skipped():
         for a in acts:
             states.append(p.step(states[-1], a, 0))
         for times in ([0, len(acts)], list(range(len(acts) + 1))):
-            tape, _, anchors = build_sampled(Rollout(states, acts), times,
-                                             ol, p).on_tape()
-            start = len(acts)  # the start state's id
-            assert tape.backward(anchors[-1][0],
-                                 range(start, start + 1)) == [0.0]
+            (_, g), = adjoint_anchors(build_sampled(Rollout(states, acts),
+                                                    times, ol, p))[-1]
+            assert g[len(acts):] == [0.0]  # over the start state
     _open_loop(plant, (-2.0,), [(0.4,)] * 5, [0, 2, 5])
-
-
-def test_backward_from_a_node_inside_a_block():
-    # every output of the block, not only its last node
-    plant, pol, ref, _ = _reference("dubins", [3, 20, 2], True, (0.0, 0.0),
-                                    False)
-    times = [0, 1, 9]
-    st = _assert_sampled_matches_oracle(ref, times, pol, plant)
-    (tape, theta, _), nonzero = st.on_tape(), 0
-    [(start, end, _, _)] = tape.blocks
-    assert end - start == 2 * (len(times) - 1)
-    for i in range(start, end):
-        nonzero += any(tape.backward(Var(tape, i), theta))
-    assert nonzero == end - start
 
 
 @pytest.mark.parametrize("noisy", [False, True])
 def test_sampled_tape_equals_step_by_step_recording(noisy):
-    """build_sampled, one block per trajectory on a tape, gives the anchors
-    and gradients of the Var operators step by step, noisy or not."""
+    """build_sampled's adjoint gives the anchors and gradients of the Var
+    operators step by step, noisy or not."""
     plant, pol, ref, offs = _reference("dubins", [3, 20, 2], True,
                                        (0.0, 0.0), noisy, K=100)
     rng = random.Random(1)
     for _ in range(5):
         times = sample_times_to(rng.randint(1, 100), 7, 100, rng)
-        st = _assert_sampled_matches_oracle(ref, times, pol, plant, offs)
-        assert len(st.on_tape()[0].blocks) == 1
+        _assert_sampled_matches_oracle(ref, times, pol, plant, offs)
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -313,13 +269,9 @@ def test_frozen_runs_take_the_reference_state(noisy):
         nan = (math.nan,) * plant.action_dim
         acts = [a if k in times else nan
                 for k, a in enumerate(ref.raw_actions)]
-        runs = []
-        for r in (ref, Rollout(ref.states, acts)):
-            tape, theta, anchors = build_sampled(r, times, pol,
-                                                 plant).on_tape()
-            runs.append([[_bits([x.value, *tape.backward(x, theta)])
-                          for x in a]
-                         for a in anchors[1:]])
+        runs = [_anchor_bits(adjoint_anchors(build_sampled(r, times, pol,
+                                                           plant)))
+                for r in (ref, Rollout(ref.states, acts))]
         assert runs[0] == runs[1], name
         acts[3] = nan
         with pytest.raises(ValueError, match="at step 3"):
@@ -341,7 +293,7 @@ def _oracle_grad_smooth(ref, partition, f, cfg, pol, plant, offsets):
         states = list(ref.states)
         for t, anchor in zip(times, anchors):
             states[t] = anchor
-        out = oracle_smooth_robustness(f, states, cfg.b)
+        out = smooth_robustness(f, Trace(states), cfg)
         if isinstance(out, Var):
             for i, g in enumerate(tape.backward(out, theta)):
                 total[i] += g

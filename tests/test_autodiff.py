@@ -159,22 +159,3 @@ def test_range_seeds_past_the_tape_are_zero():
     assert t.backward(y, range(4, 7)) == [0.0, 0.0, 0.0]
     assert t.backward(y, range(2, 2)) == []
     assert t.backward(y, range(2, -1, -1)) == [1.0, 2.0, 3.0]
-
-
-def test_records_below_the_first_block_are_interpreted():
-    # Var-operator records before, between and after blocks: the spans
-    # with records are interpreted, the spans of constants alone skipped
-    def double(adj, n, args):
-        adj[args] += 2.0 * adj[n]
-
-    t = Tape()
-    x = t.const(3.0)
-    y = x * x  # below the first block
-    b1 = t.block(2.0 * y.value, double, y.i)
-    t.consts([5.0, 7.0])  # a span of constants only
-    b2 = t.block(2.0 * b1.value, double, b1.i)
-    z = b2 * x  # after the last block
-    assert z.value == 4.0 * 9.0 * 3.0
-    assert t.backward(z, [x, y, b1, b2]) == [4.0 * 6.0 * 3.0 + 36.0,
-                                             12.0, 6.0, 3.0]
-    assert t.backward(b1, range(0, 2)) == [12.0, 2.0]

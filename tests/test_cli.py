@@ -293,8 +293,8 @@ def log_of_zero(ref, kstar, hstar, N, policy, plant, rng):
 
 
 def recorder_guard(ref, kstar, hstar, N, policy, plant, rng):
-    # a guard of a trajectory block's generated adjoint, which recomputes
-    # a step from the reference's floats: the block's first output is
+    # a guard of a sampled trajectory's generated adjoint, which recomputes
+    # a step from the reference's floats: grad's first anchor slot is
     # node 1, after the start state (an action table of no actions)
     odd = Plant("odd", 1, 0, 1.0, lambda s, u, dt: (1.0 / s[0],),
                 lambda a: a)

@@ -313,8 +313,8 @@ def rollout_with_offsets(plant, policy, s0, K, noise=None, mode="plain"):
 
 
 def oracle_sampled(ref, times, policy, plant, offsets=None):
-    """build_sampled(ref, times, policy, plant).on_tape() by the Var
-    operators: (tape, theta's ids, anchors).  Plant.step at every step,
+    """The trajectory build_sampled(ref, times, policy, plant) samples, by
+    the Var operators: (tape, theta's ids, anchors).  Plant.step at every step,
     its action at a live step the reference loop's on theta's Vars, or for
     an action table theta's own; offsets[k], _generic_rollout's noise
     offsets, are added after step k.  theta and then the start state are
@@ -337,6 +337,35 @@ def oracle_sampled(ref, times, policy, plant, offsets=None):
     return tape, theta, anchors
 
 
+def adjoint_anchors(st, entries=None):
+    """Each entry (those at the indices entries, if given) of each anchor
+    after the start state of the sampled trajectory st, as (value,
+    gradient over theta and the start state): st.adjoint run on a unit
+    adjoint at that entry, laid out as grad lays out its adjoints, after
+    the slots of theta and the start state."""
+    th, states = st.args[:2]
+    n, start = len(states[0]), len(th) + len(states[0])
+    out = []
+    for j, t in enumerate(st.times[1:]):
+        out.append([])
+        for d in range(n) if entries is None else entries:
+            adj = [0.0] * (start + n * (len(st.times) - 1))
+            adj[start + j * n + d] = 1.0
+            st.adjoint(adj, start, st.args)
+            out[-1].append((states[t][d], adj[:start]))
+    return out
+
+
+def var_anchors(anchors, seeds, entries=None):
+    """adjoint_anchors' list for anchors of Vars (oracle_sampled's, or a
+    differentiable rollout's states): each entry's value and its gradient
+    over seeds, a float entry's zero."""
+    return [[(value_of(x), x.tape.backward(x, seeds) if isinstance(x, Var)
+              else [0.0] * len(seeds))
+             for x in (a if entries is None else [a[d] for d in entries])]
+            for a in anchors[1:]]
+
+
 def _outcome(run, rng):
     """What a rollout left behind, diverged or not, with the rng's state."""
     try:
@@ -344,7 +373,8 @@ def _outcome(run, rng):
     except DivergedRollout as e:
         got = ("diverged", e.step, str(e))
     else:
-        got = ((got.states, got.raw_actions) if isinstance(got, plants.Rollout)
+        got = (([tuple(map(value_of, s)) for s in got.states], got.raw_actions)
+               if isinstance(got, plants.Rollout)
                else got[:2])  # _generic_rollout's, without its offsets
     return _bits(got), rng.getstate() if rng else None
 
@@ -364,20 +394,27 @@ _PLANT_CASES = [
 ]
 
 
+def _recorded(plant, policy, s0, K, noise=None):
+    return rollout(plant, policy, s0, K, mode="differentiable", noise=noise)
+
+
 @pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("name,widths,s0,scale", _PLANT_CASES)
 def test_fused_loop_matches_generic_loop(name, widths, s0, scale, noisy):
+    # the differentiable rollout too: the same values, or a divergence at
+    # the same step with the same message, and the rng left where the
+    # plain run leaves it
     plant = builtin(name)
     for seed in range(2):
         pol = init(widths, rng=random.Random(seed))
         pol = pol.with_theta([w * scale for w in pol.theta])
         runs = []
-        for fn in (rollout, _generic_rollout):
+        for fn in (rollout, _generic_rollout, _recorded):
             rng = random.Random(seed + 7)
             noise = (0.03, 0.002, rng) if noisy else None
             runs.append(_outcome(lambda: fn(plant, pol, s0, 40, noise=noise),
                                  rng))
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
 
 
 def _inline_cases():
@@ -470,8 +507,8 @@ def _one_trajectory(plant, s, acts, times):
     """Each anchor entry of an open-loop trajectory from s over the raw
     actions acts (states by Plant.step on floats), live at times, as its
     value and its gradient over the actions and the start state, in bytes:
-    (build_sampled's, the Var operators' step by step; a float entry's
-    gradient is zero)."""
+    (build_sampled's by its adjoint, the Var operators' step by step; a
+    float entry's gradient is zero)."""
     from stlctrl.sampler import build_sampled
     from stlctrl.trainer import _OpenLoop
     ol, states = _OpenLoop([list(a) for a in acts]), [tuple(s)]
@@ -479,11 +516,9 @@ def _one_trajectory(plant, s, acts, times):
         states.append(tuple(plant.step(states[-1], a, 0)))
     ref = plants.Rollout(states, [tuple(a) for a in acts])
     seeds = range(len(acts) * plant.action_dim + plant.state_dim)
-    return [[_bits([(x.value, x.tape.backward(x, seeds))
-                    if isinstance(x, Var) else (x, [0.0] * len(seeds))
-                    for x in a]) for a in an[1:]]
-            for _, _, an in (build_sampled(ref, times, ol, plant).on_tape(),
-                             oracle_sampled(ref, times, ol, plant))]
+    return [_bits(adjoint_anchors(build_sampled(ref, times, ol, plant))),
+            _bits(var_anchors(oracle_sampled(ref, times, ol, plant)[2],
+                              seeds))]
 
 
 def _assert_recorder_matches_var_operators(plant, s, a, a0=None):
@@ -515,12 +550,9 @@ def test_step_recorder_scalar_power_max_tie_and_power():
     from stlctrl.sampler import build_sampled
     from stlctrl.trainer import _OpenLoop
     ref = plants.Rollout([(1e-3,), plant.step((1e-3,), (0.2,), 0)], [(0.2,)])
-    tape, _, anchors = build_sampled(ref, [0, 1], _OpenLoop([[0.2]]),
-                                     plant).on_tape()
-    # one block, its outputs the only nodes it pushes
-    assert len(tape.blocks) == 1 and tape.recs == [None] * 3
-    g = tape.backward(anchors[1][0], range(2))[1]  # over the start state
-    assert g == pytest.approx(0.5 * 0.8 * 1.2 * 1e-3 ** 0.2)
+    [[(_, g)]] = adjoint_anchors(build_sampled(ref, [0, 1],
+                                               _OpenLoop([[0.2]]), plant))
+    assert g[1] == pytest.approx(0.5 * 0.8 * 1.2 * 1e-3 ** 0.2)  # over s0
 
 
 @pytest.mark.parametrize("fn", [
@@ -571,8 +603,8 @@ def test_step_recorder_keeps_the_var_operand_first():
 def test_step_recorder_guards_write_nothing(fn, s, a):
     # build_sampled steps nothing; the trajectory's adjoint recomputes a
     # step from the reference's floats, behind the Var operators' guards,
-    # as EvalError at the first output of on_tape's block, and changes
-    # nothing of the trajectory
+    # as EvalError at grad's first anchor slot, and changes nothing of the
+    # trajectory
     from stlctrl.sampler import build_sampled
     from stlctrl.trainer import _OpenLoop
     plant = Plant("guarded", 1, 1, 1.0, fn, lambda a: a)
@@ -593,7 +625,7 @@ def test_step_recorder_guards_write_nothing(fn, s, a):
         with pytest.raises(EvalError) as e:
             st.grad([(1.0,)])
         assert st.args == args
-        assert e.value.node_id == st.on_tape()[0].blocks[0][0]
+        assert e.value.node_id == len(acts) + 1  # after theta's and s0's
         assert str(e.value).split(": ", 1)[1] in errs
     # the plain loop fails before it draws the step's noise
     rngs = []
@@ -624,28 +656,28 @@ def test_each_builtin_plant_generates_both_recorders_once(name, loops):
 
 
 def test_plant_recorders_reject_a_state_from_another_tape():
-    # anchors of two trajectories are on two tapes: an objective that
-    # mixes them, or a backward seeded on the other tape, is rejected
-    # before anything is pushed
-    from stlctrl.sampler import build_sampled
-    from stlctrl.smooth import softmin
+    # the states of two differentiable rollouts are on two tapes: an
+    # objective that mixes them, or a backward seeded on the other tape,
+    # is rejected before anything is pushed
+    from stlctrl.smooth import softmax_lb, softmin
     plant = builtin("dubins")
     pol = init([3, 4, 2], rng=random.Random(1))
-    ref = rollout(plant, pol, (0.0, 0.0), 6)
-    (t1, _, a1), (t2, _, a2) = (build_sampled(ref, times, pol, plant).on_tape()
-                                for times in ([0, 2, 6], [0, 3, 6]))
-    own, other = a1[1][0], a2[1][0]
+    r1, r2 = (rollout(plant, pol, (0.0, 0.0), K, mode="differentiable")
+              for K in (6, 3))
+    t1, t2 = r1.tape, r2.tape
+    own, other = r1.states[2][0], r2.states[3][0]
     calls = [lambda: own + other, lambda: softmin([own, other], 5.0),
+             lambda: softmax_lb([0.5, own, own, other], 5.0),
              lambda: t1.backward(own, [other])]
     for call in calls:
-        sizes = [(len(t), list(t.blocks)) for t in (t1, t2)]
+        sizes = [len(t) for t in (t1, t2)]
         with pytest.raises(ValueError) as e:
             call()
         assert str(e.value) in ("operands recorded on different tapes",
                                 "seed not on this tape")
-        assert [(len(t), t.blocks) for t in (t1, t2)] == sizes
-    # an anchor on its own tape is recorded as before
-    assert isinstance(own + own, Var) and len(t1.blocks) == 1
+        assert [len(t) for t in (t1, t2)] == sizes
+    # a state on its own tape is recorded as before
+    assert isinstance(own + own, Var) and len(t1) == sizes[0] + 1
 
 
 

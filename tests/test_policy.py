@@ -12,7 +12,7 @@ from stlctrl.cli import (
 )
 from stlctrl.plants import Plant, rollout
 from stlctrl.policy import AdamState, Policy, adam_update, init, param_count
-from stlctrl.sampler import build_sampled
+from stlctrl.sampler import build_sampled, state_adjoints
 
 
 def test_param_count_formula():
@@ -179,12 +179,6 @@ def loop_forward(p, s, k, theta=None):
     return x
 
 
-def _grads(tape, outs, seeds):
-    """Each output's value and gradient over the seeds, as bytes."""
-    return [list(map(_bits, [v.value, *tape.backward(v, seeds)]))
-            for v in outs]
-
-
 def _assert_kernel_matches_loop(p, rng, trials=3):
     n = p.state_dim
     for _ in range(trials):
@@ -255,20 +249,24 @@ def _probe(p):
 def _assert_recorder_matches_loop(p, s, times):
     """A trajectory of _probe(p) from s, live at times: its anchors'
     values, and the gradients over theta and the start state of their
-    first, middle and last entries, must be the same by build_sampled and
-    by the Var operators (oracle_sampled), bit for bit.  Returns (tape,
-    theta, anchors) of each."""
-    from tests.test_plants import oracle_sampled
+    first, middle and last entries, must be the same by build_sampled's
+    adjoint and by the Var operators (oracle_sampled), bit for bit.
+    Returns the sampled trajectory and oracle_sampled's (tape, theta,
+    anchors)."""
+    from tests.test_plants import (
+        _bits as bits, adjoint_anchors, oracle_sampled, var_anchors,
+    )
     plant = _probe(p)
     ref = rollout(plant, p, s, times[-1])
-    runs = [build_sampled(ref, times, p, plant).on_tape(),
-            oracle_sampled(ref, times, p, plant)]
+    st, oracle = (build_sampled(ref, times, p, plant),
+                  oracle_sampled(ref, times, p, plant))
     seeds = range(len(p.theta) + len(s))
     some = sorted({0, len(s) // 2, len(s) - 1})  # the gradients of these
-    grads = [_grads(t, [a[d] for a in an[1:] for d in some], seeds)
-             + [_bits(x.value) for a in an[1:] for x in a] for t, _, an in runs]
-    assert grads[0] == grads[1]
-    return runs
+    assert bits(adjoint_anchors(st, some)) == bits(
+        var_anchors(oracle[2], seeds, some))
+    assert bits([ref.states[t] for t in times[1:]]) == bits(
+        [[x.value for x in a] for a in oracle[2][1:]])
+    return st, oracle
 
 
 @pytest.mark.parametrize("widths,include_time,time_scale", _policy_configs())
@@ -305,35 +303,42 @@ def test_forward_is_the_reference_loop_and_compiles_nothing(monkeypatch):
 
 
 def test_recorder_puts_theta_then_the_start_state_on_the_tape():
-    # theta's consts are the first nodes, the start state's the next, then
-    # the one block of anchors; seeds given as Vars in any order read them
+    # a differentiable rollout: theta's consts are the first nodes, the
+    # start state's the next, then the recorded steps; seeds given as Vars
+    # in any order read them, and their gradients are those of the adjoint
+    # of the trajectory sampled at every step
+    from tests.test_plants import adjoint_anchors, var_anchors
     p = init([3, 7, 2], rng=random.Random(17))
-    [(tape, theta, anchors), _] = _assert_recorder_matches_loop(
-        p, (0.25, -0.5), [0, 2, 3, 7])
-    P = len(p.theta)
+    _assert_recorder_matches_loop(p, (0.25, -0.5), [0, 2, 3, 7])
+    run = rollout(_probe(p), p, (0.25, -0.5), 7, mode="differentiable")
+    st = build_sampled(rollout(_probe(p), p, (0.25, -0.5), 7), range(8), p,
+                       _probe(p))
+    tape, theta, P = run.tape, run.theta_vars, len(p.theta)
     assert theta == range(P) and tape.vals[:P] == p.theta
     assert tape.vals[P:P + 2] == [0.25, -0.5]
-    assert tape.blocks[0][:2] == (P + 2, P + 2 + 2 * 3) == (P + 2, len(tape))
+    assert [x.i for x in run.states[0]] == [P, P + 1]
     order = list(range(P + 2))[::-1]
-    y = anchors[-1][1]
+    y = run.states[-1][1]
     g = tape.backward(y, range(P + 2))
     assert tape.backward(y, [Var(tape, i) for i in order]) == [
         g[i] for i in order]
+    assert adjoint_anchors(st) == var_anchors(run.states, range(P + 2))
 
 
 def test_recorder_several_forwards_on_one_tape():
     # as in a sampled trajectory: each forward's inputs depend on the last
     p = init([3, 8, 2], rng=random.Random(18))
-    (tape, _, _), (oracle, _, _) = _assert_recorder_matches_loop(
+    _, (oracle, _, _) = _assert_recorder_matches_loop(
         p, (0.4, -0.7), [0, 1, 2, 3, 4])
-    # TANH: the Var operators' records; the block pushes none
-    assert [r and r[0] for r in oracle.recs].count(TANH) == 8 * 4
-    assert not any(tape.recs) and len(tape.blocks) == 1
+    run = rollout(_probe(p), p, (0.4, -0.7), 4, mode="differentiable")
+    # TANH: the Var operators' records, one per hidden neuron and step
+    for tape in (oracle, run.tape):
+        assert [r and r[0] for r in tape.recs].count(TANH) == 8 * 4
 
 
 def test_recorder_rejects_before_writing(monkeypatch):
     # a live step whose raw action is not the reference's is rejected;
-    # build_sampled makes no tape, on_tape one
+    # build_sampled makes no tape
     p = init([3, 4, 2], rng=random.Random(19))
     plant = _probe(p)
     ref = rollout(plant, p, (0.1, 0.5), 4)
@@ -347,8 +352,7 @@ def test_recorder_rejects_before_writing(monkeypatch):
             build_sampled(bad, times, p, plant)
     assert not tapes
     st = build_sampled(bad, [0, 1, 4], p, plant)  # step 2 frozen: its action
-    assert not tapes
-    assert st.on_tape()[0] is tapes[0] and len(tapes) == 1
+    assert st.times == [0, 1, 4] and not tapes
 
 
 def test_recorder_gradients_bit_identical_to_the_loop():
@@ -356,12 +360,16 @@ def test_recorder_gradients_bit_identical_to_the_loop():
     for widths in ([3, 20, 2], [4, 9, 9, 3]):
         p = init(widths, rng=rng)
         xs = tuple(rng.uniform(-1, 1) for _ in range(p.state_dim))
-        grads = []
-        for tape, theta, anchors in _assert_recorder_matches_loop(
-                p, xs, [0, 3, 4]):
-            out = anchors[-1]
-            y = out[0]
-            for v in out[1:]:
+        st, (tape, theta, anchors) = _assert_recorder_matches_loop(
+            p, xs, [0, 3, 4])
+
+        def product(*states):
+            y = states[-1][0]
+            for v in states[-1][1:]:
                 y = y * v
-            grads.append([_bits(g) for g in tape.backward(y, theta)])
-        assert grads[0] == grads[1]
+            return y
+
+        # Tape.backward to the anchors, then the trajectory's adjoint
+        adjs = state_adjoints(product, [st.args[1][t] for t in st.times[1:]])
+        assert [_bits(g) for g in st.grad(adjs)] == [
+            _bits(g) for g in tape.backward(product(*anchors[1:]), theta)]

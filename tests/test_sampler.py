@@ -3,18 +3,20 @@ import struct
 
 import pytest
 
-from stlctrl.autodiff import Tape, Var, value_of
+from stlctrl.autodiff import Tape, value_of
 from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
 from stlctrl.plants import Plant, builtin, rollout
 from stlctrl.policy import Policy, init
 from stlctrl.sampler import (
     build_sampled, grad_critical, grad_smooth, partition_times,
-    sample_times_to,
+    sample_times_to, state_adjoints,
 )
 from stlctrl.smooth import SmoothConfig, smooth_robustness
 from stlctrl.stl import Named, Trace, critical, horizon, parse
 from stlctrl.trainer import TrainConfig
-from tests.test_plants import oracle_sampled, rollout_with_offsets
+from tests.test_plants import (
+    adjoint_anchors, oracle_sampled, rollout_with_offsets, var_anchors,
+)
 from tests.test_stl import nan_as_one
 
 
@@ -105,11 +107,11 @@ def test_example_frozen_action_structure():
     for k in (0, 1, 3):
         ref_actions[k] = (2.0,)
     st = build_sampled(reference(ref_actions), [0, 1, 3, 6], pol, plant)
-    tape, theta, anchors = st.on_tape()
-    assert [a[0].value for a in anchors[1:]] == pytest.approx(
+    anchors = adjoint_anchors(st)
+    assert [a[0][0] for a in anchors] == pytest.approx(
         [1.0 + 2.0, 1.0 + 2.0 + 2.0 + 0.2,
          1.0 + 2.0 + 2.0 + 0.2 + 2.0 + 0.4 + 0.5])
-    (g,) = [tape.backward(anchors[-1][0], theta)[2]]
+    g = anchors[-1][0][1][2]
     assert g == pytest.approx(3.0)  # three live steps, unit sensitivity each
     # a frozen step's action need not be the policy's, a live one's must
     ref_actions[3] = (0.3,)
@@ -122,9 +124,9 @@ def test_full_sampling_equals_reference_bit_exact():
     pol = init([3, 6, 2], rng=random.Random(2))
     ref = rollout(plant, pol, (0.0, 0.0), 15)
     st = build_sampled(ref, list(range(16)), pol, plant)
-    for t, anchor in zip(st.times, st.on_tape()[2]):
-        assert tuple(x.value if hasattr(x, "value") else x for x in anchor) \
-            == ref.states[t]
+    for t, anchor in zip(st.times, oracle_sampled(ref, st.times, pol,
+                                                  plant)[2]):
+        assert tuple(map(value_of, anchor)) == ref.states[t]
 
 
 def test_anchor_primal_equality_partial_sampling():
@@ -133,9 +135,9 @@ def test_anchor_primal_equality_partial_sampling():
     s0 = (-40.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0)
     ref = rollout(plant, pol, s0, 20)
     st = build_sampled(ref, [0, 2, 7, 13, 20], pol, plant)
-    for t, anchor in zip(st.times, st.on_tape()[2]):
-        got = tuple(x.value if hasattr(x, "value") else x for x in anchor)
-        assert got == ref.states[t]
+    for t, anchor in zip(st.times, oracle_sampled(ref, st.times, pol,
+                                                  plant)[2]):
+        assert tuple(map(value_of, anchor)) == ref.states[t]
 
 
 def test_build_sampled_validation():
@@ -164,8 +166,8 @@ def test_build_sampled_samples_a_noisy_reference_with_frozen_steps():
     for ref, offsets in (noisy, start):
         for times in ([0, 2], [0, 1, 2, 5], [0, 1, 2, 3, 4, 5, 6, 8]):
             st = build_sampled(ref, times, pol, plant)
-            assert (_anchor_bits(st.on_tape(), seeds) == _anchor_bits(
-                oracle_sampled(ref, times, pol, plant, offsets), seeds))
+            assert _bits(adjoint_anchors(st)) == _bits(var_anchors(
+                oracle_sampled(ref, times, pol, plant, offsets)[2], seeds))
 
 
 def _fd_theta(fn, theta, idx, h=1e-6):
@@ -237,30 +239,36 @@ def test_grad_smooth_zero_influence_plant():
     assert all(x == 0.0 for x in g)
 
 
+def _taped_grad(st, fn):
+    """The gradient of fn over the anchors after the start of the sampled
+    trajectory st: one Tape.backward to Vars of them, then st's adjoint."""
+    anchors = [st.args[1][t] for t in st.times[1:]]
+    return st.grad(state_adjoints(fn, anchors) if anchors else [])
+
+
 def _per_set_grad_smooth(ref, partition, f, cfg, pol, plant):
     """grad_smooth as each partition set's own tape: the smooth robustness
-    over a full-horizon Trace with the set's anchors at its times, then one
-    Tape.backward; the oracle of the adjoints taken once per reference."""
+    over a full-horizon Trace with Vars of the set's anchors at its times,
+    then one Tape.backward; the oracle of the adjoints taken once per
+    reference."""
     total = [0.0] * len(pol.theta)
     for times in partition:
-        tape, theta, anchors = build_sampled(ref, times, pol, plant).on_tape()
-        states = list(ref.states)
-        for t, anchor in zip(times, anchors):
-            states[t] = anchor
-        out = smooth_robustness(f, Trace(states), cfg)
-        if isinstance(out, Var):
-            for i, g in enumerate(tape.backward(out, theta)):
-                total[i] += g
+        def smooth(*anchors, times=times):
+            states = list(ref.states)
+            for t, anchor in zip(times[1:], anchors):
+                states[t] = anchor
+            return smooth_robustness(f, Trace(states), cfg)
+
+        st = build_sampled(ref, times, pol, plant)
+        for i, g in enumerate(_taped_grad(st, smooth)):
+            total[i] += g
     return total
 
 
-def _on_tape_grad_critical(ref, kstar, hstar, N, pol, plant, rng):
-    """grad_critical with h* evaluated on the anchor, then Tape.backward."""
-    tape, theta, anchors = build_sampled(
-        ref, sample_times_to(kstar, N, ref.K, rng), pol, plant).on_tape()
-    out = hstar.h.eval(anchors[-1])
-    return (tape.backward(out, theta) if isinstance(out, Var)
-            else [0.0] * len(pol.theta))
+def _taped_grad_critical(ref, kstar, hstar, N, pol, plant, rng):
+    """grad_critical with h* evaluated on a Var of the last anchor."""
+    st = build_sampled(ref, sample_times_to(kstar, N, ref.K, rng), pol, plant)
+    return _taped_grad(st, lambda *anchors: hstar.h.eval(anchors[-1]))
 
 
 def _nan_bits(xs):
@@ -280,7 +288,7 @@ def _assert_gradients_match_the_tape(ref, f, cfg, N, Ms, pol, plant):
     for kstar in (w.time, 0):
         got, want = (g(ref, kstar, w.predicate, N, pol, plant,
                        random.Random(N)) for g in (grad_critical,
-                                                   _on_tape_grad_critical))
+                                                   _taped_grad_critical))
         assert _nan_bits(got) == _nan_bits(want), kstar
     assert grad_critical(ref, 0, w.predicate, N, pol, plant,
                          random.Random(0)) == [0.0] * len(pol.theta)
@@ -392,14 +400,6 @@ def test_chain_rule_decomposition_identity():
         assert a == pytest.approx(b, abs=1e-8)
 
 
-def _anchor_bits(on_tape, seeds, last=0):
-    """Each entry of a trajectory's anchors (the last ones if given), as
-    on_tape gives them, and a Var's gradient over seeds, as bytes."""
-    tape, _, anchors = on_tape
-    return _bits([[(x.value, tape.backward(x, seeds)) if isinstance(x, Var)
-                   else x for x in a] for a in anchors[-last:]])
-
-
 def _bits(x):
     if isinstance(x, float):
         return struct.pack("<d", x)
@@ -430,15 +430,14 @@ def test_build_sampled_records_what_var_operators_record(name, widths, s0,
     seeds = range(len(pol.theta) + len(s0))  # theta, then the start state
     for times in ([0, 1, 2, 5, 6, 11], [0, 4, 12], list(range(K + 1))):
         st = build_sampled(ref, times, pol, plant)
-        assert (_anchor_bits(st.on_tape(), seeds) == _anchor_bits(
-            oracle_sampled(ref, times, pol, plant, offsets), seeds))
-        assert st.on_tape()[1] == range(len(pol.theta))
+        assert _bits(adjoint_anchors(st)) == _bits(var_anchors(
+            oracle_sampled(ref, times, pol, plant, offsets)[2], seeds))
 
 
 def test_policy_recorder_matches_forward():
-    # the controller's only tape path is a live step of the trajectory
-    # block: values and gradients over theta and the start state are the
-    # reference loop's on Vars, at steps 0 and 5, after a frozen run too
+    # a live step of the trajectory's adjoint: values and gradients over
+    # theta and the start state are the reference loop's on Vars, at steps
+    # 0 and 5, after a frozen run too
     p = init([3, 7, 2], rng=random.Random(3))
     plant = Plant("mix", 2, 2, 1.0, lambda s, u, dt: (
         s[0] * 0.5 + u[0], s[1] - u[1] * s[0]), lambda a: a)
@@ -446,8 +445,8 @@ def test_policy_recorder_matches_forward():
     seeds = range(len(p.theta) + 2)
     for times in ([0, 5, 6], [0, 1, 6], [0, 6]):
         st = build_sampled(ref, times, p, plant)
-        assert (_anchor_bits(st.on_tape(), seeds)
-                == _anchor_bits(oracle_sampled(ref, times, p, plant), seeds))
+        assert _bits(adjoint_anchors(st)) == _bits(var_anchors(
+            oracle_sampled(ref, times, p, plant)[2], seeds))
 
 
 def test_each_net_and_plant_compiles_one_recorder(monkeypatch):
@@ -499,40 +498,9 @@ def test_a_live_steps_adjoint_reads_the_forwards_cos_and_sin(monkeypatch):
         ref = rollout(plant, pol, tuple(0.1 * i for i in range(
             widths[0] - 1)), 12)
         times = [0, 3, 4, 12]
-        tape, theta, anchors = build_sampled(ref, times, pol, plant).on_tape()
+        st = build_sampled(ref, times, pol, plant)
         adjoint = sources[-1]
         assert adjoint.count("cos(") == adjoint.count("sin(") == headings
-        assert _anchor_bits((tape, theta, anchors), theta, 1) == \
-            _anchor_bits(oracle_sampled(ref, times, pol, plant), theta, 1)
-
-
-def test_a_wide_net_records_one_block_per_trajectory():
-    # [21,40,20] has 1,700 weights: one block holds the whole trajectory,
-    # its outputs the anchors after the start, and its gradients are the
-    # Var operators'
-    plant = builtin("multi_dubins_10")
-    pol = init([21, 40, 20], rng=random.Random(6))
-    ref = rollout(plant, pol, tuple(0.1 * i for i in range(20)), 30)
-    for times in ([0, 4, 5, 12, 30], [0, 1, 2], list(range(31))):
-        tape, theta, anchors = build_sampled(ref, times, pol, plant).on_tape()
-        [(start, end, _, _)] = tape.blocks
-        assert start == len(pol.theta) + 20 and end == len(tape)
-        assert end - start == 20 * (len(times) - 1) and not any(tape.recs)
-        assert [x.i for a in anchors[1:] for x in a] == list(
-            range(start, end))
-    assert (_anchor_bits((tape, theta, anchors), theta, 1) == _anchor_bits(
-        oracle_sampled(ref, times, pol, plant), theta, 1))
-
-
-def test_quad6_platform_records_its_trajectory_as_one_block():
-    # frozen runs and a noisy reference are in the block too: on a tape
-    # it holds theta, the start state and the anchors, and no record
-    plant = builtin("quad6_platform")
-    pol = init([8, 20, 20, 10, 4], rng=random.Random(2))
-    s0 = (-40.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0)
-    for noise in (None, (0.02, 0.0, random.Random(4))):
-        ref = rollout(plant, pol, s0, 40, noise=noise)
-        for times in ([0, 4, 5, 12, 40], [0, 1, 2, 30], [0, 40], range(41)):
-            tape = build_sampled(ref, times, pol, plant).on_tape()[0]
-            assert len(tape.blocks) == 1 and not any(tape.recs)
-            assert len(tape) == len(pol.theta) + 7 * len(times)
+        seeds = range(len(pol.theta) + plant.state_dim)
+        assert _bits(adjoint_anchors(st)) == _bits(var_anchors(
+            oracle_sampled(ref, times, pol, plant)[2], seeds))

@@ -3,17 +3,17 @@ import random
 
 import pytest
 
-from stlctrl.autodiff import Tape, Var, exp, ln, value_of
+from stlctrl.autodiff import SUB, Tape, Var, value_of
 from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
 from stlctrl.plants import rollout
 from stlctrl.sampler import state_adjoints
 from stlctrl.smooth import (
-    SmoothConfig, smooth_adjoints, smooth_robustness, softmin, softmax_lb,
+    _CORES, SmoothConfig, smooth_adjoints, smooth_robustness, softmin,
+    softmax_lb,
 )
 from stlctrl.stl import (
     Affine, Always, And, Eventually, HorizonError, Named, Or, Pred, Release,
-    Trace, Until, _kernel, aggregation_shape, horizon, parse, robustness,
-    satisfies,
+    Trace, Until, aggregation_shape, horizon, parse, robustness, satisfies,
 )
 from tests.test_stl import (
     CORPUS, bits, crafted_traces, nan_as_one, random_formula, zero_offsets,
@@ -130,49 +130,11 @@ def test_sharper_b_is_tighter():
     assert all(gaps[i] >= gaps[i + 1] - 1e-12 for i in range(len(gaps) - 1))
 
 
-# -- the aggregations by the Var operators, which the blocks replaced --------
-
-def var_softmin(xs, b):
-    if len(xs) == 1:
-        return xs[0]
-    m = min(value_of(x) for x in xs)
-    acc = None
-    for x in xs:
-        e = exp((m - x) * b)
-        acc = e if acc is None else acc + e
-    return m - ln(acc) / b
-
-
-def var_softmax_lb(xs, b):
-    if len(xs) == 1:
-        return xs[0]
-    m = max(value_of(x) for x in xs)
-    num = None
-    den = None
-    for x in xs:
-        w = exp((x - m) * b)
-        num = x * w if num is None else num + x * w
-        den = w if den is None else den + w
-    return num / den
-
-
-ORACLE = (var_softmin, var_softmax_lb)
-
-
-def oracle_smooth_robustness(f, states, b):
-    """The smooth kernel over states with the Var-operator aggregations."""
-    tr = Trace(states)
-    return _kernel(f, tr, 0, "smooth")(tr.states, 0,
-                                       lambda xs: var_softmin(xs, b),
-                                       lambda xs: var_softmax_lb(xs, b))
-
-
 # -- the memoised recursion the compiled program replaced (oracle) -----------
 
-def srho_rec(f, states, k, b, memo, agg=ORACLE):
-    """The smooth robustness by recursion, aggregating with agg = (soft
-    min, soft max), the Var operators' unless given."""
-    softmin, softmax_lb = agg
+def srho_rec(f, states, k, b, memo):
+    """The smooth robustness by recursion, aggregating with softmin and
+    softmax_lb, which record the Var operators over Vars."""
     key = (id(f), k)
     got = memo.get(key)
     if got is not None:
@@ -180,31 +142,31 @@ def srho_rec(f, states, k, b, memo, agg=ORACLE):
     if isinstance(f, Pred):
         v = f.h.eval(states[k])
     elif isinstance(f, And):
-        v = softmin([srho_rec(c, states, k, b, memo, agg)
+        v = softmin([srho_rec(c, states, k, b, memo)
                      for c in f.children], b)
     elif isinstance(f, Or):
-        v = softmax_lb([srho_rec(c, states, k, b, memo, agg)
+        v = softmax_lb([srho_rec(c, states, k, b, memo)
                         for c in f.children], b)
     elif isinstance(f, Always):
-        v = softmin([srho_rec(f.child, states, kk, b, memo, agg)
+        v = softmin([srho_rec(f.child, states, kk, b, memo)
                      for kk in range(k + f.a, k + f.b + 1)], b)
     elif isinstance(f, Eventually):
-        v = softmax_lb([srho_rec(f.child, states, kk, b, memo, agg)
+        v = softmax_lb([srho_rec(f.child, states, kk, b, memo)
                         for kk in range(k + f.a, k + f.b + 1)], b)
     elif isinstance(f, Until):
         outer = []
         for kp in range(k + f.a, k + f.b + 1):
-            inner = [srho_rec(f.left, states, kpp, b, memo, agg)
+            inner = [srho_rec(f.left, states, kpp, b, memo)
                      for kpp in range(k, kp)]
-            inner.append(srho_rec(f.right, states, kp, b, memo, agg))
+            inner.append(srho_rec(f.right, states, kp, b, memo))
             outer.append(softmin(inner, b))
         v = softmax_lb(outer, b)
     elif isinstance(f, Release):
         outer = []
         for kp in range(k + f.a, k + f.b + 1):
-            inner = [srho_rec(f.left, states, kpp, b, memo, agg)
+            inner = [srho_rec(f.left, states, kpp, b, memo)
                      for kpp in range(k, kp)]
-            inner.append(srho_rec(f.right, states, kp, b, memo, agg))
+            inner.append(srho_rec(f.right, states, kp, b, memo))
             outer.append(softmax_lb(inner, b))
         v = softmin(outer, b)
     else:
@@ -264,9 +226,8 @@ def taped(run, f, states, b):
 def test_tape_records_and_gradients_match_recursion_on_corpus():
     # the program records predicate nodes step by step rather than time by
     # time, so a state read by several predicates may sum its adjoint in
-    # another order: gradients agree to rounding with the Var operators'
-    # recursion, and node counts exactly with the recursion that aggregates
-    # as the program does (one block node per aggregation with a Var entry)
+    # another order: gradients agree to rounding with the recursion's, and
+    # node counts exactly
     for f, states in CORPUS:
         for b in (5.0, 15.0):
             n, value, grad = taped(
@@ -275,44 +236,68 @@ def test_tape_records_and_gradients_match_recursion_on_corpus():
                 f, states, b)
             n_rec, value_rec, grad_rec = taped(
                 lambda f, st, b: srho_rec(f, st, 0, b, {}), f, states, b)
-            n_blocks, _, _ = taped(
-                lambda f, st, b: srho_rec(f, st, 0, b, {},
-                                          (softmin, softmax_lb)),
-                f, states, b)
-            assert n == n_blocks <= n_rec, (f, b)
+            assert n == n_rec, (f, b)
             assert bits(value) == bits(value_rec), (f, b)
             assert grad == (grad_rec if grad is None else
                             pytest.approx(grad_rec, rel=1e-14, abs=0.0)), (f, b)
 
 
-# -- the aggregation blocks against the Var operators, bit for bit ----------
+# -- the float cores of smooth_adjoints against the Var operators -----------
 
 def _pack(xs):
     return b"".join(map(nan_as_one, xs))
 
 
-def _aggregated(agg, entries, b, post):
-    """Value and gradient bits of agg(xs, b) on a fresh tape.  An int entry
-    j is the j-th Var of a pool of seeds holding VALUES and two nodes
-    computed from them; a float stays a float.  post "nest" puts the
-    output and the list's first entry through the other aggregation of
-    agg's pair and squares that; "zero" multiplies the output by 0.0, so
-    its adjoint is 0.0 whatever its value."""
-    tape = Tape()
+def _aggregated(fn, entries, b, post, cores=False):
+    """Value and gradient bits of fn's aggregation (min: softmin, max:
+    softmax_lb) of xs on a fresh tape.  An int entry j is the j-th Var of
+    a pool of seeds holding VALUES and two nodes computed from them; a
+    float stays a float.  post "nest" puts the output and the list's
+    first entry through the other aggregation and squares that; "zero"
+    multiplies the output by 0.0, so its adjoint is 0.0 whatever its
+    value.  With cores, each aggregation with a Var entry is one const
+    holding the value of its float core (smooth._CORES), whose adjoint is
+    run on the sweep as smooth_adjoints runs it: after the records above
+    it, before the pool's two records below."""
+    tape, swept = Tape(), []
     seeds = [tape.const(v) for v in VALUES]
     pool = seeds + [seeds[0] * seeds[1], seeds[2] - 2.0]
+
+    def aggregate(fn, xs):
+        if not cores:
+            return {min: softmin, max: softmax_lb}[fn](xs, b)
+        if len(xs) == 1:
+            return xs[0]
+        core, adjoint = _CORES[fn]
+        v, args = core([value_of(x) for x in xs], [
+            x.i if isinstance(x, Var) else None for x in xs], b)
+        if not args[-1]:  # no Var entry
+            return v
+        swept.append((len(tape), adjoint, args))
+        return tape.const(v)
+
     xs = [pool[e] if type(e) is int else e for e in entries]
-    pair = ORACLE if agg in ORACLE else (softmin, softmax_lb)
-    out = agg(xs, b)
+    out = aggregate(fn, xs)
     if post == "nest":
-        other = pair[1] if agg is pair[0] else pair[0]
-        out = other([xs[0], out, 0.25], b)
+        out = aggregate(max if fn is min else min, [xs[0], out, 0.25])
         out = out * out
     elif post == "zero":
         out = out * 0.0
     if not isinstance(out, Var):
         return _pack([out]), None
-    return _pack([out.value]), _pack(tape.backward(out, seeds))
+    adj = tape.backward(out, range(len(tape)))
+    for n, adjoint, args in reversed(swept):
+        adjoint(adj, n, args)
+    for i in (len(VALUES) + 2, len(VALUES)) if swept else ():
+        op, a, c, _ = tape.recs[i]
+        g = adj[i]
+        if g != 0.0 and op == SUB:  # seeds[2] - 2.0
+            adj[a] += g
+            adj[c] -= g
+        elif g != 0.0:  # seeds[0] * seeds[1]
+            adj[a] += g * tape.vals[c]
+            adj[c] += g * tape.vals[a]
+    return _pack([out.value]), _pack(adj[:len(VALUES)])
 
 
 VALUES = (0.5, -1.25, 3.0, 100.0, -100.0, math.inf, -math.inf, math.nan,
@@ -350,10 +335,9 @@ POSTS = (None, "nest", "zero")
 def test_aggregations_match_the_var_operators_on_crafted_lists(k, b):
     entries = CRAFTED[k]
     for post in POSTS:
-        for agg, oracle in ((softmin, var_softmin),
-                            (softmax_lb, var_softmax_lb)):
-            assert _aggregated(agg, entries, b, post) == _aggregated(
-                oracle, entries, b, post), (agg.__name__, entries, post)
+        for fn in (min, max):
+            assert _aggregated(fn, entries, b, post, cores=True) == \
+                _aggregated(fn, entries, b, post), (fn, entries, post)
 
 
 def test_aggregations_match_the_var_operators_on_random_lists():
@@ -366,24 +350,10 @@ def test_aggregations_match_the_var_operators_on_random_lists():
                    for _ in range(rng.randint(1, 9))]
         for b in (5.0, 15.0):
             for post in POSTS:
-                for agg, oracle in ((softmin, var_softmin),
-                                    (softmax_lb, var_softmax_lb)):
-                    assert _aggregated(agg, entries, b, post) == \
-                        _aggregated(oracle, entries, b, post), (
-                            agg.__name__, entries, post)
-
-
-def test_an_aggregation_with_a_var_entry_is_one_node():
-    tape = Tape()
-    x, y = tape.const(1.0), tape.const(2.0)
-    for agg in (softmin, softmax_lb):
-        n = len(tape)
-        out = agg([0.5, x, 3.0, y, x], 15.0)
-        assert len(tape) == n + 1 and out.i == n
-    other = Tape().const(1.0)
-    for agg in (softmin, softmax_lb):
-        with pytest.raises(ValueError, match="different tapes"):
-            agg([x, other], 15.0)
+                for fn in (min, max):
+                    assert _aggregated(fn, entries, b, post, cores=True) \
+                        == _aggregated(fn, entries, b, post), (
+                            fn, entries, post)
 
 
 # -- the float sweep against Tape.backward, bit for bit ----------------------

@@ -775,10 +775,8 @@ def counted(name, calls):
 def test_shared_node_is_evaluated_once_per_time():
     # one predicate object under two operators with the same window is one
     # program step: 4 calls over 4 states, not 8, and as many smooth tape
-    # nodes as the id-memoised recursion records with the same soft min/max
-    from stlctrl.smooth import (
-        SmoothConfig, smooth_robustness, softmax_lb, softmin,
-    )
+    # nodes as the id-memoised recursion records
+    from stlctrl.smooth import SmoothConfig, smooth_robustness
     from tests.test_smooth import srho_rec, taped
     calls = []
     p, q, r = (counted(name, calls) for name in "pqr")
@@ -797,9 +795,7 @@ def test_shared_node_is_evaluated_once_per_time():
             n, value, _ = taped(lambda f, st, b: smooth_robustness(
                 f, Trace(st), SmoothConfig(b)), f, states, b)
             n_rec, value_rec, _ = taped(
-                lambda f, st, b: srho_rec(f, st, 0, b, {},
-                                          (softmin, softmax_lb)),
-                f, states, b)
+                lambda f, st, b: srho_rec(f, st, 0, b, {}), f, states, b)
             assert (n, bits(value)) == (n_rec, bits(value_rec)), (f, b)
 
 

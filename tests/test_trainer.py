@@ -9,12 +9,13 @@ from stlctrl.autodiff import Tape, Var, value_of
 from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
 from stlctrl.plants import InitialSet, Plant, Rollout, builtin, rollout
 from stlctrl.policy import AdamState, Policy, init
-from stlctrl.sampler import build_sampled
+from stlctrl.sampler import build_sampled, state_adjoints
 from stlctrl.stl import Trace, horizon, parse, robustness
 from stlctrl.trainer import (
     TrainConfig, TrainLog, WaypointPath, _OpenLoop, train_dropout,
     train_openloop, train_vanilla, waypoint_objective,
 )
+from tests.test_plants import oracle_sampled
 from tests.test_stl import nan_as_one
 
 
@@ -112,19 +113,20 @@ def _objective_bits(objective, states, wp, smpl):
     """J, its adjoint at each entry of states, and the gradient over theta
     of smpl, a sampled trajectory whose anchors hold states, as bytes: by
     waypoint_objective and smpl.grad, or by the Var operators over Vars of
-    states and over smpl's anchors on its tape, each with one backward."""
+    states, with one backward, and over Vars of the anchors after the
+    start, with one backward to them and then smpl's adjoint."""
     if objective is waypoint_objective:
         J, adjs = objective(smpl.times, states, wp)
         return _bits([J, *sum(adjs, []), *smpl.grad(adjs[1:])])
     tape = Tape()
     vs = [tuple(map(tape.const, s)) for s in states]
-    _, theta, anchors = smpl.on_tape()
-    out = []
-    for xs, seeds in ((vs, [x for s in vs for x in s]), (anchors, theta)):
-        J = objective(smpl.times, xs, wp)
-        out += (J.tape.backward(J, seeds) if isinstance(J, Var)
-                else [0.0] * len(seeds))
-    return _bits([value_of(J), *out])
+    J = objective(smpl.times, vs, wp)
+    seeds = [x for s in vs for x in s]
+    out = (J.tape.backward(J, seeds) if isinstance(J, Var)
+           else [0.0] * len(seeds))
+    adjs = state_adjoints(
+        lambda *xs: objective(smpl.times, [states[0], *xs], wp), states[1:])
+    return _bits([value_of(J), *out, *smpl.grad(adjs)])
 
 
 def _passed_through(states):
@@ -188,8 +190,9 @@ def test_waypoint_block_sums_an_entry_newest_term_first():
     plant = Plant("sum", 1, 1, 1.0, lambda s, u, dt: (s[0] + u[0],),
                   lambda a: a)
     ref = Rollout([(0.0,)] * 4, [(0.0,)] * 3)
-    smpl = build_sampled(ref, [0, 1, 2, 3], _OpenLoop([[0.0]] * 3), plant)
-    tape, theta, anchors = smpl.on_tape()
+    ol = _OpenLoop([[0.0]] * 3)
+    smpl = build_sampled(ref, [0, 1, 2, 3], ol, plant)
+    tape, theta, anchors = oracle_sampled(ref, smpl.times, ol, plant)
     assert smpl.grad(waypoint_objective(smpl.times, ref.states, wp)[1][1:]) \
         == tape.backward(oracle_waypoint_objective(smpl.times, anchors, wp),
                          theta) == [1.0, 0.0, -1e16]
@@ -343,6 +346,24 @@ def test_log_csv_format(tmp_path):
     assert lines[0] == "iter,rho,branch,lr,seconds"
     assert lines[1].startswith("0,-1.5,critical,")
     assert log.branch_counts() == {"critical": 1, "smooth": 1}
+
+
+def test_seconds_stay_nonnegative_when_the_wall_clock_steps_back(
+        monkeypatch):
+    # the wall clock can be set back while a run trains: iterations and the
+    # run are timed on a monotonic clock, so no seconds are negative
+    import time
+    clock = iter(range(10 ** 6, 0, -1))
+    monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+    plant = builtin("dubins")
+    pol = init([3, 4, 2], rng=random.Random(3))
+    cfg = TrainConfig(max_iters=3, N1=2, N2=1, M=2, N=2)
+    _, log, info = train_dropout(plant, pol, parse("F[4,5](x0 > 1e6)"),
+                                 _point_set((0.0, 0.0)), None, cfg,
+                                 random.Random(0))
+    assert len(log.records) == 3
+    assert all(r.seconds >= 0.0 for r in log.records)
+    assert info["seconds"] >= 0.0
 
 
 @pytest.mark.parametrize("guard_smooth", [True, False])

@@ -8,7 +8,7 @@ from stlctrl.policy import Policy, init
 from stlctrl.stl import parse
 from stlctrl.verify import (
     CalibrationSet, beta_bound, beta_moments, calibrate, choose_ell,
-    reg_inc_beta, report, success_rate,
+    reg_inc_beta, report,
 )
 
 
@@ -140,25 +140,3 @@ def test_report_counts_diverged_rollouts():
         40, 21, calib.values[20], calib.values[20] < 0.0)
     assert report(CalibrationSet([-1.0, 2.0]), coverage=0.5).diverged == 0
 
-
-def test_success_rate_noiseless():
-    plant = builtin("integrator2d")
-    pol = init([3, 4, 2], scheme="zero")
-    good = parse("G[0,5](x0 < 0)")
-    bad = parse("F[0,5](x0 > 0)")
-    assert success_rate(plant, pol, good, (-1.0, -1.0), None, 10,
-                        random.Random(0)) == 1.0
-    assert success_rate(plant, pol, bad, (-1.0, -1.0), None, 10,
-                        random.Random(0)) == 0.0
-    with pytest.raises(ValueError):
-        success_rate(plant, pol, good, (-1.0, -1.0), None, 0, random.Random(0))
-
-
-def test_success_rate_noise_degrades_margin():
-    plant = builtin("integrator2d")
-    pol = init([3, 4, 2], scheme="zero")
-    # margin 0.05 around the start; step noise 0.0314 soon drifts past it
-    tight = parse("G[0,40](x0 < -0.95)")
-    rate = success_rate(plant, pol, tight, (-1.0, -1.0), (0.0314, 0.0005),
-                        200, random.Random(1))
-    assert rate < 0.9
