@@ -513,9 +513,9 @@ def _names(exprs):
 
 
 def _bound(line):
-    """The names a generated assignment `a = ...`, `a, b, = ...` or
-    `[a, b] = ...` binds; none for other lines."""
-    m = re.match(r"\[?(\w+(?:, \w+)*),?\]? = ", line)
+    """The names a generated assignment `a = ...` or `a, b, = ...` binds;
+    none for other lines."""
+    m = re.match(r"(\w+(?:, \w+)*),? = ", line)
     return m[1].split(", ") if m else []
 
 

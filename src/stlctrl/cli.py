@@ -5,19 +5,22 @@ Scenario files are JSON documents naming a plant, a formula (whose
 horizon is the run's), an initial box, a controller architecture and the
 training/verification settings.  Every scenario carries a seed; runs write
 a manifest with the scenario hash and seed so any log can be reproduced
-bit for bit.
+bit for bit.  The hash is the SHA-256 of the bytes load_scenario parsed,
+taken when Scenario.sha256 is first read, which only write_manifest does:
+hashlib, and the OpenSSL library behind it (about 3.5 MB of memory), is
+imported only then, so training or verifying from Python never loads it.
 
 Exit codes: 0 success, 2 validation error, 3 training did not finish,
 4 runtime failure.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import random
 import sys
 from dataclasses import fields
+from functools import cached_property
 
 from . import __version__
 from .plants import (
@@ -34,7 +37,7 @@ from .trainer import (
 from .verify import calibrate, choose_ell, report
 
 # weights of a controller; the largest bundled net has 1700.  Compiling a
-# net's rollout loop and trajectory kernels takes about 10 kB per weight.
+# net's rollout loop and trajectory kernels takes about 8.5 kB per weight.
 _MAX_WEIGHTS = 20_000
 _TRAIN = {f.name: f.type for f in fields(TrainConfig)}  # train field types
 # the scenario fields that every run reads, and that each trainer reads besides
@@ -62,6 +65,8 @@ class ScenarioError(ValueError):
 
 
 class Scenario:
+    _raw = None  # the bytes load_scenario parsed
+
     def __init__(self, doc):
         td = doc.get("train")
         if not isinstance(td, dict):
@@ -200,6 +205,15 @@ class Scenario:
             raise ScenarioError("noise", "c1 and c2 must be non-negative")
         return (c1, c2)
 
+    @cached_property
+    def sha256(self):
+        """Hex SHA-256 of the bytes load_scenario parsed, hashed when first
+        read; a Scenario built from a dict has none."""
+        if self._raw is None:
+            raise AttributeError("a Scenario built from a dict has no sha256")
+        import hashlib  # here, not at the top: see the module doc
+        return hashlib.sha256(self._raw).hexdigest()
+
     def build_policy(self, rng):
         cfg = self.policy_cfg
         if cfg["scheme"] == "given":
@@ -313,7 +327,7 @@ def _read_object(path, field):
 def load_scenario(path):
     raw, doc = _read_object(path, "scenario")
     sc = Scenario(doc)
-    sc.sha256 = hashlib.sha256(raw).hexdigest()
+    sc._raw = raw
     return sc
 
 

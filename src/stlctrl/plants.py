@@ -364,11 +364,11 @@ def _closed_loop(plant, policy, noisy, watch=()):
     if key[0]:  # the forward inline, theta in locals
         ws = [(f"w{r}", None) for r in range(param_count(key[0]))]
         fwd, acts, _, _ = forward_source(*key[:2], ws, [(x, None) for x in xs])
-        head.append(f"[{', '.join(w for w, _ in ws)}] = th")
+        head.append(f"{', '.join(w for w, _ in ws)}, = th")
         fwd, acts = ["t = float(k) * ts"] * key[1] + fwd, [a for a, _ in acts]
     else:
         acts = list(map("a{}".format, range(m)))
-        fwd = [f"[{', '.join(acts)}] = forward({state}, k)"]
+        fwd = [f"{', '.join(acts)}, = forward({state}, k)"]
     lines, outs, consts, _ = replay_source(trace,
                                            [(x, None) for x in xs + acts])
     nxt = [x for x, _ in outs]
@@ -390,7 +390,7 @@ def _closed_loop(plant, policy, noisy, watch=()):
                                  if x not in state])
     loops[key] = compile_kernel(
         "th, forward, s, K, ts, sigma, gauss" + ", floor" * bool(watch), [
-            f"[{', '.join(xs)}] = s", f"{' = '.join(own)} = None"] + head
+            f"{', '.join(xs)}, = s", f"{' = '.join(own)} = None"] + head
         + [*start, "for k in range(K):"] + ["    " + line for line in step]
         + ["return states, acts"],
         {**consts, "LIMIT": DIVERGE_LIMIT, "check": _check, **dict(names)})

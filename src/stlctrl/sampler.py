@@ -161,8 +161,8 @@ def _kernels(plant, policy):
             raise ValueError(f"plant {plant.name}: two next states are one "
                              "node; make each its own")
         rev, sums = _adjoint(nodes, seeds, local, sums)
-        unpack = [f"[{', '.join(x for x, _ in ins[:n])}] = states[{k}]",
-                  f"[{', '.join(x for x, _ in ins[n:])}] = acts[{k}]"]
+        unpack = [f"{', '.join(x for x, _ in ins[:n])}, = states[{k}]",
+                  f"{', '.join(x for x, _ in ins[n:])}, = acts[{k}]"]
         return (_needed(unpack + lines, rev) + rev, sums,
                 " or ".join(g for _, g in seeds) or "0", consts)
 
@@ -176,7 +176,7 @@ def _kernels(plant, policy):
     live, sums, gs, _ = step("k", True, {**into_h, **ga}, {**into_h, **{
         a: "0.0" if net else f"adj[k * {m} + {e}]" for e, a in enumerate(ga)}})
     acts = [sums[a] for a in ga]
-    at_k = [f"[{', '.join(x for x, _ in xs)}] = states[k]", "t = float(k) * ts"]
+    at_k = [f"{', '.join(x for x, _ in xs)}, = states[k]", "t = float(k) * ts"]
     if net:
         P = param_count(net[0])
         ws = [(f"w{r}", f"b{r}") for r in range(P)]
@@ -187,12 +187,12 @@ def _kernels(plant, policy):
         reads, bs = _names(rev), ", ".join(b for _, b in ws)
         save = "".join(f"{x}, " for line in fwd for x in _bound(line)
                        if x in reads)
-        head = [f"[{', '.join(w for w, _ in ws)}] = th"]
+        head = [f"{', '.join(w for w, _ in ws)}, = th"]
         run = fwd + [f"if [{', '.join(a for a, _ in outs)}] != [*acts[k]]: "
                      "mismatch(k)", f"saved.append(({save}))"]
         ctrl = [f"if {' or '.join(acts)}:", *("    " + line for line in [
-            f"[{save}] = saved[i]"] * bool(save) + _needed(at_k, rev) + rev)]
-        load, store = [f"[{bs}] = adj[:{P}]"], [f"adj[:{P}] = [{bs}]"]
+            f"{save}= saved[i]"] * bool(save) + _needed(at_k, rev) + rev)]
+        load, store = [f"{bs}, = adj[:{P}]"], [f"adj[:{P}] = [{bs}]"]
     else:
         head = load = store = []
         ctrl = [f"adj[k * {m} + {e}] = {a}"
@@ -204,14 +204,14 @@ def _kernels(plant, policy):
         *("    " + line for line in _needed(at_k, run) + run),
         "return saved"], consts)
     adjoint = compile_kernel("adj, n, args", [
-        "[th, states, acts, times, saved, ts] = args", *head, *load,
+        "th, states, acts, times, saved, ts, = args", *head, *load,
         "i = len(times) - 1", f"o = n + i * {n}",
-        f"[{', '.join(G)}] = adj[o - {n}:o]", "k1 = times[i]", "while i:",
+        f"{', '.join(G)}, = adj[o - {n}:o]", "k1 = times[i]", "while i:",
         *("    " + line for line in [
             "i -= 1", f"o -= {n}", "k = times[i]", *frozen,
-            f"[{', '.join(H)}] = adj[o - {n}:o]", f"if {gs}:",
+            f"{', '.join(H)}, = adj[o - {n}:o]", f"if {gs}:",
             *("    " + x for x in live + ctrl),
-            f"adj[o - {n}:o] = [{', '.join(G)}] = [{', '.join(H)}]",
+            f"adj[o - {n}:o] = {', '.join(G)}, = [{', '.join(H)}]",
             "k1 = k"]), *store], consts)
     kernels[net] = build, adjoint
     return build, adjoint

@@ -1,13 +1,17 @@
+import hashlib
 import json
 import math
 import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from stlctrl.cli import (
     Scenario, ScenarioError, bundled_names, load_scenario, main,
-    resolve_scenario,
+    resolve_scenario, write_manifest,
 )
 from stlctrl.autodiff import Tape, ln
 from stlctrl.plants import Plant, Rollout, write_trace_csv
@@ -57,9 +61,61 @@ def test_bundled_scenarios_present_and_valid():
                  "quad12", "integrator2d", "scalar_power"]:
         assert want in names
     for name in names:
-        sc = load_scenario(resolve_scenario(name))
+        path = resolve_scenario(name)
+        sc = load_scenario(path)
         assert sc.seed is not None
-        assert len(sc.sha256) == 64
+        assert sc.sha256 == _digest(path)
+
+
+def _digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_the_manifest_digest_is_of_the_bytes_loaded(tmp_path):
+    path = write_scenario(tmp_path, scenario_doc())
+    loaded = _digest(path)
+    sc = load_scenario(path)
+    doc = scenario_doc()
+    doc["seed"] = 8
+    write_scenario(tmp_path, doc)  # the file changes before its first read
+    assert _digest(path) != loaded
+    write_manifest(str(tmp_path), "train", sc, 7, [])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["scenario_sha256"] == loaded
+    with pytest.raises(AttributeError):
+        Scenario(scenario_doc()).sha256  # no file, no digest
+
+
+def test_library_use_of_every_scenario_does_not_load_openssl():
+    # a fresh interpreter: hashlib's _hashlib (OpenSSL) costs about 3.5 MB
+    # of peak memory, and only write_manifest needs it
+    script = textwrap.dedent("""
+        import random, sys
+        from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
+        from stlctrl.plants import rollout
+        from stlctrl.sampler import build_sampled
+        from stlctrl.stl import Trace, horizon, robustness
+        for name in bundled_names():
+            sc = load_scenario(resolve_scenario(name))
+            if sc.policy_cfg is None:
+                continue
+            pol = sc.build_policy(random.Random(sc.seed))
+            K = horizon(sc.formula)
+            ref = rollout(sc.plant, pol, sc.init_set.samples[0], K)
+            robustness(sc.formula, Trace(ref.states))
+            g = build_sampled(ref, [0, 1, K], pol, sc.plant).grad(
+                [[1.0] * sc.plant.state_dim] * 2)
+            assert len(g) == len(pol.theta) and any(g), name
+        assert "_hashlib" not in sys.modules, "OpenSSL was loaded"
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["stlctrl"].__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_validation_errors_name_the_field(tmp_path):
@@ -386,7 +442,7 @@ def test_train_writes_artifacts_and_solves(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 7
     assert manifest["scenario"] == "tiny"
-    assert len(manifest["scenario_sha256"]) == 64
+    assert manifest["scenario_sha256"] == _digest(path)
 
 
 def test_openloop_train_writes_summary(tmp_path, capsys):

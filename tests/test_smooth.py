@@ -255,10 +255,12 @@ def _aggregated(fn, entries, b, post, cores=False):
     float stays a float.  post "nest" puts the output and the list's
     first entry through the other aggregation and squares that; "zero"
     multiplies the output by 0.0, so its adjoint is 0.0 whatever its
-    value.  With cores, each aggregation with a Var entry is one const
-    holding the value of its float core (smooth._CORES), whose adjoint is
-    run on the sweep as smooth_adjoints runs it: after the records above
-    it, before the pool's two records below."""
+    value; "tiny" multiplies it by the least subnormal, so that an
+    adjoint divided by a sum of weights of 2 or more underflows to 0.0.
+    With cores, each aggregation with a Var entry is one const holding
+    the value of its float core (smooth._CORES), whose adjoint is run on
+    the sweep as smooth_adjoints runs it: after the records above it,
+    before the pool's two records below."""
     tape, swept = Tape(), []
     seeds = [tape.const(v) for v in VALUES]
     pool = seeds + [seeds[0] * seeds[1], seeds[2] - 2.0]
@@ -283,6 +285,8 @@ def _aggregated(fn, entries, b, post, cores=False):
         out = out * out
     elif post == "zero":
         out = out * 0.0
+    elif post == "tiny":
+        out = out * 5e-324
     if not isinstance(out, Var):
         return _pack([out]), None
     adj = tape.backward(out, range(len(tape)))
@@ -324,10 +328,13 @@ CRAFTED = [
     [V[0.5], V[3.0]],
     [10, 11, V[0.5], 11],                          # nodes computed from seeds
     [V[3.0]],
+    [V[3.0], 3.0, V[0.5], 0.5],                    # ties at both extrema:
+    # with "tiny", an adjoint over their sum of weights, 2.0 or more,
+    # underflows to 0.0 (softmin's after / b, softmax_lb's num adjoint)
 ]
 
 
-POSTS = (None, "nest", "zero")
+POSTS = (None, "nest", "zero", "tiny")
 
 
 @pytest.mark.parametrize("b", [5.0, 15.0])
