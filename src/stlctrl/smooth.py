@@ -20,17 +20,16 @@ are the tape's (reverse mode over floats: Griewank & Walther,
 """
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, itemgetter, mul, sub
 
 from .autodiff import Var, exp, ln, value_of
-from .stl import Trace, _kernel, _program
+from .stl import Record, Trace, _kernel, _program
 
 
-@dataclass(frozen=True)
-class SmoothConfig:
-    b: float = 15.0
+class SmoothConfig(Record):
+    _fields = ("b",)
+    b = 15.0
 
     def __post_init__(self):
         if not 0.0 < self.b < math.inf:

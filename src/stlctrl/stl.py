@@ -21,11 +21,14 @@ Or's first predicate is not below the min of the children before it
 which never replaces a min, and the window's first row is evaluated in
 full, as builtin min keeps a NaN first item), so its bits are the exact
 kernel's.
+
+Predicates, nodes and witnesses are Records (as are smooth, trainer and
+verify results): immutable, equal and hashed by their fields, printed as a
+frozen dataclass was, and no method is generated when the module runs.
 """
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import accumulate, islice
 
 INF = math.inf
@@ -35,10 +38,72 @@ class HorizonError(ValueError):
     """Trace too short for the formula's temporal scope."""
 
 
+# -- records -------------------------------------------------------------------
+
+class Record:
+    """The fields named in _fields, a default being a class attribute, with
+    a frozen dataclass's behaviour: fields by position or name, then
+    __post_init__; eq and hash over the field tuple, and its repr.  Caches
+    that object.__setattr__ adds to __dict__ (Affine._nz, _Node._prog) stay
+    out of eq, hash and repr."""
+
+    _fields = ()
+
+    def __init__(self, *args, **kw):
+        fields = self._fields
+        if kw or len(args) != len(fields):
+            args = self._complete(args, kw)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _complete(cls, args, kw):
+        """args, then each later field given by name or its default;
+        TypeError on a missing, unknown or repeated field."""
+        name, fields = cls.__qualname__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, "
+                            f"got {len(args)}")
+        for k in fields[len(args):]:
+            if k in kw:
+                args += (kw.pop(k),)
+            elif hasattr(cls, k):
+                args += (getattr(cls, k),)
+            else:
+                raise TypeError(f"{name}() is missing field {k!r}")
+        if kw:
+            raise TypeError(f"{name}() got an unknown or repeated field "
+                            f"{next(iter(kw))!r}")
+        return args
+
+    def __post_init__(self):
+        pass
+
+    def _values(self):
+        return tuple(getattr(self, k) for k in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # -- predicate functions -----------------------------------------------------
 
-@dataclass(frozen=True)
-class Affine:
+class Affine(Record):
     """h(s) = sum_i c[i]*s[i] + d over state coordinates.
 
     eval sums the nonzero terms left to right from d, over floats or tape
@@ -48,8 +113,7 @@ class Affine:
     same sum (see stl_kernels), so they are bit-identical to it.
     """
 
-    c: tuple
-    d: float
+    _fields = ("c", "d")
     _nz = None  # (c[i], i) of the nonzero c[i]; a class attribute, not a field
 
     def eval(self, state):
@@ -78,13 +142,11 @@ class Affine:
         return f"{lhs} {self.d:+g}"
 
 
-@dataclass(frozen=True)
-class Named:
+class Named(Record):
     """Registered scalar function of the state, differentiable if given Vars."""
 
-    name: str
-    fn: object
-    negation: object = None  # another Named, or None
+    _fields = ("name", "fn", "negation")
+    negation = None  # another Named, or None
 
     def eval(self, state):
         return self.fn(state)
@@ -105,24 +167,21 @@ class UnsupportedNegation(ValueError):
 
 # -- formula nodes -----------------------------------------------------------
 
-class _Node:
+class _Node(Record):
     _prog = None  # compiled program of a root (see _program); not a field
 
 
-@dataclass(frozen=True)
 class Pred(_Node):
-    h: object          # Affine or Named
-    strict: bool = True  # h(s) > 0 vs h(s) >= 0; robustness is h(s) either way
+    _fields = ("h", "strict")  # h is an Affine or a Named
+    strict = True  # h(s) > 0 vs h(s) >= 0; robustness is h(s) either way
 
 
-@dataclass(frozen=True)
 class And(_Node):
-    children: tuple
+    _fields = ("children",)
 
 
-@dataclass(frozen=True)
 class Or(_Node):
-    children: tuple
+    _fields = ("children",)
 
 
 class _Temporal(_Node):
@@ -134,34 +193,20 @@ class _Temporal(_Node):
             raise ValueError(f"invalid interval [{a},{b}]")
 
 
-@dataclass(frozen=True)
 class Eventually(_Temporal):
-    a: int
-    b: int
-    child: object
+    _fields = ("a", "b", "child")
 
 
-@dataclass(frozen=True)
 class Always(_Temporal):
-    a: int
-    b: int
-    child: object
+    _fields = ("a", "b", "child")
 
 
-@dataclass(frozen=True)
 class Until(_Temporal):
-    a: int
-    b: int
-    left: object
-    right: object
+    _fields = ("a", "b", "left", "right")
 
 
-@dataclass(frozen=True)
 class Release(_Temporal):
-    a: int
-    b: int
-    left: object
-    right: object
+    _fields = ("a", "b", "left", "right")
 
 
 # -- traces ------------------------------------------------------------------
@@ -182,11 +227,8 @@ class Trace:
         self.K = len(self.states) - 1
 
 
-@dataclass(frozen=True)
-class CriticalWitness:
-    time: int
-    predicate: Pred
-    value: float
+class CriticalWitness(Record):
+    _fields = ("time", "predicate", "value")
 
 
 # -- structural queries -------------------------------------------------------
@@ -350,7 +392,7 @@ def critical(f, tr, k=0, sig=None):
     while True:
         g, lo, _, kids, fn, _ = steps[i]
         if isinstance(g, Pred):
-            return CriticalWitness(time=t, predicate=g, value=v)
+            return CriticalWitness(t, g, v)
         if isinstance(g, (And, Or)):
             cands = [(c, t) for c in kids]
         elif isinstance(g, (Eventually, Always)):
@@ -489,7 +531,7 @@ class _Parser:
             p = self.named.get(name[1])
             if p is None:
                 self.error(f"unknown named predicate {name[1]!r}", tok)
-            return Pred(h=p, strict=True)
+            return Pred(p, True)
         coeffs, const, sign = {}, 0.0, self.sign()
         while True:
             i, c = self.term(sign)
@@ -511,7 +553,7 @@ class _Parser:
         if cmp_tok in ("<", "<="):
             c = [-ci for ci in c]
             d = -d
-        return Pred(h=Affine(tuple(c), d), strict=cmp_tok in (">", "<"))
+        return Pred(Affine(tuple(c), d), cmp_tok in (">", "<"))
 
     def term(self, sign):
         """(i, c) of the term c*x{i}, or (None, c) of the constant c."""
@@ -557,7 +599,7 @@ class _Parser:
 def negate(f):
     """Negation in positive normal form (pushed down to the predicates)."""
     if isinstance(f, Pred):
-        return Pred(h=f.h.negated(), strict=not f.strict)
+        return Pred(f.h.negated(), not f.strict)
     if isinstance(f, And):
         return Or(tuple(negate(c) for c in f.children))
     if isinstance(f, Or):

@@ -31,7 +31,7 @@ from .plants import DivergedRollout, InitialSet, rollout
 from .policy import AdamState, adam_update
 from .sampler import build_sampled, grad_critical, grad_smooth, partition_times
 from .smooth import SmoothConfig
-from .stl import Trace, critical, horizon, robustness
+from .stl import Record, Trace, critical, horizon, robustness
 
 
 @dataclass
@@ -114,13 +114,8 @@ def waypoint_objective(times, states, wp):
     return J, adjs
 
 
-@dataclass
-class TrainRecord:
-    iter: int
-    rho: float
-    branch: str
-    lr: float
-    seconds: float
+class TrainRecord(Record):
+    _fields = ("iter", "rho", "branch", "lr", "seconds")
 
 
 class TrainLog:

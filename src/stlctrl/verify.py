@@ -8,10 +8,9 @@ in-house with the continued-fraction expansion.
 """
 
 import math
-from dataclasses import dataclass
 
 from .plants import DivergedRollout, rollout
-from .stl import Trace, horizon, robustness
+from .stl import Record, Trace, horizon, robustness
 
 
 class CalibrationSet:
@@ -27,17 +26,10 @@ class CalibrationSet:
         return self.values[ell - 1]
 
 
-@dataclass
-class VerificationReport:
-    m: int
-    ell: int
-    R_ell: float
-    delta1: float
-    confidence: float
-    mean: float
-    variance: float
-    verdict: bool
-    diverged: int  # rollouts that diverged, counted as R = +inf
+class VerificationReport(Record):
+    # diverged: the rollouts that diverged, counted as R = +inf
+    _fields = ("m", "ell", "R_ell", "delta1", "confidence", "mean", "variance",
+               "verdict", "diverged")
 
     def lines(self):
         return [

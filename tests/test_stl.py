@@ -745,7 +745,6 @@ def test_horizon_skips_operands_no_output_reads():
 
 
 def test_program_compiled_once_and_not_a_field(monkeypatch):
-    import dataclasses
     from stlctrl.smooth import smooth_robustness
     from stlctrl import stl_kernels
     made, kernels = [], []
@@ -763,7 +762,7 @@ def test_program_compiled_once_and_not_a_field(monkeypatch):
         smooth_robustness(f, Trace(tr.states[k:]))
     assert made == [f]
     assert kernels == ["exact", "boolean", "smooth"]
-    assert "_prog" not in {fl.name for fl in dataclasses.fields(f)}
+    assert "_prog" not in type(f)._fields
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
     assert g._prog is None and f._prog is not None
 
