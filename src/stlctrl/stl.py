@@ -14,13 +14,14 @@ each semantics (exact, Boolean, smooth) into one straight-line kernel
 that stl_kernels generates from that program, both cached on the root.
 critical backtracks from the exact kernel's signals.  robustness of an
 And with a later child G[a,b](Or of predicates), a reach-avoid spec's
-safety conjunct, has a fourth kernel that computes the root value alone
-and skips the rows of such a child that cannot set the min: a row whose
-Or's first predicate is not below the min of the children before it
-(max is never below its first item, a NaN first item makes the max NaN,
-which never replaces a min, and the window's first row is evaluated in
-full, as builtin min keeps a NaN first item), so its bits are the exact
-kernel's.
+safety conjunct, or F[a,b](G[c,d](phi)), a reach conjunct, has a fourth
+kernel that computes the root value alone.  It skips the rows of such a
+G whose Or's first predicate is not below the min of the children
+before it, and the windows of such an F once one window's min is not
+below that min (max is NaN if its first item is, and otherwise never
+below any item that is a number, and NaN never replaces a min; the
+window's first row is evaluated in full, as builtin min keeps a NaN
+first item), so its bits are the exact kernel's.
 
 Predicates, nodes and witnesses are Records (as are smooth, trainer and
 verify results): immutable, equal and hashed by their fields, printed as a
@@ -287,7 +288,8 @@ def _program(f, tr=None, k=0):
 def _kernel(f, tr, k, sem):
     """f's kernel for sem ("exact", "boolean", "smooth" or "root"),
     generated on first use by stl_kernels, which is imported then; the
-    root kernel is None if f has no child it prunes."""
+    root kernel is None if f has no child it prunes (see
+    stl_kernels.prunable)."""
     _, steps, kernels = _program(f, tr, k)
     if sem not in kernels:
         from .stl_kernels import generate, prunable
@@ -350,13 +352,12 @@ def signals(f, tr, k=0):
 
 def robustness(f, tr, k=0):
     """Exact robustness of f over tr at time k, signals(f, tr, k)[-1][0] by
-    bits.  If f is an And with a later child G[a,b](Or of predicates), a
-    root kernel computes the root value alone and skips the rows of such
-    a child whose Or's first predicate is not below the min of the
-    children before it: max is never below its first item, a NaN first
-    item makes the max NaN, which never replaces a min, and the window's
-    first row is evaluated in full, as builtin min keeps a NaN first item
-    (see stl_kernels.generate)."""
+    bits.  If f is an And with a later child G[a,b](Or of predicates) or
+    F[a,b](G[c,d](phi)), a root kernel computes the root value alone and
+    skips the work of such a child that cannot set the min of the
+    children before it: a row whose Or's first predicate is not below
+    it, or every window of F once one window's min is not below it (see
+    stl_kernels.generate)."""
     kernel = _kernel(f, tr, k, "root")
     return kernel(tr.states, k) if kernel else signals(f, tr, k)[-1][0]
 

@@ -5,23 +5,22 @@ smooth), one straight-line function that computes every step's signal
 bottom-up, and compiles it with autodiff.compile_kernel: offline
 monitoring in the order of Donze, Ferrere & Maler, "Efficient Robust
 Monitoring for STL" (CAV 2013), written out as code.  A fourth one, the
-root kernel, computes only the exact root value of an And whose later
-children include G[a,b](Or of predicates), and skips the rows of those
-that cannot set the And's min, as bounded monitoring skips work that
-cannot change a min or max (Deshmukh, Donze, Ghosh, Jin, Juniwal &
-Seshia, "Robust online monitoring of signal temporal logic", FMSD
-2017).  The same bound stops a rollout: watch writes, for each G[a,b]
-over affine predicates that is the root or a conjunct of a root And,
-lines that plants splices into a rollout loop, which return no run once
-the conjunct's running min over the states so far, an upper bound of
-the root, is below a floor.  An affine predicate is inlined as
-Affine.eval's sum, left to right from d, a coefficient of 1.0 or -1.0
-as + x{i} or - x{i} and any other as + c * x{i} with c a literal, so
-the kernels are bit-identical to it.  stl and plants import this module
-when they first need a kernel or a watch, so importing stlctrl compiles
-none of it.  A node's type is read from its step's op, not from stl's
-classes, so a program compiled before stlctrl was imported again still
-gets its kernels.
+root kernel, computes only the exact root value of an And, and skips
+the rows of a later G[a,b](Or of predicates) and the windows of a later
+F[a,b](G[c,d](phi)) that cannot set its min, as bounded monitoring
+skips work that cannot change a min or max (Deshmukh, Donze, Ghosh,
+Jin, Juniwal & Seshia, "Robust online monitoring of signal temporal
+logic", FMSD 2017).  The same bound stops a rollout: watch writes, for
+each G[a,b] over affine predicates that is the root or a conjunct of a
+root And, lines that plants splices into a rollout loop, which return
+no run once the conjunct's running min, an upper bound of the root, is
+below a floor.  An affine predicate is inlined as Affine.eval's sum,
+left to right from d, a coefficient of 1.0 or -1.0 as + x{i} or - x{i}
+and any other as + c * x{i} with c a literal, so the kernels are
+bit-identical to it.  stl and plants import this module when they first
+need a kernel or a watch, so importing stlctrl compiles none of it.  A
+node's type is read from its step's op, not from stl's classes, so a
+program compiled before stlctrl was imported again still gets its kernels.
 """
 
 import math
@@ -54,34 +53,35 @@ def generate(steps, sem):
     the root's value.
 
     The root kernel ("root") is the exact root value of a formula whose
-    root And has prunable children (see prunable): its other children
-    come as in the exact kernel, and the root is CPython's min loop over
-    its children in order (m = the first, then m = v if v < m), with each
-    run of consecutive prunable children over the same rows in one loop,
-    in which a row's Or is builtin max over its predicates.  A row after
-    a window's first row only evaluates the Or's first predicate o, and
-    the rest of it only if o < m, m being the fold's value at the run's
-    first child: max is never below its first item, and a NaN first
-    item makes the max NaN, which never replaces a min, so a skipped row
-    cannot set a value below m.  The first row is always evaluated in
-    full, as builtin min keeps a NaN first item.  A child's value then
-    differs from the exact one only where neither is below the fold, so
-    the root's bits are the exact kernel's."""
+    root And has pruned children (see prunable): its other children come
+    as in the exact kernel, and the root is CPython's min loop over its
+    children in order (m = the first, then m = v if v < m).  A run of
+    consecutive G-over-Or children over the same rows is one loop, whose
+    rows after a window's first (evaluated in full, as builtin min keeps
+    a NaN first item) evaluate the Or's first predicate o, and the rest
+    only if o < m, m the fold at the run's first child.  A reach child
+    leaves m as it is at the first of G's windows, from the last, whose
+    min is not below m (see _reach).  As builtin max is NaN if its first
+    item is, and otherwise not below any item that is a number, and NaN
+    never replaces a min, a child's value differs from the exact one only
+    where neither is below the fold: the root has the exact kernel's bits."""
     smooth = sem == "smooth"
     agg = {min: "mn", max: "mx"} if smooth else {min: "min", max: "max"}
-    ns = {"_window": _window, "_until": _until, "_soft_until": _soft_until}
+    ns = {"_window": _window, "_until": _until, "_soft_until": _soft_until,
+          "_reach": _reach}
     fused = set() if smooth else {
         i for i, (_, _, _, kids, _, op) in enumerate(steps)
         if op == "andor" and not any(steps[c][3] for c in kids)}
     read = {len(steps) - 1}.union(*[steps[i][3] for i in range(len(steps))
                                     if i not in fused])
     sig, loops, lines, groups = ["None"] * len(steps), [], [], {}
-    pruned = prunable(steps) if sem == "root" else ()
+    pruned = prunable(steps) if sem == "root" else {}
     live = set(range(len(steps)))
     if pruned:
-        # the steps the root's other children read
+        # the steps the root's other children and reach children's phi read
         live, todo = set(), [c for p, c in enumerate(steps[-1][3])
-                             if p not in pruned]
+                             if p not in pruned] + [
+            steps[i][3][0] for i in pruned.values() if steps[i][5] == "window"]
         while todo:
             i = todo.pop()
             if i not in live:
@@ -188,22 +188,23 @@ def watch(f):
 
 
 def _watch(steps):
-    """(lines at time 0, lines of loop step k, names, dimension) that fold
-    each watched conjunct's rows into r{c} and return None once one is
-    below floor, or () if the program has no watched conjunct.
+    """(lines at time 0, lines of loop step k, names, dimension) that
+    return None once a watched conjunct's running min is below floor, or
+    () if the program has no watched conjunct.
 
     A watched conjunct is G[a,b](phi), the root or a child of a root And,
     whose phi is an affine predicate or an And/Or of affine predicates.
     The lines read a state in x0, x1, ...: s_0 at time 0, and s_{k+1} in
     step k of a rollout loop; dimension is one more than the largest
-    coordinate they read.  A row at time t in [a,b] evaluates phi as the
+    coordinate they read.  The window's first row evaluates phi as the
     exact kernel does (its predicates inlined, an And/Or as CPython's
-    min/max loop) and folds into r{c} as builtin min: the window's first
-    row assigns it and a later row replaces it only if it compares <, so
-    a NaN first row keeps it NaN.  Once r{c} < floor is true, r{c} is a
-    number and G[a,b](phi) is at most r{c}; the root's min loop then
-    gives a value below floor, or NaN, and robustness >= floor is false
-    whatever the later states are."""
+    min/max loop) into r{c}, and a later row v stops the run iff v <
+    floor <= r{c}, an Or row evaluating its predicates after the first
+    only if that is below floor (max is NaN or not below it otherwise):
+    builtin min's fold is then below floor, as r{c} is a number not below
+    floor until the stop, and a NaN first row never stops.  G[a,b](phi)
+    is then below floor, so the root's min loop gives a value below floor,
+    or NaN, whatever the later states are."""
     *_, (_, _, _, kids, fn, op) = steps
     ns, coords, rows = {}, set(), {}
     for c in dict.fromkeys(kids if op == "andor" and fn is min
@@ -214,16 +215,17 @@ def _watch(steps):
         preds = steps[i][3] if steps[i][5] == "andor" else [i]
         if not preds or any(steps[p][5] != "affine" for p in preds):
             continue
-        body, values = [], []
-        for p in preds:
-            got, v = _pred(steps, ns, "exact", p, coords)
-            body, values = body + got, values + [v]
-        got, v = _minmax(values, steps[i][4])
+        parts = [_pred(steps, ns, "exact", p, coords) for p in preds]
+        body = [ln for got, _ in parts for ln in got]
+        got, v = _minmax([v for _, v in parts], steps[i][4])
         first, later = rows.setdefault(
             (steps[i][1], steps[i][1] + steps[i][2] - 1), ([], []))
         first += body + got + [f"r{c} = {v}", f"if r{c} < floor: return None"]
-        later += body + got + [f"m = {v}"] * (v != "m") + [
-            f"if m < r{c}:", f"    r{c} = m", "    if m < floor: return None"]
+        (head, v0), *rest = parts
+        later += (_or_row(head, v0, body[len(head):], [v for _, v in rest],
+                          "floor", [f"if v < floor <= r{c}: return None"])
+                  if steps[i][4] is max and rest
+                  else body + got + [f"if {v} < floor <= r{c}: return None"])
     if not rows:
         return ()
     start, loop = [], []
@@ -244,15 +246,17 @@ def _indent(lines):
 
 
 def prunable(steps):
-    """Positions p > 0 among the root's children whose child is G[a,b] over
-    an Or of predicates, if the root is an And: the children whose rows
-    the root kernel may skip."""
+    """Position p > 0 of each child of a root And that the root kernel
+    prunes, to the step i it reads: G[a,b] over an Or of predicates i, or
+    F[a,b](i), i = G[c,d](phi), whose F and G no other step reads."""
     *_, (_, _, _, kids, fn, op) = steps
     if op != "andor" or fn is not min:
-        return set()
-    return {p for p, c in enumerate(kids) if p and steps[c][4] is min
-            and steps[c][5] == "window"
-            and _or_of_preds(steps, steps[c][3][0])}
+        return {}
+    uses = Counter(c for s in steps for c in s[3])
+    return {p: i for p, c in enumerate(kids) if p and steps[c][5] == "window"
+            for i in steps[c][3] if (
+                _or_of_preds(steps, i) if steps[c][4] is min else
+                steps[i][4:] == (min, "window") and uses[c] == uses[i] == 1)}
 
 
 def _or_of_preds(steps, i):
@@ -265,14 +269,18 @@ def _fold(steps, pruned, pred):
     """The root kernel's min loop over the root's children into m (see
     generate), pred(i, coords) giving a predicate's lines and expression."""
     kids = steps[-1][3]
-    ors = {p: steps[steps[kids[p]][3][0]] for p in pruned}
+    ors = {p: steps[i] for p, i in pruned.items() if steps[i][5] != "window"}
     out = [f"m = z{kids[0]}[0]"]
-    # a position not pruned is its own group; pruned ones group by rows
+    # a position not in ors is its own group; those in ors group by rows
     for rows, run in groupby(range(1, len(kids)),
                              lambda p: ors[p][1:3] if p in ors else p):
-        out += ([f"v = z{kids[rows]}[0]", "if v < m: m = v"]
-                if type(rows) is int
-                else _run([(p, ors[p][3]) for p in run], *rows, pred))
+        if type(rows) is not int:
+            out += _run([(p, ors[p][3]) for p in run], *rows, pred)
+        elif rows in pruned:
+            g, _, n, (c,), _, _ = steps[pruned[rows]]
+            out.append(f"m = _reach(m, z{c}, {g.b - g.a + 1}, {n})")
+        else:
+            out += [f"v = z{kids[rows]}[0]", "if v < m: m = v"]
     return out
 
 
@@ -295,13 +303,18 @@ def _run(run, lo, n, pred):
         more, vs = [ln for c in rest for ln in c[0]], [c[1] for c in rest]
         first += got + more + [f"g{q} = max({', '.join([v] + vs)})"
                                if rest else f"g{q} = {v}"]
-        body = (_loads(set().union(*(c[2] for c in rest)) - heads) + more
-                + [f"v = max(v, {', '.join(vs)})"] * bool(rest)
-                + [f"if v < g{q}: g{q} = v"])
-        loop += got + [f"v = {v}", "if v < m:", *(f"    {ln}" for ln in body)]
+        loop += _or_row(got, v, _loads(set().union(*(c[2] for c in rest))
+                                       - heads) + more, vs, "m",
+                        [f"if v < g{q}: g{q} = v"])
     return (first + [f"for s in states[k + {lo + 1}:k + {lo + n}]:"]
             + [f"    {ln}" for ln in loop]
             + [f"if g{q} < m: m = g{q}" for q, _ in run])
+
+
+def _or_row(got, v, more, vs, bound, then):
+    """Or row: v = (got, v); if v < bound: more, v = max(v, *vs), then."""
+    return got + [f"v = {v}", f"if v < {bound}:", *_indent(
+        more + [f"v = max(v, {', '.join(vs)})"] * bool(vs) + then)]
 
 
 def _loads(coords):
@@ -320,6 +333,18 @@ def _literal(x, ns):
 def _window(agg, c, w, n):
     """F/G: agg over each window c[j:j + w] of the child's signal, j < n."""
     return [agg(c[j:j + w]) for j in range(n)]
+
+
+def _reach(m, c, w, n):
+    """m folded with a reach child F(G(phi)) as min(m, max(windows' mins)),
+    c phi's rows, w G's width and n its windows, but m unchanged at the
+    first window from the last whose min is >= m: F is then NaN or >= m."""
+    mins = []
+    for j in range(n - 1, -1, -1):
+        mins.append(min(c[j:j + w]))
+        if mins[-1] >= m:
+            return m
+    return min(m, max(reversed(mins)))
 
 
 def _until(left, right, n, a, b, agg):

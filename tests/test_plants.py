@@ -866,6 +866,16 @@ def test_watched_rollouts_of_crafted_cases(name):
     assert any(got) == stops and not all(got)
 
 
+def test_watched_or_rows_keep_a_nan_first_row_out():
+    # a later Or row below the floor (-0.5 at time 1) stops nothing after
+    # a NaN first row, which builtin min keeps: rho is the first child's
+    f = And((_p([1.0]), Always(0, 3, Or((_INF_PRED, _p([1.0], 0.5))))))
+    states = [(0.0,), (-1.0,), (2.0,), (-1.0,)]
+    assert robustness(f, Trace(states)) == 0.0
+    for floor in floors(f, states) + [0.0, -0.25, 1.5]:
+        assert not assert_watched(*_table(states), f, floor), floor
+
+
 def test_unwatched_formulas_roll_out_in_full():
     # an Or root, Named predicates, F, and G over a temporal operator or a
     # mix of Named and Affine predicates are never watched: even a floor

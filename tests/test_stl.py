@@ -523,14 +523,26 @@ def nan_as_one(x):
     return bits(x if x == x else math.nan)
 
 
+def pred_values(f, states):
+    """Every value f's predicates take over states."""
+    if isinstance(f, Pred):
+        return [f.h.eval(s) for s in states]
+    kids = (f.children if isinstance(f, (And, Or))
+            else [f.child] if isinstance(f, (Eventually, Always))
+            else [f.left, f.right])
+    return [x for c in kids for x in pred_values(c, states)]
+
+
 def assert_matches_recursions(f, states, key=bits):
     """Robustness, satisfaction and witness at every valid k equal the
     recursions', robustness compared as key(value).
 
     With NaN values the witness is not compared: the witness recursion
-    and the robustness recursion disagree there themselves."""
+    and the robustness recursion disagree there themselves.  A NaN state
+    is one, and so is a predicate's inf - inf."""
     tr = Trace(states)
-    has_nan = any(x != x for s in states for x in s)
+    has_nan = any(x != x for s in states for x in s) or any(
+        x != x for x in pred_values(f, states))
     for k in range(len(states) - horizon(f)):
         want = rho_rec(f, states, k, {})
         assert key(robustness(f, tr, k)) == key(want), (f, k)
@@ -576,6 +588,8 @@ def test_program_matches_recursions_on_ties_zeros_and_infinities(pool):
 
 def zero_offsets(f):
     """f with every predicate h(s) = +-s_i, copying signed zeros and infs."""
+    if isinstance(f, Pred) and isinstance(f.h, Named):
+        return f
     if isinstance(f, Pred):
         i = next((i for i, ci in enumerate(f.h.c) if ci != 0.0), 0)
         sign = -1.0 if f.h.c[i] < 0 else 1.0
@@ -921,14 +935,27 @@ def guarded(rng, dim):
         random_formula(rng, dim, 0) for _ in range(rng.randint(2, 4)))))
 
 
+def reach(rng, dim):
+    """F[a,b](G[c,d](phi)), the reach conjunct the root kernel settles from
+    one window, phi a predicate, an And, an Or or a counted Named one."""
+    kind = rng.randrange(4)
+    phi = (random_formula(rng, dim, 0) if kind == 0
+           else counted("n", []) if kind == 3
+           else (And, Or)[kind - 1](tuple(
+               random_formula(rng, dim, 0) for _ in range(rng.randint(2, 3)))))
+    return Eventually(*rng.choice(WINDOWS), Always(*rng.choice(WINDOWS), phi))
+
+
 def reach_avoid(rng, dim):
-    """A root And of random children and guarded ones, one of which comes
-    after the first child; the first is guarded in about a third of the
-    draws."""
+    """A root And of random children, guarded ones and reach ones; a
+    guarded and a reach child come after the first child, which is
+    guarded in about a third of the draws."""
     kids = [guarded(rng, dim) if rng.random() < 0.5
             else random_formula(rng, dim, rng.randint(0, 2))
             for _ in range(rng.randint(1, 5))]
     kids.insert(rng.randint(1, len(kids)), guarded(rng, dim))
+    for _ in range(rng.randint(1, 2)):
+        kids.insert(rng.randint(1, len(kids)), reach(rng, dim))
     if rng.random() < 0.33:
         kids[0] = guarded(rng, dim)
     return And(tuple(kids))
@@ -1001,3 +1028,92 @@ def test_root_kernel_skips_the_rows_that_cannot_set_the_min():
     calls.clear()
     assert robustness(f, tr1([5.0, 3.0, -200.0, 1.0, 1.0]), 0) == -200.5
     assert calls == ["p", "q", "r", "p", "q", "r", "p", "p"]
+
+
+# -- the root kernel: reach children settled from one window ----------------
+
+class Cuts(list):
+    """A rows list that records the (start, stop) of each slice taken."""
+
+    def __init__(self, rows, cuts):
+        super().__init__(rows)
+        self.cuts = cuts
+
+    def __getitem__(self, i):
+        self.cuts.append((i.start, i.stop))
+        return super().__getitem__(i)
+
+
+def test_reach_fold_stops_at_the_first_window_from_the_last_not_below_m():
+    from stlctrl.stl_kernels import _reach
+    rows = [5.0, -3.0, 4.0, 6.0, 2.0, 7.0]       # G[0,2] windows: -3 -3 2 2
+    cuts = []
+    assert _reach(1.0, Cuts(rows, cuts), 3, 4) == 1.0
+    assert cuts == [(3, 6)]
+    cuts.clear()
+    assert _reach(2.5, Cuts(rows, cuts), 3, 4) == 2.0
+    assert cuts == [(3, 6), (2, 5), (1, 4), (0, 3)]
+    cuts.clear()
+    assert _reach(-3.0, Cuts(rows, cuts), 3, 1) == -3.0    # a tie
+    assert cuts == [(0, 3)]
+
+
+@pytest.mark.parametrize("pool", [
+    (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf),
+    (0.0, -0.0, 1.0, math.nan, math.inf, -math.inf),
+])
+def test_reach_fold_is_the_max_of_window_mins_folded_into_m(pool):
+    # NaN first and later rows, signed zero ties, infinities, a NaN m and
+    # an m equal to a window's min
+    from stlctrl.stl_kernels import _reach, _window
+    rng = random.Random(41)
+    for _ in range(3000):
+        w, n = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [rng.choice(pool) for _ in range(n + w - 1)]
+        mins = _window(min, rows, w, n)
+        for m in (*pool, *mins):
+            v = max(mins)
+            want = v if v < m else m
+            assert bits(_reach(m, rows, w, n)) == bits(want), (m, rows, w)
+
+
+def test_root_kernel_settles_a_reach_child_from_its_last_window(monkeypatch):
+    from stlctrl import stl_kernels
+    cuts, real = [], stl_kernels._reach
+    monkeypatch.setattr(stl_kernels, "_reach", lambda m, c, w, n: real(
+        m, Cuts(c, cuts), w, n))
+    r = Eventually(0, 3, Always(0, 2, Pred(Affine((1.0,), 0.0))))
+    tr = tr1([5.0, -3.0, 4.0, 6.0, 2.0, 7.0])
+    for low, want in ((-100.0, [(3, 6)] * 2),
+                      (100.0, [(3, 6), (2, 5), (1, 4), (0, 3)] * 2)):
+        f = And((Pred(Affine((0.0,), low)), r, Eventually(0, 3, Always(
+            0, 2, Pred(Affine((1.0,), -1.0))))))
+        cuts.clear()
+        assert bits(robustness(f, tr)) == bits(stl.signals(f, tr)[-1][0])
+        assert cuts == want, low
+
+
+def test_a_reach_child_read_elsewhere_keeps_its_windows(monkeypatch):
+    # the same F step first and third, and one G step under two F nodes:
+    # only the guarded child is pruned, and no reach child is settled
+    from stlctrl import stl_kernels
+    calls = []
+    monkeypatch.setattr(stl_kernels, "_reach", lambda *a: calls.append(a))
+    x0 = Pred(Affine((1.0,), -1.0))
+    r = Eventually(0, 2, Always(1, 2, x0))
+    g = Always(0, 3, Or((x0, Pred(Affine((-1.0,), 2.0)))))
+    twice = Always(0, 1, x0)
+    rng = random.Random(5)
+    for f in (And((r, g, r)),
+              And((x0, Eventually(0, 2, twice), g, Eventually(0, 2, twice)))):
+        steps = stl._program(f)[1]
+        assert list(stl_kernels.prunable(steps)) == [f.children.index(g)]
+        for pool in ((0.0, -0.0, 1.0, 2.0, -math.inf),
+                     (0.0, 1.0, math.nan, math.inf)):
+            states = crafted_traces(rng, 1, horizon(f) + 2, pool)
+            assert_matches_recursions(f, states, key=nan_as_one)
+            tr = Trace(states)
+            for k in range(3):
+                assert nan_as_one(robustness(f, tr, k)) == nan_as_one(
+                    stl.signals(f, tr, k)[-1][0])
+    assert calls == []
