@@ -9,14 +9,15 @@ satisfaction.  Inputs are shifted by the running extremum before
 exponentiation; the shift is mathematically exact for both
 aggregations, it only prevents overflow.
 
-smooth_robustness runs the smooth kernel over Vars, floats or a mix; over
-Vars, softmin and softmax_lb record the Var operators.  smooth_adjoints
-gives its adjoint at every state entry without a tape: a forward pass
-over the program on the states' floats, then one reverse sweep in
-Tape.backward's order over a flat list of slots, running hand-written
-adjoints of the aggregations and the predicates' records, so its bits
-are the tape's (reverse mode over floats: Griewank & Walther,
-"Evaluating Derivatives", 2008, ch. 4 and 6).
+One walk over the compiled program (stl._compile), the steps one by one,
+computes both.  smooth_robustness walks it over Vars, floats or a mix;
+over Vars, softmin and softmax_lb record the Var operators.
+smooth_adjoints gives its adjoint at every state entry without a tape:
+the walk on the states' floats records a reverse sweep in Tape.backward's
+order over a flat list of slots, running hand-written adjoints of the
+aggregations and the predicates' records, so its bits are the tape's
+(reverse mode over floats: Griewank & Walther, "Evaluating Derivatives",
+2008, ch. 4 and 6).
 """
 
 import math
@@ -24,7 +25,7 @@ from itertools import repeat
 from operator import add, itemgetter, mul, sub
 
 from .autodiff import Var, exp, ln, value_of
-from .stl import Record, Trace, _kernel, _program
+from .stl import Record, Trace, _program
 
 
 class SmoothConfig(Record):
@@ -160,9 +161,7 @@ def smooth_robustness(f, tr, cfg=SmoothConfig()):
     tr is an stl.Trace whose states may hold tape Vars, plain floats, or
     a mix (frozen positions stay constant, gradients flow through Vars).
     """
-    b = cfg.b
-    return _kernel(f, tr, 0, "smooth")(tr.states, 0, lambda xs: softmin(xs, b),
-                                       lambda xs: softmax_lb(xs, b))
+    return _walk(_program(f, tr, 0)[1], tr.states, cfg.b)[0][-1][0]
 
 
 def smooth_adjoints(f, states, cfg=SmoothConfig()):
@@ -171,30 +170,53 @@ def smooth_adjoints(f, states, cfg=SmoothConfig()):
     states, bit for bit, without a tape.  None if f has a Named predicate,
     which only a tape differentiates.
 
-    A forward pass walks f's program on the floats: an Affine predicate's
-    rows are its eval's sum, taken a term at a time over the rows, and
-    _softmin and _softmax_lb keep their adjoints' args.
-    Each value with a node on the tape has a slot in adj, after one per
-    state entry; a float (a predicate without a nonzero coefficient, an
-    aggregation of floats) has none, and an aggregation of one entry is
-    that entry.  The reverse sweep is Tape.backward's over the records
-    of the aggregations and of each predicate row, in reverse creation
-    order (see _affine_adjoint).
+    _walk records the reverse sweep on the floats, which is Tape.backward's
+    over the records of the aggregations and of each predicate row, in
+    reverse creation order (see _affine_adjoint).
     """
     steps = _program(f, Trace(states), 0)[1]
     if any(op == "named" for *_, op in steps):
         return None
-    b, dim = cfg.b, len(states[0])
-    size = len(states) * dim  # the next free slot
-    ops, vals, slots = [], [], []  # (adjoint, slot, args); each step's signal
+    ops, dim = [], len(states[0])
+    _, slots, size = _walk(steps, states, cfg.b, ops)
+    root = slots[-1][0]
+    adj = [0.0] * size
+    if root is not None:
+        adj[root] = 1.0
+        for adjoint, n, args in reversed(ops):
+            adjoint(adj, n, args)
+    return [adj[i:i + dim] for i in range(0, len(states) * dim, dim)]
 
-    def aggregate(fn, pairs):
-        # fn's smooth aggregation of each (values, slots) in pairs, in
-        # order: their values and slots
+
+def _walk(steps, states, b, ops=None):
+    """(each step's signal, its slots, the slots used) of the smooth
+    robustness over states, the program's steps one by one in order.
+
+    Without ops, a predicate's rows go through its eval and softmin and
+    softmax_lb aggregate, over Vars, floats or a mix, so a tape records
+    each step's nodes in turn; no value has a slot.  With ops, a list, the
+    states are floats and every predicate Affine: its rows are its eval's
+    sum, taken a term at a time over the rows, and _softmin and
+    _softmax_lb keep their adjoints' args, each (adjoint, slot, args)
+    appended to ops.  Each value with a node on the tape then has a slot,
+    after one per state entry; a float (a predicate without a nonzero
+    coefficient, an aggregation of floats) has none, and an aggregation
+    of one entry is that entry.
+    """
+    dim = len(states[0])
+    size = len(states) * dim  # the next free slot
+    vals, slots = [], []
+
+    def aggregate(fn, pick, z=vals, zi=slots):
+        # fn's smooth aggregation of each list of values pick(z) gives, in
+        # order, pick(zi) their slots: the values, and their slots with ops
         nonlocal size
+        if ops is None:
+            agg = softmin if fn is min else softmax_lb
+            return [agg(v, b) for v in pick(z)], None
         core, adjoint = _CORES[fn]
         vs, ids = [], []
-        for v, i in pairs:
+        for v, i in zip(pick(z), pick(zi)):
             if len(v) == 1:
                 v, i = v[0], i[0]
             else:
@@ -208,7 +230,9 @@ def smooth_adjoints(f, states, cfg=SmoothConfig()):
         return vs, ids
 
     for g, lo, n, kids, fn, op in steps:
-        if op == "affine":
+        if not kids and ops is None:
+            vs, ids = list(map(fn, states[lo:lo + n])), None
+        elif not kids:
             # eval's sum over the rows, a term at a time
             rows, vs = states[lo:lo + n], [g.h.d] * n
             terms = [(c, i) for i, c in enumerate(g.h.c) if c != 0.0]
@@ -223,32 +247,22 @@ def smooth_adjoints(f, states, cfg=SmoothConfig()):
                 ops.append((_affine_adjoint, size, (lo * dim, dim, n, terms)))
                 size += n
         elif op == "andor":
-            vs, ids = aggregate(fn, zip(zip(*[vals[c] for c in kids]),
-                                        zip(*[slots[c] for c in kids])))
+            vs, ids = aggregate(fn, lambda z: zip(*[z[c] for c in kids]))
         elif op == "window":
-            (z, zi), w = (vals[kids[0]], slots[kids[0]]), g.b - g.a + 1
-            vs, ids = aggregate(fn, ((z[j:j + w], zi[j:j + w])
-                                     for j in range(n)))
-        else:  # U/R as _soft_until, fn the inner aggregation
-            (lv, li), (rv, ri) = [(vals[c], slots[c]) for c in kids]
-            vs, ids = [], []
+            c, w = kids[0], g.b - g.a + 1
+            vs, ids = aggregate(fn, lambda z: (z[c][j:j + w]
+                                               for j in range(n)))
+        else:  # U/R, fn the inner aggregation of left@t..k'-1, right@k'
+            (c, d), out, vs, ids = kids, max if fn is min else min, [], []
             for j in range(n):
-                inner = aggregate(fn, (
-                    (lv[j:j + g.a + p] + rv[j + p:j + p + 1],
-                     li[j:j + g.a + p] + ri[j + p:j + p + 1])
-                    for p in range(g.b - g.a + 1)))
-                v, i = aggregate(max if fn is min else min, [inner])
+                v, i = aggregate(out, lambda z: [z], *aggregate(
+                    fn, lambda z: (z[c][j:j + g.a + p] + z[d][j + p:j + p + 1]
+                                   for p in range(g.b - g.a + 1))))
                 vs += v
-                ids += i
+                ids += i or ()  # no slots without ops
         vals.append(vs)
         slots.append(ids)
-    root = slots[-1][0]
-    adj = [0.0] * size
-    if root is not None:
-        adj[root] = 1.0
-        for adjoint, n, args in reversed(ops):
-            adjoint(adj, n, args)
-    return [adj[i:i + dim] for i in range(0, len(states) * dim, dim)]
+    return vals, slots, size
 
 
 _CORES = {min: (_softmin, _softmin_adjoint),

@@ -10,12 +10,13 @@ token.
 
 A formula compiles on first evaluation into one program, a post-order
 list of steps (a node and the window of times its parents read), and
-each semantics (exact, Boolean, smooth) into one straight-line kernel
-that stl_kernels generates from that program, both cached on the root.
-critical backtracks from the exact kernel's signals.  robustness of an
-And with a later child G[a,b](Or of predicates), a reach-avoid spec's
-safety conjunct, or F[a,b](G[c,d](phi)), a reach conjunct, has a fourth
-kernel that computes the root value alone.  It skips the rows of such a
+the exact and Boolean semantics each into one straight-line kernel that
+stl_kernels generates from that program, both cached on the root (the
+smooth semantics walks the program: see smooth).  critical backtracks
+from the exact kernel's signals.  robustness of an And with a later
+child G[a,b](Or of predicates), a reach-avoid spec's safety conjunct,
+or F[a,b](G[c,d](phi)), a reach conjunct, has a third kernel that
+computes the root value alone.  It skips the rows of such a
 G whose Or's first predicate is not below the min of the children
 before it, and the windows of such an F once one window's min is not
 below that min (max is NaN if its first item is, and otherwise never
@@ -267,7 +268,7 @@ def aggregation_shape(f):
     raise TypeError(f"not a formula node: {f!r}")
 
 
-# -- semantics: one compiled program per formula, one kernel per semantics -----
+# -- semantics: one compiled program per formula, a kernel per min/max one ---
 
 def _program(f, tr=None, k=0):
     """f's (horizon, program steps, kernels), compiled on first use and
@@ -286,10 +287,9 @@ def _program(f, tr=None, k=0):
 
 
 def _kernel(f, tr, k, sem):
-    """f's kernel for sem ("exact", "boolean", "smooth" or "root"),
-    generated on first use by stl_kernels, which is imported then; the
-    root kernel is None if f has no child it prunes (see
-    stl_kernels.prunable)."""
+    """f's kernel for sem ("exact", "boolean" or "root"), generated on
+    first use by stl_kernels, which is imported then; the root kernel is
+    None if f has no child it prunes (see stl_kernels.prunable)."""
     _, steps, kernels = _program(f, tr, k)
     if sem not in kernels:
         from .stl_kernels import generate, prunable

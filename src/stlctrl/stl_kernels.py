@@ -1,16 +1,17 @@
 """Kernels generated from a compiled STL program (see stl._compile).
 
-generate writes, for one program and one semantics (exact, Boolean or
-smooth), one straight-line function that computes every step's signal
-bottom-up, and compiles it with autodiff.compile_kernel: offline
-monitoring in the order of Donze, Ferrere & Maler, "Efficient Robust
-Monitoring for STL" (CAV 2013), written out as code.  A fourth one, the
-root kernel, computes only the exact root value of an And, and skips
-the rows of a later G[a,b](Or of predicates) and the windows of a later
-F[a,b](G[c,d](phi)) that cannot set its min, as bounded monitoring
-skips work that cannot change a min or max (Deshmukh, Donze, Ghosh,
-Jin, Juniwal & Seshia, "Robust online monitoring of signal temporal
-logic", FMSD 2017).  The same bound stops a rollout: watch writes, for
+generate writes, for one program and one semantics (exact or Boolean),
+one straight-line function that computes every step's signal bottom-up,
+and compiles it with autodiff.compile_kernel: offline monitoring in the
+order of Donze, Ferrere & Maler, "Efficient Robust Monitoring for STL"
+(CAV 2013), written out as code.  A third one, the root kernel, computes
+only the exact root value of an And, and skips the rows of a later
+G[a,b](Or of predicates) and the windows of a later F[a,b](G[c,d](phi))
+that cannot set its min, as bounded monitoring skips work that cannot
+change a min or max (Deshmukh, Donze, Ghosh, Jin, Juniwal & Seshia,
+"Robust online monitoring of signal temporal logic", FMSD 2017).  Every
+kernel is a min/max one: the smooth semantics is a walk over the
+program (smooth._walk).  The same bound stops a rollout: watch writes, for
 each G[a,b] over affine predicates that is the root or a conjunct of a
 root And, lines that plants splices into a rollout loop, which return
 no run once the conjunct's running min, an upper bound of the root, is
@@ -33,24 +34,20 @@ from .stl import INF, _inner, _program
 
 
 def generate(steps, sem):
-    """Straight-line code setting step i's signal z{i}: kernel(states, k),
-    or kernel(states, k, mn, mx) with the soft min/max if smooth.
+    """Straight-line code setting step i's signal z{i}: kernel(states, k).
 
-    The smooth kernel runs the steps in order, a predicate's eval over all
-    its times and then the next step, so it records on the tape what the
-    steps one by one would.  The exact and Boolean ones evaluate predicates
-    inline (an Affine as its sum, unit coefficients without a multiply, a
-    Named one call per state), take an And/Or whose children are all
-    predicates as CPython's own min/max loop written out per state (m =
-    the first child, then m = v for each later child v that compares < m,
-    or > m for Or), its children without signals of their own, and
-    evaluate those and the predicates of one window in one loop over its
-    states.  That loop keeps the first of equal items, signed zeros, NaN
-    behaviour and the number of comparisons of builtin min/max over a
-    tuple, so values are bit for bit the min/max recursion's; Boolean
-    predicates compare (> 0 if strict, else >= 0) first.  The exact
-    kernel returns every signal (None where there is none), the others
-    the root's value.
+    The kernels evaluate predicates inline (an Affine as its sum, unit
+    coefficients without a multiply, a Named one call per state), take an
+    And/Or whose children are all predicates as CPython's own min/max
+    loop written out per state (m = the first child, then m = v for each
+    later child v that compares < m, or > m for Or), its children without
+    signals of their own, and evaluate those and the predicates of one
+    window in one loop over its states.  That loop keeps the first of
+    equal items, signed zeros, NaN behaviour and the number of
+    comparisons of builtin min/max over a tuple, so values are bit for
+    bit the min/max recursion's; Boolean predicates compare (> 0 if
+    strict, else >= 0) first.  The exact kernel returns every signal
+    (None where there is none), the others the root's value.
 
     The root kernel ("root") is the exact root value of a formula whose
     root And has pruned children (see prunable): its other children come
@@ -65,13 +62,9 @@ def generate(steps, sem):
     item is, and otherwise not below any item that is a number, and NaN
     never replaces a min, a child's value differs from the exact one only
     where neither is below the fold: the root has the exact kernel's bits."""
-    smooth = sem == "smooth"
-    agg = {min: "mn", max: "mx"} if smooth else {min: "min", max: "max"}
-    ns = {"_window": _window, "_until": _until, "_soft_until": _soft_until,
-          "_reach": _reach}
-    fused = set() if smooth else {
-        i for i, (_, _, _, kids, _, op) in enumerate(steps)
-        if op == "andor" and not any(steps[c][3] for c in kids)}
+    ns = {"_window": _window, "_until": _until, "_reach": _reach}
+    fused = {i for i, (_, _, _, kids, _, op) in enumerate(steps)
+             if op == "andor" and not any(steps[c][3] for c in kids)}
     read = {len(steps) - 1}.union(*[steps[i][3] for i in range(len(steps))
                                     if i not in fused])
     sig, loops, lines, groups = ["None"] * len(steps), [], [], {}
@@ -96,9 +89,6 @@ def generate(steps, sem):
         rows = f"states[k + {lo}:k + {lo + n}]"
         if not n:
             lines.append(f"{z} = []")
-        elif smooth and not kids:
-            ns[f"h{i}"] = fn
-            lines.append(f"{z} = list(map(h{i}, {rows}))")
         elif i in fused or not kids:
             if i in fused or i in read:
                 groups.setdefault(rows, []).append(i)
@@ -106,18 +96,14 @@ def generate(steps, sem):
                 sig[i] = "None"
         elif op == "andor":
             zs = ", ".join(f"z{c}" for c in kids)
-            lines.append(f"{z} = list(map({agg[fn]}, zip({zs})))"
+            lines.append(f"{z} = list(map({fn.__name__}, zip({zs})))"
                          if kids[1:] else f"{z} = {zs}")
         elif op == "window":
-            lines.append(f"{z} = _window({agg[fn]}, z{kids[0]}, "
+            lines.append(f"{z} = _window({fn.__name__}, z{kids[0]}, "
                          f"{g.b - g.a + 1}, {n})")
-        elif smooth:
-            lines.append(f"{z} = _soft_until(z{kids[0]}, z{kids[1]}, {n}, "
-                         f"{g.a}, {g.b}, {agg[fn]}, "
-                         f"{agg[max if fn is min else min]})")
         else:
             lines.append(f"{z} = _until(z{kids[0]}, z{kids[1]}, {n}, "
-                         f"{g.a}, {g.b}, {agg[fn]})")
+                         f"{g.a}, {g.b}, {fn.__name__})")
     for rows, leaves in groups.items():
         # a predicate two leaves read is a statement, the others inline
         uses = Counter(c for i in leaves for c in steps[i][3] or [i])
@@ -136,8 +122,7 @@ def generate(steps, sem):
     ret = (_fold(steps, pruned, pred) + ["return m"] if pruned
            else [f"return [{', '.join(sig)}]"] if sem == "exact"
            else [f"return z{len(steps) - 1}[0]"])
-    return compile_kernel("states, k, mn, mx" if smooth else "states, k",
-                          loops + lines + ret, ns)
+    return compile_kernel("states, k", loops + lines + ret, ns)
 
 
 def _pred(steps, ns, sem, i, coords):
@@ -352,10 +337,3 @@ def _until(left, right, n, a, b, agg):
     out, seed = (max, -INF) if agg is min else (min, INF)
     return [out(seed, *_inner(left, right, j, a, b, agg)) for j in range(n)]
 
-
-def _soft_until(left, right, n, a, b, agg, out):
-    """Smooth U/R, agg the inner soft min/max and out the outer one, over
-    explicit operand lists, left@t..k'-1 before right@k', as the recursion
-    aggregated them."""
-    return [out([agg(left[j:j + a + p] + right[j + p:j + p + 1])
-                 for p in range(b - a + 1)]) for j in range(n)]

@@ -3,8 +3,9 @@
 With R_i the negative robustness of m i.i.d. rollouts sorted ascending,
 the coverage Pr[R_{m+1} < R_ell] of a fresh rollout is Beta(ell, m+1-ell)
 distributed, so R_ell < 0 certifies satisfaction with quantified
-confidence.  The regularized incomplete beta function is evaluated
-in-house with the continued-fraction expansion.
+confidence.  For these integer shapes the confidence Pr[coverage >=
+delta1] = 1 - I_delta1(ell, m+1-ell) is a binomial CDF, Pr[Bin(m,
+delta1) <= ell - 1], summed in-house.
 """
 
 import math
@@ -63,74 +64,24 @@ def calibrate(plant, policy, f, init_set, m, rng, noise=None):
     return CalibrationSet(vals)
 
 
-def _betacf(a, b, x):
-    # continued fraction for the incomplete beta (Lentz's method)
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for mm in range(1, 300):
-        m2 = 2 * mm
-        aa = mm * (b - mm) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + mm) * (qab + mm) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        de = d * c
-        h *= de
-        if abs(de - 1.0) < 1e-15:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
-
-
-def reg_inc_beta(a, b, x):
-    """Regularized incomplete beta I_x(a, b)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("shape parameters must be positive")
-    if x <= 0.0:
-        if x < 0.0:
-            raise ValueError("x out of range")
-        return 0.0
-    if x >= 1.0:
-        if x > 1.0:
-            raise ValueError("x out of range")
-        return 1.0
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * math.log(x) + b * math.log1p(-x))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def _check_ell(m, ell):
     if not 1 <= ell <= m:
         raise ValueError(f"need 1 <= ell <= m, got ell={ell}, m={m}")
 
 
 def beta_bound(m, ell, delta1):
-    """Pr[coverage >= delta1] = 1 - I_delta1(ell, m+1-ell)."""
+    """Pr[coverage >= delta1] = 1 - I_delta1(ell, m+1-ell) = Pr[Bin(m,
+    delta1) <= ell - 1]: math.fsum of the binomial pmf, each term from
+    logs, over the shorter tail, k < ell or k >= ell."""
     _check_ell(m, ell)
     if not 0.0 < delta1 < 1.0:
         raise ValueError("delta1 must lie in (0, 1)")
-    return 1.0 - reg_inc_beta(float(ell), float(m + 1 - ell), delta1)
+    low = ell <= m + 1 - ell
+    ks = range(ell) if low else range(ell, m + 1)
+    a, b, c = math.log(delta1), math.log1p(-delta1), math.lgamma(m + 1)
+    tail = math.fsum(math.exp(c - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+                              + k * a + (m - k) * b) for k in ks)
+    return tail if low else 1.0 - tail
 
 
 def beta_moments(m, ell):
@@ -148,16 +99,14 @@ def choose_ell(m, coverage):
     return ell
 
 
-def report(calib, coverage, delta1=None):
-    """Verification report at the chosen rank; delta1 defaults to coverage."""
+def report(calib, coverage):
+    """Verification report at the chosen rank, its delta1 the coverage."""
     ell = choose_ell(calib.m, coverage)
-    if delta1 is None:
-        delta1 = coverage
     mean, var = beta_moments(calib.m, ell)
     r_ell = calib.rank(ell)
     return VerificationReport(
-        m=calib.m, ell=ell, R_ell=r_ell, delta1=delta1,
-        confidence=beta_bound(calib.m, ell, delta1),
+        m=calib.m, ell=ell, R_ell=r_ell, delta1=coverage,
+        confidence=beta_bound(calib.m, ell, coverage),
         mean=mean, variance=var, verdict=r_ell < 0.0,
         diverged=calib.values.count(math.inf))
 

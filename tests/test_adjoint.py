@@ -1,7 +1,7 @@
 """The sampled trajectory's generated adjoint against the Var operators.
 
 The oracle is tests/test_plants.py's oracle_sampled, Plant.step and the
-reference loop of the controller run on Vars, and the smooth kernel,
+reference loop of the controller run on Vars, and smooth_robustness,
 whose soft min/max record the Var operators: their records, which
 Tape.backward interprets node by node, with no generated code.  A
 sampled trajectory's adjoint is run on a unit adjoint at each anchor

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import struct
 
 import pytest
 
@@ -210,6 +212,78 @@ def test_program_matches_recursion_on_ties_zeros_and_infinities(pool):
                 outcome(srho_rec, f, states, 0, b, {}, key=nan_as_one), (
                     f, states, b)
         checked += 1
+
+
+def test_smooth_robustness_compiles_no_kernel(monkeypatch):
+    # the smooth semantics walks the program: with kernel compiling
+    # refused, F, G, U, R, And/Or and a Named predicate still evaluate,
+    # on floats and over Vars, as the recursion does
+    from stlctrl import autodiff, stl_kernels
+
+    def refuse(*args):
+        raise AssertionError("a kernel was compiled")
+
+    monkeypatch.setattr(autodiff, "compile_kernel", refuse)
+    monkeypatch.setattr(stl_kernels, "compile_kernel", refuse)
+    near = Named("near", lambda s: 0.1 - s[0] * s[1])
+    f = parse("F[0,3](x0 > 0.2 && pred(near)) && G[1,4](x1 > -0.5 || "
+              "x0 < 0.9) && U[0,3](pred(near), x0 > 0.4) && "
+              "R[1,2](x1 > 0.1, x0 - x1 >= -0.3)", named={"near": near})
+    rng = random.Random(5)
+    states = [(rng.uniform(-1, 1), rng.uniform(-1, 1))
+              for _ in range(horizon(f) + 2)]
+    for b in (5.0, 15.0):
+        assert bits(smooth_value(f, states, b)) == \
+            bits(srho_rec(f, states, 0, b, {})), b
+        run = (lambda f, st, b: smooth_robustness(f, Trace(st),
+                                                  SmoothConfig(b)))
+        n, value, _ = taped(run, f, states, b)
+        n_rec, value_rec, _ = taped(
+            lambda f, st, b: srho_rec(f, st, 0, b, {}), f, states, b)
+        assert (n, bits(value)) == (n_rec, bits(value_rec)), b
+    assert f._prog[2] == {}
+
+
+def tape_digest(f, states, b):
+    """sha256 of the records, the values' IEEE bytes and the output's node
+    id of smooth_robustness over Vars of states on a fresh tape."""
+    tape = Tape()
+    var_states = [tuple(tape.const(x) for x in s) for s in states]
+    out = smooth_robustness(f, Trace(var_states), SmoothConfig(b))
+    h = hashlib.sha256(repr(tape.recs).encode())
+    h.update(struct.pack(f"<{len(tape.vals)}d", *tape.vals))
+    h.update(struct.pack("<q", out.i))
+    return h.hexdigest()[:16]
+
+
+def tape_digests():
+    """tape_digest on the seeded rollouts of dubins_k10 and integrator2d
+    (their formulas and sharpness) and on a U/R formula over 12 random
+    states."""
+    out = {}
+    for name in ("dubins_k10", "integrator2d"):
+        sc = load_scenario(resolve_scenario(name))
+        pol = sc.build_policy(random.Random(sc.seed))
+        ref = rollout(sc.plant, pol, sc.init_set.samples[0],
+                      horizon(sc.formula))
+        out[name] = tape_digest(sc.formula, ref.states, sc.train_cfg.b)
+    rng = random.Random(3)
+    f = parse("U[0,4](x0 > 0.1 && x1 < 0.5, F[0,2](x1 > 0)) || "
+              "R[1,3](x0 > -0.3, x1 > 0.2 || x0 < 0.8)")
+    out["UR"] = tape_digest(f, [(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                for _ in range(12)], 15.0)
+    return out
+
+
+def test_tape_records_are_those_of_the_steps_one_by_one():
+    # recorded before the smooth semantics lost its generated kernel,
+    # whose tape was that of evaluating the steps one by one, each
+    # predicate's eval over all its times before the next step
+    assert tape_digests() == TAPE_DIGESTS
+
+
+TAPE_DIGESTS = {"dubins_k10": "c8bbadf670772cf0",
+                "integrator2d": "be10ecce1e951168", "UR": "08e2d99f46408488"}
 
 
 def taped(run, f, states, b):

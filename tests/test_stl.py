@@ -764,7 +764,7 @@ def test_program_compiled_once_and_not_a_field(monkeypatch):
         satisfies(f, tr, k)
         smooth_robustness(f, Trace(tr.states[k:]))
     assert made == [f]
-    assert kernels == ["exact", "boolean", "smooth"]
+    assert kernels == ["exact", "boolean"]
     assert "_prog" not in type(f)._fields
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
     assert g._prog is None and f._prog is not None
