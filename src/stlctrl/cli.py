@@ -39,6 +39,9 @@ from .verify import calibrate, choose_ell, report
 # weights of a controller; the largest bundled net has 1700.  Compiling a
 # net's rollout loop and trajectory kernels takes about 8.5 kB per weight.
 _MAX_WEIGHTS = 20_000
+# a formula's horizon; the largest bundled one is 1500.  A dubins rollout and
+# one smooth walk over it take about 1.3 kB per step.
+_MAX_HORIZON = 100_000
 _TRAIN = {f.name: f.type for f in fields(TrainConfig)}  # train field types
 # the scenario fields that every run reads, and that each trainer reads besides
 _READ_BY_ALL = ("name", "plant", "seed", "formula", "initial", "initial.low",
@@ -97,6 +100,9 @@ class Scenario:
         except ParseError as e:
             raise ScenarioError("formula", str(e))
         h = horizon(self.formula)
+        if h > _MAX_HORIZON:
+            raise ScenarioError("formula", f"horizon {h} exceeds the cap of "
+                                f"{_MAX_HORIZON} steps")
         self.policy_cfg = (self._policy(doc.get("policy"))
                            if "policy" in reads else None)
         self.init_set = self._initial(doc.get("initial"))
@@ -423,9 +429,9 @@ def cmd_monitor(args, argv):
         f = parse(args.formula, dim=tr.dim)
     except ParseError as e:
         raise ScenarioError("formula", str(e))
-    sig = signals(f, tr)  # HorizonError is a ValueError: exit 2
-    w = critical(f, tr, sig=sig)
-    print(f"rho        {sig[-1][0]:.6g}")
+    rho = signals(f, tr)[-1][0]  # HorizonError is a ValueError: exit 2
+    w = critical(f, tr)
+    print(f"rho        {rho:.6g}")
     print(f"satisfied  {'yes' if satisfies(f, tr) else 'no'}")
     print(f"k_star     {w.time}")
     print(f"h_star     {w.predicate.h.describe()}")

@@ -14,8 +14,8 @@ and the controller's forward on Vars, has its bits, and a sampled
 trajectory's adjoint its gradients.  So step_fn and squash_fn must be
 straight-line code over arithmetic and the autodiff helpers: nothing may
 depend on their arguments' values.  A noise-free loop may also run a
-formula's watch (stl_kernels.watch), which stops the run at the first
-state that proves its robustness below a floor.
+formula's watch (stl._kernel's "watch"), which stops the run at the
+first state that proves its robustness below a floor.
 """
 
 import copy
@@ -27,6 +27,7 @@ from .autodiff import (
     tanh, value_of, vmax,
 )
 from .policy import Policy, forward_source, param_count
+from .stl import _kernel
 
 G = 9.81
 
@@ -282,7 +283,7 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None, watch=None):
     run, and otherwise the run it would be without watch, bit for bit.
     The watched conjuncts are the G[a,b] over an affine predicate or an
     And/Or of affine predicates that are the formula or a child of its
-    root And (see stl_kernels.watch); a formula with none is never
+    root And (see stl_kernels._watch); a formula with none is never
     stopped, and a NaN floor stops no run.
     """
     if mode not in ("plain", "differentiable"):
@@ -301,8 +302,7 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None, watch=None):
         if mode != "plain" or gauss:
             raise ValueError("a watched rollout is plain, without per-step "
                              "noise")
-        from .stl_kernels import watch as watch_of
-        code = watch_of(watch[0])
+        code = _kernel(watch[0], None, 0, "watch")
         if code and code[3] > plant.state_dim:
             raise ValueError(f"the formula reads x{code[3] - 1}, past plant "
                              f"{plant.name}'s {plant.state_dim} coordinates")
@@ -348,7 +348,7 @@ def _closed_loop(plant, policy, noisy, watch=()):
     """kernel(th, forward, s0, K, time_scale, c1, gauss) -> (states, raw
     actions): it inlines a Policy's forward with theta in locals, and
     calls forward(s, k) of any other controller.  Given a watch
-    (stl_kernels.watch), kernel(..., floor) runs its lines on s0 and
+    (stl_kernels._watch), kernel(..., floor) runs its lines on s0 and
     after each step's divergence check, and returns None if they do."""
     trace, loops = _traced(plant)
     key = ((tuple(policy.widths), policy.include_time, noisy)

@@ -9,20 +9,21 @@ given the state's dimension, it rejects a state variable past it at its
 token.
 
 A formula compiles on first evaluation into one program, a post-order
-list of steps (a node and the window of times its parents read), and
-the exact and Boolean semantics each into one straight-line kernel that
-stl_kernels generates from that program, both cached on the root (the
-smooth semantics walks the program: see smooth).  critical backtracks
-from the exact kernel's signals.  robustness of an And with a later
-child G[a,b](Or of predicates), a reach-avoid spec's safety conjunct,
-or F[a,b](G[c,d](phi)), a reach conjunct, has a third kernel that
-computes the root value alone.  It skips the rows of such a
-G whose Or's first predicate is not below the min of the children
-before it, and the windows of such an F once one window's min is not
-below that min (max is NaN if its first item is, and otherwise never
-below any item that is a number, and NaN never replaces a min; the
-window's first row is evaluated in full, as builtin min keeps a NaN
-first item), so its bits are the exact kernel's.
+list of steps (a node and the window of times its parents read), and the
+exact and Boolean semantics each into one straight-line kernel that
+stl_kernels generates from that program (_kernel, its only importer,
+makes and caches on the root all of a formula's code, plants' rollout
+watch too; the smooth semantics walks the program: see smooth).
+critical backtracks from the exact kernel's signals.  robustness of an
+And with a later child G[a,b](Or of predicates), a reach-avoid spec's
+safety conjunct, or F[a,b](G[c,d](phi)), a reach conjunct, has a third
+kernel that computes the root value alone.  It skips the rows of such a
+G whose Or's first predicate is not below the min of the children before
+it, and the windows of such an F once one window's min is not below that
+min (max is NaN if its first item is, and otherwise never below any item
+that is a number, and NaN never replaces a min; the window's first row
+is evaluated in full, as builtin min keeps a NaN first item), so its
+bits are the exact kernel's.
 
 Predicates, nodes and witnesses are Records (as are smooth, trainer and
 verify results): immutable, equal and hashed by their fields, printed as a
@@ -287,9 +288,9 @@ def _program(f, tr=None, k=0):
 
 
 def _kernel(f, tr, k, sem):
-    """f's kernel for sem ("exact", "boolean" or "root"), generated on
-    first use by stl_kernels, which is imported then; the root kernel is
-    None if f has no child it prunes (see stl_kernels.prunable)."""
+    """f's kernel for sem ("exact", "boolean", "root" or "watch", tr None
+    for the watch), generated on first use by stl_kernels, which is
+    imported then; the root kernel is None if f has no child it prunes."""
     _, steps, kernels = _program(f, tr, k)
     if sem not in kernels:
         from .stl_kernels import generate, prunable
@@ -369,20 +370,16 @@ def satisfies(f, tr, k=0):
 
 # -- critical witness -----------------------------------------------------------
 
-def critical(f, tr, k=0, sig=None):
+def critical(f, tr, k=0):
     """Predicate instance (k*, h*) whose value equals robustness(f, tr, k).
 
-    Backtracks the robustness program from the root, taking at each node
-    the first candidate equal to its value: earlier time first, then the
-    left operand (U/R: left@k..k'-1, then right@k'), so ties are
-    deterministic.  sig is signals(f, tr, k) if already evaluated; a
-    predicate without a signal of its own (see stl_kernels) is evaluated at
-    the candidate times only.
+    Backtracks the exact signals from the root, taking at each node the
+    first candidate equal to its value: earlier time first, then the left
+    operand (U/R: left@k..k'-1, then right@k'), so ties are deterministic.
+    A predicate without a signal of its own (see stl_kernels) is evaluated
+    at the candidate times only.
     """
-    steps = _program(f, tr, k)[1]
-    if sig is None:
-        sig = signals(f, tr, k)
-    states = tr.states
+    steps, sig, states = _program(f, tr, k)[1], signals(f, tr, k), tr.states
 
     def value(i, t):
         s = sig[i]

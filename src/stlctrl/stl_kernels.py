@@ -10,18 +10,20 @@ G[a,b](Or of predicates) and the windows of a later F[a,b](G[c,d](phi))
 that cannot set its min, as bounded monitoring skips work that cannot
 change a min or max (Deshmukh, Donze, Ghosh, Jin, Juniwal & Seshia,
 "Robust online monitoring of signal temporal logic", FMSD 2017).  Every
-kernel is a min/max one: the smooth semantics is a walk over the
-program (smooth._walk).  The same bound stops a rollout: watch writes, for
-each G[a,b] over affine predicates that is the root or a conjunct of a
-root And, lines that plants splices into a rollout loop, which return
-no run once the conjunct's running min, an upper bound of the root, is
-below a floor.  An affine predicate is inlined as Affine.eval's sum,
-left to right from d, a coefficient of 1.0 or -1.0 as + x{i} or - x{i}
-and any other as + c * x{i} with c a literal, so the kernels are
-bit-identical to it.  stl and plants import this module when they first
-need a kernel or a watch, so importing stlctrl compiles none of it.  A
-node's type is read from its step's op, not from stl's classes, so a
-program compiled before stlctrl was imported again still gets its kernels.
+kernel is a min/max one: the smooth semantics is a walk over the program
+(smooth._walk).  The same bound stops a rollout: the watch (generate's
+"watch") is, for each G[a,b] over affine predicates that is the root or
+a conjunct of a root And, lines that plants splices into a rollout loop,
+which return no run once the conjunct's running min, an upper bound of
+the root, is below a floor.  An affine predicate is inlined as
+Affine.eval's sum, left to right from d, a coefficient of 1.0 or -1.0 as
++ x{i} or - x{i} and any other as + c * x{i} with c a literal, so the
+kernels are bit-identical to it.  Only stl._kernel, which caches what
+generate returns on the formula's program, imports this module, when it
+first needs a kernel or a watch, so importing stlctrl compiles none of
+it.  A node's type is read from its step's op, not from stl's classes,
+so a program compiled before stlctrl was imported again still gets its
+kernels.
 """
 
 import math
@@ -30,7 +32,7 @@ from functools import partial
 from itertools import groupby
 
 from .autodiff import _CHAIN, compile_kernel
-from .stl import INF, _inner, _program
+from .stl import INF, _inner
 
 
 def generate(steps, sem):
@@ -61,7 +63,10 @@ def generate(steps, sem):
     min is not below m (see _reach).  As builtin max is NaN if its first
     item is, and otherwise not below any item that is a number, and NaN
     never replaces a min, a child's value differs from the exact one only
-    where neither is below the fold: the root has the exact kernel's bits."""
+    where neither is below the fold: the root has the exact kernel's bits.
+    "watch" gives the lines of the rollout watch instead (see _watch)."""
+    if sem == "watch":
+        return _watch(steps)
     ns = {"_window": _window, "_until": _until, "_reach": _reach}
     fused = {i for i, (_, _, _, kids, _, op) in enumerate(steps)
              if op == "andor" and not any(steps[c][3] for c in kids)}
@@ -161,15 +166,6 @@ def _minmax(values, fn):
     for v in rest:
         lines += [f"v = {v}", f"if v {cmp} m: m = v"]
     return lines, "m"
-
-
-def watch(f):
-    """f's watch (see _watch), generated on first use and cached on its
-    program with its kernels."""
-    _, steps, kernels = _program(f)
-    if "watch" not in kernels:
-        kernels["watch"] = _watch(steps)
-    return kernels["watch"]
 
 
 def _watch(steps):

@@ -47,7 +47,6 @@ class TrainConfig:
     alpha: float = 1e-2
     guard_smooth: bool = True
     noise: tuple = None  # (c1, c2) for noisy training rollouts
-    max_retries: int = 50
 
     def __post_init__(self):
         if not self.eps > 0 or min(self.M, self.N, self.N1, self.N2,
@@ -140,6 +139,7 @@ class TrainLog:
                             repr(r.seconds)])
 
 
+_MAX_RETRIES = 50  # steps that raised DivergedRollout, retried per run
 _DIVERGED = (-math.inf, None)
 _BELOW = (math.nan, None)  # a watched run stopped: rho < floor, or nan
 
@@ -186,7 +186,7 @@ def _train(plant, policy, f, init_set, cfg, step):
     step(theta, worst_s0, runs) -> (theta, branch, lr, diverged, kept),
     runs being _min_rho's and kept its runs of the new theta, and logs the
     rho of kept's run from worst_s0.  A step that raises DivergedRollout is
-    retried, at most cfg.max_retries times per run.  The returned theta is
+    retried, at most _MAX_RETRIES times per run.  The returned theta is
     the one that solved the task, or the best one checked if none did.
     """
     K = horizon(f)
@@ -208,7 +208,7 @@ def _train(plant, policy, f, init_set, cfg, step):
             theta, branch, lr, div, kept = step(theta, worst_s0, runs)
         except DivergedRollout:
             retries += 1
-            if retries > cfg.max_retries:
+            if retries > _MAX_RETRIES:
                 raise
             continue
         diverged += div

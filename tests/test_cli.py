@@ -96,6 +96,7 @@ def test_library_use_of_every_scenario_does_not_load_openssl():
         from stlctrl.plants import rollout
         from stlctrl.sampler import build_sampled
         from stlctrl.stl import Trace, horizon, robustness
+        assert "stlctrl.stl_kernels" not in sys.modules, "kernels compiled"
         for name in bundled_names():
             sc = load_scenario(resolve_scenario(name))
             if sc.policy_cfg is None:
@@ -764,6 +765,36 @@ def test_a_controller_past_the_weight_cap_is_invalid_input(tmp_path, capsys,
     assert main(["simulate", "--scenario", path, "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "s"), "--trials", "1"]) == 2
     assert "error: checkpoint.widths: " in capsys.readouterr().err
+
+
+def test_a_horizon_past_the_cap_is_rejected_before_any_rollout(tmp_path,
+                                                             capsys):
+    # a run's memory grows with the horizon, so F[0,1e8] fails at load,
+    # not in training; every bundled horizon and dubins K = 5000 load
+    from stlctrl.cli import _MAX_HORIZON
+    assert max(horizon(load_scenario(resolve_scenario(n)).formula)
+               for n in bundled_names()) == 1500
+    with open(resolve_scenario("dubins_k1000")) as fh:
+        doc = json.load(fh)
+    doc["formula"] = (doc["formula"].replace("F[900,1000]", "F[4500,5000]")
+                      .replace("G[0,1000]", "G[0,5000]"))
+    assert horizon(Scenario(doc).formula) == 5000
+    with open(resolve_scenario("dubins_k10")) as fh:
+        doc = json.load(fh)
+    for h in (_MAX_HORIZON, _MAX_HORIZON + 1, 100_000_000):
+        doc["formula"] = f"F[0,{h}](x0 > 0)"
+        if h == _MAX_HORIZON:
+            assert horizon(Scenario(doc).formula) == h
+            continue
+        with pytest.raises(ScenarioError) as e:
+            Scenario(doc)
+        assert e.value.field == "formula"
+        path = write_scenario(tmp_path, doc)
+        assert main(["train", "--scenario", path, "--out",
+                     str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: formula: horizon {h} exceeds" in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate"])

@@ -15,7 +15,7 @@ from stlctrl.plants import (
 )
 from stlctrl.policy import Policy, init
 from stlctrl.stl import (
-    Affine, Always, And, Eventually, Named, Or, Pred, Trace, horizon,
+    Affine, Always, And, Eventually, Named, Or, Pred, Trace, _kernel, horizon,
     robustness,
 )
 
@@ -880,7 +880,6 @@ def test_unwatched_formulas_roll_out_in_full():
     # an Or root, Named predicates, F, and G over a temporal operator or a
     # mix of Named and Affine predicates are never watched: even a floor
     # of inf leaves the plain run, and no kernel is compiled for them
-    from stlctrl.stl_kernels import watch
     named = Pred(Named("x", lambda s: s[0]))
     g = Always(0, 2, _p([1.0]))
     formulas = [Or((g, g)), Always(0, 2, named),
@@ -893,10 +892,10 @@ def test_unwatched_formulas_roll_out_in_full():
     rollout(plant, pol, s0, K)
     kernels = len(plants._traced(plant)[1])
     for f in formulas:
-        assert watch(f) == () and watched(f) == [], f
+        assert _kernel(f, None, 0, "watch") == () and watched(f) == [], f
         assert rollout(plant, pol, s0, K, watch=(f, math.inf)).states == states
     assert len(plants._traced(plant)[1]) == kernels
-    assert watch(And((named, g))) != ()
+    assert _kernel(And((named, g)), None, 0, "watch") != ()
 
 
 def test_watch_needs_a_plain_noise_free_run_over_the_formulas_coordinates():
@@ -916,11 +915,10 @@ def test_watched_loop_keeps_far_slots_for_weights():
     # they come before the weights, so only weights need an EXTENDED_ARG
     import dis
     from stlctrl.cli import load_scenario, resolve_scenario
-    from stlctrl.stl_kernels import watch
     sc = load_scenario(resolve_scenario("multi_dubins_10"))
     pol = init([21, 40, 20], rng=random.Random(3))
-    code = plants._closed_loop(sc.plant, pol, False,
-                               watch(sc.formula)).__code__
+    code = plants._closed_loop(sc.plant, pol, False, _kernel(
+        sc.formula, None, 0, "watch")).__code__
     body = list(dis.get_instructions(code))
     body = body[next(i for i, ins in enumerate(body)
                      if ins.opname == "FOR_ITER"):]

@@ -801,21 +801,6 @@ def test_shared_node_is_evaluated_once_per_time():
             assert (n, bits(value)) == (n_rec, bits(value_rec)), (f, b)
 
 
-def test_critical_from_kept_signals_only_backtracks():
-    # given the signals robustness evaluated, critical evaluates no
-    # predicate except the children of a fused And/Or at the chosen time
-    calls = []
-    p, q = (counted(name, calls) for name in "pq")
-    tr = tr1([1.0, 0.0, 2.0, 3.0, 0.7, -1.0])
-    for f in (Eventually(0, 3, Until(1, 2, p, q)), Always(0, 5, And((p, q)))):
-        sig = stl.signals(f, tr)
-        assert bits(sig[-1][0]) == bits(robustness(f, tr))
-        calls.clear()
-        w = critical(f, tr, sig=sig)
-        assert len(calls) <= 2, (f, calls)
-        assert w == critical(f, tr)
-
-
 def looped(f, memo):
     """f with each Affine predicate a Named one that sums loop_affine's
     c[i] * s[i] terms, object sharing kept; memo maps id(node) to its

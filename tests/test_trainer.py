@@ -510,10 +510,9 @@ def test_dropout_first_pass_backtracks_the_incumbent_signals(monkeypatch):
     backtracked, incumbents, evaluated = [], [], []
     orig_signals, orig_iteration = stl.signals, trainer._dropout_iteration
 
-    def spy(f, tr, k=0, sig=None):
-        assert sig is None
+    def spy(f, tr, k=0):
         backtracked.append(tr.states)
-        return stl.critical(f, tr, k, sig)
+        return stl.critical(f, tr, k)
 
     def spy_iteration(*args):
         theta, s0, runs = args[7:10]
@@ -690,7 +689,7 @@ def test_dropout_fails_on_an_incumbent_that_diverged(monkeypatch):
     from stlctrl import trainer
     sc = load_scenario(resolve_scenario("scalar_power"))
     pol = Policy([2, 1], theta=[0.0, 0.0, -100.0])
-    cfg = dataclasses.replace(sc.train_cfg, max_iters=50, max_retries=50)
+    cfg = dataclasses.replace(sc.train_cfg, max_iters=50)
     calls, orig = [], trainer._dropout_iteration
     monkeypatch.setattr(trainer, "_dropout_iteration",
                         lambda *a: calls.append(1) or orig(*a))
@@ -903,7 +902,7 @@ def test_a_solved_runs_last_row_logs_its_final_rho(algorithm):
 ])
 def test_a_diverged_step_is_retried(monkeypatch, algorithm, inner):
     # a step that raises DivergedRollout is taken again without a log row,
-    # at most max_retries times per run
+    # at most _MAX_RETRIES times per run
     from stlctrl import trainer
     from stlctrl.plants import DivergedRollout
     orig = getattr(trainer, inner)
@@ -916,14 +915,16 @@ def test_a_diverged_step_is_retried(monkeypatch, algorithm, inner):
         return orig(*args, **kw)
 
     monkeypatch.setattr(trainer, inner, flaky)
-    cfg = TrainConfig(max_iters=2, N1=2, N2=1, max_retries=2)
+    monkeypatch.setattr(trainer, "_MAX_RETRIES", 2)
+    cfg = TrainConfig(max_iters=2, N1=2, N2=1)
     _, log, info = _train_unsolvable(algorithm, cfg)
     assert info["retries"] == 2
     assert info["iters"] == 2
     assert [r.iter for r in log.records] == [0, 1]
     calls.clear()
+    monkeypatch.setattr(trainer, "_MAX_RETRIES", 1)
     with pytest.raises(DivergedRollout):
-        _train_unsolvable(algorithm, dataclasses.replace(cfg, max_retries=1))
+        _train_unsolvable(algorithm, cfg)
 
 
 def test_openloop_rollout_past_its_actions_is_an_error():
