@@ -488,7 +488,7 @@ def cmd_simulate(args, argv):
         except DivergedRollout:
             continue
         done += 1
-        ok += satisfies(sc.formula, Trace(r.states))
+        ok += satisfies(sc.formula, r)
         write_trace_csv(os.path.join(args.out, f"trial_{t:04d}.csv"),
                         r.states, r.raw_actions)
     write_manifest(args.out, "simulate", sc, seed, argv)

@@ -108,9 +108,9 @@ def corners_and_center(low, high):
 
 
 class Rollout:
-    """A closed-loop run: K + 1 states and K raw actions (floats).  In a
-    differentiable run the states are Vars on tape (autodiff.value_of
-    reads their floats), after theta's, whose ids theta_vars holds."""
+    """A closed-loop run, a trace of stl's as it is: K + 1 states and K raw
+    actions (floats).  In a differentiable run the states are Vars on tape
+    (value_of reads their floats), after theta's (ids in theta_vars)."""
 
     def __init__(self, states, raw_actions, tape=None, theta_vars=None):
         self.states = states
@@ -279,9 +279,9 @@ def rollout(plant, policy, s0, K, mode="plain", noise=None, watch=None):
     watch is (formula, floor), for a plain run without per-step noise:
     the run is None from the first state at which a watched conjunct of
     the formula has a running min below floor, which proves that
-    robustness(formula, Trace(states)) >= floor is false for the whole
-    run, and otherwise the run it would be without watch, bit for bit.
-    The watched conjuncts are the G[a,b] over an affine predicate or an
+    robustness(formula, run) >= floor is false for the whole run, and
+    otherwise the run it would be without watch, bit for bit.  The
+    watched conjuncts are the G[a,b] over an affine predicate or an
     And/Or of affine predicates that are the formula or a child of its
     root And (see stl_kernels._watch); a formula with none is never
     stopped, and a NaN floor stops no run.

@@ -235,7 +235,7 @@ def grad_smooth(ref, partition, f, cfg, policy, plant):
     is the same float in every set: it is taken once, at every state, on
     floats (smooth_adjoints), or on a tape if f has a Named predicate.
     """
-    adjs = smooth_adjoints(f, ref.states, cfg)
+    adjs = smooth_adjoints(f, ref, cfg)
     if adjs is None:
         adjs = state_adjoints(
             lambda *states: smooth_robustness(f, Trace(states), cfg),

@@ -25,7 +25,7 @@ from itertools import repeat
 from operator import add, itemgetter, mul, sub
 
 from .autodiff import Var, exp, ln, value_of
-from .stl import Record, Trace, _program
+from .stl import Record, _program
 
 
 class SmoothConfig(Record):
@@ -158,23 +158,23 @@ def _softmax_lb_adjoint(adj, n, args):
 def smooth_robustness(f, tr, cfg=SmoothConfig()):
     """Smooth robustness of f over tr at time 0.
 
-    tr is an stl.Trace whose states may hold tape Vars, plain floats, or
-    a mix (frozen positions stay constant, gradients flow through Vars).
+    tr is a trace (see stl) whose states may hold tape Vars, plain floats,
+    or a mix (frozen positions stay constant, gradients flow through Vars).
     """
     return _walk(_program(f, tr, 0)[1], tr.states, cfg.b)[0][-1][0]
 
 
-def smooth_adjoints(f, states, cfg=SmoothConfig()):
-    """The adjoint of smooth_robustness(f, Trace(states), cfg) at each entry
-    of each state, a list per state: state_adjoints' over Vars of the
-    states, bit for bit, without a tape.  None if f has a Named predicate,
-    which only a tape differentiates.
+def smooth_adjoints(f, tr, cfg=SmoothConfig()):
+    """The adjoint of smooth_robustness(f, tr, cfg) at each entry of each
+    state of tr, a trace of floats, a list per state: state_adjoints' over
+    Vars of the states, bit for bit, without a tape.  None if f has a
+    Named predicate, which only a tape differentiates.
 
     _walk records the reverse sweep on the floats, which is Tape.backward's
     over the records of the aggregations and of each predicate row, in
     reverse creation order (see _affine_adjoint).
     """
-    steps = _program(f, Trace(states), 0)[1]
+    steps, states = _program(f, tr, 0)[1], tr.states
     if any(op == "named" for *_, op in steps):
         return None
     ops, dim = [], len(states[0])

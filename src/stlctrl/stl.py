@@ -14,16 +14,13 @@ exact and Boolean semantics each into one straight-line kernel that
 stl_kernels generates from that program (_kernel, its only importer,
 makes and caches on the root all of a formula's code, plants' rollout
 watch too; the smooth semantics walks the program: see smooth).
-critical backtracks from the exact kernel's signals.  robustness of an
-And with a later child G[a,b](Or of predicates), a reach-avoid spec's
-safety conjunct, or F[a,b](G[c,d](phi)), a reach conjunct, has a third
-kernel that computes the root value alone.  It skips the rows of such a
-G whose Or's first predicate is not below the min of the children before
-it, and the windows of such an F once one window's min is not below that
-min (max is NaN if its first item is, and otherwise never below any item
-that is a number, and NaN never replaces a min; the window's first row
-is evaluated in full, as builtin min keeps a NaN first item), so its
-bits are the exact kernel's.
+critical backtracks from the exact kernel's signals.  robustness runs a
+third kernel, the root kernel, which computes the root value alone with
+the exact kernel's bits, skipping the work of a reach-avoid And's
+conjuncts that cannot set its min (see stl_kernels).  A trace is
+anything with states, a list of equal-width tuples s_0..s_K, and K: a
+plants.Rollout as it is, or a Trace, which checks states from outside
+the program (a trace CSV, an API caller, tape Vars).
 
 Predicates, nodes and witnesses are Records (as are smooth, trainer and
 verify results): immutable, equal and hashed by their fields, printed as a
@@ -215,7 +212,7 @@ class Release(_Temporal):
 # -- traces ------------------------------------------------------------------
 
 class Trace:
-    """State sequence s_0..s_K; each state is an indexable vector."""
+    """States s_0..s_K from outside the program, checked: tuples, one width."""
 
     __slots__ = ("states", "dim", "K")
 
@@ -290,12 +287,11 @@ def _program(f, tr=None, k=0):
 def _kernel(f, tr, k, sem):
     """f's kernel for sem ("exact", "boolean", "root" or "watch", tr None
     for the watch), generated on first use by stl_kernels, which is
-    imported then; the root kernel is None if f has no child it prunes."""
+    imported then."""
     _, steps, kernels = _program(f, tr, k)
     if sem not in kernels:
-        from .stl_kernels import generate, prunable
-        kernels[sem] = (generate(steps, sem)
-                        if sem != "root" or prunable(steps) else None)
+        from .stl_kernels import generate
+        kernels[sem] = generate(steps, sem)
     return kernels[sem]
 
 
@@ -353,14 +349,9 @@ def signals(f, tr, k=0):
 
 def robustness(f, tr, k=0):
     """Exact robustness of f over tr at time k, signals(f, tr, k)[-1][0] by
-    bits.  If f is an And with a later child G[a,b](Or of predicates) or
-    F[a,b](G[c,d](phi)), a root kernel computes the root value alone and
-    skips the work of such a child that cannot set the min of the
-    children before it: a row whose Or's first predicate is not below
-    it, or every window of F once one window's min is not below it (see
-    stl_kernels.generate)."""
-    kernel = _kernel(f, tr, k, "root")
-    return kernel(tr.states, k) if kernel else signals(f, tr, k)[-1][0]
+    bits, from the root kernel: the root value alone, without the work
+    that cannot set it (see stl_kernels.generate)."""
+    return _kernel(f, tr, k, "root")(tr.states, k)
 
 
 def satisfies(f, tr, k=0):

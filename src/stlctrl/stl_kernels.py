@@ -5,7 +5,7 @@ one straight-line function that computes every step's signal bottom-up,
 and compiles it with autodiff.compile_kernel: offline monitoring in the
 order of Donze, Ferrere & Maler, "Efficient Robust Monitoring for STL"
 (CAV 2013), written out as code.  A third one, the root kernel, computes
-only the exact root value of an And, and skips the rows of a later
+only the exact root value, and of an And skips the rows of a later
 G[a,b](Or of predicates) and the windows of a later F[a,b](G[c,d](phi))
 that cannot set its min, as bounded monitoring skips work that cannot
 change a min or max (Deshmukh, Donze, Ghosh, Jin, Juniwal & Seshia,
@@ -51,10 +51,11 @@ def generate(steps, sem):
     strict, else >= 0) first.  The exact kernel returns every signal
     (None where there is none), the others the root's value.
 
-    The root kernel ("root") is the exact root value of a formula whose
-    root And has pruned children (see prunable): its other children come
-    as in the exact kernel, and the root is CPython's min loop over its
-    children in order (m = the first, then m = v if v < m).  A run of
+    The root kernel ("root") is the exact root value: the exact kernel
+    returning the root's if nothing is pruned (see prunable), and else
+    its other children come as in the exact kernel, and the root is
+    CPython's min loop over its children in order (m = the first, then
+    m = v if v < m).  A run of
     consecutive G-over-Or children over the same rows is one loop, whose
     rows after a window's first (evaluated in full, as builtin min keeps
     a NaN first item) evaluate the Or's first predicate o, and the rest

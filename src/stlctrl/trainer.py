@@ -6,7 +6,7 @@ exceeds rho_bar, and otherwise takes one step of its trainer, retrying a
 step whose rollout diverged.  A step maps (theta, worst sample, {sample:
 (exact rho, rollout)}) to (theta, branch, lr, diverged candidates, such
 runs of its theta), and the log's rho is the exact rho of that theta
-from the worst sample, read from those runs.
+from the worst sample, read from those runs; a NaN rho fails the check.
 
 train_dropout's step is the gradient-sampling iteration: it ascends the
 critical predicate value (and optionally a waypoint surrogate) through
@@ -31,7 +31,7 @@ from .plants import DivergedRollout, InitialSet, rollout
 from .policy import AdamState, adam_update
 from .sampler import build_sampled, grad_critical, grad_smooth, partition_times
 from .smooth import SmoothConfig
-from .stl import Record, Trace, critical, horizon, robustness
+from .stl import Record, critical, horizon, robustness
 
 
 @dataclass
@@ -153,21 +153,22 @@ def _exact_rho(plant, policy, theta, s0, K, f, floor=None):
                     watch=None if floor is None else (f, floor))
     except DivergedRollout:
         return _DIVERGED
-    return _BELOW if r is None else (robustness(f, Trace(r.states)), r)
+    return _BELOW if r is None else (robustness(f, r), r)
 
 
 def _min_rho(plant, policy, theta, init_set, K, f, kept):
-    """(min rho over the training samples, its sample, {sample: _exact_rho
-    of theta}), taking the runs of theta in kept as they are."""
-    best = worst_s0 = None
+    """(min rho over the training samples, its first sample, {sample:
+    _exact_rho of theta}), runs in kept taken as they are; NaN raises."""
     runs = {}
     for s0 in init_set.samples:
         if s0 not in runs:  # a repeated sample is rolled out once
             runs[s0] = kept.get(s0) or _exact_rho(plant, policy, theta, s0,
                                                   K, f)
-            if best is None or runs[s0][0] < best:
-                best, worst_s0 = runs[s0][0], s0
-    return best, worst_s0, runs
+            if runs[s0][0] != runs[s0][0]:
+                raise FloatingPointError(f"the robustness of theta from "
+                                         f"training sample {s0} is nan")
+    worst_s0 = min(runs, key=lambda s0: runs[s0][0])
+    return runs[worst_s0][0], worst_s0, runs
 
 
 def _incumbent(runs, s0):
@@ -201,7 +202,7 @@ def _train(plant, policy, f, init_set, cfg, step):
         if min_rho > best_rho:
             best_rho, best_theta = min_rho, theta
         if min_rho > cfg.rho_bar:
-            dnf = False
+            dnf, kept = False, runs
             break
         t_iter = time.perf_counter()
         try:
@@ -215,7 +216,7 @@ def _train(plant, policy, f, init_set, cfg, step):
         log.append(iter=iters, rho=kept[worst_s0][0], branch=branch, lr=lr,
                    seconds=time.perf_counter() - t_iter)
         iters += 1
-    # repeats a solved check; the benchmark's spans count its .samples read
+    # a solved check again, on its runs: the benchmark counts its .samples read
     final_rho = _min_rho(plant, policy, theta, init_set, K, f, kept)[0]
     if final_rho > best_rho:
         best_rho, best_theta = final_rho, theta
@@ -278,7 +279,7 @@ def _dropout_iteration(plant, policy, f, wp, cfg, rng, adams, theta, s0,
         return cands
 
     def crit(ref, pol):
-        w = critical(f, Trace(ref.states))
+        w = critical(f, ref)
         return grad_critical(ref, w.time, w.predicate, cfg.N, pol, plant, rng)
 
     def way(ref, pol):

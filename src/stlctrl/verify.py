@@ -11,7 +11,7 @@ delta1) <= ell - 1], summed in-house.
 import math
 
 from .plants import DivergedRollout, rollout
-from .stl import Record, Trace, horizon, robustness
+from .stl import Record, horizon, robustness
 
 
 class CalibrationSet:
@@ -48,19 +48,23 @@ class VerificationReport(Record):
 
 def calibrate(plant, policy, f, init_set, m, rng, noise=None):
     """Negative robustness of m rollouts from uniform initial states; a
-    rollout that diverges counts as R = +inf (see VerificationReport.diverged)."""
+    rollout that diverges counts as R = +inf (see VerificationReport.diverged)
+    and a NaN robustness, which no rank places, fails, naming its draw."""
     if m < 1:
         raise ValueError("m must be at least 1")
     K = horizon(f)
     vals = []
-    for _ in range(m):
+    for i in range(m):
         s0 = init_set.sample_uniform(rng)
         nz = None if noise is None else (noise[0], noise[1], rng)
         try:
-            r = rollout(plant, policy, s0, K, noise=nz)
-            vals.append(-robustness(f, Trace(r.states)))
+            rho = robustness(f, rollout(plant, policy, s0, K, noise=nz))
         except DivergedRollout:
-            vals.append(math.inf)
+            rho = -math.inf
+        if rho != rho:
+            raise FloatingPointError(f"the robustness of calibration draw "
+                                     f"{i + 1} of {m}, from {s0}, is nan")
+        vals.append(-rho)
     return CalibrationSet(vals)
 
 

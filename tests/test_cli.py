@@ -412,6 +412,70 @@ def test_numerical_failure_in_training_exits_4(tmp_path, capsys, monkeypatch,
     assert err.startswith("runtime failure:") and message in err
 
 
+def _nan_from_positive_x0(monkeypatch):
+    # a scenario's formula replaced by a Named predicate, which only the
+    # Python API can give: NaN at a state with x0 > 0, else 0.5
+    from stlctrl import cli
+    from stlctrl.stl import Named, Pred
+    orig = cli.load_scenario
+
+    def load(path):
+        sc = orig(path)
+        sc.formula = Pred(Named("h", lambda s: math.nan if s[0] > 0.0
+                                else 0.5))
+        return sc
+
+    monkeypatch.setattr(cli, "load_scenario", load)
+
+
+@pytest.mark.parametrize("samples", [[[-1.0, 0.0], [1.0, 0.0]],
+                                     [[1.0, 0.0], [-1.0, 0.0]]])
+def test_a_nan_rho_in_training_exits_4(tmp_path, capsys, monkeypatch,
+                                       samples):
+    # in either order of the samples, not solved at 0.5 nor trained on
+    _nan_from_positive_x0(monkeypatch)
+    doc = scenario_doc(initial={"low": [-1.0, 0.0], "high": [1.0, 0.0],
+                                "samples": samples})
+    rc = main(["train", "--scenario", write_scenario(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith("runtime failure: FloatingPointError:")
+    assert "training sample (1.0, 0.0) is nan" in err
+
+
+def test_a_nan_calibration_draw_exits_4(tmp_path, capsys, monkeypatch):
+    # the draws' x0 are -0.53, -0.21, -0.87, 0.836, ... under seed 4
+    _nan_from_positive_x0(monkeypatch)
+    path = write_scenario(tmp_path, scenario_doc(
+        initial={"low": [-1.0, 0.0], "high": [1.0, 0.0],
+                 "samples": [[-1.0, 0.0]]}))
+    ckpt = tmp_path / "ckpt.json"
+    load_scenario(path).build_policy(random.Random(7)).save(
+        str(ckpt), plant_name="integrator2d")
+    rc = main(["verify", "--scenario", path, "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "v"), "--seed", "4"])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith("runtime failure: FloatingPointError:")
+    assert "calibration draw 4 of 50, from (0.8359" in err
+
+
+def test_simulate_builds_no_trace(tmp_path, capsys, monkeypatch):
+    # each trial's rollout goes to the Boolean kernel as it is
+    from tests.test_stl import forbid_traces
+    sc = load_scenario(resolve_scenario("dubins_k10"))
+    ckpt = tmp_path / "ckpt.json"
+    sc.build_policy(random.Random(sc.seed)).save(str(ckpt),
+                                                 plant_name=sc.plant.name)
+    forbid_traces(monkeypatch)
+    rc = main(["simulate", "--scenario", "dubins_k10", "--checkpoint",
+               str(ckpt), "--out", str(tmp_path / "sim"), "--trials", "3"])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert "completed     3" in out
+
+
 def test_train_float_fields_take_integers():
     doc = scenario_doc()
     doc["train"].update(alpha=1, rho_bar=0, b=10)

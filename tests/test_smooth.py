@@ -447,7 +447,7 @@ def taped_adjoints(f, states, b):
 
 
 def assert_sweep_matches_tape(f, states, b):
-    got = smooth_adjoints(f, states, SmoothConfig(b))
+    got = smooth_adjoints(f, Trace(states), SmoothConfig(b))
     want = taped_adjoints(f, states, b)
     assert [len(a) for a in got] == [len(a) for a in want]
     assert _pack([g for a in got for g in a]) == \
@@ -541,9 +541,9 @@ def test_sweep_matches_the_tape_on_crafted_formulas(k):
 def test_sweep_declines_a_named_predicate():
     named = Pred(Named("x", lambda s: s[0]))
     f = And((named, Pred(Affine((1.0,), 0.0))))
-    assert smooth_adjoints(f, [(0.5,)], SmoothConfig()) is None
+    assert smooth_adjoints(f, Trace([(0.5,)]), SmoothConfig()) is None
 
 
 def test_sweep_checks_the_horizon():
     with pytest.raises(HorizonError):
-        smooth_adjoints(parse("F[0,3](x0 > 0)"), [(0.0,)] * 3)
+        smooth_adjoints(parse("F[0,3](x0 > 0)"), Trace([(0.0,)] * 3))

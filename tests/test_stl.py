@@ -16,6 +16,15 @@ def tr1(xs):
     return Trace([(x,) for x in xs])
 
 
+def forbid_traces(monkeypatch):
+    """Make building a Trace fail, for a run that should hand its rollouts
+    to the semantics as they are."""
+    def no_trace(self, states):
+        raise AssertionError("a Trace was built")
+
+    monkeypatch.setattr(stl.Trace, "__init__", no_trace)
+
+
 # -- brute-force oracle: a separate, loop-explicit transcription --------------
 
 def brute(f, states, k):
@@ -764,7 +773,7 @@ def test_program_compiled_once_and_not_a_field(monkeypatch):
         satisfies(f, tr, k)
         smooth_robustness(f, Trace(tr.states[k:]))
     assert made == [f]
-    assert kernels == ["exact", "boolean"]
+    assert kernels == ["root", "exact", "boolean"]
     assert "_prog" not in type(f)._fields
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
     assert g._prog is None and f._prog is not None
@@ -983,6 +992,7 @@ def test_root_kernel_is_the_exact_root_on_bundled_rollouts():
             tr = Trace(r.states)
             assert bits(robustness(f, tr)) == bits(
                 stl.signals(f, tr)[-1][0]), name
+        assert callable(f._prog[2]["root"]), name
 
 
 def test_root_kernel_skips_the_rows_that_cannot_set_the_min():

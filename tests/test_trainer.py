@@ -10,13 +10,15 @@ from stlctrl.cli import bundled_names, load_scenario, resolve_scenario
 from stlctrl.plants import InitialSet, Plant, Rollout, builtin, rollout
 from stlctrl.policy import AdamState, Policy, init
 from stlctrl.sampler import build_sampled, state_adjoints
-from stlctrl.stl import Trace, horizon, parse, robustness
+from stlctrl.stl import (
+    Always, Named, Pred, Trace, horizon, parse, robustness,
+)
 from stlctrl.trainer import (
     TrainConfig, TrainLog, WaypointPath, _OpenLoop, train_dropout,
     train_openloop, train_vanilla, waypoint_objective,
 )
 from tests.test_plants import oracle_sampled
-from tests.test_stl import nan_as_one
+from tests.test_stl import forbid_traces, nan_as_one
 
 
 def _point_set(s0):
@@ -662,6 +664,66 @@ def test_min_rho_rolls_a_repeated_sample_out_once(monkeypatch):
         first = min(dict.fromkeys(samples), key=rho.get)
         assert (best, worst) == (rho[first], first)
         assert len(calls) == len(runs) == len(set(samples))
+
+
+@pytest.mark.parametrize("nan_first", [False, True])
+def test_a_nan_rho_fails_the_check_in_either_order(nan_first):
+    # a Named predicate that is NaN from one of two samples: the other
+    # sample's rho, 0.5, would pass as solved if the NaN came second, and
+    # the NaN would be the min only if it came first
+    plant = Plant("inert", 1, 2, 1.0, lambda s, u, dt: (s[0],), lambda a: a)
+    f = Always(0, 3, Pred(Named("h", lambda s: math.nan if s[0] > 0.0
+                                else 0.5)))
+    a, b = (-1.0,), (1.0,)
+    iset = InitialSet(a, b, [b, a] if nan_first else [a, b])
+    pol = init([2, 3, 2], rng=random.Random(1))
+    with pytest.raises(FloatingPointError,
+                       match=r"training sample \(1\.0,\) is nan"):
+        train_dropout(plant, pol, f, iset, None, TrainConfig(max_iters=5),
+                      random.Random(0))
+
+
+def test_a_solved_check_is_not_rolled_out_again(monkeypatch):
+    # a two-sample dropout solve: the final check takes the solving
+    # check's runs, so nothing is rolled out after the solving check
+    from stlctrl import trainer
+    sc = load_scenario(resolve_scenario("dubins_k10"))
+    rng = random.Random(sc.seed)
+    pol = sc.build_policy(rng)
+    a, b = (0.0, 0.0), (0.01, 0.01)
+    calls, marks = [], []
+    orig_rollout, orig_min_rho = trainer.rollout, trainer._min_rho
+    monkeypatch.setattr(trainer, "rollout", lambda *a, **kw: calls.append(
+        1) or orig_rollout(*a, **kw))
+    monkeypatch.setattr(trainer, "_min_rho", lambda *a: (
+        orig_min_rho(*a), marks.append(len(calls)))[0])
+    _, _, info = train_dropout(sc.plant, pol, sc.formula,
+                               InitialSet(a, b, [a, b]), None,
+                               dataclasses.replace(sc.train_cfg, max_iters=50),
+                               rng)
+    assert not info["dnf"] and info["iters"] >= 2
+    assert len(marks) == info["iters"] + 2
+    assert marks[-2] == marks[-1] == len(calls)
+
+
+def test_training_builds_no_trace(monkeypatch):
+    # the trainer hands its rollouts to the STL semantics as they are: a
+    # seeded dubins_k10 vanilla run and three dropout iterations of
+    # dubins_k100, which take critical passes, build no Trace
+    forbid_traces(monkeypatch)
+    with pytest.raises(AssertionError, match="a Trace was built"):
+        Trace([(0.0,)])
+    sc = load_scenario(resolve_scenario("dubins_k10"))
+    rng = random.Random(sc.seed)
+    _, log, info = train_vanilla(sc.plant, sc.build_policy(rng), sc.formula,
+                                 sc.init_set, sc.train_cfg, rng)
+    assert not info["dnf"] and log.records
+    sc = load_scenario(resolve_scenario("dubins_k100"))
+    rng = random.Random(sc.seed)
+    _, log, info = train_dropout(
+        sc.plant, sc.build_policy(rng), sc.formula, sc.init_set,
+        sc.waypoints, dataclasses.replace(sc.train_cfg, max_iters=3), rng)
+    assert info["iters"] == 3
 
 
 def test_dropout_incumbent_that_diverged_is_not_rolled_out_again(

@@ -5,7 +5,7 @@ import pytest
 
 from stlctrl.plants import InitialSet, builtin
 from stlctrl.policy import Policy, init
-from stlctrl.stl import parse
+from stlctrl.stl import Named, Pred, parse
 from stlctrl.verify import (
     CalibrationSet, beta_bound, beta_moments, calibrate, choose_ell, report,
 )
@@ -132,3 +132,29 @@ def test_report_counts_diverged_rollouts():
         40, 21, calib.values[20], calib.values[20] < 0.0)
     assert report(CalibrationSet([-1.0, 2.0]), coverage=0.5).diverged == 0
 
+
+
+def test_calibrate_builds_no_trace(monkeypatch):
+    # each calibration rollout goes to the root kernel as it is
+    from stlctrl.cli import load_scenario, resolve_scenario
+    from tests.test_stl import forbid_traces
+    sc = load_scenario(resolve_scenario("dubins_k1000"))
+    pol = sc.build_policy(random.Random(sc.seed))
+    forbid_traces(monkeypatch)
+    calib = calibrate(sc.plant, pol, sc.formula, sc.init_set, 3,
+                      random.Random(1))
+    assert calib.m == 3 and all(math.isfinite(v) for v in calib.values)
+
+
+def test_calibrate_fails_on_a_nan_draw():
+    # a NaN robustness would sort anywhere and could move R_ell: the
+    # calibration fails at the first such draw, naming it
+    plant = builtin("integrator2d")
+    pol = init([3, 4, 2], scheme="zero")
+    iset = InitialSet((-1.0, 0.0), (1.0, 0.0), [(-1.0, 0.0)])
+    f = Pred(Named("h", lambda s: math.nan if s[0] > 0.0 else -1.0))
+    rng = random.Random(4)
+    first = next(i for i in range(50) if iset.sample_uniform(rng)[0] > 0.0)
+    with pytest.raises(FloatingPointError,
+                       match=rf"calibration draw {first + 1} of 50, from "):
+        calibrate(plant, pol, f, iset, 50, random.Random(4))
